@@ -281,6 +281,19 @@ func BenchmarkFig18VendorMTTR(b *testing.B) {
 	b.ReportMetric(fit.R2, "R2")
 }
 
+// BenchmarkInterAnalysisBuild times NewInterAnalysis: the per-link merge,
+// the per-edge outage sweep and the per-vendor scan that the §6 artifacts
+// (Table 4, Figures 15–18) then only read.
+func BenchmarkInterAnalysisBuild(b *testing.B) {
+	_, inter := benchData(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewInterAnalysis(inter.Topology, inter.Downtimes, inter.Analysis.WindowHours); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationRemediation runs the full 2017 counterfactual pair per
 // iteration (§5.6): the heaviest experiment, reported as whole-run time.
 func BenchmarkAblationRemediation(b *testing.B) {

@@ -105,7 +105,10 @@ func TestEdgeOutagesRequireAllLinksDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outages := a.edgeOutages(edge.Name)
+	outages := a.edges[0].outages
+	if a.edges[0].name != edge.Name {
+		t.Fatalf("first edge record is %s, want %s", a.edges[0].name, edge.Name)
+	}
 	if len(outages) != 1 {
 		t.Fatalf("outages = %v, want exactly one", outages)
 	}

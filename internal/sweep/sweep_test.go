@@ -318,14 +318,29 @@ func TestSweepBackboneLeg(t *testing.T) {
 	if testing.Short() {
 		t.Skip("backbone leg is slow")
 	}
-	cfg := Config{
-		Seeds:     []uint64{1},
-		Scenarios: []Scenario{{Name: "baseline", FromYear: 2014, ToYear: 2014}},
-		Backbone:  true,
+	// Two identical campaigns must write byte-identical reports: the
+	// backbone statistics sum per-edge values, so any map-order summation
+	// would show in their last bits.
+	var reports [2][]byte
+	var res *Result
+	for i := range reports {
+		var err error
+		res, err = Run(Config{
+			Seeds:     []uint64{1},
+			Scenarios: []Scenario{{Name: "baseline", FromYear: 2014, ToYear: 2014}},
+			Backbone:  true,
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		var rep bytes.Buffer
+		if err := res.WriteReport(&rep); err != nil {
+			t.Fatalf("WriteReport: %v", err)
+		}
+		reports[i] = rep.Bytes()
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Errorf("repeated backbone campaigns wrote different reports:\n%s\nvs\n%s", reports[0], reports[1])
 	}
 	r := res.Runs[0]
 	if r.EdgeAvailability <= 0 || r.EdgeAvailability > 1 {

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Snapshot the analysis and SEV query-engine benchmarks into
 # BENCH_sevquery.json at the repo root. Runs the per-table/figure
-# benchmarks plus the BenchmarkSevQuery* store benches and records ns/op
-# per benchmark, so indexed-query speedups (and regressions) are diffable
-# across PRs. Usage: scripts/bench_sevquery.sh [benchtime]
+# benchmarks, the §6 analysis build (BenchmarkInterAnalysisBuild) and the
+# BenchmarkSevQuery* store benches, and records ns/op per benchmark, so
+# speedups (and regressions) are diffable across PRs. Usage: scripts/bench_sevquery.sh [benchtime]
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -11,7 +11,7 @@ BENCHTIME="${1:-200ms}"
 OUT="BENCH_sevquery.json"
 
 go test -run '^$' \
-	-bench 'BenchmarkTable|BenchmarkFig|BenchmarkSevQuery|BenchmarkReproFanOut' \
+	-bench 'BenchmarkTable|BenchmarkFig|BenchmarkInterAnalysisBuild|BenchmarkSevQuery|BenchmarkReproFanOut' \
 	-benchtime "$BENCHTIME" . |
 	awk -v benchtime="$BENCHTIME" '
 		/^goos:/   { goos = $2 }
