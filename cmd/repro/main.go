@@ -375,6 +375,12 @@ func runAll(w io.Writer, d *datasets, workers int) error {
 		// footer's timings.
 		tr = dcnr.NewTracer()
 	}
+	// The pool never exceeds GOMAXPROCS or the task count; clamp the
+	// same way so the footer reports the pool that ran.
+	if procs := runtime.GOMAXPROCS(0); workers <= 0 || workers > procs {
+		workers = procs
+	}
+	workers = min(workers, len(experimentOrder))
 	begin := time.Now()
 	builds := []func() error{
 		func() error { _, err := d.intraDC(); return err },

@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -66,6 +68,11 @@ func TestRunAllAndVerify(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("all-experiments output missing %q", want)
 		}
+	}
+	// Asked for 0 workers, the footer reports the pool that ran.
+	ran := min(runtime.GOMAXPROCS(0), len(experimentOrder))
+	if want := fmt.Sprintf("wall clock (%d workers)", ran); !strings.Contains(out, want) {
+		t.Errorf("footer missing %q", want)
 	}
 	// The fan-out must not perturb output order: experiments appear in
 	// paper order regardless of which worker finished first.
