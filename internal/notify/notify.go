@@ -9,10 +9,16 @@
 // in SMTP. After each message the server replies with one status line:
 // "OK" when its handler accepted the message, or "ERR <reason>". The client
 // fails fast on ERR.
+//
+// The server bounds what one connection can make it hold: a line whose
+// bytes before '\n' reach bufio.MaxScanTokenSize (the limit
+// tickets.Parse applies), or a message longer than 1 MiB, gets
+// "ERR message too large" and the connection is closed.
 package notify
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -21,6 +27,19 @@ import (
 	"sync"
 	"time"
 )
+
+const (
+	// maxLineBytes bounds one received line, '\n' included, so the
+	// longest accepted line has maxLineBytes-1 bytes before its '\n'.
+	maxLineBytes = bufio.MaxScanTokenSize
+	// maxMessageBytes bounds one received message as handed to the
+	// handler.
+	maxMessageBytes = 1 << 20
+)
+
+// statusTooLarge is the status line sent before closing a connection that
+// went over maxLineBytes or maxMessageBytes.
+const statusTooLarge = "ERR message too large"
 
 // Handler processes one received message. Returning an error rejects the
 // message: the sender sees an ERR status.
@@ -124,17 +143,20 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, maxLineBytes)
 	bw := bufio.NewWriter(conn)
 	var msg strings.Builder
 	for {
-		line, err := br.ReadString('\n')
+		raw, err := br.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) {
+			reply(bw, statusTooLarge)
+			return
+		}
 		if err != nil {
 			return
 		}
-		line = strings.TrimRight(line, "\r\n")
-		switch {
-		case line == ".":
+		line := bytes.TrimRight(raw, "\r\n")
+		if string(line) == "." {
 			status := "OK"
 			if err := s.handler(msg.String()); err != nil {
 				status = "ERR " + strings.ReplaceAll(err.Error(), "\n", " ")
@@ -144,21 +166,29 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.mu.Unlock()
 			}
 			msg.Reset()
-			if _, err := bw.WriteString(status + "\n"); err != nil {
+			if !reply(bw, status) {
 				return
 			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		case strings.HasPrefix(line, ".."):
-			// Undo dot-stuffing.
-			msg.WriteString(line[1:])
-			msg.WriteByte('\n')
-		default:
-			msg.WriteString(line)
-			msg.WriteByte('\n')
+			continue
 		}
+		if bytes.HasPrefix(line, []byte("..")) {
+			line = line[1:] // undo dot-stuffing
+		}
+		if msg.Len()+len(line)+1 > maxMessageBytes {
+			reply(bw, statusTooLarge)
+			return
+		}
+		msg.Write(line)
+		msg.WriteByte('\n')
 	}
+}
+
+// reply sends one status line and reports whether it went out.
+func reply(bw *bufio.Writer, status string) bool {
+	if _, err := bw.WriteString(status + "\n"); err != nil {
+		return false
+	}
+	return bw.Flush() == nil
 }
 
 // Received reports how many messages the handler has accepted.

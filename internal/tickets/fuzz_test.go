@@ -1,6 +1,7 @@
 package tickets
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -30,6 +31,42 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip changed notice: %+v vs %+v", n, n2)
 		}
 	})
+}
+
+// FuzzParseMatchesReference checks Parse against parseRef, the original
+// bufio.Scanner parser: on every input both make the same accept/reject
+// decision, and accepted notices are identical field for field, floats
+// compared bit for bit. The 64 KiB line limit is pinned by
+// TestParseLongLineBoundary instead: seeds that size stall the fuzzer in
+// minimization.
+func FuzzParseMatchesReference(f *testing.F) {
+	valid := sampleFuzzNotice().Format()
+	f.Add(valid)
+	f.Add(strings.ReplaceAll(valid, "\n", "\r\n"))
+	f.Add(strings.TrimSuffix(valid, "\n"))
+	f.Add(strings.Replace(valid, "At-Hours: 10.0000", "At-Hours: NaN", 1))
+	f.Add(strings.Replace(valid, "Edge:", "Edge :\u00a0", 1))
+	f.Add("\r\n\r\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		got, gotErr := Parse(text)
+		want, wantErr := parseRef(text)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("decision differs on %q:\nParse:    %v\nparseRef: %v", text, gotErr, wantErr)
+		}
+		if gotErr == nil && !sameNotice(got, want) {
+			t.Fatalf("notice differs on %q:\nParse:    %+v\nparseRef: %+v", text, got, want)
+		}
+	})
+}
+
+// sameNotice reports whether a and b are identical, floats compared by
+// their bits (so NaN equals NaN and -0 differs from 0).
+func sameNotice(a, b Notice) bool {
+	return a.TicketID == b.TicketID && a.Vendor == b.Vendor && a.Link == b.Link &&
+		a.Circuit == b.Circuit && a.Edge == b.Edge && a.Continent == b.Continent &&
+		a.Event == b.Event && a.Maintenance == b.Maintenance &&
+		math.Float64bits(a.AtHours) == math.Float64bits(b.AtHours) &&
+		math.Float64bits(a.EstimatedHours) == math.Float64bits(b.EstimatedHours)
 }
 
 func sampleFuzzNotice() Notice {

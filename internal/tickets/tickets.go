@@ -55,21 +55,42 @@ type Notice struct {
 }
 
 // Format renders the notice in the structured-email form vendors send.
+// The text is appended into a stack buffer, so for any notice up to
+// formatStackSize bytes the returned string is the only allocation.
 func (n Notice) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ticket-ID: %s\n", n.TicketID)
-	fmt.Fprintf(&b, "Vendor: %s\n", n.Vendor)
-	fmt.Fprintf(&b, "Link: %s\n", n.Link)
-	fmt.Fprintf(&b, "Circuit: %s\n", n.Circuit)
-	fmt.Fprintf(&b, "Edge: %s\n", n.Edge)
-	fmt.Fprintf(&b, "Continent: %s\n", n.Continent)
-	fmt.Fprintf(&b, "Event: %s\n", n.Event)
-	fmt.Fprintf(&b, "At-Hours: %.4f\n", n.AtHours)
+	var buf [formatStackSize]byte
+	return string(n.appendTo(buf[:0]))
+}
+
+// formatStackSize bounds Format's stack buffer: generated notices run to
+// about 200 bytes, and a longer one only costs a second allocation.
+const formatStackSize = 512
+
+// appendTo appends the notice's structured-email form to b. The floats
+// use strconv's 'f' format at precision 4, which is byte-identical to
+// %.4f (NaN, ±Inf and -0 included); the bool is %t's true/false.
+func (n Notice) appendTo(b []byte) []byte {
+	b = appendHeader(b, "Ticket-ID: ", n.TicketID)
+	b = appendHeader(b, "Vendor: ", n.Vendor)
+	b = appendHeader(b, "Link: ", n.Link)
+	b = appendHeader(b, "Circuit: ", n.Circuit)
+	b = appendHeader(b, "Edge: ", n.Edge)
+	b = appendHeader(b, "Continent: ", n.Continent.String())
+	b = appendHeader(b, "Event: ", string(n.Event))
+	b = append(b, "At-Hours: "...)
+	b = append(strconv.AppendFloat(b, n.AtHours, 'f', 4, 64), '\n')
 	if n.Event == RepairStart {
-		fmt.Fprintf(&b, "Estimated-Hours: %.4f\n", n.EstimatedHours)
+		b = append(b, "Estimated-Hours: "...)
+		b = append(strconv.AppendFloat(b, n.EstimatedHours, 'f', 4, 64), '\n')
 	}
-	fmt.Fprintf(&b, "Maintenance: %t\n", n.Maintenance)
-	return b.String()
+	b = append(b, "Maintenance: "...)
+	return append(strconv.AppendBool(b, n.Maintenance), '\n')
+}
+
+func appendHeader(b []byte, key, value string) []byte {
+	b = append(b, key...)
+	b = append(b, value...)
+	return append(b, '\n')
 }
 
 // continentByName inverts backbone.Continent.String for parsing.
@@ -81,39 +102,69 @@ var continentByName = func() map[string]backbone.Continent {
 	return m
 }()
 
+// Bits of Parse's seen mask, one per required header, in the order
+// requiredHeaders names them.
+const (
+	seenTicketID uint8 = 1 << iota
+	seenVendor
+	seenLink
+	seenEdge
+	seenEvent
+	seenAtHours
+)
+
+var requiredHeaders = [...]string{"Ticket-ID", "Vendor", "Link", "Edge", "Event", "At-Hours"}
+
+// errLineTooLong is bufio.Scanner's line limit, which Parse applies too: a
+// line whose raw bytes before '\n' (any '\r' included) reach
+// bufio.MaxScanTokenSize is rejected. The notify server bounds lines the
+// same way.
+var errLineTooLong = fmt.Errorf("tickets: reading notice: %w", bufio.ErrTooLong)
+
 // Parse decodes one notice from its structured-email form. Unknown header
 // keys are ignored (vendors add noise); missing required keys are errors.
+// Header values are substrings of text; a well-formed notice parses
+// without allocating.
+//
+//hot:noalloc
 func Parse(text string) (Notice, error) {
 	n := Notice{AtHours: -1}
-	seen := map[string]bool{}
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	var seen uint8
+	for rest := text; rest != ""; {
+		var raw string
+		raw, rest, _ = strings.Cut(rest, "\n")
+		if len(raw) >= bufio.MaxScanTokenSize {
+			return Notice{}, errLineTooLong
+		}
+		line := strings.TrimSpace(raw)
 		if line == "" {
 			continue
 		}
 		key, value, ok := strings.Cut(line, ":")
 		if !ok {
-			return Notice{}, fmt.Errorf("tickets: malformed line %q", line)
+			return Notice{}, fmt.Errorf("tickets: malformed line %q", line) //lint:allow hotalloc error path
 		}
 		key = strings.TrimSpace(key)
 		value = strings.TrimSpace(value)
-		seen[key] = true
 		switch key {
 		case "Ticket-ID":
 			n.TicketID = value
+			seen |= seenTicketID
 		case "Vendor":
 			n.Vendor = value
+			seen |= seenVendor
 		case "Link":
 			n.Link = value
+			seen |= seenLink
 		case "Circuit":
 			n.Circuit = value
 		case "Edge":
 			n.Edge = value
+			seen |= seenEdge
 		case "Continent":
 			c, ok := continentByName[value]
 			if !ok {
-				return Notice{}, fmt.Errorf("tickets: unknown continent %q", value)
+				return Notice{}, fmt.Errorf("tickets: unknown continent %q", value) //lint:allow hotalloc error path
 			}
 			n.Continent = c
 		case "Event":
@@ -121,34 +172,33 @@ func Parse(text string) (Notice, error) {
 			case RepairStart, RepairComplete:
 				n.Event = EventType(value)
 			default:
-				return Notice{}, fmt.Errorf("tickets: unknown event %q", value)
+				return Notice{}, fmt.Errorf("tickets: unknown event %q", value) //lint:allow hotalloc error path
 			}
+			seen |= seenEvent
 		case "At-Hours":
 			f, err := strconv.ParseFloat(value, 64)
 			if err != nil || f < 0 {
-				return Notice{}, fmt.Errorf("tickets: bad At-Hours %q", value)
+				return Notice{}, fmt.Errorf("tickets: bad At-Hours %q", value) //lint:allow hotalloc error path
 			}
 			n.AtHours = f
+			seen |= seenAtHours
 		case "Estimated-Hours":
 			f, err := strconv.ParseFloat(value, 64)
 			if err != nil {
-				return Notice{}, fmt.Errorf("tickets: bad Estimated-Hours %q", value)
+				return Notice{}, fmt.Errorf("tickets: bad Estimated-Hours %q", value) //lint:allow hotalloc error path
 			}
 			n.EstimatedHours = f
 		case "Maintenance":
-			b, err := strconv.ParseBool(value)
+			b, err := strconv.ParseBool(value) //lint:allow hotalloc inlined ParseBool allocates only its error
 			if err != nil {
-				return Notice{}, fmt.Errorf("tickets: bad Maintenance %q", value)
+				return Notice{}, fmt.Errorf("tickets: bad Maintenance %q", value) //lint:allow hotalloc error path
 			}
 			n.Maintenance = b
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return Notice{}, fmt.Errorf("tickets: reading notice: %w", err)
-	}
-	for _, req := range []string{"Ticket-ID", "Vendor", "Link", "Edge", "Event", "At-Hours"} {
-		if !seen[req] {
-			return Notice{}, fmt.Errorf("tickets: missing required header %s", req)
+	for i, name := range requiredHeaders {
+		if seen&(1<<i) == 0 {
+			return Notice{}, fmt.Errorf("tickets: missing required header %s", name) //lint:allow hotalloc error path
 		}
 	}
 	return n, nil
@@ -207,6 +257,10 @@ func (d Downtime) Duration() float64 { return d.End - d.Start }
 type Collector struct {
 	open      map[string]Notice
 	completed []Downtime
+	// names interns the vendor, link and edge names of completed records.
+	// Parsed values are substrings of their notice's text; a record holds
+	// copies, so the text is not kept alive for the analysis' lifetime.
+	names map[string]string
 	// WindowHours clips repairs still open at the end of the observation
 	// window; zero means no clipping.
 	WindowHours float64
@@ -214,7 +268,16 @@ type Collector struct {
 
 // NewCollector returns an empty Collector.
 func NewCollector() *Collector {
-	return &Collector{open: make(map[string]Notice)}
+	return &Collector{open: make(map[string]Notice), names: make(map[string]string)}
+}
+
+func (c *Collector) intern(name string) string {
+	if v, ok := c.names[name]; ok {
+		return v
+	}
+	v := strings.Clone(name)
+	c.names[v] = v
+	return v
 }
 
 // Ingest consumes one notice. Completes without a matching start, and
@@ -237,10 +300,10 @@ func (c *Collector) Ingest(n Notice) error {
 		}
 		delete(c.open, n.TicketID)
 		c.completed = append(c.completed, Downtime{
-			TicketID:    n.TicketID,
-			Vendor:      start.Vendor,
-			Link:        start.Link,
-			Edge:        start.Edge,
+			TicketID:    strings.Clone(n.TicketID),
+			Vendor:      c.intern(start.Vendor),
+			Link:        c.intern(start.Link),
+			Edge:        c.intern(start.Edge),
 			Continent:   start.Continent,
 			Start:       start.AtHours,
 			End:         n.AtHours,
@@ -293,10 +356,13 @@ func (c *Collector) Downtimes() []Downtime {
 }
 
 // WriteAll formats notices to w separated by blank lines — the mbox-like
-// archive format used by cmd/backbonegen.
+// archive format used by cmd/backbonegen. One buffer is reused for every
+// notice, and each notice and its separator go out in one Write.
 func WriteAll(w io.Writer, notices []Notice) error {
+	var buf []byte
 	for _, n := range notices {
-		if _, err := io.WriteString(w, n.Format()+"\n"); err != nil {
+		buf = append(n.appendTo(buf[:0]), '\n')
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dcnr/internal/backbone"
 )
@@ -164,6 +165,35 @@ func TestCollectorTextPath(t *testing.T) {
 	}
 }
 
+// TestCollectorRecordsDropNoticeText checks that completed records hold
+// copies, not substrings of the notice texts they were parsed from, so a
+// text can be collected once ingested.
+func TestCollectorRecordsDropNoticeText(t *testing.T) {
+	start := sampleNotice()
+	complete := start
+	complete.Event = RepairComplete
+	complete.AtHours = 130
+	c := NewCollector()
+	var texts []string
+	for _, n := range []Notice{start, complete} {
+		text := n.Format()
+		texts = append(texts, text)
+		if err := c.IngestText(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := c.Downtimes()[0]
+	for _, s := range []string{d.TicketID, d.Vendor, d.Link, d.Edge} {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for _, text := range texts {
+			base := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+			if p >= base && p < base+uintptr(len(text)) {
+				t.Errorf("record field %q points into a notice text", s)
+			}
+		}
+	}
+}
+
 func TestCollectorConsistencyChecks(t *testing.T) {
 	c := NewCollector()
 	start := sampleNotice()
@@ -247,8 +277,56 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// The allocation gates are machine-independent: Parse reads a
+// well-formed notice without allocating (its header values are substrings
+// of the input), and Format's only allocation is the returned string.
+func TestParseAllocs(t *testing.T) {
+	text := sampleNotice().Format()
+	if got := testing.AllocsPerRun(100, func() { sinkNotice, sinkErr = Parse(text) }); got != 0 {
+		t.Errorf("Parse allocs = %v, want 0", got)
+	}
+	if sinkErr != nil {
+		t.Fatal(sinkErr)
+	}
+}
+
+func TestFormatAllocs(t *testing.T) {
+	n := sampleNotice()
+	if got := testing.AllocsPerRun(100, func() { sinkText = n.Format() }); got != 1 {
+		t.Errorf("Format allocs = %v, want 1", got)
+	}
+}
+
+var (
+	sinkNotice Notice
+	sinkErr    error
+	sinkText   string
+)
+
+func BenchmarkFormat(b *testing.B) {
+	n := sampleNotice()
+	b.ReportAllocs()
+	for b.Loop() {
+		sinkText = n.Format()
+	}
+}
+
+// BenchmarkRoundTrip is the per-notice cost of sim.Backbone's wire round
+// trip: Parse(n.Format()).
+func BenchmarkRoundTrip(b *testing.B) {
+	n := sampleNotice()
+	b.ReportAllocs()
+	for b.Loop() {
+		var err error
+		if sinkNotice, err = Parse(n.Format()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkParse(b *testing.B) {
 	text := sampleNotice().Format()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Parse(text); err != nil {

@@ -22,6 +22,9 @@
 #  10. test-health - focused race pass over the SLO engine and its wiring;
 #                    on failure an elevated-run SLO report is dumped to
 #                    health_slo_failure.json for triage
+#  11. fuzz-smoke  - 10s of native fuzzing per wire-format target: the
+#                    ticket parser (alone and against its reference) and
+#                    the notify line framing
 #
 # Steps 3-6 are the layered defense for the PR-2 race class: heaplock
 # flags unlocked DES-heap scheduling syntactically, lockflow proves the
@@ -61,5 +64,12 @@ if ! make test-health; then
 	echo "==> ci: SLO report at health_slo_failure.json" >&2
 	exit 1
 fi
+
+fuzz_smoke() {
+	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/tickets
+	go test -run '^$' -fuzz '^FuzzParseMatchesReference$' -fuzztime 10s ./internal/tickets
+	go test -run '^$' -fuzz '^FuzzFraming$' -fuzztime 10s ./internal/notify
+}
+step fuzz-smoke fuzz_smoke
 
 echo "==> ci: all gates passed"
