@@ -135,6 +135,8 @@ func TestHeapLockBadFixture(t *testing.T) {
 		"bad.go:22:2 heaplock", // sim.After before Lock
 		"bad.go:33:2 heaplock", // sim.Run after Unlock
 		"bad.go:39:2 heaplock", // sim.Reset without the lock
+		"bad.go:45:9 heaplock", // sim.Reserve without the lock
+		"bad.go:46:2 heaplock", // sim.ScheduleReserved without the lock
 	})
 	if !diagsMention(diags, "des.Simulator.After") || !diagsMention(diags, "des.Simulator.Run") {
 		t.Errorf("diagnostics should name the mutating method: %q", diagKeys(diags))

@@ -39,10 +39,12 @@ Example fixture: internal/analyzers/testdata/src/heaplock/bad/bad.go`,
 // clock and are therefore unsafe to call concurrently. Reset joined the
 // set with the pooled free-list kernel: it recycles every node, so a
 // racing Reset corrupts not just the heap but the pool's generation
-// counters.
+// counters. Reserve and ScheduleReserved move the sequence counter, the
+// pending count and the reservation bitmap.
 var heapMutators = map[string]bool{
 	"Schedule": true, "After": true, "Cancel": true, "Every": true,
 	"Run": true, "Step": true, "Halt": true, "Reset": true,
+	"Reserve": true, "ScheduleReserved": true,
 }
 
 const desPath = "dcnr/internal/des"

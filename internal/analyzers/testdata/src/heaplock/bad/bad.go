@@ -38,3 +38,10 @@ func (e *Engine) Drain() {
 func (e *Engine) Recycle() {
 	e.sim.Reset()
 }
+
+// Batch reserves sequence numbers and queues one under them without the
+// lock: both calls move the pending count, and the second touches the heap.
+func (e *Engine) Batch(at float64, h des.Handler) {
+	seq := e.sim.Reserve(1)
+	e.sim.ScheduleReserved(at, seq, h)
+}

@@ -88,9 +88,14 @@ type Simulator struct {
 	heapMeta []slotMeta
 	nodes    []node
 	free     []int32
-	live     int // pending (non-cancelled) events in the queue
+	live     int // pending (non-cancelled) events, reserved ones included
 	fired    uint64
 	halted   bool
+
+	// Reserved sequence numbers (Reserve / ScheduleReserved). Each range
+	// owns a run of bits in resUsed, set once its number is scheduled.
+	resRanges []resRange
+	resUsed   []uint64
 
 	// Telemetry, attached by Instrument. All fields are nil (no-op) by
 	// default so the uninstrumented hot loop pays nothing.
@@ -432,6 +437,16 @@ func (s *Simulator) AddSyncHook(f func()) {
 // ErrPast is returned when an event is scheduled before the current time.
 var ErrPast = errors.New("des: schedule in the past")
 
+// ErrNotReserved is returned by ScheduleReserved for a sequence number
+// that Reserve never handed out, or that already queued an event.
+var ErrNotReserved = errors.New("des: sequence number not reserved")
+
+// resRange is one Reserve call: the numbers [lo, lo+n), whose used bits
+// start at bit off of resUsed.
+type resRange struct {
+	lo, n, off uint64
+}
+
 // Now returns the current virtual time in hours.
 func (s *Simulator) Now() float64 { return s.now }
 
@@ -440,7 +455,8 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending reports how many events are waiting in the queue. Cancelled
 // events are not counted, even while their ghost slots still occupy the
-// underlying heap.
+// underlying heap. Reserved sequence numbers not yet scheduled are
+// counted: each stands for an event its owner will queue.
 func (s *Simulator) Pending() int { return s.live }
 
 // Schedule queues h to fire at absolute time at. It returns the Handle
@@ -456,6 +472,60 @@ func (s *Simulator) Schedule(at float64, h Handler) (Handle, error) {
 	s.seq++
 	s.live++
 	return Handle{at: at, id: id, gen: gen}, nil
+}
+
+// Reserve sets aside n consecutive sequence numbers, the ones the next n
+// Schedule calls would have taken, and returns the first. Each counts as
+// a pending event until it is cancelled or fires. A caller that knows a
+// batch of future events up front reserves their numbers in one call and
+// queues each with ScheduleReserved only when it is next due, so the heap
+// holds one event of the batch instead of all of them, while the firing
+// order and Pending stay exactly what scheduling them all at once gives.
+// Every reserved number must eventually be scheduled, or Pending never
+// drains to zero. Reset drops all reservations.
+//
+//hot:noalloc
+func (s *Simulator) Reserve(n int) uint64 {
+	lo := s.seq
+	if n <= 0 {
+		return lo
+	}
+	off := uint64(len(s.resUsed)) * 64
+	for w := (n + 63) / 64; w > 0; w-- {
+		s.resUsed = append(s.resUsed, 0)
+	}
+	s.resRanges = append(s.resRanges, resRange{lo: lo, n: uint64(n), off: off})
+	s.seq += uint64(n)
+	s.live += n
+	return lo
+}
+
+// ScheduleReserved queues h to fire at absolute time at under seq, a
+// number handed out by Reserve: among events at the same instant it fires
+// in seq order, as if it had been scheduled when seq was reserved. It
+// returns ErrPast if at precedes the current time, and ErrNotReserved if
+// seq was never reserved or already queued an event. Pending does not
+// change: the reservation already counted the event.
+//
+//hot:noalloc
+func (s *Simulator) ScheduleReserved(at float64, seq uint64, h Handler) (Handle, error) {
+	if at < s.now || math.IsNaN(at) {
+		return Handle{}, ErrPast
+	}
+	for _, r := range s.resRanges {
+		if i := seq - r.lo; i < r.n {
+			bit := r.off + i
+			word, mask := bit/64, uint64(1)<<(bit%64)
+			if s.resUsed[word]&mask != 0 {
+				break
+			}
+			s.resUsed[word] |= mask
+			id, gen := s.alloc(h)
+			s.push(keyOf(at), slotMeta{seq: seq, id: id, gen: gen})
+			return Handle{at: at, id: id, gen: gen}, nil
+		}
+	}
+	return Handle{}, ErrNotReserved
 }
 
 // After queues h to fire delay hours from now. Negative delays are clamped
@@ -561,9 +631,10 @@ func (s *Simulator) Step() bool {
 	return false
 }
 
-// Reset returns the simulator to time zero with an empty queue, keeping
-// the node slab, free list, and heap capacity for reuse — a long-lived
-// simulator (or benchmark) pays the slab allocations once. Handles
+// Reset returns the simulator to time zero with an empty queue and no
+// reservations, keeping the node slab, free list, and heap capacity for
+// reuse — a long-lived simulator (or benchmark) pays the slab allocations
+// once. Handles
 // obtained before the Reset are invalidated: the next arm of each node
 // bumps its generation, so a stale Cancel reports false instead of
 // touching the new life. Telemetry attachments survive.
@@ -578,6 +649,8 @@ func (s *Simulator) Reset() {
 		s.free = append(s.free, int32(i))
 	}
 	s.live = 0
+	s.resRanges = s.resRanges[:0]
+	s.resUsed = s.resUsed[:0]
 	s.now = 0
 	s.seq = 0
 	s.fired = 0

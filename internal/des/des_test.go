@@ -485,9 +485,25 @@ func checkHeapInvariant(t *testing.T, s *Simulator) {
 			livePending++
 		}
 	}
-	if livePending != s.live {
-		t.Fatalf("live = %d but heap holds %d pending slots", s.live, livePending)
+	if unsched := unscheduledReservations(s); livePending+unsched != s.live {
+		t.Fatalf("live = %d but heap holds %d pending slots and %d unscheduled reservations",
+			s.live, livePending, unsched)
 	}
+}
+
+// unscheduledReservations counts the reserved sequence numbers that have
+// not queued an event yet; live counts them as pending.
+func unscheduledReservations(s *Simulator) int {
+	n := 0
+	for _, r := range s.resRanges {
+		for i := uint64(0); i < r.n; i++ {
+			bit := r.off + i
+			if s.resUsed[bit/64]&(1<<(bit%64)) == 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestHeapInvariantUnderChurn(t *testing.T) {

@@ -10,9 +10,11 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 
 	"dcnr/internal/des"
 	"dcnr/internal/fleet"
@@ -28,14 +30,10 @@ import (
 	"dcnr/internal/topology"
 )
 
-// Fault is one device issue detected by monitoring.
+// Fault is one device issue detected by monitoring. It is pointer-free, so
+// the slab holding a run's faults costs the garbage collector nothing to
+// scan.
 type Fault struct {
-	// Device is the virtual fleet device name (type-prefixed). It is
-	// fabricated lazily — the identity draws happen at schedule time (so
-	// RNG stream order is independent of whether anything reads the name),
-	// but the string itself is only built on the paths that render it:
-	// incident reports and debug logs, a fraction of a percent of faults.
-	Device string
 	// Type is the device type.
 	Type topology.DeviceType
 	// Class is the issue taxonomy entry (§4.1.3).
@@ -48,40 +46,52 @@ type Fault struct {
 	// Year is the calendar year of Start.
 	Year int
 
-	// ordinal and fabric are the deferred name-fabrication inputs drawn at
-	// schedule time: the device's uniform position in that year's
-	// population, and (for racks from the fabric deployment year on)
-	// whether it lives in the fabric data center.
+	// ordinal and fabric are the device identity draws, made when the
+	// fault is drawn so RNG stream order does not depend on whether
+	// anything reads the name: the device's uniform position in that
+	// year's population, and (for racks from the fabric deployment year
+	// on) whether it lives in the fabric data center.
 	ordinal int
 	fabric  bool
+	// draw is the fault's position in the run's draw order.
+	draw int32
 }
 
-// ensureDevice materializes the lazily-fabricated device name.
-func (f *Fault) ensureDevice() {
-	if f.Device != "" {
-		return
-	}
-	unit, dc, region := "", "dc1", "regiona"
+// Device returns the virtual fleet device name (type-prefixed). It is
+// built on each call; only incident reports and debug logs render it.
+func (f *Fault) Device() string {
+	var ub [24]byte
+	unit, dc, region := ub[:0], "dc1", "regiona"
 	switch f.Type {
 	case topology.RSW:
 		// Racks split across designs; fabric racks exist from 2015.
 		if f.fabric {
-			unit, dc, region = fmt.Sprintf("pod%03d", 1+f.ordinal/48), "dc2", "regionb"
+			unit, dc, region = topology.AppendOrdinal(append(unit, "pod"...), 1+f.ordinal/48), "dc2", "regionb"
 		} else {
-			unit = fmt.Sprintf("cl%03d", 1+f.ordinal/80)
+			unit = topology.AppendOrdinal(append(unit, "cl"...), 1+f.ordinal/80)
 		}
 	case topology.CSW:
-		unit = fmt.Sprintf("cl%03d", 1+f.ordinal/4)
+		unit = topology.AppendOrdinal(append(unit, "cl"...), 1+f.ordinal/4)
 	case topology.FSW:
-		unit, dc, region = fmt.Sprintf("pod%03d", 1+f.ordinal/4), "dc2", "regionb"
+		unit, dc, region = topology.AppendOrdinal(append(unit, "pod"...), 1+f.ordinal/4), "dc2", "regionb"
 	case topology.ESW, topology.SSW:
 		dc, region = "dc2", "regionb"
 	}
-	f.Device = topology.MakeName(f.Type, f.ordinal, unit, dc, region)
+	return topology.MakeName(f.Type, f.ordinal, string(unit), dc, region)
+}
+
+// faultKey sorts the fault slab: by start time, then by draw index, the
+// order the kernel fired the faults in when each was scheduled as drawn.
+// Sorting these 16-byte keys and then permuting the slab once is much
+// cheaper than sorting the slab itself.
+type faultKey struct {
+	start float64
+	draw  int32
 }
 
 // Driver runs the intra-DC simulation. Construct with NewDriver, then call
-// Run.
+// Run once: a Driver is single-use, because its simulator's clock ends a
+// run at +Inf.
 type Driver struct {
 	Fleet *fleet.Model
 	// Engine is the automated repair system; disable it for the §5.6
@@ -105,7 +115,6 @@ type Driver struct {
 	src     *simrand.Source
 	manual  *simrand.Stream
 	details *simrand.Stream
-	repTopo *topology.Network
 	health  *health.Engine
 	logger  *slog.Logger
 	// jlane is the driver's causal-journal lane (fault raised/detected and
@@ -118,13 +127,37 @@ type Driver struct {
 	// no-op.
 	tsampler *timeline.Sampler
 	thooked  bool
-	// classShares caches remediation.ClassShares() — the weights are
-	// constants, and fetching a fresh slice per fault was a measurable
-	// share of the schedule loop's allocations.
-	classShares []float64
-	faults      int
-	incidents   int
+	// classShares caches remediation.ClassShares() and causeWeights the
+	// Table 2 root-cause weights in sev.RootCauses order — both are
+	// constants, and building a fresh slice per fault or incident was a
+	// measurable share of their allocations.
+	classShares  []float64
+	causeWeights []float64
+	// reps holds, per device type, the names of the first (at most
+	// maxRepresentatives) devices of that type in the representative
+	// topology: the incident's impact-assessment candidates.
+	reps [][]string
+
+	// The fault cursor. Run draws every fault into slab, sorts the slab
+	// into firing order, and reserves one kernel sequence number per
+	// fault from seqBase, the numbers they would have taken scheduled as
+	// drawn. Exactly one fault event is queued at a time: onFault (bound
+	// once, so no closure per fault) handles slab[next] and re-arms the
+	// one after it.
+	slab    []Fault
+	next    int
+	seqBase uint64
+	onFault des.Handler
+	ran     bool
+
+	incidents int
 }
+
+// maxRepresentatives caps how many devices of a type stand in for the
+// virtual fleet's devices of that type. Redundancy structure is identical
+// across a type's devices, and the cap keeps the assessor's memoization
+// effective.
+const maxRepresentatives = 8
 
 // NewDriver wires a Driver over a fresh simulator, representative topology,
 // remediation engine, and SEV store, all seeded from seed.
@@ -135,7 +168,7 @@ func NewDriver(fl *fleet.Model, seed uint64) (*Driver, error) {
 	}
 	sim := &des.Simulator{}
 	src := simrand.NewSource(seed)
-	return &Driver{
+	d := &Driver{
 		Fleet:       fl,
 		Engine:      remediation.NewEngine(sim, src.Stream("remediation")),
 		Assessor:    service.NewAssessor(repTopo),
@@ -144,9 +177,19 @@ func NewDriver(fl *fleet.Model, seed uint64) (*Driver, error) {
 		src:         src,
 		manual:      src.Stream("manual-repair"),
 		details:     src.Stream("incident-details"),
-		repTopo:     repTopo,
 		classShares: remediation.ClassShares(),
-	}, nil
+		reps:        make([][]string, int(topology.BBR)+1),
+	}
+	for _, c := range sev.RootCauses {
+		d.causeWeights = append(d.causeWeights, rootCauseWeights[c])
+	}
+	for _, dev := range repTopo.Devices() {
+		if len(d.reps[dev.Type]) < maxRepresentatives {
+			d.reps[dev.Type] = append(d.reps[dev.Type], dev.Name)
+		}
+	}
+	d.onFault = d.fireFault
+	return d, nil
 }
 
 // Simulator exposes the driver's event loop (useful for composing extra
@@ -307,8 +350,8 @@ func (d *Driver) SetLogger(l *slog.Logger) {
 	d.sim.SetLogger(l)
 }
 
-// Faults reports how many device faults the last Run generated.
-func (d *Driver) Faults() int { return d.faults }
+// Faults reports how many device faults Run generated.
+func (d *Driver) Faults() int { return len(d.slab) }
 
 // Incidents reports how many faults escalated into SEVs.
 func (d *Driver) Incidents() int { return d.incidents }
@@ -318,11 +361,24 @@ func (d *Driver) Incidents() int { return d.incidents }
 // whose rate is the calibrated incident target divided by the type's
 // repair-success probability — so the incident stream emerges from the
 // fault stream passing through the repair machinery, not from sampling
-// incidents directly.
+// incidents directly. A Driver runs once: a second Run returns an error.
 func (d *Driver) Run(from, to int) (*sev.Store, error) {
+	if d.ran {
+		return nil, errors.New("faults: Run called twice; a Driver is single-use")
+	}
 	if from < fleet.FirstYear || to > fleet.LastYear || from > to {
 		return nil, fmt.Errorf("faults: year range [%d, %d] outside study period", from, to)
 	}
+	d.ran = true
+	// The volumes stream is independent of the per-(year, type) streams,
+	// so every count is drawn first and the slab is sized once.
+	type cell struct {
+		year int
+		dt   topology.DeviceType
+		n    int
+	}
+	var cells []cell
+	total := 0
 	volumes := d.src.Stream("volumes")
 	for year := from; year <= to; year++ {
 		for _, dt := range topology.IntraDCTypes {
@@ -338,9 +394,15 @@ func (d *Driver) Run(from, to int) (*sev.Store, error) {
 				raw *= d.ElevateFactor
 			}
 			n := volumes.Poisson(raw)
-			d.scheduleFaults(year, dt, n)
+			cells = append(cells, cell{year, dt, n})
+			total += n
 		}
 	}
+	d.slab = make([]Fault, 0, total)
+	for _, c := range cells {
+		d.drawFaults(c.year, c.dt, c.n)
+	}
+	d.armFaults()
 	d.scheduleHealthTicks(from, to)
 	d.sim.Run(math.Inf(1))
 	if d.health != nil {
@@ -377,7 +439,9 @@ func (d *Driver) scheduleHealthTicks(from, to int) {
 	}
 }
 
-func (d *Driver) scheduleFaults(year int, dt topology.DeviceType, n int) {
+// drawFaults appends the n faults of one (year, device type) cell to the
+// slab.
+func (d *Driver) drawFaults(year int, dt topology.DeviceType, n int) {
 	timing := d.src.Stream(fmt.Sprintf("timing/%d/%s", year, dt))
 	details := d.src.Stream(fmt.Sprintf("details/%d/%s", year, dt))
 	yearStart := des.YearStart(year, fleet.FirstYear)
@@ -393,20 +457,83 @@ func (d *Driver) scheduleFaults(year int, dt topology.DeviceType, n int) {
 		}
 		// Identity draws (ordinal uniform over that year's population, so
 		// incident density per named device matches the fleet's) happen
-		// here in the original stream order; the name string itself is
-		// fabricated lazily by ensureDevice.
+		// here in the original stream order; Device builds the name.
 		f.ordinal = 1 + details.Intn(pop)
 		if fabricRacks {
 			f.fabric = details.Bool(0.5)
 		}
-		d.faults++
-		if _, err := d.sim.Schedule(f.Start, func(float64) { d.handleFault(f) }); err != nil {
-			panic(fmt.Sprintf("faults: scheduling fault: %v", err))
-		}
+		f.draw = int32(len(d.slab))
+		d.slab = append(d.slab, f)
 	}
 }
 
-func (d *Driver) handleFault(f Fault) {
+// armFaults sorts the slab into firing order, reserves the faults'
+// sequence numbers, and queues the first. Fault i of the draw order takes
+// seqBase+i, the number Schedule would have given it had every fault been
+// scheduled as drawn, so ties with other events at the same instant, the
+// kernel's Pending count and the des_queue_depth series all come out as
+// they would have.
+func (d *Driver) armFaults() {
+	keys := make([]faultKey, len(d.slab))
+	for i := range d.slab {
+		keys[i] = faultKey{start: d.slab[i].Start, draw: int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b faultKey) int {
+		switch {
+		case a.start < b.start:
+			return -1
+		case a.start > b.start:
+			return 1
+		}
+		return int(a.draw - b.draw)
+	})
+	// Permute the slab in place, one cycle at a time: position j takes
+	// the fault keys[j] names, and a key is spent (-1) once its position
+	// is filled.
+	for i := range keys {
+		if keys[i].draw < 0 {
+			continue
+		}
+		first, j := d.slab[i], i
+		for {
+			src := int(keys[j].draw)
+			keys[j].draw = -1
+			if src == i {
+				d.slab[j] = first
+				break
+			}
+			d.slab[j] = d.slab[src]
+			j = src
+		}
+	}
+	d.seqBase = d.sim.Reserve(len(d.slab))
+	if len(d.slab) > 0 {
+		d.armNext()
+	}
+}
+
+// armNext queues the fault under the cursor.
+func (d *Driver) armNext() {
+	f := &d.slab[d.next]
+	if _, err := d.sim.ScheduleReserved(f.Start, d.seqBase+uint64(f.draw), d.onFault); err != nil {
+		panic(fmt.Sprintf("faults: scheduling fault: %v", err))
+	}
+}
+
+// fireFault is the fault event's handler: it advances the cursor, queues
+// the next fault, and handles the one that fired. Re-arming first is
+// safe: everything the handler schedules takes a sequence number above
+// every reserved one, so it cannot overtake the next fault.
+func (d *Driver) fireFault(float64) {
+	f := &d.slab[d.next]
+	d.next++
+	if d.next < len(d.slab) {
+		d.armNext()
+	}
+	d.handleFault(f)
+}
+
+func (d *Driver) handleFault(f *Fault) {
 	d.health.RecordFault(f.Start, f.Type.String())
 	// The fault's journal root: raised and detected coincide in this model
 	// (monitoring detects instantaneously), and journaling both makes that
@@ -420,9 +547,8 @@ func (d *Driver) handleFault(f Fault) {
 		Dev: uint8(f.Type), Class: int8(f.Class), Sev: -1,
 	})
 	if d.logger != nil {
-		f.ensureDevice()
 		d.logger.Debug("fault detected",
-			slog.String("device", f.Device),
+			slog.String("device", f.Device()),
 			slog.String("class", f.Class.String()),
 			obs.SimHours(f.Start))
 	}
@@ -460,8 +586,8 @@ func (d *Driver) handleFault(f Fault) {
 
 // recordIncident escalates f into a SEV report; cause is the journal ID
 // the incident records are parented on (0 with no journal attached).
-func (d *Driver) recordIncident(f Fault, cause journal.ID) {
-	f.ensureDevice()
+func (d *Driver) recordIncident(f *Fault, cause journal.ID) {
+	device := f.Device()
 	details := d.details
 	rep := d.representative(details, f.Type)
 	as, err := d.Assessor.Assess(rep, f.Scope)
@@ -472,13 +598,13 @@ func (d *Driver) recordIncident(f Fault, cause journal.ID) {
 	duration := resolution * (0.05 + 0.45*details.Float64())
 	report := sev.Report{
 		Severity:         as.Severity,
-		Device:           f.Device,
+		Device:           device,
 		RootCauses:       d.drawRootCauses(details),
 		Start:            f.Start,
 		Duration:         duration,
 		Resolution:       resolution,
 		Year:             f.Year,
-		Title:            fmt.Sprintf("%s on %s (%s scope)", f.Class, f.Device, f.Scope),
+		Title:            f.Class.String() + " on " + device + " (" + f.Scope.String() + " scope)",
 		Impact:           as.Impact,
 		ServicesAffected: as.Services,
 		Reviewed:         true,
@@ -500,7 +626,7 @@ func (d *Driver) recordIncident(f Fault, cause journal.ID) {
 	if d.logger != nil {
 		d.logger.Info("incident escalated",
 			slog.Int("sev", id),
-			slog.String("device", f.Device),
+			slog.String("device", device),
 			slog.String("severity", as.Severity.String()),
 			slog.Float64("resolution_hours", resolution),
 			obs.SimHours(f.Start))
@@ -508,23 +634,15 @@ func (d *Driver) recordIncident(f Fault, cause journal.ID) {
 }
 
 // representative maps a virtual device to a same-type device in the
-// representative topology for impact assessment. Sampling is capped to
-// eight devices per type: redundancy structure is identical across a type's
-// devices, and the cap keeps the assessor's memoization effective.
+// representative topology for impact assessment, drawn uniformly from the
+// type's cached representatives.
 func (d *Driver) representative(rng *simrand.Stream, dt topology.DeviceType) string {
-	devices := d.repTopo.DevicesOfType(dt)
-	n := len(devices)
-	if n > 8 {
-		n = 8
-	}
-	return devices[rng.Intn(n)].Name
+	names := d.reps[dt]
+	return names[rng.Intn(len(names))]
 }
 
 func (d *Driver) drawRootCauses(rng *simrand.Stream) []sev.RootCause {
-	weights := make([]float64, 0, len(sev.RootCauses))
-	for _, c := range sev.RootCauses {
-		weights = append(weights, rootCauseWeights[c])
-	}
+	weights := d.causeWeights
 	first := sev.RootCauses[rng.Weighted(weights)]
 	if first == sev.Undetermined {
 		// Undetermined SEVs have no recorded cause at all — engineers

@@ -75,6 +75,45 @@ func TestRunRejectsBadYearRange(t *testing.T) {
 	}
 }
 
+// TestRunTwiceReturnsError pins the single-use contract: the first Run
+// leaves the simulator's clock at +Inf, so a second Run must be refused
+// instead of panicking on a fault scheduled in the past.
+func TestRunTwiceReturnsError(t *testing.T) {
+	d, store := runDriver(t, 5, 2017, 2017)
+	n, faults := store.Len(), d.Faults()
+	if _, err := d.Run(2017, 2017); err == nil {
+		t.Fatal("second Run accepted")
+	}
+	if store.Len() != n || d.Faults() != faults {
+		t.Errorf("refused Run changed the results: %d SEVs, %d faults; want %d, %d",
+			store.Len(), d.Faults(), n, faults)
+	}
+}
+
+// TestFaultDeviceNames pins the device-name rules and Device's single
+// allocation (the string).
+func TestFaultDeviceNames(t *testing.T) {
+	for _, c := range []struct {
+		f    Fault
+		want string
+	}{
+		{Fault{Type: topology.RSW, ordinal: 161}, "rsw161.cl003.dc1.regiona"},
+		{Fault{Type: topology.RSW, ordinal: 97, fabric: true}, "rsw097.pod003.dc2.regionb"},
+		{Fault{Type: topology.CSW, ordinal: 9}, "csw009.cl003.dc1.regiona"},
+		{Fault{Type: topology.FSW, ordinal: 4000}, "fsw4000.pod1001.dc2.regionb"},
+		{Fault{Type: topology.SSW, ordinal: 12}, "ssw012.dc2.regionb"},
+		{Fault{Type: topology.Core, ordinal: 3}, "core003.dc1.regiona"},
+	} {
+		if got := c.f.Device(); got != c.want {
+			t.Errorf("Device() = %q, want %q", got, c.want)
+		}
+	}
+	f := Fault{Type: topology.RSW, ordinal: 1234, fabric: true}
+	if allocs := testing.AllocsPerRun(100, func() { f.Device() }); allocs != 1 {
+		t.Errorf("Device() = %v allocs, want 1", allocs)
+	}
+}
+
 func TestSingleYearVolumes(t *testing.T) {
 	d, store := runDriver(t, 42, 2017, 2017)
 	got := float64(store.Len())

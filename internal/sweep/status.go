@@ -39,7 +39,10 @@ var stateNames = [...]string{"pending", "running", "done", "failed"}
 // All recording methods are safe on a nil *Status, matching the
 // project-wide observability nil contract.
 type Status struct {
-	// begun is set once by begin; specs/cells are immutable afterwards.
+	// specs and cells are written once by begin and immutable
+	// afterwards. begin stores startNS after them, so a reader on another
+	// goroutine touches them only after loading a nonzero startNS (see
+	// table).
 	specs   []runSpec
 	cells   []statusCell
 	startNS atomic.Int64 // campaign start, wall nanos
@@ -89,6 +92,16 @@ func (s *Status) begin(specs []runSpec) {
 	s.specs = specs
 	s.cells = make([]statusCell, len(specs))
 	s.startNS.Store(time.Now().UnixNano())
+}
+
+// table returns the run specs and cells once begin has published them,
+// and nil before: the nonzero startNS load orders the caller's reads after
+// begin's writes.
+func (s *Status) table() ([]runSpec, []statusCell) {
+	if s.startNS.Load() == 0 {
+		return nil, nil
+	}
+	return s.specs, s.cells
 }
 
 // start marks run i running.
@@ -272,17 +285,18 @@ func (s *Status) Snapshot() CampaignStatus {
 		return CampaignStatus{}
 	}
 	now := time.Now()
-	cs := CampaignStatus{Total: len(s.cells)}
+	specs, cells := s.table()
+	cs := CampaignStatus{Total: len(cells)}
 	if start := s.startNS.Load(); start != 0 {
 		cs.ElapsedSeconds = now.Sub(time.Unix(0, start)).Seconds()
 	}
 	var (
 		faults, incidents, durations []float64
-		rows                         = make([]RunStatus, len(s.cells))
+		rows                         = make([]RunStatus, len(cells))
 	)
-	for i := range s.cells {
-		c := &s.cells[i]
-		spec := s.specs[i]
+	for i := range cells {
+		c := &cells[i]
+		spec := specs[i]
 		row := RunStatus{
 			Run: spec.run, Scenario: spec.scenario.Name,
 			Seed: spec.seed, Scale: spec.scale,
@@ -362,7 +376,8 @@ func (s *Status) JournalSummary() (journal.Summary, int) {
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
 	ordered := make([]journal.Summary, 0, len(s.summaries))
-	for i := range s.cells {
+	_, cells := s.table()
+	for i := range cells {
 		if sum, ok := s.summaries[i]; ok {
 			ordered = append(ordered, sum)
 		}

@@ -11,7 +11,10 @@ package topology
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // DeviceType enumerates the network device types of Figure 1.
@@ -60,9 +63,19 @@ func (t DeviceType) String() string {
 	return deviceTypeNames[t]
 }
 
+var deviceTypePrefixes = [numDeviceTypes]string{
+	RSW: "rsw", CSW: "csw", CSA: "csa", FSW: "fsw",
+	SSW: "ssw", ESW: "esw", Core: "core", BBR: "bbr",
+}
+
 // Prefix returns the lower-case name prefix of the naming convention, e.g.
 // "rsw" for rack switches.
-func (t DeviceType) Prefix() string { return strings.ToLower(t.String()) }
+func (t DeviceType) Prefix() string {
+	if t < 0 || int(t) >= numDeviceTypes {
+		return strings.ToLower(t.String())
+	}
+	return deviceTypePrefixes[t]
+}
 
 // Design identifies which network design a device type belongs to.
 type Design int
@@ -140,20 +153,53 @@ func (t DeviceType) Commodity() bool {
 }
 
 // ParseDeviceName recovers the device type from a device name using the
-// prefix-based naming convention ("rsw001.p1.dc1.ra" → RSW). It returns an
-// error when the prefix matches no known type.
+// prefix-based naming convention ("rsw001.p1.dc1.ra" → RSW). The prefix
+// matches case-insensitively, and must not run on into another letter
+// (after Unicode lower-casing: "rsw\u212A", with the Kelvin sign, is a
+// "rswk…" name). It returns an error when the prefix matches no known
+// type. Accepting a name allocates nothing.
 func ParseDeviceName(name string) (DeviceType, error) {
-	lower := strings.ToLower(name)
 	for _, t := range DeviceTypes {
-		p := t.Prefix()
-		if strings.HasPrefix(lower, p) {
-			rest := lower[len(p):]
-			if rest == "" || !isLetter(rest[0]) {
-				return t, nil
-			}
+		p := deviceTypePrefixes[t]
+		if hasPrefixFold(name, p) && !startsWithLetter(name[len(p):]) {
+			return t, nil
 		}
 	}
 	return 0, fmt.Errorf("topology: unrecognized device name %q", name)
+}
+
+// hasPrefixFold reports whether s starts with the lower-case ASCII prefix
+// p, ignoring ASCII case. No non-ASCII rune lower-cases to a letter of any
+// prefix, so this agrees with matching strings.ToLower(s).
+func hasPrefixFold(s, p string) bool {
+	if len(s) < len(p) {
+		return false
+	}
+	for i := 0; i < len(p); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != p[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// startsWithLetter reports whether strings.ToLower(s) starts with an
+// ASCII letter. Two non-ASCII runes lower-case to one: the Kelvin sign
+// (to 'k') and the dotted capital I (to 'i').
+func startsWithLetter(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s[0] < utf8.RuneSelf {
+		return isLetter(s[0])
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	r = unicode.ToLower(r)
+	return r < utf8.RuneSelf && isLetter(byte(r))
 }
 
 func isLetter(b byte) bool {
@@ -179,13 +225,52 @@ type Device struct {
 
 // MakeName builds a canonical device name: prefix + ordinal, dot-joined with
 // the unit, data center and region (empty parts are skipped), e.g.
-// "rsw004.pod002.dc1.regionb".
+// "rsw004.pod002.dc1.regionb". The ordinal is zero-padded to three
+// characters, sign included (%03d), and the parts are lower-cased. For
+// names up to 64 bytes the returned string is the only allocation.
 func MakeName(t DeviceType, ordinal int, unit, dc, region string) string {
-	parts := []string{fmt.Sprintf("%s%03d", t.Prefix(), ordinal)}
-	for _, p := range []string{unit, dc, region} {
+	var buf [64]byte
+	b := append(buf[:0], t.Prefix()...)
+	b = AppendOrdinal(b, ordinal)
+	for _, p := range [...]string{unit, dc, region} {
 		if p != "" {
-			parts = append(parts, strings.ToLower(p))
+			b = append(b, '.')
+			b = appendLower(b, p)
 		}
 	}
-	return strings.Join(parts, ".")
+	return string(b)
+}
+
+// AppendOrdinal appends n formatted as %03d: at least three characters,
+// zero-padded after any minus sign.
+func AppendOrdinal(b []byte, n int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	width := 3
+	if n < 0 {
+		b = append(b, '-')
+		d = d[1:]
+		width--
+	}
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
+}
+
+// appendLower appends strings.ToLower(s), folding ASCII byte by byte and
+// falling back to strings.ToLower for a string with any other byte.
+func appendLower(b []byte, s string) []byte {
+	start := len(b)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return append(b[:start], strings.ToLower(s)...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
 }

@@ -2,8 +2,9 @@ package topology
 
 import "testing"
 
-// FuzzParseDeviceName checks the name classifier never panics and stays
-// consistent with MakeName.
+// FuzzParseDeviceName checks the name classifier never panics, agrees
+// with the fmt/ToLower reference on every input, and only accepts names
+// that carry the type's prefix.
 func FuzzParseDeviceName(f *testing.F) {
 	f.Add("rsw001.pod001.dc1.regiona")
 	f.Add("core005")
@@ -12,7 +13,10 @@ func FuzzParseDeviceName(f *testing.F) {
 	f.Add("rswitch")
 	f.Add("csa.csw.rsw")
 	f.Add("\x00\xff")
+	f.Add("rsw\u212A01")
+	f.Add("ESW\u0130")
 	f.Fuzz(func(t *testing.T, name string) {
+		checkParseMatchesReference(t, name)
 		dt, err := ParseDeviceName(name)
 		if err != nil {
 			return
@@ -35,12 +39,20 @@ func FuzzParseDeviceName(f *testing.F) {
 	})
 }
 
-// FuzzMakeName checks generated names always classify back to their type.
+// FuzzMakeName checks generated names match the fmt/ToLower reference
+// byte for byte and, for known types, classify back to their type. typ
+// 0 is DeviceType(-1), so out-of-range types are covered too.
 func FuzzMakeName(f *testing.F) {
-	f.Add(uint8(0), 1, "pod001", "dc1", "regiona")
-	f.Add(uint8(7), 999, "", "", "")
+	f.Add(uint8(1), 1, "pod001", "dc1", "regiona")
+	f.Add(uint8(8), 999, "", "", "")
+	f.Add(uint8(0), -7, "CL001", "DC\u212A", "Région")
+	f.Add(uint8(10), 1000, "", "\xff", "")
 	f.Fuzz(func(t *testing.T, typ uint8, ordinal int, unit, dc, region string) {
-		dt := DeviceTypes[int(typ)%len(DeviceTypes)]
+		dt := DeviceType(typ) - 1
+		checkMakeMatchesReference(t, dt, ordinal, unit, dc, region)
+		if int(dt) < 0 || int(dt) >= numDeviceTypes {
+			return
+		}
 		name := MakeName(dt, ordinal, unit, dc, region)
 		got, err := ParseDeviceName(name)
 		if err != nil {

@@ -23,8 +23,10 @@
 #                    on failure an elevated-run SLO report is dumped to
 #                    health_slo_failure.json for triage
 #  11. fuzz-smoke  - 10s of native fuzzing per wire-format target: the
-#                    ticket parser (alone and against its reference) and
-#                    the notify line framing
+#                    ticket parser (alone and against its reference), the
+#                    notify line framing, and the device-name codec
+#                    (ParseDeviceName and MakeName against their
+#                    fmt/ToLower references)
 #
 # Steps 3-6 are the layered defense for the PR-2 race class: heaplock
 # flags unlocked DES-heap scheduling syntactically, lockflow proves the
@@ -69,6 +71,8 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/tickets
 	go test -run '^$' -fuzz '^FuzzParseMatchesReference$' -fuzztime 10s ./internal/tickets
 	go test -run '^$' -fuzz '^FuzzFraming$' -fuzztime 10s ./internal/notify
+	go test -run '^$' -fuzz '^FuzzParseDeviceName$' -fuzztime 10s ./internal/topology
+	go test -run '^$' -fuzz '^FuzzMakeName$' -fuzztime 10s ./internal/topology
 }
 step fuzz-smoke fuzz_smoke
 
