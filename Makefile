@@ -21,9 +21,10 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
 # lint-hot additionally runs the compiler-backed hotalloc gate: every
-# //hot:noalloc region (DES scheduler, SpanRing, journal lanes) must be
-# free of compiler-reported heap escapes. Split from lint because it
-# shells out to `go build -gcflags=-m` per annotated package.
+# //hot:noalloc region (DES scheduler, the obs.Lane ring and its span,
+# journal and timeline wrappers, tickets.Parse) must be free of
+# compiler-reported heap escapes. Split from lint because it shells out
+# to one `go build -gcflags=<module>/...=-m ./...` over the whole module.
 lint-hot:
 	$(GO) run ./cmd/dcnrlint -time -hot ./...
 

@@ -39,8 +39,7 @@ import (
 type Observe = observe.Observe
 
 // IntraConfig parameterizes the intra-data-center simulation. The
-// embedded Observe struct carries the observability wiring; the flat
-// Metrics/Trace/Health/Logger fields remain as deprecated passthroughs.
+// embedded Observe struct carries the observability wiring.
 type IntraConfig = sim.IntraConfig
 
 // IntraResult carries the generated dataset and its analysis handles.

@@ -29,9 +29,7 @@ func TestHealthEngineElevatedScenario(t *testing.T) {
 	}
 	res, err := SimulateIntraDC(IntraConfig{
 		Seed:          7,
-		Metrics:       reg,
-		Health:        eng,
-		Logger:        slog.New(h),
+		Observe:       Observe{Metrics: reg, Health: eng, Logger: slog.New(h)},
 		ElevateYear:   2014,
 		ElevateFactor: 5,
 	})
@@ -160,7 +158,7 @@ func TestHealthEngineCalibratedRunStaysQuiet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := SimulateIntraDC(IntraConfig{Seed: seed, Health: eng}); err != nil {
+		if _, err := SimulateIntraDC(IntraConfig{Seed: seed, Observe: Observe{Health: eng}}); err != nil {
 			t.Fatal(err)
 		}
 		rep := eng.Report()
@@ -210,7 +208,7 @@ func TestSLOReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateIntraDC(IntraConfig{Seed: 2, FromYear: 2016, ToYear: 2017, Health: eng}); err != nil {
+	if _, err := SimulateIntraDC(IntraConfig{Seed: 2, FromYear: 2016, ToYear: 2017, Observe: Observe{Health: eng}}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -226,5 +224,30 @@ func TestSLOReportJSONRoundTrip(t *testing.T) {
 	}
 	if rep.Types["RSW"].Population == 0 {
 		t.Error("RSW population missing from report")
+	}
+}
+
+// TestSLOReportDeterministic runs seed 7 twice and requires the two SLO
+// reports to match byte for byte: the expected-incident integrals behind
+// budgets and burn rates must not depend on map iteration order.
+func TestSLOReportDeterministic(t *testing.T) {
+	report := func() []byte {
+		t.Helper()
+		eng, err := NewHealthEngine(HealthTargetsForScale(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := IntraConfig{Seed: 7, FromYear: 2012, ToYear: 2015, Observe: Observe{Health: eng}}
+		if _, err := SimulateIntraDC(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := eng.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if a, b := report(), report(); !bytes.Equal(a, b) {
+		t.Errorf("two seed-7 runs wrote different SLO reports (%d vs %d bytes)", len(a), len(b))
 	}
 }

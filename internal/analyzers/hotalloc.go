@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -16,10 +15,11 @@ import (
 // lint gate. A function whose doc comment carries a `//hot:noalloc`
 // directive declares its body a hot region: the compiler's escape
 // analysis must prove no value in it escapes to the heap. The analyzer
-// re-runs the compiler with `-gcflags=<pkg>=-m` for each package that
-// declares a region (the build cache replays the diagnostics, so repeat
-// runs are cheap) and reports every "escapes to heap" / "moved to heap"
-// diagnostic that lands inside a region.
+// re-runs the compiler with `-gcflags=<module>/...=-m` over every package
+// of the module (the build cache replays the diagnostics, so repeat runs
+// are cheap) and reports every "escapes to heap" / "moved to heap"
+// diagnostic that lands inside a region — including a generic region's,
+// which gc reports only while compiling a package that instantiates it.
 //
 // This is deliberately the compiler's own verdict, not a reimplementation
 // of escape analysis: if gc says a line allocates, the bench gate would
@@ -33,11 +33,16 @@ var HotAlloc = &ModuleAnalyzer{
 	Name: "hotalloc",
 	Doc:  "//hot:noalloc regions must be free of compiler-reported heap escapes",
 	Contract: `A function whose doc comment contains //hot:noalloc declares its body
-an allocation-free region: the gc compiler's escape analysis (re-run via
-go build -gcflags=<pkg>=-m; cached builds replay diagnostics) must report
-no "escapes to heap"/"moved to heap" inside it. Annotated in this repo:
-the DES scheduler hot path, obs.SpanRing record paths, and journal
-Lane.Record — the paths whose 0 allocs/op invariant the benchmarks gate.
+an allocation-free region: the gc compiler's escape analysis (re-run over
+the whole module via go build -gcflags=<module>/...=-m ./...; cached
+builds replay diagnostics) must report no "escapes to heap"/"moved to
+heap" inside it. A generic body is compiled, and its escapes reported at
+its own lines, only in the packages that instantiate it, which is why
+the whole module is compiled; each position is reported once. Annotated
+in this repo: the DES scheduler hot path, the generic obs.Lane[T].Record
+and its SpanRing, journal and timeline wrappers, timeline
+Sampler.Sample, and tickets.Parse — the paths whose 0 allocs/op
+invariant the benchmarks gate.
 Intentional cold-path allocations take //lint:allow hotalloc on the line.
 Runs behind dcnrlint -hot / make lint-hot because it shells out to the
 compiler. Example fixture: internal/analyzers/testdata/hotallocmod/`,
@@ -48,17 +53,31 @@ compiler. Example fixture: internal/analyzers/testdata/hotallocmod/`,
 // appears in the function's doc comment.
 const HotDirective = "//hot:noalloc"
 
-// hotRegion is one annotated function body, in file-coordinate form so
+// hotRegion is one annotated function, in file-coordinate form so
 // compiler diagnostics can be matched against it.
 type hotRegion struct {
-	file       string // absolute, cleaned path
-	start, end int    // body line span, inclusive
+	start, end token.Position // `func` to the closing brace; absolute path
+	self       token.Position // the receiver, or the name of a plain func
 	fn         string
+}
+
+// contains reports whether d lies in the region: the body, or the
+// signature, where gc reports a parameter moved to the heap. The position
+// gc gives the function itself is excluded: an instantiated generic's
+// wrapper repeats its body's escapes there, and the body's own reports
+// already cover them.
+func (r hotRegion) contains(d escapeDiag) bool {
+	if d.file != filepath.Clean(r.start.Filename) || d.line == r.self.Line && d.col == r.self.Column {
+		return false
+	}
+	after := d.line > r.start.Line || d.line == r.start.Line && d.col >= r.start.Column
+	before := d.line < r.end.Line || d.line == r.end.Line && d.col <= r.end.Column
+	return after && before
 }
 
 func runHotAlloc(pass *ModulePass) error {
 	m := pass.Mod
-	regions := make(map[string][]hotRegion) // package path → regions
+	var regions []hotRegion
 	for _, pkg := range m.Pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -66,12 +85,14 @@ func runHotAlloc(pass *ModulePass) error {
 				if !ok || fd.Body == nil || !hasHotDirective(fd) {
 					continue
 				}
-				start := m.Fset.Position(fd.Body.Lbrace)
-				end := m.Fset.Position(fd.Body.Rbrace)
-				regions[pkg.Path] = append(regions[pkg.Path], hotRegion{
-					file:  filepath.Clean(start.Filename),
-					start: start.Line,
-					end:   end.Line,
+				self := fd.Name.Pos() // where gc positions the function itself
+				if fd.Recv != nil {
+					self = fd.Recv.Pos()
+				}
+				regions = append(regions, hotRegion{
+					start: m.Fset.Position(fd.Pos()),
+					self:  m.Fset.Position(self),
+					end:   m.Fset.Position(fd.Body.Rbrace),
 					fn:    funcDisplayName(fd),
 				})
 			}
@@ -81,27 +102,27 @@ func runHotAlloc(pass *ModulePass) error {
 		return nil
 	}
 
-	paths := make([]string, 0, len(regions))
-	for p := range regions {
-		paths = append(paths, p)
+	diags, err := escapeDiagnostics(m.Dir)
+	if err != nil {
+		return err
 	}
-	sort.Strings(paths)
-
-	for _, pkgPath := range paths {
-		diags, err := escapeDiagnostics(m.Dir, pkgPath)
-		if err != nil {
-			return err
+	// Every generic shape and every instantiating package reports the
+	// same source position again; report each position once.
+	seen := make(map[escapeDiag]bool)
+	for _, d := range diags {
+		key := escapeDiag{file: d.file, line: d.line, col: d.col}
+		if seen[key] {
+			continue
 		}
-		for _, d := range diags {
-			for _, r := range regions[pkgPath] {
-				if d.file != r.file || d.line < r.start || d.line > r.end {
-					continue
-				}
-				pass.reportAt(token.Position{Filename: d.file, Line: d.line, Column: d.col},
-					"heap allocation in //hot:noalloc region %s: %s (restructure to keep it on the stack, or //lint:allow hotalloc for an intentional cold path)",
-					r.fn, d.msg)
-				break
+		for _, r := range regions {
+			if !r.contains(d) {
+				continue
 			}
+			seen[key] = true
+			pass.reportAt(token.Position{Filename: d.file, Line: d.line, Column: d.col},
+				"heap allocation in //hot:noalloc region %s: %s (restructure to keep it on the stack, or //lint:allow hotalloc for an intentional cold path)",
+				r.fn, d.msg)
+			break
 		}
 	}
 	return nil
@@ -149,14 +170,24 @@ type escapeDiag struct {
 // escapeLine matches `path/to/file.go:12:34: message`.
 var escapeLine = regexp.MustCompile(`^(.*\.go):(\d+):(\d+): (.*)$`)
 
-// escapeDiagnostics compiles one package with -m and returns its
-// heap-escape diagnostics with absolute file paths.
-func escapeDiagnostics(dir, pkgPath string) ([]escapeDiag, error) {
-	cmd := exec.Command("go", "build", "-gcflags="+pkgPath+"=-m", pkgPath)
+// escapeDiagnostics compiles every package of the module in dir with -m
+// and returns the heap-escape diagnostics with absolute file paths. The
+// whole module is compiled, not just the packages that declare regions: a
+// generic body is compiled, and its escapes reported at its own
+// file:line, only in the packages that instantiate it.
+func escapeDiagnostics(dir string) ([]escapeDiag, error) {
+	cmd := exec.Command("go", "list", "-m")
+	cmd.Dir = dir
+	mod, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -m: %v", err)
+	}
+	flags := "-gcflags=" + strings.TrimSpace(string(mod)) + "/...=-m"
+	cmd = exec.Command("go", "build", flags, "./...")
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return nil, fmt.Errorf("go build -gcflags=-m %s: %v\n%s", pkgPath, err, out)
+		return nil, fmt.Errorf("go build %s ./...: %v\n%s", flags, err, out)
 	}
 	// The compiler prints paths relative to the working directory; region
 	// spans come from the FileSet, which holds absolute paths.

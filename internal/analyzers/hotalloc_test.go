@@ -5,9 +5,11 @@ import (
 )
 
 // TestHotAllocFixtureModule runs the compiler-backed analyzer over the
-// standalone fixture module: the violating region produces exactly one
-// finding at the compiler-reported position; the clean region, the
-// unannotated allocator, and the allowed escape produce none.
+// standalone fixture module: each violating region produces exactly one
+// finding at the compiler-reported position — including the generic Box,
+// whose escape only the instantiating inst package's compile reports —
+// while the clean region, the unannotated allocator, and the allowed
+// escape produce none.
 func TestHotAllocFixtureModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to go build")
@@ -22,8 +24,9 @@ func TestHotAllocFixtureModule(t *testing.T) {
 	}
 	assertDiags(t, diags, []string{
 		"hot.go:12:10 hotalloc", // new(int) escapes in BadHot
+		"hot.go:48:10 hotalloc", // new(T) escapes in Box, instantiated by inst
 	})
-	if !diagsMention(diags, "BadHot") {
+	if !diagsMention(diags, "BadHot") || !diagsMention(diags, "Box") {
 		t.Errorf("the finding should name the annotated region: %q", diagKeys(diags))
 	}
 	if !diagsMention(diags, "escapes to heap") {

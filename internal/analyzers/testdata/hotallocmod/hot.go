@@ -1,7 +1,7 @@
 // Package hotallocmod is the hotalloc golden fixture: a standalone module
 // (the analyzer shells out to `go build`, so it needs a real buildable
-// module) with one escaping hot region, one clean one, one unannotated
-// allocator, and one allowed escape.
+// module) with escaping hot regions (one a generic only ./inst
+// instantiates), a clean one, an unannotated allocator, an allowed escape.
 package hotallocmod
 
 // BadHot violates its annotation: returning the pointer forces the
@@ -37,4 +37,15 @@ func ColdAlloc(n int) []int {
 func AllowedHot() *byte {
 	b := new(byte) //lint:allow hotalloc intentional cold-path escape
 	return b
+}
+
+// Box is an annotated generic that allocates, instantiated only by the
+// inst subpackage: compiling this package alone reports nothing for its
+// body, so the analyzer must see the instantiating package's diagnostics.
+//
+//hot:noalloc
+func Box[T any](v T) *T {
+	p := new(T)
+	*p = v
+	return p
 }

@@ -27,8 +27,6 @@ import (
 	"sort"
 
 	"dcnr/internal/des"
-	"dcnr/internal/obs"
-	"dcnr/internal/obs/health"
 	"dcnr/internal/observe"
 	"dcnr/internal/simrand"
 )
@@ -138,8 +136,10 @@ type Topology struct {
 // Config sizes the backbone and its simulation.
 type Config struct {
 	// Observe bundles the observability wiring (Metrics, Trace, Health,
-	// Logger) shared by every simulation entry point. Prefer it over the
-	// deprecated flat fields below.
+	// Logger, Journal, Timeline) shared by every simulation entry point.
+	// The backbone simulation reports into Metrics and Trace; Health
+	// receives every reconstructed link downtime interval (wired by
+	// dcnr.SimulateBackbone).
 	observe.Observe
 	// Edges is the number of edge nodes. Default 120.
 	Edges int
@@ -153,26 +153,6 @@ type Config struct {
 	Months int
 	// Seed roots all randomness.
 	Seed uint64
-	// Metrics, when non-nil, receives the DES kernel's counters and
-	// gauges for the backbone simulation.
-	//
-	// Deprecated: set Observe.Metrics instead. The flat field remains a
-	// working passthrough for one release; an explicitly set
-	// Observe.Metrics wins.
-	Metrics *obs.Registry
-	// Trace, when non-nil, records per-event spans from the backbone's
-	// event loop.
-	//
-	// Deprecated: set Observe.Trace instead (same passthrough rule as
-	// Metrics).
-	Trace *obs.Tracer
-	// Health, when non-nil, receives every reconstructed link downtime
-	// interval and is evaluated over the window, driving the
-	// edge-availability SLO signal. Wired by dcnr.SimulateBackbone.
-	//
-	// Deprecated: set Observe.Health instead (same passthrough rule as
-	// Metrics).
-	Health *health.Engine
 }
 
 // DefaultConfig returns the study-sized configuration.
@@ -183,26 +163,13 @@ func DefaultConfig() Config {
 // WindowHours returns the simulated observation window in hours.
 func (c Config) WindowHours() float64 { return float64(c.Months) * 730 }
 
-// Observed resolves the effective observability wiring: fields set on the
-// embedded Observe struct win, the deprecated flat fields back them up.
-func (c Config) Observed() observe.Observe {
-	return c.Observe.Or(observe.Observe{Metrics: c.Metrics, Trace: c.Trace, Health: c.Health})
-}
-
 // Validate normalizes the configuration in place — zero-valued sizing
-// fields take the DefaultConfig values, and the deprecated flat
-// observability fields fold into the embedded Observe struct — then checks
-// the result: at least one edge per continent, at least three links per
-// edge, MaxLinks ≥ MinLinks, and positive Months and Vendors. It is the
-// single normalization step the simulation entry points run; calling it
-// again is a no-op.
+// fields take the DefaultConfig values — then checks the result: at least
+// one edge per continent, at least three links per edge, MaxLinks ≥
+// MinLinks, and positive Months and Vendors. It is the single
+// normalization step the simulation entry points run; calling it again is
+// a no-op.
 func (c *Config) Validate() error {
-	c.Observe = c.Observed()
-	c.Metrics, c.Trace, c.Health = nil, nil, nil
-	return c.applyDefaults()
-}
-
-func (c *Config) applyDefaults() error {
 	d := DefaultConfig()
 	if c.Edges == 0 {
 		c.Edges = d.Edges
@@ -238,7 +205,7 @@ func (c *Config) applyDefaults() error {
 // follow Table 4's distribution; per-edge and per-vendor reliability
 // parameters are drawn from the calibrated distributions.
 func Build(cfg Config) (*Topology, error) {
-	if err := cfg.applyDefaults(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	src := simrand.NewSource(cfg.Seed)
@@ -367,14 +334,13 @@ func (d LinkDown) Duration() float64 { return d.End - d.Start }
 // Simulate runs the failure processes over the observation window and
 // returns every link downtime interval, ordered by start time.
 func (t *Topology) Simulate(cfg Config) ([]LinkDown, error) {
-	if err := cfg.applyDefaults(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	window := cfg.WindowHours()
 	src := simrand.NewSource(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	sim := &des.Simulator{}
-	o := cfg.Observed()
-	sim.Instrument(o.Metrics, o.Trace)
+	sim.Instrument(cfg.Metrics, cfg.Trace)
 	var out []LinkDown
 
 	record := func(link int, start, end float64, cut bool) {

@@ -53,3 +53,11 @@ func BenchmarkObsTracerSpanNil(b *testing.B) {
 		tr.Begin("bench", "span").End()
 	}
 }
+
+func BenchmarkObsSpanRingRecord(b *testing.B) {
+	r := NewTracer().Ring(SimPID, 1, "bench", "span", "a", "b")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Record(-1, float64(i), 1, 2, 3, 0)
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -98,17 +99,33 @@ func (t Targets) expectedIncidents(dt string, from, to float64) float64 {
 	if to <= from {
 		return 0
 	}
+	// Sum in a fixed order — years ascending, types by name — so the
+	// result, and every report and burn rate built on it, is the same to
+	// the last bit on every call. The engine evaluates this on every
+	// tick, so the order costs no allocation: years are a dense range,
+	// and the names sort in a stack buffer sized for the fleet's types.
+	first, last := math.MaxInt, math.MinInt
+	for year := range t.Expected {
+		first, last = min(first, year), max(last, year)
+	}
+	var buf [16]string
 	total := 0.0
-	for year, types := range t.Expected {
+	for year := first; year <= last; year++ {
+		types, ok := t.Expected[year]
 		ys := float64(year-t.EpochYear) * hoursPerYear
 		lo, hi := max(from, ys), min(to, ys+hoursPerYear)
-		if hi <= lo {
+		if !ok || hi <= lo {
 			continue
 		}
 		rate := 0.0
 		if dt == FleetWide {
-			for _, v := range types {
-				rate += v
+			names := buf[:0]
+			for name := range types {
+				names = append(names, name)
+			}
+			slices.Sort(names)
+			for _, name := range names {
+				rate += types[name]
 			}
 		} else {
 			rate = types[dt]

@@ -3,7 +3,9 @@ package health
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -62,6 +64,39 @@ func TestExpectedIncidentsIntegration(t *testing.T) {
 	tg.Expected[2011]["Core"] = 50
 	if got := tg.expectedIncidents(FleetWide, 0, hoursPerYear); got != 150 {
 		t.Errorf("fleet-wide year = %v, want 150", got)
+	}
+}
+
+// TestExpectedIncidentsFixedOrder checks the fleet-wide integral bit for
+// bit against a sum in a fixed order — years ascending, types by name —
+// over a table whose float sums depend on the order of addition. Map
+// iteration order changes from call to call, so repeated calls catch a
+// sum that follows it.
+func TestExpectedIncidentsFixedOrder(t *testing.T) {
+	tg := Targets{EpochYear: 2011, Expected: map[int]map[string]float64{}}
+	for y := 2011; y <= 2017; y++ {
+		types := map[string]float64{}
+		for i := 0; i < 12; i++ {
+			// Mixed magnitudes: each addition rounds differently.
+			types[fmt.Sprintf("T%02d", i)] = float64(i+1)*0.1 + float64((y+i)%5)*1e7/3
+		}
+		tg.Expected[y] = types
+	}
+	from, to := hoursPerYear*0.3, hoursPerYear*6.7
+	want := 0.0
+	for y := 2011; y <= 2017; y++ {
+		ys := float64(y-tg.EpochYear) * hoursPerYear
+		lo, hi := max(from, ys), min(to, ys+hoursPerYear)
+		rate := 0.0
+		for i := 0; i < 12; i++ {
+			rate += tg.Expected[y][fmt.Sprintf("T%02d", i)]
+		}
+		want += rate * (hi - lo) / hoursPerYear
+	}
+	for i := 0; i < 200; i++ {
+		if got := tg.expectedIncidents(FleetWide, from, to); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: expectedIncidents = %v, want %v bit for bit", i, got, want)
+		}
 	}
 }
 

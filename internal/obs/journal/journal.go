@@ -13,10 +13,10 @@
 // # Memory layout
 //
 // Records are pointer-free fixed-size structs (40 bytes) staged in
-// per-lane rings — the SpanRing pattern from internal/obs: each Lane has a
-// single-writer staging buffer that is published as immutable blocks, so
-// the hot path costs one struct store and one atomic ID allocation, never
-// a map or an encoder. Lanes flush automatically when the staging buffer
+// per-lane rings — each Lane is an obs.Lane, the single-writer staging
+// buffer published as immutable blocks that SpanRing also uses, so the
+// hot path costs one struct store and one atomic ID allocation, never a
+// map or an encoder. Lanes flush automatically when the staging buffer
 // fills and explicitly at simulation sync points; readers (WriteJSONL,
 // Index) see only flushed blocks, so a mid-run reader observes a
 // consistent prefix of each lane while writers keep recording.
@@ -40,6 +40,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"dcnr/internal/obs"
 )
 
 // ID is a causal record identifier, unique within one journal. IDs are
@@ -117,10 +119,6 @@ type Record struct {
 	Sev int8
 }
 
-// laneBatch is the staging-buffer size of a lane: one publish per this
-// many records, 10 KiB of staging per lane.
-const laneBatch = 256
-
 // Journal allocates causal IDs and owns the record lanes. Construct with
 // New; a nil *Journal (and every lane obtained from it) is a valid no-op.
 type Journal struct {
@@ -158,7 +156,7 @@ func (j *Journal) SetNames(dev, class, sev []string) {
 	}
 }
 
-// Lane creates a new record lane. Like obs.SpanRing, a lane is
+// Lane creates a new record lane. Like every obs.Lane, a lane is
 // SINGLE-WRITER: exactly one goroutine may call Record / Flush at a time
 // (callers that share a lane across goroutines serialize on their own
 // mutex, as the remediation engine does). Returns nil — a valid no-op
@@ -184,7 +182,7 @@ func (j *Journal) Len() int {
 	j.mu.Unlock()
 	n := 0
 	for _, l := range lanes {
-		n += l.flushedLen()
+		n += l.ring.Len()
 	}
 	return n
 }
@@ -208,7 +206,7 @@ func (j *Journal) Records() []Record {
 	allBlocks := make([][]Record, 0, 8)
 	total := 0
 	for _, l := range lanes {
-		for _, b := range l.blocks() {
+		for _, b := range l.ring.Blocks() {
 			allBlocks = append(allBlocks, b)
 			total += len(b)
 		}
@@ -330,38 +328,6 @@ func (e *encoder) frag(table *[][]byte, i int, key, name string) []byte {
 	return (*table)[i]
 }
 
-// appendFixed encodes v as a fixed-point decimal with up to six
-// fractional digits, trailing zeros trimmed. Non-finite values and values
-// beyond the fixed-point range fall back to shortest-float.
-func appendFixed(b []byte, v float64) []byte {
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	if !(v < 9e12) { // NaN, +Inf, or beyond the fixed-point range
-		return strconv.AppendFloat(b, v, 'g', -1, 64)
-	}
-	if neg {
-		b = append(b, '-')
-	}
-	u := uint64(v*1e6 + 0.5)
-	b = strconv.AppendUint(b, u/1e6, 10)
-	if fp := u % 1e6; fp != 0 {
-		var tmp [7]byte
-		tmp[0] = '.'
-		for i := 6; i >= 1; i-- {
-			tmp[i] = byte('0' + fp%10)
-			fp /= 10
-		}
-		n := 7
-		for tmp[n-1] == '0' {
-			n--
-		}
-		b = append(b, tmp[:n]...)
-	}
-	return b
-}
-
 func writeJSONL(w io.Writer, recs []Record, names nameTables) error {
 	enc := encoder{names: names}
 	buf := make([]byte, 0, 1<<16)
@@ -401,7 +367,7 @@ func (e *encoder) appendRecord(b []byte, r Record) []byte {
 	}
 	if r.Time != e.lastTime || e.timeBuf == nil {
 		e.lastTime = r.Time
-		e.timeBuf = appendFixed(e.timeBuf[:0], r.Time)
+		e.timeBuf = obs.AppendFixed(e.timeBuf[:0], r.Time)
 	}
 	b = append(b, e.timeBuf...)
 	b = append(b, e.frag(&e.devFrag, int(r.Dev), "dev", e.names.devName(r.Dev))...)
@@ -410,7 +376,7 @@ func (e *encoder) appendRecord(b []byte, r Record) []byte {
 	}
 	if r.Aux != 0 {
 		b = append(b, `,"aux":`...)
-		b = appendFixed(b, r.Aux)
+		b = obs.AppendFixed(b, r.Aux)
 	}
 	if r.Sev >= 0 {
 		b = append(b, e.frag(&e.sevFrag, int(r.Sev), "sev", e.names.sevName(r.Sev))...)
@@ -423,22 +389,13 @@ func (e *encoder) appendRecord(b []byte, r Record) []byte {
 	return b
 }
 
-// Lane is a single-writer record buffer feeding its journal: Record
-// stages into a fixed ring; full rings (and explicit Flush calls) publish
-// immutable blocks to readers. All methods are nil-safe.
+// Lane is a single-writer record buffer feeding its journal: an obs.Lane
+// of records that stamps each with the journal's next causal ID. All
+// methods are nil-safe.
 type Lane struct {
 	j    *Journal
 	name string
-
-	buf [laneBatch]Record // staging buffer, single-writer
-	n   int
-
-	// flushed holds published records as immutable blocks (the SpanRing
-	// publication pattern: appending a freshly-copied block never
-	// re-copies earlier records).
-	mu      sync.Mutex
-	flushed [][]Record
-	total   int
+	ring obs.Lane[Record]
 }
 
 // Record assigns the next causal ID to r, stages it, and returns the ID
@@ -451,10 +408,8 @@ func (l *Lane) Record(r Record) ID {
 		return 0
 	}
 	r.ID = ID(l.j.nextID.Add(1))
-	l.buf[l.n] = r
-	l.n++
-	if l.n == laneBatch {
-		l.Flush()
+	if l.ring.Record(r) {
+		l.ring.Flush()
 	}
 	return r.ID
 }
@@ -462,35 +417,7 @@ func (l *Lane) Record(r Record) ID {
 // Flush publishes the staged records to readers. Only the writer may call
 // it.
 func (l *Lane) Flush() {
-	if l == nil || l.n == 0 {
-		return
+	if l != nil {
+		l.ring.Flush()
 	}
-	blk := make([]Record, l.n)
-	copy(blk, l.buf[:l.n])
-	l.mu.Lock()
-	l.flushed = append(l.flushed, blk)
-	l.total += l.n
-	l.mu.Unlock()
-	l.n = 0
-}
-
-// blocks returns the flushed record blocks. The blocks themselves are
-// immutable once published, so only the block list is copied.
-func (l *Lane) blocks() [][]Record {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([][]Record(nil), l.flushed...)
-}
-
-// flushedLen returns the number of published records.
-func (l *Lane) flushedLen() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }

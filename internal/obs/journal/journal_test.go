@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dcnr/internal/obs"
 )
 
 // chainRecords journals one complete automated-repair chain and one
@@ -77,12 +79,12 @@ func TestIDsAreDenseAndOrdered(t *testing.T) {
 func TestAutoFlushAtBatchFull(t *testing.T) {
 	j := New()
 	l := j.Lane("hot")
-	for i := 0; i < laneBatch; i++ {
+	for i := 0; i < obs.LaneBatch; i++ {
 		l.Record(Record{Kind: FaultRaised, Time: float64(i), Class: -1, Sev: -1})
 	}
 	// No explicit Flush: a full staging buffer must have published itself.
-	if got := j.Len(); got != laneBatch {
-		t.Fatalf("flushed %d records after %d Records, want auto-flush", got, laneBatch)
+	if got := j.Len(); got != obs.LaneBatch {
+		t.Fatalf("flushed %d records after %d Records, want auto-flush", got, obs.LaneBatch)
 	}
 }
 
@@ -226,13 +228,14 @@ func TestMergeSummaries(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersSeeFlushedPrefix pins the lane publication
-// contract: readers may index and serialize the journal while the writer
-// keeps recording, and see only whole flushed blocks.
+// TestConcurrentReadersSeeFlushedPrefix checks what the journal adds on
+// top of obs.Lane's publication contract (TestLaneWraparoundConcurrentRead
+// in internal/obs): readers may index and serialize the journal while the
+// writer keeps recording, and the IDs they see form a gap-free prefix.
 func TestConcurrentReadersSeeFlushedPrefix(t *testing.T) {
 	j := New()
 	l := j.Lane("hot")
-	const total = laneBatch * 8
+	const total = obs.LaneBatch * 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)

@@ -6,18 +6,89 @@ import (
 	"time"
 )
 
-// SpanRing is a batched span recorder for instrumented hot loops: a
-// fixed-size staging buffer of compact, allocation-free records that is
-// flushed into the owning Tracer in batches, so the hot path never builds
-// an args map and takes the tracer lock only once per ringBatch records.
+// LaneBatch is the staging-buffer size of every Lane: one publish (one
+// block allocation and one lock acquisition) per this many records.
+// Readers concatenate blocks, so the size never shows in any output.
+const LaneBatch = 512
+
+// Lane is the single-writer staging ring behind every batched recorder in
+// the repo — SpanRing here, journal.Lane and timeline.Lane. Record stores
+// one value into a fixed staging array; Flush copies the staged values
+// into a fresh immutable block and publishes it. Readers (Blocks, Len)
+// see only published blocks, so a mid-run reader observes a consistent
+// prefix while the writer keeps recording, and never touches the staging
+// array the writer is overwriting.
 //
-// A ring is SINGLE-WRITER: exactly one goroutine may call Record /
-// RecordWall / Flush at a time (callers that share a ring across
-// goroutines, like the remediation engine, serialize on their own mutex).
-// Readers (Tracer.Events, Tracer.WriteJSON, Tracer.Len) see only flushed
-// records, so the writer must Flush before the trace is read — the DES
-// kernel flushes on every Run/Step exit, the remediation engine in
-// FlushTrace.
+// Publishing appends a block instead of growing one flat slice, so it
+// never re-copies earlier records (a flat append spent more memory
+// bandwidth on growslice copies than the simulation spent producing the
+// records).
+//
+// A Lane is SINGLE-WRITER: exactly one goroutine may call Record / Flush
+// at a time (callers that share a lane across goroutines, like the
+// remediation engine, serialize on their own mutex). Readers may run
+// concurrently with the writer. The zero Lane is ready to use; T should
+// be pointer-free so a staging array is one GC-free block.
+type Lane[T any] struct {
+	buf [LaneBatch]T // staging buffer, single-writer
+	n   int
+
+	mu      sync.Mutex
+	flushed [][]T
+	total   int
+}
+
+// Record stages v and reports whether the staging buffer is now full; the
+// caller must then Flush before the next Record.
+//
+//hot:noalloc
+func (l *Lane[T]) Record(v T) (full bool) {
+	l.buf[l.n] = v
+	l.n++
+	return l.n == LaneBatch
+}
+
+// Flush publishes the staged values as one immutable block and returns
+// it, or returns nil when nothing was staged. Only the writer may call it.
+func (l *Lane[T]) Flush() []T {
+	if l.n == 0 {
+		return nil
+	}
+	blk := make([]T, l.n)
+	copy(blk, l.buf[:l.n])
+	l.mu.Lock()
+	l.flushed = append(l.flushed, blk)
+	l.total += l.n
+	l.mu.Unlock()
+	l.n = 0
+	return blk
+}
+
+// Blocks returns the published blocks in publication order. The blocks
+// themselves are immutable, so only the block list is copied.
+func (l *Lane[T]) Blocks() [][]T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([][]T(nil), l.flushed...)
+}
+
+// Len returns the number of published values.
+func (l *Lane[T]) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.total
+}
+
+// SpanRing is a batched span recorder for instrumented hot loops: a Lane
+// of compact, pointer-free records published to the owning Tracer's
+// readers in blocks, so the hot path never builds an args map and takes a
+// lock only once per LaneBatch records.
+//
+// A ring is SINGLE-WRITER, like every Lane: exactly one goroutine may call
+// Record / RecordWall / Flush at a time. Readers (Tracer.Events,
+// Tracer.WriteJSON, Tracer.Len) see only flushed records, so the writer
+// must Flush before the trace is read — the DES kernel flushes on every
+// Run/Step exit, the remediation engine in FlushTrace.
 //
 // Each record carries a name (an index into the ring's name table, or -1
 // for the ring's default name), trace timestamps, and up to ringArgs
@@ -42,26 +113,11 @@ type SpanRing struct {
 	// constArgs are (key, value) pairs attached to every record.
 	constArgs [][2]string
 
-	buf [ringBatch]spanRec // staging buffer, single-writer
-	n   int
-
-	// flushed holds published records as immutable blocks of at most
-	// ringBatch records: Flush appends one freshly-copied block instead of
-	// growing a single flat slice, so publishing never re-copies earlier
-	// records (a flat append spent more memory bandwidth on growslice
-	// copies than the simulation spent producing the records).
-	mu      sync.Mutex
-	flushed [][]spanRec
-	total   int
+	lane Lane[spanRec]
 }
 
-const (
-	// ringBatch is the staging-buffer size: one tracer-lock acquisition
-	// per this many records.
-	ringBatch = 512
-	// ringArgs is the per-record numeric arg capacity.
-	ringArgs = 3
-)
+// ringArgs is the per-record numeric arg capacity.
+const ringArgs = 3
 
 // spanRec is one compact span record: 48 bytes, no pointers, so a full
 // staging buffer is a single 24 KiB GC-free block.
@@ -123,10 +179,8 @@ func (r *SpanRing) Record(name int32, ts, dur, a0, a1, a2 float64) {
 	if r == nil {
 		return
 	}
-	r.buf[r.n] = spanRec{name: name, ts: ts, dur: dur, args: [ringArgs]float64{a0, a1, a2}}
-	r.n++
-	if r.n == ringBatch {
-		r.Flush()
+	if r.lane.Record(spanRec{name: name, ts: ts, dur: dur, args: [ringArgs]float64{a0, a1, a2}}) {
+		r.lane.Flush()
 	}
 }
 
@@ -144,18 +198,11 @@ func (r *SpanRing) RecordWall(name int32, start time.Time, wall time.Duration, a
 }
 
 // Flush publishes the staged records to readers. Only the writer may call
-// it; it takes the tracer-side lock once for the whole batch.
+// it.
 func (r *SpanRing) Flush() {
-	if r == nil || r.n == 0 {
-		return
+	if r != nil {
+		r.lane.Flush()
 	}
-	blk := make([]spanRec, r.n)
-	copy(blk, r.buf[:r.n])
-	r.mu.Lock()
-	r.flushed = append(r.flushed, blk)
-	r.total += r.n
-	r.mu.Unlock()
-	r.n = 0
 }
 
 // recName resolves a record's span name.
@@ -166,19 +213,11 @@ func (r *SpanRing) recName(rec spanRec) string {
 	return r.name
 }
 
-// blocks returns the flushed record blocks. The blocks themselves are
-// immutable once published, so only the block list is copied.
-func (r *SpanRing) blocks() [][]spanRec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([][]spanRec(nil), r.flushed...)
-}
-
 // materialize converts the flushed records to regular Events (args maps
 // included) — the compatibility path behind Tracer.Events.
 func (r *SpanRing) materialize() []Event {
 	var recs []spanRec
-	for _, blk := range r.blocks() {
+	for _, blk := range r.lane.Blocks() {
 		recs = append(recs, blk...)
 	}
 	out := make([]Event, 0, len(recs))
@@ -277,11 +316,4 @@ func appendTraceFloat(b []byte, v float64) []byte {
 		return append(b, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
 	}
 	return strconv.AppendFloat(b, v, 'f', 3, 64)
-}
-
-// ringLen returns the number of flushed records.
-func (r *SpanRing) ringLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }

@@ -4,25 +4,27 @@ import (
 	"io"
 	"sync"
 	"testing"
+
+	"dcnr/internal/obs"
 )
 
-// TestRingWraparoundConcurrentRead drives a single-writer lane through
-// many staging-buffer wraparounds while concurrent readers assemble
-// Samples, serialize JSONL, and answer windowed queries. Run under -race
-// this pins the publication contract: readers only ever touch flushed
-// immutable blocks, never the staging ring the writer is overwriting.
+// TestRingWraparoundConcurrentRead checks what the timeline adds on top of
+// obs.Lane's publication contract (TestLaneWraparoundConcurrentRead in
+// internal/obs): while two lanes' writers wrap their staging buffers,
+// concurrent readers always see the lanes merged in time order, and
+// Window answers from that merged view.
 func TestRingWraparoundConcurrentRead(t *testing.T) {
 	tl := New(1)
-	col := tl.Column("series")
-	lane := tl.Lane("sim")
+	even, odd := tl.Column("even"), tl.Column("odd")
+	lanes := [2]*Lane{tl.Lane("even"), tl.Lane("odd")}
 
-	const total = laneBatch*8 + laneBatch/2 // several wraps plus a partial tail
-	var wg sync.WaitGroup
+	const total = obs.LaneBatch*8 + obs.LaneBatch/2 // several wraps plus a partial tail
+	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer readers.Done()
 			for {
 				select {
 				case <-stop:
@@ -37,30 +39,44 @@ func TestRingWraparoundConcurrentRead(t *testing.T) {
 					}
 					prev = s.T
 				}
+				for _, s := range tl.Window(100, 200, "odd") {
+					if s.Col != odd || s.T < 100 || s.T > 200 {
+						t.Errorf("Window(100, 200, odd) returned %+v", s)
+						return
+					}
+				}
 				if err := tl.WriteJSONL(io.Discard); err != nil {
 					t.Errorf("WriteJSONL: %v", err)
 					return
 				}
-				tl.Window(0, float64(total), "series")
 			}
 		}()
 	}
-
-	for i := 0; i < total; i++ {
-		lane.Record(col, float64(i), float64(i%7))
+	// One writer per lane: lane k records the times ≡ k (mod 2).
+	for k, l := range lanes {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := k; i < total; i += 2 {
+				l.Record([2]int32{even, odd}[k], float64(i), float64(i%7))
+			}
+			l.Flush()
+		}()
 	}
-	lane.Flush()
+	writers.Wait()
 	close(stop)
-	wg.Wait()
+	readers.Wait()
 
 	if got := tl.Len(); got != total {
 		t.Fatalf("Len = %d, want %d", got, total)
 	}
-	// A reader after the final flush sees every sample, in order.
-	ss := tl.Samples()
-	for i, s := range ss {
-		if s.T != float64(i) {
-			t.Fatalf("sample %d has T=%v", i, s.T)
+	// After the final flushes the merge interleaves the lanes exactly.
+	for i, s := range tl.Samples() {
+		if s.T != float64(i) || s.Col != [2]int32{even, odd}[i%2] {
+			t.Fatalf("sample %d = %+v", i, s)
 		}
+	}
+	if win := tl.Window(100, 200, "odd"); len(win) != 50 || win[0].T != 101 || win[49].T != 199 {
+		t.Errorf("Window(100, 200, odd) = %d samples from %v", len(win), win)
 	}
 }

@@ -9,9 +9,9 @@
 //
 // # Memory layout
 //
-// Samples are 24-byte pointer-free structs staged in per-lane rings — the
-// SpanRing/journal pattern from internal/obs: each Lane has a
-// single-writer staging buffer published as immutable blocks, so the hot
+// Samples are 24-byte pointer-free structs staged in per-lane rings — each
+// Lane is an obs.Lane, the single-writer staging buffer published as
+// immutable blocks that SpanRing and the journal also use, so the hot
 // path costs a changed-value check and one struct store, never a map or
 // an encoder. Readers (WriteJSONL, Window, the HTTP handlers) see only
 // flushed blocks: a mid-run reader observes a consistent prefix of each
@@ -36,6 +36,8 @@ import (
 	"io"
 	"strconv"
 	"sync"
+
+	"dcnr/internal/obs"
 )
 
 // DefaultCadence is the sim-time sampling cadence when none is
@@ -56,10 +58,6 @@ type Sample struct {
 	// Col is the series' column ordinal (Timeline.Column).
 	Col int32
 }
-
-// laneBatch is the staging-buffer size of a lane: one publish per this
-// many samples, 6 KiB of staging per lane.
-const laneBatch = 256
 
 // Timeline owns the sample lanes and the column (series name) table.
 // Construct with New; a nil *Timeline (and every lane obtained from it)
@@ -119,7 +117,7 @@ func (t *Timeline) Column(name string) int32 {
 	return id
 }
 
-// Lane creates a new sample lane. Like obs.SpanRing, a lane is
+// Lane creates a new sample lane. Like every obs.Lane, a lane is
 // SINGLE-WRITER: exactly one goroutine may call Record / Flush at a time.
 // Returns nil — a valid no-op lane — on a nil timeline.
 func (t *Timeline) Lane(name string) *Lane {
@@ -140,7 +138,7 @@ func (t *Timeline) Len() int {
 	}
 	n := 0
 	for _, l := range t.laneList() {
-		n += l.flushedLen()
+		n += l.ring.Len()
 	}
 	return n
 }
@@ -175,7 +173,7 @@ func (t *Timeline) Samples() []Sample {
 	flat := make([][]Sample, 0, len(lanes))
 	total := 0
 	for _, l := range lanes {
-		blocks := l.blocks()
+		blocks := l.ring.Blocks()
 		n := 0
 		for _, b := range blocks {
 			n += len(b)
@@ -302,7 +300,7 @@ func (e *encoder) appendSample(b []byte, s Sample) []byte {
 	b = append(b, `{"t":`...)
 	if s.T != e.lastT || e.tBuf == nil {
 		e.lastT = s.T
-		e.tBuf = appendFixed(e.tBuf[:0], s.T)
+		e.tBuf = obs.AppendFixed(e.tBuf[:0], s.T)
 	}
 	b = append(b, e.tBuf...)
 	if s.Col >= 0 {
@@ -312,62 +310,18 @@ func (e *encoder) appendSample(b []byte, s Sample) []byte {
 		b = strconv.AppendInt(b, int64(s.Col), 10)
 		b = append(b, `","v":`...)
 	}
-	b = appendFixed(b, s.V)
+	b = obs.AppendFixed(b, s.V)
 	b = append(b, '}', '\n')
 	return b
 }
 
-// appendFixed encodes v as a fixed-point decimal with up to six
-// fractional digits, trailing zeros trimmed — the journal's timestamp
-// encoding, shared here so timeline and journal timestamps compare
-// byte-for-byte. Non-finite values and values beyond the fixed-point
-// range fall back to shortest-float.
-func appendFixed(b []byte, v float64) []byte {
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	if !(v < 9e12) { // NaN, +Inf, or beyond the fixed-point range
-		return strconv.AppendFloat(b, v, 'g', -1, 64)
-	}
-	if neg {
-		b = append(b, '-')
-	}
-	u := uint64(v*1e6 + 0.5)
-	b = strconv.AppendUint(b, u/1e6, 10)
-	if fp := u % 1e6; fp != 0 {
-		var tmp [7]byte
-		tmp[0] = '.'
-		for i := 6; i >= 1; i-- {
-			tmp[i] = byte('0' + fp%10)
-			fp /= 10
-		}
-		n := 7
-		for tmp[n-1] == '0' {
-			n--
-		}
-		b = append(b, tmp[:n]...)
-	}
-	return b
-}
-
-// Lane is a single-writer sample buffer feeding its timeline: Record
-// stages into a fixed ring; full rings (and explicit Flush calls) publish
-// immutable blocks to readers and fan deltas out to SSE subscribers. All
+// Lane is a single-writer sample buffer feeding its timeline: an obs.Lane
+// of samples whose published blocks also fan out to SSE subscribers. All
 // methods are nil-safe.
 type Lane struct {
 	t    *Timeline
 	name string
-
-	buf [laneBatch]Sample // staging buffer, single-writer
-	n   int
-
-	// flushed holds published samples as immutable blocks (the SpanRing
-	// publication pattern: appending a freshly-copied block never
-	// re-copies earlier samples).
-	mu      sync.Mutex
-	flushed [][]Sample
-	total   int
+	ring obs.Lane[Sample]
 }
 
 // Record stages one sample. No-op on a nil lane.
@@ -377,9 +331,7 @@ func (l *Lane) Record(col int32, t, v float64) {
 	if l == nil {
 		return
 	}
-	l.buf[l.n] = Sample{T: t, V: v, Col: col}
-	l.n++
-	if l.n == laneBatch {
+	if l.ring.Record(Sample{T: t, V: v, Col: col}) {
 		l.Flush()
 	}
 }
@@ -387,36 +339,10 @@ func (l *Lane) Record(col int32, t, v float64) {
 // Flush publishes the staged samples to readers and subscribers. Only the
 // writer may call it.
 func (l *Lane) Flush() {
-	if l == nil || l.n == 0 {
+	if l == nil {
 		return
 	}
-	blk := make([]Sample, l.n)
-	copy(blk, l.buf[:l.n])
-	l.mu.Lock()
-	l.flushed = append(l.flushed, blk)
-	l.total += l.n
-	l.mu.Unlock()
-	l.n = 0
-	l.t.publish(blk)
-}
-
-// blocks returns the flushed sample blocks. The blocks themselves are
-// immutable once published, so only the block list is copied.
-func (l *Lane) blocks() [][]Sample {
-	if l == nil {
-		return nil
+	if blk := l.ring.Flush(); blk != nil {
+		l.t.publish(blk)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([][]Sample(nil), l.flushed...)
-}
-
-// flushedLen returns the number of published samples.
-func (l *Lane) flushedLen() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }

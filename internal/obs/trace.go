@@ -212,7 +212,7 @@ func (t *Tracer) Len() int {
 	rings := t.rings
 	t.mu.Unlock()
 	for _, r := range rings {
-		n += r.ringLen()
+		n += r.lane.Len()
 	}
 	return n
 }
@@ -333,7 +333,7 @@ func (tw *TraceJSONWriter) Add(t *Tracer) error {
 		}
 	}
 	for _, r := range rings {
-		for _, blk := range r.blocks() {
+		for _, blk := range r.lane.Blocks() {
 			tw.buf = r.appendJSONRecs(tw.buf, blk)
 			if err := tw.flush(false); err != nil {
 				return err

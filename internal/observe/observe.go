@@ -50,28 +50,3 @@ type Observe struct {
 	// Timeline.WriteJSONL, query with Timeline.Window or ServeHistory.
 	Timeline *timeline.Timeline
 }
-
-// Or returns o with every nil field filled from fallback — the resolution
-// rule for the deprecated flat config fields: an explicitly set Observe
-// field wins, the legacy flat field backs it up.
-func (o Observe) Or(fallback Observe) Observe {
-	if o.Metrics == nil {
-		o.Metrics = fallback.Metrics
-	}
-	if o.Trace == nil {
-		o.Trace = fallback.Trace
-	}
-	if o.Health == nil {
-		o.Health = fallback.Health
-	}
-	if o.Logger == nil {
-		o.Logger = fallback.Logger
-	}
-	if o.Journal == nil {
-		o.Journal = fallback.Journal
-	}
-	if o.Timeline == nil {
-		o.Timeline = fallback.Timeline
-	}
-	return o
-}

@@ -13,14 +13,11 @@ package sim
 
 import (
 	"fmt"
-	"log/slog"
 
 	"dcnr/internal/backbone"
 	"dcnr/internal/core"
 	"dcnr/internal/faults"
 	"dcnr/internal/fleet"
-	"dcnr/internal/obs"
-	"dcnr/internal/obs/health"
 	"dcnr/internal/observe"
 	"dcnr/internal/remediation"
 	"dcnr/internal/sev"
@@ -31,8 +28,7 @@ import (
 // IntraConfig parameterizes the intra-data-center simulation.
 type IntraConfig struct {
 	// Observe bundles the observability wiring (Metrics, Trace, Health,
-	// Logger) shared by every simulation entry point. Prefer it over the
-	// deprecated flat fields below.
+	// Logger, Journal, Timeline) shared by every simulation entry point.
 	observe.Observe
 	// Seed roots all randomness; equal seeds give identical histories.
 	Seed uint64
@@ -53,39 +49,6 @@ type IntraConfig struct {
 	// alerts through pending→firing→resolved. Zero values disable it.
 	ElevateYear   int
 	ElevateFactor float64
-
-	// Metrics, when non-nil, receives counters, gauges, and histograms
-	// from the simulation's hot paths.
-	//
-	// Deprecated: set Observe.Metrics instead. The flat field remains a
-	// working passthrough for one release; an explicitly set
-	// Observe.Metrics wins.
-	Metrics *obs.Registry
-	// Trace, when non-nil, records Chrome trace-event spans.
-	//
-	// Deprecated: set Observe.Trace instead (same passthrough rule as
-	// Metrics).
-	Trace *obs.Tracer
-	// Health, when non-nil, receives every fault, repair, and incident
-	// and is evaluated on a daily sim-time tick.
-	//
-	// Deprecated: set Observe.Health instead (same passthrough rule as
-	// Metrics).
-	Health *health.Engine
-	// Logger, when non-nil, receives structured records carrying the
-	// simulation clock.
-	//
-	// Deprecated: set Observe.Logger instead (same passthrough rule as
-	// Metrics).
-	Logger *slog.Logger
-}
-
-// Observed resolves the effective observability wiring: fields set on the
-// embedded Observe struct win, the deprecated flat fields back them up.
-func (c IntraConfig) Observed() observe.Observe {
-	return c.Observe.Or(observe.Observe{
-		Metrics: c.Metrics, Trace: c.Trace, Health: c.Health, Logger: c.Logger,
-	})
 }
 
 // Validate normalizes the configuration in place and rejects what cannot
@@ -95,8 +58,7 @@ func (c IntraConfig) Observed() observe.Observe {
 // will execute. Calling it again is a no-op.
 //
 // Normalization: Scale 0 becomes 1, FromYear/ToYear 0 become the study
-// bounds, and the deprecated flat observability fields fold into the
-// embedded Observe struct. Checks: Scale must be ≥ 0, the year range must
+// bounds. Checks: Scale must be ≥ 0, the year range must
 // be ordered and inside [fleet.FirstYear, fleet.LastYear], and an
 // elevation (either ElevateYear or ElevateFactor set) needs
 // ElevateFactor > 1 with ElevateYear inside the simulated range.
@@ -129,8 +91,6 @@ func (c *IntraConfig) Validate() error {
 				c.ElevateYear, c.FromYear, c.ToYear)
 		}
 	}
-	c.Observe = c.Observed()
-	c.Metrics, c.Trace, c.Health, c.Logger = nil, nil, nil, nil
 	return nil
 }
 
@@ -232,7 +192,7 @@ func Backbone(cfg backbone.Config) (*BackboneResult, error) {
 		}
 	}
 	dts := coll.Downtimes()
-	if eng := cfg.Observed().Health; eng != nil {
+	if eng := cfg.Health; eng != nil {
 		// Feed the reconstructed intervals to the health engine and
 		// evaluate over the window, so edge-availability rules see the
 		// same data the §6 analysis does.

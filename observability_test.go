@@ -17,7 +17,7 @@ func TestSimulateIntraDCInstrumented(t *testing.T) {
 	reg := dcnr.NewMetricsRegistry()
 	tr := dcnr.NewTracer()
 	res, err := dcnr.SimulateIntraDC(dcnr.IntraConfig{
-		Seed: 11, FromYear: 2016, ToYear: 2017, Metrics: reg, Trace: tr,
+		Seed: 11, FromYear: 2016, ToYear: 2017, Observe: dcnr.Observe{Metrics: reg, Trace: tr},
 	})
 	if err != nil {
 		t.Fatal(err)

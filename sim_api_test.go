@@ -1,12 +1,10 @@
 package dcnr
 
 // Tests for the unified simulation API surface: config validation and
-// normalization, and the equivalence contract between the deprecated flat
-// observability fields and the embedded Observe struct.
+// normalization.
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -61,31 +59,6 @@ func TestIntraConfigValidateNormalizes(t *testing.T) {
 	}
 }
 
-func TestIntraConfigValidateFoldsFlatFields(t *testing.T) {
-	reg := NewMetricsRegistry()
-	tr := NewTracer()
-	cfg := IntraConfig{Metrics: reg, Trace: tr}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if cfg.Observe.Metrics != reg || cfg.Observe.Trace != tr {
-		t.Errorf("flat fields did not fold into Observe")
-	}
-	if cfg.Metrics != nil || cfg.Trace != nil || cfg.Health != nil || cfg.Logger != nil {
-		t.Errorf("flat fields not cleared after folding")
-	}
-
-	// An explicitly set Observe field wins over the flat one.
-	reg2 := NewMetricsRegistry()
-	cfg2 := IntraConfig{Observe: Observe{Metrics: reg2}, Metrics: reg}
-	if err := cfg2.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if cfg2.Observe.Metrics != reg2 {
-		t.Errorf("flat Metrics overrode an explicit Observe.Metrics")
-	}
-}
-
 func TestBackboneConfigValidate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -120,50 +93,6 @@ func TestBackboneConfigValidate(t *testing.T) {
 	def := DefaultBackboneConfig()
 	if cfg.Edges != def.Edges || cfg.Months != def.Months || cfg.Vendors != def.Vendors {
 		t.Errorf("zero config normalized to %+v, want defaults %+v", cfg, def)
-	}
-}
-
-// scrubWallClock zeroes the wall-clock-dependent parts of a snapshot —
-// the des_event_wall_seconds histogram's sum and bucket distribution vary
-// between identical-seed runs; only its count is deterministic.
-func scrubWallClock(s *MetricsSnapshot) {
-	for name, h := range s.Histograms {
-		if name != "des_event_wall_seconds" {
-			continue
-		}
-		h.Sum = 0
-		h.Counts = nil
-		s.Histograms[name] = h
-	}
-}
-
-func TestObserveEquivalentToFlatFields(t *testing.T) {
-	runWith := func(build func(reg *MetricsRegistry) IntraConfig) MetricsSnapshot {
-		t.Helper()
-		reg := NewMetricsRegistry()
-		cfg := build(reg)
-		cfg.Seed = 11
-		cfg.FromYear, cfg.ToYear = 2014, 2014
-		if _, err := SimulateIntraDC(cfg); err != nil {
-			t.Fatal(err)
-		}
-		snap := reg.Snapshot()
-		scrubWallClock(&snap)
-		return snap
-	}
-
-	flat := runWith(func(reg *MetricsRegistry) IntraConfig {
-		return IntraConfig{Metrics: reg}
-	})
-	embedded := runWith(func(reg *MetricsRegistry) IntraConfig {
-		return IntraConfig{Observe: Observe{Metrics: reg}}
-	})
-	if !reflect.DeepEqual(flat, embedded) {
-		t.Errorf("deprecated flat Metrics and Observe.Metrics produced different runs:\nflat:     %+v\nembedded: %+v",
-			flat, embedded)
-	}
-	if flat.Counters["des_events_fired_total"] == 0 {
-		t.Fatalf("equivalence test ran an uninstrumented simulation")
 	}
 }
 
