@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-hot race verify ci bench bench-des bench-sevquery bench-obs bench-health bench-sweep bench-serve test-obs test-health api apicheck
+.PHONY: build test vet lint lint-hot race verify ci bench bench-des bench-obs test-obs test-health api apicheck
 
 build:
 	$(GO) build ./...
@@ -61,51 +61,24 @@ test-health:
 # includes the obs package and all instrumented packages).
 verify: vet lint lint-hot apicheck race test-obs
 
-# ci is the ordered gate for continuous integration:
-# build -> vet -> lint -> apicheck -> race -> test-obs, fail-fast.
+# ci is the ordered gate for continuous integration, fail-fast:
+# build -> vet -> lint -> lint-hot -> apicheck -> race -> test-obs ->
+# test-health -> fuzz-smoke.
 ci:
 	./scripts/ci.sh
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 200ms .
 
-# bench-des measures the DES kernel hot path (schedule 10k events and
-# drain, plain and instrumented) into BENCH_des.json. It fails if the
-# instrumented loop falls below 5x faster than the recorded pre-pooling
-# baseline or if either loop allocates in steady state.
+# bench-des and bench-obs run scripts/bench.sh, which records what only a
+# script can measure in BENCH_des.json and BENCH_obs.json (one JSON shape)
+# and fails on a missed gate. bench-des: the DES kernel loop at >= 5x the
+# recorded pre-pooling baseline and 0 allocs/op. bench-obs: paired-median
+# dcsim overheads of metrics, timeline, journal and health engine < 5%,
+# full tracing < 15%, plus the obs and health micro-benchmarks. Pipeline
+# throughput and latency are cmd/dcnrbench's job.
 bench-des:
-	./scripts/bench_des.sh
+	./scripts/bench.sh des
 
-# bench-sevquery snapshots the per-figure and query-engine benchmarks into
-# BENCH_sevquery.json so speedups/regressions are diffable across PRs.
-bench-sevquery:
-	./scripts/bench_sevquery.sh
-
-# bench-obs measures the telemetry subsystem: obs micro-benchmarks plus
-# instrumented-vs-uninstrumented end-to-end dcsim and repro runs, recorded
-# in BENCH_obs.json. Hard gates: metrics-only end-to-end overhead < 5%,
-# full tracing < 15%.
 bench-obs:
-	./scripts/bench_obs.sh
-
-# bench-health measures the SLO/health engine: micro-benchmarks plus
-# end-to-end dcsim runs with and without -health-out (and with structured
-# logging), recorded in BENCH_health.json. The engine overhead must stay
-# under 5%.
-bench-health:
-	./scripts/bench_health.sh
-
-# bench-sweep measures the campaign engine: a 16-run seed sweep at scale 1
-# on 8 workers vs 1 worker, recorded in BENCH_sweep.json along with the
-# machine's CPU count. It also hard-verifies determinism: the parallel and
-# serial reports (and a repeated parallel run) must be byte-identical.
-bench-sweep:
-	./scripts/bench_sweep.sh
-
-# bench-serve measures the query daemon: dcnrload self-hosts a dcnrd
-# store and replays the paper-figure query mix at a rising concurrency
-# ladder, recording qps/p50/p99/cache-hit-rate per step in
-# BENCH_serve.json. Gates only on machine-independent invariants
-# (error-free steps, nonzero qps, cache hits on the repeated mix).
-bench-serve:
-	./scripts/bench_serve.sh
+	./scripts/bench.sh obs

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -120,6 +121,105 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "serving on http://"+addr) {
 		t.Errorf("missing banner in stderr: %s", out.String())
+	}
+}
+
+// hotMix is the twelve-query paper-weighted mix that dcnrbench's
+// query-hot and query-ingest workloads replay, one cache key per path.
+var hotMix = []string{
+	"/query/count?by=device",
+	"/query/count?by=year",
+	"/query/count?by=severity",
+	"/query/count?by=year-severity",
+	"/query/count?by=year-device",
+	"/query/count?by=year-design",
+	"/query/count?by=cause",
+	"/query/resolutions?by=device",
+	"/query/resolutions?by=year",
+	"/query/resolutions",
+	"/query/count?by=year&device=RSW",
+	"/query/count?severity=3",
+}
+
+// TestDaemonServesHotMix self-hosts the daemon on a simulated dataset and
+// has two clients replay the hot mix. It checks only invariants that do
+// not depend on the machine: every response is 200, traffic flows, the
+// repeated mix is served mostly from cache, p99 stays under a generous
+// bound, and a cache hit returns exactly the bytes its miss computed.
+func TestDaemonServesHotMix(t *testing.T) {
+	addr, _ := startTestDaemon(t, options{simulate: true, seed: 7, scale: 1, shards: 2, cache: 64})
+	base := "http://" + addr
+	const clients, rounds = 2, 5
+	type sample struct {
+		path, cache, body string
+		latency           time.Duration
+	}
+	got := make([][]sample, clients)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds * len(hotMix) {
+				path := hotMix[(c+i)%len(hotMix)]
+				t0 := time.Now()
+				resp, err := http.Get(base + path)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				_ = resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s: status %d, read error %v", path, resp.StatusCode, err)
+					return
+				}
+				got[c] = append(got[c], sample{path, resp.Header.Get("X-Cache"), string(body), time.Since(t0)})
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	if t.Failed() {
+		return
+	}
+
+	var latencies []time.Duration
+	hits := 0
+	missBody := map[string]string{}
+	for _, samples := range got {
+		for _, s := range samples {
+			latencies = append(latencies, s.latency)
+			switch s.cache {
+			case "hit":
+				hits++
+			case "miss":
+				missBody[s.path] = s.body
+			default:
+				t.Errorf("GET %s: X-Cache = %q", s.path, s.cache)
+			}
+		}
+	}
+	n := len(latencies)
+	if qps := float64(n) / elapsed.Seconds(); !(qps > 0) {
+		t.Errorf("qps = %v over %d requests", qps, n)
+	}
+	if rate := float64(hits) / float64(n); rate <= 0.5 {
+		t.Errorf("cache hit rate %.2f on the repeated mix, want > 0.5", rate)
+	}
+	slices.Sort(latencies)
+	if p99 := latencies[(n*99+99)/100-1]; p99 >= 5*time.Second {
+		t.Errorf("p99 latency %v, want < 5s", p99)
+	}
+	for _, samples := range got {
+		for _, s := range samples {
+			if want, ok := missBody[s.path]; !ok {
+				t.Errorf("GET %s: never missed the cache", s.path)
+			} else if s.body != want {
+				t.Errorf("GET %s: %s body differs from the miss body:\n%s\nvs\n%s", s.path, s.cache, s.body, want)
+			}
+		}
 	}
 }
 

@@ -290,25 +290,15 @@ func TestInstrumentMetricsOnlyAndStep(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleAndRun(b *testing.B) {
-	// One long-lived simulator recycled with Reset between iterations —
-	// the Monte-Carlo campaign pattern the pooled kernel is built for.
-	// Steady-state allocs/op is the pooling gate CI smoke-checks.
+// benchTimes is the 10k-event schedule the kernel benches and the
+// allocation gate replay.
+func benchTimes() []float64 {
 	r := simrand.New(1)
 	times := make([]float64, 10000)
 	for i := range times {
 		times[i] = r.Float64() * 1000
 	}
-	var s Simulator
-	// One untimed iteration grows the pool slabs and heap arrays so the
-	// counted loop measures the recycled steady state (0 allocs/op even at
-	// short -benchtime).
-	benchIterate(&s, times)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchIterate(&s, times)
-	}
+	return times
 }
 
 func benchIterate(s *Simulator, times []float64) {
@@ -319,17 +309,44 @@ func benchIterate(s *Simulator, times []float64) {
 	s.Run(1000)
 }
 
+// TestScheduleAndRunSteadyStateAllocs is the pooling gate: once one
+// iteration has grown the pool slabs and heap arrays, a recycled simulator
+// schedules and drains 10k events without allocating, plain and with a
+// metrics registry attached.
+func TestScheduleAndRunSteadyStateAllocs(t *testing.T) {
+	times := benchTimes()
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		var s Simulator
+		s.Instrument(reg, nil)
+		benchIterate(&s, times)
+		if n := testing.AllocsPerRun(5, func() { benchIterate(&s, times) }); n != 0 {
+			t.Errorf("instrumented=%v: %v allocs per schedule-and-run, want 0 (event pooling regressed)", reg != nil, n)
+		}
+	}
+}
+
+func BenchmarkScheduleAndRun(b *testing.B) {
+	// One long-lived simulator recycled with Reset between iterations —
+	// the Monte-Carlo campaign pattern the pooled kernel is built for.
+	times := benchTimes()
+	var s Simulator
+	// One untimed iteration grows the pool slabs and heap arrays so the
+	// counted loop measures the recycled steady state.
+	benchIterate(&s, times)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchIterate(&s, times)
+	}
+}
+
 func BenchmarkObsScheduleAndRunInstrumented(b *testing.B) {
 	// The metrics-only counterpart of BenchmarkScheduleAndRun: the delta is
-	// the kernel-level instrumentation overhead bench_obs.sh tracks.
-	r := simrand.New(1)
-	times := make([]float64, 10000)
-	for i := range times {
-		times[i] = r.Float64() * 1000
-	}
-	reg := obs.NewRegistry()
+	// the kernel-level instrumentation overhead `scripts/bench.sh obs`
+	// records.
+	times := benchTimes()
 	var s Simulator
-	s.Instrument(reg, nil)
+	s.Instrument(obs.NewRegistry(), nil)
 	benchIterate(&s, times)
 	b.ReportAllocs()
 	b.ResetTimer()

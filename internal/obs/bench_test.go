@@ -3,7 +3,7 @@ package obs
 import "testing"
 
 // The micro-benchmarks bound the per-observation cost the instrumented hot
-// paths pay (scripts/bench_obs.sh records them into BENCH_obs.json next to
+// paths pay (`scripts/bench.sh obs` records them into BENCH_obs.json next to
 // the end-to-end overhead numbers).
 
 func BenchmarkObsCounterInc(b *testing.B) {

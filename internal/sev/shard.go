@@ -1,7 +1,6 @@
 package sev
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -203,21 +202,18 @@ func (s *Sharded) AddAll(batch []Report) ([]int, error) {
 	return ids, nil
 }
 
-// ReadJSON ingests the reports decoded from r as one batch, preserving
-// explicit IDs with the same duplicate-rejection semantics as
-// Store.ReadJSON. Unlike Store.ReadJSON it appends to the current
-// dataset rather than replacing it; call it on a fresh Sharded for a
-// whole-dataset load.
+// ReadJSON ingests the reports decoded from r as one batch. It shares
+// Store.ReadJSON's loader, so both accept and reject the same datasets
+// and preserve the same IDs. Unlike Store.ReadJSON it appends to the
+// current dataset rather than replacing it; call it on a fresh Sharded
+// for a whole-dataset load.
 func (s *Sharded) ReadJSON(r io.Reader) error {
-	var reports []Report
-	if err := json.NewDecoder(r).Decode(&reports); err != nil {
-		return fmt.Errorf("sev: decoding dataset: %w", err)
-	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
-	if _, err := s.AddAll(reports); err != nil {
+	reports, err := decodeDataset(r)
+	if err != nil {
 		return err
 	}
-	return nil
+	_, err = s.AddAll(reports)
+	return err
 }
 
 // Query starts a fan-out query over every shard. The builder mirrors

@@ -310,27 +310,16 @@ func (s *Store) WriteJSON(w io.Writer) error {
 // ReadJSON replaces the store's contents with the reports decoded from r.
 // Each report is re-validated; IDs are preserved. Reports are sorted into
 // ascending ID order regardless of their order in the input, and datasets
-// containing duplicate IDs are rejected.
+// containing duplicate IDs or IDs below 1 are rejected.
 func (s *Store) ReadJSON(r io.Reader) error {
-	var reports []Report
-	if err := json.NewDecoder(r).Decode(&reports); err != nil {
-		return fmt.Errorf("sev: decoding dataset: %w", err)
+	reports, err := decodeDataset(r)
+	if err != nil {
+		return err
 	}
 	maxID := 0
-	seen := make(map[int]bool, len(reports))
-	for i := range reports {
-		if err := reports[i].Validate(); err != nil {
-			return fmt.Errorf("sev: report %d invalid: %w", reports[i].ID, err)
-		}
-		if seen[reports[i].ID] {
-			return fmt.Errorf("sev: duplicate report ID %d in dataset", reports[i].ID)
-		}
-		seen[reports[i].ID] = true
-		if reports[i].ID > maxID {
-			maxID = reports[i].ID
-		}
+	if len(reports) > 0 {
+		maxID = reports[len(reports)-1].ID
 	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reports = reports
@@ -341,4 +330,32 @@ func (s *Store) ReadJSON(r io.Reader) error {
 	s.indexBatchLocked(0)
 	s.gen.Add(1)
 	return nil
+}
+
+// decodeDataset is the one dataset loader behind Store.ReadJSON and
+// Sharded.ReadJSON: it decodes a JSON array of reports, validates each,
+// rejects duplicate IDs and IDs below 1 (every writer numbers reports
+// from 1, so an ID-less report is not a dataset entry), and returns the
+// reports in ascending ID order.
+func decodeDataset(r io.Reader) ([]Report, error) {
+	var reports []Report
+	if err := json.NewDecoder(r).Decode(&reports); err != nil {
+		return nil, fmt.Errorf("sev: decoding dataset: %w", err)
+	}
+	seen := make(map[int]bool, len(reports))
+	for i := range reports {
+		id := reports[i].ID
+		if err := reports[i].Validate(); err != nil {
+			return nil, fmt.Errorf("sev: report %d invalid: %w", id, err)
+		}
+		if id < 1 {
+			return nil, fmt.Errorf("sev: report ID %d in dataset, want >= 1", id)
+		}
+		if seen[id] {
+			return nil, fmt.Errorf("sev: duplicate report ID %d in dataset", id)
+		}
+		seen[id] = true
+	}
+	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
+	return reports, nil
 }

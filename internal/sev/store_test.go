@@ -67,21 +67,35 @@ func TestReadJSONShuffledIDsGet(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsDuplicateIDs: both dataset loaders reject duplicate
+// IDs and IDs below 1 and load nothing. Sharded.ReadJSON once assigned
+// fresh IDs to ID-less reports that Store.ReadJSON rejected as duplicates
+// of ID 0.
 func TestReadJSONRejectsDuplicateIDs(t *testing.T) {
-	s := NewStore()
-	data := `[
-		{"id":3,"severity":3,"device":"rsw001.cl001.dc1.ra","start":1,"duration":1,"resolution":2,"year":2011},
-		{"id":3,"severity":2,"device":"csa001.dc1.ra","start":2,"duration":1,"resolution":2,"year":2012}
-	]`
-	err := s.ReadJSON(strings.NewReader(data))
-	if err == nil {
-		t.Fatal("dataset with duplicate IDs accepted")
+	report := func(id string) string {
+		return `{` + id + `"severity":3,"device":"rsw001.cl001.dc1.ra","start":1,"duration":1,"resolution":2,"year":2011}`
 	}
-	if !strings.Contains(err.Error(), "duplicate report ID 3") {
-		t.Errorf("error %q does not name the duplicate ID", err)
+	cases := []struct{ name, data, want string }{
+		{"duplicate", "[" + report(`"id":3,`) + "," + report(`"id":3,`) + "]", "duplicate report ID 3"},
+		{"two ID-less", "[" + report("") + "," + report("") + "]", "report ID 0"},
+		{"one ID-less", "[" + report("") + "]", "report ID 0"},
+		{"negative", "[" + report(`"id":-2,`) + "]", "report ID -2"},
 	}
-	if s.Len() != 0 {
-		t.Error("rejected dataset partially loaded")
+	for _, tc := range cases {
+		s := NewStore()
+		sh := NewSharded(2)
+		for loader, err := range map[string]error{
+			"Store":   s.ReadJSON(strings.NewReader(tc.data)),
+			"Sharded": sh.ReadJSON(strings.NewReader(tc.data)),
+		} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %s.ReadJSON error = %v, want one naming %q", tc.name, loader, err, tc.want)
+			}
+		}
+		if s.Len() != 0 || sh.Len() != 0 {
+			t.Errorf("%s: rejected dataset partially loaded", tc.name)
+		}
+		sh.Close()
 	}
 }
 
