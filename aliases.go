@@ -169,19 +169,8 @@ type SEVQuery = sev.Query
 // NewSEVStore returns an empty SEV store.
 func NewSEVStore() *SEVStore { return sev.NewStore() }
 
-// ShardedSEVStore partitions a SEV dataset across goroutine-owned
-// shards: ingest distributes reports round-robin, queries fan out to
-// every shard and merge. It is the store behind the dcnrd daemon; use
-// it directly when ingest and queries must overlap without a global
-// lock. Close stops the shard goroutines.
-type ShardedSEVStore = sev.Sharded
-
-// NewShardedSEVStore returns a sharded SEV store with n shard
-// goroutines (n < 1 is treated as 1).
-func NewShardedSEVStore(n int) *ShardedSEVStore { return sev.NewSharded(n) }
-
-// ServeConfig parameterizes a SEV query daemon: listen address, shard
-// count, result-cache capacity, and the shared Observe wiring. Validate
+// ServeConfig parameterizes a SEV query daemon: listen address,
+// result-cache capacity, and the shared Observe wiring. Validate
 // fills defaults and rejects out-of-range values; NewSEVDaemon calls it
 // for you.
 type ServeConfig = serve.Config
@@ -199,8 +188,8 @@ type ServeOptions = serve.Options
 // NewServeServer returns an unstarted server for the given options.
 func NewServeServer(opts ServeOptions) *ServeServer { return serve.New(opts) }
 
-// SEVDaemon is the long-running query daemon behind cmd/dcnrd: a
-// sharded SEV store served over HTTP/JSON (/query/count,
+// SEVDaemon is the long-running query daemon behind cmd/dcnrd: one
+// SEVStore served over HTTP/JSON (/query/count,
 // /query/resolutions, /ingest, /stats) with an LRU result cache keyed
 // by normalized query + dataset generation and ETag/If-None-Match
 // revalidation. Shutdown is idempotent.

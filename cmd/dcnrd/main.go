@@ -1,11 +1,11 @@
 // Command dcnrd is the long-running SEV query daemon: it loads (or
-// simulates) a SEV dataset into a sharded in-memory store and serves
+// simulates) a SEV dataset into one indexed in-memory store and serves
 // every table/figure aggregation of the paper over HTTP/JSON until
 // interrupted.
 //
 // Usage:
 //
-//	dcnrd [-addr HOST:PORT] [-shards N] [-cache N]
+//	dcnrd [-addr HOST:PORT] [-cache N]
 //	      [-sevs FILE | -simulate] [-seed N] [-scale N]
 //	      [-log-level LEVEL] [-log-format text|json]
 //
@@ -42,7 +42,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -53,7 +52,6 @@ import (
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address (\":0\" binds a free port)")
-	flag.IntVar(&o.shards, "shards", runtime.GOMAXPROCS(0), "store shard count (one query goroutine per shard)")
 	flag.IntVar(&o.cache, "cache", serve.DefaultCacheEntries, "result cache capacity in entries")
 	flag.StringVar(&o.sevs, "sevs", "", "load this SEV dataset file (sevs.json) at startup")
 	flag.BoolVar(&o.simulate, "simulate", false, "generate the dataset in-process with the study simulation")
@@ -74,7 +72,6 @@ func main() {
 // options collects every dcnrd knob.
 type options struct {
 	addr      string
-	shards    int
 	cache     int
 	sevs      string
 	simulate  bool
@@ -88,8 +85,7 @@ type options struct {
 // ready (when non-nil) receives the bound address once the listener is
 // up — the e2e test's hook for ":0". Teardown order matters: stop the
 // sampler, close the timeline so SSE subscribers end, then shut the
-// daemon down (severing connections, joining the serving goroutine, and
-// stopping the shard goroutines).
+// daemon down (severing connections and joining the serving goroutine).
 func runDaemon(o options, stderr io.Writer, ready func(addr string), stop <-chan os.Signal) error {
 	reg := dcnr.NewMetricsRegistry()
 	var logger *slog.Logger
@@ -125,7 +121,6 @@ func runDaemon(o options, stderr io.Writer, ready func(addr string), stop <-chan
 
 	cfg := serve.Config{
 		Addr:         o.addr,
-		Shards:       o.shards,
 		CacheEntries: o.cache,
 		Obs: dcnr.Observe{
 			Metrics: reg, Health: health, Logger: logger,

@@ -73,7 +73,7 @@ func startTestDaemon(t *testing.T, o options) (string, *syncBuffer) {
 // back through the cache, check the obs endpoints, and shut down on
 // signal.
 func TestDaemonEndToEnd(t *testing.T) {
-	addr, out := startTestDaemon(t, options{shards: 2, cache: 64})
+	addr, out := startTestDaemon(t, options{cache: 64})
 	base := "http://" + addr
 
 	get := func(path string) (*http.Response, string) {
@@ -147,7 +147,7 @@ var hotMix = []string{
 // repeated mix is served mostly from cache, p99 stays under a generous
 // bound, and a cache hit returns exactly the bytes its miss computed.
 func TestDaemonServesHotMix(t *testing.T) {
-	addr, _ := startTestDaemon(t, options{simulate: true, seed: 7, scale: 1, shards: 2, cache: 64})
+	addr, _ := startTestDaemon(t, options{simulate: true, seed: 7, scale: 1, cache: 64})
 	base := "http://" + addr
 	const clients, rounds = 2, 5
 	type sample struct {
@@ -247,7 +247,7 @@ func TestDaemonLoadsDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr, out := startTestDaemon(t, options{shards: 2, cache: 16, sevs: path})
+	addr, out := startTestDaemon(t, options{cache: 16, sevs: path})
 	resp, err := http.Get("http://" + addr + "/query/count?year=2013")
 	if err != nil {
 		t.Fatal(err)

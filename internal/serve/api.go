@@ -2,9 +2,12 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -110,6 +113,9 @@ func parseParams(r *http.Request, allowedBy ...string) (params, error) {
 			if err != nil {
 				return p, fmt.Errorf("bad %s: %v", bound.name, err)
 			}
+			if math.IsNaN(v) {
+				return p, fmt.Errorf("bad %s: NaN", bound.name)
+			}
 			*bound.dst = &v
 		}
 	}
@@ -123,7 +129,9 @@ func parseParams(r *http.Request, allowedBy ...string) (params, error) {
 }
 
 // normalized renders the params in canonical field order with canonical
-// value spellings — the cache-key and ETag basis.
+// value spellings — the cache-key and ETag basis. Values are
+// query-escaped, so the string parses back to the same params (a
+// formatted float such as "1e+06" or "+Inf" carries a '+').
 func (p params) normalized() string {
 	var sb strings.Builder
 	add := func(k, v string) {
@@ -132,7 +140,7 @@ func (p params) normalized() string {
 		}
 		sb.WriteString(k)
 		sb.WriteByte('=')
-		sb.WriteString(v)
+		sb.WriteString(url.QueryEscape(v))
 	}
 	if p.year != nil {
 		add("year", strconv.Itoa(*p.year))
@@ -161,8 +169,8 @@ func (p params) normalized() string {
 	return sb.String()
 }
 
-// apply narrows the fan-out query with every set filter.
-func (p params) apply(q sev.ShardedQuery) sev.ShardedQuery {
+// apply narrows the store query with every set filter.
+func (p params) apply(q sev.Query) sev.Query {
 	if p.year != nil {
 		q = q.Year(*p.year)
 	}
@@ -198,12 +206,16 @@ func etagFor(gen uint64, path, norm string) string {
 	return fmt.Sprintf("\"%d-%x\"", gen, h.Sum64())
 }
 
+// The grouping dimensions each query endpoint accepts ("" = ungrouped).
+var (
+	countBy       = []string{"", "device", "severity", "year", "cause", "severity-device", "year-severity", "year-device", "year-design"}
+	resolutionsBy = []string{"", "device", "year"}
+)
+
 // registerAPI mounts the query endpoints.
 func (d *Daemon) registerAPI() {
-	d.srv.Register("/query/count", d.cached(d.handleCount,
-		"", "device", "severity", "year", "cause", "severity-device", "year-severity", "year-device", "year-design"))
-	d.srv.Register("/query/resolutions", d.cached(d.handleResolutions,
-		"", "device", "year"))
+	d.srv.Register("/query/count", d.cached(d.handleCount, countBy...))
+	d.srv.Register("/query/resolutions", d.cached(d.handleResolutions, resolutionsBy...))
 	d.srv.Register("/ingest", http.HandlerFunc(d.handleIngest))
 	d.srv.Register("/stats", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, d.stats())
@@ -215,7 +227,7 @@ func (d *Daemon) registerAPI() {
 // the generation-bearing ETag (304, no recompute), then serve from the
 // LRU or compute and fill it. Responses carry ETag and X-Cache (hit |
 // miss) headers.
-func (d *Daemon) cached(compute func(sev.ShardedQuery, params) (any, error), allowedBy ...string) http.Handler {
+func (d *Daemon) cached(compute func(sev.Query, params) (any, error), allowedBy ...string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -301,11 +313,10 @@ func devKey(t topology.DeviceType) string    { return t.String() }
 func sevKey(s sev.Severity) string           { return s.String() }
 func causeKey(c sev.RootCause) string        { return c.String() }
 func designKey(dn topology.Design) string    { return dn.String() }
-func (d *Daemon) query() sev.ShardedQuery    { return d.store.Query() }
 func groups(m map[string]any) *countResponse { return &countResponse{Groups: m} }
 func scalar(n int) *countResponse            { return &countResponse{Count: &n} }
 
-func (d *Daemon) handleCount(q sev.ShardedQuery, p params) (any, error) {
+func (d *Daemon) handleCount(q sev.Query, p params) (any, error) {
 	switch p.by {
 	case "":
 		return scalar(q.Count()), nil
@@ -355,7 +366,7 @@ type resolutionsResponse struct {
 	Groups map[string]band `json:"groups"`
 }
 
-func (d *Daemon) handleResolutions(q sev.ShardedQuery, p params) (any, error) {
+func (d *Daemon) handleResolutions(q sev.Query, p params) (any, error) {
 	samples := make(map[string][]float64)
 	switch p.by {
 	case "":
@@ -387,6 +398,10 @@ func (d *Daemon) handleResolutions(q sev.ShardedQuery, p params) (any, error) {
 	return out, nil
 }
 
+// maxIngestBytes caps a POST /ingest body: 16 MiB, about 60k reports. A
+// larger batch is refused with 413 before anything is ingested.
+const maxIngestBytes = 16 << 20
+
 // handleIngest is POST /ingest: a JSON array of reports ingested as one
 // batch (IDs assigned when zero, duplicates rejected atomically),
 // bumping the dataset generation — which invalidates every cached
@@ -397,8 +412,13 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var reports []sev.Report
-	if err := json.NewDecoder(r.Body).Decode(&reports); err != nil {
-		http.Error(w, "decoding batch: "+err.Error(), http.StatusBadRequest)
+	body := http.MaxBytesReader(w, r.Body, maxIngestBytes)
+	if err := json.NewDecoder(body).Decode(&reports); err != nil {
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "decoding batch: "+err.Error(), code)
 		return
 	}
 	ids, err := d.store.AddAll(reports)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -79,7 +80,7 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 // TestDaemonQueryEndpoints cross-checks the HTTP aggregations against
 // direct store queries.
 func TestDaemonQueryEndpoints(t *testing.T) {
-	d, base := startDaemon(t, Config{Shards: 3}, 200)
+	d, base := startDaemon(t, Config{}, 200)
 	var count struct {
 		Count *int `json:"count"`
 	}
@@ -120,10 +121,16 @@ func TestDaemonQueryEndpoints(t *testing.T) {
 	if len(res.Groups) == 0 {
 		t.Error("resolutions by=device empty")
 	}
-	// Bad requests 400.
+	// Infinite time bounds are valid numbers.
+	getJSON(t, base+"/query/count?since=-Inf&until=%2BInf", &count)
+	if count.Count == nil || *count.Count != 200 {
+		t.Errorf("/query/count over (-Inf, +Inf) = %+v, want 200", count)
+	}
+	// Bad requests 400, including a NaN time bound.
 	for _, bad := range []string{
 		"/query/count?by=bogus", "/query/count?year=twenty",
 		"/query/count?device=nope", "/query/resolutions?by=severity",
+		"/query/count?since=NaN", "/query/count?year=2013&until=nan",
 	} {
 		resp, err := http.Get(base + bad)
 		if err != nil {
@@ -141,7 +148,7 @@ func TestDaemonQueryEndpoints(t *testing.T) {
 // bumps the generation, after which the same query misses (new key, new
 // ETag) and returns the new result.
 func TestDaemonCacheGenerationBump(t *testing.T) {
-	d, base := startDaemon(t, Config{Shards: 2}, 50)
+	d, base := startDaemon(t, Config{}, 50)
 	url := base + "/query/count"
 
 	resp1 := getJSON(t, url, nil)
@@ -220,7 +227,7 @@ func TestDaemonCacheGenerationBump(t *testing.T) {
 // invalid reports and duplicate IDs answer 400 without partial ingest or
 // a generation bump.
 func TestDaemonIngestRejectsBadBatch(t *testing.T) {
-	d, base := startDaemon(t, Config{Shards: 2}, 10)
+	d, base := startDaemon(t, Config{}, 10)
 	gen := d.Generation()
 	post := func(body string) int {
 		t.Helper()
@@ -262,12 +269,12 @@ func TestDaemonIngestRejectsBadBatch(t *testing.T) {
 // series when a registry is attached.
 func TestDaemonStatsAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	d, base := startDaemon(t, Config{Shards: 2, Obs: observe.Observe{Metrics: reg}}, 20)
+	d, base := startDaemon(t, Config{Obs: observe.Observe{Metrics: reg}}, 20)
 	getJSON(t, base+"/query/count", nil)
 	getJSON(t, base+"/query/count", nil)
 	var st statsResponse
 	getJSON(t, base+"/stats", &st)
-	if st.Reports != 20 || st.Shards != 2 {
+	if st.Reports != 20 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.CacheHits != 1 || st.CacheMisses != 1 {
@@ -282,10 +289,52 @@ func TestDaemonStatsAndMetrics(t *testing.T) {
 	_ = d
 }
 
+// TestDaemonQueryCountsOnce pins the store's query counters to one
+// increment per daemon query: a single cache miss on an indexed query
+// raises sev_queries_indexed_total and the sev_query_candidates count by
+// exactly 1, and leaves sev_queries_scan_total alone.
+func TestDaemonQueryCountsOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, base := startDaemon(t, Config{Obs: observe.Observe{Metrics: reg}}, 20)
+	before := reg.Snapshot()
+	resp := getJSON(t, base+"/query/count?year=2013", nil)
+	if xc := resp.Header.Get("X-Cache"); xc != "miss" {
+		t.Fatalf("X-Cache = %q, want miss", xc)
+	}
+	after := reg.Snapshot()
+	if d := after.Counters["sev_queries_indexed_total"] - before.Counters["sev_queries_indexed_total"]; d != 1 {
+		t.Errorf("sev_queries_indexed_total rose by %d, want 1", d)
+	}
+	if d := after.Counters["sev_queries_scan_total"] - before.Counters["sev_queries_scan_total"]; d != 0 {
+		t.Errorf("sev_queries_scan_total rose by %d, want 0", d)
+	}
+	if d := after.Histograms["sev_query_candidates"].Count - before.Histograms["sev_query_candidates"].Count; d != 1 {
+		t.Errorf("sev_query_candidates observations rose by %d, want 1", d)
+	}
+}
+
+// TestDaemonIngestBodyCap: a POST /ingest body over maxIngestBytes is
+// refused with 413 and ingests nothing.
+func TestDaemonIngestBodyCap(t *testing.T) {
+	d, _ := startDaemon(t, Config{}, 10)
+	gen, n := d.Generation(), d.Store().Len()
+	body := append([]byte("["), bytes.Repeat([]byte(" "), maxIngestBytes)...)
+	body = append(body, ']')
+	rec := httptest.NewRecorder()
+	d.handleIngest(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /ingest: %d %s, want 413", rec.Code, rec.Body)
+	}
+	if d.Generation() != gen || d.Store().Len() != n {
+		t.Errorf("oversized batch changed the store: generation %d -> %d, len %d -> %d",
+			gen, d.Generation(), n, d.Store().Len())
+	}
+}
+
 // TestDaemonLRUCapacityEviction: a cache smaller than the query set
 // still serves correct results, just with misses.
 func TestDaemonLRUCapacityEviction(t *testing.T) {
-	_, base := startDaemon(t, Config{Shards: 1, CacheEntries: 2}, 30)
+	_, base := startDaemon(t, Config{CacheEntries: 2}, 30)
 	urls := []string{
 		base + "/query/count",
 		base + "/query/count?by=severity",
@@ -307,7 +356,7 @@ func TestDaemonLRUCapacityEviction(t *testing.T) {
 // TestDaemonNormalizedKeys: different spellings of one query share a
 // cache entry.
 func TestDaemonNormalizedKeys(t *testing.T) {
-	_, base := startDaemon(t, Config{Shards: 2}, 20)
+	_, base := startDaemon(t, Config{}, 20)
 	r1 := getJSON(t, base+"/query/count?device=rsw&year=2013", nil)
 	if r1.Header.Get("X-Cache") != "miss" {
 		t.Fatalf("first spelling: %q", r1.Header.Get("X-Cache"))
@@ -323,13 +372,13 @@ func TestDaemonNormalizedKeys(t *testing.T) {
 
 // TestDaemonString is a smoke test for the log description.
 func TestDaemonString(t *testing.T) {
-	cfg := Config{Shards: 2, CacheEntries: 8, Addr: "127.0.0.1:0"}
+	cfg := Config{CacheEntries: 8, Addr: "127.0.0.1:0"}
 	d, err := NewDaemon(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Shutdown()
-	if got := fmt.Sprint(d); got != "dcnrd{shards: 2, cache: 8}" {
+	if got := fmt.Sprint(d); got != "dcnrd{cache: 8}" {
 		t.Errorf("String = %q", got)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"runtime"
 
 	"dcnr/internal/observe"
 )
@@ -11,24 +10,15 @@ import (
 // when Config.CacheEntries is zero.
 const DefaultCacheEntries = 1024
 
-// MaxShards bounds the partition count: shards are goroutine-owned, so a
-// shard count wildly beyond any machine's core count only adds fan-out
-// overhead.
-const MaxShards = 256
-
 // Config configures the SEV query daemon. The zero value is runnable:
-// Validate normalizes it to one shard per CPU, the default cache size,
-// and an OS-assigned port, following the sim.IntraConfig pattern —
-// normalization happens in one place, NewDaemon calls it, and an
-// explicitly invalid field is rejected rather than silently clamped.
+// Validate normalizes it to the default cache size and an OS-assigned
+// port, following the sim.IntraConfig pattern — normalization happens in
+// one place, NewDaemon calls it, and an explicitly invalid field is
+// rejected rather than silently clamped.
 type Config struct {
 	// Addr is the listen address ("host:port"); empty means ":0", an
 	// OS-assigned port.
 	Addr string
-	// Shards is the number of goroutine-owned store partitions queries
-	// fan out across; 0 means one per CPU (GOMAXPROCS). Negative or
-	// beyond MaxShards is rejected.
-	Shards int
 	// CacheEntries bounds the LRU result cache (responses keyed by
 	// normalized query + dataset generation); 0 means
 	// DefaultCacheEntries. Negative is rejected.
@@ -44,15 +34,6 @@ type Config struct {
 func (c *Config) Validate() error {
 	if c.Addr == "" {
 		c.Addr = ":0"
-	}
-	if c.Shards == 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("serve: negative shard count %d", c.Shards)
-	}
-	if c.Shards > MaxShards {
-		return fmt.Errorf("serve: shard count %d exceeds %d", c.Shards, MaxShards)
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = DefaultCacheEntries

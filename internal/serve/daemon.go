@@ -3,14 +3,13 @@ package serve
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"dcnr/internal/obs"
 	"dcnr/internal/sev"
 )
 
-// Daemon is the long-running SEV query service: a sharded store behind
+// Daemon is the long-running SEV query service: one indexed store behind
 // the HTTP aggregation API, with an LRU result cache keyed by normalized
 // query + dataset generation. Build with NewDaemon, load data with
 // LoadJSON (or stream batches to POST /ingest), run with Start, release
@@ -24,7 +23,7 @@ import (
 // dataset changes under it.
 type Daemon struct {
 	cfg   Config
-	store *sev.Sharded
+	store *sev.Store
 	srv   *Server
 	cache *lru
 
@@ -35,21 +34,19 @@ type Daemon struct {
 	mQueries, mHits, mMisses, mNotModified *obs.Counter
 	mIngestReports, mIngestBatches         *obs.Counter
 	hLatency                               *obs.Histogram
-
-	shutdownOnce sync.Once
 }
 
 // NewDaemon validates cfg (normalizing defaults in place per the
-// Config.Validate contract), builds the sharded store, and mounts the
-// query API plus the full introspection suite on a new Server. The
-// daemon owns the store and the server: Shutdown releases both.
+// Config.Validate contract), builds the store, and mounts the query API
+// plus the full introspection suite on a new Server. The daemon owns the
+// server: Shutdown releases it.
 func NewDaemon(cfg *Config) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	d := &Daemon{
 		cfg:   *cfg,
-		store: sev.NewSharded(cfg.Shards),
+		store: sev.NewStore(),
 		cache: newLRU(cfg.CacheEntries),
 	}
 	d.store.Instrument(cfg.Obs.Metrics)
@@ -77,15 +74,20 @@ func NewDaemon(cfg *Config) (*Daemon, error) {
 	return d, nil
 }
 
-// Store exposes the daemon's sharded store, e.g. for direct seeding in
-// tests or for the simulate path in cmd/dcnrd.
-func (d *Daemon) Store() *sev.Sharded { return d.store }
+// Store exposes the daemon's store, e.g. for direct seeding in tests or
+// for the simulate path in cmd/dcnrd.
+func (d *Daemon) Store() *sev.Store { return d.store }
 
-// LoadJSON ingests a SEV dataset (the sevs.json shape dcsim writes) as
-// one batch: explicit IDs preserved, duplicates rejected, one generation
-// bump.
+// LoadJSON appends a SEV dataset (the sevs.json shape dcsim writes) as
+// one batch: the dataset passes sev.DecodeDataset's checks, explicit IDs
+// are preserved, a collision with a stored ID rejects the whole batch,
+// and the generation is bumped once.
 func (d *Daemon) LoadJSON(r io.Reader) error {
-	if err := d.store.ReadJSON(r); err != nil {
+	reports, err := sev.DecodeDataset(r)
+	if err != nil {
+		return err
+	}
+	if _, err := d.store.AddAll(reports); err != nil {
 		return err
 	}
 	d.ingested.Store(uint64(d.store.Len()))
@@ -99,15 +101,9 @@ func (d *Daemon) Start() (string, error) { return d.srv.Start() }
 // Addr returns the bound address after Start.
 func (d *Daemon) Addr() string { return d.srv.Addr() }
 
-// Shutdown stops the HTTP server (severing live connections and joining
-// the serving goroutine) and then stops the shard goroutines.
-// Idempotent.
-func (d *Daemon) Shutdown() {
-	d.shutdownOnce.Do(func() {
-		d.srv.Shutdown()
-		d.store.Close()
-	})
-}
+// Shutdown stops the HTTP server, severing live connections and joining
+// the serving goroutine. Idempotent.
+func (d *Daemon) Shutdown() { d.srv.Shutdown() }
 
 // Generation returns the store's dataset generation.
 func (d *Daemon) Generation() uint64 { return d.store.Generation() }
@@ -116,7 +112,6 @@ func (d *Daemon) Generation() uint64 { return d.store.Generation() }
 type statsResponse struct {
 	Reports      int    `json:"reports"`
 	Generation   uint64 `json:"generation"`
-	Shards       int    `json:"shards"`
 	CacheEntries int    `json:"cache_entries"`
 	CacheHits    uint64 `json:"cache_hits"`
 	CacheMisses  uint64 `json:"cache_misses"`
@@ -127,7 +122,6 @@ func (d *Daemon) stats() statsResponse {
 	return statsResponse{
 		Reports:      d.store.Len(),
 		Generation:   d.store.Generation(),
-		Shards:       d.store.Shards(),
 		CacheEntries: d.cache.len(),
 		CacheHits:    d.hits.Load(),
 		CacheMisses:  d.misses.Load(),
@@ -137,5 +131,5 @@ func (d *Daemon) stats() statsResponse {
 
 // String renders a one-line daemon description for logs.
 func (d *Daemon) String() string {
-	return fmt.Sprintf("dcnrd{shards: %d, cache: %d}", d.cfg.Shards, d.cfg.CacheEntries)
+	return fmt.Sprintf("dcnrd{cache: %d}", d.cfg.CacheEntries)
 }

@@ -159,7 +159,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Addr != ":0" || c.Shards < 1 || c.CacheEntries != DefaultCacheEntries {
+	if c.Addr != ":0" || c.CacheEntries != DefaultCacheEntries {
 		t.Errorf("normalized zero config = %+v", c)
 	}
 	before := c
@@ -167,8 +167,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("Validate not idempotent: %+v -> %+v (%v)", before, c, err)
 	}
 	for _, bad := range []Config{
-		{Shards: -1},
-		{Shards: MaxShards + 1},
 		{CacheEntries: -5},
 	} {
 		if err := bad.Validate(); err == nil {

@@ -1,7 +1,7 @@
 // Package serve is the repo's one HTTP serving layer: a Server wraps the
 // listener / mux / serving-goroutine / shutdown plumbing that cmd/repro,
 // cmd/dcsweep, and the timeline SSE handlers each used to carry their own
-// copy of, and the Daemon (daemon.go) builds the sharded SEV query API on
+// copy of, and the Daemon (daemon.go) builds the SEV query API on
 // top of it.
 //
 // The lifecycle is a strict three-phase contract:
@@ -33,6 +33,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dcnr/internal/obs"
 	"dcnr/internal/obs/health"
@@ -86,6 +87,16 @@ type Server struct {
 	done chan struct{}
 	once sync.Once
 }
+
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers and idleTimeout to start its next request on a
+// keep-alive connection. There is deliberately no WriteTimeout: SSE
+// streams (/metrics/history/events, /campaign/events) stay open for as
+// long as the client listens.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // publishedRegistry backs the process-wide "dcnr" expvar: expvar.Publish
 // panics on duplicate names, so the var is published once and reads
@@ -146,7 +157,11 @@ func (s *Server) Start() (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux}
+	s.srv = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	s.done = make(chan struct{})
 	go func() {
 		defer close(s.done)

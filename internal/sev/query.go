@@ -33,6 +33,10 @@ type Query struct {
 // Query starts a query over all reports in the store.
 func (s *Store) Query() Query { return Query{store: s} }
 
+// ShardedQuery exists only so the frozen cmd/dcnrbench benchmark, which
+// names the daemon's query type by its old name, keeps compiling.
+type ShardedQuery = Query
+
 // Year narrows to incidents that started in the given calendar year.
 func (q Query) Year(y int) Query { q.year = &y; return q }
 
@@ -51,10 +55,12 @@ func (q Query) Design(d topology.Design) Query { q.design = &d; return q }
 func (q Query) RootCause(c RootCause) Query { q.rootCause = &c; return q }
 
 // Since narrows to incidents starting at or after t (hours since epoch).
+// A NaN t matches nothing.
 func (q Query) Since(t float64) Query { q.since = &t; return q }
 
 // Until narrows to incidents starting strictly before t (hours since
-// epoch). Since(a).Until(b) selects the half-open window [a, b).
+// epoch). Since(a).Until(b) selects the half-open window [a, b). A NaN t
+// matches nothing.
 func (q Query) Until(t float64) Query { q.until = &t; return q }
 
 // matches is the full sequential-scan predicate, used when no index
@@ -94,12 +100,13 @@ func (q Query) matches(r *Report) bool {
 }
 
 // matchesWindow applies the residual Since/Until predicates — the only
-// filters the posting lists do not encode.
+// filters the posting lists do not encode. The comparisons are negated so
+// a NaN bound matches nothing, as it does on the time index.
 func (q Query) matchesWindow(r *Report) bool {
-	if q.since != nil && r.Start < *q.since {
+	if q.since != nil && !(r.Start >= *q.since) {
 		return false
 	}
-	if q.until != nil && r.Start >= *q.until {
+	if q.until != nil && !(r.Start < *q.until) {
 		return false
 	}
 	return true

@@ -185,7 +185,7 @@ func (s *Store) indexBatchLocked(from int) {
 
 // startRangeLocked returns the positions of reports with Start in the
 // half-open window [since, until), ordered by start time; a nil bound is
-// unbounded on that side. Caller holds mu.
+// unbounded on that side and a NaN bound matches nothing. Caller holds mu.
 func (s *Store) startRangeLocked(since, until *float64) []int {
 	lo := 0
 	if since != nil {
@@ -195,8 +195,9 @@ func (s *Store) startRangeLocked(since, until *float64) []int {
 	}
 	hi := len(s.byStart)
 	if until != nil {
+		// Negated so a NaN bound selects nothing, as it does for since.
 		hi = sort.Search(len(s.byStart), func(i int) bool {
-			return s.reports[s.byStart[i]].Start >= *until
+			return !(s.reports[s.byStart[i]].Start < *until)
 		})
 	}
 	if hi < lo {
@@ -312,7 +313,7 @@ func (s *Store) WriteJSON(w io.Writer) error {
 // ascending ID order regardless of their order in the input, and datasets
 // containing duplicate IDs or IDs below 1 are rejected.
 func (s *Store) ReadJSON(r io.Reader) error {
-	reports, err := decodeDataset(r)
+	reports, err := DecodeDataset(r)
 	if err != nil {
 		return err
 	}
@@ -332,12 +333,12 @@ func (s *Store) ReadJSON(r io.Reader) error {
 	return nil
 }
 
-// decodeDataset is the one dataset loader behind Store.ReadJSON and
-// Sharded.ReadJSON: it decodes a JSON array of reports, validates each,
-// rejects duplicate IDs and IDs below 1 (every writer numbers reports
-// from 1, so an ID-less report is not a dataset entry), and returns the
-// reports in ascending ID order.
-func decodeDataset(r io.Reader) ([]Report, error) {
+// DecodeDataset is the one dataset loader behind Store.ReadJSON and the
+// query daemon's append-only load (DecodeDataset, then AddAll): it decodes
+// a JSON array of reports, validates each, rejects duplicate IDs and IDs
+// below 1 (every writer numbers reports from 1, so an ID-less report is
+// not a dataset entry), and returns the reports in ascending ID order.
+func DecodeDataset(r io.Reader) ([]Report, error) {
 	var reports []Report
 	if err := json.NewDecoder(r).Decode(&reports); err != nil {
 		return nil, fmt.Errorf("sev: decoding dataset: %w", err)

@@ -3,6 +3,7 @@ package sev
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -67,10 +68,10 @@ func TestReadJSONShuffledIDsGet(t *testing.T) {
 	}
 }
 
-// TestReadJSONRejectsDuplicateIDs: both dataset loaders reject duplicate
-// IDs and IDs below 1 and load nothing. Sharded.ReadJSON once assigned
-// fresh IDs to ID-less reports that Store.ReadJSON rejected as duplicates
-// of ID 0.
+// TestReadJSONRejectsDuplicateIDs: both dataset loaders — Store.ReadJSON
+// and the daemon's DecodeDataset + AddAll — reject duplicate IDs and IDs
+// below 1 and load nothing. The daemon's loader once assigned fresh IDs
+// to ID-less reports that Store.ReadJSON rejected as duplicates of ID 0.
 func TestReadJSONRejectsDuplicateIDs(t *testing.T) {
 	report := func(id string) string {
 		return `{` + id + `"severity":3,"device":"rsw001.cl001.dc1.ra","start":1,"duration":1,"resolution":2,"year":2011}`
@@ -83,19 +84,272 @@ func TestReadJSONRejectsDuplicateIDs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		s := NewStore()
-		sh := NewSharded(2)
+		appended := NewStore()
 		for loader, err := range map[string]error{
-			"Store":   s.ReadJSON(strings.NewReader(tc.data)),
-			"Sharded": sh.ReadJSON(strings.NewReader(tc.data)),
+			"Store.ReadJSON":       s.ReadJSON(strings.NewReader(tc.data)),
+			"DecodeDataset+AddAll": loadAppend(appended, []byte(tc.data)),
 		} {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s: %s.ReadJSON error = %v, want one naming %q", tc.name, loader, err, tc.want)
+				t.Errorf("%s: %s error = %v, want one naming %q", tc.name, loader, err, tc.want)
 			}
 		}
-		if s.Len() != 0 || sh.Len() != 0 {
+		if s.Len() != 0 || appended.Len() != 0 {
 			t.Errorf("%s: rejected dataset partially loaded", tc.name)
 		}
-		sh.Close()
+	}
+}
+
+// loadAppend is the query daemon's load path: DecodeDataset, then AddAll
+// onto whatever s already holds.
+func loadAppend(s *Store, data []byte) error {
+	reports, err := DecodeDataset(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	_, err = s.AddAll(reports)
+	return err
+}
+
+// batchReports builds n valid reports spread across years, devices,
+// severities, and causes, with ID 0 (store-assigned).
+func batchReports(n, base int) []Report {
+	devices := []string{
+		"rsw001.cl001.dc1.ra", "csw001.cl001.dc1.ra", "csa001.dc1.ra",
+		"esw001.cl001.dc1.ra", "ssw001.cl001.dc1.ra",
+	}
+	out := make([]Report, n)
+	for i := range out {
+		k := base + i
+		out[i] = Report{
+			Severity:   Severity(1 + k%3),
+			Device:     devices[k%len(devices)],
+			Start:      float64((k * 37) % (n * 5)),
+			Duration:   1,
+			Resolution: float64(2 + k%7),
+			Year:       2011 + k%7,
+			RootCauses: []RootCause{RootCause(k % numRootCauses)},
+		}
+	}
+	return out
+}
+
+// TestAddAllMatchesAdd pins the batched ingest path against the
+// single-report path: same IDs, same report order, same index behavior
+// (window queries exercise the merged start-time index).
+func TestAddAllMatchesAdd(t *testing.T) {
+	reports := batchReports(200, 0)
+	one := NewStore()
+	for _, r := range reports {
+		if _, err := one.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := NewStore()
+	// Split across several batches so the byStart merge path runs with a
+	// non-empty existing run.
+	for i := 0; i < len(reports); i += 64 {
+		end := min(i+64, len(reports))
+		if _, err := batch.AddAll(reports[i:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := fmt.Sprint(batch.All()), fmt.Sprint(one.All()); got != want {
+		t.Fatal("AddAll and Add produced different stores")
+	}
+	for _, win := range [][2]float64{{0, 100}, {37, 612}, {500, 1000}} {
+		got := batch.Query().Since(win[0]).Until(win[1]).Count()
+		want := one.Query().Since(win[0]).Until(win[1]).Count()
+		if got != want {
+			t.Errorf("window [%g,%g): AddAll store counts %d, Add store %d", win[0], win[1], got, want)
+		}
+	}
+	if got, want := fmt.Sprint(batch.Query().Starts()), fmt.Sprint(one.Query().Starts()); got != want {
+		t.Error("Starts diverged between AddAll and Add stores")
+	}
+	if g := batch.Generation(); g != 4 {
+		t.Errorf("generation after 4 batches = %d, want 4", g)
+	}
+}
+
+// TestStoreAddAllIDs pins AddAll's ID contract: explicit IDs are
+// preserved, a duplicate is rejected with nothing ingested, and fresh
+// assignments skip the explicit IDs.
+func TestStoreAddAllIDs(t *testing.T) {
+	s := NewStore()
+	ids, err := s.AddAll(batchReports(10, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, id := range ids {
+		if id <= 0 || seen[id] {
+			t.Fatalf("assigned IDs not unique/positive: %v", ids)
+		}
+		seen[id] = true
+	}
+	explicit := batchReports(2, 20)
+	explicit[0].ID = 100
+	explicit[1].ID = 101
+	if _, err := s.AddAll(explicit); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := s.Get(100); err != nil || r.ID != 100 {
+		t.Errorf("Get(100) = %+v, %v", r, err)
+	}
+	dup := batchReports(2, 30)
+	dup[1].ID = 100
+	_, err = s.AddAll(dup)
+	if err == nil || !strings.Contains(err.Error(), "duplicate report ID 100") {
+		t.Fatalf("duplicate explicit ID not rejected: %v", err)
+	}
+	if n := s.Len(); n != 12 {
+		t.Errorf("Len after rejected batch = %d, want 12", n)
+	}
+	// A batch mixing ID-less reports with an explicit ID the counter has
+	// not reached yet: the fresh IDs dodge it.
+	mixed := batchReports(3, 40)
+	mixed[2].ID = 103
+	more, err := s.AddAll(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(more) != "[102 104 103]" {
+		t.Errorf("mixed batch IDs = %v, want [102 104 103]", more)
+	}
+}
+
+// TestStoreGenerationRejectedBatch pins the cache-invalidation contract:
+// every successful ingest bumps the generation exactly once; a rejected
+// batch does not.
+func TestStoreGenerationRejectedBatch(t *testing.T) {
+	s := NewStore()
+	if g := s.Generation(); g != 0 {
+		t.Fatalf("fresh generation = %d", g)
+	}
+	if _, err := s.AddAll(batchReports(4, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if g := s.Generation(); g != 1 {
+		t.Fatalf("generation after ingest = %d, want 1", g)
+	}
+	bad := batchReports(1, 5)
+	bad[0].Device = ""
+	if _, err := s.AddAll(bad); err == nil {
+		t.Fatal("invalid report accepted")
+	}
+	dup := batchReports(1, 6)
+	dup[0].ID = 1
+	if _, err := s.AddAll(dup); err == nil {
+		t.Fatal("duplicate ID accepted")
+	}
+	if g := s.Generation(); g != 1 {
+		t.Errorf("generation bumped by rejected batch: %d", g)
+	}
+}
+
+// TestStoreIngestWhileQuerying races AddAll batches against aggregations
+// on every query path; run under go test -race. Each reader's total count
+// must never go backwards.
+func TestStoreIngestWhileQuerying(t *testing.T) {
+	s := NewStore()
+	if _, err := s.AddAll(batchReports(100, 0)); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		writers = 2
+		batches = 10
+		readers = 4
+	)
+	var writerWG sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writerWG.Add(1)
+		go func(w int) {
+			defer writerWG.Done()
+			for b := 0; b < batches; b++ {
+				if _, err := s.AddAll(batchReports(20, 1000+w*10000+b*100)); err != nil {
+					t.Errorf("writer %d batch %d: %v", w, b, err)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var readerWG sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		readerWG.Add(1)
+		go func(r int) {
+			defer readerWG.Done()
+			last := 0
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := s.Query().Count()
+				if n < last {
+					t.Errorf("reader %d: count went backwards (%d -> %d)", r, last, n)
+					return
+				}
+				last = n
+				switch r % 4 {
+				case 0:
+					s.Query().Year(2013).CountBySeverity()
+				case 1:
+					s.Query().DeviceType(topology.RSW).Count()
+				case 2:
+					s.Query().Since(10).Until(400).Count()
+				case 3:
+					s.Query().ResolutionsByYear()
+				}
+			}
+		}(r)
+	}
+	writerWG.Wait()
+	close(stop)
+	readerWG.Wait()
+	if got, want := s.Query().Count(), 100+writers*batches*20; got != want {
+		t.Errorf("final count = %d, want %d", got, want)
+	}
+}
+
+// TestWindowBoundsAgreeAcrossPaths checks that the three query paths —
+// the start-time index (window only), the posting lists plus the residual
+// window filter, and the sequential scan predicate — agree on NaN and
+// infinite bounds. A NaN bound matches nothing; ±Inf behave as numbers.
+func TestWindowBoundsAgreeAcrossPaths(t *testing.T) {
+	s := NewStore()
+	if _, err := s.AddAll(batchReports(100, 0)); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	all2013 := s.Query().Year(2013).Count()
+	cases := []struct {
+		name       string
+		window     func(Query) Query
+		all, y2013 int
+	}{
+		{"since NaN", func(q Query) Query { return q.Since(nan) }, 0, 0},
+		{"until NaN", func(q Query) Query { return q.Until(nan) }, 0, 0},
+		{"since NaN until +Inf", func(q Query) Query { return q.Since(nan).Until(inf) }, 0, 0},
+		{"since -Inf until NaN", func(q Query) Query { return q.Since(-inf).Until(nan) }, 0, 0},
+		{"since -Inf", func(q Query) Query { return q.Since(-inf) }, 100, all2013},
+		{"until +Inf", func(q Query) Query { return q.Until(inf) }, 100, all2013},
+		{"since -Inf until +Inf", func(q Query) Query { return q.Since(-inf).Until(inf) }, 100, all2013},
+		{"since +Inf", func(q Query) Query { return q.Since(inf) }, 0, 0},
+		{"until -Inf", func(q Query) Query { return q.Until(-inf) }, 0, 0},
+	}
+	for _, tc := range cases {
+		timeIndex := tc.window(s.Query()).Count()
+		postings := tc.window(s.Query()).Year(2013).Count()
+		scanAll := scanCount(s, func(r Report) bool { return tc.window(s.Query()).matches(&r) })
+		scan2013 := scanCount(s, func(r Report) bool { return tc.window(s.Query().Year(2013)).matches(&r) })
+		if timeIndex != tc.all || scanAll != tc.all {
+			t.Errorf("%s: time index %d, scan %d, want %d", tc.name, timeIndex, scanAll, tc.all)
+		}
+		if postings != tc.y2013 || scan2013 != tc.y2013 {
+			t.Errorf("%s: posting lists %d, scan %d, want %d (Year 2013)", tc.name, postings, scan2013, tc.y2013)
+		}
 	}
 }
 

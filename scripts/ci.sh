@@ -19,8 +19,9 @@
 #                    ticket parser (alone and against its reference), the
 #                    notify line framing, the device-name codec
 #                    (ParseDeviceName and MakeName against their
-#                    fmt/ToLower references), and the SEV dataset loaders
-#                    (Store.ReadJSON against Sharded.ReadJSON)
+#                    fmt/ToLower references), the SEV dataset loaders
+#                    (Store.ReadJSON against DecodeDataset + AddAll), and
+#                    dcnrd's query normalizer (parseParams round trip)
 #
 # Former bench smoke steps and where their gates live now, all machine-
 # independent and all run by `race` (the first also by `test-obs`):
@@ -78,6 +79,7 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzParseDeviceName$' -fuzztime 10s ./internal/topology
 	go test -run '^$' -fuzz '^FuzzMakeName$' -fuzztime 10s ./internal/topology
 	go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/sev
+	go test -run '^$' -fuzz '^FuzzParseParams$' -fuzztime 10s ./internal/serve
 }
 step fuzz-smoke fuzz_smoke
 
