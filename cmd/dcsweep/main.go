@@ -22,6 +22,11 @@
 //	elevate:YEAR:FACTOR   burn drill — fault rates × FACTOR during YEAR
 //	default               shorthand for all three standard scenarios
 //
+// With -backbone, every run also reports its backbone's edge
+// availability and median edge MTBF/MTTR. A backbone depends on the seed
+// and scale only, so each (seed, scale) leg is simulated once, before the
+// intra-DC runs, and shared by every scenario's run at that pair.
+//
 // The aggregated report goes to -out (default sweep_report.json); it is
 // byte-identical for a given grid at any -workers value, so reports can be
 // diffed across machines and runs. With -runs-out, every per-run record is
@@ -86,7 +91,7 @@ func main() {
 	flag.StringVar(&o.scales, "scales", "1", "comma-separated fleet scales to sweep")
 	flag.StringVar(&o.scenarios, "scenarios", "baseline", "comma-separated scenario specs (baseline, no-remediation, elevate:YEAR:FACTOR, default)")
 	flag.IntVar(&o.workers, "workers", 0, "worker pool size (0 = one per CPU; clamped to the CPU count)")
-	flag.BoolVar(&o.backbone, "backbone", false, "add an inter-DC backbone leg to every run")
+	flag.BoolVar(&o.backbone, "backbone", false, "add an inter-DC backbone leg to every run; each (seed, scale) backbone is simulated once and shared by every scenario's run")
 	flag.StringVar(&o.out, "out", "sweep_report.json", "write the aggregated report to this file")
 	flag.StringVar(&o.runsOut, "runs-out", "", "stream per-run JSONL records to this file")
 	flag.StringVar(&o.journalOut, "journal", "", "stream every run's causal incident journal to this file")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dcnr"
+	"dcnr/internal/tickets"
 )
 
 // TestSimulateIntraDCGoldenBytes pins the exact bytes of one short
@@ -28,14 +29,6 @@ func TestSimulateIntraDCGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := func(write func(*bytes.Buffer) error) string {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		return hex.EncodeToString(sum[:])
-	}
 	for _, c := range []struct {
 		name, want string
 		write      func(*bytes.Buffer) error
@@ -44,8 +37,62 @@ func TestSimulateIntraDCGoldenBytes(t *testing.T) {
 		{"journal", "02a22a6ecc967678ee6da5551fb786e5251f22cb650ab9f8432635a525f1f8bc", func(b *bytes.Buffer) error { return jnl.Index().WriteJSONL(b) }},
 		{"timeline", "1bbef8ef9425983a3a28886b9d8f57dfbb9fb055eba919dfba7edc64e8912a01", func(b *bytes.Buffer) error { return tl.WriteJSONL(b) }},
 	} {
-		if got := digest(c.write); got != c.want {
+		if got := goldenDigest(t, c.write); got != c.want {
 			t.Errorf("%s sha256 = %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// goldenDigest is the hex SHA-256 of what write produces.
+func goldenDigest(t *testing.T, write func(*bytes.Buffer) error) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// TestSweepGoldenBytes pins the report and the per-run JSONL of a small
+// campaign: two seeds, the three default scenarios, and the backbone leg
+// joined into every run. Two workers, so the bytes also cover the
+// ordered streaming under concurrency.
+func TestSweepGoldenBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a six-run campaign")
+	}
+	var runs bytes.Buffer
+	res, err := dcnr.Sweep(dcnr.SweepConfig{
+		Seeds:     []uint64{1, 2},
+		Scenarios: dcnr.DefaultSweepScenarios(),
+		Workers:   2,
+		Backbone:  true,
+		Results:   &runs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := goldenDigest(t, func(b *bytes.Buffer) error { return res.WriteReport(b) }), "dc57220570a2e7bb277abd7f610ec3516f36682174f74b8be5c7ccd6a9824ebf"; got != want {
+		t.Errorf("sweep_report.json sha256 = %s, want %s", got, want)
+	}
+	if got, want := goldenDigest(t, func(b *bytes.Buffer) error { _, err := b.Write(runs.Bytes()); return err }), "35205f601c46c5dd6b7e6e14f27f4a0e4de2219ebef16c1eab918f733f4cec98"; got != want {
+		t.Errorf("runs JSONL sha256 = %s, want %s", got, want)
+	}
+}
+
+// TestBackboneTicketsGoldenBytes pins the ticket archive of one seed-7
+// backbone run: every notice's text, in stream order, exactly as
+// tickets.WriteAll writes it (dcsim's tickets.txt).
+func TestBackboneTicketsGoldenBytes(t *testing.T) {
+	cfg := dcnr.DefaultBackboneConfig()
+	cfg.Seed = 7
+	res, err := dcnr.SimulateBackbone(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := goldenDigest(t, func(b *bytes.Buffer) error { return tickets.WriteAll(b, res.Notices) })
+	if want := "183f9a64b6ec001d047a35403e25145ce80293942994cf6995f72ad41991bc79"; got != want {
+		t.Errorf("tickets.txt sha256 = %s, want %s", got, want)
 	}
 }

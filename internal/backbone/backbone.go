@@ -22,9 +22,11 @@
 package backbone
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"dcnr/internal/des"
 	"dcnr/internal/observe"
@@ -409,15 +411,32 @@ func (t *Topology) Simulate(cfg Config) ([]LinkDown, error) {
 	}
 
 	sim.Run(window)
-	sortLinkDowns(out)
-	return out, nil
+	return sortLinkDowns(out), nil
 }
 
-func sortLinkDowns(ds []LinkDown) {
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].Start != ds[j].Start {
-			return ds[i].Start < ds[j].Start
+// sortLinkDowns returns ds ordered by start time, ties by link name. It
+// orders (start, index) pairs and copies each record once, rather than
+// swapping 80-byte records. The index is the last tie-break, so the
+// order is total; where (Start, Link) is unique, as in every simulated
+// history, it is the order a sort by (Start, Link) gives.
+func sortLinkDowns(ds []LinkDown) []LinkDown {
+	type key struct {
+		start float64
+		idx   int
+	}
+	order := make([]key, len(ds))
+	for i := range ds {
+		order[i] = key{ds[i].Start, i}
+	}
+	slices.SortFunc(order, func(a, b key) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		return ds[i].Link < ds[j].Link
+		return cmp.Or(strings.Compare(ds[a.idx].Link, ds[b.idx].Link), cmp.Compare(a.idx, b.idx))
 	})
+	sorted := make([]LinkDown, len(ds))
+	for k, o := range order {
+		sorted[k] = ds[o.idx]
+	}
+	return sorted
 }

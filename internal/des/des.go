@@ -398,7 +398,12 @@ func (s *Simulator) flushMetrics() {
 	s.firedDelta = 0
 	s.hEvent.Flush()
 	s.gQueue.Set(float64(s.live))
-	s.gSimTime.Set(s.now)
+	// An unbounded Run leaves the clock at +Inf, which no JSON snapshot
+	// can carry: the gauge keeps the last finite time, which Run publishes
+	// before advancing the clock past its final event.
+	if !math.IsInf(s.now, 0) {
+		s.gSimTime.Set(s.now)
+	}
 }
 
 // startTelemetry resets the wall-clock cursor at Run/Step entry.
@@ -600,6 +605,9 @@ func (s *Simulator) Run(until float64) {
 		s.free = append(s.free, sm.id)
 	}
 	if !s.halted && s.now < until {
+		if math.IsInf(until, 1) {
+			s.gSimTime.Set(s.now)
+		}
 		s.now = until
 	}
 	s.syncTelemetry()

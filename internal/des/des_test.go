@@ -1,6 +1,7 @@
 package des
 
 import (
+	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -545,6 +546,28 @@ func TestHeapInvariantUnderChurn(t *testing.T) {
 		t.Errorf("Pending after drain = %d, want 0", s.Pending())
 	}
 	checkHeapInvariant(t, &s)
+}
+
+// TestUnboundedRunPublishesFiniteSimHours pins the des_sim_hours gauge
+// after Run(+Inf): the clock itself ends at +Inf, but the gauge holds the
+// last event's time, so the snapshot stays JSON-encodable.
+func TestUnboundedRunPublishesFiniteSimHours(t *testing.T) {
+	var s Simulator
+	reg := obs.NewRegistry()
+	s.Instrument(reg, nil)
+	for i := 1; i <= 100; i++ {
+		s.After(float64(i), func(float64) {})
+	}
+	s.Run(math.Inf(1))
+	if !math.IsInf(s.Now(), 1) {
+		t.Fatalf("Now() = %v after an unbounded run, want +Inf", s.Now())
+	}
+	if got := reg.Snapshot().Gauges["des_sim_hours"]; got != 100 {
+		t.Errorf("des_sim_hours = %v, want 100 (the last event's time)", got)
+	}
+	if err := reg.Snapshot().WriteJSON(io.Discard); err != nil {
+		t.Errorf("WriteJSON after an unbounded run: %v", err)
+	}
 }
 
 func TestScheduleCancelInterleavingProperty(t *testing.T) {

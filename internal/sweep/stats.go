@@ -86,12 +86,18 @@ func intraStats(spec runSpec, res *sim.IntraResult) RunStats {
 	return rs
 }
 
-// addBackboneStats folds a run's inter-DC leg into its record: mean edge
-// availability across the backbone and median per-edge MTBF/MTTR.
-func addBackboneStats(rs *RunStats, a *core.InterAnalysis) {
-	rs.EdgeAvailability = meanOf(a.EdgeAvailability())
-	rs.EdgeMTBFHours = medianOf(a.EdgeMTBF())
-	rs.EdgeMTTRHours = medianOf(a.EdgeMTTR())
+// edgeStats is a backbone leg reduced to what each of its runs reports:
+// mean edge availability across the backbone and median per-edge
+// MTBF/MTTR.
+type edgeStats struct{ availability, mtbfHours, mttrHours float64 }
+
+func backboneStats(a *core.InterAnalysis) edgeStats {
+	return edgeStats{meanOf(a.EdgeAvailability()), medianOf(a.EdgeMTBF()), medianOf(a.EdgeMTTR())}
+}
+
+// addBackboneStats folds a run's backbone leg into its record.
+func addBackboneStats(rs *RunStats, e edgeStats) {
+	rs.EdgeAvailability, rs.EdgeMTBFHours, rs.EdgeMTTRHours = e.availability, e.mtbfHours, e.mttrHours
 }
 
 // meanOf averages m's values, summed in sorted order so the mean is

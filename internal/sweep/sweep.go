@@ -16,6 +16,11 @@
 //     seeded RNG source (simrand.NewSource(seed) per driver), plus its
 //     own metrics registry when the campaign is instrumented — workers
 //     share nothing but the result slice.
+//   - One backbone per (seed, scale). A backbone history depends on the
+//     seed and the scale only, never on the scenario, so a campaign with
+//     Backbone set first simulates each unique (seed, scale) leg once, as
+//     its own pool task with its own registry, and every scenario's run
+//     at that pair shares the leg's reduced statistics.
 //   - Deterministic output. Runs are expanded, numbered, streamed, and
 //     aggregated in grid order regardless of which worker finishes first,
 //     so the same grid yields byte-identical reports at any worker count.
@@ -72,8 +77,9 @@ func DefaultScenarios() []Scenario {
 type Config struct {
 	// Observe bundles the campaign-level observability wiring. Metrics
 	// receives the sweep_* counters and gauges; Trace records one span
-	// per run with a lane per pool worker; Logger gets one progress
-	// record per completed run. Health is not wired — runs have
+	// per run (category "sweep") and one per backbone leg (category
+	// "sweep.backbone"), with a lane per pool worker; Logger gets one
+	// progress record per completed run. Health is not wired — runs have
 	// independent simulation clocks, so a shared health engine would
 	// interleave unrelated histories; instrument single runs instead.
 	observe.Observe
@@ -93,7 +99,10 @@ type Config struct {
 	// Backbone, when true, adds an inter-DC leg to every run: a backbone
 	// simulation at the run's seed (edges scaled by the run's scale)
 	// whose edge availability and MTBF/MTTR medians join the run's
-	// statistics.
+	// statistics. Each unique (seed, scale) leg is simulated once, before
+	// the intra-DC runs, and shared by every scenario's run at that pair;
+	// with Observe.Metrics set, its counters are merged into
+	// Result.Metrics once, and Status's per-run rows never include it.
 	Backbone bool
 	// Results, when non-nil, receives one JSON line per completed run
 	// (a RunStats record), streamed in run order as soon as each run's
@@ -199,6 +208,45 @@ func (c *Config) expand() []runSpec {
 	return specs
 }
 
+// legKey is one backbone leg: a backbone history depends on the run's
+// seed and scale only, so the runs of every scenario at a pair share it.
+type legKey struct {
+	seed  uint64
+	scale int
+}
+
+// backboneLegs lists the unique legs of specs in first-use order, and for
+// each run the index of its leg.
+func backboneLegs(specs []runSpec) (legs []legKey, legOf []int) {
+	index := make(map[legKey]int)
+	legOf = make([]int, len(specs))
+	for i, s := range specs {
+		k := legKey{s.seed, s.scale}
+		j, ok := index[k]
+		if !ok {
+			j = len(legs)
+			index[k] = j
+			legs = append(legs, k)
+		}
+		legOf[i] = j
+	}
+	return legs, legOf
+}
+
+// runLeg simulates one backbone leg, its telemetry on reg, and reduces it
+// to the statistics its runs report.
+func runLeg(leg legKey, reg *obs.Registry) (edgeStats, error) {
+	bcfg := backbone.DefaultConfig()
+	bcfg.Seed = leg.seed
+	bcfg.Edges *= leg.scale
+	bcfg.Observe = observe.Observe{Metrics: reg}
+	bres, err := sim.Backbone(bcfg)
+	if err != nil {
+		return edgeStats{}, fmt.Errorf("sweep: backbone (seed %d scale %d): %w", leg.seed, leg.scale, err)
+	}
+	return backboneStats(bres.Analysis), nil
+}
+
 // Result is a completed campaign: the aggregated report, every per-run
 // record, and the merged telemetry of all instrumented runs.
 type Result struct {
@@ -226,10 +274,12 @@ func (r *Result) WriteReport(w io.Writer) error {
 	return err
 }
 
-// Run executes the campaign: every grid cell across the worker pool, the
-// JSONL stream to cfg.Results, and the final aggregation. The returned
-// error is the failing run with the lowest index (every run is attempted
-// even when an earlier one fails, matching core.RunLimit).
+// Run executes the campaign: every backbone leg (when cfg.Backbone is set)
+// and then every grid cell across the worker pool, the JSONL stream to
+// cfg.Results, and the final aggregation. A failed backbone leg ends the
+// campaign before any run starts. Otherwise the returned error is the
+// failing run with the lowest index (every run is attempted even when an
+// earlier one fails, matching core.RunLimit).
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -261,6 +311,52 @@ func Run(cfg Config) (*Result, error) {
 		mergedMu sync.Mutex
 		merged   obs.Snapshot
 	)
+	// merge folds one private registry into Result.Metrics. Only a caller
+	// who asked for metrics gets campaign-level merging; a registry made
+	// just for attribution or timeline sampling stays private to its run.
+	merge := func(snap obs.Snapshot) error {
+		if o.Metrics == nil {
+			return nil
+		}
+		mergedMu.Lock()
+		defer mergedMu.Unlock()
+		return merged.Merge(snap)
+	}
+
+	var (
+		legs  []legKey
+		legOf []int
+		edges []edgeStats
+	)
+	if cfg.Backbone {
+		legs, legOf = backboneLegs(specs)
+		edges = make([]edgeStats, len(legs))
+		err := core.RunLimitTraced(cfg.Workers, len(legs), o.Trace, "sweep.backbone",
+			func(k int) string { return fmt.Sprintf("backbone/seed%d/x%d", legs[k].seed, legs[k].scale) },
+			func(k int) error {
+				gWorkers.Add(1)
+				defer gWorkers.Add(-1)
+				var reg *obs.Registry
+				if o.Metrics != nil {
+					reg = obs.NewRegistry()
+				}
+				var err error
+				if edges[k], err = runLeg(legs[k], reg); err != nil {
+					mFailures.Inc()
+					return err
+				}
+				if reg != nil {
+					if err := merge(reg.Snapshot()); err != nil {
+						return fmt.Errorf("sweep: backbone (seed %d scale %d): merging metrics: %w", legs[k].seed, legs[k].scale, err)
+					}
+				}
+				return nil
+			})
+		if err != nil {
+			cfg.Status.finish()
+			return nil, err
+		}
+	}
 
 	runOne := func(i int) error {
 		gWorkers.Add(1)
@@ -291,34 +387,16 @@ func Run(cfg Config) (*Result, error) {
 		}
 		stats := intraStats(spec, res)
 		res = nil // the SEV store is reduced; let the worker drop it
-
 		if cfg.Backbone {
-			bcfg := backbone.DefaultConfig()
-			bcfg.Seed = spec.seed
-			bcfg.Edges *= spec.scale
-			bcfg.Observe = observe.Observe{Metrics: reg}
-			bres, err := sim.Backbone(bcfg)
-			if err != nil {
-				mFailures.Inc()
-				return fmt.Errorf("sweep: run %d backbone (seed %d): %w", spec.run, spec.seed, err)
-			}
-			addBackboneStats(&stats, bres.Analysis)
+			addBackboneStats(&stats, edges[legOf[i]])
 		}
 
 		var events int64
 		if reg != nil {
 			snap := reg.Snapshot()
 			events = snap.Counters["des_events_fired_total"]
-			// Campaign-level merging only when the caller asked for
-			// metrics; a registry created just for attribution or
-			// timeline sampling stays private to its run.
-			if o.Metrics != nil {
-				mergedMu.Lock()
-				mergeErr := merged.Merge(snap)
-				mergedMu.Unlock()
-				if mergeErr != nil {
-					return fmt.Errorf("sweep: run %d: merging metrics: %w", spec.run, mergeErr)
-				}
+			if err := merge(snap); err != nil {
+				return fmt.Errorf("sweep: run %d: merging metrics: %w", spec.run, err)
 			}
 		}
 		results[i] = stats

@@ -59,6 +59,37 @@ func FuzzParseMatchesReference(f *testing.F) {
 	})
 }
 
+// FuzzFormatMatchesReference checks Format against formatRef, the
+// fmt-based original, over raw float64 bits and arbitrary header
+// strings: every float class (NaN payloads, ±Inf, -0, subnormals),
+// x.xxxx5 ties, the values around 1 and 1e14 where appendFixed4 switches
+// path, and the rounding carry into a new integer digit.
+func FuzzFormatMatchesReference(f *testing.F) {
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, 2.2250738585072009e-308,
+		0.99995, 0.999949999, 1, math.Nextafter(1, 0), -1.00005,
+		1.03125, 2.5e-5, 12.34565, 1024.00005, 9.99995, 9999.99996, -99.99995,
+		1e14, math.Nextafter(1e14, 0), 99999999999999.99, 1e15, 1e21, math.MaxFloat64,
+	} {
+		f.Add(math.Float64bits(x), math.Float64bits(-x), "vendor03", "link0042", true)
+	}
+	f.Add(uint64(0x7ff8000000000001), uint64(0xfff0000000000000), "", " :\n", false)
+	f.Fuzz(func(t *testing.T, atBits, estBits uint64, vendor, link string, start bool) {
+		n := sampleFuzzNotice()
+		n.AtHours = math.Float64frombits(atBits)
+		n.EstimatedHours = math.Float64frombits(estBits)
+		n.Vendor, n.Link = vendor, link
+		if !start {
+			n.Event = RepairComplete
+		}
+		if got, want := n.Format(), formatRef(n); got != want {
+			t.Fatalf("Format differs for AtHours %v (%#x), EstimatedHours %v (%#x):\ngot  %q\nwant %q",
+				n.AtHours, atBits, n.EstimatedHours, estBits, got, want)
+		}
+	})
+}
+
 // sameNotice reports whether a and b are identical, floats compared by
 // their bits (so NaN equals NaN and -0 differs from 0).
 func sameNotice(a, b Notice) bool {

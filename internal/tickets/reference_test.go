@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -162,6 +165,45 @@ func TestFormatMatchesReference(t *testing.T) {
 	}
 }
 
+// TestAppendFixed4MatchesReference sweeps appendFixed4's fast path
+// against %.4f: every integer-digit count it takes (1 through 14), exact
+// binary ties at the fifth decimal (j/32 fractions), values one ulp either
+// side of a rounding boundary, and the carries at 10^k.
+func TestAppendFixed4MatchesReference(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		if got, want := string(appendFixed4(nil, x)), fmt.Sprintf("%.4f", x); got != want {
+			t.Fatalf("appendFixed4(%v) = %q, want %q", x, got, want)
+		}
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for k, p := 1, 1.0; k <= 15; k, p = k+1, p*10 {
+		for j := 0; j < 32; j++ {
+			for _, x := range []float64{p + float64(j)/32, p*9 + float64(j)/32, p + float64(j)*1e-5} {
+				check(x)
+				check(-x)
+				check(math.Nextafter(x, 0))
+				check(math.Nextafter(x, math.Inf(1)))
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			x := p * (1 + 9*r.Float64())
+			check(x)
+			check(-x)
+			// The nearest x.xxxx5 boundary and its neighbours.
+			b := (math.Floor(x*1e4) + 0.5) / 1e4
+			check(b)
+			check(math.Nextafter(b, 0))
+			check(math.Nextafter(b, math.Inf(1)))
+		}
+		top := p * 10
+		for _, d := range []float64{0.00004, 0.00005, 0.00006, 0.0001} {
+			check(top - d)
+			check(-(top - d))
+		}
+	}
+}
+
 // TestParseLongLineBoundary pins the bufio.Scanner line limit Parse keeps:
 // a line whose raw bytes before '\n', any '\r' included, reach
 // bufio.MaxScanTokenSize is rejected; one byte shorter is accepted.
@@ -233,5 +275,143 @@ func TestWriteAllMatchesReference(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("WriteAll output (%d bytes) differs from the reference (%d bytes)", got.Len(), want.Len())
+	}
+}
+
+// generateRef is Generate as it was first written: notices built in
+// interval order with Sprintf IDs, then stably sorted by event time.
+func generateRef(topo *backbone.Topology, downs []backbone.LinkDown) []Notice {
+	circuits := make(map[string]string, len(topo.Links))
+	for _, l := range topo.Links {
+		circuits[l.Name] = l.CircuitID
+	}
+	var notices []Notice
+	for i, d := range downs {
+		base := Notice{
+			TicketID: fmt.Sprintf("TKT-%06d", i+1), Vendor: d.Vendor, Link: d.Link,
+			Circuit: circuits[d.Link], Edge: d.Edge, Continent: d.Continent, Maintenance: !d.Cut,
+		}
+		start, complete := base, base
+		start.Event, start.AtHours, start.EstimatedHours = RepairStart, d.Start, 0.8*d.Duration()
+		complete.Event, complete.AtHours = RepairComplete, d.End
+		notices = append(notices, start, complete)
+	}
+	sort.SliceStable(notices, func(i, j int) bool { return notices[i].AtHours < notices[j].AtHours })
+	return notices
+}
+
+// goldenBackbones simulates the backbones the golden tests pin (seeds 1
+// and 2 of the sweep golden, seed 7 of the ticket golden) plus one at
+// scale 2, each with its seed.
+func goldenBackbones(t *testing.T, visit func(name string, topo *backbone.Topology, cfg backbone.Config, downs []backbone.LinkDown)) {
+	t.Helper()
+	for _, c := range []struct {
+		seed  uint64
+		scale int
+	}{{1, 1}, {2, 1}, {7, 1}, {1, 2}} {
+		cfg := backbone.DefaultConfig()
+		cfg.Seed = c.seed
+		cfg.Edges *= c.scale
+		topo, err := backbone.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		downs, err := topo.Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visit(fmt.Sprintf("seed%d/x%d", c.seed, c.scale), topo, cfg, downs)
+	}
+}
+
+// TestGenerateMatchesReference checks Generate's key sort and shared-ID
+// construction against generateRef on the golden backbones, notice for
+// notice.
+func TestGenerateMatchesReference(t *testing.T) {
+	goldenBackbones(t, func(name string, topo *backbone.Topology, _ backbone.Config, downs []backbone.LinkDown) {
+		got, want := Generate(topo, downs), generateRef(topo, downs)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d notices, reference %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if !sameNotice(got[i], want[i]) {
+				t.Fatalf("%s: notice %d = %+v, reference %+v", name, i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// TestSortKeysUniqueOnGoldenBackbones pins what lets the link-downtime
+// and collector sorts order index pairs instead of records: on every
+// golden backbone, (Start, Link) is unique among the simulated downtimes
+// and (Start, TicketID) among the collected ones, so each comparator is a
+// total order on the data, and both orders equal a plain sort.Slice by
+// the same keys.
+func TestSortKeysUniqueOnGoldenBackbones(t *testing.T) {
+	goldenBackbones(t, func(name string, topo *backbone.Topology, cfg backbone.Config, downs []backbone.LinkDown) {
+		type linkKey struct {
+			start float64
+			link  string
+		}
+		seen := make(map[linkKey]bool, len(downs))
+		for _, d := range downs {
+			k := linkKey{d.Start, d.Link}
+			if seen[k] {
+				t.Fatalf("%s: two downtimes of %s start at %v", name, d.Link, d.Start)
+			}
+			seen[k] = true
+		}
+		ref := slices.Clone(downs)
+		sort.Slice(ref, func(i, j int) bool {
+			if ref[i].Start != ref[j].Start {
+				return ref[i].Start < ref[j].Start
+			}
+			return ref[i].Link < ref[j].Link
+		})
+		if !slices.Equal(downs, ref) {
+			t.Fatalf("%s: Simulate's order differs from sort.Slice by (Start, Link)", name)
+		}
+
+		coll := NewCollector()
+		coll.WindowHours = cfg.WindowHours()
+		for _, n := range Generate(topo, downs) {
+			if err := coll.IngestText(n.Format()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dts := coll.Downtimes()
+		type ticketKey struct {
+			start float64
+			id    string
+		}
+		seenTicket := make(map[ticketKey]bool, len(dts))
+		for _, d := range dts {
+			k := ticketKey{d.Start, d.TicketID}
+			if seenTicket[k] {
+				t.Fatalf("%s: ticket %s collected twice at %v", name, d.TicketID, d.Start)
+			}
+			seenTicket[k] = true
+		}
+		refDts := slices.Clone(dts)
+		sort.Slice(refDts, func(i, j int) bool {
+			if refDts[i].Start != refDts[j].Start {
+				return refDts[i].Start < refDts[j].Start
+			}
+			return refDts[i].TicketID < refDts[j].TicketID
+		})
+		if !slices.Equal(dts, refDts) {
+			t.Fatalf("%s: Downtimes' order differs from sort.Slice by (Start, TicketID)", name)
+		}
+	})
+}
+
+// TestTicketIDs checks the shared-backing IDs against %06d, across the
+// width change past a million.
+func TestTicketIDs(t *testing.T) {
+	ids := ticketIDs(1_000_001)
+	for _, i := range []int{0, 8, 9, 99, 999, 9999, 99999, 999998, 999999, 1_000_000} {
+		if want := fmt.Sprintf("TKT-%06d", i+1); ids[i] != want {
+			t.Errorf("ticketIDs[%d] = %q, want %q", i, ids[i], want)
+		}
 	}
 }

@@ -15,9 +15,11 @@ package tickets
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -67,8 +69,8 @@ func (n Notice) Format() string {
 const formatStackSize = 512
 
 // appendTo appends the notice's structured-email form to b. The floats
-// use strconv's 'f' format at precision 4, which is byte-identical to
-// %.4f (NaN, ±Inf and -0 included); the bool is %t's true/false.
+// are byte-identical to %.4f (NaN, ±Inf and -0 included; see
+// appendFixed4); the bool is %t's true/false.
 func (n Notice) appendTo(b []byte) []byte {
 	b = appendHeader(b, "Ticket-ID: ", n.TicketID)
 	b = appendHeader(b, "Vendor: ", n.Vendor)
@@ -78,13 +80,51 @@ func (n Notice) appendTo(b []byte) []byte {
 	b = appendHeader(b, "Continent: ", n.Continent.String())
 	b = appendHeader(b, "Event: ", string(n.Event))
 	b = append(b, "At-Hours: "...)
-	b = append(strconv.AppendFloat(b, n.AtHours, 'f', 4, 64), '\n')
+	b = append(appendFixed4(b, n.AtHours), '\n')
 	if n.Event == RepairStart {
 		b = append(b, "Estimated-Hours: "...)
-		b = append(strconv.AppendFloat(b, n.EstimatedHours, 'f', 4, 64), '\n')
+		b = append(appendFixed4(b, n.EstimatedHours), '\n')
 	}
 	b = append(b, "Maintenance: "...)
 	return append(strconv.AppendBool(b, n.Maintenance), '\n')
+}
+
+// appendFixed4 appends x as %.4f would. strconv's 'f' format at a fixed
+// precision always takes its slow multi-precision path; its 'e' format
+// takes the fast Ryū path for up to 18 significant digits. For
+// 1 <= |x| < 1e14 the integer part has k <= 14 digits, so the 'e' digits
+// at precision k+3 (k+4 significant digits) are exactly the digits %.4f
+// prints, rounded the same way, and only the decimal point moves. When
+// rounding carries into a new digit (9999.99996 → 1.0000000e+04) the
+// value is exactly 10^k, one more zero than the 'e' digits hold.
+// Everything else — non-finite values, |x| < 1 (leading fraction zeros
+// would cost significant digits), |x| >= 1e14 — keeps the 'f' path.
+func appendFixed4(b []byte, x float64) []byte {
+	ax := math.Abs(x)
+	if !(ax >= 1 && ax < 1e14) { // NaN fails both comparisons
+		return strconv.AppendFloat(b, x, 'f', 4, 64)
+	}
+	k := 1
+	for p := 10.0; ax >= p; p *= 10 {
+		k++
+	}
+	var tmp [32]byte
+	e := strconv.AppendFloat(tmp[:0], ax, 'e', k+3, 64) // d.ddd…e+XX
+	if x < 0 {
+		b = append(b, '-')
+	}
+	if exp := int(e[len(e)-2]-'0')*10 + int(e[len(e)-1]-'0'); exp != k-1 {
+		// Carried: the value is 10^k.
+		b = append(b, '1')
+		for i := 0; i < k; i++ {
+			b = append(b, '0')
+		}
+		return append(b, ".0000"...)
+	}
+	b = append(b, e[0])
+	b = append(b, e[2:k+1]...)
+	b = append(b, '.')
+	return append(b, e[k+1:k+5]...)
 }
 
 func appendHeader(b []byte, key, value string) []byte {
@@ -207,17 +247,31 @@ func Parse(text string) (Notice, error) {
 // Generate produces the notice stream for a simulated set of link downtime
 // intervals: one start and one complete notice per interval, ordered by
 // event time (starts and completes interleaved, as they arrive in the
-// field).
+// field). Events at equal times keep their generation order — interval by
+// interval, start before complete — exactly as a stable sort by time.
 func Generate(topo *backbone.Topology, downs []backbone.LinkDown) []Notice {
 	circuits := make(map[string]string, len(topo.Links))
 	for _, l := range topo.Links {
 		circuits[l.Name] = l.CircuitID
 	}
-	notices := make([]Notice, 0, 2*len(downs))
+	// Order (time, generation index) pairs, not 128-byte notices: event
+	// 2i is interval i's start, 2i+1 its complete. The index breaks ties,
+	// so the order is total and an unstable sort yields the stable order.
+	order := make([]eventKey, 0, 2*len(downs))
 	for i, d := range downs {
-		id := fmt.Sprintf("TKT-%06d", i+1)
-		base := Notice{
-			TicketID:    id,
+		order = append(order, eventKey{d.Start, 2 * i}, eventKey{d.End, 2*i + 1})
+	}
+	slices.SortFunc(order, func(a, b eventKey) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.idx, b.idx))
+	})
+	ids := ticketIDs(len(downs))
+	notices := make([]Notice, len(order))
+	for k, ev := range order {
+		i := ev.idx / 2
+		d := &downs[i]
+		n := &notices[k]
+		*n = Notice{
+			TicketID:    ids[i],
 			Vendor:      d.Vendor,
 			Link:        d.Link,
 			Circuit:     circuits[d.Link],
@@ -225,18 +279,47 @@ func Generate(topo *backbone.Topology, downs []backbone.LinkDown) []Notice {
 			Continent:   d.Continent,
 			Maintenance: !d.Cut,
 		}
-		start := base
-		start.Event = RepairStart
-		start.AtHours = d.Start
-		// Vendors estimate ~80% of the actual duration.
-		start.EstimatedHours = 0.8 * d.Duration()
-		complete := base
-		complete.Event = RepairComplete
-		complete.AtHours = d.End
-		notices = append(notices, start, complete)
+		if ev.idx%2 == 0 {
+			n.Event = RepairStart
+			n.AtHours = d.Start
+			// Vendors estimate ~80% of the actual duration.
+			n.EstimatedHours = 0.8 * d.Duration()
+		} else {
+			n.Event = RepairComplete
+			n.AtHours = d.End
+		}
 	}
-	sort.SliceStable(notices, func(i, j int) bool { return notices[i].AtHours < notices[j].AtHours })
 	return notices
+}
+
+// eventKey is one record to be ordered: its time and its index.
+type eventKey struct {
+	at  float64
+	idx int
+}
+
+// ticketIDs returns the IDs TKT-000001 … TKT-n (%06d, wider past a
+// million) as substrings of one backing string: one allocation for all.
+func ticketIDs(n int) []string {
+	buf := make([]byte, 0, n*len("TKT-000000"))
+	ends := make([]int, n)
+	for i := range ends {
+		buf = append(buf, "TKT-"...)
+		v := i + 1
+		for p := 100000; p > 1 && v < p; p /= 10 {
+			buf = append(buf, '0')
+		}
+		buf = strconv.AppendInt(buf, int64(v), 10)
+		ends[i] = len(buf)
+	}
+	all := string(buf)
+	ids := make([]string, n)
+	start := 0
+	for i, end := range ends {
+		ids[i] = all[start:end]
+		start = end
+	}
+	return ids
 }
 
 // Downtime is a reconstructed link downtime interval: the collector's
@@ -327,14 +410,15 @@ func (c *Collector) IngestText(text string) error {
 // Open reports how many repairs are in progress (started, not completed).
 func (c *Collector) Open() int { return len(c.open) }
 
-// Downtimes returns the completed intervals sorted by start time. Repairs
-// still open are clipped to WindowHours when it is set, mirroring the
-// study's fixed observation window.
+// Downtimes returns the completed intervals sorted by start time, ties by
+// ticket ID. Repairs still open are clipped to WindowHours when it is
+// set, mirroring the study's fixed observation window.
 func (c *Collector) Downtimes() []Downtime {
-	out := append([]Downtime(nil), c.completed...)
-	if c.WindowHours > 0 {
+	src := c.completed
+	if c.WindowHours > 0 && len(c.open) > 0 {
+		src = slices.Clone(src)
 		for _, start := range c.open {
-			out = append(out, Downtime{
+			src = append(src, Downtime{
 				TicketID:    start.TicketID,
 				Vendor:      start.Vendor,
 				Link:        start.Link,
@@ -346,12 +430,24 @@ func (c *Collector) Downtimes() []Downtime {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	// Order (start, index) pairs and copy each record once, rather than
+	// swapping 96-byte records. The index is the last tie-break, so the
+	// order is total: where (Start, TicketID) is unique, as in every
+	// generated stream, it is the order a sort by (Start, TicketID) gives.
+	order := make([]eventKey, len(src))
+	for i := range src {
+		order[i] = eventKey{src[i].Start, i}
+	}
+	slices.SortFunc(order, func(a, b eventKey) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return out[i].TicketID < out[j].TicketID
+		return cmp.Or(strings.Compare(src[a.idx].TicketID, src[b.idx].TicketID), cmp.Compare(a.idx, b.idx))
 	})
+	out := make([]Downtime, len(src))
+	for k, o := range order {
+		out[k] = src[o.idx]
+	}
 	return out
 }
 

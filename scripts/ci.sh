@@ -17,7 +17,9 @@
 #                    health_slo_failure.json for triage
 #   9. fuzz-smoke  - 10s of native fuzzing per wire-format target: the
 #                    ticket parser (alone and against its reference), the
-#                    notify line framing, the device-name codec
+#                    ticket formatter's %.4f fast path (against its fmt
+#                    reference, over raw float64 bits), the notify line
+#                    framing, the device-name codec
 #                    (ParseDeviceName and MakeName against their
 #                    fmt/ToLower references), the SEV dataset loaders
 #                    (Store.ReadJSON against DecodeDataset + AddAll), and
@@ -75,6 +77,7 @@ fi
 fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/tickets
 	go test -run '^$' -fuzz '^FuzzParseMatchesReference$' -fuzztime 10s ./internal/tickets
+	go test -run '^$' -fuzz '^FuzzFormatMatchesReference$' -fuzztime 10s ./internal/tickets
 	go test -run '^$' -fuzz '^FuzzFraming$' -fuzztime 10s ./internal/notify
 	go test -run '^$' -fuzz '^FuzzParseDeviceName$' -fuzztime 10s ./internal/topology
 	go test -run '^$' -fuzz '^FuzzMakeName$' -fuzztime 10s ./internal/topology
