@@ -29,3 +29,23 @@ func FuzzReadJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzQueryMatchesScan decodes its input as a script of Add and AddAll
+// calls, each followed by one query (see ingestAndCheck), and checks every
+// result method of each query against the brute-force Query.matches scan.
+// The checked-in corpus (testdata/fuzz/FuzzQueryMatchesScan) holds a
+// duplicate-cause report under a query with every predicate set, and a
+// batch of cause-less reports with equal starts.
+func FuzzQueryMatchesScan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Every step rescans the store, so an execution costs the square
+		// of the input's length. Longer inputs are passed over rather than
+		// cut short: they would never add coverage but would still be
+		// minimized byte by byte, which stalls the fuzzer for minutes.
+		if len(data) > 2048 {
+			return
+		}
+		src := byteSource(data)
+		ingestAndCheck(t, NewStore(), &src, false)
+	})
+}

@@ -11,6 +11,7 @@ package sev
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dcnr/internal/topology"
 )
@@ -171,6 +172,12 @@ func (r *Report) Validate() error {
 	if _, err := topology.ParseDeviceName(r.Device); err != nil {
 		return fmt.Errorf("sev: %w", err)
 	}
+	// Non-finite times pass the ordered comparisons below (NaN < 0 is
+	// false) but break the start-time index's sort order; JSON cannot
+	// carry them, so only an in-process caller can supply one.
+	if !finite(r.Start) || !finite(r.Duration) || !finite(r.Resolution) {
+		return errors.New("sev: non-finite time")
+	}
 	if r.Duration < 0 || r.Resolution < 0 {
 		return errors.New("sev: negative duration")
 	}
@@ -187,3 +194,6 @@ func (r *Report) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -75,6 +75,12 @@ func TestReportValidate(t *testing.T) {
 		{"resolution < duration", func(r *Report) { r.Resolution = 1; r.Duration = 2 }},
 		{"negative start", func(r *Report) { r.Start = -1 }},
 		{"bad root cause", func(r *Report) { r.RootCauses = []RootCause{RootCause(99)} }},
+		{"NaN start", func(r *Report) { r.Start = math.NaN() }},
+		{"+Inf start", func(r *Report) { r.Start = math.Inf(1) }},
+		{"NaN duration", func(r *Report) { r.Duration = math.NaN() }},
+		{"+Inf duration", func(r *Report) { r.Duration = math.Inf(1); r.Resolution = math.Inf(1) }},
+		{"NaN resolution", func(r *Report) { r.Resolution = math.NaN() }},
+		{"+Inf resolution", func(r *Report) { r.Resolution = math.Inf(1) }},
 	}
 	for _, c := range cases {
 		r := validReport()

@@ -1,9 +1,11 @@
 package sev
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,9 +20,14 @@ import (
 // Alongside the report slice the store maintains secondary indexes —
 // posting lists of report positions keyed by year, device type, severity,
 // network design, and root cause, plus an ID map — so the typed query API
-// (query.go) can intersect the smallest applicable lists instead of
-// scanning every report. Indexes are updated under the write lock on Add,
-// extended once per batch on AddAll, and rebuilt wholesale on ReadJSON.
+// (query.go) can intersect the applicable lists instead of scanning every
+// report. A posting list is a word-compressed bitset (see postings): only
+// the nonzero 64-bit words over store positions are kept, so a list costs
+// at most one (index, word) pair per posting and the whole index stays
+// linear in the number of reports however many distinct keys arrive.
+// Indexes are updated under the write lock on Add, extended once per
+// batch on AddAll, and rebuilt wholesale on ReadJSON; every path appends
+// positions in ascending order, so only a list's last word ever changes.
 type Store struct {
 	mu      sync.RWMutex
 	reports []Report
@@ -35,12 +42,12 @@ type Store struct {
 	// types caches the parsed device type per position so queries never
 	// re-parse device names.
 	types []topology.DeviceType
-	// Posting lists: positions in ascending order, one list per key value.
-	byYear   map[int][]int
-	byType   map[topology.DeviceType][]int
-	bySev    map[Severity][]int
-	byDesign map[topology.Design][]int
-	byCause  map[RootCause][]int
+	// Posting lists, one per key value.
+	byYear   map[int]*postings
+	byType   map[topology.DeviceType]*postings
+	bySev    map[Severity]*postings
+	byDesign map[topology.Design]*postings
+	byCause  map[RootCause]*postings
 	// byStart holds every position ordered by report start time (ties in
 	// position order), so pure Since/Until windows binary-search a
 	// contiguous range instead of scanning the whole store.
@@ -89,17 +96,55 @@ func NewStore() *Store {
 func (s *Store) resetIndexLocked(capacity int) {
 	s.byID = make(map[int]int, capacity)
 	s.types = make([]topology.DeviceType, 0, capacity)
-	s.byYear = make(map[int][]int)
-	s.byType = make(map[topology.DeviceType][]int)
-	s.bySev = make(map[Severity][]int)
-	s.byDesign = make(map[topology.Design][]int)
-	s.byCause = make(map[RootCause][]int)
+	s.byYear = make(map[int]*postings)
+	s.byType = make(map[topology.DeviceType]*postings)
+	s.bySev = make(map[Severity]*postings)
+	s.byDesign = make(map[topology.Design]*postings)
+	s.byCause = make(map[RootCause]*postings)
 	s.byStart = make([]int, 0, capacity)
 }
 
-// indexPostingsLocked appends every secondary-index entry except the
-// start-time index for the report at position pos. The report must
-// already be validated (its device name parses). Caller holds mu.
+// postings is a posting list stored as a word-compressed bitset over store
+// positions: idx holds the indexes (position / 64) of the nonzero words in
+// ascending order and words the words themselves, so a list never holds
+// more than one (index, word) pair per posting. n counts the postings.
+type postings struct {
+	idx   []int32
+	words []uint64
+	n     int
+}
+
+// add sets position pos. Positions arrive in ascending order, so pos lands
+// in the last word or in a new one after it; setting a bit twice is a
+// no-op, which is how a report listing the same cause twice is posted once.
+func (p *postings) add(pos int) {
+	w, bit := int32(pos>>6), uint64(1)<<(pos&63)
+	if last := len(p.idx) - 1; last >= 0 && p.idx[last] == w {
+		if p.words[last]&bit == 0 {
+			p.words[last] |= bit
+			p.n++
+		}
+		return
+	}
+	p.idx = append(p.idx, w)
+	p.words = append(p.words, bit)
+	p.n++
+}
+
+// post adds pos to key k's list in m, creating the list on first use.
+func post[K comparable](m map[K]*postings, k K, pos int) {
+	p := m[k]
+	if p == nil {
+		p = new(postings)
+		m[k] = p
+	}
+	p.add(pos)
+}
+
+// indexPostingsLocked adds every secondary-index entry except the
+// start-time index for the report at position pos, which must be the
+// highest position indexed so far. The report must already be validated
+// (its device name parses). Caller holds mu.
 func (s *Store) indexPostingsLocked(pos int) {
 	r := &s.reports[pos]
 	t, err := topology.ParseDeviceName(r.Device)
@@ -109,20 +154,17 @@ func (s *Store) indexPostingsLocked(pos int) {
 	}
 	s.types = append(s.types, t)
 	s.byID[r.ID] = pos
-	s.byYear[r.Year] = append(s.byYear[r.Year], pos)
-	s.bySev[r.Severity] = append(s.bySev[r.Severity], pos)
+	post(s.byYear, r.Year, pos)
+	post(s.bySev, r.Severity, pos)
 	if t >= 0 {
-		s.byType[t] = append(s.byType[t], pos)
-		s.byDesign[t.Design()] = append(s.byDesign[t.Design()], pos)
+		post(s.byType, t, pos)
+		post(s.byDesign, t.Design(), pos)
 	}
-	// A report may list the same cause twice; the posting list stays
-	// deduplicated so RootCause(c).Count() counts the report once (the
-	// multi-counting of CountByRootCause happens over EffectiveRootCauses).
+	// A report listing the same cause twice is posted once, so
+	// RootCause(c).Count() counts it once (the multi-counting of
+	// CountByRootCause happens over EffectiveRootCauses).
 	for _, c := range r.EffectiveRootCauses() {
-		if list := s.byCause[c]; len(list) > 0 && list[len(list)-1] == pos {
-			continue
-		}
-		s.byCause[c] = append(s.byCause[c], pos)
+		post(s.byCause, c, pos)
 	}
 }
 
@@ -152,15 +194,28 @@ func (s *Store) indexBatchLocked(from int) {
 	for pos := from; pos < len(s.reports); pos++ {
 		s.indexPostingsLocked(pos)
 	}
-	added := make([]int, 0, len(s.reports)-from)
-	for pos := from; pos < len(s.reports); pos++ {
-		added = append(added, pos)
+	// Sort (start, position) pairs rather than positions that reach into
+	// the reports: ties broken on position give exactly the stable order,
+	// matching the insert-after-equals rule of the single-report path.
+	// Validate rejects non-finite starts, so the order is total.
+	type keyed struct {
+		start float64
+		pos   int
 	}
-	// Stable by start time: equal starts keep position order, matching the
-	// insert-after-equals rule of the single-report path.
-	sort.SliceStable(added, func(i, j int) bool {
-		return s.reports[added[i]].Start < s.reports[added[j]].Start
+	pairs := make([]keyed, 0, len(s.reports)-from)
+	for pos := from; pos < len(s.reports); pos++ {
+		pairs = append(pairs, keyed{s.reports[pos].Start, pos})
+	}
+	slices.SortFunc(pairs, func(a, b keyed) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
+	added := make([]int, len(pairs))
+	for i, p := range pairs {
+		added[i] = p.pos
+	}
 	if from == 0 || len(s.byStart) == 0 {
 		s.byStart = added
 		return
@@ -249,6 +304,7 @@ func (s *Store) AddAll(batch []Report) ([]int, error) {
 		seen[id] = true
 	}
 	from := len(s.reports)
+	s.reports = slices.Grow(s.reports, len(batch))
 	ids := make([]int, len(batch))
 	for i := range batch {
 		r := batch[i]

@@ -351,6 +351,65 @@ func TestWindowBoundsAgreeAcrossPaths(t *testing.T) {
 			t.Errorf("%s: posting lists %d, scan %d, want %d (Year 2013)", tc.name, postings, scan2013, tc.y2013)
 		}
 	}
+
+	// A NaN start is refused at ingest: among the starts it would break
+	// the time index's sort order, so a window would count differently on
+	// the time index than on the posting lists and the scan.
+	nanStarts := NewStore()
+	reports := batchReports(200, 0)
+	for i := 0; i < len(reports); i += 10 {
+		reports[i].Start = nan
+	}
+	if _, err := nanStarts.AddAll(reports); err == nil {
+		t.Error("AddAll accepted reports with NaN starts")
+	} else {
+		for _, r := range reports {
+			_, _ = nanStarts.Add(r)
+		}
+		if n := nanStarts.Len(); n != 180 {
+			t.Errorf("Add kept %d of 200 reports, want the 180 with finite starts", n)
+		}
+	}
+	window := func(q Query) Query { return q.Since(100).Until(900) }
+	timeIndex := window(nanStarts.Query()).Count()
+	postings := 0
+	for _, sv := range Severities {
+		postings += window(nanStarts.Query()).Severity(sv).Count()
+	}
+	scan := scanCount(nanStarts, func(r Report) bool { return window(nanStarts.Query()).matches(&r) })
+	if timeIndex != scan || postings != scan {
+		t.Errorf("NaN starts: window counts %d on the time index, %d on the posting lists, %d by scan", timeIndex, postings, scan)
+	}
+}
+
+// TestPostingsLinearMemory pins the index's memory rule. Year is not
+// validated and arrives from outside through POST /ingest, so a posting
+// list must cost at most one word per posting: 10k reports with 10k
+// distinct years stay within 10k words of byYear, where a dense bitset per
+// key would take 10k × 157.
+func TestPostingsLinearMemory(t *testing.T) {
+	const n = 10000
+	batch := batchReports(n, 0)
+	for i := range batch {
+		batch[i].Year = 100000 + 7*i
+	}
+	s := NewStore()
+	if _, err := s.AddAll(batch); err != nil {
+		t.Fatal(err)
+	}
+	words := 0
+	for year, p := range s.byYear {
+		if len(p.idx) != len(p.words) || p.n != 1 {
+			t.Fatalf("year %d: %d indexes, %d words, %d postings; want 1, 1, 1", year, len(p.idx), len(p.words), p.n)
+		}
+		words += len(p.words)
+	}
+	if words > n {
+		t.Errorf("byYear holds %d words for %d reports, want at most %d", words, n, n)
+	}
+	if got := s.Query().Year(100000 + 7*4321).Count(); got != 1 {
+		t.Errorf("Year(%d).Count() = %d, want 1", 100000+7*4321, got)
+	}
 }
 
 // indexStore builds a store whose reports spread across every indexed

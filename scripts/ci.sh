@@ -22,8 +22,11 @@
 #                    framing, the device-name codec
 #                    (ParseDeviceName and MakeName against their
 #                    fmt/ToLower references), the SEV dataset loaders
-#                    (Store.ReadJSON against DecodeDataset + AddAll), and
-#                    dcnrd's query normalizer (parseParams round trip)
+#                    (Store.ReadJSON against DecodeDataset + AddAll), the
+#                    SEV query index (every result method against the
+#                    brute-force Query.matches scan, over Add and AddAll
+#                    scripts), and dcnrd's query normalizer (parseParams
+#                    round trip)
 #
 # Former bench smoke steps and where their gates live now, all machine-
 # independent and all run by `race` (the first also by `test-obs`):
@@ -82,6 +85,7 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzParseDeviceName$' -fuzztime 10s ./internal/topology
 	go test -run '^$' -fuzz '^FuzzMakeName$' -fuzztime 10s ./internal/topology
 	go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/sev
+	go test -run '^$' -fuzz '^FuzzQueryMatchesScan$' -fuzztime 10s ./internal/sev
 	go test -run '^$' -fuzz '^FuzzParseParams$' -fuzztime 10s ./internal/serve
 }
 step fuzz-smoke fuzz_smoke
