@@ -12,7 +12,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the project-invariant analyzers (cmd/dcnrlint): the
-# per-package checks (simdeterminism, heaplock, obsnilsafe, errchecklite)
+# per-package checks (simdeterminism, obsnilsafe, errchecklite)
 # plus the inter-procedural module checks (simtaint, lockflow), with
 # per-analyzer wall timings on stderr, and fails on any unformatted file.
 lint:
@@ -47,7 +47,7 @@ race:
 # path: lock-free metric updates and concurrent trace emission must stay
 # clean under the race detector.
 test-obs:
-	$(GO) test -race ./internal/obs/ ./internal/obs/health/ ./internal/obs/journal/ ./internal/obs/timeline/ ./internal/des/ ./internal/remediation/ ./internal/monitor/ ./internal/sev/ ./internal/core/
+	$(GO) test -race ./internal/obs/ ./internal/obs/health/ ./internal/obs/journal/ ./internal/obs/timeline/ ./internal/des/ ./internal/remediation/ ./internal/sev/ ./internal/core/
 
 # test-health race-tests the streaming SLO engine and its end-to-end
 # wiring: the engine package itself plus the facade scenarios (elevated

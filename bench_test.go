@@ -389,9 +389,9 @@ func BenchmarkSevQueryGroupedCounts(b *testing.B) {
 	}
 }
 
-// Ingest benches: the per-report Add path (a sorted insert into the
-// start-time index per report) against the batched AddAll path (one
-// index build per batch) over the same simulated dataset.
+// Ingest benches: the per-report Add path (one write lock per report)
+// against the batched AddAll path (one write lock per batch) over the same
+// simulated dataset.
 
 func benchIngestReports(b *testing.B) []SEVReport {
 	intra, _ := benchData(b)

@@ -82,8 +82,7 @@ func TestFixtureModuleEndToEnd(t *testing.T) {
 	}
 	want := []string{
 		"sim/sim.go:23 obsnilsafe",     // value obs.Counter field
-		"sim/sim.go:28 heaplock",       // sim.After without the mutex
-		"sim/sim.go:28 lockflow",       // same site, proven via the unlocked path Kick
+		"sim/sim.go:28 lockflow",       // sim.After without the mutex, on the unlocked path Kick
 		"sim/sim.go:28 simdeterminism", // time.Now in simulation scope
 		"sim/sim.go:39 simtaint",       // wall-clock stamp reaches Lane.Record
 		"sim/sim.go:43 simdeterminism", // time.Now inside the stamp helper

@@ -14,7 +14,7 @@ import (
 )
 
 // Scheduler owns a mutex and a simulator but schedules unlocked
-// (heaplock) and stamps events with the wall clock (simdeterminism).
+// (lockflow) and stamps events with the wall clock (simdeterminism).
 type Scheduler struct {
 	mu  sync.Mutex
 	sim *des.Simulator

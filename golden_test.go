@@ -96,3 +96,21 @@ func TestBackboneTicketsGoldenBytes(t *testing.T) {
 		t.Errorf("tickets.txt sha256 = %s, want %s", got, want)
 	}
 }
+
+// TestHealthReportGoldenBytes pins seed 7's SLO report exactly as
+// `dcsim -seed 7 -health-out health.json` writes it: the streaming health
+// engine follows the full-range intra-DC run at scale 1. The fleet-wide
+// sums run over the device types by name, so every run writes these bytes.
+func TestHealthReportGoldenBytes(t *testing.T) {
+	eng, err := dcnr.NewHealthEngine(dcnr.HealthTargetsForScale(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dcnr.SimulateIntraDC(dcnr.IntraConfig{Seed: 7, Scale: 1, Observe: dcnr.Observe{Health: eng}}); err != nil {
+		t.Fatal(err)
+	}
+	got := goldenDigest(t, func(b *bytes.Buffer) error { return eng.WriteJSON(b) })
+	if want := "3c4c9e276eaf15d04943c5a674806539f2c891cb705f1afa7e8cb6a6296d408a"; got != want {
+		t.Errorf("health.json sha256 = %s, want %s", got, want)
+	}
+}

@@ -1,20 +1,16 @@
 package dcnr
 
-// Cross-subsystem integration tests: the live monitoring→remediation→SEV
-// path over real UDP sockets, and the vendor→collector ticket path over
-// real TCP sockets, each ending in the analysis engine.
+// Cross-subsystem integration tests: the ping-failure→remediation→SEV
+// path, and the vendor→collector ticket path over real TCP sockets, each
+// ending in the analysis engine.
 
 import (
+	"context"
 	"math"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
-	"context"
-
 	"dcnr/internal/des"
-	"dcnr/internal/monitor"
 	"dcnr/internal/notify"
 	"dcnr/internal/remediation"
 	"dcnr/internal/service"
@@ -22,11 +18,11 @@ import (
 	"dcnr/internal/tickets"
 )
 
-// TestMonitorToSEVPipeline drives the intra-DC ingest path end to end: a
-// device stops sending UDP heartbeats, the liveness monitor raises a
-// DevicePingFailure, the remediation engine escalates it (forced), the
-// impact assessor grades it, and a SEV lands in the store.
-func TestMonitorToSEVPipeline(t *testing.T) {
+// TestPingFailureToSEVPipeline drives the intra-DC ingest path end to end:
+// a DevicePingFailure for one CSW (the §4.1.3 "unable to ping" trigger)
+// goes to the remediation engine, which escalates it (forced), the impact
+// assessor grades it, and a SEV lands in the store.
+func TestPingFailureToSEVPipeline(t *testing.T) {
 	netw, err := ReferenceTopology()
 	if err != nil {
 		t.Fatal(err)
@@ -37,93 +33,36 @@ func TestMonitorToSEVPipeline(t *testing.T) {
 	engine := remediation.NewEngine(sim, simrand.New(1))
 	engine.SetEnabled(false) // force escalation so one fault = one SEV
 
-	var mu sync.Mutex
-	var faults []string
-	mon, err := monitor.New(50*time.Millisecond, 2, func(device string) {
-		mu.Lock()
-		faults = append(faults, device)
-		mu.Unlock()
-		dt, err := ParseDeviceName(device)
-		if err != nil {
-			t.Errorf("monitor reported unparseable device %q", device)
+	failing := netw.DevicesOfType(CSW)[1].Name
+	dt, err := ParseDeviceName(failing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.Submit(dt, remediation.DevicePingFailure, func(o remediation.Outcome) {
+		if o.Repaired {
 			return
 		}
-		engine.Submit(dt, remediation.DevicePingFailure, func(o remediation.Outcome) {
-			if o.Repaired {
-				return
-			}
-			as, err := assessor.Assess(device, service.ScopeDevice)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := store.Add(SEVReport{
-				Severity:   as.Severity,
-				Device:     device,
-				RootCauses: []RootCause{Hardware},
-				Start:      sim.Now(),
-				Duration:   1,
-				Resolution: 2,
-				Year:       FirstYear,
-				Title:      "device ping failure detected by liveness monitor",
-				Impact:     as.Impact,
-			}); err != nil {
-				t.Error(err)
-			}
-		})
+		as, err := assessor.Assess(failing, service.ScopeDevice)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := store.Add(SEVReport{
+			Severity:   as.Severity,
+			Device:     failing,
+			RootCauses: []RootCause{Hardware},
+			Start:      sim.Now(),
+			Duration:   1,
+			Resolution: 2,
+			Year:       FirstYear,
+			Title:      "device ping failure",
+			Impact:     as.Impact,
+		}); err != nil {
+			t.Error(err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Heartbeats arrive over a real UDP socket.
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go mon.ServePacket(pc)
-	defer pc.Close()
-
-	conn, err := net.Dial("udp", pc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	healthy := netw.DevicesOfType(CSW)[0].Name
-	failing := netw.DevicesOfType(CSW)[1].Name
-	for _, d := range []string{healthy, failing} {
-		if err := monitor.SendHeartbeat(conn, d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for mon.Tracked() < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if mon.Tracked() != 2 {
-		t.Fatalf("monitor tracked %d devices", mon.Tracked())
-	}
-
-	// The healthy device keeps beating; the failing one goes silent.
-	for i := 0; i < 4; i++ {
-		time.Sleep(40 * time.Millisecond)
-		if err := monitor.SendHeartbeat(conn, healthy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(30 * time.Millisecond)
-	down := mon.Check(time.Now())
-	if len(down) != 1 || down[0] != failing {
-		t.Fatalf("down = %v, want [%s]", down, failing)
-	}
 	sim.Run(math.Inf(1)) // deliver the engine's escalation callback
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(faults) != 1 {
-		t.Fatalf("faults = %v", faults)
-	}
 	if store.Len() != 1 {
 		t.Fatalf("SEVs = %d, want 1", store.Len())
 	}

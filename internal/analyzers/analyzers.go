@@ -11,8 +11,9 @@
 //
 //   - simdeterminism: simulation packages must not read the wall clock or
 //     math/rand, and must not emit map-iteration-ordered output.
-//   - heaplock: des.Simulator mutations on a mutex-owning struct must
-//     happen with the mutex held (the PR-2 race class).
+//   - lockflow (module-wide, module.go): des.Simulator mutations on a
+//     mutex-owning struct must be reached with the mutex held (the PR-2
+//     race class).
 //   - obsnilsafe: obs metrics must be wired through the nil-safe Registry,
 //     never constructed or copied by value.
 //   - errchecklite: I/O-shaped error returns (ReadJSON, serve loops, file
@@ -63,7 +64,7 @@ type Analyzer struct {
 }
 
 // All is the analyzer catalog, in the order the driver runs them.
-var All = []*Analyzer{SimDeterminism, HeapLock, ObsNilSafe, ErrCheckLite}
+var All = []*Analyzer{SimDeterminism, ObsNilSafe, ErrCheckLite}
 
 // ByName returns the analyzer with the given name, or nil.
 func ByName(name string) *Analyzer {

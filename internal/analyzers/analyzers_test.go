@@ -128,15 +128,16 @@ func TestSimDeterminismGoodFixture(t *testing.T) {
 	assertDiags(t, pkg.Analyze([]*Analyzer{SimDeterminism}), nil)
 }
 
+// The heaplock fixtures hold the per-method shapes of the PR-2 race
+// class; lockflow must report exactly these positions.
 func TestHeapLockBadFixture(t *testing.T) {
-	pkg := loadFixture(t, "heaplock/bad")
-	diags := pkg.Analyze([]*Analyzer{HeapLock})
+	diags := moduleDiags(t, "heaplock/bad", []*ModuleAnalyzer{LockFlow})
 	assertDiags(t, diags, []string{
-		"bad.go:22:2 heaplock", // sim.After before Lock
-		"bad.go:33:2 heaplock", // sim.Run after Unlock
-		"bad.go:39:2 heaplock", // sim.Reset without the lock
-		"bad.go:45:9 heaplock", // sim.Reserve without the lock
-		"bad.go:46:2 heaplock", // sim.ScheduleReserved without the lock
+		"bad.go:22:2 lockflow", // sim.After before Lock
+		"bad.go:33:2 lockflow", // sim.Run after Unlock
+		"bad.go:39:2 lockflow", // sim.Reset without the lock
+		"bad.go:45:9 lockflow", // sim.Reserve without the lock
+		"bad.go:46:2 lockflow", // sim.ScheduleReserved without the lock
 	})
 	if !diagsMention(diags, "des.Simulator.After") || !diagsMention(diags, "des.Simulator.Run") {
 		t.Errorf("diagnostics should name the mutating method: %q", diagKeys(diags))
@@ -144,8 +145,7 @@ func TestHeapLockBadFixture(t *testing.T) {
 }
 
 func TestHeapLockGoodFixture(t *testing.T) {
-	pkg := loadFixture(t, "heaplock/good")
-	assertDiags(t, pkg.Analyze([]*Analyzer{HeapLock}), nil)
+	assertDiags(t, moduleDiags(t, "heaplock/good", []*ModuleAnalyzer{LockFlow}), nil)
 }
 
 func TestObsNilSafeBadFixture(t *testing.T) {

@@ -4,8 +4,8 @@ package analyzers
 // scheduling on the shared DES heap after releasing the engine mutex —
 // a race the type system cannot see and reviewers missed once already.
 // The fixture under testdata/src/heaplock/regression reintroduces that
-// exact call pattern; the static check below must flag it, and the real
-// (fixed) remediation package must stay clean. The dynamic counterpart is
+// exact call pattern; lockflow must flag it, and the real (fixed)
+// remediation package must stay clean. The dynamic counterpart is
 // remediation.TestStatsConsistentUnderConcurrentSubmit, which the tier-1
 // gate runs under the race detector: reintroducing the bug in the real
 // engine trips both layers.
@@ -13,10 +13,9 @@ package analyzers
 import "testing"
 
 func TestHeapLockRegressionFixtureFlagged(t *testing.T) {
-	pkg := loadFixture(t, "heaplock/regression")
-	diags := pkg.Analyze([]*Analyzer{HeapLock})
+	diags := moduleDiags(t, "heaplock/regression", []*ModuleAnalyzer{LockFlow})
 	assertDiags(t, diags, []string{
-		"regression.go:30:2 heaplock", // sim.After after mu.Unlock — the PR-2 bug
+		"regression.go:30:2 lockflow", // sim.After after mu.Unlock — the PR-2 bug
 	})
 	if !diagsMention(diags, "race on the event heap") {
 		t.Errorf("diagnostic should explain the race: %q", diagKeys(diags))
@@ -27,14 +26,18 @@ func TestHeapLockRealRemediationClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a package via go list")
 	}
-	pkgs, err := Load("../..", []string{"dcnr/internal/remediation"})
+	m, err := LoadModule("../..", []string{"dcnr/internal/remediation"})
 	if err != nil {
 		t.Fatalf("loading remediation: %v", err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
+	if len(m.Pkgs) != 1 {
+		t.Fatalf("got %d packages, want 1", len(m.Pkgs))
 	}
-	if diags := pkgs[0].Analyze([]*Analyzer{HeapLock}); len(diags) != 0 {
+	diags, err := m.Analyze([]*ModuleAnalyzer{LockFlow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 0 {
 		t.Errorf("fixed remediation engine should be clean, got %q", diagKeys(diags))
 	}
 }

@@ -1,5 +1,5 @@
 // Package bad mutates a shared des.Simulator outside the owning mutex —
-// the race class heaplock exists to catch.
+// the race class lockflow exists to catch.
 package bad
 
 import (

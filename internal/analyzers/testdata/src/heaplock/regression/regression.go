@@ -2,7 +2,7 @@
 // remediation.Engine.Submit: statistics were updated under the mutex, the
 // mutex released, and only then was the outcome event scheduled — so two
 // concurrent Submit calls raced inside container/heap on the simulator's
-// event queue. The heaplock analyzer flags this statically;
+// event queue. The lockflow analyzer flags this statically;
 // remediation.TestStatsConsistentUnderConcurrentSubmit (run under
 // -race in the tier-1 gate) is the dynamic guard on the real engine.
 package regression

@@ -1,11 +1,11 @@
 // Package regression is the seeded-mutation proof for lockflow: the
 // exact PR-2 Engine.Submit race, reintroduced two calls deep. Submit
 // takes the mutex for its own bookkeeping, releases it, and only then
-// walks into a helper chain that mutates the DES heap — the helper's
-// "//lint:allow heaplock caller holds mu" annotation makes the old
-// per-method analyzer report NOTHING in this package. The driver test
-// asserts heaplock finds 0 and lockflow finds exactly 1, naming the
-// Submit -> schedule -> enqueue path.
+// walks into a helper chain that mutates the DES heap. The last helper
+// is documented "caller holds mu", and the claim is false: the Submit ->
+// schedule -> enqueue path holds nothing. The driver test asserts lockflow
+// finds exactly one diagnostic, at the Schedule call, and that the
+// message names the path.
 package regression
 
 import (
@@ -32,5 +32,5 @@ func (e *Engine) schedule(at float64) {
 }
 
 func (e *Engine) enqueue(at float64) {
-	e.sim.Schedule(at, nil) //lint:allow heaplock caller holds mu
+	e.sim.Schedule(at, nil) // caller holds mu
 }

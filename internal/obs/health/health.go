@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -412,6 +413,8 @@ func (e *Engine) countIncidents(dt string, from, to float64) int {
 }
 
 // resolutionsIn collects resolution times of incidents for dt in (from, to].
+// FleetWide walks the types by name, so a sum over the result (the report's
+// mean time to repair) is the same to the last bit on every call.
 func (e *Engine) resolutionsIn(dt string, from, to float64) []float64 {
 	var out []float64
 	collect := func(s []incident) {
@@ -424,8 +427,8 @@ func (e *Engine) resolutionsIn(dt string, from, to float64) []float64 {
 	if dt != FleetWide {
 		collect(e.incidents[dt])
 	} else {
-		for _, s := range e.incidents {
-			collect(s)
+		for _, name := range slices.Sorted(maps.Keys(e.incidents)) {
+			collect(e.incidents[name])
 		}
 	}
 	return out

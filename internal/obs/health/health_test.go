@@ -67,6 +67,32 @@ func TestExpectedIncidentsIntegration(t *testing.T) {
 	}
 }
 
+// TestFleetMTTRFixedOrder checks the report's fleet-wide mean time to
+// repair bit for bit against a sum over the types by name, with
+// resolutions whose float sum depends on the order of addition. Map
+// iteration order changes from call to call, so repeated reports catch a
+// sum that follows it.
+func TestFleetMTTRFixedOrder(t *testing.T) {
+	tg := Targets{EpochYear: 2011, Expected: map[int]map[string]float64{2011: {"T00": 1}}}
+	e, err := New(tg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for i := 0; i < 12; i++ {
+		// Mixed magnitudes: each addition rounds differently.
+		res := float64(i+1)*0.1 + float64(i%5)*1e7/3
+		e.RecordIncident(float64(i+1), fmt.Sprintf("T%02d", i), res)
+		sum += res
+	}
+	want := sum / 12
+	for i := 0; i < 200; i++ {
+		if got := e.Report().Fleet.MTTRMeanHours; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("report %d: fleet MTTR = %v, want %v bit for bit", i, got, want)
+		}
+	}
+}
+
 // TestExpectedIncidentsFixedOrder checks the fleet-wide integral bit for
 // bit against a sum in a fixed order — years ascending, types by name —
 // over a table whose float sums depend on the order of addition. Map

@@ -16,13 +16,11 @@ import (
 // the lists are intersected 64 positions at a time by ANDing their
 // word-compressed bitsets, walking the list with the fewest words, and the
 // Since/Until window is applied as a residual filter over the candidates.
-// The intersection allocates nothing. A query narrowed only by the time
-// window (for example Query().Since(a).Until(b)) binary-searches the
-// store's start-time-sorted index for the matching range instead; only a
-// query with no predicate at all scans sequentially. An instrumented store
-// (Store.Instrument) counts the two paths as sev_queries_indexed_total vs
-// sev_queries_scan_total, so scan regressions show up in metrics instead of
-// only in latency.
+// The intersection allocates nothing. A query with no set-valued predicate
+// (none at all, or only a Since/Until window) scans every report in order.
+// An instrumented store (Store.Instrument) counts the two paths as
+// sev_queries_indexed_total vs sev_queries_scan_total, so scan regressions
+// show up in metrics instead of only in latency.
 type Query struct {
 	store        *Store
 	year         *int
@@ -104,7 +102,7 @@ func (q Query) matches(r *Report) bool {
 
 // matchesWindow applies the residual Since/Until predicates — the only
 // filters the posting lists do not encode. The comparisons are negated so
-// a NaN bound matches nothing, as it does on the time index.
+// a NaN bound matches nothing.
 func (q Query) matchesWindow(r *Report) bool {
 	if q.since != nil && !(r.Start >= *q.since) {
 		return false
@@ -215,19 +213,6 @@ func (q Query) forEach(fn func(pos int, r *Report)) {
 			}
 		})
 		s.hCandidates.Observe(float64(candidates))
-		return
-	}
-	if q.since != nil || q.until != nil {
-		// Window-only query: binary search the start-time index for the
-		// matching range, then restore position order for the caller.
-		s.mIndexed.Inc()
-		in := s.startRangeLocked(q.since, q.until)
-		s.hCandidates.Observe(float64(len(in)))
-		candidates := append([]int(nil), in...)
-		sort.Ints(candidates)
-		for _, pos := range candidates {
-			fn(pos, &s.reports[pos])
-		}
 		return
 	}
 	s.mScanned.Inc()

@@ -173,8 +173,8 @@ func (r *Report) Validate() error {
 		return fmt.Errorf("sev: %w", err)
 	}
 	// Non-finite times pass the ordered comparisons below (NaN < 0 is
-	// false) but break the start-time index's sort order; JSON cannot
-	// carry them, so only an in-process caller can supply one.
+	// false), so they are refused here; JSON cannot carry them, so only an
+	// in-process caller can supply one.
 	if !finite(r.Start) || !finite(r.Duration) || !finite(r.Resolution) {
 		return errors.New("sev: non-finite time")
 	}

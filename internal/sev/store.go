@@ -1,7 +1,6 @@
 package sev
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,13 +20,14 @@ import (
 // posting lists of report positions keyed by year, device type, severity,
 // network design, and root cause, plus an ID map — so the typed query API
 // (query.go) can intersect the applicable lists instead of scanning every
-// report. A posting list is a word-compressed bitset (see postings): only
-// the nonzero 64-bit words over store positions are kept, so a list costs
-// at most one (index, word) pair per posting and the whole index stays
-// linear in the number of reports however many distinct keys arrive.
-// Indexes are updated under the write lock on Add, extended once per
-// batch on AddAll, and rebuilt wholesale on ReadJSON; every path appends
-// positions in ascending order, so only a list's last word ever changes.
+// report; a query with no set-valued predicate (none at all, or only a
+// Since/Until window) scans. A posting list is a word-compressed bitset
+// (see postings): only the nonzero 64-bit words over store positions are
+// kept, so a list costs at most one (index, word) pair per posting and the
+// whole index stays linear in the number of reports however many distinct
+// keys arrive. Indexes are extended under the write lock on Add and
+// AddAll, and rebuilt wholesale on ReadJSON; every path appends positions
+// in ascending order, so only a list's last word ever changes.
 type Store struct {
 	mu      sync.RWMutex
 	reports []Report
@@ -48,10 +48,6 @@ type Store struct {
 	bySev    map[Severity]*postings
 	byDesign map[topology.Design]*postings
 	byCause  map[RootCause]*postings
-	// byStart holds every position ordered by report start time (ties in
-	// position order), so pure Since/Until windows binary-search a
-	// contiguous range instead of scanning the whole store.
-	byStart []int
 	// provenance is the causal-chain side store keyed by report ID,
 	// attached by AttachJournal; it is deliberately not part of the
 	// report serialization (WriteJSON stays byte-stable).
@@ -66,8 +62,8 @@ type Store struct {
 
 // Instrument attaches telemetry to the store's query engine. Metrics
 // registered on reg: sev_queries_indexed_total and sev_queries_scan_total
-// (counters — a rising scan count flags queries with no predicate at all,
-// the only shape left that must touch every report), sev_posting_list_size
+// (counters — a rising scan count flags queries with no set-valued
+// predicate, the shapes that touch every report), sev_posting_list_size
 // (histogram of each selected posting list's length), and
 // sev_query_candidates (histogram of post-intersection candidate counts).
 // reg may be nil.
@@ -101,7 +97,6 @@ func (s *Store) resetIndexLocked(capacity int) {
 	s.bySev = make(map[Severity]*postings)
 	s.byDesign = make(map[topology.Design]*postings)
 	s.byCause = make(map[RootCause]*postings)
-	s.byStart = make([]int, 0, capacity)
 }
 
 // postings is a posting list stored as a word-compressed bitset over store
@@ -141,10 +136,10 @@ func post[K comparable](m map[K]*postings, k K, pos int) {
 	p.add(pos)
 }
 
-// indexPostingsLocked adds every secondary-index entry except the
-// start-time index for the report at position pos, which must be the
-// highest position indexed so far. The report must already be validated
-// (its device name parses). Caller holds mu.
+// indexPostingsLocked adds every secondary-index entry for the report at
+// position pos, which must be the highest position indexed so far. The
+// report must already be validated (its device name parses). Caller holds
+// mu.
 func (s *Store) indexPostingsLocked(pos int) {
 	r := &s.reports[pos]
 	t, err := topology.ParseDeviceName(r.Device)
@@ -168,99 +163,6 @@ func (s *Store) indexPostingsLocked(pos int) {
 	}
 }
 
-// indexLocked appends index entries for the report at position pos — the
-// single-report path Add takes. Caller holds mu.
-func (s *Store) indexLocked(pos int) {
-	s.indexPostingsLocked(pos)
-	r := &s.reports[pos]
-	// Sorted insert into the time index. Simulated reports arrive in
-	// near-chronological order, so the search usually lands at the end and
-	// the copy moves nothing.
-	i := sort.Search(len(s.byStart), func(i int) bool {
-		return s.reports[s.byStart[i]].Start > r.Start
-	})
-	s.byStart = append(s.byStart, 0)
-	copy(s.byStart[i+1:], s.byStart[i:])
-	s.byStart[i] = pos
-}
-
-// indexBatchLocked indexes positions [from, len(reports)) in one pass:
-// posting lists are appended per report, but the start-time index is
-// built by sorting the new positions once and merging them with the
-// existing run — O(k log k + n) per batch instead of the O(n·k) the
-// per-report sorted insert degrades to on out-of-order input. Caller
-// holds mu.
-func (s *Store) indexBatchLocked(from int) {
-	for pos := from; pos < len(s.reports); pos++ {
-		s.indexPostingsLocked(pos)
-	}
-	// Sort (start, position) pairs rather than positions that reach into
-	// the reports: ties broken on position give exactly the stable order,
-	// matching the insert-after-equals rule of the single-report path.
-	// Validate rejects non-finite starts, so the order is total.
-	type keyed struct {
-		start float64
-		pos   int
-	}
-	pairs := make([]keyed, 0, len(s.reports)-from)
-	for pos := from; pos < len(s.reports); pos++ {
-		pairs = append(pairs, keyed{s.reports[pos].Start, pos})
-	}
-	slices.SortFunc(pairs, func(a, b keyed) int {
-		if c := cmp.Compare(a.start, b.start); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	added := make([]int, len(pairs))
-	for i, p := range pairs {
-		added[i] = p.pos
-	}
-	if from == 0 || len(s.byStart) == 0 {
-		s.byStart = added
-		return
-	}
-	merged := make([]int, 0, len(s.byStart)+len(added))
-	i, j := 0, 0
-	for i < len(s.byStart) && j < len(added) {
-		// Existing entries win ties: every added position is greater, and
-		// the single-report path inserts after equal starts.
-		if s.reports[s.byStart[i]].Start <= s.reports[added[j]].Start {
-			merged = append(merged, s.byStart[i])
-			i++
-		} else {
-			merged = append(merged, added[j])
-			j++
-		}
-	}
-	merged = append(merged, s.byStart[i:]...)
-	merged = append(merged, added[j:]...)
-	s.byStart = merged
-}
-
-// startRangeLocked returns the positions of reports with Start in the
-// half-open window [since, until), ordered by start time; a nil bound is
-// unbounded on that side and a NaN bound matches nothing. Caller holds mu.
-func (s *Store) startRangeLocked(since, until *float64) []int {
-	lo := 0
-	if since != nil {
-		lo = sort.Search(len(s.byStart), func(i int) bool {
-			return s.reports[s.byStart[i]].Start >= *since
-		})
-	}
-	hi := len(s.byStart)
-	if until != nil {
-		// Negated so a NaN bound selects nothing, as it does for since.
-		hi = sort.Search(len(s.byStart), func(i int) bool {
-			return !(s.reports[s.byStart[i]].Start < *until)
-		})
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return s.byStart[lo:hi]
-}
-
 // Add validates r, assigns it an ID, and appends it. It returns the
 // assigned ID.
 func (s *Store) Add(r Report) (int, error) {
@@ -272,13 +174,13 @@ func (s *Store) Add(r Report) (int, error) {
 	r.ID = s.nextID
 	s.nextID++
 	s.reports = append(s.reports, r)
-	s.indexLocked(len(s.reports) - 1)
+	s.indexPostingsLocked(len(s.reports) - 1)
 	s.gen.Add(1)
 	return r.ID, nil
 }
 
-// AddAll validates and appends a batch of reports, building the
-// secondary indexes once per batch instead of once per report. A report
+// AddAll validates and appends a batch of reports under one write lock
+// and one generation bump. A report
 // with ID 0 is assigned a fresh ID; an explicit ID is preserved and must
 // not collide with the store or with the rest of the batch. On any
 // validation or duplicate-ID error the store is left unchanged. It
@@ -322,7 +224,9 @@ func (s *Store) AddAll(batch []Report) ([]int, error) {
 		ids[i] = r.ID
 		s.reports = append(s.reports, r)
 	}
-	s.indexBatchLocked(from)
+	for pos := from; pos < len(s.reports); pos++ {
+		s.indexPostingsLocked(pos)
+	}
 	s.gen.Add(1)
 	return ids, nil
 }
@@ -382,9 +286,9 @@ func (s *Store) ReadJSON(r io.Reader) error {
 	s.reports = reports
 	s.nextID = maxID + 1
 	s.resetIndexLocked(len(reports))
-	// The wholesale form of AddAll's batch path: one index build for the
-	// whole dataset instead of a sorted insert per report.
-	s.indexBatchLocked(0)
+	for pos := range s.reports {
+		s.indexPostingsLocked(pos)
+	}
 	s.gen.Add(1)
 	return nil
 }

@@ -134,8 +134,7 @@ func batchReports(n, base int) []Report {
 }
 
 // TestAddAllMatchesAdd pins the batched ingest path against the
-// single-report path: same IDs, same report order, same index behavior
-// (window queries exercise the merged start-time index).
+// single-report path: same IDs, same report order, same query answers.
 func TestAddAllMatchesAdd(t *testing.T) {
 	reports := batchReports(200, 0)
 	one := NewStore()
@@ -145,8 +144,8 @@ func TestAddAllMatchesAdd(t *testing.T) {
 		}
 	}
 	batch := NewStore()
-	// Split across several batches so the byStart merge path runs with a
-	// non-empty existing run.
+	// Split across several batches so later batches extend posting lists
+	// that earlier ones started.
 	for i := 0; i < len(reports); i += 64 {
 		end := min(i+64, len(reports))
 		if _, err := batch.AddAll(reports[i:end]); err != nil {
@@ -313,10 +312,10 @@ func TestStoreIngestWhileQuerying(t *testing.T) {
 	}
 }
 
-// TestWindowBoundsAgreeAcrossPaths checks that the three query paths —
-// the start-time index (window only), the posting lists plus the residual
-// window filter, and the sequential scan predicate — agree on NaN and
-// infinite bounds. A NaN bound matches nothing; ±Inf behave as numbers.
+// TestWindowBoundsAgreeAcrossPaths checks that the query paths — the scan
+// a window-only query takes, the posting lists plus the residual window
+// filter, and the bare matches predicate — agree on NaN and infinite
+// bounds. A NaN bound matches nothing; ±Inf behave as numbers.
 func TestWindowBoundsAgreeAcrossPaths(t *testing.T) {
 	s := NewStore()
 	if _, err := s.AddAll(batchReports(100, 0)); err != nil {
@@ -340,21 +339,20 @@ func TestWindowBoundsAgreeAcrossPaths(t *testing.T) {
 		{"until -Inf", func(q Query) Query { return q.Until(-inf) }, 0, 0},
 	}
 	for _, tc := range cases {
-		timeIndex := tc.window(s.Query()).Count()
+		windowOnly := tc.window(s.Query()).Count()
 		postings := tc.window(s.Query()).Year(2013).Count()
 		scanAll := scanCount(s, func(r Report) bool { return tc.window(s.Query()).matches(&r) })
 		scan2013 := scanCount(s, func(r Report) bool { return tc.window(s.Query().Year(2013)).matches(&r) })
-		if timeIndex != tc.all || scanAll != tc.all {
-			t.Errorf("%s: time index %d, scan %d, want %d", tc.name, timeIndex, scanAll, tc.all)
+		if windowOnly != tc.all || scanAll != tc.all {
+			t.Errorf("%s: window-only query %d, scan %d, want %d", tc.name, windowOnly, scanAll, tc.all)
 		}
 		if postings != tc.y2013 || scan2013 != tc.y2013 {
 			t.Errorf("%s: posting lists %d, scan %d, want %d (Year 2013)", tc.name, postings, scan2013, tc.y2013)
 		}
 	}
 
-	// A NaN start is refused at ingest: among the starts it would break
-	// the time index's sort order, so a window would count differently on
-	// the time index than on the posting lists and the scan.
+	// A NaN start is refused at ingest, and over the reports that remain
+	// a window counts the same on every path.
 	nanStarts := NewStore()
 	reports := batchReports(200, 0)
 	for i := 0; i < len(reports); i += 10 {
@@ -371,14 +369,14 @@ func TestWindowBoundsAgreeAcrossPaths(t *testing.T) {
 		}
 	}
 	window := func(q Query) Query { return q.Since(100).Until(900) }
-	timeIndex := window(nanStarts.Query()).Count()
+	windowOnly := window(nanStarts.Query()).Count()
 	postings := 0
 	for _, sv := range Severities {
 		postings += window(nanStarts.Query()).Severity(sv).Count()
 	}
 	scan := scanCount(nanStarts, func(r Report) bool { return window(nanStarts.Query()).matches(&r) })
-	if timeIndex != scan || postings != scan {
-		t.Errorf("NaN starts: window counts %d on the time index, %d on the posting lists, %d by scan", timeIndex, postings, scan)
+	if windowOnly != scan || postings != scan {
+		t.Errorf("NaN starts: window counts %d window-only, %d on the posting lists, %d by scan", windowOnly, postings, scan)
 	}
 }
 
@@ -658,24 +656,24 @@ func TestQueryPathCounters(t *testing.T) {
 
 	s.Query().Year(2013).Count()                      // indexed: one posting list
 	s.Query().Year(2013).Severity(Sev2).Count()       // indexed: two posting lists
-	s.Query().Since(1000).Until(5000).Count()         // window only → time index
+	s.Query().Since(1000).Until(5000).Count()         // window only → sequential scan
 	s.Query().Count()                                 // no predicate → sequential scan
 	s.Query().Since(0).Year(2013).Severity(1).Count() // window + index → indexed
 
 	snap := reg.Snapshot()
-	if got := snap.Counters["sev_queries_indexed_total"]; got != 4 {
-		t.Errorf("indexed queries = %d, want 4", got)
+	if got := snap.Counters["sev_queries_indexed_total"]; got != 3 {
+		t.Errorf("indexed queries = %d, want 3", got)
 	}
-	if got := snap.Counters["sev_queries_scan_total"]; got != 1 {
-		t.Errorf("scan queries = %d, want 1", got)
+	if got := snap.Counters["sev_queries_scan_total"]; got != 2 {
+		t.Errorf("scan queries = %d, want 2", got)
 	}
 	// Posting lists observed: 1 + 2 + 2 = 5 across the posting-list
-	// queries (the time index has no posting list).
+	// queries; a scan observes no list and no candidate count.
 	if got := snap.Histograms["sev_posting_list_size"].Count; got != 5 {
 		t.Errorf("posting list observations = %d, want 5", got)
 	}
-	if got := snap.Histograms["sev_query_candidates"].Count; got != 4 {
-		t.Errorf("candidate observations = %d, want 4", got)
+	if got := snap.Histograms["sev_query_candidates"].Count; got != 3 {
+		t.Errorf("candidate observations = %d, want 3", got)
 	}
 	// An un-instrumented store still answers identically.
 	s2 := indexStore(t)
@@ -684,11 +682,11 @@ func TestQueryPathCounters(t *testing.T) {
 	}
 }
 
-// TestWindowQueriesUseTimeIndex pins the former scan trap: a query narrowed
-// only by Since/Until must take the start-time index, leaving
-// sev_queries_scan_total untouched, and must agree with the brute-force
-// predicate even when reports were added out of chronological order.
-func TestWindowQueriesUseTimeIndex(t *testing.T) {
+// TestWindowOnlyQueriesScan pins queries narrowed only by Since/Until: they
+// take the scan path (sev_queries_scan_total, never the indexed counter),
+// return reports in ID order, and agree with the brute-force predicate even
+// when reports were added out of chronological order.
+func TestWindowOnlyQueriesScan(t *testing.T) {
 	s := NewStore()
 	// Starts deliberately out of order, with a tie at 500.
 	for i, start := range []float64{3000, 500, 9000, 500, 0, 7000, 1500} {
@@ -727,7 +725,7 @@ func TestWindowQueriesUseTimeIndex(t *testing.T) {
 			}
 		}
 	}
-	// One-sided windows ride the same index.
+	// One-sided windows take the same path.
 	if got := s.Query().Since(1500).Count(); got != 4 {
 		t.Errorf("Since(1500).Count() = %d, want 4", got)
 	}
@@ -736,14 +734,14 @@ func TestWindowQueriesUseTimeIndex(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counters["sev_queries_scan_total"]; got != 0 {
-		t.Errorf("window queries scanned %d times, want 0 (time index)", got)
+	if got := snap.Counters["sev_queries_scan_total"]; got != int64(len(windows)+2) {
+		t.Errorf("scan queries = %d, want %d", got, len(windows)+2)
 	}
-	if got := snap.Counters["sev_queries_indexed_total"]; got != int64(len(windows)+2) {
-		t.Errorf("indexed queries = %d, want %d", got, len(windows)+2)
+	if got := snap.Counters["sev_queries_indexed_total"]; got != 0 {
+		t.Errorf("window-only queries took the indexed path %d times, want 0", got)
 	}
 
-	// The index survives a ReadJSON rebuild from shuffled input.
+	// A ReadJSON rebuild answers the same window.
 	var buf bytes.Buffer
 	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -753,7 +751,7 @@ func TestWindowQueriesUseTimeIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := s2.Query().Since(500).Until(3000).Count(), s.Query().Since(500).Until(3000).Count(); got != want {
-		t.Errorf("rebuilt index count = %d, want %d", got, want)
+		t.Errorf("rebuilt store count = %d, want %d", got, want)
 	}
 }
 

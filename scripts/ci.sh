@@ -25,8 +25,10 @@
 #                    (Store.ReadJSON against DecodeDataset + AddAll), the
 #                    SEV query index (every result method against the
 #                    brute-force Query.matches scan, over Add and AddAll
-#                    scripts), and dcnrd's query normalizer (parseParams
-#                    round trip)
+#                    scripts), dcnrd's query normalizer (parseParams
+#                    round trip), and dcnrd's POST /ingest body (rejected
+#                    with Len and Generation unchanged, or accepted with
+#                    both advanced consistently)
 #
 # Former bench smoke steps and where their gates live now, all machine-
 # independent and all run by `race` (the first also by `test-obs`):
@@ -40,11 +42,11 @@
 # Timing gates are not CI steps: scripts/bench.sh des|obs records and
 # gates them on demand (make bench-des, make bench-obs).
 #
-# Steps 3-6 are the layered defense for the PR-2 race class: heaplock
-# flags unlocked DES-heap scheduling syntactically, lockflow proves the
-# inter-procedural variant (mutations hidden behind helpers reachable from
-# unlocked entry points), and the remediation concurrency tests catch it
-# dynamically under -race.
+# Steps 3-6 are the layered defense for the PR-2 race class: lockflow
+# proves statically that no unlocked entry point (exported method, method
+# value, uncalled helper) reaches a DES-heap mutation, including through
+# helpers, and the remediation concurrency tests catch it dynamically
+# under -race.
 #
 # Usage: scripts/ci.sh
 set -eu
@@ -87,6 +89,7 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/sev
 	go test -run '^$' -fuzz '^FuzzQueryMatchesScan$' -fuzztime 10s ./internal/sev
 	go test -run '^$' -fuzz '^FuzzParseParams$' -fuzztime 10s ./internal/serve
+	go test -run '^$' -fuzz '^FuzzIngest$' -fuzztime 10s ./internal/serve
 }
 step fuzz-smoke fuzz_smoke
 
