@@ -57,6 +57,14 @@ type CGEdge struct {
 	// literal within From's body — the call runs when the closure runs,
 	// not when From does.
 	InClosure bool
+	// InHandler marks InClosure sites inside a function literal handed
+	// to a des heap mutation as its event handler (nested literals
+	// included, unless a go statement starts them): the call runs on the
+	// single-threaded DES event loop.
+	InHandler bool
+	// Go marks the call of a go statement (`go e.flush()`): it runs on a
+	// new goroutine, holding none of the caller's locks.
+	Go bool
 }
 
 // CallGraph is the module call graph.
@@ -122,23 +130,35 @@ func buildCallGraph(m *Module) *CallGraph {
 		}
 	}
 
-	// Pass 2: resolve call sites.
+	// Pass 2: resolve call sites. The go statements and des handler
+	// arguments are marked before Inspect descends into them.
 	for _, node := range g.Order {
 		info := node.Pkg.Info
-		var walk func(n ast.Node, inClosure bool)
-		walk = func(n ast.Node, inClosure bool) {
+		spawned := make(map[ast.Node]bool) // go statement calls and their literals
+		handler := make(map[ast.Node]bool) // literals passed to a des heap mutation
+		var walk func(n ast.Node, inClosure, inHandler bool)
+		walk = func(n ast.Node, inClosure, inHandler bool) {
 			ast.Inspect(n, func(c ast.Node) bool {
 				switch x := c.(type) {
+				case *ast.GoStmt:
+					spawned[x.Call] = true
+					spawned[ast.Unparen(x.Call.Fun)] = true
 				case *ast.FuncLit:
-					walk(x.Body, true)
+					walk(x.Body, true, handler[x] || inHandler && !spawned[x])
 					return false
 				case *ast.CallExpr:
-					addCallEdges(g, node, info, x, inClosure, concrete)
+					if isHeapMutation(info, x) {
+						for _, arg := range x.Args {
+							handler[ast.Unparen(arg)] = true
+						}
+					}
+					proto := CGEdge{From: node, Site: x, InClosure: inClosure, InHandler: inHandler, Go: spawned[x]}
+					addCallEdges(g, proto, info, concrete)
 				}
 				return true
 			})
 		}
-		walk(node.Decl.Body, false)
+		walk(node.Decl.Body, false, false)
 	}
 
 	// In-edges, in Out-edge (hence deterministic) order.
@@ -150,15 +170,18 @@ func buildCallGraph(m *Module) *CallGraph {
 	return g
 }
 
-// addCallEdges resolves one call site into zero or more edges.
-func addCallEdges(g *CallGraph, from *CGNode, info *types.Info, call *ast.CallExpr, inClosure bool, concrete []types.Type) {
+// addCallEdges resolves one call site, proto.Site, into zero or more
+// edges, each a copy of proto with To set.
+func addCallEdges(g *CallGraph, proto CGEdge, info *types.Info, concrete []types.Type) {
+	from, call := proto.From, proto.Site
 	if fn := calleeFunc(info, call); fn != nil {
 		// calleeFunc resolves interface method calls to the interface's
 		// own *types.Func, which has no body node — fall through to
 		// dynamic expansion for those.
 		if to := g.Nodes[fn]; to != nil {
-			e := &CGEdge{From: from, To: to, Site: call, InClosure: inClosure}
-			from.Out = append(from.Out, e)
+			e := proto
+			e.To = to
+			from.Out = append(from.Out, &e)
 			return
 		}
 	}
@@ -189,8 +212,9 @@ func addCallEdges(g *CallGraph, from *CGNode, info *types.Info, call *ast.CallEx
 		// to the same method; add the edge once.
 		if to := g.Nodes[fn]; to != nil && !seen[to] {
 			seen[to] = true
-			e := &CGEdge{From: from, To: to, Site: call, Dynamic: true, InClosure: inClosure}
-			from.Out = append(from.Out, e)
+			e := proto
+			e.To, e.Dynamic = to, true
+			from.Out = append(from.Out, &e)
 		}
 	}
 }

@@ -287,13 +287,31 @@ func TestCallGraphClosureEdges(t *testing.T) {
 			continue
 		}
 		for _, e := range n.Out {
-			if e.To.Fn.Name() == "tick" && !e.InClosure {
-				t.Errorf("Arm -> tick runs inside a function literal; edge must be InClosure")
+			if e.To.Fn.Name() == "tick" && (!e.InClosure || !e.InHandler || e.Go) {
+				t.Errorf("Arm -> tick runs inside the des handler literal; edge must be InClosure and InHandler, not Go")
 			}
 		}
 		return
 	}
 	t.Fatal("Arm not found in lockflow/good")
+}
+
+// TestCallGraphGoEdges pins the Go flag on a go statement's own call and
+// that a goroutine started inside a des handler is not InHandler.
+func TestCallGraphGoEdges(t *testing.T) {
+	m := loadFixtureModule(t, "lockflow/bad")
+	edges := map[string]*CGEdge{}
+	for _, n := range m.Graph().Order {
+		for _, e := range n.Out {
+			edges[n.Fn.Name()+"->"+e.To.Fn.Name()] = e
+		}
+	}
+	if e := edges["Detach->flushNow"]; e == nil || !e.Go || e.InClosure {
+		t.Errorf("Detach -> flushNow = %+v, want a Go edge outside closures", e)
+	}
+	if e := edges["Relay->settle"]; e == nil || !e.InClosure || e.InHandler || e.Go {
+		t.Errorf("Relay -> settle = %+v, want InClosure, not InHandler (a goroutine), not Go", e)
+	}
 }
 
 // TestTaintSummaryPropagation3Deep pins the engine's inter-procedural
