@@ -21,6 +21,9 @@
 //	                    atomically and bumps the dataset generation
 //	/stats              dataset + cache counters
 //
+// An unknown or repeated query parameter, or a malformed query string,
+// is a 400. sevquery answers the same query targets offline.
+//
 // Query responses are cached in an LRU keyed by normalized query +
 // dataset generation and carry an ETag; clients replaying If-None-Match
 // see 304 until an ingest changes the dataset under them. The full

@@ -1,7 +1,8 @@
 // Command dcsim runs the full study simulation — seven years of intra-data-
 // center operation and eighteen months of backbone operation — and writes
-// the generated datasets to disk for later analysis with sevquery or the
-// dcnr library.
+// the generated datasets to disk for later analysis with the dcnr library,
+// or for serving: dcnrd -sevs loads sevs.json, and sevquery answers one
+// dcnrd query target over it offline.
 //
 // Usage:
 //

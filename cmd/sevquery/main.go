@@ -1,43 +1,42 @@
-// Command sevquery runs aggregate queries over a SEV dataset file produced
-// by dcsim — the CLI stand-in for the SQL queries the study ran against its
-// SEV database (§4.2).
+// Command sevquery answers one SEV query offline, the CLI stand-in for
+// the SQL queries the study ran against its SEV database (§4.2). It loads
+// a dataset file produced by dcsim and prints the body dcnrd serves for
+// the same request target, parsed by the same grammar.
 //
 // Usage:
 //
-//	sevquery -data sevs.json [-year N] [-type RSW] [-severity 1..3]
-//	         [-cause Maintenance] [-group year|type|severity|cause] [-show N]
+//	sevquery [-data sevs.json] TARGET
 //
-// Filters compose; -group prints counts per group instead of reports.
+// TARGET is a dcnrd query target, e.g. '/query/count?year=2017&by=device'
+// or '/query/resolutions?by=year' (README, "Serving"). sevquery exits 1
+// wherever dcnrd would answer anything but 200.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"dcnr"
-	"dcnr/internal/report"
+	"dcnr/internal/serve"
 )
 
 func main() {
-	var (
-		data     = flag.String("data", "sevs.json", "SEV dataset file (from dcsim)")
-		year     = flag.Int("year", 0, "filter: start year")
-		devType  = flag.String("type", "", "filter: device type (RSW, CSW, CSA, ESW, SSW, FSW, Core)")
-		severity = flag.Int("severity", 0, "filter: SEV level 1..3")
-		cause    = flag.String("cause", "", "filter: root cause category")
-		group    = flag.String("group", "", "group counts by: year, type, severity, cause")
-		show     = flag.Int("show", 10, "max reports to print when not grouping")
-	)
+	data := flag.String("data", "sevs.json", "SEV dataset file (from dcsim)")
 	flag.Parse()
-	if err := run(*data, *year, *devType, *severity, *cause, *group, *show); err != nil {
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: sevquery [-data sevs.json] TARGET")
+		os.Exit(2)
+	}
+	if err := run(os.Stdout, *data, flag.Arg(0)); err != nil {
 		fmt.Fprintln(os.Stderr, "sevquery:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, year int, devType string, severity int, cause, group string, show int) error {
+// run loads the dataset at path and writes target's answer to w.
+func run(w io.Writer, path, target string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -47,90 +46,10 @@ func run(path string, year int, devType string, severity int, cause, group strin
 	if err := store.ReadJSON(f); err != nil {
 		return err
 	}
-
-	q := store.Query()
-	if year != 0 {
-		q = q.Year(year)
+	body, err := serve.Answer(store, target)
+	if err != nil {
+		return err
 	}
-	if devType != "" {
-		dt, err := dcnr.ParseDeviceName(strings.ToLower(devType) + "001")
-		if err != nil {
-			return fmt.Errorf("unknown device type %q", devType)
-		}
-		q = q.DeviceType(dt)
-	}
-	if severity != 0 {
-		s := dcnr.Severity(severity)
-		if !s.Valid() {
-			return fmt.Errorf("severity must be 1..3, got %d", severity)
-		}
-		q = q.Severity(s)
-	}
-	if cause != "" {
-		rc, err := parseCause(cause)
-		if err != nil {
-			return err
-		}
-		q = q.RootCause(rc)
-	}
-
-	switch group {
-	case "":
-		return printReports(q.Reports(), show)
-	case "year":
-		t := &report.Table{Headers: []string{"Year", "SEVs"}}
-		byYear := q.CountByYear()
-		for _, y := range report.SortedInts(byYear) {
-			t.AddRow(fmt.Sprint(y), fmt.Sprint(byYear[y]))
-		}
-		return t.Render(os.Stdout)
-	case "type":
-		t := &report.Table{Headers: []string{"Device type", "SEVs"}}
-		byType := q.CountByDeviceType()
-		for _, dt := range dcnr.IntraDCTypes {
-			if n := byType[dt]; n > 0 {
-				t.AddRow(dt.String(), fmt.Sprint(n))
-			}
-		}
-		return t.Render(os.Stdout)
-	case "severity":
-		t := &report.Table{Headers: []string{"Level", "SEVs"}}
-		bySev := q.CountBySeverity()
-		for _, s := range dcnr.Severities {
-			t.AddRow(s.String(), fmt.Sprint(bySev[s]))
-		}
-		return t.Render(os.Stdout)
-	case "cause":
-		t := &report.Table{Headers: []string{"Root cause", "SEVs"}}
-		byCause := q.CountByRootCause()
-		for _, c := range dcnr.RootCauses {
-			t.AddRow(c.String(), fmt.Sprint(byCause[c]))
-		}
-		return t.Render(os.Stdout)
-	default:
-		return fmt.Errorf("unknown -group %q", group)
-	}
-}
-
-func parseCause(s string) (dcnr.RootCause, error) {
-	for _, c := range dcnr.RootCauses {
-		if strings.EqualFold(c.String(), s) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown root cause %q", s)
-}
-
-func printReports(reports []dcnr.SEVReport, show int) error {
-	fmt.Printf("%d matching SEVs\n\n", len(reports))
-	t := &report.Table{Headers: []string{"ID", "Level", "Year", "Device", "Resolution (h)", "Title"}}
-	for i, r := range reports {
-		if i >= show {
-			t.AddRow("...", "", "", "", "", fmt.Sprintf("(%d more)", len(reports)-show))
-			break
-		}
-		t.AddRow(fmt.Sprint(r.ID), r.Severity.String(), fmt.Sprint(r.Year), r.Device,
-			report.F(r.Resolution), r.Title)
-	}
-	return t.Render(os.Stdout)
+	_, err = w.Write(body)
+	return err
 }

@@ -152,16 +152,6 @@ func (m *Module) Analyze(list []*ModuleAnalyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// AnalyzePackages runs per-package analyzers over every package.
-func (m *Module) AnalyzePackages(list []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	for _, pkg := range m.Pkgs {
-		diags = append(diags, pkg.Analyze(list)...)
-	}
-	sortDiagnostics(diags)
-	return diags
-}
-
 // Timing is one analyzer's (or the loader's) wall cost, reported by
 // RunModule so `make lint` can keep lint latency visible.
 type Timing struct {

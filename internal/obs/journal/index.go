@@ -3,8 +3,10 @@ package journal
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -107,14 +109,25 @@ func ReadJSONL(r io.Reader) (*Index, error) {
 		rec := Record{
 			ID: ID(jr.ID), Parent: ID(jr.Parent), Kind: k,
 			Time: jr.T, Aux: jr.Aux, Ref: jr.Ref,
-			Dev:   intern8(&names.dev, dev, jr.Dev),
 			Class: -1, Sev: -1,
 		}
+		var err error
+		if rec.Dev, err = intern(&names.dev, dev, jr.Dev, math.MaxUint8+1); err != nil {
+			return nil, fmt.Errorf("journal: line %d: dev: %w", line, err)
+		}
 		if jr.Class != nil {
-			rec.Class = int8(intern8(&names.class, class, *jr.Class))
+			i, err := intern(&names.class, class, *jr.Class, math.MaxInt8+1)
+			if err != nil {
+				return nil, fmt.Errorf("journal: line %d: class: %w", line, err)
+			}
+			rec.Class = int8(i)
 		}
 		if jr.Sev != nil {
-			rec.Sev = int8(intern8(&names.sev, sevs, *jr.Sev))
+			i, err := intern(&names.sev, sevs, *jr.Sev, math.MaxInt8+1)
+			if err != nil {
+				return nil, fmt.Errorf("journal: line %d: sev: %w", line, err)
+			}
+			rec.Sev = int8(i)
 		}
 		recs = append(recs, rec)
 	}
@@ -124,16 +137,25 @@ func ReadJSONL(r io.Reader) (*Index, error) {
 	return NewIndex(recs, names), nil
 }
 
-// intern8 maps name to a stable small ordinal, growing the table on first
-// sight.
-func intern8(table *[]string, seen map[string]uint8, name string) uint8 {
+// intern maps name to a stable ordinal below limit, growing the table on
+// first sight. A new name past a full table is an error: a wrapped
+// ordinal would alias another name, or read as absent. So is an empty
+// (or missing) name: the writer renders one as its ordinal, so it would
+// not read back.
+func intern(table *[]string, seen map[string]uint8, name string, limit int) (uint8, error) {
 	if i, ok := seen[name]; ok {
-		return i
+		return i, nil
+	}
+	if name == "" {
+		return 0, errors.New("empty name")
+	}
+	if len(*table) >= limit {
+		return 0, fmt.Errorf("more than %d distinct names", limit)
 	}
 	i := uint8(len(*table))
 	*table = append(*table, name)
 	seen[name] = i
-	return i
+	return i, nil
 }
 
 // WriteJSONL writes the indexed records as one JSON object per line, in

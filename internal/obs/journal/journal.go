@@ -35,6 +35,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"io"
 	"sort"
 	"strconv"
@@ -323,7 +324,9 @@ func (e *encoder) frag(table *[][]byte, i int, key, name string) []byte {
 		*table = append(*table, nil)
 	}
 	if (*table)[i] == nil {
-		(*table)[i] = []byte(`,"` + key + `":"` + name + `"`)
+		// Names read back by ReadJSONL are outside text, so quote them.
+		quoted, _ := json.Marshal(name) // a string always marshals
+		(*table)[i] = append([]byte(`,"`+key+`":`), quoted...)
 	}
 	return (*table)[i]
 }
@@ -348,9 +351,7 @@ func writeJSONL(w io.Writer, recs []Record, names nameTables) error {
 	return nil
 }
 
-// appendRecord encodes one record as a JSON line. Names must be plain
-// JSON-safe text (no quotes, backslashes, or control characters) — the
-// project's enum String() methods all are.
+// appendRecord encodes one record as a JSON line.
 func (e *encoder) appendRecord(b []byte, r Record) []byte {
 	b = append(b, `{"id":`...)
 	b = strconv.AppendUint(b, uint64(r.ID), 10)

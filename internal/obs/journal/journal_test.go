@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -169,6 +170,39 @@ func TestReadJSONLSkipsHeaderLines(t *testing.T) {
 	}
 	if x.Len() != 11 {
 		t.Fatalf("read %d records, want 11 (header skipped)", x.Len())
+	}
+}
+
+// TestReadJSONLNameTableLimits: a stream fills each name table to what
+// its ordinal holds (256 devs, 128 classes, 128 severities) and reads
+// back every name; one name more is an error, not a wrapped ordinal.
+func TestReadJSONLNameTableLimits(t *testing.T) {
+	stream := func(n int, field string) string {
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, `{"id":%d,"kind":"fault_raised","t":%d,"dev":"RSW","%s":"n%d"}`+"\n", i+1, i, field, i)
+		}
+		return sb.String()
+	}
+	for _, c := range []struct {
+		field string
+		limit int
+	}{{"dev", 256}, {"class", 128}, {"sev", 128}} {
+		full := stream(c.limit, c.field)
+		x, err := ReadJSONL(strings.NewReader(full))
+		if err != nil {
+			t.Fatalf("%d distinct %s names: %v", c.limit, c.field, err)
+		}
+		var buf bytes.Buffer
+		if err := x.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), fmt.Sprintf(`"%s":"n%d"`, c.field, c.limit-1)) {
+			t.Errorf("%s: last of %d names lost on write-back", c.field, c.limit)
+		}
+		if _, err := ReadJSONL(strings.NewReader(stream(c.limit+1, c.field))); err == nil {
+			t.Errorf("%d distinct %s names accepted", c.limit+1, c.field)
+		}
 	}
 }
 

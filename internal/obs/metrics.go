@@ -338,20 +338,6 @@ func (s *Snapshot) Merge(other Snapshot) error {
 	return nil
 }
 
-// MergeSnapshots folds a sequence of snapshots into one, left to right,
-// under Snapshot.Merge's rules (counters add, histograms merge bucket-wise,
-// gauges last-writer-wins). It is the one-call form the sweep engine uses
-// to combine per-run registries into a single campaign-wide exposition.
-func MergeSnapshots(snaps ...Snapshot) (Snapshot, error) {
-	var out Snapshot
-	for i := range snaps {
-		if err := out.Merge(snaps[i]); err != nil {
-			return Snapshot{}, err
-		}
-	}
-	return out, nil
-}
-
 // WriteJSON writes the snapshot as indented JSON. Map keys serialize
 // sorted, so equal snapshots produce byte-identical output.
 func (s Snapshot) WriteJSON(w io.Writer) error {

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -33,38 +32,51 @@ type params struct {
 	by       string
 }
 
-func parseDeviceType(s string) (topology.DeviceType, error) {
-	for _, t := range topology.DeviceTypes {
-		if strings.EqualFold(s, t.String()) {
-			return t, nil
+// designs are the network designs a `design` filter names.
+var designs = []topology.Design{topology.DesignShared, topology.DesignCluster, topology.DesignFabric}
+
+// parseName matches s case-insensitively against the names of all,
+// naming the parameter as what in the error. An empty s leaves the
+// filter unset (nil).
+func parseName[T fmt.Stringer](s, what string, all []T) (*T, error) {
+	if s == "" {
+		return nil, nil
+	}
+	for _, v := range all {
+		if strings.EqualFold(s, v.String()) {
+			return &v, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown device type %q", s)
+	return nil, fmt.Errorf("unknown %s %q", what, s)
 }
 
-func parseDesign(s string) (topology.Design, error) {
-	for _, d := range []topology.Design{topology.DesignShared, topology.DesignCluster, topology.DesignFabric} {
-		if strings.EqualFold(s, d.String()) {
-			return d, nil
-		}
+// knownKey reports whether k is a parameter the query endpoints read.
+func knownKey(k string) bool {
+	switch k {
+	case "year", "device", "severity", "design", "cause", "since", "until", "by":
+		return true
 	}
-	return 0, fmt.Errorf("unknown design %q", s)
-}
-
-func parseRootCause(s string) (sev.RootCause, error) {
-	for _, c := range sev.RootCauses {
-		if strings.EqualFold(s, c.String()) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown root cause %q", s)
+	return false
 }
 
 // parseParams reads the filter/grouping query parameters. allowedBy
-// lists the endpoint's valid `by` dimensions ("" entries allowed).
-func parseParams(r *http.Request, allowedBy ...string) (params, error) {
+// lists the endpoint's valid `by` dimensions ("" entries allowed). An
+// unknown or repeated key is rejected, naming the smallest such key so
+// the error is the same on every run.
+func parseParams(q url.Values, allowedBy []string) (params, error) {
 	var p params
-	q := r.URL.Query()
+	bad, found := "", false
+	for k, vs := range q {
+		if (!knownKey(k) || len(vs) > 1) && (!found || k < bad) {
+			bad, found = k, true
+		}
+	}
+	if found {
+		if knownKey(bad) {
+			return p, fmt.Errorf("repeated key %q", bad)
+		}
+		return p, fmt.Errorf("unknown key %q", bad)
+	}
 	if s := q.Get("year"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil {
@@ -72,12 +84,9 @@ func parseParams(r *http.Request, allowedBy ...string) (params, error) {
 		}
 		p.year = &v
 	}
-	if s := q.Get("device"); s != "" {
-		t, err := parseDeviceType(s)
-		if err != nil {
-			return p, err
-		}
-		p.device = &t
+	var err error
+	if p.device, err = parseName(q.Get("device"), "device type", topology.DeviceTypes); err != nil {
+		return p, err
 	}
 	if s := q.Get("severity"); s != "" {
 		n, err := strconv.Atoi(strings.TrimPrefix(strings.ToUpper(s), "SEV"))
@@ -90,19 +99,11 @@ func parseParams(r *http.Request, allowedBy ...string) (params, error) {
 		}
 		p.severity = &v
 	}
-	if s := q.Get("design"); s != "" {
-		d, err := parseDesign(s)
-		if err != nil {
-			return p, err
-		}
-		p.design = &d
+	if p.design, err = parseName(q.Get("design"), "design", designs); err != nil {
+		return p, err
 	}
-	if s := q.Get("cause"); s != "" {
-		c, err := parseRootCause(s)
-		if err != nil {
-			return p, err
-		}
-		p.cause = &c
+	if p.cause, err = parseName(q.Get("cause"), "root cause", sev.RootCauses); err != nil {
+		return p, err
 	}
 	for _, bound := range []struct {
 		name string
@@ -206,28 +207,86 @@ func etagFor(gen uint64, path, norm string) string {
 	return fmt.Sprintf("\"%d-%x\"", gen, h.Sum64())
 }
 
-// The grouping dimensions each query endpoint accepts ("" = ungrouped).
-var (
-	countBy       = []string{"", "device", "severity", "year", "cause", "severity-device", "year-severity", "year-device", "year-design"}
-	resolutionsBy = []string{"", "device", "year"}
-)
+// route is one query endpoint: its path, the aggregation it computes and
+// the grouping dimensions its `by` accepts ("" = ungrouped).
+type route struct {
+	path    string
+	compute func(sev.Query, params) (any, error)
+	by      []string
+}
+
+// routes are the query endpoints in mount order: a slice, so
+// Server.Routes lists them the same way on every run.
+var routes = []route{
+	{"/query/count", handleCount, []string{"", "device", "severity", "year", "cause", "severity-device", "year-severity", "year-device", "year-design"}},
+	{"/query/resolutions", handleResolutions, []string{"", "device", "year"}},
+}
+
+// parse reads a raw query string into the route's params. A malformed
+// query string is rejected, not read in part.
+func (rt route) parse(rawQuery string) (params, error) {
+	q, err := url.ParseQuery(rawQuery)
+	if err != nil {
+		return params{}, fmt.Errorf("bad query: %v", err)
+	}
+	return parseParams(q, rt.by)
+}
+
+// answer computes the route's aggregation over store and marshals it:
+// the body a cache miss serves.
+func (rt route) answer(store *sev.Store, p params) ([]byte, error) {
+	v, err := rt.compute(p.apply(store.Query()), p)
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
+}
+
+// Answer returns the body dcnrd serves for a GET of target, a request
+// target such as "/query/count?year=2017&by=device", over store on a
+// cache miss. It errors wherever dcnrd answers anything but 200: a
+// target that does not parse, a path that is not a query endpoint, or
+// parameters the endpoint rejects.
+func Answer(store *sev.Store, target string) ([]byte, error) {
+	u, err := url.ParseRequestURI(target)
+	if err != nil {
+		return nil, err
+	}
+	for _, rt := range routes {
+		// The mux matches unescaped path segments, so a '/' spelled %2F
+		// is not a separator to it.
+		if u.Path == rt.path && !strings.Contains(strings.ToUpper(u.RawPath), "%2F") {
+			p, err := rt.parse(u.RawQuery)
+			if err != nil {
+				return nil, err
+			}
+			return rt.answer(store, p)
+		}
+	}
+	return nil, fmt.Errorf("no query endpoint at %q", u.Path)
+}
 
 // registerAPI mounts the query endpoints.
 func (d *Daemon) registerAPI() {
-	d.srv.Register("/query/count", d.cached(d.handleCount, countBy...))
-	d.srv.Register("/query/resolutions", d.cached(d.handleResolutions, resolutionsBy...))
+	for _, rt := range routes {
+		d.srv.Register(rt.path, d.cached(rt))
+	}
 	d.srv.Register("/ingest", http.HandlerFunc(d.handleIngest))
 	d.srv.Register("/stats", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, d.stats())
 	}))
 }
 
-// cached wraps a query handler with the normalize → ETag → LRU flow:
+// cached serves a query route through the normalize → ETag → LRU flow:
 // parse and canonicalize the request, revalidate If-None-Match against
 // the generation-bearing ETag (304, no recompute), then serve from the
 // LRU or compute and fill it. Responses carry ETag and X-Cache (hit |
 // miss) headers.
-func (d *Daemon) cached(compute func(sev.Query, params) (any, error), allowedBy ...string) http.Handler {
+func (d *Daemon) cached(rt route) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -235,7 +294,7 @@ func (d *Daemon) cached(compute func(sev.Query, params) (any, error), allowedBy 
 		}
 		started := time.Now()
 		d.mQueries.Inc()
-		p, err := parseParams(r, allowedBy...)
+		p, err := rt.parse(r.URL.RawQuery)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -245,36 +304,26 @@ func (d *Daemon) cached(compute func(sev.Query, params) (any, error), allowedBy 
 		etag := etagFor(gen, r.URL.Path, norm)
 		w.Header().Set("ETag", etag)
 		if r.Header.Get("If-None-Match") == etag {
-			d.notModified.Add(1)
 			d.mNotModified.Inc()
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 		key := fmt.Sprintf("%d|%s|%s", gen, r.URL.Path, norm)
-		if body, ok := d.cache.get(key); ok {
-			d.hits.Add(1)
+		body, ok := d.cache.get(key)
+		if ok {
 			d.mHits.Inc()
 			w.Header().Set("X-Cache", "hit")
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(body)
-			d.hLatency.Observe(time.Since(started).Seconds())
-			return
+		} else {
+			d.mMisses.Inc()
+			// A parsed request's aggregation fails only on the daemon's
+			// side (an unencodable value), so this is not a 400.
+			if body, err = rt.answer(d.store, p); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			d.cache.put(key, body)
+			w.Header().Set("X-Cache", "miss")
 		}
-		d.misses.Add(1)
-		d.mMisses.Inc()
-		v, err := compute(p.apply(d.store.Query()), p)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		body, err := json.Marshal(v)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		body = append(body, '\n')
-		d.cache.put(key, body)
-		w.Header().Set("X-Cache", "miss")
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(body)
 		d.hLatency.Observe(time.Since(started).Seconds())
@@ -316,7 +365,7 @@ func designKey(dn topology.Design) string    { return dn.String() }
 func groups(m map[string]any) *countResponse { return &countResponse{Groups: m} }
 func scalar(n int) *countResponse            { return &countResponse{Count: &n} }
 
-func (d *Daemon) handleCount(q sev.Query, p params) (any, error) {
+func handleCount(q sev.Query, p params) (any, error) {
 	switch p.by {
 	case "":
 		return scalar(q.Count()), nil
@@ -366,7 +415,7 @@ type resolutionsResponse struct {
 	Groups map[string]band `json:"groups"`
 }
 
-func (d *Daemon) handleResolutions(q sev.Query, p params) (any, error) {
+func handleResolutions(q sev.Query, p params) (any, error) {
 	samples := make(map[string][]float64)
 	switch p.by {
 	case "":
@@ -426,10 +475,8 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	d.ingested.Add(uint64(len(ids)))
 	d.mIngestBatches.Inc()
 	d.mIngestReports.Add(int64(len(ids)))
-	sort.Ints(ids)
 	WriteJSON(w, struct {
 		Ingested   int    `json:"ingested"`
 		Generation uint64 `json:"generation"`

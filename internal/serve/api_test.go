@@ -131,6 +131,7 @@ func TestDaemonQueryEndpoints(t *testing.T) {
 		"/query/count?by=bogus", "/query/count?year=twenty",
 		"/query/count?device=nope", "/query/resolutions?by=severity",
 		"/query/count?since=NaN", "/query/count?year=2013&until=nan",
+		"/query/count?yaer=2017", "/query/count?year=2013&year=2014",
 	} {
 		resp, err := http.Get(base + bad)
 		if err != nil {
@@ -265,28 +266,58 @@ func TestDaemonIngestRejectsBadBatch(t *testing.T) {
 	}
 }
 
-// TestDaemonStatsAndMetrics checks /stats counters and the serve_*
-// series when a registry is attached.
+// TestDaemonStatsAndMetrics: /stats reads the serve_* counters of the
+// attached registry. Without one the daemon counts on a private registry,
+// so /stats still counts while /metrics shows no serve_* series.
 func TestDaemonStatsAndMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	d, base := startDaemon(t, Config{Obs: observe.Observe{Metrics: reg}}, 20)
+	_, base := startDaemon(t, Config{Obs: observe.Observe{Metrics: reg}}, 20)
 	getJSON(t, base+"/query/count", nil)
-	getJSON(t, base+"/query/count", nil)
+	resp := getJSON(t, base+"/query/count", nil)
+	req, _ := http.NewRequest("GET", base+"/query/count", nil)
+	req.Header.Set("If-None-Match", resp.Header.Get("ETag"))
+	if resp, err := http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	} else {
+		_ = resp.Body.Close()
+	}
 	var st statsResponse
 	getJSON(t, base+"/stats", &st)
 	if st.Reports != 20 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Errorf("cache stats = hits %d misses %d, want 1/1", st.CacheHits, st.CacheMisses)
+	if st.CacheHits != 1 || st.CacheMisses != 1 || st.NotModified != 1 {
+		t.Errorf("cache stats = hits %d misses %d not modified %d, want 1/1/1", st.CacheHits, st.CacheMisses, st.NotModified)
 	}
-	if v := reg.Counter("serve_cache_hits_total").Value(); v != 1 {
-		t.Errorf("serve_cache_hits_total = %d", v)
+	for name, v := range map[string]uint64{
+		"serve_cache_hits_total":   st.CacheHits,
+		"serve_cache_misses_total": st.CacheMisses,
+		"serve_not_modified_total": st.NotModified,
+	} {
+		if got := reg.Counter(name).Value(); uint64(got) != v {
+			t.Errorf("%s = %d, /stats says %d", name, got, v)
+		}
 	}
-	if v := reg.Counter("serve_queries_total").Value(); v != 2 {
+	if v := reg.Counter("serve_queries_total").Value(); v != 3 {
 		t.Errorf("serve_queries_total = %d", v)
 	}
-	_ = d
+
+	_, bare := startDaemon(t, Config{}, 20)
+	getJSON(t, bare+"/query/count", nil)
+	getJSON(t, bare+"/query/count", nil)
+	getJSON(t, bare+"/stats", &st)
+	if st.CacheHits != 1 || st.CacheMisses != 1 {
+		t.Errorf("uninstrumented cache stats = hits %d misses %d, want 1/1", st.CacheHits, st.CacheMisses)
+	}
+	metrics, err := http.Get(bare + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(metrics.Body)
+	_ = metrics.Body.Close()
+	if strings.Contains(string(body), "serve_") {
+		t.Errorf("uninstrumented /metrics shows serve_* series:\n%s", body)
+	}
 }
 
 // TestDaemonQueryCountsOnce pins the store's query counters to one

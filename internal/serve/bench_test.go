@@ -61,6 +61,7 @@ func coldReports(n int, seed uint64) []sev.Report {
 // time bound with probability 1/4.
 func coldPath(rng *splitmix64) string {
 	v := url.Values{}
+	countBy, resolutionsBy := routes[0].by, routes[1].by
 	g := rng.intn(len(countBy) + len(resolutionsBy))
 	path := "/query/count"
 	by := ""
@@ -141,7 +142,7 @@ func BenchmarkDaemonColdMiss(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if hits := d.hits.Load(); hits != 0 {
+	if hits := d.mHits.Value(); hits != 0 {
 		b.Fatalf("%d cache hits; every request must miss", hits)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"dcnr/internal/obs"
 	"dcnr/internal/sev"
@@ -27,10 +26,8 @@ type Daemon struct {
 	srv   *Server
 	cache *lru
 
-	// Server-side cache statistics: the source of truth for /stats, and
-	// mirrored into the obs registry when one is attached.
-	hits, misses, notModified, ingested atomic.Uint64
-
+	// The serve_* series, on the caller's registry or, without one, on a
+	// private registry; /stats reads the same counters.
 	mQueries, mHits, mMisses, mNotModified *obs.Counter
 	mIngestReports, mIngestBatches         *obs.Counter
 	hLatency                               *obs.Histogram
@@ -50,16 +47,18 @@ func NewDaemon(cfg *Config) (*Daemon, error) {
 		cache: newLRU(cfg.CacheEntries),
 	}
 	d.store.Instrument(cfg.Obs.Metrics)
-	if reg := cfg.Obs.Metrics; reg != nil {
-		d.mQueries = reg.Counter("serve_queries_total")
-		d.mHits = reg.Counter("serve_cache_hits_total")
-		d.mMisses = reg.Counter("serve_cache_misses_total")
-		d.mNotModified = reg.Counter("serve_not_modified_total")
-		d.mIngestReports = reg.Counter("serve_ingest_reports_total")
-		d.mIngestBatches = reg.Counter("serve_ingest_batches_total")
-		d.hLatency = reg.Histogram("serve_query_seconds",
-			[]float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1})
+	reg := cfg.Obs.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
+	d.mQueries = reg.Counter("serve_queries_total")
+	d.mHits = reg.Counter("serve_cache_hits_total")
+	d.mMisses = reg.Counter("serve_cache_misses_total")
+	d.mNotModified = reg.Counter("serve_not_modified_total")
+	d.mIngestReports = reg.Counter("serve_ingest_reports_total")
+	d.mIngestBatches = reg.Counter("serve_ingest_batches_total")
+	d.hLatency = reg.Histogram("serve_query_seconds",
+		[]float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1})
 	d.srv = New(Options{
 		Addr:          cfg.Addr,
 		Name:          "dcnrd",
@@ -87,11 +86,8 @@ func (d *Daemon) LoadJSON(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if _, err := d.store.AddAll(reports); err != nil {
-		return err
-	}
-	d.ingested.Store(uint64(d.store.Len()))
-	return nil
+	_, err = d.store.AddAll(reports)
+	return err
 }
 
 // Start binds the daemon's listener and serves until Shutdown. It
@@ -123,9 +119,9 @@ func (d *Daemon) stats() statsResponse {
 		Reports:      d.store.Len(),
 		Generation:   d.store.Generation(),
 		CacheEntries: d.cache.len(),
-		CacheHits:    d.hits.Load(),
-		CacheMisses:  d.misses.Load(),
-		NotModified:  d.notModified.Load(),
+		CacheHits:    uint64(d.mHits.Value()),
+		CacheMisses:  uint64(d.mMisses.Value()),
+		NotModified:  uint64(d.mNotModified.Value()),
 	}
 }
 

@@ -12,38 +12,69 @@ import (
 	"dcnr/internal/sev"
 )
 
-// FuzzParseParams checks the query normalizer behind every cache key and
-// ETag: for any raw query string on either query endpoint, parseParams
-// either rejects it or accepts it with no NaN time bound, and the
-// normalized string parses again to the same normalized string. The
-// checked-in corpus (testdata/fuzz/FuzzParseParams) holds the twelve
-// paper-weighted hot-mix paths plus the NaN, infinity and re-spelling
-// edge cases.
+// FuzzParseParams checks the one query grammar, which dcnrd and sevquery
+// share. For any raw query string on either query endpoint, a route's
+// parse either rejects it or accepts it with no NaN time bound, and the
+// normalized string parses again to the same normalized string. And for
+// the request target path?raw over a small store, Answer errors exactly
+// when the daemon's mux answers non-200, and otherwise returns the body
+// the mux serves. Targets the mux routes to another endpoint (/stats,
+// /metrics, ...) are skipped. The checked-in corpus
+// (testdata/fuzz/FuzzParseParams) holds the twelve paper-weighted hot-mix
+// paths plus the NaN, infinity, re-spelling, unknown-key, repeated-key and
+// path edge cases.
 func FuzzParseParams(f *testing.F) {
+	var cfg Config
+	d, err := NewDaemon(&cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(d.Shutdown)
+	if _, err := d.Store().AddAll(coldReports(300, 7)); err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, path, raw string) {
-		allowedBy := countBy
-		if path == "/query/resolutions" {
-			allowedBy = resolutionsBy
+		rt := routes[0]
+		if path == routes[1].path {
+			rt = routes[1]
 		}
-		request := func(rawQuery string) *http.Request {
-			return &http.Request{Method: http.MethodGet, URL: &url.URL{Path: path, RawQuery: rawQuery}}
-		}
-		p, err := parseParams(request(raw), allowedBy...)
-		if err != nil {
-			return
-		}
-		for _, bound := range []*float64{p.since, p.until} {
-			if bound != nil && math.IsNaN(*bound) {
-				t.Fatalf("%s?%s: NaN time bound accepted", path, raw)
+		if p, err := rt.parse(raw); err == nil {
+			for _, bound := range []*float64{p.since, p.until} {
+				if bound != nil && math.IsNaN(*bound) {
+					t.Fatalf("%s?%s: NaN time bound accepted", path, raw)
+				}
+			}
+			norm := p.normalized()
+			again, err := rt.parse(norm)
+			if err != nil {
+				t.Fatalf("%s?%s: normalized form %q rejected: %v", path, raw, norm, err)
+			}
+			if got := again.normalized(); got != norm {
+				t.Fatalf("%s?%s: normalized %q re-normalizes to %q", path, raw, norm, got)
 			}
 		}
-		norm := p.normalized()
-		again, err := parseParams(request(norm), allowedBy...)
+
+		target := path + "?" + raw
+		body, aerr := Answer(d.Store(), target)
+		u, err := url.ParseRequestURI(target)
 		if err != nil {
-			t.Fatalf("%s?%s: normalized form %q rejected: %v", path, raw, norm, err)
+			// The server answers 400 before the mux sees the request.
+			if aerr == nil {
+				t.Fatalf("%q: Answer accepted a target the server rejects: %v", target, err)
+			}
+			return
 		}
-		if got := again.normalized(); got != norm {
-			t.Fatalf("%s?%s: normalized %q re-normalizes to %q", path, raw, norm, got)
+		req := &http.Request{Method: http.MethodGet, URL: u, Header: http.Header{}}
+		if _, pattern := d.srv.mux.Handler(req); pattern != "" && pattern != routes[0].path && pattern != routes[1].path {
+			return
+		}
+		w := httptest.NewRecorder()
+		d.srv.mux.ServeHTTP(w, req)
+		switch {
+		case (w.Code == http.StatusOK) != (aerr == nil):
+			t.Fatalf("%q: mux answered %d %q, Answer error %v", target, w.Code, w.Body, aerr)
+		case aerr == nil && !bytes.Equal(w.Body.Bytes(), body):
+			t.Fatalf("%q: mux body %q, Answer body %q", target, w.Body, body)
 		}
 	})
 }

@@ -215,12 +215,6 @@ func Study(net *topology.Network, demands []routing.Demand, down map[string]bool
 	return rep
 }
 
-// CompareFailure runs Study twice — healthy and with down — and returns
-// both reports, quantifying §3.1's "fewer switches … more congestion".
-func CompareFailure(net *topology.Network, demands []routing.Demand, down map[string]bool) (healthy, failed Report) {
-	return Study(net, demands, nil), Study(net, demands, down)
-}
-
 // DescribeLoad renders a short textual summary of a report.
 func DescribeLoad(rep Report) string {
 	var b strings.Builder

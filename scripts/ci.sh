@@ -26,9 +26,11 @@
 #                    SEV query index (every result method against the
 #                    brute-force Query.matches scan, over Add and AddAll
 #                    scripts), dcnrd's query normalizer (parseParams
-#                    round trip), and dcnrd's POST /ingest body (rejected
-#                    with Len and Generation unchanged, or accepted with
-#                    both advanced consistently)
+#                    round trip, and Answer against the daemon's mux),
+#                    dcnrd's POST /ingest body (rejected with Len and
+#                    Generation unchanged, or accepted with both advanced
+#                    consistently), and the journal reader (ReadJSONL's
+#                    write-back keeps every name and reads back to itself)
 #
 # Former bench smoke steps and where their gates live now, all machine-
 # independent and all run by `race` (the first also by `test-obs`):
@@ -90,6 +92,7 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzQueryMatchesScan$' -fuzztime 10s ./internal/sev
 	go test -run '^$' -fuzz '^FuzzParseParams$' -fuzztime 10s ./internal/serve
 	go test -run '^$' -fuzz '^FuzzIngest$' -fuzztime 10s ./internal/serve
+	go test -run '^$' -fuzz '^FuzzReadJournal$' -fuzztime 10s ./internal/obs/journal
 }
 step fuzz-smoke fuzz_smoke
 
