@@ -434,8 +434,8 @@ func AttachJournal(store *SEVStore, x *JournalIndex) int { return sev.AttachJour
 // *Timeline is a valid no-op. Pass one through
 // IntraConfig.Observe.Timeline (or SweepConfig.Timeline for per-run
 // streams) and serialize it with WriteJSONL; serve ServeHistory for
-// windowed queries, or stream live deltas by passing Subscribe to the
-// serve layer's SSE handler (ServeConfig / NewSEVDaemon side).
+// windowed queries (a live reader polls it with from set to the newest t
+// it holds; the bound is inclusive).
 type Timeline = timeline.Timeline
 
 // TimelineSample is one time-series point: the sample instant, the
@@ -460,8 +460,9 @@ func NewTimelineSampler(t *Timeline, lane string, reg *MetricsRegistry, counters
 
 // SweepStatus is the live campaign introspection table: a lock-free
 // per-run progress grid updated by the sweep workers. Set one on
-// SweepConfig.Status and serve SweepStatus.Handler (endpoints /campaign,
-// /campaign/events, /journal, /metrics/history) to watch a campaign run.
+// SweepConfig.Status and serve SweepStatus.Handler (endpoints /campaign
+// and /journal) to watch a campaign run; dcsweep mounts the campaign
+// timeline's ServeHistory beside it at /metrics/history.
 // A nil *SweepStatus is a valid no-op.
 type SweepStatus = sweep.Status
 

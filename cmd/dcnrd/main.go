@@ -28,7 +28,7 @@
 // dataset generation and carry an ETag; clients replaying If-None-Match
 // see 304 until an ingest changes the dataset under them. The full
 // runtime-introspection suite (/metrics, /healthz, /slo, /journal,
-// /metrics/history + SSE, /debug/pprof/) is mounted alongside, with a
+// /metrics/history, /debug/pprof/) is mounted alongside, with a
 // wall-clock timeline sampling the serve_* series once a second.
 //
 // -sevs loads a dataset file (the sevs.json shape dcsim writes);
@@ -87,8 +87,8 @@ type options struct {
 // runDaemon builds, loads, and serves the daemon until stop delivers.
 // ready (when non-nil) receives the bound address once the listener is
 // up — the e2e test's hook for ":0". Teardown order matters: stop the
-// sampler, close the timeline so SSE subscribers end, then shut the
-// daemon down (severing connections and joining the serving goroutine).
+// sampler, then shut the daemon down (severing connections and joining
+// the serving goroutine).
 func runDaemon(o options, stderr io.Writer, ready func(addr string), stop <-chan os.Signal) error {
 	reg := dcnr.NewMetricsRegistry()
 	var logger *slog.Logger
@@ -169,12 +169,11 @@ func runDaemon(o options, stderr io.Writer, ready func(addr string), stop <-chan
 	}
 
 	// The wall timeline samples the serve_* request counters once a
-	// second for /metrics/history and its SSE stream.
+	// second for /metrics/history.
 	smp := dcnr.NewTimelineSampler(tl, "wall", reg, []string{
 		"serve_queries_total", "serve_cache_hits_total",
 		"serve_cache_misses_total", "serve_ingest_reports_total",
 	}, nil)
-	defer tl.Close()
 	stopSampler := smp.StartWall(time.Second)
 	defer stopSampler()
 

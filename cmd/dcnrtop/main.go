@@ -7,12 +7,14 @@
 //
 //	dcnrtop [-addr HOST:PORT] [-interval DUR] [-width N] [-frames N]
 //
-// The dashboard is read-only and stdlib-only: it polls /campaign for the
-// snapshot (progress grid, per-run resource attribution, straggler flags)
-// and follows the /metrics/history/events SSE stream for the wall-clock
-// metric timeline behind the sparklines. Endpoints that are absent (an
-// older server, or no timeline attached) degrade to empty sections — the
-// dashboard never fails because one source is missing.
+// The dashboard is read-only and stdlib-only. Each frame it polls
+// /campaign for the snapshot (progress grid, per-run resource attribution,
+// straggler flags) and /metrics/history for the wall-clock metric timeline
+// behind the sparklines: the whole history on the first frame, so a
+// dashboard attached mid-campaign draws what came before, then only the
+// samples after the newest one it holds. A history endpoint that is absent
+// or failing degrades to empty sparklines — the dashboard never fails
+// because that source is missing.
 //
 // -interval sets the poll-and-redraw cadence (default 1s). -frames, when
 // positive, exits after that many frames — useful for scripting and
@@ -66,7 +68,6 @@ const (
 func watch(ctx context.Context, w io.Writer, base string, interval time.Duration, width, maxFrames int) error {
 	client := &http.Client{Timeout: 5 * time.Second}
 	hist := newHistories(maxPoints)
-	go hist.follow(ctx, base+"/metrics/history/events")
 
 	if _, err := io.WriteString(w, ansiHideCursor); err != nil {
 		return err
@@ -89,7 +90,8 @@ func watch(ctx context.Context, w io.Writer, base string, interval time.Duration
 			}
 			return err
 		}
-		out := ansiClearHome + renderFrame(cs, hist.snapshot(), width)
+		hist.poll(ctx, client, base+"/metrics/history")
+		out := ansiClearHome + renderFrame(cs, hist.data, width)
 		if _, err := io.WriteString(w, out); err != nil {
 			return err
 		}

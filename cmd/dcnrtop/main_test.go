@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -121,27 +123,87 @@ func TestRenderFrame(t *testing.T) {
 }
 
 func TestHistoriesIngestAndCap(t *testing.T) {
-	h := newHistories(3)
-	h.ingest(`{"t":1,"m":"a","v":1}` + "\n" + `{"t":2,"m":"b","v":9}` + "\nnot json\n")
-	for i := 0; i < 5; i++ {
-		h.add("a", float64(i))
+	h := newHistories(4)
+	h.ingest(strings.NewReader(`{"t":1,"m":"b","v":9}` + "\nnot json\n" +
+		`{"t":1,"m":"a","v":0}` + "\n" + `{"t":2,"m":"a","v":1}` + "\n"))
+	if h.last != 2 {
+		t.Errorf("newest t = %g, want 2", h.last)
 	}
-	snap := h.snapshot()
-	if want := []float64{2, 3, 4}; len(snap["a"]) != 3 || snap["a"][0] != want[0] || snap["a"][2] != want[2] {
-		t.Errorf("capped history = %v, want %v", snap["a"], want)
+	// The next body repeats t=2, as a from=2 poll does: it is not counted
+	// again, and the cap keeps only the newest four points.
+	var next strings.Builder
+	for i := 2; i <= 5; i++ {
+		fmt.Fprintf(&next, `{"t":%d,"m":"a","v":%d}`+"\n", i, i)
 	}
-	if len(snap["b"]) != 1 || snap["b"][0] != 9 {
-		t.Errorf("ingested history b = %v", snap["b"])
+	h.ingest(strings.NewReader(next.String()))
+	if got, want := h.data["a"], []float64{1, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("capped history = %v, want %v", got, want)
 	}
-	if names := metricNames(snap); len(names) != 2 || names[0] != "a" || names[1] != "b" {
+	if got := h.data["b"]; !reflect.DeepEqual(got, []float64{9}) {
+		t.Errorf("history b = %v, want [9]", got)
+	}
+	if names := metricNames(h.data); !reflect.DeepEqual(names, []string{"a", "b"}) {
 		t.Errorf("metric names = %v", names)
 	}
 }
 
+// TestHistoriesPoll polls a live timeline: the first poll draws every
+// sample flushed before it, each later poll asks from the newest t held
+// and counts no sample twice, and a failing source leaves the history as
+// it was.
+func TestHistoriesPoll(t *testing.T) {
+	tl := dcnr.NewTimeline(0)
+	reg := dcnr.NewMetricsRegistry()
+	smp := dcnr.NewTimelineSampler(tl, "wall", reg, []string{"a_total", "b_total"}, nil)
+	var (
+		mu      sync.Mutex
+		queries []string
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		queries = append(queries, r.URL.RawQuery)
+		mu.Unlock()
+		tl.ServeHistory(w, r)
+	}))
+	defer srv.Close()
+	tick := func(at float64, a, b int64) {
+		reg.Counter("a_total").Add(a)
+		reg.Counter("b_total").Add(b)
+		smp.Sample(at)
+		smp.Flush()
+	}
+	ctx := context.Background()
+	h := newHistories(maxPoints)
+
+	tick(1, 1, 5)
+	tick(2, 1, 0)
+	h.poll(ctx, srv.Client(), srv.URL)
+	tick(3, 1, 1)
+	h.poll(ctx, srv.Client(), srv.URL)
+	h.poll(ctx, srv.Client(), srv.URL)
+
+	want := map[string][]float64{"a_total": {1, 2, 3}, "b_total": {5, 6}}
+	if !reflect.DeepEqual(h.data, want) {
+		t.Errorf("history = %v, want %v", h.data, want)
+	}
+	mu.Lock()
+	if got := []string{"from=-Inf", "from=2", "from=3"}; !reflect.DeepEqual(queries, got) {
+		t.Errorf("poll queries = %q, want %q", queries, got)
+	}
+	mu.Unlock()
+
+	srv.Close()
+	h.poll(ctx, srv.Client(), srv.URL)
+	if !reflect.DeepEqual(h.data, want) {
+		t.Errorf("history after a failed poll = %v, want %v", h.data, want)
+	}
+}
+
 // TestWatchAgainstStatusServer drives the dashboard end to end against a
-// real sweep status handler: a tiny campaign completes, the timeline SSE
-// stream feeds the sparklines, and watch exits on its own once every run
-// is done.
+// real sweep status handler with the campaign timeline mounted beside it,
+// as dcsweep serves them: samples flushed before the dashboard attached
+// are drawn in its first frame, a tiny campaign completes, and watch exits
+// on its own once every run is done.
 func TestWatchAgainstStatusServer(t *testing.T) {
 	status := dcnr.NewSweepStatus()
 	tl := dcnr.NewTimeline(0)
@@ -150,14 +212,11 @@ func TestWatchAgainstStatusServer(t *testing.T) {
 	smp := dcnr.NewTimelineSampler(tl, "wall", reg, []string{"sweep_runs_total"}, nil)
 	smp.Sample(1)
 	smp.Flush()
-	status.AttachTimeline(tl)
-	srv := httptest.NewServer(status.Handler())
-	// Teardown order (defers run last-in-first-out): cancel the watcher's
-	// context so the SSE follower stops reconnecting, close the timeline so
-	// the in-flight /metrics/history/events handler returns, then close the
-	// server (which waits for active requests).
+	mux := http.NewServeMux()
+	mux.Handle("/", status.Handler())
+	mux.HandleFunc("/metrics/history", tl.ServeHistory)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	defer tl.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -166,33 +225,6 @@ func TestWatchAgainstStatusServer(t *testing.T) {
 	go func() {
 		done <- watch(ctx, &buf, srv.URL, 10*time.Millisecond, 60, 0)
 	}()
-
-	// SSE subscribers only see blocks flushed after they connect, so keep
-	// the timeline moving while the dashboard watches.
-	go func() {
-		for i := 2; ; i++ {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-			reg.Counter("sweep_runs_total").Inc()
-			smp.Sample(float64(i))
-			smp.Flush()
-		}
-	}()
-
-	// Hold the sweep until a rendered frame proves the SSE pipeline is
-	// live end to end — the campaign can otherwise finish (and the
-	// dashboard exit) before the follower has connected.
-	deadline := time.Now().Add(30 * time.Second)
-	for !strings.Contains(buf.String(), "sweep_runs_total") {
-		if time.Now().After(deadline) {
-			t.Fatal("no timeline samples reached the dashboard")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
 	sweepDone := make(chan error, 1)
 	go func() {
 		_, err := dcnr.Sweep(dcnr.SweepConfig{
@@ -215,6 +247,10 @@ func TestWatchAgainstStatusServer(t *testing.T) {
 		t.Fatalf("sweep: %v", err)
 	}
 	out := buf.String()
+	frames := strings.Split(out, ansiClearHome)
+	if len(frames) < 2 || !strings.Contains(frames[1], "sweep_runs_total") {
+		t.Errorf("first frame lacks the history flushed before it:\n%s", out)
+	}
 	for _, want := range []string{"1/1 done", "baseline", "100%", "sweep_runs_total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dashboard output missing %q", want)

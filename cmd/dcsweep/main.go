@@ -50,12 +50,13 @@
 // -status-addr serves live campaign introspection over HTTP while the
 // sweep runs: /campaign (a JSON snapshot — per-run state, completed/total,
 // per-run resource attribution, z-score straggler flags, live cross-run
-// p5/p95 bands), /campaign/events (server-sent events, one per completed
-// run), /journal (the merged causal-journal summary of completed runs),
-// and /metrics/history (+/events) — a wall-clock timeline of the campaign's
-// sweep_* progress series, sampled once a second, as windowed JSONL and an
-// SSE delta stream. A failed bind is logged and the campaign proceeds
-// without introspection; the report is byte-identical either way.
+// p5/p95 bands), /journal (the merged causal-journal summary of completed
+// runs), and /metrics/history — a wall-clock timeline of the campaign's
+// sweep_* progress series, sampled once a second, as windowed JSONL
+// (?from=S&to=S&metric=NAME, bounds inclusive). Every endpoint is polled;
+// dcnrtop renders them as a live dashboard. A failed bind is logged and
+// the campaign proceeds without introspection; the report is
+// byte-identical either way.
 package main
 
 import (
@@ -64,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -216,36 +218,32 @@ func run(o options) error {
 		status := dcnr.NewSweepStatus()
 		cfg.Status = status
 		logger := opsLogger(o, cfg.Observe.Logger)
-		if shutdown, addr, serveErr := serveStatus(o.statusAddr, status, logger); serveErr != nil {
+		tl := dcnr.NewTimeline(0)
+		if shutdown, addr, serveErr := serveStatus(o.statusAddr, status, tl, logger); serveErr != nil {
 			// A dead status endpoint is an observability gap, not a reason
 			// to abandon the campaign — report it and sweep anyway.
 			logger.Warn("campaign status server failed to bind; sweeping without introspection",
 				"addr", o.statusAddr, "err", serveErr)
 		} else {
 			defer shutdown()
-			// A wall-clock timeline of the campaign's own progress series
+			// The wall-clock timeline of the campaign's own progress series
 			// backs /metrics/history: one sample per second for as long as
 			// the sweep runs. The series live on the campaign registry;
 			// when -metrics-out didn't make one, a private registry is
 			// installed to carry the sweep_* bookkeeping (Result.Metrics
 			// then merges but is dropped unread — the report bytes are
-			// unchanged either way).
+			// unchanged either way). The sampler stops before the server
+			// shuts down (defers run last-in-first-out).
 			sreg := reg
 			if sreg == nil {
 				sreg = dcnr.NewMetricsRegistry()
 				cfg.Observe.Metrics = sreg
 			}
-			tl := dcnr.NewTimeline(0)
 			smp := dcnr.NewTimelineSampler(tl, "wall", sreg, sweepTimelineCounters, sweepTimelineGauges)
-			status.AttachTimeline(tl)
-			// Teardown order (defers run last-in-first-out, before the
-			// shutdown above): stop the sampler, close the timeline so SSE
-			// streams end, then the server closes and joins.
-			defer tl.Close()
 			stopSampler := smp.StartWall(time.Second)
 			defer stopSampler()
 			if _, err := fmt.Fprintf(stdout,
-				"status: http://%s (/campaign, /campaign/events, /journal, /metrics/history)\n", addr); err != nil {
+				"status: http://%s (/campaign, /journal, /metrics/history)\n", addr); err != nil {
 				return err
 			}
 		}
@@ -313,16 +311,17 @@ func run(o options) error {
 	return nil
 }
 
-// serveStatus binds the campaign status endpoints on addr and serves them
-// until the returned shutdown function is called. Shutdown severs any
-// live SSE subscribers (their handlers return via the request context)
-// and joins the serving goroutine, so nothing it spawned can outlive the
-// sweep — in particular no late logger.Warn against a writer the caller
-// has already torn down. It returns the bound address so ":0" works in
-// tests.
-func serveStatus(addr string, status *dcnr.SweepStatus, logger *slog.Logger) (func(), string, error) {
+// serveStatus binds the campaign status endpoints on addr — status's
+// /campaign and /journal, and tl's windowed history at /metrics/history —
+// and serves them until the returned shutdown function is called.
+// Shutdown severs any open connection and joins the serving goroutine, so
+// nothing it spawned can outlive the sweep — in particular no late
+// logger.Warn against a writer the caller has already torn down. It
+// returns the bound address so ":0" works in tests.
+func serveStatus(addr string, status *dcnr.SweepStatus, tl *dcnr.Timeline, logger *slog.Logger) (func(), string, error) {
 	srv := serve.New(serve.Options{Addr: addr, Name: "campaign status", Logger: logger})
 	srv.Register("/", status.Handler())
+	srv.Register("/metrics/history", http.HandlerFunc(tl.ServeHistory))
 	bound, err := srv.Start()
 	if err != nil {
 		return nil, "", err

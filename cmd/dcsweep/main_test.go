@@ -1,9 +1,9 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -191,6 +191,14 @@ func TestRunStatusAndJournal(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Errorf("GET /journal: status %d", resp.StatusCode)
 	}
+	resp, err = http.Get("http://" + addr + "/metrics/history?from=0")
+	if err != nil {
+		t.Fatalf("GET /metrics/history: %v", err)
+	}
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != 200 || ct != "application/x-ndjson" {
+		t.Errorf("GET /metrics/history: status %d, Content-Type %q", resp.StatusCode, ct)
+	}
 
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
@@ -230,26 +238,26 @@ func TestRunStatusAndJournal(t *testing.T) {
 }
 
 // TestServeStatusShutdownJoins pins the status-server lifecycle: shutdown
-// returns only after the serving goroutine exits, severs a live SSE
-// subscriber rather than waiting for it, and releases the port — nothing
-// serveStatus spawned outlives the call.
+// returns only after the serving goroutine exits, severs a client holding
+// a half-sent request open rather than waiting out its header timeout, and
+// releases the port — nothing serveStatus spawned outlives the call.
 func TestServeStatusShutdownJoins(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
-	shutdown, addr, err := serveStatus("127.0.0.1:0", dcnr.NewSweepStatus(), logger)
+	shutdown, addr, err := serveStatus("127.0.0.1:0", dcnr.NewSweepStatus(), dcnr.NewTimeline(0), logger)
 	if err != nil {
 		t.Fatalf("serveStatus: %v", err)
 	}
 
-	// Hold a live SSE stream open: the handler is now parked in its
-	// select, waiting for events or the connection to go away.
-	resp, err := http.Get("http://" + addr + "/campaign/events")
+	// Hold a request half-sent: the headers never end, so the server's
+	// connection goroutine is parked reading them.
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatalf("GET /campaign/events: %v", err)
+		t.Fatalf("dial: %v", err)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("/campaign/events Content-Type = %q", ct)
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /campaign HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatalf("writing half a request: %v", err)
 	}
 
 	returned := make(chan struct{})
@@ -260,24 +268,19 @@ func TestServeStatusShutdownJoins(t *testing.T) {
 	select {
 	case <-returned:
 	case <-time.After(5 * time.Second):
-		t.Fatal("shutdown did not return with a live SSE subscriber; serving goroutine not joined")
+		t.Fatal("shutdown did not return with a half-sent request open; serving goroutine not joined")
 	}
 
-	// The subscriber's connection was severed, so the stream ends.
-	readDone := make(chan struct{})
+	// The held connection was severed, so reading it ends.
+	readDone := make(chan error, 1)
 	go func() {
-		defer close(readDone)
-		r := bufio.NewReader(resp.Body)
-		for {
-			if _, err := r.ReadString('\n'); err != nil {
-				return
-			}
-		}
+		_, err := io.Copy(io.Discard, conn)
+		readDone <- err
 	}()
 	select {
 	case <-readDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("SSE stream still open after shutdown")
+		t.Fatal("half-sent request's connection still open after shutdown")
 	}
 
 	// And the port is free for the next campaign.

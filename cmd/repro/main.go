@@ -26,9 +26,9 @@
 // full JSON report), /journal (the causal incident journal's summary —
 // lifecycle counts and per-device-type MTTR phase decomposition, live as
 // the intra-DC dataset builds), /metrics/history (the wall-clock metric
-// timeline as JSONL, windowable with ?from=S&to=S&metric=NAME), its SSE
-// companion /metrics/history/events (new sample blocks as they flush), and
-// /debug/pprof/ (the standard profiling endpoints).
+// timeline as JSONL, windowable with ?from=S&to=S&metric=NAME; poll it
+// with the last t seen as from for what is new), and /debug/pprof/ (the
+// standard profiling endpoints).
 // -trace records a Chrome trace-event file
 // covering the simulation's hot paths and every analysis task, loadable in
 // chrome://tracing or Perfetto.
@@ -111,10 +111,8 @@ func main() {
 			os.Exit(1)
 		}
 		// Teardown order (defers run last-in-first-out): stop the sampler,
-		// close the timeline so SSE streams end, then close the server and
-		// join its goroutine.
+		// then close the server and join its goroutine.
 		defer shutdown()
-		defer tl.Close()
 		stopSampler := smp.StartWall(time.Second)
 		defer stopSampler()
 		fmt.Fprintf(os.Stderr, "repro: introspection on http://%s (/debug/vars, /metrics, /healthz, /slo, /journal, /metrics/history, /debug/pprof/)\n", addr)
@@ -154,12 +152,12 @@ func main() {
 // /healthz and /slo (the SLO engine's liveness verdict and full JSON
 // report; eng may be nil, which reads as permanently healthy), /journal
 // (the causal journal's summary; jnl may be nil, which reads as an empty
-// journal), /metrics/history and /metrics/history/events (the attached
-// timeline's windowed JSONL history and SSE delta stream; tl may be nil,
-// which serves empty histories), and /debug/pprof/. The shutdown function
-// stops the server AND joins the serving goroutine — callers must invoke
-// it so no goroutine outlives the run. The bound address is returned so
-// callers can pass ":0" and discover the port.
+// journal), /metrics/history (the attached timeline's windowed JSONL
+// history; tl may be nil, which serves empty histories), and
+// /debug/pprof/. The shutdown function stops the server AND joins the
+// serving goroutine — callers must invoke it so no goroutine outlives the
+// run. The bound address is returned so callers can pass ":0" and
+// discover the port.
 func startMetricsServer(addr string, reg *dcnr.MetricsRegistry, eng *dcnr.HealthEngine, jnl *dcnr.Journal, tl *dcnr.Timeline) (func(), string, error) {
 	srv := serve.New(serve.Options{
 		Addr:          addr,

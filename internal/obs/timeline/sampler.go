@@ -83,9 +83,9 @@ func (s *Sampler) Flush() {
 
 // StartWall starts a wall-clock sampling loop for servers: every period,
 // the sampler ticks with T = seconds since the loop started and flushes,
-// so HTTP history readers and SSE subscribers see fresh points each
-// period. The returned stop function (idempotent, safe on a nil sampler)
-// ends the loop, takes a final sample, and flushes.
+// so HTTP history readers see fresh points each period. The returned stop
+// function (idempotent, safe on a nil sampler) ends the loop, takes a
+// final sample, and flushes.
 func (s *Sampler) StartWall(period time.Duration) (stop func()) {
 	if s == nil {
 		return func() {}

@@ -1,84 +1,11 @@
 package timeline
 
 import (
+	"errors"
 	"math"
 	"net/http"
 	"strconv"
 )
-
-// publish encodes a freshly-flushed block and fans it out to every SSE
-// subscriber. Sends are non-blocking: a subscriber that stopped draining
-// loses deltas rather than stalling the producer. Cold path — one call
-// per flushed block, nothing when nobody subscribed.
-func (t *Timeline) publish(blk []Sample) {
-	if t == nil {
-		return
-	}
-	t.subMu.Lock()
-	defer t.subMu.Unlock()
-	if len(t.subs) == 0 {
-		return
-	}
-	enc := encoder{cols: t.columns()}
-	buf := make([]byte, 0, 64*len(blk))
-	for _, s := range blk {
-		buf = enc.appendSample(buf, s)
-	}
-	for _, ch := range t.subs {
-		select {
-		case ch <- buf:
-		default:
-		}
-	}
-}
-
-// Close marks the timeline's stream over: every SSE subscriber channel
-// closes, so streaming handlers return. Recording and history reads stay
-// valid after Close; only the live delta feed ends.
-func (t *Timeline) Close() {
-	if t == nil {
-		return
-	}
-	t.subMu.Lock()
-	defer t.subMu.Unlock()
-	t.closed = true
-	for _, ch := range t.subs {
-		close(ch)
-	}
-	t.subs = nil
-}
-
-// Subscribe registers a live-delta subscriber: each flushed block arrives
-// as one JSONL chunk. The channel closes when the timeline is Closed
-// (immediately if it already is); cancel must be called when the
-// subscriber goes away.
-func (t *Timeline) Subscribe() (<-chan []byte, func()) {
-	ch := make(chan []byte, 16)
-	if t == nil {
-		close(ch)
-		return ch, func() {}
-	}
-	t.subMu.Lock()
-	defer t.subMu.Unlock()
-	if t.closed {
-		close(ch)
-		return ch, func() {}
-	}
-	id := t.nextSub
-	t.nextSub++
-	if t.subs == nil {
-		t.subs = make(map[int]chan []byte)
-	}
-	t.subs[id] = ch
-	return ch, func() {
-		t.subMu.Lock()
-		defer t.subMu.Unlock()
-		if _, ok := t.subs[id]; ok {
-			delete(t.subs, id)
-			close(ch)
-		}
-	}
-}
 
 // ServeHistory answers a windowed history query with JSONL, one sample
 // per line in the canonical merged order. Query parameters:
@@ -86,33 +13,29 @@ func (t *Timeline) Subscribe() (<-chan []byte, func()) {
 //	from, to  inclusive time bounds (defaults: the whole history)
 //	metric    restrict to one series name
 //
-// A nil timeline (or a malformed bound) serves an empty body / 400 rather
-// than panicking, so handlers can be mounted unconditionally.
+// A nil timeline serves an empty body rather than panicking, so handlers
+// can be mounted unconditionally. A malformed or NaN bound is a 400: NaN
+// compares false against every sample, so it would silently drop the
+// bound instead of applying it.
 func (t *Timeline) ServeHistory(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if t == nil {
 		return
 	}
-	from, to := math.Inf(-1), math.Inf(1)
-	if s := r.URL.Query().Get("from"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			http.Error(w, "bad from: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		from = v
+	q := r.URL.Query()
+	from, err := parseBound(q.Get("from"), math.Inf(-1))
+	if err != nil {
+		http.Error(w, "bad from: "+err.Error(), http.StatusBadRequest)
+		return
 	}
-	if s := r.URL.Query().Get("to"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			http.Error(w, "bad to: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		to = v
+	to, err := parseBound(q.Get("to"), math.Inf(1))
+	if err != nil {
+		http.Error(w, "bad to: "+err.Error(), http.StatusBadRequest)
+		return
 	}
 	enc := encoder{cols: t.columns()}
 	buf := make([]byte, 0, 1<<14)
-	for _, s := range t.Window(from, to, r.URL.Query().Get("metric")) {
+	for _, s := range t.Window(from, to, q.Get("metric")) {
 		buf = enc.appendSample(buf, s)
 		if len(buf) >= 1<<14-128 {
 			if _, err := w.Write(buf); err != nil {
@@ -130,7 +53,17 @@ func (t *Timeline) ServeHistory(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// The SSE delta stream built on Subscribe lives in internal/serve
-// (serve.StreamSSE), the repo's one HTTP serving layer — this package
-// keeps only the subscription primitive so it stays free of serving
-// concerns.
+// parseBound parses one window bound; empty selects def.
+func parseBound(s string, def float64) (float64, error) {
+	if s == "" {
+		return def, nil
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) {
+		return 0, errors.New("NaN")
+	}
+	return v, nil
+}

@@ -69,13 +69,6 @@ type Timeline struct {
 	lanes []*Lane
 	cols  []string
 	colID map[string]int32
-
-	// subs are the SSE delta subscribers; closed flips when the producer
-	// calls Close, ending every subscriber stream.
-	subMu   sync.Mutex
-	subs    map[int]chan []byte
-	nextSub int
-	closed  bool
 }
 
 // New returns an empty timeline sampling on the given sim-time cadence in
@@ -124,7 +117,7 @@ func (t *Timeline) Lane(name string) *Lane {
 	if t == nil {
 		return nil
 	}
-	l := &Lane{t: t, name: name}
+	l := &Lane{name: name}
 	t.mu.Lock()
 	t.lanes = append(t.lanes, l)
 	t.mu.Unlock()
@@ -316,10 +309,8 @@ func (e *encoder) appendSample(b []byte, s Sample) []byte {
 }
 
 // Lane is a single-writer sample buffer feeding its timeline: an obs.Lane
-// of samples whose published blocks also fan out to SSE subscribers. All
-// methods are nil-safe.
+// of samples whose published blocks readers see. All methods are nil-safe.
 type Lane struct {
-	t    *Timeline
 	name string
 	ring obs.Lane[Sample]
 }
@@ -336,13 +327,11 @@ func (l *Lane) Record(col int32, t, v float64) {
 	}
 }
 
-// Flush publishes the staged samples to readers and subscribers. Only the
-// writer may call it.
+// Flush publishes the staged samples to readers. Only the writer may call
+// it.
 func (l *Lane) Flush() {
 	if l == nil {
 		return
 	}
-	if blk := l.ring.Flush(); blk != nil {
-		l.t.publish(blk)
-	}
+	l.ring.Flush()
 }

@@ -281,6 +281,21 @@ func (d *Daemon) registerAPI() {
 	}))
 }
 
+// WriteJSON writes v as a JSON response. The write error is consciously
+// dropped after the header went out — a client that hung up mid-response
+// is its own problem, not the server's.
+func WriteJSON(w http.ResponseWriter, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(append(data, '\n')); err != nil {
+		return
+	}
+}
+
 // cached serves a query route through the normalize → ETag → LRU flow:
 // parse and canonicalize the request, revalidate If-None-Match against
 // the generation-bearing ETag (304, no recompute), then serve from the

@@ -3,17 +3,18 @@ package serve
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dcnr/internal/obs"
-	"dcnr/internal/obs/timeline"
 )
 
 // TestServerLifecycle pins the three-phase contract: Register before
 // Start, Start binds ":0" and returns the address, Shutdown severs and
-// joins, and a second Shutdown is a no-op.
+// joins, and a second Shutdown is a no-op. It also pins the connection
+// timeouts: header, write and idle bounds are set, and ReadTimeout is not
+// (it would cancel a long /debug/pprof/profile).
 func TestServerLifecycle(t *testing.T) {
 	s := New(Options{Addr: "127.0.0.1:0", Name: "test"})
 	s.Register("/ping", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -34,6 +35,18 @@ func TestServerLifecycle(t *testing.T) {
 	}
 	if got := s.Addr(); got != addr {
 		t.Errorf("Addr() = %q, Start returned %q", got, addr)
+	}
+	if got := s.srv.ReadHeaderTimeout; got != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", got)
+	}
+	if got := s.srv.WriteTimeout; got != 30*time.Second {
+		t.Errorf("WriteTimeout = %v, want 30s", got)
+	}
+	if got := s.srv.IdleTimeout; got != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", got)
+	}
+	if got := s.srv.ReadTimeout; got != 0 {
+		t.Errorf("ReadTimeout = %v, want none", got)
 	}
 	s.Shutdown()
 	s.Shutdown() // idempotent
@@ -98,6 +111,9 @@ func TestServerIntrospection(t *testing.T) {
 	if code, body := get("/metrics/history"); code != 200 || body != "" {
 		t.Errorf("/metrics/history with nil timeline: %d %q", code, body)
 	}
+	if code, _ := get("/metrics/history/events"); code != http.StatusNotFound {
+		t.Errorf("/metrics/history/events: %d, want 404 (no streams)", code)
+	}
 	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "dcnr") {
 		t.Errorf("/debug/vars: %d", code)
 		_ = body
@@ -106,49 +122,6 @@ func TestServerIntrospection(t *testing.T) {
 	routes := s.Routes()
 	if len(routes) == 0 || routes[0] != "/debug/vars" {
 		t.Errorf("Routes() = %v", routes)
-	}
-}
-
-// TestStreamSSETimeline drives the shared SSE loop against a live
-// timeline subscription — the replacement for timeline.ServeEvents.
-func TestStreamSSETimeline(t *testing.T) {
-	tl := timeline.New(24)
-	col := tl.Column("a")
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		StreamSSE(w, r, tl.Subscribe)
-	}))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	lane := tl.Lane("sim")
-	lane.Record(col, 5, 1)
-	lane.Flush()
-	tl.Close() // ends the stream so ReadAll terminates
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "data: {\"t\":5,\"m\":\"a\",\"v\":1}\n\n"; string(body) != want {
-		t.Errorf("SSE stream = %q, want %q", body, want)
-	}
-}
-
-// TestWriteSSEFraming pins the multi-line chunk framing (moved from the
-// timeline package with the handler).
-func TestWriteSSEFraming(t *testing.T) {
-	rec := httptest.NewRecorder()
-	if err := writeSSE(rec, []byte("{\"a\":1}\n{\"b\":2}\n")); err != nil {
-		t.Fatal(err)
-	}
-	want := "data: {\"a\":1}\ndata: {\"b\":2}\n\n"
-	if rec.Body.String() != want {
-		t.Errorf("writeSSE = %q, want %q", rec.Body.String(), want)
 	}
 }
 

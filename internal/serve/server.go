@@ -1,8 +1,7 @@
 // Package serve is the repo's one HTTP serving layer: a Server wraps the
 // listener / mux / serving-goroutine / shutdown plumbing that cmd/repro,
-// cmd/dcsweep, and the timeline SSE handlers each used to carry their own
-// copy of, and the Daemon (daemon.go) builds the SEV query API on
-// top of it.
+// cmd/dcsweep, and cmd/dcnrd would otherwise each carry their own copy
+// of, and the Daemon (daemon.go) builds the SEV query API on top of it.
 //
 // The lifecycle is a strict three-phase contract:
 //
@@ -16,9 +15,9 @@
 // synchronized (the obsnilsafe and lockflow analyzers enforce the
 // constructor-only discipline for types that share a Server). Shutdown is
 // idempotent and safe from any goroutine: it closes active connections
-// (streaming subscribers must not stall process exit) and joins the
-// serving goroutine, so no log write can land after it returns — the
-// PR-8 shutdown-func contract.
+// (a slow client must not stall process exit) and joins the serving
+// goroutine, so no log write can land after it returns — the PR-8
+// shutdown-func contract.
 package serve
 
 import (
@@ -61,13 +60,12 @@ type Options struct {
 	Health *health.Engine
 	// Journal backs /journal; nil reads as an empty journal.
 	Journal *journal.Journal
-	// Timeline backs /metrics/history and /metrics/history/events; nil
-	// serves empty histories and an immediately-ending stream.
+	// Timeline backs /metrics/history; nil serves empty histories.
 	Timeline *timeline.Timeline
 	// Introspection mounts the full runtime-introspection suite:
 	// /debug/vars, /metrics, /healthz, /slo, /journal, /metrics/history,
-	// /metrics/history/events, and /debug/pprof/. Without it the Server
-	// serves only what Register mounts.
+	// and /debug/pprof/. Without it the Server serves only what Register
+	// mounts.
 	Introspection bool
 }
 
@@ -89,12 +87,16 @@ type Server struct {
 }
 
 // Connection timeouts. A client gets readHeaderTimeout to send its
-// request headers and idleTimeout to start its next request on a
-// keep-alive connection. There is deliberately no WriteTimeout: SSE
-// streams (/metrics/history/events, /campaign/events) stay open for as
-// long as the client listens.
+// request headers, writeTimeout from then on to take the whole response,
+// and idleTimeout to start its next request on a keep-alive connection.
+// No response streams, so writeTimeout bounds every handler;
+// /debug/pprof/profile and /debug/pprof/trace push their own write
+// deadline out by the requested profile length. There is deliberately no
+// ReadTimeout: its deadline also bounds the server's background read of
+// the connection, so it would cancel a long profile's request context.
 const (
 	readHeaderTimeout = 10 * time.Second
+	writeTimeout      = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
@@ -160,6 +162,7 @@ func (s *Server) Start() (string, error) {
 	s.srv = &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: readHeaderTimeout,
+		WriteTimeout:      writeTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 	s.done = make(chan struct{})
@@ -181,8 +184,8 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown stops the server and joins the serving goroutine. Close (not
-// http.Server.Shutdown) also severs active connections — a scraper
-// holding a streaming response open must not stall process exit — and
+// http.Server.Shutdown) also severs active connections — a client that
+// stopped reading mid-response must not stall process exit — and
 // the join guarantees no goroutine log write lands after Shutdown
 // returns. Idempotent; a no-op before Start or on a nil Server.
 func (s *Server) Shutdown() {
@@ -257,9 +260,6 @@ func (s *Server) mountIntrospection() {
 		_, _ = w.Write(append(data, '\n'))
 	}))
 	s.Register("/metrics/history", http.HandlerFunc(tl.ServeHistory))
-	s.Register("/metrics/history/events", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		StreamSSE(w, r, tl.Subscribe)
-	}))
 	s.Register("/debug/pprof/", http.HandlerFunc(pprof.Index))
 	s.Register("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
 	s.Register("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))

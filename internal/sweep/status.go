@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"math"
 	"net/http"
 	"sync"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"dcnr/internal/obs/journal"
-	"dcnr/internal/obs/timeline"
 	"dcnr/internal/serve"
 )
 
@@ -47,21 +45,10 @@ type Status struct {
 	cells   []statusCell
 	startNS atomic.Int64 // campaign start, wall nanos
 
-	// subs are the SSE subscribers; finished flips when the campaign
-	// ends, closing every subscriber channel.
-	subMu    sync.Mutex
-	subs     map[int]chan []byte
-	nextSub  int
-	finished bool
-
 	// jmu guards the per-run journal summaries behind the /journal
 	// endpoint (cold path: one write per completed run).
 	jmu       sync.Mutex
 	summaries map[int]journal.Summary
-
-	// tl is the campaign's wall-clock timeline, when one is attached; the
-	// /metrics/history endpoints serve it.
-	tl atomic.Pointer[timeline.Timeline]
 }
 
 // statusCell is one run's progress state; every field is atomic so the
@@ -114,8 +101,7 @@ func (s *Status) start(i int) {
 	c.state.Store(stateRunning)
 }
 
-// done marks run i completed, records its resource attribution, and
-// publishes a progress event.
+// done marks run i completed and records its resource attribution.
 func (s *Status) done(i int, st *RunStats, res Resources) {
 	if s == nil {
 		return
@@ -129,10 +115,9 @@ func (s *Status) done(i int, st *RunStats, res Resources) {
 	c.allocBytes.Store(res.AllocBytes)
 	c.endNS.Store(time.Now().UnixNano())
 	c.state.Store(stateDone)
-	s.publish(i, "done")
 }
 
-// fail marks run i failed and publishes a progress event.
+// fail marks run i failed.
 func (s *Status) fail(i int) {
 	if s == nil {
 		return
@@ -140,7 +125,6 @@ func (s *Status) fail(i int) {
 	c := &s.cells[i]
 	c.endNS.Store(time.Now().UnixNano())
 	c.state.Store(stateFailed)
-	s.publish(i, "failed")
 }
 
 // setJournal stores run i's journal summary for the /journal endpoint.
@@ -154,74 +138,6 @@ func (s *Status) setJournal(i int, sum journal.Summary) {
 		s.summaries = make(map[int]journal.Summary)
 	}
 	s.summaries[i] = sum
-}
-
-// finish marks the campaign over: a final event goes out and every SSE
-// subscriber channel closes, so streaming handlers return.
-func (s *Status) finish() {
-	if s == nil {
-		return
-	}
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	s.finished = true
-	for _, ch := range s.subs {
-		close(ch)
-	}
-	s.subs = nil
-}
-
-// subscribe registers an SSE subscriber. The returned channel closes when
-// the campaign finishes (immediately if it already has); cancel must be
-// called when the subscriber goes away.
-func (s *Status) subscribe() (<-chan []byte, func()) {
-	ch := make(chan []byte, 16)
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if s.finished {
-		close(ch)
-		return ch, func() {}
-	}
-	id := s.nextSub
-	s.nextSub++
-	if s.subs == nil {
-		s.subs = make(map[int]chan []byte)
-	}
-	s.subs[id] = ch
-	return ch, func() {
-		s.subMu.Lock()
-		defer s.subMu.Unlock()
-		if _, ok := s.subs[id]; ok {
-			delete(s.subs, id)
-			close(ch)
-		}
-	}
-}
-
-// publish fans one run-completion event out to every subscriber. Sends
-// are non-blocking: a subscriber that stopped draining loses events
-// rather than stalling the worker pool.
-func (s *Status) publish(i int, state string) {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	if len(s.subs) == 0 {
-		return
-	}
-	completed := 0
-	for j := range s.cells {
-		if st := s.cells[j].state.Load(); st == stateDone || st == stateFailed {
-			completed++
-		}
-	}
-	spec := s.specs[i]
-	ev := fmt.Sprintf(`{"run":%d,"scenario":%q,"seed":%d,"scale":%d,"state":%q,"completed":%d,"total":%d}`,
-		spec.run, spec.scenario.Name, spec.seed, spec.scale, state, completed, len(s.cells))
-	for _, ch := range s.subs {
-		select {
-		case ch <- []byte(ev):
-		default:
-		}
-	}
 }
 
 // RunStatus is one run's row in a CampaignStatus.
@@ -385,33 +301,16 @@ func (s *Status) JournalSummary() (journal.Summary, int) {
 	return journal.MergeSummaries(ordered), len(ordered)
 }
 
-// AttachTimeline wires a wall-clock timeline onto the status handler, so
-// /metrics/history and /metrics/history/events serve it. Safe on a nil
-// status (no-op) and with a nil timeline (the endpoints 404 again).
-func (s *Status) AttachTimeline(tl *timeline.Timeline) {
-	if s == nil {
-		return
-	}
-	s.tl.Store(tl)
-}
-
 // Handler serves the campaign introspection endpoints:
 //
-//	/campaign                live CampaignStatus as JSON
-//	/campaign/events         SSE stream, one event per completed run
-//	/journal                 merged causal-journal summary of completed runs
-//	/metrics/history         attached timeline samples as JSONL (from/to/metric params)
-//	/metrics/history/events  SSE stream of new timeline sample blocks
+//	/campaign  live CampaignStatus as JSON
+//	/journal   merged causal-journal summary of completed runs
 //
-// The /metrics/history endpoints answer 404 until AttachTimeline wires a
-// timeline in.
+// Both are pulled: a watcher polls them (dcnrtop does, once a frame).
 func (s *Status) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/campaign", func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, s.Snapshot())
-	})
-	mux.HandleFunc("/campaign/events", func(w http.ResponseWriter, r *http.Request) {
-		serve.StreamSSE(w, r, s.subscribe)
 	})
 	mux.HandleFunc("/journal", func(w http.ResponseWriter, r *http.Request) {
 		sum, runs := s.JournalSummary()
@@ -419,20 +318,6 @@ func (s *Status) Handler() http.Handler {
 			Runs    int             `json:"runs_journaled"`
 			Summary journal.Summary `json:"summary"`
 		}{runs, sum})
-	})
-	mux.HandleFunc("/metrics/history", func(w http.ResponseWriter, r *http.Request) {
-		if tl := s.tl.Load(); tl != nil {
-			tl.ServeHistory(w, r)
-			return
-		}
-		http.NotFound(w, r)
-	})
-	mux.HandleFunc("/metrics/history/events", func(w http.ResponseWriter, r *http.Request) {
-		if tl := s.tl.Load(); tl != nil {
-			serve.StreamSSE(w, r, tl.Subscribe)
-			return
-		}
-		http.NotFound(w, r)
 	})
 	return mux
 }

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -137,32 +137,15 @@ func TestSweepRunJoinsStreamErrors(t *testing.T) {
 }
 
 // TestSweepStatusLifecycle drives a campaign with a live status table and
-// checks the final snapshot, the merged journal summary, and the SSE event
-// stream.
+// checks the final snapshot and the merged journal summary.
 func TestSweepStatusLifecycle(t *testing.T) {
 	cfg := fastGrid()
 	cfg.Workers = 2
 	st := NewStatus()
 	cfg.Status = st
 
-	ch, cancel := st.subscribe()
-	defer cancel()
-	events := 0
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for range ch {
-			events++
-		}
-	}()
-
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-	wg.Wait()
-	if events != 4 {
-		t.Errorf("got %d SSE events, want 4", events)
 	}
 
 	cs := st.Snapshot()
@@ -191,14 +174,6 @@ func TestSweepStatusLifecycle(t *testing.T) {
 	}
 	if sum.Faults <= 0 || sum.Incidents <= 0 || sum.Incomplete != 0 {
 		t.Errorf("merged journal summary malformed: %+v", sum)
-	}
-
-	// A late subscriber to a finished campaign gets a closed channel, not
-	// a hang.
-	late, cancelLate := st.subscribe()
-	defer cancelLate()
-	if _, ok := <-late; ok {
-		t.Errorf("late subscriber received an event after finish")
 	}
 }
 
@@ -242,6 +217,16 @@ func TestSweepStatusHandler(t *testing.T) {
 	}
 	if jr.Runs != 4 || jr.Summary.Incidents <= 0 {
 		t.Errorf("/journal = %+v", jr)
+	}
+
+	// The handler serves only the two pulled endpoints; the timeline is
+	// mounted by whoever owns it (dcsweep's serveStatus).
+	for _, path := range []string{"/campaign/events", "/metrics/history", "/metrics/history/events"} {
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, rec.Code)
+		}
 	}
 }
 
@@ -295,7 +280,6 @@ func TestSweepStatusNilSafe(t *testing.T) {
 	st.done(0, &RunStats{}, Resources{})
 	st.fail(0)
 	st.setJournal(0, journal.Summary{})
-	st.finish()
 	if cs := st.Snapshot(); cs.Total != 0 {
 		t.Errorf("nil snapshot = %+v", cs)
 	}

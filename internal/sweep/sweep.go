@@ -353,7 +353,6 @@ func Run(cfg Config) (*Result, error) {
 				return nil
 			})
 		if err != nil {
-			cfg.Status.finish()
 			return nil, err
 		}
 	}
@@ -463,7 +462,6 @@ func Run(cfg Config) (*Result, error) {
 			s := specs[i]
 			return fmt.Sprintf("%s/seed%d/x%d", s.scenario.Name, s.seed, s.scale)
 		}, task)
-	cfg.Status.finish()
 	// The stream errors join the run error instead of being masked by it:
 	// a campaign that both lost a run and truncated its JSONL reports both,
 	// and a clean-looking abort can no longer hide a broken stream.

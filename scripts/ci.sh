@@ -29,8 +29,10 @@
 #                    round trip, and Answer against the daemon's mux),
 #                    dcnrd's POST /ingest body (rejected with Len and
 #                    Generation unchanged, or accepted with both advanced
-#                    consistently), and the journal reader (ReadJSONL's
-#                    write-back keeps every name and reads back to itself)
+#                    consistently), the journal reader (ReadJSONL's
+#                    write-back keeps every name and reads back to itself),
+#                    and the /metrics/history parameters (200 or 400; a 200
+#                    holds exactly the samples inside the window and metric)
 #
 # Former bench smoke steps and where their gates live now, all machine-
 # independent and all run by `race` (the first also by `test-obs`):
@@ -93,6 +95,7 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzParseParams$' -fuzztime 10s ./internal/serve
 	go test -run '^$' -fuzz '^FuzzIngest$' -fuzztime 10s ./internal/serve
 	go test -run '^$' -fuzz '^FuzzReadJournal$' -fuzztime 10s ./internal/obs/journal
+	go test -run '^$' -fuzz '^FuzzServeHistory$' -fuzztime 10s ./internal/obs/timeline
 }
 step fuzz-smoke fuzz_smoke
 
