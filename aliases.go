@@ -301,8 +301,8 @@ func CompletenessIssues(r *SEVReport) []string { return sev.CompletenessIssues(r
 
 // MetricsRegistry is a concurrency-safe registry of counters, gauges, and
 // histograms. Pass one through IntraConfig.Metrics / BackboneConfig.Metrics
-// to collect simulation telemetry; read it back with Snapshot,
-// WritePrometheus, or ExpvarVar.
+// to collect simulation telemetry; read it back with Snapshot (and
+// Snapshot.WriteJSON) or WritePrometheus.
 type MetricsRegistry = obs.Registry
 
 // MetricsSnapshot is a point-in-time copy of a registry's contents,

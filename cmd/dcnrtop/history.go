@@ -74,8 +74,10 @@ func (h *histories) poll(ctx context.Context, client *http.Client, url string) {
 
 // ingest records every sample of a JSONL history body that is newer than
 // the newest one held before the call. The body is in time order, so a
-// poll's samples that share its newest t all land together. Unparseable
-// lines are skipped: one malformed sample must not wedge the dashboard.
+// poll's samples that share its newest t all land together; last becomes
+// the largest t recorded, so a body out of order cannot move it back and
+// have the next poll count a sample twice. Unparseable lines are skipped:
+// one malformed sample must not wedge the dashboard.
 func (h *histories) ingest(r io.Reader) {
 	cut := h.last
 	sc := bufio.NewScanner(r)
@@ -93,6 +95,6 @@ func (h *histories) ingest(r io.Reader) {
 			continue
 		}
 		h.add(s.M, s.V)
-		h.last = s.T
+		h.last = max(h.last, s.T)
 	}
 }

@@ -145,6 +145,16 @@ func TestHistoriesIngestAndCap(t *testing.T) {
 	if names := metricNames(h.data); !reflect.DeepEqual(names, []string{"a", "b"}) {
 		t.Errorf("metric names = %v", names)
 	}
+
+	// A body out of time order leaves last at its largest t, so the same
+	// body ingested again adds nothing.
+	h = newHistories(4)
+	back := `{"t":5,"m":"a","v":1}` + "\n" + `{"t":3,"m":"a","v":2}` + "\n"
+	h.ingest(strings.NewReader(back))
+	h.ingest(strings.NewReader(back))
+	if got, want := h.data["a"], []float64{1, 2}; !reflect.DeepEqual(got, want) || h.last != 5 {
+		t.Errorf("out-of-order history = %v, last %g; want %v, last 5", got, h.last, want)
+	}
 }
 
 // TestHistoriesPoll polls a live timeline: the first poll draws every

@@ -299,8 +299,5 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 func writeMetrics(path string, reg *dcnr.MetricsRegistry) error {
-	return writeFile(path, func(w io.Writer) error {
-		_, err := fmt.Fprintln(w, reg.ExpvarVar().String())
-		return err
-	})
+	return writeFile(path, reg.Snapshot().WriteJSON)
 }

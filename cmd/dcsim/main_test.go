@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -240,5 +241,21 @@ func TestRunHealthOutAndStructuredLogs(t *testing.T) {
 	}
 	if !sawSimClock {
 		t.Error("no log line carried the simulation clock")
+	}
+}
+
+// TestWriteMetricsReportsEncodeError pins that a snapshot JSON cannot
+// encode (a NaN gauge) fails the write instead of leaving a bare newline
+// behind a success.
+func TestWriteMetricsReportsEncodeError(t *testing.T) {
+	reg := dcnr.NewMetricsRegistry()
+	reg.Counter("c_total").Inc()
+	reg.Gauge("g").Set(math.NaN())
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	if err := writeMetrics(path, reg); err == nil {
+		t.Error("writeMetrics with a NaN gauge returned nil")
+	}
+	if data, err := os.ReadFile(path); err != nil || len(data) != 0 {
+		t.Errorf("metrics file = %q (err %v), want empty", data, err)
 	}
 }

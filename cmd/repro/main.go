@@ -20,15 +20,14 @@
 // cross-run p5–p95 band.
 //
 // -metrics-addr serves runtime introspection over HTTP for the duration of
-// the run: /debug/vars (expvar, including the simulation's metrics under
-// "dcnr"), /metrics (Prometheus text format), /healthz (200 while no SLO
-// alert rule is firing, 503 otherwise), /slo (the streaming health engine's
-// full JSON report), /journal (the causal incident journal's summary —
-// lifecycle counts and per-device-type MTTR phase decomposition, live as
-// the intra-DC dataset builds), /metrics/history (the wall-clock metric
-// timeline as JSONL, windowable with ?from=S&to=S&metric=NAME; poll it
-// with the last t seen as from for what is new), and /debug/pprof/ (the
-// standard profiling endpoints).
+// the run: /metrics (the simulation's metrics in Prometheus text format),
+// /healthz (200 while no SLO alert rule is firing, 503 otherwise), /slo
+// (the streaming health engine's full JSON report), /journal (the causal
+// incident journal's summary — lifecycle counts and per-device-type MTTR
+// phase decomposition, live as the intra-DC dataset builds),
+// /metrics/history (the wall-clock metric timeline as JSONL, windowable
+// with ?from=S&to=S&metric=NAME; poll it with the last t seen as from for
+// what is new), and /debug/pprof/ (the standard profiling endpoints).
 // -trace records a Chrome trace-event file
 // covering the simulation's hot paths and every analysis task, loadable in
 // chrome://tracing or Perfetto.
@@ -62,7 +61,7 @@ func main() {
 		verify      = flag.Bool("verify", false, "grade the paper's headline claims and exit non-zero on failures")
 		format      = flag.String("format", "text", "output format: text or csv")
 		parallel    = flag.Int("parallel", runtime.NumCPU(), "worker pool size for the all-experiments run (1 = serial)")
-		metricsAddr = flag.String("metrics-addr", "", "serve expvar, Prometheus, and pprof on this address (e.g. :8080) for the duration of the run")
+		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus metrics, health, journal, history, and pprof on this address (e.g. :8080) for the duration of the run")
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event file to this file")
 		sweepReport = flag.String("sweep-report", "", "diff a dcsweep report's variance bands against the paper's values and exit")
 	)
@@ -115,7 +114,7 @@ func main() {
 		defer shutdown()
 		stopSampler := smp.StartWall(time.Second)
 		defer stopSampler()
-		fmt.Fprintf(os.Stderr, "repro: introspection on http://%s (/debug/vars, /metrics, /healthz, /slo, /journal, /metrics/history, /debug/pprof/)\n", addr)
+		fmt.Fprintf(os.Stderr, "repro: introspection on http://%s (/metrics, /healthz, /slo, /journal, /metrics/history, /debug/pprof/)\n", addr)
 	}
 	if *traceOut != "" {
 		d.trace = dcnr.NewTracer()
@@ -147,8 +146,7 @@ func main() {
 
 // startMetricsServer serves runtime introspection on addr until the
 // returned shutdown function is called: the full internal/serve
-// introspection suite — /debug/vars (expvar with the simulation's metrics
-// published under "dcnr"), /metrics (Prometheus text exposition),
+// introspection suite — /metrics (reg in Prometheus text exposition),
 // /healthz and /slo (the SLO engine's liveness verdict and full JSON
 // report; eng may be nil, which reads as permanently healthy), /journal
 // (the causal journal's summary; jnl may be nil, which reads as an empty

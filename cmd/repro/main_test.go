@@ -149,26 +149,32 @@ func TestMetricsServerEndpoints(t *testing.T) {
 	}
 	defer shutdown()
 
-	get := func(path string) string {
+	fetch := func(addr, path string) (int, string) {
 		t.Helper()
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+			t.Fatalf("GET %s%s: %v", addr, path, err)
 		}
 		defer resp.Body.Close()
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
-			t.Fatalf("GET %s: reading body: %v", path, err)
+			t.Fatalf("GET %s%s: reading body: %v", addr, path, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		return resp.StatusCode, string(body)
+	}
+	getFrom := func(addr, path string) string {
+		t.Helper()
+		code, body := fetch(addr, path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s%s: status %d", addr, path, code)
 		}
-		return string(body)
+		return body
+	}
+	get := func(path string) string {
+		t.Helper()
+		return getFrom(addr, path)
 	}
 
-	if body := get("/debug/vars"); !strings.Contains(body, `"dcnr"`) || !strings.Contains(body, "repro_test_total") {
-		t.Errorf("/debug/vars missing published registry:\n%s", body)
-	}
 	if body := get("/metrics"); !strings.Contains(body, "repro_test_total 7") {
 		t.Errorf("/metrics missing Prometheus exposition:\n%s", body)
 	}
@@ -208,9 +214,14 @@ func TestMetricsServerEndpoints(t *testing.T) {
 		t.Errorf("/metrics/history filter leaked samples:\n%s", body)
 	}
 
-	// A second server (tests and reruns) re-points the shared expvar at
-	// the new registry instead of panicking on a duplicate publish. A nil
-	// engine reads as permanently healthy.
+	// The expvar exposition is gone: /metrics is the one metrics path.
+	if code, _ := fetch(addr, "/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("/debug/vars: status %d, want 404", code)
+	}
+
+	// A second server (tests and reruns) serves its own registry, and the
+	// first keeps serving its own. A nil engine reads as permanently
+	// healthy.
 	reg2 := dcnr.NewMetricsRegistry()
 	reg2.Counter("repro_second_total").Inc()
 	shutdown2, addr2, err := startMetricsServer("127.0.0.1:0", reg2, nil, nil, nil)
@@ -218,20 +229,14 @@ func TestMetricsServerEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdown2()
-	if body := get("/metrics"); !strings.Contains(body, "repro_second_total") {
-		t.Errorf("first server still exposing old registry after re-publish:\n%s", body)
+	if body := get("/metrics"); !strings.Contains(body, "repro_test_total 7") || strings.Contains(body, "repro_second_total") {
+		t.Errorf("first server not serving only its own registry after a second started:\n%s", body)
+	}
+	if body := getFrom(addr2, "/metrics"); !strings.Contains(body, "repro_second_total 1") || strings.Contains(body, "repro_test_total") {
+		t.Errorf("second server not serving only its own registry:\n%s", body)
 	}
 	// A nil timeline serves an empty (but 200) history.
-	resp, err := http.Get("http://" + addr2 + "/metrics/history")
-	if err != nil {
-		t.Fatalf("GET nil-timeline /metrics/history: %v", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET nil-timeline /metrics/history: status %d, err %v", resp.StatusCode, err)
-	}
-	if strings.TrimSpace(string(body)) != "" {
+	if body := getFrom(addr2, "/metrics/history"); strings.TrimSpace(body) != "" {
 		t.Errorf("nil-timeline /metrics/history not empty:\n%s", body)
 	}
 }

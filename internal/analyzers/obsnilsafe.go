@@ -24,7 +24,7 @@ import (
 //   - constructing obs.Counter/Gauge/Histogram/Registry/Tracer,
 //     health.Engine, journal.Journal/Lane, timeline.Timeline/Lane, or
 //     serve.Server with a composite literal or new(): a hand-rolled
-//     metric is invisible to every exposition path (Snapshot, expvar,
+//     metric is invisible to every exposition path (Snapshot and
 //     Prometheus), a zero-value Registry panics on first use, a
 //     zero-value Engine skips rule validation, a hand-rolled Journal
 //     mints colliding causal IDs, a hand-rolled Timeline has no column

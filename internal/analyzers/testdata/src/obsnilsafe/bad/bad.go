@@ -11,8 +11,8 @@ type Collector struct {
 	events obs.Counter
 }
 
-// Hidden builds metrics no Snapshot, expvar, or Prometheus endpoint will
-// ever see.
+// Hidden builds metrics no Snapshot or Prometheus endpoint will ever
+// see.
 func Hidden() *obs.Gauge {
 	_ = obs.Registry{}
 	h := new(obs.Histogram)

@@ -14,14 +14,13 @@
 //   - Safe under concurrency. Counters, gauges, and histogram buckets are
 //     lock-free atomics; the registry itself takes a lock only on metric
 //     creation and snapshot, never on the observation path.
-//   - Standard exposition. A Registry renders as a point-in-time Snapshot,
-//     as an expvar.Var (for -metrics-addr style debug endpoints), and as
-//     Prometheus text exposition format.
+//   - Standard exposition. A Registry renders as a point-in-time Snapshot
+//     (written as JSON by Snapshot.WriteJSON) and as Prometheus text
+//     exposition format.
 package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -294,7 +293,7 @@ func (h *HistogramSnapshot) merge(other HistogramSnapshot) error {
 }
 
 // Snapshot is a Registry frozen at a point in time, suitable for JSON
-// encoding (it is what the expvar exposition serves).
+// encoding (it is what the -metrics-out files hold).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
@@ -474,14 +473,6 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms[name] = hs
 	}
 	return snap
-}
-
-// ExpvarVar adapts the registry to the expvar interface: the returned Var
-// renders the current Snapshot as JSON. Publish it under a name of your
-// choosing (expvar.Publish panics on duplicate names, so callers own that
-// decision).
-func (r *Registry) ExpvarVar() expvar.Var {
-	return expvar.Func(func() any { return r.Snapshot() })
 }
 
 // WritePrometheus renders every metric in the Prometheus text exposition

@@ -213,13 +213,17 @@ func TestPrometheusLeBoundsCanonical(t *testing.T) {
 	}
 }
 
-func TestExpvarVarRendersSnapshotJSON(t *testing.T) {
+func TestSnapshotWriteJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Inc()
 	r.Gauge("g").Set(2.5)
+	var buf strings.Builder
+	if err := r.Snapshot().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
 	var snap Snapshot
-	if err := json.Unmarshal([]byte(r.ExpvarVar().String()), &snap); err != nil {
-		t.Fatalf("expvar output is not JSON: %v", err)
+	if err := json.Unmarshal([]byte(buf.String()), &snap); err != nil {
+		t.Fatalf("WriteJSON output is not JSON: %v", err)
 	}
 	if snap.Counters["c"] != 1 || snap.Gauges["g"] != 2.5 {
 		t.Errorf("snapshot = %+v", snap)

@@ -33,24 +33,9 @@ func (t *Timeline) ServeHistory(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad to: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	enc := encoder{cols: t.columns()}
-	buf := make([]byte, 0, 1<<14)
-	for _, s := range t.Window(from, to, q.Get("metric")) {
-		buf = enc.appendSample(buf, s)
-		if len(buf) >= 1<<14-128 {
-			if _, err := w.Write(buf); err != nil {
-				return
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		// The write error is consciously dropped after the header went
-		// out — a client that hung up mid-response is its own problem.
-		if _, err := w.Write(buf); err != nil {
-			return
-		}
-	}
+	// The write error is consciously dropped after the header went out —
+	// a client that hung up mid-response is its own problem.
+	_ = writeJSONL(w, t.columns(), t.Window(from, to, q.Get("metric")))
 }
 
 // parseBound parses one window bound; empty selects def.

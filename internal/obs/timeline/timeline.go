@@ -242,11 +242,21 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	enc := encoder{cols: t.columns()}
-	buf := make([]byte, 0, 1<<16)
-	for _, s := range t.Samples() {
+	return writeJSONL(w, t.columns(), t.Samples())
+}
+
+// writeChunk is the output size at which writeJSONL hands its encoded
+// lines to w.
+const writeChunk = 1 << 16
+
+// writeJSONL encodes samples as JSON lines, naming columns from cols, and
+// writes them to w in chunks of about writeChunk bytes.
+func writeJSONL(w io.Writer, cols []string, samples []Sample) error {
+	enc := encoder{cols: cols}
+	buf := make([]byte, 0, writeChunk)
+	for _, s := range samples {
 		buf = enc.appendSample(buf, s)
-		if len(buf) >= 1<<16-128 {
+		if len(buf) >= writeChunk-128 {
 			if _, err := w.Write(buf); err != nil {
 				return err
 			}
@@ -261,7 +271,7 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// encoder carries WriteJSONL's per-stream caches: pre-rendered
+// encoder carries writeJSONL's per-stream caches: pre-rendered
 // `,"m":"…","v":` fragments per column and the last rendered timestamp
 // (samples of one cadence tick share it).
 type encoder struct {

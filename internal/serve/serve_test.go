@@ -67,9 +67,6 @@ func TestServerNil(t *testing.T) {
 	if _, err := s.Start(); err == nil {
 		t.Error("nil Start did not error")
 	}
-	if s.Routes() != nil {
-		t.Error("nil Routes not nil")
-	}
 	if s.Addr() != "" {
 		t.Error("nil Addr not empty")
 	}
@@ -114,14 +111,53 @@ func TestServerIntrospection(t *testing.T) {
 	if code, _ := get("/metrics/history/events"); code != http.StatusNotFound {
 		t.Errorf("/metrics/history/events: %d, want 404 (no streams)", code)
 	}
-	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "dcnr") {
-		t.Errorf("/debug/vars: %d", code)
-		_ = body
+	if code, _ := get("/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("/debug/vars: %d, want 404 (no expvar exposition)", code)
 	}
-	// Routes lists the suite in mount order.
-	routes := s.Routes()
-	if len(routes) == 0 || routes[0] != "/debug/vars" {
-		t.Errorf("Routes() = %v", routes)
+}
+
+// TestServerMetricsOwnRegistry pins that each Server's /metrics exposes
+// its own registry: a server built later over another registry does not
+// take over an earlier one's exposition, and a nil registry serves an
+// empty body.
+func TestServerMetricsOwnRegistry(t *testing.T) {
+	start := func(reg *obs.Registry) string {
+		t.Helper()
+		s := New(Options{Addr: "127.0.0.1:0", Metrics: reg, Introspection: true})
+		addr, err := s.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Shutdown)
+		return addr
+	}
+	metrics := func(addr string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s/metrics: status %d", addr, resp.StatusCode)
+		}
+		return string(body)
+	}
+	a, b := obs.NewRegistry(), obs.NewRegistry()
+	a.Counter("a_total").Inc()
+	b.Counter("b_total").Inc()
+	addrA := start(a)
+	addrB := start(b)
+	addrNil := start(nil)
+	if body := metrics(addrA); !strings.Contains(body, "a_total 1") || strings.Contains(body, "b_total") {
+		t.Errorf("server A /metrics:\n%s", body)
+	}
+	if body := metrics(addrB); !strings.Contains(body, "b_total 1") || strings.Contains(body, "a_total") {
+		t.Errorf("server B /metrics:\n%s", body)
+	}
+	if body := metrics(addrNil); body != "" {
+		t.Errorf("nil-registry /metrics = %q, want empty", body)
 	}
 }
 

@@ -21,9 +21,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net"
@@ -31,7 +29,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dcnr/internal/obs"
@@ -53,8 +50,8 @@ type Options struct {
 	// Logger, when non-nil, receives a Warn when the serving goroutine
 	// stops unexpectedly; otherwise the report goes to stderr.
 	Logger *slog.Logger
-	// Metrics backs /metrics and the process-wide "dcnr" expvar when
-	// Introspection is set.
+	// Metrics backs this Server's /metrics when Introspection is set; nil
+	// serves an empty exposition.
 	Metrics *obs.Registry
 	// Health backs /healthz and /slo; nil reads as permanently healthy.
 	Health *health.Engine
@@ -63,8 +60,8 @@ type Options struct {
 	// Timeline backs /metrics/history; nil serves empty histories.
 	Timeline *timeline.Timeline
 	// Introspection mounts the full runtime-introspection suite:
-	// /debug/vars, /metrics, /healthz, /slo, /journal, /metrics/history,
-	// and /debug/pprof/. Without it the Server serves only what Register
+	// /metrics, /healthz, /slo, /journal, /metrics/history and
+	// /debug/pprof/. Without it the Server serves only what Register
 	// mounts.
 	Introspection bool
 }
@@ -75,10 +72,6 @@ type Options struct {
 type Server struct {
 	opts Options
 	mux  *http.ServeMux
-	// routes records every mounted pattern in registration order — plain
-	// slice by design: Register belongs to the single-goroutine
-	// construction phase.
-	routes []string
 
 	srv  *http.Server
 	ln   net.Listener
@@ -98,14 +91,6 @@ const (
 	readHeaderTimeout = 10 * time.Second
 	writeTimeout      = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
-)
-
-// publishedRegistry backs the process-wide "dcnr" expvar: expvar.Publish
-// panics on duplicate names, so the var is published once and reads
-// whichever registry the latest introspective Server installed.
-var (
-	publishedRegistry atomic.Pointer[obs.Registry]
-	publishOnce       sync.Once
 )
 
 // New returns an unstarted Server. With opts.Introspection it mounts the
@@ -130,17 +115,7 @@ func (s *Server) Register(pattern string, h http.Handler) {
 	if s == nil {
 		return
 	}
-	s.routes = append(s.routes, pattern)
 	s.mux.Handle(pattern, h)
-}
-
-// Routes returns the mounted patterns in registration order (the
-// introspection suite first when enabled).
-func (s *Server) Routes() []string {
-	if s == nil {
-		return nil
-	}
-	return append([]string(nil), s.routes...)
 }
 
 // Start binds the listener and serves on a background goroutine. It
@@ -210,23 +185,11 @@ func (s *Server) logStopped(err error) {
 // every handler nil-safe against its missing hook.
 func (s *Server) mountIntrospection() {
 	reg, eng, jnl, tl := s.opts.Metrics, s.opts.Health, s.opts.Journal, s.opts.Timeline
-	publishedRegistry.Store(reg)
-	publishOnce.Do(func() {
-		expvar.Publish("dcnr", expvar.Func(func() any {
-			if r := publishedRegistry.Load(); r != nil {
-				return r.Snapshot()
-			}
-			return nil
-		}))
-	})
-	s.Register("/debug/vars", expvar.Handler())
-	s.Register("/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	s.Register("/metrics", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if r := publishedRegistry.Load(); r != nil {
-			// A failed write means the scraper hung up mid-response;
-			// there is no one left to report it to.
-			_ = r.WritePrometheus(w)
-		}
+		// A failed write means the scraper hung up mid-response; there
+		// is no one left to report it to.
+		_ = reg.WritePrometheus(w)
 	}))
 	s.Register("/healthz", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		// As with /metrics, a failed write means the prober hung up.
@@ -251,13 +214,7 @@ func (s *Server) mountIntrospection() {
 	s.Register("/journal", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		// Summaries read only the journal's flushed prefix, so this is
 		// safe to serve while the simulation is still recording.
-		data, err := json.Marshal(jnl.Index().Summary())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(data, '\n'))
+		WriteJSON(w, jnl.Index().Summary())
 	}))
 	s.Register("/metrics/history", http.HandlerFunc(tl.ServeHistory))
 	s.Register("/debug/pprof/", http.HandlerFunc(pprof.Index))

@@ -31,8 +31,11 @@
 #                    Generation unchanged, or accepted with both advanced
 #                    consistently), the journal reader (ReadJSONL's
 #                    write-back keeps every name and reads back to itself),
-#                    and the /metrics/history parameters (200 or 400; a 200
-#                    holds exactly the samples inside the window and metric)
+#                    the /metrics/history parameters (200 or 400; a 200
+#                    holds exactly the samples inside the window and metric),
+#                    and dcnrtop's history ingest (over arbitrary bodies, no
+#                    sample at or below the last t is added, each series
+#                    stays capped and last never falls)
 #
 # Former bench smoke steps and where their gates live now, all machine-
 # independent and all run by `race` (the first also by `test-obs`):
@@ -96,6 +99,7 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzIngest$' -fuzztime 10s ./internal/serve
 	go test -run '^$' -fuzz '^FuzzReadJournal$' -fuzztime 10s ./internal/obs/journal
 	go test -run '^$' -fuzz '^FuzzServeHistory$' -fuzztime 10s ./internal/obs/timeline
+	go test -run '^$' -fuzz '^FuzzHistoriesIngest$' -fuzztime 10s ./cmd/dcnrtop
 }
 step fuzz-smoke fuzz_smoke
 
