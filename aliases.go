@@ -447,10 +447,9 @@ type TimelineSample = timeline.Sample
 // on a wall-clock ticker for servers.
 type TimelineSampler = timeline.Sampler
 
-// NewTimeline returns an empty timeline sampling on the given sim-time
-// cadence in hours; cadence <= 0 selects the default (24, one grid point
-// per simulated day).
-func NewTimeline(cadence float64) *Timeline { return timeline.New(cadence) }
+// NewTimeline returns an empty timeline sampling every 24 sim-hours, one
+// grid point per simulated day.
+func NewTimeline() *Timeline { return timeline.New() }
 
 // NewTimelineSampler builds a sampler over reg feeding a new lane of t,
 // tracking the named counter and gauge series.

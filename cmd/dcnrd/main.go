@@ -120,7 +120,7 @@ func runDaemon(o options, stderr io.Writer, ready func(addr string), stop <-chan
 		}
 		jnl = dcnr.NewJournal()
 	}
-	tl := dcnr.NewTimeline(0)
+	tl := dcnr.NewTimeline()
 
 	cfg := serve.Config{
 		Addr:         o.addr,

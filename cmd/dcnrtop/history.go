@@ -72,29 +72,40 @@ func (h *histories) poll(ctx context.Context, client *http.Client, url string) {
 	h.ingest(resp.Body)
 }
 
+// maxLine bounds one history line. A longer line is skipped whole and
+// reading goes on at the next one.
+const maxLine = 1 << 20
+
 // ingest records every sample of a JSONL history body that is newer than
 // the newest one held before the call. The body is in time order, so a
 // poll's samples that share its newest t all land together; last becomes
 // the largest t recorded, so a body out of order cannot move it back and
-// have the next poll count a sample twice. Unparseable lines are skipped:
-// one malformed sample must not wedge the dashboard.
+// have the next poll count a sample twice. Unparseable and over-long lines
+// are skipped: one bad sample must not wedge the dashboard.
 func (h *histories) ingest(r io.Reader) {
 	cut := h.last
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
+	br := bufio.NewReader(r)
+	var line []byte
+	for {
+		frag, more, err := br.ReadLine()
+		if err != nil {
+			return
+		}
+		if len(line) <= maxLine {
+			line = append(line, frag...)
+		}
+		if more {
+			continue
+		}
 		var s struct {
 			T float64 `json:"t"`
 			M string  `json:"m"`
 			V float64 `json:"v"`
 		}
-		if err := json.Unmarshal(sc.Bytes(), &s); err != nil || s.M == "" {
-			continue
+		if len(line) <= maxLine && json.Unmarshal(line, &s) == nil && s.M != "" && s.T > cut {
+			h.add(s.M, s.V)
+			h.last = max(h.last, s.T)
 		}
-		if s.T <= cut {
-			continue
-		}
-		h.add(s.M, s.V)
-		h.last = max(h.last, s.T)
+		line = line[:0]
 	}
 }

@@ -155,6 +155,18 @@ func TestHistoriesIngestAndCap(t *testing.T) {
 	if got, want := h.data["a"], []float64{1, 2}; !reflect.DeepEqual(got, want) || h.last != 5 {
 		t.Errorf("out-of-order history = %v, last %g; want %v, last 5", got, h.last, want)
 	}
+
+	// A line over the 1 MiB cap is skipped and reading goes on past it,
+	// so the sample after it lands and a repeat of the body adds nothing.
+	h = newHistories(4)
+	long := `{"t":1,"m":"a","v":1}` + "\n" +
+		`{"t":2,"m":"a","v":2,"pad":"` + strings.Repeat("x", 2<<20) + `"}` + "\n" +
+		`{"t":3,"m":"a","v":3}` + "\n"
+	h.ingest(strings.NewReader(long))
+	h.ingest(strings.NewReader(long))
+	if got, want := h.data["a"], []float64{1, 3}; !reflect.DeepEqual(got, want) || h.last != 3 {
+		t.Errorf("history over a long line = %v, last %g; want %v, last 3", got, h.last, want)
+	}
 }
 
 // TestHistoriesPoll polls a live timeline: the first poll draws every
@@ -162,7 +174,7 @@ func TestHistoriesIngestAndCap(t *testing.T) {
 // and counts no sample twice, and a failing source leaves the history as
 // it was.
 func TestHistoriesPoll(t *testing.T) {
-	tl := dcnr.NewTimeline(0)
+	tl := dcnr.NewTimeline()
 	reg := dcnr.NewMetricsRegistry()
 	smp := dcnr.NewTimelineSampler(tl, "wall", reg, []string{"a_total", "b_total"}, nil)
 	var (
@@ -216,7 +228,7 @@ func TestHistoriesPoll(t *testing.T) {
 // on its own once every run is done.
 func TestWatchAgainstStatusServer(t *testing.T) {
 	status := dcnr.NewSweepStatus()
-	tl := dcnr.NewTimeline(0)
+	tl := dcnr.NewTimeline()
 	reg := dcnr.NewMetricsRegistry()
 	reg.Counter("sweep_runs_total").Inc()
 	smp := dcnr.NewTimelineSampler(tl, "wall", reg, []string{"sweep_runs_total"}, nil)

@@ -8,7 +8,7 @@
 //
 //	dcsim [-seed N] [-scale N] [-out DIR] [-metrics-out FILE] [-trace FILE]
 //	      [-journal FILE] [-health-out FILE]
-//	      [-timeline FILE] [-timeline-cadence HOURS]
+//	      [-timeline FILE]
 //	      [-log-level LEVEL] [-log-format text|json]
 //	      [-elevate-year YEAR] [-elevate-factor F]
 //
@@ -26,11 +26,10 @@
 // (load the stream back with dcnr.ReadJournal).
 //
 // With -timeline, the intra-DC run samples its core metric series on a
-// simulation-clock grid — every -timeline-cadence simulated hours (default
-// 24, one point per simulated day) — and writes the history to FILE as
-// JSONL, one {"t":H,"m":NAME,"v":V} sample per line. The sampler rides the
-// event kernel, so the file is byte-identical for a given seed and scale
-// no matter the wall-clock conditions.
+// simulation-clock grid — one point per simulated day — and writes the
+// history to FILE as JSONL, one {"t":H,"m":NAME,"v":V} sample per line.
+// The sampler rides the event kernel, so the file is byte-identical for a
+// given seed and scale no matter the wall-clock conditions.
 //
 // With -health-out, a streaming SLO engine follows the intra-DC run —
 // incident burn rates, MTTR degradation, alert rule transitions — and its
@@ -65,7 +64,6 @@ func main() {
 	flag.StringVar(&o.journalOut, "journal", "", "write the causal incident journal as JSONL to this file")
 	flag.StringVar(&o.healthOut, "health-out", "", "run the SLO/health engine and write its report to this file")
 	flag.StringVar(&o.timelineOut, "timeline", "", "sample metric timelines on the simulation clock and write them as JSONL to this file")
-	flag.Float64Var(&o.timelineCadence, "timeline-cadence", 0, "timeline sampling cadence in simulated hours (default 24)")
 	flag.StringVar(&o.logLevel, "log-level", "", "enable structured logs to stderr at this level (debug, info, warn, error)")
 	flag.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
 	flag.IntVar(&o.elevateYear, "elevate-year", 0, "multiply intra-DC fault rates during this calendar year")
@@ -80,20 +78,19 @@ func main() {
 // options collects every dcsim knob; the zero value plus seed/scale/dir is
 // a plain uninstrumented run.
 type options struct {
-	seed            uint64
-	scale           int
-	dir             string
-	metricsOut      string
-	traceOut        string
-	journalOut      string
-	healthOut       string
-	timelineOut     string
-	timelineCadence float64
-	logLevel        string
-	logFormat       string
-	elevateYear     int
-	elevateFactor   float64
-	logW            io.Writer // log destination; nil means os.Stderr
+	seed          uint64
+	scale         int
+	dir           string
+	metricsOut    string
+	traceOut      string
+	journalOut    string
+	healthOut     string
+	timelineOut   string
+	logLevel      string
+	logFormat     string
+	elevateYear   int
+	elevateFactor float64
+	logW          io.Writer // log destination; nil means os.Stderr
 }
 
 func run(o options) error {
@@ -127,7 +124,7 @@ func run(o options) error {
 	}
 	var tline *dcnr.Timeline
 	if o.timelineOut != "" {
-		tline = dcnr.NewTimeline(o.timelineCadence)
+		tline = dcnr.NewTimeline()
 	}
 	var logger *slog.Logger
 	if o.logLevel != "" {

@@ -8,7 +8,7 @@
 //	dcsweep [-seeds CSV | -seed-base N -runs N] [-scales CSV]
 //	        [-scenarios SPEC] [-workers N] [-backbone]
 //	        [-out FILE] [-runs-out FILE] [-journal FILE] [-metrics-out FILE]
-//	        [-timeline FILE] [-timeline-cadence HOURS]
+//	        [-timeline FILE]
 //	        [-trace FILE] [-status-addr ADDR]
 //	        [-log-level LEVEL] [-log-format text|json]
 //
@@ -42,9 +42,9 @@
 // byte-identical at any -workers value.
 //
 // With -timeline, every run's metric timeline — its core series sampled on
-// the simulation clock every -timeline-cadence simulated hours (default
-// 24) — is streamed to FILE in run order: a header line naming the run,
-// then one {"t":H,"m":NAME,"v":V} sample per line. The stream is
+// the simulation clock once per simulated day — is streamed to FILE in run
+// order: a header line naming the run, then one {"t":H,"m":NAME,"v":V}
+// sample per line. The stream is
 // byte-identical at any -workers value.
 //
 // -status-addr serves live campaign introspection over HTTP while the
@@ -98,7 +98,6 @@ func main() {
 	flag.StringVar(&o.runsOut, "runs-out", "", "stream per-run JSONL records to this file")
 	flag.StringVar(&o.journalOut, "journal", "", "stream every run's causal incident journal to this file")
 	flag.StringVar(&o.timelineOut, "timeline", "", "stream every run's metric timeline to this file as JSONL")
-	flag.Float64Var(&o.timelineCadence, "timeline-cadence", 0, "per-run timeline sampling cadence in simulated hours (default 24)")
 	flag.StringVar(&o.statusAddr, "status-addr", "", "serve live campaign status on this address (e.g. :8080) while the sweep runs")
 	flag.StringVar(&o.metricsOut, "metrics-out", "", "write the merged metrics snapshot of all runs to this file")
 	flag.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event file to this file")
@@ -114,25 +113,24 @@ func main() {
 // options collects every dcsweep knob; the defaults run a 16-seed baseline
 // sweep at scale 1.
 type options struct {
-	seeds           string
-	seedBase        uint64
-	runs            int
-	scales          string
-	scenarios       string
-	workers         int
-	backbone        bool
-	out             string
-	runsOut         string
-	journalOut      string
-	timelineOut     string
-	timelineCadence float64
-	statusAddr      string
-	metricsOut      string
-	traceOut        string
-	logLevel        string
-	logFormat       string
-	logW            io.Writer // log destination; nil means os.Stderr
-	stdout          io.Writer // summary destination; nil means os.Stdout
+	seeds       string
+	seedBase    uint64
+	runs        int
+	scales      string
+	scenarios   string
+	workers     int
+	backbone    bool
+	out         string
+	runsOut     string
+	journalOut  string
+	timelineOut string
+	statusAddr  string
+	metricsOut  string
+	traceOut    string
+	logLevel    string
+	logFormat   string
+	logW        io.Writer // log destination; nil means os.Stderr
+	stdout      io.Writer // summary destination; nil means os.Stdout
 }
 
 func run(o options) error {
@@ -208,7 +206,6 @@ func run(o options) error {
 			return err
 		}
 		cfg.Timeline = timelineFile
-		cfg.TimelineCadence = o.timelineCadence
 	}
 	stdout := o.stdout
 	if stdout == nil {
@@ -218,7 +215,7 @@ func run(o options) error {
 		status := dcnr.NewSweepStatus()
 		cfg.Status = status
 		logger := opsLogger(o, cfg.Observe.Logger)
-		tl := dcnr.NewTimeline(0)
+		tl := dcnr.NewTimeline()
 		if shutdown, addr, serveErr := serveStatus(o.statusAddr, status, tl, logger); serveErr != nil {
 			// A dead status endpoint is an observability gap, not a reason
 			// to abandon the campaign — report it and sweep anyway.

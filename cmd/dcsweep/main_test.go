@@ -244,7 +244,7 @@ func TestRunStatusAndJournal(t *testing.T) {
 func TestServeStatusShutdownJoins(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
-	shutdown, addr, err := serveStatus("127.0.0.1:0", dcnr.NewSweepStatus(), dcnr.NewTimeline(0), logger)
+	shutdown, addr, err := serveStatus("127.0.0.1:0", dcnr.NewSweepStatus(), dcnr.NewTimeline(), logger)
 	if err != nil {
 		t.Fatalf("serveStatus: %v", err)
 	}

@@ -102,7 +102,7 @@ func main() {
 		// A wall-clock timeline of the simulation's core series backs
 		// /metrics/history: one sample per second of wall time, for as
 		// long as the run lasts.
-		tl := dcnr.NewTimeline(0)
+		tl := dcnr.NewTimeline()
 		smp := dcnr.NewTimelineSampler(tl, "wall", d.metrics, faults.TimelineCounters, faults.TimelineGauges)
 		shutdown, addr, err := startMetricsServer(*metricsAddr, d.metrics, d.health, d.journal, tl)
 		if err != nil {

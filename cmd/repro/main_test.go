@@ -139,7 +139,7 @@ func TestMetricsServerEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := dcnr.NewTimeline(0)
+	tl := dcnr.NewTimeline()
 	smp := dcnr.NewTimelineSampler(tl, "wall", reg, []string{"repro_test_total"}, nil)
 	smp.Sample(1)
 	smp.Flush()

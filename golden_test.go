@@ -21,7 +21,7 @@ import (
 // digests with them.
 func TestSimulateIntraDCGoldenBytes(t *testing.T) {
 	jnl := dcnr.NewJournal()
-	tl := dcnr.NewTimeline(24)
+	tl := dcnr.NewTimeline()
 	cfg := dcnr.IntraConfig{Seed: 7, FromYear: 2012, ToYear: 2015}
 	cfg.Observe.Journal = jnl
 	cfg.Observe.Timeline = tl

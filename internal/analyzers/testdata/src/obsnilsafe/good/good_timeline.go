@@ -25,4 +25,4 @@ func (d *Dashboard) Mark(s timeline.Sample) {
 }
 
 // FreshTimeline builds a timeline the sanctioned way.
-func FreshTimeline() *timeline.Timeline { return timeline.New(24) }
+func FreshTimeline() *timeline.Timeline { return timeline.New() }

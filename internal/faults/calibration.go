@@ -128,23 +128,17 @@ func TotalIncidentTarget(year int) float64 { return incidentTotals[year] }
 // stays ignorant of the generator.
 func HealthTargets(fl *fleet.Model) health.Targets {
 	t := health.Targets{
-		EpochYear:  fleet.FirstYear,
-		Expected:   make(map[int]map[string]float64, fleet.NumYears),
-		Population: make(map[int]map[string]int, fleet.NumYears),
-		MTTRp75:    make(map[int]float64, fleet.NumYears),
+		EpochYear: fleet.FirstYear,
+		Years:     make([]health.Year, fleet.NumYears),
 	}
-	for year := fleet.FirstYear; year <= fleet.LastYear; year++ {
-		exp := make(map[string]float64)
-		pop := make(map[string]int)
+	for i := range t.Years {
+		year := fleet.FirstYear + i
+		y := &t.Years[i]
 		for dt, n := range fl.Populations(year) {
-			pop[dt.String()] = n
-			if e := IncidentTarget(year, dt) * float64(fl.Scale()); e > 0 {
-				exp[dt.String()] = e
-			}
+			y.Population[dt] = n
+			y.Expected[dt] = IncidentTarget(year, dt) * float64(fl.Scale())
 		}
-		t.Expected[year] = exp
-		t.Population[year] = pop
-		t.MTTRp75[year] = resolutionP75[year]
+		y.MTTRp75 = resolutionP75[year]
 	}
 	return t
 }

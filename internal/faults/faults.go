@@ -534,7 +534,7 @@ func (d *Driver) fireFault(float64) {
 }
 
 func (d *Driver) handleFault(f *Fault) {
-	d.health.RecordFault(f.Start, f.Type.String())
+	d.health.RecordFault(f.Start, f.Type)
 	// The fault's journal root: raised and detected coincide in this model
 	// (monitoring detects instantaneously), and journaling both makes that
 	// a recorded fact instead of an assumption baked into readers.
@@ -558,7 +558,7 @@ func (d *Driver) handleFault(f *Fault) {
 	// operational load, not the SEV stream).
 	if f.Year < fleet.AutomatedRepairYear {
 		if !d.manual.Bool(escalationProb(f.Type)) {
-			d.health.RecordRepair(f.Start, f.Type.String())
+			d.health.RecordRepair(f.Start, f.Type)
 			d.jlane.Record(journal.Record{
 				Kind: journal.Repaired, Parent: detected, Time: f.Start,
 				Dev: uint8(f.Type), Class: int8(f.Class), Sev: -1,
@@ -570,7 +570,7 @@ func (d *Driver) handleFault(f *Fault) {
 	}
 	d.Engine.SubmitCause(f.Type, f.Class, detected, func(o remediation.Outcome) {
 		if o.Repaired {
-			d.health.RecordRepair(d.sim.Now(), f.Type.String())
+			d.health.RecordRepair(d.sim.Now(), f.Type)
 			return
 		}
 		// The incident's cause is the engine's escalation record when the
@@ -622,7 +622,7 @@ func (d *Driver) recordIncident(f *Fault, cause journal.ID) {
 		Kind: journal.IncidentClosed, Parent: opened, Time: f.Start + resolution,
 		Aux: resolution, Ref: int32(id), Dev: uint8(f.Type), Class: int8(f.Class), Sev: int8(as.Severity),
 	})
-	d.health.RecordIncident(f.Start, f.Type.String(), resolution)
+	d.health.RecordIncident(f.Start, f.Type, resolution)
 	if d.logger != nil {
 		d.logger.Info("incident escalated",
 			slog.Int("sev", id),

@@ -1,6 +1,10 @@
 package health
 
-import "testing"
+import (
+	"testing"
+
+	"dcnr/internal/topology"
+)
 
 // BenchmarkHealthRecordIncident measures the per-incident cost on the
 // simulation's hot path: a sorted insert plus counter bumps.
@@ -11,7 +15,7 @@ func BenchmarkHealthRecordIncident(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.RecordIncident(float64(i), "RSW", 5)
+		e.RecordIncident(float64(i), topology.RSW, 5)
 	}
 }
 
@@ -21,7 +25,7 @@ func BenchmarkHealthRecordIncidentNil(b *testing.B) {
 	var e *Engine
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.RecordIncident(float64(i), "RSW", 5)
+		e.RecordIncident(float64(i), topology.RSW, 5)
 	}
 }
 

@@ -11,9 +11,11 @@
 //
 // The engine is deliberately decoupled from the generator: package faults
 // imports health (to feed it and to derive Targets from its calibration
-// tables), never the reverse. Device types are plain strings here so the
-// package depends only on internal/obs and the standard library. All Engine
-// methods are safe on a nil receiver, following the obs idiom: an
+// tables), never the reverse. Per-type state and targets are arrays
+// indexed by topology.DeviceType; type names appear only at the edges, in
+// Rule.Type and in the report's Types map. Beyond the standard library the
+// package depends only on internal/obs and the topology type enum. All
+// Engine methods are safe on a nil receiver, following the obs idiom: an
 // uninstrumented simulation pays one nil check per event.
 package health
 
@@ -21,14 +23,13 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"maps"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"dcnr/internal/obs"
+	"dcnr/internal/topology"
 )
 
 // hoursPerYear mirrors des.HoursPerYear without importing the kernel.
@@ -37,6 +38,32 @@ const hoursPerYear = 365 * 24
 // FleetWide is the Rule.Type value (the empty string) selecting the whole
 // fleet rather than one device type.
 const FleetWide = ""
+
+// allTypes is the resolved form of FleetWide: the engine's per-type
+// queries take it to mean the sum over every type.
+const allTypes topology.DeviceType = -1
+
+// numTypes sizes the per-type arrays; BBR is the last topology.DeviceType.
+const numTypes = int(topology.BBR) + 1
+
+// sumOrder lists every device type in the byte order of its name, the
+// order fleet-wide float sums run in. Another order moves the last bits of
+// the expected incidents, burn rates and fleet MTTR mean that health.json
+// reports (the burn drill of seed 7 and the plain runs of most seeds
+// differ in display order); TestSumOrder checks the list against the names.
+var sumOrder = [numTypes]topology.DeviceType{
+	topology.BBR, topology.CSA, topology.CSW, topology.Core,
+	topology.ESW, topology.FSW, topology.RSW, topology.SSW,
+}
+
+// budgetSlack scales expected volumes into the error budget (budget =
+// slack × expected): a run tracking its calibration burns ~2/3 of budget,
+// leaving headroom so Poisson noise alone does not page.
+const budgetSlack = 1.5
+
+// reportWindowHours is the rolling window SLOReport summarizes over (90
+// days).
+const reportWindowHours = 2160
 
 // minMTTRSamples is the minimum number of resolved incidents a window must
 // hold before the MTTR signal is considered measurable. Resolution times
@@ -52,106 +79,81 @@ type Targets struct {
 	// EpochYear anchors simulation hour 0 (hour t falls in calendar year
 	// EpochYear + floor(t/8760)).
 	EpochYear int
-	// Expected is the calibrated expected incident count per calendar
-	// year and device type; the error budget for a window is its
-	// time-integral times BudgetSlack.
-	Expected map[int]map[string]float64
-	// Population is the deployed device count per year and type, the
-	// MTBF denominator.
-	Population map[int]map[string]int
-	// MTTRp75 is the target 75th-percentile incident resolution time in
-	// hours, per year.
-	MTTRp75 map[int]float64
-	// BudgetSlack scales expected volumes into the error budget
-	// (budget = slack × expected). Zero means the default 1.5: a run
-	// tracking its calibration burns ~2/3 of budget, leaving headroom so
-	// Poisson noise alone does not page.
-	BudgetSlack float64
+	// Years holds one calendar year's objectives per element, Years[i]
+	// for year EpochYear+i. Instants past the last year take its
+	// population and MTTR target; they expect no incidents.
+	Years []Year
 	// EdgeAvailability is the target per-window backbone edge
 	// availability (e.g. 0.9999); zero disables the edge signal.
 	EdgeAvailability float64
-	// ReportWindowHours is the rolling window SLOReport summarizes over.
-	// Zero means the default 2160h (90 days).
-	ReportWindowHours float64
 }
 
-func (t Targets) slack() float64 {
-	if t.BudgetSlack > 0 {
-		return t.BudgetSlack
-	}
-	return 1.5
-}
-
-func (t Targets) reportWindow() float64 {
-	if t.ReportWindowHours > 0 {
-		return t.ReportWindowHours
-	}
-	return 2160
+// Year is one calendar year's objectives, indexed by topology.DeviceType.
+type Year struct {
+	// Expected is the calibrated expected incident count per device
+	// type; the error budget for a window is its time-integral times
+	// the budget slack (1.5).
+	Expected [numTypes]float64
+	// Population is the deployed device count per type, the MTBF
+	// denominator.
+	Population [numTypes]int
+	// MTTRp75 is the target 75th-percentile incident resolution time in
+	// hours.
+	MTTRp75 float64
 }
 
 // expectedIncidents integrates the calibrated incident rate for device
-// type dt (FleetWide sums all types) over the sim-hour interval [from, to],
-// crossing year boundaries as needed. Years without calibration contribute
-// nothing, which truncates windows reaching before the study period.
-func (t Targets) expectedIncidents(dt string, from, to float64) float64 {
+// type dt (allTypes sums every type) over the sim-hour interval [from, to],
+// crossing year boundaries as needed. Instants outside the table
+// contribute nothing, which truncates windows reaching before the study
+// period.
+func (t Targets) expectedIncidents(dt topology.DeviceType, from, to float64) float64 {
 	if from < 0 {
 		from = 0
 	}
-	if to <= from {
-		return 0
-	}
-	// Sum in a fixed order — years ascending, types by name — so the
+	// Sum in a fixed order — years ascending, types in sumOrder — so the
 	// result, and every report and burn rate built on it, is the same to
-	// the last bit on every call. The engine evaluates this on every
-	// tick, so the order costs no allocation: years are a dense range,
-	// and the names sort in a stack buffer sized for the fleet's types.
-	first, last := math.MaxInt, math.MinInt
-	for year := range t.Expected {
-		first, last = min(first, year), max(last, year)
-	}
-	var buf [16]string
+	// the last bit on every call.
 	total := 0.0
-	for year := first; year <= last; year++ {
-		types, ok := t.Expected[year]
-		ys := float64(year-t.EpochYear) * hoursPerYear
+	for i := range t.Years {
+		y := &t.Years[i]
+		ys := float64(i) * hoursPerYear
 		lo, hi := max(from, ys), min(to, ys+hoursPerYear)
-		if !ok || hi <= lo {
+		if hi <= lo {
 			continue
 		}
 		rate := 0.0
-		if dt == FleetWide {
-			names := buf[:0]
-			for name := range types {
-				names = append(names, name)
-			}
-			slices.Sort(names)
-			for _, name := range names {
-				rate += types[name]
+		if dt == allTypes {
+			for _, typ := range sumOrder {
+				rate += y.Expected[typ]
 			}
 		} else {
-			rate = types[dt]
+			rate = y.Expected[dt]
 		}
 		total += rate * (hi - lo) / hoursPerYear
 	}
 	return total
 }
 
-// populationAt returns the deployed count for dt (FleetWide sums) in the
-// year containing sim-hour t. Repair completions drain a little past the
-// final calibrated year, so instants beyond the table fall back to the
-// latest year with population data rather than reporting zero devices.
-func (t Targets) populationAt(at float64, dt string) int {
-	year := t.yearOf(at)
-	types, ok := t.Population[year]
-	for !ok && year > t.EpochYear {
-		year--
-		types, ok = t.Population[year]
+// year returns the objectives for the year containing sim-hour at: the
+// last year for instants beyond the table (repair completions drain a
+// little past the final calibrated year), zero for an empty table.
+func (t Targets) year(at float64) Year {
+	if len(t.Years) == 0 {
+		return Year{}
 	}
-	if dt != FleetWide {
-		return types[dt]
+	return t.Years[min(t.yearOf(at)-t.EpochYear, len(t.Years)-1)]
+}
+
+// populationAt returns the deployed count for dt (allTypes sums) in the
+// year containing sim-hour at.
+func (t Targets) populationAt(at float64, dt topology.DeviceType) int {
+	pop := t.year(at).Population
+	if dt != allTypes {
+		return pop[dt]
 	}
 	n := 0
-	for _, v := range types {
+	for _, v := range pop {
 		n += v
 	}
 	return n
@@ -165,23 +167,6 @@ func (t Targets) yearOf(at float64) int {
 	// a run, at the first hour of the following year) belongs to the year
 	// just completed, not a year with no calibration.
 	return t.EpochYear + int((at-1e-9)/hoursPerYear)
-}
-
-// mttrTarget returns the resolution-p75 objective for the year containing
-// sim-hour t, falling back to the latest calibrated year beyond the study
-// period.
-func (t Targets) mttrTarget(at float64) float64 {
-	if v := t.MTTRp75[t.yearOf(at)]; v > 0 {
-		return v
-	}
-	last := 0.0
-	lastYear := 0
-	for y, v := range t.MTTRp75 {
-		if y > lastYear {
-			lastYear, last = y, v
-		}
-	}
-	return last
 }
 
 // Sink receives one line of text per alert transition. notify.Client and
@@ -226,9 +211,9 @@ type Engine struct {
 	// multi-window AND degenerates, paging on the first handful of
 	// incidents.
 	started     float64
-	faults      map[string]int64
-	repairs     map[string]int64
-	incidents   map[string][]incident
+	faults      [numTypes]int64
+	repairs     [numTypes]int64
+	incidents   [numTypes][]incident
 	edge        []interval
 	transitions []Transition
 
@@ -240,28 +225,24 @@ type Engine struct {
 }
 
 // New returns an Engine evaluating the given rules against targets. A nil
-// or empty rule slice means DefaultRules(). Rule names must be unique.
+// or empty rule slice means DefaultRules(). Rule names must be unique, and
+// a rule's Type must be FleetWide or a topology.DeviceType name.
 func New(targets Targets, rules []Rule) (*Engine, error) {
 	if len(rules) == 0 {
 		rules = DefaultRules()
 	}
-	e := &Engine{
-		targets:   targets,
-		started:   math.Inf(1),
-		faults:    make(map[string]int64),
-		repairs:   make(map[string]int64),
-		incidents: make(map[string][]incident),
-	}
+	e := &Engine{targets: targets, started: math.Inf(1)}
 	seen := make(map[string]bool, len(rules))
 	for _, r := range rules {
-		if err := r.validate(); err != nil {
+		typ, err := r.validate()
+		if err != nil {
 			return nil, err
 		}
 		if seen[r.Name] {
 			return nil, fmt.Errorf("health: duplicate rule name %q", r.Name)
 		}
 		seen[r.Name] = true
-		e.rules = append(e.rules, &ruleState{Rule: r, state: StateInactive})
+		e.rules = append(e.rules, &ruleState{Rule: r, typ: typ, state: StateInactive})
 	}
 	return e, nil
 }
@@ -322,7 +303,7 @@ func metricName(s string) string {
 
 // RecordFault notes a detected device fault (repairable or not) on a
 // device of the given type at sim-hour at.
-func (e *Engine) RecordFault(at float64, deviceType string) {
+func (e *Engine) RecordFault(at float64, deviceType topology.DeviceType) {
 	if e == nil {
 		return
 	}
@@ -343,7 +324,7 @@ func (e *Engine) noteTime(at float64) {
 }
 
 // RecordRepair notes a fault masked by repair (automated or manual).
-func (e *Engine) RecordRepair(at float64, deviceType string) {
+func (e *Engine) RecordRepair(at float64, deviceType topology.DeviceType) {
 	if e == nil {
 		return
 	}
@@ -358,7 +339,7 @@ func (e *Engine) RecordRepair(at float64, deviceType string) {
 // resolve. Incidents may arrive slightly out of order (they surface when
 // the failed repair attempt completes, not when the fault started); the
 // insert keeps the per-type timeline sorted.
-func (e *Engine) RecordIncident(at float64, deviceType string, resolutionHours float64) {
+func (e *Engine) RecordIncident(at float64, deviceType topology.DeviceType, resolutionHours float64) {
 	if e == nil {
 		return
 	}
@@ -394,15 +375,15 @@ func (e *Engine) RecordEdgeDown(start, end float64) {
 	}
 }
 
-// countIncidents returns the number of incidents for dt (FleetWide sums
-// all types) with start in (from, to].
-func (e *Engine) countIncidents(dt string, from, to float64) int {
+// countIncidents returns the number of incidents for dt (allTypes sums
+// every type) with start in (from, to].
+func (e *Engine) countIncidents(dt topology.DeviceType, from, to float64) int {
 	count := func(s []incident) int {
 		lo := sort.Search(len(s), func(i int) bool { return s[i].at > from })
 		hi := sort.Search(len(s), func(i int) bool { return s[i].at > to })
 		return hi - lo
 	}
-	if dt != FleetWide {
+	if dt != allTypes {
 		return count(e.incidents[dt])
 	}
 	n := 0
@@ -413,9 +394,9 @@ func (e *Engine) countIncidents(dt string, from, to float64) int {
 }
 
 // resolutionsIn collects resolution times of incidents for dt in (from, to].
-// FleetWide walks the types by name, so a sum over the result (the report's
-// mean time to repair) is the same to the last bit on every call.
-func (e *Engine) resolutionsIn(dt string, from, to float64) []float64 {
+// allTypes walks the types in sumOrder, so a sum over the result (the
+// report's mean time to repair) is the same to the last bit on every call.
+func (e *Engine) resolutionsIn(dt topology.DeviceType, from, to float64) []float64 {
 	var out []float64
 	collect := func(s []incident) {
 		lo := sort.Search(len(s), func(i int) bool { return s[i].at > from })
@@ -424,11 +405,11 @@ func (e *Engine) resolutionsIn(dt string, from, to float64) []float64 {
 			out = append(out, in.resolution)
 		}
 	}
-	if dt != FleetWide {
+	if dt != allTypes {
 		collect(e.incidents[dt])
 	} else {
-		for _, name := range slices.Sorted(maps.Keys(e.incidents)) {
-			collect(e.incidents[name])
+		for _, typ := range sumOrder {
+			collect(e.incidents[typ])
 		}
 	}
 	return out
@@ -475,7 +456,7 @@ func (e *Engine) Evaluate(now float64) {
 	firing := 0
 	var emitted []Transition
 	for _, rs := range e.rules {
-		values, measurable := e.signalValues(rs.Rule, now)
+		values, measurable := e.signalValues(rs, now)
 		rs.values = values
 		worst := 0.0
 		for _, v := range values {
@@ -528,7 +509,7 @@ func (e *Engine) Evaluate(now float64) {
 // signalValues computes a rule's signal over each window ending at now.
 // measurable is false when the signal has no basis yet (no budget in any
 // window, too few MTTR samples, edge targets unset).
-func (e *Engine) signalValues(r Rule, now float64) (values []float64, measurable bool) {
+func (e *Engine) signalValues(r *ruleState, now float64) (values []float64, measurable bool) {
 	values = make([]float64, len(r.Windows))
 	measurable = true
 	for i, w := range r.Windows {
@@ -543,15 +524,15 @@ func (e *Engine) signalValues(r Rule, now float64) (values []float64, measurable
 		}
 		switch r.Signal {
 		case SignalIncidentBurn:
-			budget := e.targets.slack() * e.targets.expectedIncidents(r.Type, from, now)
+			budget := budgetSlack * e.targets.expectedIncidents(r.typ, from, now)
 			if budget <= 0 {
 				measurable = false
 				continue
 			}
-			values[i] = float64(e.countIncidents(r.Type, from, now)) / budget
+			values[i] = float64(e.countIncidents(r.typ, from, now)) / budget
 		case SignalMTTR:
-			target := e.targets.mttrTarget(now)
-			samples := e.resolutionsIn(r.Type, from, now)
+			target := e.targets.year(now).MTTRp75
+			samples := e.resolutionsIn(r.typ, from, now)
 			if target <= 0 || len(samples) < minMTTRSamples {
 				measurable = false
 				continue

@@ -3,29 +3,26 @@ package health
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"dcnr/internal/obs"
+	"dcnr/internal/topology"
 )
 
 // testTargets: one device type, 100 expected incidents/year flat across
 // three years, slack 1.5. Budget for a 15-day window ≈ 1.5 * 100*360/8760
 // ≈ 6.16 incidents.
 func testTargets() Targets {
-	exp := map[int]map[string]float64{}
-	pop := map[int]map[string]int{}
-	mttr := map[int]float64{}
-	for y := 2011; y <= 2013; y++ {
-		exp[y] = map[string]float64{"RSW": 100}
-		pop[y] = map[string]int{"RSW": 1000}
-		mttr[y] = 10
-	}
-	return Targets{EpochYear: 2011, Expected: exp, Population: pop, MTTRp75: mttr}
+	var y Year
+	y.Expected[topology.RSW] = 100
+	y.Population[topology.RSW] = 1000
+	y.MTTRp75 = 10
+	return Targets{EpochYear: 2011, Years: []Year{y, y, y}}
 }
 
 type recordingSink struct {
@@ -48,81 +45,125 @@ func (r *recordingSink) all() []string {
 
 func TestExpectedIncidentsIntegration(t *testing.T) {
 	tg := testTargets()
-	if got := tg.expectedIncidents("RSW", 0, hoursPerYear); got != 100 {
+	if got := tg.expectedIncidents(topology.RSW, 0, hoursPerYear); got != 100 {
 		t.Errorf("one full year = %v, want 100", got)
 	}
 	// Half of 2011 + half of 2012 at the same rate.
-	got := tg.expectedIncidents("RSW", hoursPerYear/2, hoursPerYear*3/2)
+	got := tg.expectedIncidents(topology.RSW, hoursPerYear/2, hoursPerYear*3/2)
 	if got < 99.9 || got > 100.1 {
 		t.Errorf("year-straddling window = %v, want ≈ 100", got)
 	}
 	// Windows reaching before the study start truncate.
-	if got := tg.expectedIncidents("RSW", -hoursPerYear, hoursPerYear); got != 100 {
+	if got := tg.expectedIncidents(topology.RSW, -hoursPerYear, hoursPerYear); got != 100 {
 		t.Errorf("pre-epoch window = %v, want 100", got)
 	}
 	// Fleet-wide sums types.
-	tg.Expected[2011]["Core"] = 50
-	if got := tg.expectedIncidents(FleetWide, 0, hoursPerYear); got != 150 {
+	tg.Years[0].Expected[topology.Core] = 50
+	if got := tg.expectedIncidents(allTypes, 0, hoursPerYear); got != 150 {
 		t.Errorf("fleet-wide year = %v, want 150", got)
 	}
 }
 
-// TestFleetMTTRFixedOrder checks the report's fleet-wide mean time to
-// repair bit for bit against a sum over the types by name, with
-// resolutions whose float sum depends on the order of addition. Map
-// iteration order changes from call to call, so repeated reports catch a
-// sum that follows it.
-func TestFleetMTTRFixedOrder(t *testing.T) {
-	tg := Targets{EpochYear: 2011, Expected: map[int]map[string]float64{2011: {"T00": 1}}}
-	e, err := New(tg, nil)
-	if err != nil {
-		t.Fatal(err)
+// orderTable returns a per-type table whose sum depends on the order of
+// its terms: Core holds 2^53, where floats are 2 apart, and every other
+// type holds 1. A 1 added to a sum at or above 2^53 rounds away, while 1s
+// summed before Core survive in part. sumOrder puts three types before
+// Core, enum order six and display order none, so the three orders sum to
+// 2^53+4, 2^53+8 and 2^53.
+func orderTable() (t [numTypes]float64) {
+	for dt := range t {
+		t[dt] = 1
 	}
-	sum := 0.0
-	for i := 0; i < 12; i++ {
-		// Mixed magnitudes: each addition rounds differently.
-		res := float64(i+1)*0.1 + float64(i%5)*1e7/3
-		e.RecordIncident(float64(i+1), fmt.Sprintf("T%02d", i), res)
-		sum += res
+	t[topology.Core] = math.Ldexp(1, 53)
+	return t
+}
+
+// enumOrder lists the device types by enum value.
+func enumOrder() []topology.DeviceType {
+	var out []topology.DeviceType
+	for dt := topology.DeviceType(0); int(dt) < numTypes; dt++ {
+		out = append(out, dt)
 	}
-	want := sum / 12
-	for i := 0; i < 200; i++ {
-		if got := e.Report().Fleet.MTTRMeanHours; math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("report %d: fleet MTTR = %v, want %v bit for bit", i, got, want)
+	return out
+}
+
+// TestSumOrder checks sumOrder lists every device type once, in the byte
+// order of the type names.
+func TestSumOrder(t *testing.T) {
+	got := sumOrder[:]
+	want := slices.SortedFunc(slices.Values(enumOrder()), func(a, b topology.DeviceType) int {
+		return strings.Compare(a.String(), b.String())
+	})
+	if !slices.Equal(got, want) {
+		t.Errorf("sumOrder = %v, want %v", got, want)
+	}
+}
+
+// checkOrderSensitive fails the test unless sum gives a different result
+// in enum and in display order than in sumOrder: test data that sums the
+// same in every order cannot tell a wrong order from the right one.
+func checkOrderSensitive(t *testing.T, sum func([]topology.DeviceType) float64) {
+	t.Helper()
+	want := math.Float64bits(sum(sumOrder[:]))
+	for _, other := range [][]topology.DeviceType{enumOrder(), topology.DeviceTypes} {
+		if math.Float64bits(sum(other)) == want {
+			t.Fatalf("test data sums the same in order %v as in sumOrder", other)
 		}
 	}
 }
 
-// TestExpectedIncidentsFixedOrder checks the fleet-wide integral bit for
-// bit against a sum in a fixed order — years ascending, types by name —
-// over a table whose float sums depend on the order of addition. Map
-// iteration order changes from call to call, so repeated calls catch a
-// sum that follows it.
-func TestExpectedIncidentsFixedOrder(t *testing.T) {
-	tg := Targets{EpochYear: 2011, Expected: map[int]map[string]float64{}}
-	for y := 2011; y <= 2017; y++ {
-		types := map[string]float64{}
-		for i := 0; i < 12; i++ {
-			// Mixed magnitudes: each addition rounds differently.
-			types[fmt.Sprintf("T%02d", i)] = float64(i+1)*0.1 + float64((y+i)%5)*1e7/3
+// TestFleetMTTRFixedOrder checks the report's fleet-wide mean time to
+// repair bit for bit against a sum over the types in sumOrder, with one
+// orderTable resolution per type arriving in enum order.
+func TestFleetMTTRFixedOrder(t *testing.T) {
+	e, err := New(testTargets(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := orderTable()
+	for _, dt := range enumOrder() {
+		e.RecordIncident(float64(dt+1), dt, res[dt])
+	}
+	mean := func(order []topology.DeviceType) float64 {
+		s := 0.0
+		for _, dt := range order {
+			s += res[dt]
 		}
-		tg.Expected[y] = types
+		return s / float64(numTypes)
+	}
+	checkOrderSensitive(t, mean)
+	want := mean(sumOrder[:])
+	if got := e.Report().Fleet.MTTRMeanHours; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("fleet MTTR = %v, want %v bit for bit", got, want)
+	}
+}
+
+// TestExpectedIncidentsFixedOrder checks the fleet-wide integral bit for
+// bit against a sum in a fixed order — years ascending, types in sumOrder —
+// over years of orderTable rates.
+func TestExpectedIncidentsFixedOrder(t *testing.T) {
+	tg := Targets{EpochYear: 2011, Years: make([]Year, 7)}
+	for y := range tg.Years {
+		tg.Years[y].Expected = orderTable()
 	}
 	from, to := hoursPerYear*0.3, hoursPerYear*6.7
-	want := 0.0
-	for y := 2011; y <= 2017; y++ {
-		ys := float64(y-tg.EpochYear) * hoursPerYear
-		lo, hi := max(from, ys), min(to, ys+hoursPerYear)
-		rate := 0.0
-		for i := 0; i < 12; i++ {
-			rate += tg.Expected[y][fmt.Sprintf("T%02d", i)]
+	integral := func(order []topology.DeviceType) float64 {
+		total := 0.0
+		for i := range tg.Years {
+			ys := float64(i) * hoursPerYear
+			lo, hi := max(from, ys), min(to, ys+hoursPerYear)
+			rate := 0.0
+			for _, dt := range order {
+				rate += tg.Years[i].Expected[dt]
+			}
+			total += rate * (hi - lo) / hoursPerYear
 		}
-		want += rate * (hi - lo) / hoursPerYear
+		return total
 	}
-	for i := 0; i < 200; i++ {
-		if got := tg.expectedIncidents(FleetWide, from, to); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("call %d: expectedIncidents = %v, want %v bit for bit", i, got, want)
-		}
+	checkOrderSensitive(t, integral)
+	want := integral(sumOrder[:])
+	if got := tg.expectedIncidents(allTypes, from, to); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("expectedIncidents = %v, want %v bit for bit", got, want)
 	}
 }
 
@@ -131,7 +172,7 @@ func TestExpectedIncidentsFixedOrder(t *testing.T) {
 func seedIncidents(e *Engine, n int, from, to float64) {
 	step := (to - from) / float64(n)
 	for i := 0; i < n; i++ {
-		e.RecordIncident(from+float64(i)*step+step/2, "RSW", 5)
+		e.RecordIncident(from+float64(i)*step+step/2, topology.RSW, 5)
 	}
 }
 
@@ -219,7 +260,7 @@ func TestForDurationGatesFiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RecordFault(1, "RSW") // open the observation window
+	e.RecordFault(1, topology.RSW) // open the observation window
 	// Burst breaching the 15-day window, placed after it can fill.
 	seedIncidents(e, 30, 400, 410)
 	e.Evaluate(420) // condition true → pending
@@ -243,7 +284,7 @@ func TestPendingResetsWhenConditionClears(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RecordFault(1, "RSW") // open the observation window
+	e.RecordFault(1, topology.RSW) // open the observation window
 	seedIncidents(e, 20, 400, 410)
 	e.Evaluate(420)
 	if st := e.Report().Rules[0].State; st != "pending" {
@@ -268,7 +309,7 @@ func TestMultiWindowAND(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RecordFault(1, "RSW") // open the observation window
+	e.RecordFault(1, topology.RSW) // open the observation window
 	// A short spike breaches the 5-day window but not the 60-day one.
 	seedIncidents(e, 10, 2000, 2024)
 	e.Evaluate(2048)
@@ -290,17 +331,17 @@ func TestMTTRSignalNeedsSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RecordFault(1, "RSW") // open the observation window
+	e.RecordFault(1, topology.RSW) // open the observation window
 	// One short of the sample floor: unmeasurable, must stay inactive.
 	for i := 0; i < minMTTRSamples-1; i++ {
-		e.RecordIncident(2200+float64(i), "RSW", 100)
+		e.RecordIncident(2200+float64(i), topology.RSW, 100)
 	}
 	e.Evaluate(2400)
 	if st := e.Report().Rules[0].State; st != "inactive" {
 		t.Fatalf("under-sampled MTTR signal fired: %s", st)
 	}
 	// One more sample crosses the floor: p75=100 vs target 10 → fires.
-	e.RecordIncident(2210, "RSW", 100)
+	e.RecordIncident(2210, topology.RSW, 100)
 	e.Evaluate(2424)
 	if st := e.Report().Rules[0].State; st != "firing" {
 		t.Fatalf("state = %s, want firing (p75 10× target, For=0)", st)
@@ -339,22 +380,22 @@ func TestOutOfOrderIncidentInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RecordIncident(100, "RSW", 1)
-	e.RecordIncident(50, "RSW", 1) // late arrival
-	e.RecordIncident(75, "RSW", 1)
-	if got := e.countIncidents("RSW", 60, 110); got != 2 {
+	e.RecordIncident(100, topology.RSW, 1)
+	e.RecordIncident(50, topology.RSW, 1) // late arrival
+	e.RecordIncident(75, topology.RSW, 1)
+	if got := e.countIncidents(topology.RSW, 60, 110); got != 2 {
 		t.Errorf("window count over out-of-order inserts = %d, want 2", got)
 	}
-	if got := e.countIncidents(FleetWide, 0, 200); got != 3 {
+	if got := e.countIncidents(allTypes, 0, 200); got != 3 {
 		t.Errorf("fleet count = %d, want 3", got)
 	}
 }
 
 func TestNilEngineIsNoOp(t *testing.T) {
 	var e *Engine
-	e.RecordFault(1, "RSW")
-	e.RecordRepair(1, "RSW")
-	e.RecordIncident(1, "RSW", 1)
+	e.RecordFault(1, topology.RSW)
+	e.RecordRepair(1, topology.RSW)
+	e.RecordIncident(1, topology.RSW, 1)
 	e.RecordEdgeDown(1, 2)
 	e.Evaluate(10)
 	e.SetSink(nil)
@@ -376,6 +417,8 @@ func TestRuleValidation(t *testing.T) {
 		{Name: "t", Signal: SignalIncidentBurn, Windows: []float64{1}},
 		{Name: "s", Signal: "bogus", Windows: []float64{1}, Threshold: 1},
 		{Name: "neg", Signal: SignalMTTR, Windows: []float64{1}, Threshold: 1, For: -1},
+		// Type names are case-sensitive: "rsw" names no device type.
+		{Name: "type", Type: "rsw", Signal: SignalIncidentBurn, Windows: []float64{1}, Threshold: 1},
 	}
 	for _, r := range bad {
 		if _, err := New(testTargets(), []Rule{r}); err == nil {
@@ -399,8 +442,8 @@ func TestReportJSONAndLogging(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetLogger(slog.New(h))
-	e.RecordFault(10, "RSW")
-	e.RecordRepair(10, "RSW")
+	e.RecordFault(10, topology.RSW)
+	e.RecordRepair(10, topology.RSW)
 	seedIncidents(e, 200, 0, 60*24) // hot enough to transition
 	for d := 1; d <= 70; d++ {      // run past the longest window filling
 		e.Evaluate(float64(d) * 24)
@@ -446,7 +489,7 @@ func TestConcurrentRecordAndReport(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
-			e.RecordIncident(float64(i), "RSW", 1)
+			e.RecordIncident(float64(i), topology.RSW, 1)
 			if i%50 == 0 {
 				e.Evaluate(float64(i))
 			}

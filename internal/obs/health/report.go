@@ -3,6 +3,8 @@ package health
 import (
 	"encoding/json"
 	"io"
+
+	"dcnr/internal/topology"
 )
 
 // SLOReport is a point-in-time summary of the engine's view: live
@@ -103,7 +105,7 @@ func (e *Engine) Report() SLOReport {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.now
-	window := e.targets.reportWindow()
+	const window = reportWindowHours
 	rep := SLOReport{
 		AsOfSimHours: now,
 		Year:         e.targets.yearOf(now),
@@ -112,17 +114,12 @@ func (e *Engine) Report() SLOReport {
 		Types:        make(map[string]TypeSLO),
 		Transitions:  append([]Transition(nil), e.transitions...),
 	}
-	seen := make(map[string]bool)
-	for dt := range e.incidents {
-		seen[dt] = true
+	for _, dt := range topology.DeviceTypes {
+		if e.faults[dt] > 0 || len(e.incidents[dt]) > 0 {
+			rep.Types[dt.String()] = e.typeSLO(dt, now, window)
+		}
 	}
-	for dt := range e.faults {
-		seen[dt] = true
-	}
-	for dt := range seen {
-		rep.Types[dt] = e.typeSLO(dt, now, window)
-	}
-	rep.Fleet = e.typeSLO(FleetWide, now, window)
+	rep.Fleet = e.typeSLO(allTypes, now, window)
 	for _, rs := range e.rules {
 		if rs.state == StateFiring {
 			rep.Healthy = false
@@ -151,14 +148,14 @@ func (e *Engine) Report() SLOReport {
 
 // typeSLO computes one type's (or the fleet's) window statistics. Caller
 // holds e.mu.
-func (e *Engine) typeSLO(dt string, now, window float64) TypeSLO {
+func (e *Engine) typeSLO(dt topology.DeviceType, now, window float64) TypeSLO {
 	from := now - window
 	s := TypeSLO{
 		Population:        e.targets.populationAt(now, dt),
 		Incidents:         e.countIncidents(dt, from, now),
 		ExpectedIncidents: e.targets.expectedIncidents(dt, from, now),
 	}
-	if dt == FleetWide {
+	if dt == allTypes {
 		for _, n := range e.faults {
 			s.Faults += n
 		}
@@ -169,7 +166,7 @@ func (e *Engine) typeSLO(dt string, now, window float64) TypeSLO {
 		s.Faults = e.faults[dt]
 		s.Repairs = e.repairs[dt]
 	}
-	if budget := e.targets.slack() * s.ExpectedIncidents; budget > 0 {
+	if budget := budgetSlack * s.ExpectedIncidents; budget > 0 {
 		s.BurnRate = float64(s.Incidents) / budget
 	}
 	if s.Incidents > 0 {

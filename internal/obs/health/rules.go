@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dcnr/internal/obs"
+	"dcnr/internal/topology"
 )
 
 // Signal names a quantity a rule evaluates. Burn-style signals are ratios:
@@ -34,9 +35,9 @@ type Rule struct {
 	// Name identifies the rule in reports, notifications, and the
 	// health_burn_<name> gauge. Must be unique and non-empty.
 	Name string `json:"name"`
-	// Type restricts the signal to one device type (faults uses the
-	// topology.DeviceType string form, e.g. "RSW"); FleetWide ("") spans
-	// the fleet.
+	// Type restricts the signal to one device type, named as
+	// topology.DeviceType prints it (e.g. "RSW"); FleetWide ("") spans the
+	// fleet. New rejects any other name.
 	Type string `json:"type,omitempty"`
 	// Signal selects the evaluated quantity.
 	Signal Signal `json:"signal"`
@@ -50,30 +51,40 @@ type Rule struct {
 	For float64 `json:"for_hours"`
 }
 
-func (r Rule) validate() error {
+// validate checks r and returns the device type its Type names (allTypes
+// for FleetWide).
+func (r Rule) validate() (topology.DeviceType, error) {
 	if r.Name == "" {
-		return fmt.Errorf("health: rule with empty name")
+		return 0, fmt.Errorf("health: rule with empty name")
 	}
 	if len(r.Windows) == 0 {
-		return fmt.Errorf("health: rule %q has no windows", r.Name)
+		return 0, fmt.Errorf("health: rule %q has no windows", r.Name)
 	}
 	for _, w := range r.Windows {
 		if w <= 0 {
-			return fmt.Errorf("health: rule %q has non-positive window %v", r.Name, w)
+			return 0, fmt.Errorf("health: rule %q has non-positive window %v", r.Name, w)
 		}
 	}
 	if r.Threshold <= 0 {
-		return fmt.Errorf("health: rule %q has non-positive threshold %v", r.Name, r.Threshold)
+		return 0, fmt.Errorf("health: rule %q has non-positive threshold %v", r.Name, r.Threshold)
 	}
 	if r.For < 0 {
-		return fmt.Errorf("health: rule %q has negative for-duration %v", r.Name, r.For)
+		return 0, fmt.Errorf("health: rule %q has negative for-duration %v", r.Name, r.For)
 	}
 	switch r.Signal {
 	case SignalIncidentBurn, SignalMTTR, SignalEdgeAvailability:
 	default:
-		return fmt.Errorf("health: rule %q has unknown signal %q", r.Name, r.Signal)
+		return 0, fmt.Errorf("health: rule %q has unknown signal %q", r.Name, r.Signal)
 	}
-	return nil
+	if r.Type == FleetWide {
+		return allTypes, nil
+	}
+	for _, dt := range topology.DeviceTypes {
+		if dt.String() == r.Type {
+			return dt, nil
+		}
+	}
+	return 0, fmt.Errorf("health: rule %q has unknown device type %q", r.Name, r.Type)
 }
 
 // DefaultRules returns the standard intra-DC rule set. A calibrated run
@@ -154,6 +165,7 @@ func (s State) String() string {
 // ruleState is a Rule plus its live evaluation state.
 type ruleState struct {
 	Rule
+	typ    topology.DeviceType // Rule.Type resolved; allTypes for FleetWide
 	state  State
 	since  float64   // sim-hour the rule entered pending (then firing)
 	values []float64 // last evaluation's per-window signal values

@@ -12,7 +12,7 @@ import (
 // and 0 allocs/op — the timeline's end-to-end budget rests on it.
 func BenchmarkObsTimelineSample(b *testing.B) {
 	reg := obs.NewRegistry()
-	tl := New(24)
+	tl := New()
 	counters := []string{"c0", "c1", "c2", "c3", "c4", "c5"}
 	gauges := []string{"g0", "g1"}
 	s := NewSampler(tl, "sim", reg, counters, gauges)
@@ -35,7 +35,7 @@ func BenchmarkObsTimelineSampleNil(b *testing.B) {
 }
 
 func BenchmarkObsTimelineRecord(b *testing.B) {
-	tl := New(24)
+	tl := New()
 	col := tl.Column("series")
 	l := tl.Lane("sim")
 	b.ReportAllocs()
@@ -55,7 +55,7 @@ func BenchmarkObsTimelineRecordNil(b *testing.B) {
 }
 
 func BenchmarkObsTimelineWriteJSONL(b *testing.B) {
-	tl := New(24)
+	tl := New()
 	col := tl.Column("des_events_fired_total")
 	l := tl.Lane("sim")
 	for i := 0; i < 4096; i++ {

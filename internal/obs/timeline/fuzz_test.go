@@ -19,7 +19,7 @@ import (
 // bounds and metric are read the way the handler reads them: the first
 // value of each key, malformed pairs dropped.
 func FuzzServeHistory(f *testing.F) {
-	tl := New(24)
+	tl := New()
 	a, b := tl.Column("a"), tl.Column("b")
 	type point struct {
 		t float64

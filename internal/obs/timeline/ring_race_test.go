@@ -14,7 +14,7 @@ import (
 // concurrent readers always see the lanes merged in time order, and
 // Window answers from that merged view.
 func TestRingWraparoundConcurrentRead(t *testing.T) {
-	tl := New(1)
+	tl := New()
 	even, odd := tl.Column("even"), tl.Column("odd")
 	lanes := [2]*Lane{tl.Lane("even"), tl.Lane("odd")}
 

@@ -19,8 +19,8 @@
 //
 // # Determinism
 //
-// Sim-time lanes are sampled on a fixed cadence grid (multiples of the
-// configured cadence, timed by the DES clock), record only when a series'
+// Sim-time lanes are sampled on a fixed cadence grid (multiples of
+// DefaultCadence, timed by the DES clock), record only when a series'
 // value changed, and read no wall clock and no randomness — so for a
 // fixed seed the serialized timeline is bit-for-bit reproducible and an
 // attached timeline never perturbs the simulation's RNG streams. Wall
@@ -40,9 +40,9 @@ import (
 	"dcnr/internal/obs"
 )
 
-// DefaultCadence is the sim-time sampling cadence when none is
-// configured: one sample grid point per simulated day, matching the
-// health engine's evaluation tick.
+// DefaultCadence is the sim-time sampling cadence in hours: one sample
+// grid point per simulated day, matching the health engine's evaluation
+// tick. Every sim-time timeline samples on it.
 const DefaultCadence = 24.0
 
 // Sample is one time-series point: 24 bytes, no pointers, so a full
@@ -63,30 +63,22 @@ type Sample struct {
 // Construct with New; a nil *Timeline (and every lane obtained from it)
 // is a valid no-op.
 type Timeline struct {
-	cadence float64
-
 	mu    sync.Mutex
 	lanes []*Lane
 	cols  []string
 	colID map[string]int32
 }
 
-// New returns an empty timeline sampling on the given sim-time cadence in
-// hours; cadence <= 0 (or NaN) selects DefaultCadence.
-func New(cadence float64) *Timeline {
-	if !(cadence > 0) {
-		cadence = DefaultCadence
-	}
-	return &Timeline{cadence: cadence}
-}
+// New returns an empty timeline sampling every DefaultCadence sim-hours.
+func New() *Timeline { return &Timeline{} }
 
-// Cadence returns the sim-time sampling cadence in hours (0 on a nil
-// timeline).
+// Cadence returns the sim-time sampling cadence in hours, DefaultCadence
+// (0 on a nil timeline).
 func (t *Timeline) Cadence() float64 {
 	if t == nil {
 		return 0
 	}
-	return t.cadence
+	return DefaultCadence
 }
 
 // Column interns a series name and returns its ordinal, stable for the

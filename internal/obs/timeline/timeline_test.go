@@ -47,24 +47,13 @@ func TestNilSafety(t *testing.T) {
 	if s := NewSampler(nil, "x", obs.NewRegistry(), nil, nil); s != nil {
 		t.Errorf("NewSampler(nil timeline) = %v, want nil", s)
 	}
-	if s := NewSampler(New(1), "x", nil, nil, nil); s != nil {
+	if s := NewSampler(New(), "x", nil, nil, nil); s != nil {
 		t.Errorf("NewSampler(nil registry) = %v, want nil", s)
 	}
 }
 
-func TestCadenceDefault(t *testing.T) {
-	for _, c := range []float64{0, -1, math.NaN()} {
-		if got := New(c).Cadence(); got != DefaultCadence {
-			t.Errorf("New(%v).Cadence() = %v, want %v", c, got, DefaultCadence)
-		}
-	}
-	if got := New(6).Cadence(); got != 6 {
-		t.Errorf("New(6).Cadence() = %v", got)
-	}
-}
-
 func TestRecordFlushAndMerge(t *testing.T) {
-	tl := New(24)
+	tl := New()
 	a, b := tl.Column("alpha"), tl.Column("beta")
 	if a == b {
 		t.Fatalf("columns collided: %d", a)
@@ -110,7 +99,7 @@ func TestRecordFlushAndMerge(t *testing.T) {
 }
 
 func TestWriteJSONL(t *testing.T) {
-	tl := New(24)
+	tl := New()
 	ev := tl.Column("des_events_fired_total")
 	q := tl.Column("des_queue_depth")
 	l := tl.Lane("sim")
@@ -149,7 +138,7 @@ func TestWriteJSONL(t *testing.T) {
 
 func TestSamplerDeltaSuppression(t *testing.T) {
 	reg := obs.NewRegistry()
-	tl := New(24)
+	tl := New()
 	s := NewSampler(tl, "sim", reg, []string{"events_total"}, []string{"depth"})
 	c := reg.Counter("events_total")
 	g := reg.Gauge("depth")
@@ -184,7 +173,7 @@ func TestSamplerDeltaSuppression(t *testing.T) {
 
 func TestSamplerWallTicker(t *testing.T) {
 	reg := obs.NewRegistry()
-	tl := New(24)
+	tl := New()
 	s := NewSampler(tl, "wall", reg, []string{"hits"}, nil)
 	reg.Counter("hits").Add(5)
 	stop := s.StartWall(time.Millisecond)
@@ -204,7 +193,7 @@ func TestSamplerWallTicker(t *testing.T) {
 }
 
 func TestServeHistory(t *testing.T) {
-	tl := New(24)
+	tl := New()
 	a := tl.Column("a")
 	b := tl.Column("b")
 	l := tl.Lane("sim")

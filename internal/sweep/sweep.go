@@ -118,10 +118,6 @@ type Config struct {
 	// by the run's samples on the sim-time cadence grid. Like Results,
 	// the stream is byte-identical at any worker count.
 	Timeline io.Writer
-	// TimelineCadence is the per-run sampling cadence in sim-hours;
-	// <= 0 selects the timeline default (24, one grid point per
-	// simulated day).
-	TimelineCadence float64
 	// Status, when non-nil, is updated live as runs start and finish; serve
 	// Status.Handler to watch the campaign from outside. Status only adds
 	// progress accounting — sweep_report.json is unchanged by it.
@@ -376,7 +372,7 @@ func Run(cfg Config) (*Result, error) {
 			icfg.Observe.Journal = faults.NewJournal()
 		}
 		if cfg.Timeline != nil {
-			icfg.Observe.Timeline = timeline.New(cfg.TimelineCadence)
+			icfg.Observe.Timeline = timeline.New()
 		}
 		res, err := sim.IntraDC(icfg)
 		if err != nil {

@@ -90,7 +90,7 @@ func TestSimulateIntraDCInstrumented(t *testing.T) {
 // byte-identical JSONL — no wall-clock jitter in what gets captured.
 func TestSimulateIntraDCTimelineDeterministic(t *testing.T) {
 	render := func() string {
-		tl := dcnr.NewTimeline(24)
+		tl := dcnr.NewTimeline()
 		cfg := dcnr.IntraConfig{Seed: 11, FromYear: 2016, ToYear: 2016}
 		cfg.Observe.Timeline = tl
 		if _, err := dcnr.SimulateIntraDC(cfg); err != nil {
