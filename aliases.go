@@ -433,36 +433,22 @@ func AttachJournal(store *SEVStore, x *JournalIndex) int { return sev.AttachJour
 // pointer-free fixed-width samples on a fixed cadence grid. A nil
 // *Timeline is a valid no-op. Pass one through
 // IntraConfig.Observe.Timeline (or SweepConfig.Timeline for per-run
-// streams) and serialize it with WriteJSONL; serve ServeHistory for
-// windowed queries (a live reader polls it with from set to the newest t
-// it holds; the bound is inclusive).
+// streams) and serialize it with WriteJSONL.
 type Timeline = timeline.Timeline
 
 // TimelineSample is one time-series point: the sample instant, the
 // series' value, and its column ordinal.
 type TimelineSample = timeline.Sample
 
-// TimelineSampler reads a fixed set of registry series on each tick and
-// records the ones that changed into a timeline lane; StartWall runs it
-// on a wall-clock ticker for servers.
-type TimelineSampler = timeline.Sampler
-
 // NewTimeline returns an empty timeline sampling every 24 sim-hours, one
 // grid point per simulated day.
 func NewTimeline() *Timeline { return timeline.New() }
 
-// NewTimelineSampler builds a sampler over reg feeding a new lane of t,
-// tracking the named counter and gauge series.
-func NewTimelineSampler(t *Timeline, lane string, reg *MetricsRegistry, counters, gauges []string) *TimelineSampler {
-	return timeline.NewSampler(t, lane, reg, counters, gauges)
-}
-
 // SweepStatus is the live campaign introspection table: a lock-free
 // per-run progress grid updated by the sweep workers. Set one on
 // SweepConfig.Status and serve SweepStatus.Handler (endpoints /campaign
-// and /journal) to watch a campaign run; dcsweep mounts the campaign
-// timeline's ServeHistory beside it at /metrics/history.
-// A nil *SweepStatus is a valid no-op.
+// and /journal) to watch a campaign run; dcnrtop draws its dashboard from
+// /campaign alone. A nil *SweepStatus is a valid no-op.
 type SweepStatus = sweep.Status
 
 // SweepCampaignStatus is one point-in-time campaign snapshot: aggregate

@@ -28,8 +28,8 @@
 // dataset generation and carry an ETag; clients replaying If-None-Match
 // see 304 until an ingest changes the dataset under them. The full
 // runtime-introspection suite (/metrics, /healthz, /slo, /journal,
-// /metrics/history, /debug/pprof/) is mounted alongside, with a
-// wall-clock timeline sampling the serve_* series once a second.
+// /debug/pprof/) is mounted alongside; /metrics carries the serve_*
+// request counters.
 //
 // -sevs loads a dataset file (the sevs.json shape dcsim writes);
 // -simulate generates one in-process with the study simulation at
@@ -46,7 +46,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"dcnr"
 	"dcnr/internal/serve"
@@ -86,9 +85,8 @@ type options struct {
 
 // runDaemon builds, loads, and serves the daemon until stop delivers.
 // ready (when non-nil) receives the bound address once the listener is
-// up — the e2e test's hook for ":0". Teardown order matters: stop the
-// sampler, then shut the daemon down (severing connections and joining
-// the serving goroutine).
+// up — the e2e test's hook for ":0". Shutdown severs connections and
+// joins the serving goroutine before runDaemon returns.
 func runDaemon(o options, stderr io.Writer, ready func(addr string), stop <-chan os.Signal) error {
 	reg := dcnr.NewMetricsRegistry()
 	var logger *slog.Logger
@@ -120,14 +118,12 @@ func runDaemon(o options, stderr io.Writer, ready func(addr string), stop <-chan
 		}
 		jnl = dcnr.NewJournal()
 	}
-	tl := dcnr.NewTimeline()
 
 	cfg := serve.Config{
 		Addr:         o.addr,
 		CacheEntries: o.cache,
 		Obs: dcnr.Observe{
-			Metrics: reg, Health: health, Logger: logger,
-			Journal: jnl, Timeline: tl,
+			Metrics: reg, Health: health, Logger: logger, Journal: jnl,
 		},
 	}
 	d, err := serve.NewDaemon(&cfg)
@@ -168,20 +164,11 @@ func runDaemon(o options, stderr io.Writer, ready func(addr string), stop <-chan
 		_, _ = fmt.Fprintf(stderr, "dcnrd: simulated %d reports (seed %d, scale %d)\n", d.Store().Len(), o.seed, o.scale)
 	}
 
-	// The wall timeline samples the serve_* request counters once a
-	// second for /metrics/history.
-	smp := dcnr.NewTimelineSampler(tl, "wall", reg, []string{
-		"serve_queries_total", "serve_cache_hits_total",
-		"serve_cache_misses_total", "serve_ingest_reports_total",
-	}, nil)
-	stopSampler := smp.StartWall(time.Second)
-	defer stopSampler()
-
 	addr, err := d.Start()
 	if err != nil {
 		return err
 	}
-	_, _ = fmt.Fprintf(stderr, "dcnrd: %s serving on http://%s (/query/count, /query/resolutions, /ingest, /stats, /metrics, /metrics/history)\n", d, addr)
+	_, _ = fmt.Fprintf(stderr, "dcnrd: %s serving on http://%s (/query/count, /query/resolutions, /ingest, /stats, /metrics)\n", d, addr)
 	if ready != nil {
 		ready(addr)
 	}

@@ -119,6 +119,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if resp, body := get("/healthz"); resp.StatusCode != 200 || body != "ok\n" {
 		t.Errorf("/healthz: %d %q", resp.StatusCode, body)
 	}
+	if resp, _ := get("/metrics/history"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/metrics/history: %d, want 404 (no metric history)", resp.StatusCode)
+	}
 	if !strings.Contains(out.String(), "serving on http://"+addr) {
 		t.Errorf("missing banner in stderr: %s", out.String())
 	}

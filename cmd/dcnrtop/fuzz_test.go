@@ -1,72 +1,48 @@
 package main
 
 import (
-	"encoding/json"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 )
 
-// FuzzHistoriesIngest feeds a peer's /metrics/history bodies, arbitrary
-// bytes, through three ingests into one history. After each ingest no
-// sample at or below the previous last was added, every series holds at
-// most max points, metricNames is sorted and last has not decreased. The
-// samples an ingest may add are read off the body line by line the way a
-// JSONL reader sees them, and each series must end as the previous one
-// with those values appended, cut to its newest max.
-func FuzzHistoriesIngest(f *testing.F) {
-	for _, seed := range [][3]string{
-		{`{"t":1,"m":"b","v":9}` + "\nnot json\n" + `{"t":1,"m":"a","v":0}` + "\n" + `{"t":2,"m":"a","v":1}`, `{"t":2,"m":"a","v":2}` + "\n" + `{"t":3,"m":"a","v":3}`, ""},
-		{`{"t":5,"m":"a","v":1}` + "\n" + `{"t":3,"m":"a","v":2}`, `{"t":5,"m":"a","v":1}` + "\n" + `{"t":3,"m":"a","v":2}`, `{"t":6,"m":"a","v":3}`},
-		{`{"t":-1e308,"m":"x","v":-0}` + "\r\n" + `{"m":"","t":9}`, `{"T":4,"M":"y","V":1e-9}`, "{\"t\":4,\"m\":\"y\"}\n\n{\"t\":7"},
+// FuzzCampaignSeries feeds arbitrary /campaign bodies through the decode
+// and series derivation watch uses. Whatever the body holds — negative,
+// zero or huge times and counts included — every series has exactly n
+// points, done, failed, faults and incidents never fall, and running is
+// never negative.
+func FuzzCampaignSeries(f *testing.F) {
+	for _, seed := range []string{
+		`{"total":3,"completed":1,"running":1,"elapsed_seconds":12,"runs":[` +
+			`{"run":0,"state":"done","start_seconds":0.5,"elapsed_seconds":4,"faults":25000,"incidents":300},` +
+			`{"run":1,"state":"running","start_seconds":4.5,"elapsed_seconds":7.5},` +
+			`{"run":2,"state":"pending"}]}`,
+		`{"elapsed_seconds":-3,"runs":[{"state":"done","start_seconds":-9,"elapsed_seconds":-1,"faults":-7,"incidents":-1}]}`,
+		`{"elapsed_seconds":1e308,"runs":[{"state":"failed","start_seconds":1e308,"elapsed_seconds":1e308},` +
+			`{"state":"done","faults":9223372036854775807,"incidents":9223372036854775807},` +
+			`{"state":"done","faults":9223372036854775807,"incidents":1}]}`,
+		`{"elapsed_seconds":0,"runs":[{"state":"running"},{"state":"bogus","start_seconds":0}]}`,
+		`not json`,
 	} {
-		f.Add(seed[0], seed[1], seed[2], uint8(2))
+		f.Add(seed, uint8(8))
 	}
-	f.Fuzz(func(t *testing.T, a, b, c string, capacity uint8) {
-		if len(a)+len(b)+len(c) > 1<<16 {
-			t.Skip() // keeps every line far below the reader's 1 MiB cap
+	f.Fuzz(func(t *testing.T, body string, width uint8) {
+		cs, err := decodeCampaign(strings.NewReader(body))
+		if err != nil {
+			return
 		}
-		n := int(capacity%8) + 1
-		h := newHistories(n)
-		for _, body := range []string{a, b, c} {
-			prev := h.last
-			want := map[string][]float64{}
-			for m, vals := range h.data {
-				want[m] = append([]float64(nil), vals...)
+		n := int(width)
+		series := campaignSeries(cs, n)
+		for i, vals := range series {
+			if len(vals) != n {
+				t.Fatalf("%s: %d points, want %d", seriesNames[i], len(vals), n)
 			}
-			wantLast := prev
-			for _, line := range strings.Split(body, "\n") {
-				var s struct {
-					T float64 `json:"t"`
-					M string  `json:"m"`
-					V float64 `json:"v"`
+			for k, v := range vals {
+				if v < 0 {
+					t.Fatalf("%s[%d] = %g, negative", seriesNames[i], k, v)
 				}
-				if json.Unmarshal([]byte(line), &s) != nil || s.M == "" || s.T <= prev {
-					continue
+				if i != seriesRunning && k > 0 && v < vals[k-1] {
+					t.Fatalf("%s fell from %g to %g at point %d", seriesNames[i], vals[k-1], v, k)
 				}
-				vals := append(want[s.M], s.V)
-				want[s.M] = vals[max(0, len(vals)-n):]
-				wantLast = max(wantLast, s.T)
-			}
-
-			h.ingest(strings.NewReader(body))
-			if h.last < prev {
-				t.Fatalf("last fell from %g to %g", prev, h.last)
-			}
-			if h.last != wantLast {
-				t.Fatalf("last = %g, want %g (the largest t added)", h.last, wantLast)
-			}
-			for m, vals := range h.data {
-				if len(vals) > n {
-					t.Fatalf("series %q holds %d points, cap %d", m, len(vals), n)
-				}
-			}
-			if !reflect.DeepEqual(h.data, want) {
-				t.Fatalf("histories = %v, want %v (previous ones plus the samples after t=%g)", h.data, want, prev)
-			}
-			if names := metricNames(h.data); !sort.StringsAreSorted(names) || len(names) != len(h.data) {
-				t.Fatalf("metricNames = %v", names)
 			}
 		}
 	})

@@ -1,20 +1,19 @@
 // Command dcnrtop is a live terminal dashboard for a running dcsweep
 // campaign: point it at the sweep's -status-addr and it renders campaign
-// progress, per-scenario throughput, and sparkline metric histories in
-// place, top-style, until the campaign finishes.
+// progress, per-scenario throughput, and sparklines of the campaign so far
+// in place, top-style, until the campaign finishes.
 //
 // Usage:
 //
 //	dcnrtop [-addr HOST:PORT] [-interval DUR] [-width N] [-frames N]
 //
 // The dashboard is read-only and stdlib-only. Each frame it polls
-// /campaign for the snapshot (progress grid, per-run resource attribution,
-// straggler flags) and /metrics/history for the wall-clock metric timeline
-// behind the sparklines: the whole history on the first frame, so a
-// dashboard attached mid-campaign draws what came before, then only the
-// samples after the newest one it holds. A history endpoint that is absent
-// or failing degrades to empty sparklines — the dashboard never fails
-// because that source is missing.
+// /campaign for the snapshot (progress grid, per-run start and elapsed
+// times, resource attribution, straggler flags) and draws everything from
+// it. The sparklines — runs done, failed and running, and the done runs'
+// faults and incidents — are evaluated from the runs' start and end times
+// over the whole campaign, so a dashboard attached mid-campaign draws what
+// came before it.
 //
 // -interval sets the poll-and-redraw cadence (default 1s). -frames, when
 // positive, exits after that many frames — useful for scripting and
@@ -67,7 +66,6 @@ const (
 // finishes, maxFrames frames have rendered, or ctx is canceled.
 func watch(ctx context.Context, w io.Writer, base string, interval time.Duration, width, maxFrames int) error {
 	client := &http.Client{Timeout: 5 * time.Second}
-	hist := newHistories(maxPoints)
 
 	if _, err := io.WriteString(w, ansiHideCursor); err != nil {
 		return err
@@ -90,8 +88,7 @@ func watch(ctx context.Context, w io.Writer, base string, interval time.Duration
 			}
 			return err
 		}
-		hist.poll(ctx, client, base+"/metrics/history")
-		out := ansiClearHome + renderFrame(cs, hist.data, width)
+		out := ansiClearHome + renderFrame(cs, width)
 		if _, err := io.WriteString(w, out); err != nil {
 			return err
 		}
@@ -124,8 +121,15 @@ func fetchCampaign(ctx context.Context, client *http.Client, url string) (dcnr.S
 	if resp.StatusCode != http.StatusOK {
 		return cs, fmt.Errorf("GET %s: status %s", url, strings.TrimSpace(resp.Status))
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&cs); err != nil {
+	if cs, err = decodeCampaign(resp.Body); err != nil {
 		return cs, fmt.Errorf("GET %s: decoding snapshot: %w", url, err)
 	}
 	return cs, nil
+}
+
+// decodeCampaign decodes one /campaign body.
+func decodeCampaign(r io.Reader) (dcnr.SweepCampaignStatus, error) {
+	var cs dcnr.SweepCampaignStatus
+	err := json.NewDecoder(r).Decode(&cs)
+	return cs, err
 }

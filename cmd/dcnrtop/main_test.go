@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -103,160 +102,117 @@ func TestRenderFrame(t *testing.T) {
 		ElapsedSeconds: 12,
 		Events:         150000, SimHours: 17520,
 		Runs: []dcnr.SweepRunStatus{
-			{Scenario: "baseline", State: "done", EventsPerSec: 5000, SimHoursPerSec: 800},
-			{Scenario: "baseline", State: "done", EventsPerSec: 7000, SimHoursPerSec: 1000},
-			{Scenario: "baseline", State: "running"},
+			{Scenario: "baseline", State: "done", StartSeconds: 0, ElapsedSeconds: 4,
+				Faults: 10, Incidents: 3, EventsPerSec: 5000, SimHoursPerSec: 800},
+			{Scenario: "baseline", State: "done", StartSeconds: 4, ElapsedSeconds: 5,
+				Faults: 20, Incidents: 4, EventsPerSec: 7000, SimHoursPerSec: 1000},
+			{Scenario: "baseline", State: "running", StartSeconds: 9, ElapsedSeconds: 3},
 			{Scenario: "baseline", State: "pending"},
 		},
 	}
-	hist := map[string][]float64{"sweep_runs_total": {0, 1, 2}}
-	frame := renderFrame(cs, hist, 80)
+	frame := renderFrame(cs, 80)
 	for _, want := range []string{
 		"2/4 done", "1 running", "elapsed 12s",
 		"baseline", "events/s", "6000",
-		"sweep_runs_total", "▁▄█",
 	} {
 		if !strings.Contains(frame, want) {
 			t.Errorf("frame missing %q:\n%s", want, frame)
 		}
 	}
-}
-
-func TestHistoriesIngestAndCap(t *testing.T) {
-	h := newHistories(4)
-	h.ingest(strings.NewReader(`{"t":1,"m":"b","v":9}` + "\nnot json\n" +
-		`{"t":1,"m":"a","v":0}` + "\n" + `{"t":2,"m":"a","v":1}` + "\n"))
-	if h.last != 2 {
-		t.Errorf("newest t = %g, want 2", h.last)
-	}
-	// The next body repeats t=2, as a from=2 poll does: it is not counted
-	// again, and the cap keeps only the newest four points.
-	var next strings.Builder
-	for i := 2; i <= 5; i++ {
-		fmt.Fprintf(&next, `{"t":%d,"m":"a","v":%d}`+"\n", i, i)
-	}
-	h.ingest(strings.NewReader(next.String()))
-	if got, want := h.data["a"], []float64{1, 3, 4, 5}; !reflect.DeepEqual(got, want) {
-		t.Errorf("capped history = %v, want %v", got, want)
-	}
-	if got := h.data["b"]; !reflect.DeepEqual(got, []float64{9}) {
-		t.Errorf("history b = %v, want [9]", got)
-	}
-	if names := metricNames(h.data); !reflect.DeepEqual(names, []string{"a", "b"}) {
-		t.Errorf("metric names = %v", names)
-	}
-
-	// A body out of time order leaves last at its largest t, so the same
-	// body ingested again adds nothing.
-	h = newHistories(4)
-	back := `{"t":5,"m":"a","v":1}` + "\n" + `{"t":3,"m":"a","v":2}` + "\n"
-	h.ingest(strings.NewReader(back))
-	h.ingest(strings.NewReader(back))
-	if got, want := h.data["a"], []float64{1, 2}; !reflect.DeepEqual(got, want) || h.last != 5 {
-		t.Errorf("out-of-order history = %v, last %g; want %v, last 5", got, h.last, want)
-	}
-
-	// A line over the 1 MiB cap is skipped and reading goes on past it,
-	// so the sample after it lands and a repeat of the body adds nothing.
-	h = newHistories(4)
-	long := `{"t":1,"m":"a","v":1}` + "\n" +
-		`{"t":2,"m":"a","v":2,"pad":"` + strings.Repeat("x", 2<<20) + `"}` + "\n" +
-		`{"t":3,"m":"a","v":3}` + "\n"
-	h.ingest(strings.NewReader(long))
-	h.ingest(strings.NewReader(long))
-	if got, want := h.data["a"], []float64{1, 3}; !reflect.DeepEqual(got, want) || h.last != 3 {
-		t.Errorf("history over a long line = %v, last %g; want %v, last 3", got, h.last, want)
+	// Each series row runs from the campaign's start to now: the
+	// cumulative ones rise from the lowest block to the highest and end at
+	// their current value; a series that never moved is flat.
+	for _, row := range []struct {
+		name, first, last, value string
+	}{
+		{"done", "▁", "█", "2"},
+		{"failed", "▁", "▁", "0"},
+		{"faults", "▁", "█", "30"},
+		{"incidents", "▁", "█", "7"},
+		{"running", "▁", "▁", "1"},
+	} {
+		spark, value, ok := seriesRow(frame, row.name)
+		if !ok {
+			t.Errorf("no %s row in frame:\n%s", row.name, frame)
+			continue
+		}
+		if len(spark) != 80-len("incidents")-16 || string(spark[0]) != row.first ||
+			string(spark[len(spark)-1]) != row.last || value != row.value {
+			t.Errorf("%s row = %s %s, want %d points from %s to %s ending at %s",
+				row.name, string(spark), value, 80-len("incidents")-16, row.first, row.last, row.value)
+		}
 	}
 }
 
-// TestHistoriesPoll polls a live timeline: the first poll draws every
-// sample flushed before it, each later poll asks from the newest t held
-// and counts no sample twice, and a failing source leaves the history as
-// it was.
-func TestHistoriesPoll(t *testing.T) {
-	tl := dcnr.NewTimeline()
-	reg := dcnr.NewMetricsRegistry()
-	smp := dcnr.NewTimelineSampler(tl, "wall", reg, []string{"a_total", "b_total"}, nil)
-	var (
-		mu      sync.Mutex
-		queries []string
-	)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		queries = append(queries, r.URL.RawQuery)
-		mu.Unlock()
-		tl.ServeHistory(w, r)
-	}))
-	defer srv.Close()
-	tick := func(at float64, a, b int64) {
-		reg.Counter("a_total").Add(a)
-		reg.Counter("b_total").Add(b)
-		smp.Sample(at)
-		smp.Flush()
+// TestCampaignSeries pins the derivation at three instants (0, 5 and 10 s
+// into a 10 s campaign): a run is running from its start until its end,
+// and a done or failed run counts as such from its end on.
+func TestCampaignSeries(t *testing.T) {
+	cs := dcnr.SweepCampaignStatus{
+		ElapsedSeconds: 10,
+		Runs: []dcnr.SweepRunStatus{
+			{State: "done", StartSeconds: 1, ElapsedSeconds: 3, Faults: 5, Incidents: 2},
+			{State: "failed", StartSeconds: 2, ElapsedSeconds: 6},
+			{State: "running", StartSeconds: 6, ElapsedSeconds: 4},
+			{State: "pending"},
+			{State: "done", StartSeconds: 0, ElapsedSeconds: 10, Faults: 1, Incidents: 1},
+		},
 	}
-	ctx := context.Background()
-	h := newHistories(maxPoints)
-
-	tick(1, 1, 5)
-	tick(2, 1, 0)
-	h.poll(ctx, srv.Client(), srv.URL)
-	tick(3, 1, 1)
-	h.poll(ctx, srv.Client(), srv.URL)
-	h.poll(ctx, srv.Client(), srv.URL)
-
-	want := map[string][]float64{"a_total": {1, 2, 3}, "b_total": {5, 6}}
-	if !reflect.DeepEqual(h.data, want) {
-		t.Errorf("history = %v, want %v", h.data, want)
+	want := [numSeries][]float64{
+		seriesDone:      {0, 1, 2},
+		seriesFailed:    {0, 0, 1},
+		seriesFaults:    {0, 5, 6},
+		seriesIncidents: {0, 2, 3},
+		seriesRunning:   {1, 2, 1},
 	}
-	mu.Lock()
-	if got := []string{"from=-Inf", "from=2", "from=3"}; !reflect.DeepEqual(queries, got) {
-		t.Errorf("poll queries = %q, want %q", queries, got)
+	if got := campaignSeries(cs, 3); !reflect.DeepEqual(got, want) {
+		t.Errorf("campaignSeries(n=3) = %v, want %v", got, want)
 	}
-	mu.Unlock()
-
-	srv.Close()
-	h.poll(ctx, srv.Client(), srv.URL)
-	if !reflect.DeepEqual(h.data, want) {
-		t.Errorf("history after a failed poll = %v, want %v", h.data, want)
+	// One point is the snapshot's own instant.
+	if got := campaignSeries(cs, 1); !reflect.DeepEqual(got, [numSeries][]float64{{2}, {1}, {6}, {3}, {1}}) {
+		t.Errorf("campaignSeries(n=1) = %v", got)
+	}
+	// A negative elapsed time reads as zero: every instant is the start.
+	cs.ElapsedSeconds = -5
+	if got := campaignSeries(cs, 2); !reflect.DeepEqual(got, [numSeries][]float64{{0, 0}, {0, 0}, {0, 0}, {0, 0}, {1, 1}}) {
+		t.Errorf("campaignSeries(elapsed -5) = %v", got)
 	}
 }
 
 // TestWatchAgainstStatusServer drives the dashboard end to end against a
-// real sweep status handler with the campaign timeline mounted beside it,
-// as dcsweep serves them: samples flushed before the dashboard attached
-// are drawn in its first frame, a tiny campaign completes, and watch exits
-// on its own once every run is done.
+// real sweep status handler, as dcsweep serves it: a run finished before
+// the dashboard attached is drawn in its first frame, the campaign
+// completes, and watch exits on its own once every run is done.
 func TestWatchAgainstStatusServer(t *testing.T) {
 	status := dcnr.NewSweepStatus()
-	tl := dcnr.NewTimeline()
-	reg := dcnr.NewMetricsRegistry()
-	reg.Counter("sweep_runs_total").Inc()
-	smp := dcnr.NewTimelineSampler(tl, "wall", reg, []string{"sweep_runs_total"}, nil)
-	smp.Sample(1)
-	smp.Flush()
-	mux := http.NewServeMux()
-	mux.Handle("/", status.Handler())
-	mux.HandleFunc("/metrics/history", tl.ServeHistory)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(status.Handler())
 	defer srv.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+
+	sweepDone := make(chan error, 1)
+	go func() {
+		_, err := dcnr.Sweep(dcnr.SweepConfig{
+			Seeds:     []uint64{1, 2},
+			Workers:   1,
+			Scenarios: []dcnr.SweepScenario{{Name: "baseline", FromYear: 2014, ToYear: 2014}},
+			Status:    status,
+		})
+		sweepDone <- err
+	}()
+	deadline := time.Now().Add(60 * time.Second)
+	for status.Snapshot().Completed == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no run finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	done := make(chan error, 1)
 	var buf syncBuffer
 	go func() {
 		done <- watch(ctx, &buf, srv.URL, 10*time.Millisecond, 60, 0)
 	}()
-	sweepDone := make(chan error, 1)
-	go func() {
-		_, err := dcnr.Sweep(dcnr.SweepConfig{
-			Seeds:     []uint64{1},
-			Scenarios: []dcnr.SweepScenario{{Name: "baseline", FromYear: 2014, ToYear: 2014}},
-			Status:    status,
-		})
-		sweepDone <- err
-	}()
-
 	select {
 	case err := <-done:
 		if err != nil {
@@ -269,15 +225,30 @@ func TestWatchAgainstStatusServer(t *testing.T) {
 		t.Fatalf("sweep: %v", err)
 	}
 	out := buf.String()
+	// The first frame's done row rises to the run that had finished.
 	frames := strings.Split(out, ansiClearHome)
-	if len(frames) < 2 || !strings.Contains(frames[1], "sweep_runs_total") {
-		t.Errorf("first frame lacks the history flushed before it:\n%s", out)
+	if len(frames) < 2 {
+		t.Fatalf("no frame rendered:\n%s", out)
 	}
-	for _, want := range []string{"1/1 done", "baseline", "100%", "sweep_runs_total"} {
+	if spark, value, ok := seriesRow(frames[1], "done"); !ok || value == "0" || !strings.ContainsRune(string(spark), '█') {
+		t.Errorf("first frame does not draw the run finished before it attached:\n%s", frames[1])
+	}
+	for _, want := range []string{"2/2 done", "baseline", "100%", "incidents"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dashboard output missing %q", want)
 		}
 	}
+}
+
+// seriesRow finds the named series row of a frame and returns its
+// sparkline and current value.
+func seriesRow(frame, name string) (spark []rune, value string, ok bool) {
+	for _, l := range strings.Split(frame, "\n") {
+		if f := strings.Fields(l); len(f) == 3 && f[0] == name {
+			return []rune(f[1]), f[2], true
+		}
+	}
+	return nil, "", false
 }
 
 // TestWatchFramesLimit pins -frames: the loop exits after N frames even

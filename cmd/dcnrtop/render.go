@@ -11,9 +11,9 @@ import (
 var sparkTicks = []rune("▁▂▃▄▅▆▇█")
 
 // renderFrame assembles one full dashboard frame: header, progress bar,
-// per-scenario throughput table, and the sparkline metric histories.
-// It is a pure function of its inputs, so frames are directly testable.
-func renderFrame(cs dcnr.SweepCampaignStatus, hist map[string][]float64, width int) string {
+// per-scenario throughput table, and the campaign's sparkline series.
+// It is a pure function of the snapshot, so frames are directly testable.
+func renderFrame(cs dcnr.SweepCampaignStatus, width int) string {
 	if width < 40 {
 		width = 40
 	}
@@ -27,9 +27,9 @@ func renderFrame(cs dcnr.SweepCampaignStatus, hist map[string][]float64, width i
 	b.WriteString(progressBar(cs.Completed+cs.Failed, cs.Total, width-10))
 	b.WriteString("\n\n")
 	b.WriteString(scenarioTable(cs.Runs))
-	if len(hist) > 0 {
+	if len(cs.Runs) > 0 {
 		b.WriteString("\n")
-		b.WriteString(sparklineSection(hist, width))
+		b.WriteString(sparklineSection(cs, width))
 	}
 	return b.String()
 }
@@ -136,27 +136,74 @@ func scenarioTable(runs []dcnr.SweepRunStatus) string {
 	return b.String()
 }
 
-// sparklineSection renders one sparkline row per metric, sorted by name.
-func sparklineSection(hist map[string][]float64, width int) string {
-	names := metricNames(hist)
+// The series campaignSeries derives, indexed by these constants and
+// labelled by seriesNames.
+const (
+	seriesDone = iota
+	seriesFailed
+	seriesFaults
+	seriesIncidents
+	seriesRunning
+	numSeries
+)
+
+var seriesNames = [numSeries]string{"done", "failed", "faults", "incidents", "running"}
+
+// campaignSeries derives the dashboard's series from one campaign
+// snapshot, each evaluated at n evenly spaced instants over
+// [0, ElapsedSeconds]: runs done, runs failed, the faults and incidents
+// of the done runs, and runs running. A done or failed run ended at
+// StartSeconds + ElapsedSeconds; a running run has no end yet. Counts are
+// summed as float64 and negative ones count as zero, so the cumulative
+// series never fall, whatever the snapshot holds.
+func campaignSeries(cs dcnr.SweepCampaignStatus, n int) [numSeries][]float64 {
+	n = max(n, 0)
+	var out [numSeries][]float64
+	for i := range out {
+		out[i] = make([]float64, n)
+	}
+	span := max(cs.ElapsedSeconds, 0)
+	for k := range n {
+		t := span
+		if n > 1 {
+			t = span * (float64(k) / float64(n-1))
+		}
+		for _, r := range cs.Runs {
+			start := r.StartSeconds
+			switch r.State {
+			case "running":
+				if start <= t {
+					out[seriesRunning][k]++
+				}
+			case "done", "failed":
+				if t < start+r.ElapsedSeconds {
+					if start <= t {
+						out[seriesRunning][k]++
+					}
+				} else if r.State == "failed" {
+					out[seriesFailed][k]++
+				} else {
+					out[seriesDone][k]++
+					out[seriesFaults][k] += float64(max(r.Faults, 0))
+					out[seriesIncidents][k] += float64(max(r.Incidents, 0))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// sparklineSection renders one sparkline row per campaign series over the
+// campaign so far, each ending in its current value.
+func sparklineSection(cs dcnr.SweepCampaignStatus, width int) string {
 	nameW := 0
-	for _, m := range names {
-		if len(m) > nameW {
-			nameW = len(m)
-		}
+	for _, m := range seriesNames {
+		nameW = max(nameW, len(m))
 	}
-	sparkW := width - nameW - 16
-	if sparkW < 8 {
-		sparkW = 8
-	}
+	sparkW := max(width-nameW-16, 8)
 	var b strings.Builder
-	for _, m := range names {
-		vals := hist[m]
-		last := 0.0
-		if len(vals) > 0 {
-			last = vals[len(vals)-1]
-		}
-		fmt.Fprintf(&b, "%-*s %s %s\n", nameW, m, sparkline(vals, sparkW), fmtCount(last))
+	for i, vals := range campaignSeries(cs, sparkW) {
+		fmt.Fprintf(&b, "%-*s %s %s\n", nameW, seriesNames[i], sparkline(vals, sparkW), fmtCount(vals[len(vals)-1]))
 	}
 	return b.String()
 }

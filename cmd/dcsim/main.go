@@ -93,7 +93,7 @@ type options struct {
 	logW          io.Writer // log destination; nil means os.Stderr
 }
 
-func run(o options) error {
+func run(o options) (err error) {
 	if err := os.MkdirAll(o.dir, 0o755); err != nil {
 		return err
 	}
@@ -158,23 +158,26 @@ func run(o options) error {
 	// thousand spans); start streaming it to disk now, while the backbone
 	// phase simulates on a fork of the same timeline. The fork is appended
 	// once the backbone finishes, so the write costs almost no wall time.
+	//
+	// Like the trace, the journal (a few hundred thousand records) is
+	// indexed and streamed to disk while the backbone phase simulates;
+	// finishJournal joins the writer before the totals are printed. The
+	// index is built inside the goroutine too — assembling the ID-ordered
+	// record array is the expensive half of serialization.
+	//
+	// Both finish functions are idempotent, and every return joins them,
+	// so no writer goroutine or open file outlives run and the trace
+	// always gets its trailer.
 	var (
 		bbTracer   *dcnr.Tracer
 		traceFile  *os.File
 		traceWrite *dcnr.TraceJSONWriter
 		traceDone  chan error
+
+		journalIdx  *dcnr.JournalIndex
+		journalFile *os.File
+		journalDone chan error
 	)
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		traceFile = f
-		traceWrite = dcnr.NewTraceJSONWriter(f)
-		traceDone = make(chan error, 1)
-		go func() { traceDone <- traceWrite.Add(tracer) }()
-		bbTracer = tracer.Fork()
-	}
 	finishTrace := func() error {
 		if traceFile == nil {
 			return nil
@@ -187,29 +190,6 @@ func run(o options) error {
 		traceFile = nil
 		return err
 	}
-
-	// Like the trace, the journal (a few hundred thousand records) is
-	// indexed and streamed to disk while the backbone phase simulates;
-	// finishJournal joins the writer before the totals are printed. The
-	// index is built inside the goroutine too — assembling the ID-ordered
-	// record array is the expensive half of serialization.
-	var (
-		journalIdx  *dcnr.JournalIndex
-		journalFile *os.File
-		journalDone chan error
-	)
-	if o.journalOut != "" {
-		f, err := os.Create(o.journalOut)
-		if err != nil {
-			return errors.Join(err, finishTrace())
-		}
-		journalFile = f
-		journalDone = make(chan error, 1)
-		go func() {
-			journalIdx = jnl.Index()
-			journalDone <- journalIdx.WriteJSONL(f)
-		}()
-	}
 	finishJournal := func() error {
 		if journalFile == nil {
 			return nil
@@ -218,10 +198,35 @@ func run(o options) error {
 		journalFile = nil
 		return err
 	}
+	defer func() { err = errors.Join(err, finishJournal(), finishTrace()) }()
+
+	if o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
+		if err != nil {
+			return err
+		}
+		traceFile = f
+		traceWrite = dcnr.NewTraceJSONWriter(f)
+		traceDone = make(chan error, 1)
+		go func() { traceDone <- traceWrite.Add(tracer) }()
+		bbTracer = tracer.Fork()
+	}
+	if o.journalOut != "" {
+		f, err := os.Create(o.journalOut)
+		if err != nil {
+			return err
+		}
+		journalFile = f
+		journalDone = make(chan error, 1)
+		go func() {
+			journalIdx = jnl.Index()
+			journalDone <- journalIdx.WriteJSONL(f)
+		}()
+	}
 
 	sevPath := filepath.Join(o.dir, "sevs.json")
 	if err := writeFile(sevPath, intra.Store.WriteJSON); err != nil {
-		return errors.Join(err, finishJournal(), finishTrace())
+		return err
 	}
 	fmt.Printf("intra-DC: %d faults → %d SEVs (%d years) → %s\n",
 		intra.Faults, intra.Incidents, dcnr.LastYear-dcnr.FirstYear+1, sevPath)
@@ -232,13 +237,13 @@ func run(o options) error {
 	cfg.Trace = bbTracer
 	inter, err := dcnr.SimulateBackbone(cfg)
 	if err != nil {
-		return errors.Join(err, finishJournal(), finishTrace())
+		return err
 	}
 	ticketPath := filepath.Join(o.dir, "tickets.txt")
 	if err := writeFile(ticketPath, func(w io.Writer) error {
 		return tickets.WriteAll(w, inter.Notices)
 	}); err != nil {
-		return errors.Join(err, finishJournal(), finishTrace())
+		return err
 	}
 	fmt.Printf("backbone: %d edges, %d links, %d vendors, %d repair tickets → %s\n",
 		len(inter.Topology.Edges), len(inter.Topology.Links), len(inter.Topology.Vendors),
@@ -246,7 +251,7 @@ func run(o options) error {
 
 	if o.journalOut != "" {
 		if err := finishJournal(); err != nil {
-			return errors.Join(err, finishTrace())
+			return err
 		}
 		chains := dcnr.AttachJournal(intra.Store, journalIdx)
 		fmt.Printf("journal: %d records, %d incident chains → %s\n",

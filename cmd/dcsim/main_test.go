@@ -118,6 +118,35 @@ func TestRunWritesMetricsAndTrace(t *testing.T) {
 	}
 }
 
+// TestRunErrorFinishesTrace pins the error paths: a write that fails
+// after the trace writer started (-health-out into a missing directory)
+// still joins the writer and closes the file, so the run fails and the
+// trace on disk is complete JSON, trailer included.
+func TestRunErrorFinishesTrace(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.json")
+	err := run(options{
+		seed: 3, scale: 1, dir: dir, traceOut: tracePath,
+		healthOut: filepath.Join(dir, "missing", "health.json"),
+	})
+	if err == nil {
+		t.Fatal("run with -health-out into a missing directory succeeded")
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &trace); err != nil {
+		t.Fatalf("trace left by the failed run is not JSON: %v", err)
+	}
+	if len(trace.TraceEvents) == 0 {
+		t.Error("trace left by the failed run holds no events")
+	}
+}
+
 // TestRunWritesJournal is the end-to-end causal-chain acceptance check: a
 // fixed-seed -journal run must leave a JSONL stream in which every closed
 // incident resolves, parent ID by parent ID, to a complete chain rooted at

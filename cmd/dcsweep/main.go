@@ -50,13 +50,10 @@
 // -status-addr serves live campaign introspection over HTTP while the
 // sweep runs: /campaign (a JSON snapshot — per-run state, completed/total,
 // per-run resource attribution, z-score straggler flags, live cross-run
-// p5/p95 bands), /journal (the merged causal-journal summary of completed
-// runs), and /metrics/history — a wall-clock timeline of the campaign's
-// sweep_* progress series, sampled once a second, as windowed JSONL
-// (?from=S&to=S&metric=NAME, bounds inclusive). Every endpoint is polled;
-// dcnrtop renders them as a live dashboard. A failed bind is logged and
-// the campaign proceeds without introspection; the report is
-// byte-identical either way.
+// p5/p95 bands) and /journal (the merged causal-journal summary of
+// completed runs). Both are polled; dcnrtop renders /campaign as a live
+// dashboard. A failed bind is logged and the campaign proceeds without
+// introspection; the report is byte-identical either way.
 package main
 
 import (
@@ -65,24 +62,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"dcnr"
 	"dcnr/internal/serve"
-)
-
-// sweepTimelineCounters and sweepTimelineGauges are the campaign progress
-// series the -status-addr wall timeline samples.
-var (
-	sweepTimelineCounters = []string{
-		"sweep_runs_total", "sweep_run_failures_total",
-		"sweep_faults_total", "sweep_incidents_total",
-	}
-	sweepTimelineGauges = []string{"sweep_active_workers"}
 )
 
 func main() {
@@ -157,10 +142,8 @@ func run(o options) error {
 
 	// Telemetry is opt-in, exactly as in dcsim: nil wiring is a zero-cost
 	// no-op inside the runs.
-	var reg *dcnr.MetricsRegistry
 	if o.metricsOut != "" || o.logLevel != "" {
-		reg = dcnr.NewMetricsRegistry()
-		cfg.Observe.Metrics = reg
+		cfg.Observe.Metrics = dcnr.NewMetricsRegistry()
 	}
 	var tracer *dcnr.Tracer
 	if o.traceOut != "" {
@@ -183,29 +166,36 @@ func run(o options) error {
 		cfg.Observe.Logger = slog.New(h)
 	}
 
-	var runsFile *os.File
-	if o.runsOut != "" {
-		runsFile, err = os.Create(o.runsOut)
-		if err != nil {
-			return err
+	// The streamed outputs are closed, with the error checked, once the
+	// sweep returns; an earlier return (a later os.Create failing, say)
+	// closes the ones already open through the deferred call.
+	var outputs []*os.File
+	closeOutputs := func() error {
+		var err error
+		for _, f := range outputs {
+			err = errors.Join(err, f.Close())
 		}
-		cfg.Results = runsFile
+		outputs = nil
+		return err
 	}
-	var journalFile *os.File
-	if o.journalOut != "" {
-		journalFile, err = os.Create(o.journalOut)
+	defer func() { _ = closeOutputs() }()
+	for _, out := range []struct {
+		path string
+		dst  *io.Writer
+	}{
+		{o.runsOut, &cfg.Results},
+		{o.journalOut, &cfg.Journal},
+		{o.timelineOut, &cfg.Timeline},
+	} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
 		if err != nil {
 			return err
 		}
-		cfg.Journal = journalFile
-	}
-	var timelineFile *os.File
-	if o.timelineOut != "" {
-		timelineFile, err = os.Create(o.timelineOut)
-		if err != nil {
-			return err
-		}
-		cfg.Timeline = timelineFile
+		outputs = append(outputs, f)
+		*out.dst = f
 	}
 	stdout := o.stdout
 	if stdout == nil {
@@ -215,54 +205,21 @@ func run(o options) error {
 		status := dcnr.NewSweepStatus()
 		cfg.Status = status
 		logger := opsLogger(o, cfg.Observe.Logger)
-		tl := dcnr.NewTimeline()
-		if shutdown, addr, serveErr := serveStatus(o.statusAddr, status, tl, logger); serveErr != nil {
+		if shutdown, addr, serveErr := serveStatus(o.statusAddr, status, logger); serveErr != nil {
 			// A dead status endpoint is an observability gap, not a reason
 			// to abandon the campaign — report it and sweep anyway.
 			logger.Warn("campaign status server failed to bind; sweeping without introspection",
 				"addr", o.statusAddr, "err", serveErr)
 		} else {
 			defer shutdown()
-			// The wall-clock timeline of the campaign's own progress series
-			// backs /metrics/history: one sample per second for as long as
-			// the sweep runs. The series live on the campaign registry;
-			// when -metrics-out didn't make one, a private registry is
-			// installed to carry the sweep_* bookkeeping (Result.Metrics
-			// then merges but is dropped unread — the report bytes are
-			// unchanged either way). The sampler stops before the server
-			// shuts down (defers run last-in-first-out).
-			sreg := reg
-			if sreg == nil {
-				sreg = dcnr.NewMetricsRegistry()
-				cfg.Observe.Metrics = sreg
-			}
-			smp := dcnr.NewTimelineSampler(tl, "wall", sreg, sweepTimelineCounters, sweepTimelineGauges)
-			stopSampler := smp.StartWall(time.Second)
-			defer stopSampler()
-			if _, err := fmt.Fprintf(stdout,
-				"status: http://%s (/campaign, /journal, /metrics/history)\n", addr); err != nil {
+			if _, err := fmt.Fprintf(stdout, "status: http://%s (/campaign, /journal)\n", addr); err != nil {
 				return err
 			}
 		}
 	}
-	res, sweepErr := dcnr.Sweep(cfg)
-	if runsFile != nil {
-		if err := runsFile.Close(); err != nil && sweepErr == nil {
-			sweepErr = err
-		}
-	}
-	if journalFile != nil {
-		if err := journalFile.Close(); err != nil && sweepErr == nil {
-			sweepErr = err
-		}
-	}
-	if timelineFile != nil {
-		if err := timelineFile.Close(); err != nil && sweepErr == nil {
-			sweepErr = err
-		}
-	}
-	if sweepErr != nil {
-		return sweepErr
+	res, err := dcnr.Sweep(cfg)
+	if err := errors.Join(err, closeOutputs()); err != nil {
+		return err
 	}
 
 	if err := writeFile(o.out, res.WriteReport); err != nil {
@@ -309,16 +266,14 @@ func run(o options) error {
 }
 
 // serveStatus binds the campaign status endpoints on addr — status's
-// /campaign and /journal, and tl's windowed history at /metrics/history —
-// and serves them until the returned shutdown function is called.
-// Shutdown severs any open connection and joins the serving goroutine, so
-// nothing it spawned can outlive the sweep — in particular no late
-// logger.Warn against a writer the caller has already torn down. It
-// returns the bound address so ":0" works in tests.
-func serveStatus(addr string, status *dcnr.SweepStatus, tl *dcnr.Timeline, logger *slog.Logger) (func(), string, error) {
+// /campaign and /journal — and serves them until the returned shutdown
+// function is called. Shutdown severs any open connection and joins the
+// serving goroutine, so nothing it spawned can outlive the sweep — in
+// particular no late logger.Warn against a writer the caller has already
+// torn down. It returns the bound address so ":0" works in tests.
+func serveStatus(addr string, status *dcnr.SweepStatus, logger *slog.Logger) (func(), string, error) {
 	srv := serve.New(serve.Options{Addr: addr, Name: "campaign status", Logger: logger})
 	srv.Register("/", status.Handler())
-	srv.Register("/metrics/history", http.HandlerFunc(tl.ServeHistory))
 	bound, err := srv.Start()
 	if err != nil {
 		return nil, "", err

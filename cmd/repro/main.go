@@ -24,10 +24,8 @@
 // /healthz (200 while no SLO alert rule is firing, 503 otherwise), /slo
 // (the streaming health engine's full JSON report), /journal (the causal
 // incident journal's summary — lifecycle counts and per-device-type MTTR
-// phase decomposition, live as the intra-DC dataset builds),
-// /metrics/history (the wall-clock metric timeline as JSONL, windowable
-// with ?from=S&to=S&metric=NAME; poll it with the last t seen as from for
-// what is new), and /debug/pprof/ (the standard profiling endpoints).
+// phase decomposition, live as the intra-DC dataset builds), and
+// /debug/pprof/ (the standard profiling endpoints).
 // -trace records a Chrome trace-event file
 // covering the simulation's hot paths and every analysis task, loadable in
 // chrome://tracing or Perfetto.
@@ -45,7 +43,6 @@ import (
 	"time"
 
 	"dcnr"
-	"dcnr/internal/faults"
 	"dcnr/internal/report"
 	"dcnr/internal/serve"
 	"dcnr/internal/service"
@@ -99,22 +96,13 @@ func main() {
 		}
 		d.health = eng
 		d.journal = dcnr.NewJournal()
-		// A wall-clock timeline of the simulation's core series backs
-		// /metrics/history: one sample per second of wall time, for as
-		// long as the run lasts.
-		tl := dcnr.NewTimeline()
-		smp := dcnr.NewTimelineSampler(tl, "wall", d.metrics, faults.TimelineCounters, faults.TimelineGauges)
-		shutdown, addr, err := startMetricsServer(*metricsAddr, d.metrics, d.health, d.journal, tl)
+		shutdown, addr, err := startMetricsServer(*metricsAddr, d.metrics, d.health, d.journal)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			os.Exit(1)
 		}
-		// Teardown order (defers run last-in-first-out): stop the sampler,
-		// then close the server and join its goroutine.
 		defer shutdown()
-		stopSampler := smp.StartWall(time.Second)
-		defer stopSampler()
-		fmt.Fprintf(os.Stderr, "repro: introspection on http://%s (/metrics, /healthz, /slo, /journal, /metrics/history, /debug/pprof/)\n", addr)
+		fmt.Fprintf(os.Stderr, "repro: introspection on http://%s (/metrics, /healthz, /slo, /journal, /debug/pprof/)\n", addr)
 	}
 	if *traceOut != "" {
 		d.trace = dcnr.NewTracer()
@@ -150,20 +138,17 @@ func main() {
 // /healthz and /slo (the SLO engine's liveness verdict and full JSON
 // report; eng may be nil, which reads as permanently healthy), /journal
 // (the causal journal's summary; jnl may be nil, which reads as an empty
-// journal), /metrics/history (the attached timeline's windowed JSONL
-// history; tl may be nil, which serves empty histories), and
-// /debug/pprof/. The shutdown function stops the server AND joins the
-// serving goroutine — callers must invoke it so no goroutine outlives the
-// run. The bound address is returned so callers can pass ":0" and
-// discover the port.
-func startMetricsServer(addr string, reg *dcnr.MetricsRegistry, eng *dcnr.HealthEngine, jnl *dcnr.Journal, tl *dcnr.Timeline) (func(), string, error) {
+// journal), and /debug/pprof/. The shutdown function stops the server
+// AND joins the serving goroutine — callers must invoke it so no
+// goroutine outlives the run. The bound address is returned so callers
+// can pass ":0" and discover the port.
+func startMetricsServer(addr string, reg *dcnr.MetricsRegistry, eng *dcnr.HealthEngine, jnl *dcnr.Journal) (func(), string, error) {
 	srv := serve.New(serve.Options{
 		Addr:          addr,
 		Name:          "repro: metrics",
 		Metrics:       reg,
 		Health:        eng,
 		Journal:       jnl,
-		Timeline:      tl,
 		Introspection: true,
 	})
 	bound, err := srv.Start()

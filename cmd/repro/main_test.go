@@ -139,11 +139,7 @@ func TestMetricsServerEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := dcnr.NewTimeline()
-	smp := dcnr.NewTimelineSampler(tl, "wall", reg, []string{"repro_test_total"}, nil)
-	smp.Sample(1)
-	smp.Flush()
-	shutdown, addr, err := startMetricsServer("127.0.0.1:0", reg, eng, dcnr.NewJournal(), tl)
+	shutdown, addr, err := startMetricsServer("127.0.0.1:0", reg, eng, dcnr.NewJournal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,17 +202,12 @@ func TestMetricsServerEndpoints(t *testing.T) {
 		t.Errorf("/journal reports %d records for an idle journal", jsum.Records)
 	}
 
-	// /metrics/history serves the attached timeline's samples as JSONL.
-	if body := get("/metrics/history"); !strings.Contains(body, `{"t":1,"m":"repro_test_total","v":7}`) {
-		t.Errorf("/metrics/history missing timeline sample:\n%s", body)
-	}
-	if body := get("/metrics/history?metric=no_such_series"); strings.TrimSpace(body) != "" {
-		t.Errorf("/metrics/history filter leaked samples:\n%s", body)
-	}
-
-	// The expvar exposition is gone: /metrics is the one metrics path.
-	if code, _ := fetch(addr, "/debug/vars"); code != http.StatusNotFound {
-		t.Errorf("/debug/vars: status %d, want 404", code)
+	// The expvar exposition and the wall-clock metric history are gone:
+	// /metrics is the one metrics path.
+	for _, path := range []string{"/debug/vars", "/metrics/history"} {
+		if code, _ := fetch(addr, path); code != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, code)
+		}
 	}
 
 	// A second server (tests and reruns) serves its own registry, and the
@@ -224,7 +215,7 @@ func TestMetricsServerEndpoints(t *testing.T) {
 	// healthy.
 	reg2 := dcnr.NewMetricsRegistry()
 	reg2.Counter("repro_second_total").Inc()
-	shutdown2, addr2, err := startMetricsServer("127.0.0.1:0", reg2, nil, nil, nil)
+	shutdown2, addr2, err := startMetricsServer("127.0.0.1:0", reg2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,17 +226,13 @@ func TestMetricsServerEndpoints(t *testing.T) {
 	if body := getFrom(addr2, "/metrics"); !strings.Contains(body, "repro_second_total 1") || strings.Contains(body, "repro_test_total") {
 		t.Errorf("second server not serving only its own registry:\n%s", body)
 	}
-	// A nil timeline serves an empty (but 200) history.
-	if body := getFrom(addr2, "/metrics/history"); strings.TrimSpace(body) != "" {
-		t.Errorf("nil-timeline /metrics/history not empty:\n%s", body)
-	}
 }
 
 // TestMetricsServerShutdownJoins pins the server lifecycle: shutdown
 // returns only after the serving goroutine has exited, and the port is
 // actually released — no goroutine or listener outlives the call.
 func TestMetricsServerShutdownJoins(t *testing.T) {
-	shutdown, addr, err := startMetricsServer("127.0.0.1:0", dcnr.NewMetricsRegistry(), nil, nil, nil)
+	shutdown, addr, err := startMetricsServer("127.0.0.1:0", dcnr.NewMetricsRegistry(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,8 +259,8 @@ func (d *Driver) SetJournal(j *journal.Journal) {
 	}
 }
 
-// TimelineCounters and TimelineGauges name the registry series an
-// intra-DC timeline tracks by default: the DES kernel's event counter,
+// timelineCounters and timelineGauges name the registry series an
+// intra-DC timeline tracks: the DES kernel's event counter,
 // the remediation plane's ticket flow and queue, and the health engine's
 // incident/transition counters. All are driven purely by simulation
 // events, so their sampled series are deterministic for a fixed seed
@@ -268,7 +268,7 @@ func (d *Driver) SetJournal(j *journal.Journal) {
 // them get-or-create: a series its run never touches simply records
 // nothing.
 var (
-	TimelineCounters = []string{
+	timelineCounters = []string{
 		"des_events_fired_total",
 		"remediation_submitted_total",
 		"remediation_repaired_total",
@@ -276,7 +276,7 @@ var (
 		"health_incidents_total",
 		"health_transitions_total",
 	}
-	TimelineGauges = []string{
+	timelineGauges = []string{
 		"des_queue_depth",
 		"remediation_queue_depth",
 		"health_rules_firing",
@@ -296,7 +296,7 @@ func (d *Driver) SetTimeline(tl *timeline.Timeline, reg *obs.Registry) {
 		d.sim.SetSampleHook(0, nil)
 		return
 	}
-	d.tsampler = timeline.NewSampler(tl, "intra", reg, TimelineCounters, TimelineGauges)
+	d.tsampler = timeline.NewSampler(tl, "intra", reg, timelineCounters, timelineGauges)
 	d.sim.SetSampleHook(tl.Cadence(), d.tsampler.Sample)
 	if !d.thooked {
 		// One hook per driver even if the timeline is swapped: the

@@ -11,8 +11,7 @@ import (
 // TestRingWraparoundConcurrentRead checks what the timeline adds on top of
 // obs.Lane's publication contract (TestLaneWraparoundConcurrentRead in
 // internal/obs): while two lanes' writers wrap their staging buffers,
-// concurrent readers always see the lanes merged in time order, and
-// Window answers from that merged view.
+// concurrent readers always see the lanes merged in time order.
 func TestRingWraparoundConcurrentRead(t *testing.T) {
 	tl := New()
 	even, odd := tl.Column("even"), tl.Column("odd")
@@ -37,13 +36,11 @@ func TestRingWraparoundConcurrentRead(t *testing.T) {
 						t.Errorf("samples out of order: %v after %v", s.T, prev)
 						return
 					}
-					prev = s.T
-				}
-				for _, s := range tl.Window(100, 200, "odd") {
-					if s.Col != odd || s.T < 100 || s.T > 200 {
-						t.Errorf("Window(100, 200, odd) returned %+v", s)
+					if s.Col != [2]int32{even, odd}[int(s.T)%2] {
+						t.Errorf("sample %+v carries the other lane's column", s)
 						return
 					}
+					prev = s.T
 				}
 				if err := tl.WriteJSONL(io.Discard); err != nil {
 					t.Errorf("WriteJSONL: %v", err)
@@ -75,8 +72,5 @@ func TestRingWraparoundConcurrentRead(t *testing.T) {
 		if s.T != float64(i) || s.Col != [2]int32{even, odd}[i%2] {
 			t.Fatalf("sample %d = %+v", i, s)
 		}
-	}
-	if win := tl.Window(100, 200, "odd"); len(win) != 50 || win[0].T != 101 || win[49].T != 199 {
-		t.Errorf("Window(100, 200, odd) = %d samples from %v", len(win), win)
 	}
 }

@@ -1,11 +1,6 @@
 package timeline
 
-import (
-	"sync"
-	"time"
-
-	"dcnr/internal/obs"
-)
+import "dcnr/internal/obs"
 
 // column is one tracked registry series: exactly one of counter/gauge is
 // set, and last is the value at the previous sample so unchanged series
@@ -46,9 +41,8 @@ func NewSampler(t *Timeline, lane string, reg *obs.Registry, counters, gauges []
 }
 
 // Sample records every tracked series whose value changed since the last
-// call, stamped with now (simulation hours on the DES grid, wall seconds
-// from StartWall). Single-writer like the lane it feeds; no-op on a nil
-// sampler.
+// call, stamped with now (simulation hours on the DES grid). Single-writer
+// like the lane it feeds; no-op on a nil sampler.
 //
 //hot:noalloc
 func (s *Sampler) Sample(now float64) {
@@ -79,45 +73,4 @@ func (s *Sampler) Flush() {
 		return
 	}
 	s.lane.Flush()
-}
-
-// StartWall starts a wall-clock sampling loop for servers: every period,
-// the sampler ticks with T = seconds since the loop started and flushes,
-// so HTTP history readers see fresh points each period. The returned stop
-// function (idempotent, safe on a nil sampler) ends the loop, takes a
-// final sample, and flushes.
-func (s *Sampler) StartWall(period time.Duration) (stop func()) {
-	if s == nil {
-		return func() {}
-	}
-	if period <= 0 {
-		period = time.Second
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	start := time.Now()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tk := time.NewTicker(period)
-		defer tk.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-tk.C:
-				s.Sample(now.Sub(start).Seconds())
-				s.Flush()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-			s.Sample(time.Since(start).Seconds())
-			s.Flush()
-		})
-	}
 }

@@ -1,11 +1,10 @@
 // Package timeline turns the point-in-time metrics of internal/obs into
-// time series: a sampler driven by the simulation clock (or, for long-
-// running servers, a wall-clock ticker) captures registry deltas into
-// pointer-free fixed-width sample records, giving every run the temporal
-// structure — fault storms, remediation backlogs, burn-rate ramps — that
-// a final Snapshot flattens away. The paper's reliability numbers were
-// read off production dashboards as time series; this package is that
-// dashboard's data source.
+// time series: a sampler driven by the simulation clock captures registry
+// deltas into pointer-free fixed-width sample records, giving every run
+// the temporal structure — fault storms, remediation backlogs, burn-rate
+// ramps — that a final Snapshot flattens away. The paper's reliability
+// numbers were read off production dashboards as time series; this
+// package is that dashboard's data source.
 //
 // # Memory layout
 //
@@ -13,19 +12,17 @@
 // Lane is an obs.Lane, the single-writer staging buffer published as
 // immutable blocks that SpanRing and the journal also use, so the hot
 // path costs a changed-value check and one struct store, never a map or
-// an encoder. Readers (WriteJSONL, Window, the HTTP handlers) see only
-// flushed blocks: a mid-run reader observes a consistent prefix of each
-// lane while writers keep recording.
+// an encoder. Readers (Samples, WriteJSONL) see only flushed blocks: a
+// mid-run reader observes a consistent prefix of each lane while writers
+// keep recording.
 //
 // # Determinism
 //
-// Sim-time lanes are sampled on a fixed cadence grid (multiples of
-// DefaultCadence, timed by the DES clock), record only when a series'
-// value changed, and read no wall clock and no randomness — so for a
-// fixed seed the serialized timeline is bit-for-bit reproducible and an
-// attached timeline never perturbs the simulation's RNG streams. Wall
-// lanes (Sampler.StartWall) are for live servers and make no determinism
-// claim.
+// Lanes are sampled on a fixed cadence grid (multiples of DefaultCadence,
+// timed by the DES clock), record only when a series' value changed, and
+// read no wall clock and no randomness — so for a fixed seed the
+// serialized timeline is bit-for-bit reproducible and an attached
+// timeline never perturbs the simulation's RNG streams.
 //
 // All methods are safe on a nil *Timeline, *Lane, and *Sampler, matching
 // the project-wide observability contract: a nil timeline is a no-op
@@ -48,8 +45,7 @@ const DefaultCadence = 24.0
 // Sample is one time-series point: 24 bytes, no pointers, so a full
 // staging buffer is a single GC-free block.
 type Sample struct {
-	// T is the sample instant: simulation hours since epoch on sim-time
-	// lanes, wall seconds since sampler start on wall lanes.
+	// T is the sample instant in simulation hours since epoch.
 	T float64
 	// V is the series' value at T — cumulative for counters, current for
 	// gauges. Samples are recorded only when V changed, so consecutive
@@ -190,36 +186,6 @@ func (t *Timeline) Samples() []Sample {
 		}
 		out = append(out, flat[best][idx[best]])
 		idx[best]++
-	}
-	return out
-}
-
-// Window returns the flushed samples with from <= T <= to, optionally
-// restricted to one series name (empty means all), in the canonical
-// merged order.
-func (t *Timeline) Window(from, to float64, metric string) []Sample {
-	if t == nil {
-		return nil
-	}
-	col := int32(-1)
-	if metric != "" {
-		t.mu.Lock()
-		id, ok := t.colID[metric]
-		t.mu.Unlock()
-		if !ok {
-			return nil
-		}
-		col = id
-	}
-	var out []Sample
-	for _, s := range t.Samples() {
-		if s.T < from || s.T > to {
-			continue
-		}
-		if col >= 0 && s.Col != col {
-			continue
-		}
-		out = append(out, s)
 	}
 	return out
 }

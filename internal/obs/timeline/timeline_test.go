@@ -4,11 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"math"
-	"net/http/httptest"
-	"strings"
 	"testing"
-	"time"
 
 	"dcnr/internal/obs"
 )
@@ -33,9 +29,6 @@ func TestNilSafety(t *testing.T) {
 	if s := tl.Samples(); s != nil {
 		t.Errorf("nil Samples = %v", s)
 	}
-	if s := tl.Window(0, 1, ""); s != nil {
-		t.Errorf("nil Window = %v", s)
-	}
 	if err := tl.WriteJSONL(&bytes.Buffer{}); err != nil {
 		t.Errorf("nil WriteJSONL: %v", err)
 	}
@@ -43,7 +36,6 @@ func TestNilSafety(t *testing.T) {
 	var sm *Sampler
 	sm.Sample(1)
 	sm.Flush()
-	sm.StartWall(time.Millisecond)()
 	if s := NewSampler(nil, "x", obs.NewRegistry(), nil, nil); s != nil {
 		t.Errorf("NewSampler(nil timeline) = %v, want nil", s)
 	}
@@ -83,18 +75,6 @@ func TestRecordFlushAndMerge(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("sample %d = %+v, want %+v", i, got[i], want[i])
 		}
-	}
-
-	win := tl.Window(2, 3, "")
-	if len(win) != 2 || win[0].T != 2 || win[1].T != 3 {
-		t.Errorf("Window(2,3) = %v", win)
-	}
-	win = tl.Window(math.Inf(-1), math.Inf(1), "alpha")
-	if len(win) != 2 || win[0].V != 10 || win[1].V != 20 {
-		t.Errorf("Window(alpha) = %v", win)
-	}
-	if win := tl.Window(0, 10, "missing"); win != nil {
-		t.Errorf("Window(missing) = %v", win)
 	}
 }
 
@@ -168,78 +148,5 @@ func TestSamplerDeltaSuppression(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("sample %d = %+v, want %+v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestSamplerWallTicker(t *testing.T) {
-	reg := obs.NewRegistry()
-	tl := New()
-	s := NewSampler(tl, "wall", reg, []string{"hits"}, nil)
-	reg.Counter("hits").Add(5)
-	stop := s.StartWall(time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for tl.Len() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-	if tl.Len() == 0 {
-		t.Fatal("wall ticker recorded nothing")
-	}
-	ss := tl.Samples()
-	if ss[0].V != 5 {
-		t.Errorf("wall sample = %+v, want V=5", ss[0])
-	}
-}
-
-func TestServeHistory(t *testing.T) {
-	tl := New()
-	a := tl.Column("a")
-	b := tl.Column("b")
-	l := tl.Lane("sim")
-	l.Record(a, 10, 1)
-	l.Record(b, 20, 2)
-	l.Record(a, 30, 3)
-	l.Flush()
-
-	get := func(url string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		tl.ServeHistory(rec, httptest.NewRequest("GET", url, nil))
-		return rec
-	}
-	rec := get("/metrics/history")
-	if lines := strings.Count(rec.Body.String(), "\n"); lines != 3 {
-		t.Errorf("full history: %d lines, want 3: %q", lines, rec.Body.String())
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	rec = get("/metrics/history?from=15&to=25")
-	if body := rec.Body.String(); body != `{"t":20,"m":"b","v":2}`+"\n" {
-		t.Errorf("windowed = %q", body)
-	}
-	rec = get("/metrics/history?metric=a")
-	if lines := strings.Count(rec.Body.String(), "\n"); lines != 2 {
-		t.Errorf("metric filter: %q", rec.Body.String())
-	}
-	// A malformed or NaN bound is rejected, not dropped: NaN compares
-	// false against every sample, so it would otherwise widen the window.
-	for _, q := range []string{
-		"from=bogus", "to=bogus", "from=NaN", "to=NaN", "from=nan&to=10", "from=0&to=NaN",
-	} {
-		if rec = get("/metrics/history?" + q); rec.Code != 400 {
-			t.Errorf("?%s: code %d, want 400", q, rec.Code)
-		}
-	}
-	if rec = get("/metrics/history?from=-Inf&to=%2BInf"); rec.Code != 200 ||
-		strings.Count(rec.Body.String(), "\n") != 3 {
-		t.Errorf("infinite bounds: code %d body %q", rec.Code, rec.Body.String())
-	}
-
-	var nilTL *Timeline
-	rec = httptest.NewRecorder()
-	nilTL.ServeHistory(rec, httptest.NewRequest("GET", "/metrics/history", nil))
-	if rec.Code != 200 || rec.Body.Len() != 0 {
-		t.Errorf("nil history: code %d body %q", rec.Code, rec.Body.String())
 	}
 }

@@ -47,6 +47,6 @@ type Observe struct {
 	// metric history a final Snapshot flattens away. A timeline without
 	// Metrics still works — the wiring instruments the run with a
 	// private registry just for sampling. Write with
-	// Timeline.WriteJSONL, query with Timeline.Window or ServeHistory.
+	// Timeline.WriteJSONL, read back with Timeline.Samples.
 	Timeline *timeline.Timeline
 }

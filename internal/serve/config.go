@@ -24,8 +24,10 @@ type Config struct {
 	// DefaultCacheEntries. Negative is rejected.
 	CacheEntries int
 	// Obs carries the optional observability bundle: Metrics instruments
-	// the query engine and the serve layer, Health/Journal/Timeline back
-	// the introspection endpoints. Zero means uninstrumented.
+	// the query engine and the serve layer and backs /metrics,
+	// Health/Journal back /healthz, /slo and /journal, and Logger gets
+	// the server's warnings. The daemon reads no other field. Zero means
+	// uninstrumented.
 	Obs observe.Observe
 }
 

@@ -66,7 +66,6 @@ func NewDaemon(cfg *Config) (*Daemon, error) {
 		Metrics:       cfg.Obs.Metrics,
 		Health:        cfg.Obs.Health,
 		Journal:       cfg.Obs.Journal,
-		Timeline:      cfg.Obs.Timeline,
 		Introspection: true,
 	})
 	d.registerAPI()

@@ -105,11 +105,10 @@ func TestServerIntrospection(t *testing.T) {
 	if code, body := get("/journal"); code != 200 || !strings.Contains(body, "{") {
 		t.Errorf("/journal: %d %q", code, body)
 	}
-	if code, body := get("/metrics/history"); code != 200 || body != "" {
-		t.Errorf("/metrics/history with nil timeline: %d %q", code, body)
-	}
-	if code, _ := get("/metrics/history/events"); code != http.StatusNotFound {
-		t.Errorf("/metrics/history/events: %d, want 404 (no streams)", code)
+	for _, path := range []string{"/metrics/history", "/metrics/history/events"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Errorf("%s: %d, want 404 (no metric history)", path, code)
+		}
 	}
 	if code, _ := get("/debug/vars"); code != http.StatusNotFound {
 		t.Errorf("/debug/vars: %d, want 404 (no expvar exposition)", code)

@@ -34,7 +34,6 @@ import (
 	"dcnr/internal/obs"
 	"dcnr/internal/obs/health"
 	"dcnr/internal/obs/journal"
-	"dcnr/internal/obs/timeline"
 )
 
 // Options configures a Server. Every observability hook is optional and
@@ -57,12 +56,9 @@ type Options struct {
 	Health *health.Engine
 	// Journal backs /journal; nil reads as an empty journal.
 	Journal *journal.Journal
-	// Timeline backs /metrics/history; nil serves empty histories.
-	Timeline *timeline.Timeline
 	// Introspection mounts the full runtime-introspection suite:
-	// /metrics, /healthz, /slo, /journal, /metrics/history and
-	// /debug/pprof/. Without it the Server serves only what Register
-	// mounts.
+	// /metrics, /healthz, /slo, /journal and /debug/pprof/. Without it
+	// the Server serves only what Register mounts.
 	Introspection bool
 }
 
@@ -184,7 +180,7 @@ func (s *Server) logStopped(err error) {
 // mountIntrospection wires the runtime-introspection suite onto the mux,
 // every handler nil-safe against its missing hook.
 func (s *Server) mountIntrospection() {
-	reg, eng, jnl, tl := s.opts.Metrics, s.opts.Health, s.opts.Journal, s.opts.Timeline
+	reg, eng, jnl := s.opts.Metrics, s.opts.Health, s.opts.Journal
 	s.Register("/metrics", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		// A failed write means the scraper hung up mid-response; there
@@ -216,7 +212,6 @@ func (s *Server) mountIntrospection() {
 		// safe to serve while the simulation is still recording.
 		WriteJSON(w, jnl.Index().Summary())
 	}))
-	s.Register("/metrics/history", http.HandlerFunc(tl.ServeHistory))
 	s.Register("/debug/pprof/", http.HandlerFunc(pprof.Index))
 	s.Register("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
 	s.Register("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))

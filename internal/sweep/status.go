@@ -147,6 +147,10 @@ type RunStatus struct {
 	Seed     uint64 `json:"seed"`
 	Scale    int    `json:"scale"`
 	State    string `json:"state"`
+	// StartSeconds is when the run started, in wall seconds after the
+	// campaign started; set once the run has started. A finished run
+	// ended at StartSeconds + ElapsedSeconds.
+	StartSeconds float64 `json:"start_seconds,omitempty"`
 	// ElapsedSeconds is the run's wall time: running so far, or total once
 	// finished.
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
@@ -203,7 +207,8 @@ func (s *Status) Snapshot() CampaignStatus {
 	now := time.Now()
 	specs, cells := s.table()
 	cs := CampaignStatus{Total: len(cells)}
-	if start := s.startNS.Load(); start != 0 {
+	start := s.startNS.Load()
+	if start != 0 {
 		cs.ElapsedSeconds = now.Sub(time.Unix(0, start)).Seconds()
 	}
 	var (
@@ -219,6 +224,9 @@ func (s *Status) Snapshot() CampaignStatus {
 		}
 		state := c.state.Load()
 		row.State = stateNames[state]
+		if state != statePending {
+			row.StartSeconds = time.Duration(c.startNS.Load() - start).Seconds()
+		}
 		switch state {
 		case stateRunning:
 			cs.Running++

@@ -166,6 +166,12 @@ func TestSweepStatusLifecycle(t *testing.T) {
 		if r.Faults <= 0 || r.Incidents <= 0 {
 			t.Errorf("run %d: counts not recorded: %+v", i, r)
 		}
+		// A run starts after the campaign did and ends before the
+		// snapshot was taken.
+		if r.StartSeconds <= 0 || r.StartSeconds+r.ElapsedSeconds > cs.ElapsedSeconds {
+			t.Errorf("run %d: start %gs + elapsed %gs outside the campaign's %gs",
+				i, r.StartSeconds, r.ElapsedSeconds, cs.ElapsedSeconds)
+		}
 	}
 
 	sum, runs := st.JournalSummary()
@@ -219,8 +225,7 @@ func TestSweepStatusHandler(t *testing.T) {
 		t.Errorf("/journal = %+v", jr)
 	}
 
-	// The handler serves only the two pulled endpoints; the timeline is
-	// mounted by whoever owns it (dcsweep's serveStatus).
+	// The handler serves only the two pulled endpoints.
 	for _, path := range []string{"/campaign/events", "/metrics/history", "/metrics/history/events"} {
 		rec = httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))

@@ -75,13 +75,15 @@ func DefaultScenarios() []Scenario {
 
 // Config parameterizes a sweep campaign.
 type Config struct {
-	// Observe bundles the campaign-level observability wiring. Metrics
-	// receives the sweep_* counters and gauges; Trace records one span
-	// per run (category "sweep") and one per backbone leg (category
-	// "sweep.backbone"), with a lane per pool worker; Logger gets one
-	// progress record per completed run. Health is not wired — runs have
-	// independent simulation clocks, so a shared health engine would
-	// interleave unrelated histories; instrument single runs instead.
+	// Observe bundles the campaign-level observability wiring. Metrics,
+	// when set, turns on Result.Metrics, the merge of every run's private
+	// registry (the campaign registry itself receives nothing); Trace
+	// records one span per run (category "sweep") and one per backbone leg
+	// (category "sweep.backbone"), with a lane per pool worker; Logger
+	// gets one progress record per completed run. Health is not wired —
+	// runs have independent simulation clocks, so a shared health engine
+	// would interleave unrelated histories; instrument single runs
+	// instead.
 	observe.Observe
 	// Seeds are the RNG roots to sweep. Every (scenario, scale, seed)
 	// cell becomes one run; a campaign needs at least one seed.
@@ -250,10 +252,9 @@ type Result struct {
 	Report Report
 	// Runs holds one RunStats per grid cell, in run order.
 	Runs []RunStats
-	// Metrics is the merge of every run's private registry (plus nothing
-	// else — the campaign registry passed via Observe.Metrics stays
-	// separate so sweep_* bookkeeping never pollutes simulation metrics).
-	// Zero when the campaign was uninstrumented.
+	// Metrics is the merge of every run's private registry (and of every
+	// backbone leg's), made when Observe.Metrics is set. Zero when it is
+	// not.
 	Metrics obs.Snapshot
 }
 
@@ -282,14 +283,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	specs := cfg.expand()
 	o := cfg.Observe
-
-	var (
-		mRuns     = o.Metrics.Counter("sweep_runs_total")
-		mFailures = o.Metrics.Counter("sweep_run_failures_total")
-		mFaults   = o.Metrics.Counter("sweep_faults_total")
-		mIncs     = o.Metrics.Counter("sweep_incidents_total")
-		gWorkers  = o.Metrics.Gauge("sweep_active_workers")
-	)
 
 	stream := newOrderedWriter(cfg.Results, len(specs))
 	jstream := newOrderedWriter(cfg.Journal, len(specs))
@@ -330,15 +323,12 @@ func Run(cfg Config) (*Result, error) {
 		err := core.RunLimitTraced(cfg.Workers, len(legs), o.Trace, "sweep.backbone",
 			func(k int) string { return fmt.Sprintf("backbone/seed%d/x%d", legs[k].seed, legs[k].scale) },
 			func(k int) error {
-				gWorkers.Add(1)
-				defer gWorkers.Add(-1)
 				var reg *obs.Registry
 				if o.Metrics != nil {
 					reg = obs.NewRegistry()
 				}
 				var err error
 				if edges[k], err = runLeg(legs[k], reg); err != nil {
-					mFailures.Inc()
 					return err
 				}
 				if reg != nil {
@@ -354,8 +344,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	runOne := func(i int) error {
-		gWorkers.Add(1)
-		defer gWorkers.Add(-1)
 		spec := specs[i]
 		probe := beginProbe()
 
@@ -376,7 +364,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res, err := sim.IntraDC(icfg)
 		if err != nil {
-			mFailures.Inc()
 			return fmt.Errorf("sweep: run %d (%s seed %d scale %d): %w",
 				spec.run, spec.scenario.Name, spec.seed, spec.scale, err)
 		}
@@ -395,9 +382,6 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		results[i] = stats
-		mRuns.Inc()
-		mFaults.Add(int64(stats.Faults))
-		mIncs.Add(int64(stats.Incidents))
 		if err := stream.write(i, &stats); err != nil {
 			return fmt.Errorf("sweep: run %d: streaming result: %w", spec.run, err)
 		}

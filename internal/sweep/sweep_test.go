@@ -140,30 +140,13 @@ func TestSweepMetricsMergedAndCampaignCounters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["sweep_runs_total"]; got != 4 {
-		t.Errorf("sweep_runs_total = %d, want 4", got)
-	}
-	if got := snap.Counters["sweep_run_failures_total"]; got != 0 {
-		t.Errorf("sweep_run_failures_total = %d, want 0", got)
-	}
-	var want int64
-	for _, r := range res.Runs {
-		want += int64(r.Incidents)
-	}
-	if got := snap.Counters["sweep_incidents_total"]; got != want {
-		t.Errorf("sweep_incidents_total = %d, want %d", got, want)
-	}
 	// The merged per-run snapshot carries the simulation's own counters,
-	// summed across runs — and stays separate from the campaign registry.
+	// summed across runs; the campaign registry itself receives nothing.
 	if res.Metrics.Counters["des_events_fired_total"] == 0 {
 		t.Errorf("merged snapshot missing des_events_fired_total")
 	}
-	if snap.Counters["des_events_fired_total"] != 0 {
-		t.Errorf("simulation metrics leaked into the campaign registry")
-	}
-	if res.Metrics.Counters["sweep_runs_total"] != 0 {
-		t.Errorf("campaign bookkeeping leaked into the merged run metrics")
+	if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
+		t.Errorf("campaign registry received series: %+v", snap)
 	}
 }
 

@@ -31,11 +31,10 @@
 #                    Generation unchanged, or accepted with both advanced
 #                    consistently), the journal reader (ReadJSONL's
 #                    write-back keeps every name and reads back to itself),
-#                    the /metrics/history parameters (200 or 400; a 200
-#                    holds exactly the samples inside the window and metric),
-#                    and dcnrtop's history ingest (over arbitrary bodies, no
-#                    sample at or below the last t is added, each series
-#                    stays capped and last never falls)
+#                    and dcnrtop's /campaign decode and series derivation
+#                    (over arbitrary bodies, every series has the asked
+#                    point count, the cumulative ones never fall and
+#                    running is never negative)
 #
 # Former bench smoke steps and where their gates live now, all machine-
 # independent and all run by `race` (the first also by `test-obs`):
@@ -98,8 +97,7 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzParseParams$' -fuzztime 10s ./internal/serve
 	go test -run '^$' -fuzz '^FuzzIngest$' -fuzztime 10s ./internal/serve
 	go test -run '^$' -fuzz '^FuzzReadJournal$' -fuzztime 10s ./internal/obs/journal
-	go test -run '^$' -fuzz '^FuzzServeHistory$' -fuzztime 10s ./internal/obs/timeline
-	go test -run '^$' -fuzz '^FuzzHistoriesIngest$' -fuzztime 10s ./cmd/dcnrtop
+	go test -run '^$' -fuzz '^FuzzCampaignSeries$' -fuzztime 10s ./cmd/dcnrtop
 }
 step fuzz-smoke fuzz_smoke
 
