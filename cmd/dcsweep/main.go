@@ -118,18 +118,21 @@ type options struct {
 	stdout      io.Writer // summary destination; nil means os.Stdout
 }
 
-func run(o options) error {
+// sweepConfig turns the grid and telemetry flags into the campaign's
+// config, returning the tracer it installed (nil without -trace). The
+// file outputs and the status server are run's, because they need closing.
+func sweepConfig(o options) (dcnr.SweepConfig, *dcnr.Tracer, error) {
 	seeds, err := parseSeeds(o.seeds, o.seedBase, o.runs)
 	if err != nil {
-		return err
+		return dcnr.SweepConfig{}, nil, err
 	}
 	scales, err := parseInts(o.scales)
 	if err != nil {
-		return fmt.Errorf("-scales: %w", err)
+		return dcnr.SweepConfig{}, nil, fmt.Errorf("-scales: %w", err)
 	}
 	scenarios, err := parseScenarios(o.scenarios)
 	if err != nil {
-		return err
+		return dcnr.SweepConfig{}, nil, err
 	}
 
 	cfg := dcnr.SweepConfig{
@@ -141,8 +144,9 @@ func run(o options) error {
 	}
 
 	// Telemetry is opt-in, exactly as in dcsim: nil wiring is a zero-cost
-	// no-op inside the runs.
-	if o.metricsOut != "" || o.logLevel != "" {
+	// no-op inside the runs. The registry turns on the per-run merge that
+	// only -metrics-out reads.
+	if o.metricsOut != "" {
 		cfg.Observe.Metrics = dcnr.NewMetricsRegistry()
 	}
 	var tracer *dcnr.Tracer
@@ -153,7 +157,7 @@ func run(o options) error {
 	if o.logLevel != "" {
 		level, err := dcnr.ParseLogLevel(o.logLevel)
 		if err != nil {
-			return err
+			return dcnr.SweepConfig{}, nil, err
 		}
 		w := o.logW
 		if w == nil {
@@ -161,9 +165,17 @@ func run(o options) error {
 		}
 		h, err := dcnr.NewSimLogHandler(w, o.logFormat, level, nil)
 		if err != nil {
-			return err
+			return dcnr.SweepConfig{}, nil, err
 		}
 		cfg.Observe.Logger = slog.New(h)
+	}
+	return cfg, tracer, nil
+}
+
+func run(o options) error {
+	cfg, tracer, err := sweepConfig(o)
+	if err != nil {
+		return err
 	}
 
 	// The streamed outputs are closed, with the error checked, once the

@@ -338,3 +338,43 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestLogLevelAloneInstallsNoRegistry pins that -log-level only logs: the
+// campaign registry (and with it the merge of every run's private one) is
+// installed for -metrics-out alone, and the per-run progress records are
+// still written without it.
+func TestLogLevelAloneInstallsNoRegistry(t *testing.T) {
+	var logBuf bytes.Buffer
+	o := options{
+		seedBase:  1,
+		runs:      1,
+		scales:    "1",
+		scenarios: "baseline",
+		out:       filepath.Join(t.TempDir(), "sweep_report.json"),
+		logLevel:  "info",
+		logW:      &logBuf,
+		stdout:    &bytes.Buffer{},
+	}
+	cfg, _, err := sweepConfig(o)
+	if err != nil {
+		t.Fatalf("sweepConfig: %v", err)
+	}
+	if cfg.Observe.Metrics != nil {
+		t.Error("-log-level alone installed a metrics registry")
+	}
+	if cfg.Observe.Logger == nil {
+		t.Error("-log-level installed no logger")
+	}
+	withMetrics := o
+	withMetrics.metricsOut = "m.json"
+	if cfg, _, err := sweepConfig(withMetrics); err != nil || cfg.Observe.Metrics == nil {
+		t.Errorf("-metrics-out: registry %v, err %v; want a registry", cfg.Observe.Metrics, err)
+	}
+
+	if err := run(o); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if n := strings.Count(logBuf.String(), "sweep run complete"); n != 1 {
+		t.Errorf("got %d progress records, want 1: %q", n, logBuf.String())
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"slices"
 
 	"dcnr/internal/des"
 	"dcnr/internal/fleet"
@@ -82,11 +81,53 @@ func (f *Fault) Device() string {
 
 // faultKey sorts the fault slab: by start time, then by draw index, the
 // order the kernel fired the faults in when each was scheduled as drawn.
-// Sorting these 16-byte keys and then permuting the slab once is much
-// cheaper than sorting the slab itself.
+// Radix-sorting these 16-byte keys (sortFaultKeys) and then permuting the
+// slab once is much cheaper than sorting the slab itself.
 type faultKey struct {
 	start float64
 	draw  int32
+}
+
+// sortFaultKeys sorts keys by start, ties broken by draw, and returns the
+// sorted slice, which is keys or a buffer of the same length. keys must
+// arrive in draw order: the sort is a stable LSD radix sort on the bits
+// of start, so stability alone breaks ties by draw index. A byte pass in
+// which every key has the same byte is skipped.
+//
+// Precondition: every start is finite and >= +0 (never -0). Such float64
+// values order the same way as their bit patterns; drawFaults only draws
+// such starts.
+func sortFaultKeys(keys []faultKey) []faultKey {
+	if len(keys) < 2 {
+		return keys
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		b := math.Float64bits(k.start)
+		for p := range counts {
+			counts[p][byte(b>>(8*p))]++
+		}
+	}
+	first := math.Float64bits(keys[0].start)
+	src, dst := keys, make([]faultKey, len(keys))
+	for p := range counts {
+		c := &counts[p]
+		if c[byte(first>>(8*p))] == len(keys) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i] = sum
+			sum += n
+		}
+		for _, k := range src {
+			b := byte(math.Float64bits(k.start) >> (8 * p))
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // Driver runs the intra-DC simulation. Construct with NewDriver, then call
@@ -372,12 +413,7 @@ func (d *Driver) Run(from, to int) (*sev.Store, error) {
 	d.ran = true
 	// The volumes stream is independent of the per-(year, type) streams,
 	// so every count is drawn first and the slab is sized once.
-	type cell struct {
-		year int
-		dt   topology.DeviceType
-		n    int
-	}
-	var cells []cell
+	var cells []faultCell
 	total := 0
 	volumes := d.src.Stream("volumes")
 	for year := from; year <= to; year++ {
@@ -394,7 +430,7 @@ func (d *Driver) Run(from, to int) (*sev.Store, error) {
 				raw *= d.ElevateFactor
 			}
 			n := volumes.Poisson(raw)
-			cells = append(cells, cell{year, dt, n})
+			cells = append(cells, faultCell{year, dt, n})
 			total += n
 		}
 	}
@@ -402,6 +438,7 @@ func (d *Driver) Run(from, to int) (*sev.Store, error) {
 	for _, c := range cells {
 		d.drawFaults(c.year, c.dt, c.n)
 	}
+	d.Store.Grow(storeReservation(cells, d.Engine.Enabled()))
 	d.armFaults()
 	d.scheduleHealthTicks(from, to)
 	d.sim.Run(math.Inf(1))
@@ -417,6 +454,33 @@ func (d *Driver) Run(from, to int) (*sev.Store, error) {
 	d.jlane.Flush()
 	d.tsampler.Flush()
 	return d.Store, nil
+}
+
+// faultCell is one (year, device type) cell of a run with its drawn
+// fault count.
+type faultCell struct {
+	year int
+	dt   topology.DeviceType
+	n    int
+}
+
+// storeReservation returns how many SEV reports Run reserves in the store
+// before simulating cells: the expected incident count plus four times its
+// square root plus 16. A fault escalates with its type's escalationProb,
+// except from AutomatedRepairYear on with the remediation engine disabled,
+// where every fault escalates. The drawn fault count would also bound the
+// incidents, but a baseline run escalates about one fault in 110, so
+// reserving by it costs far more memory than the appends it saves.
+func storeReservation(cells []faultCell, engineEnabled bool) int {
+	expected := 0.0
+	for _, c := range cells {
+		p := escalationProb(c.dt)
+		if c.year >= fleet.AutomatedRepairYear && !engineEnabled {
+			p = 1
+		}
+		expected += float64(c.n) * p
+	}
+	return int(expected+4*math.Sqrt(expected)) + 16
 }
 
 // healthEvalPeriod is the sim-time cadence of health-engine evaluations:
@@ -478,15 +542,7 @@ func (d *Driver) armFaults() {
 	for i := range d.slab {
 		keys[i] = faultKey{start: d.slab[i].Start, draw: int32(i)}
 	}
-	slices.SortFunc(keys, func(a, b faultKey) int {
-		switch {
-		case a.start < b.start:
-			return -1
-		case a.start > b.start:
-			return 1
-		}
-		return int(a.draw - b.draw)
-	})
+	keys = sortFaultKeys(keys)
 	// Permute the slab in place, one cycle at a time: position j takes
 	// the fault keys[j] names, and a key is spent (-1) once its position
 	// is filled.

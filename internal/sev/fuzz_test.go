@@ -9,7 +9,8 @@ import (
 // FuzzReadJSON checks the two dataset loaders against each other: on any
 // input Store.ReadJSON and the query daemon's path (DecodeDataset, then
 // AddAll on a fresh store) accept or reject together, and on accept they
-// hold the same reports. The checked-in corpus
+// hold the same reports, and both answer Get and SetProvenance exactly for
+// the IDs they hold (checkIDLookups). The checked-in corpus
 // (testdata/fuzz/FuzzReadJSON) includes the ID-less datasets the loaders
 // once disagreed on.
 func FuzzReadJSON(f *testing.F) {
@@ -27,6 +28,8 @@ func FuzzReadJSON(f *testing.F) {
 		if want, got := st.All(), appended.All(); !reflect.DeepEqual(want, got) {
 			t.Fatalf("loaded datasets differ:\nReadJSON %+v\nAddAll   %+v", want, got)
 		}
+		checkIDLookups(t, st, "ReadJSON")
+		checkIDLookups(t, appended, "DecodeDataset+AddAll")
 	})
 }
 

@@ -35,7 +35,7 @@ type Provenance struct {
 func (s *Store) SetProvenance(id int, p Provenance) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.byID[id]; !ok {
+	if _, ok := s.posLocked(id); !ok {
 		return false
 	}
 	if s.provenance == nil {

@@ -18,7 +18,7 @@ import (
 //
 // Alongside the report slice the store maintains secondary indexes —
 // posting lists of report positions keyed by year, device type, severity,
-// network design, and root cause, plus an ID map — so the typed query API
+// network design, and root cause — so the typed query API
 // (query.go) can intersect the applicable lists instead of scanning every
 // report; a query with no set-valued predicate (none at all, or only a
 // Since/Until window) scans. A posting list is a word-compressed bitset
@@ -28,6 +28,13 @@ import (
 // keys arrive. Indexes are extended under the write lock on Add and
 // AddAll, and rebuilt wholesale on ReadJSON; every path appends positions
 // in ascending order, so only a list's last word ever changes.
+//
+// IDs are looked up by position while they are dense: as long as the
+// report at position i has ID i+1 — which holds for every store-assigned
+// ID — a report's position is its ID minus one and no ID map exists. The
+// first report that breaks this (an explicit ID from AddAll or ReadJSON)
+// builds the ID map over every position, and the map is kept from then
+// on, until ReadJSON replaces the contents.
 type Store struct {
 	mu      sync.RWMutex
 	reports []Report
@@ -37,7 +44,8 @@ type Store struct {
 	// key on it: a bumped generation invalidates every cached aggregation.
 	gen atomic.Uint64
 
-	// byID maps report ID → position in reports.
+	// byID maps report ID → position in reports. It is nil while IDs are
+	// dense (reports[i].ID == i+1 for every i); see posLocked.
 	byID map[int]int
 	// types caches the parsed device type per position so queries never
 	// re-parse device names.
@@ -90,7 +98,7 @@ func NewStore() *Store {
 
 // resetIndexLocked reinitializes every secondary index. Caller holds mu.
 func (s *Store) resetIndexLocked(capacity int) {
-	s.byID = make(map[int]int, capacity)
+	s.byID = nil
 	s.types = make([]topology.DeviceType, 0, capacity)
 	s.byYear = make(map[int]*postings)
 	s.byType = make(map[topology.DeviceType]*postings)
@@ -148,7 +156,16 @@ func (s *Store) indexPostingsLocked(pos int) {
 		t = topology.DeviceType(-1)
 	}
 	s.types = append(s.types, t)
-	s.byID[r.ID] = pos
+	if s.byID == nil && r.ID != pos+1 {
+		// The first sparse ID: map every earlier (dense) position.
+		s.byID = make(map[int]int, len(s.reports))
+		for i := range pos {
+			s.byID[i+1] = i
+		}
+	}
+	if s.byID != nil {
+		s.byID[r.ID] = pos
+	}
 	post(s.byYear, r.Year, pos)
 	post(s.bySev, r.Severity, pos)
 	if t >= 0 {
@@ -161,6 +178,29 @@ func (s *Store) indexPostingsLocked(pos int) {
 	for _, c := range r.EffectiveRootCauses() {
 		post(s.byCause, c, pos)
 	}
+}
+
+// posLocked returns the position of the report with the given ID. Caller
+// holds mu.
+func (s *Store) posLocked(id int) (int, bool) {
+	if s.byID != nil {
+		pos, ok := s.byID[id]
+		return pos, ok
+	}
+	if id < 1 || id > len(s.reports) {
+		return 0, false
+	}
+	return id - 1, true
+}
+
+// Grow reserves room for n more reports, so the next n Adds append
+// without reallocating. The data does not change, so neither does
+// Generation. Grow panics if n is negative.
+func (s *Store) Grow(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reports = slices.Grow(s.reports, n)
+	s.types = slices.Grow(s.types, n)
 }
 
 // Add validates r, assigns it an ID, and appends it. It returns the
@@ -200,7 +240,7 @@ func (s *Store) AddAll(batch []Report) ([]int, error) {
 		if id == 0 {
 			continue
 		}
-		if _, taken := s.byID[id]; taken || seen[id] {
+		if _, taken := s.posLocked(id); taken || seen[id] {
 			return nil, fmt.Errorf("sev: duplicate report ID %d in batch", id)
 		}
 		seen[id] = true
@@ -247,7 +287,7 @@ func (s *Store) Len() int {
 func (s *Store) Get(id int) (Report, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if pos, ok := s.byID[id]; ok {
+	if pos, ok := s.posLocked(id); ok {
 		return s.reports[pos], nil
 	}
 	return Report{}, fmt.Errorf("sev: no report with ID %d", id)

@@ -22,7 +22,10 @@
 #                    framing, the device-name codec
 #                    (ParseDeviceName and MakeName against their
 #                    fmt/ToLower references), the SEV dataset loaders
-#                    (Store.ReadJSON against DecodeDataset + AddAll), the
+#                    (Store.ReadJSON against DecodeDataset + AddAll, and
+#                    ID lookups against the loaded reports), the fault
+#                    cursor's radix sort (against slices.SortFunc over
+#                    arbitrary non-negative finite starts), the
 #                    SEV query index (every result method against the
 #                    brute-force Query.matches scan, over Add and AddAll
 #                    scripts), dcnrd's query normalizer (parseParams
@@ -94,6 +97,7 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzMakeName$' -fuzztime 10s ./internal/topology
 	go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/sev
 	go test -run '^$' -fuzz '^FuzzQueryMatchesScan$' -fuzztime 10s ./internal/sev
+	go test -run '^$' -fuzz '^FuzzFaultOrder$' -fuzztime 10s ./internal/faults
 	go test -run '^$' -fuzz '^FuzzParseParams$' -fuzztime 10s ./internal/serve
 	go test -run '^$' -fuzz '^FuzzIngest$' -fuzztime 10s ./internal/serve
 	go test -run '^$' -fuzz '^FuzzReadJournal$' -fuzztime 10s ./internal/obs/journal
