@@ -45,8 +45,8 @@ var LockFlow = &ModuleAnalyzer{
 	Doc:  "guarded-resource mutations (DES heap, serve.Server lifecycle) must be unreachable from call paths that do not hold the owning mutex",
 	Contract: `On any struct owning both a mutex and a guarded shared resource
 (*des.Simulator or *serve.Server), every call path from an unlocked entry
-point to a resource mutation — a des heap mutation (Schedule/After/Cancel/
-Every/Run/Step/Halt/Reset/Reserve/ScheduleReserved) or a serve lifecycle
+point to a resource mutation — a des heap mutation (Schedule/After/AfterArg/
+Cancel/Every/Run/Step/Halt/Reset/Reserve/ScheduleReserved) or a serve lifecycle
 call (Register/Start), on ANY expression of the guarded type, aliases
 included — must acquire the mutex along the way (the PR-2 race class).
 Unlocked entry points are exported methods, and unexported methods with
@@ -71,9 +71,9 @@ const desPath = "dcnr/internal/des"
 // set with the pooled free-list kernel: it recycles every node, so a
 // racing Reset corrupts not just the heap but the pool's generation
 // counters. Reserve and ScheduleReserved move the sequence counter, the
-// pending count and the reservation bitmap.
+// pending count and the reservation bitmap; AfterArg queues like After.
 var heapMutators = map[string]bool{
-	"Schedule": true, "After": true, "Cancel": true, "Every": true,
+	"Schedule": true, "After": true, "AfterArg": true, "Cancel": true, "Every": true,
 	"Run": true, "Step": true, "Halt": true, "Reset": true,
 	"Reserve": true, "ScheduleReserved": true,
 }

@@ -18,6 +18,11 @@
 // discarded when it surfaces, so no sift work or per-swap index
 // maintenance happens at cancel time.
 //
+// A closure handler is allocated by its caller. A payload event (AfterArg)
+// instead carries an int32 argument beside a handler bound once, so a
+// caller that queues one event per entry of a slab it owns allocates
+// nothing per event either.
+//
 // Recycling nodes makes pointer identity meaningless, so Schedule returns
 // a value-type Handle carrying the node's generation; Cancel on a stale
 // handle (the node since fired, was cancelled, or now belongs to a newer
@@ -36,6 +41,12 @@ import (
 
 // Handler is the action an event performs when it fires.
 type Handler func(now float64)
+
+// ArgHandler is the action of a payload event (AfterArg): it receives the
+// int32 payload queued with the event, typically an index into a slab the
+// caller owns. One handler bound once serves every event of its kind, so
+// queueing such an event allocates no closure.
+type ArgHandler func(now float64, arg int32)
 
 // Handle identifies a scheduled event so it can be cancelled. It is a
 // small value type; the zero Handle is valid and cancels nothing. Handles
@@ -71,10 +82,13 @@ type slotMeta struct {
 	gen uint32
 }
 
-// node is the pooled per-event state: the handler, the generation that
-// validates handles, and whether the event is still pending.
+// node is the pooled per-event state: the handler (a closure, or a
+// payload handler with its argument), the generation that validates
+// handles, and whether the event is still pending.
 type node struct {
 	handler Handler
+	argH    ArgHandler
+	arg     int32
 	gen     uint32
 	pending bool
 }
@@ -185,11 +199,11 @@ func (s *Simulator) SetLogger(l *slog.Logger) {
 }
 
 // alloc takes a node from the free list (or grows the slab) and arms it
-// with h. The generation bump invalidates any handle still pointing at the
-// node's previous life.
+// with h, or with ah and its payload arg. The generation bump invalidates
+// any handle still pointing at the node's previous life.
 //
 //hot:noalloc
-func (s *Simulator) alloc(h Handler) (int32, uint32) {
+func (s *Simulator) alloc(h Handler, ah ArgHandler, arg int32) (int32, uint32) {
 	var id int32
 	if n := len(s.free); n > 0 {
 		id = s.free[n-1]
@@ -201,6 +215,8 @@ func (s *Simulator) alloc(h Handler) (int32, uint32) {
 	nd := &s.nodes[id]
 	nd.gen++
 	nd.handler = h
+	nd.argH = ah
+	nd.arg = arg
 	nd.pending = true
 	return id, nd.gen
 }
@@ -213,6 +229,7 @@ func (s *Simulator) release(id int32) {
 	nd := &s.nodes[id]
 	nd.pending = false
 	nd.handler = nil
+	nd.argH = nil
 	s.free = append(s.free, id)
 }
 
@@ -329,10 +346,11 @@ func (s *Simulator) runSamples(at float64) {
 }
 
 // fire executes one event's handler at time at, with telemetry when
-// attached.
+// attached. The event carries either a closure h or a payload handler ah
+// with its argument.
 //
 //hot:noalloc
-func (s *Simulator) fire(at float64, seq uint64, h Handler) {
+func (s *Simulator) fire(at float64, seq uint64, h Handler, ah ArgHandler, arg int32) {
 	s.now = at
 	s.fired++
 	if s.sampleFn != nil && at >= s.sampleNext {
@@ -341,11 +359,15 @@ func (s *Simulator) fire(at float64, seq uint64, h Handler) {
 	if s.logDebug {
 		s.logFired(seq)
 	}
-	if s.mFired == nil && s.ring == nil {
+	plain := s.mFired == nil && s.ring == nil
+	if h != nil {
 		h(at)
+	} else {
+		ah(at, arg)
+	}
+	if plain {
 		return
 	}
-	h(at)
 	if s.ring == nil {
 		// Metrics-only: no per-event clock read. Events are counted now
 		// and timed in windows — closeTimingWindow reads the clock once
@@ -469,10 +491,18 @@ func (s *Simulator) Pending() int { return s.live }
 //
 //hot:noalloc
 func (s *Simulator) Schedule(at float64, h Handler) (Handle, error) {
+	return s.schedule(at, h, nil, 0)
+}
+
+// schedule queues an event carrying h, or ah with its payload arg, under
+// the next sequence number.
+//
+//hot:noalloc
+func (s *Simulator) schedule(at float64, h Handler, ah ArgHandler, arg int32) (Handle, error) {
 	if at < s.now || math.IsNaN(at) {
 		return Handle{}, ErrPast
 	}
-	id, gen := s.alloc(h)
+	id, gen := s.alloc(h, ah, arg)
 	s.push(keyOf(at), slotMeta{seq: s.seq, id: id, gen: gen})
 	s.seq++
 	s.live++
@@ -525,7 +555,7 @@ func (s *Simulator) ScheduleReserved(at float64, seq uint64, h Handler) (Handle,
 				break
 			}
 			s.resUsed[word] |= mask
-			id, gen := s.alloc(h)
+			id, gen := s.alloc(h, nil, 0)
 			s.push(keyOf(at), slotMeta{seq: seq, id: id, gen: gen})
 			return Handle{at: at, id: id, gen: gen}, nil
 		}
@@ -542,6 +572,20 @@ func (s *Simulator) After(delay float64, h Handler) Handle {
 		delay = 0
 	}
 	e, _ := s.Schedule(s.now+delay, h)
+	return e
+}
+
+// AfterArg is After for a payload event: h fires delay hours from now and
+// receives arg. It takes the same next sequence number After would, so
+// firing order and Pending are exactly what After with a closure over arg
+// gives, without allocating that closure.
+//
+//hot:noalloc
+func (s *Simulator) AfterArg(delay float64, h ArgHandler, arg int32) Handle {
+	if delay < 0 || math.IsNaN(delay) {
+		delay = 0
+	}
+	e, _ := s.schedule(s.now+delay, nil, h, arg)
 	return e
 }
 
@@ -595,11 +639,12 @@ func (s *Simulator) Run(until float64) {
 			break
 		}
 		s.popRoot()
-		h := nd.handler
+		h, ah, arg := nd.handler, nd.argH, nd.arg
 		nd.pending = false
 		nd.handler = nil
+		nd.argH = nil
 		s.live--
-		s.fire(at, sm.seq, h)
+		s.fire(at, sm.seq, h, ah, arg)
 		// Release after the handler: a Schedule inside it must not reuse
 		// this node while the firing is still logically alive.
 		s.free = append(s.free, sm.id)
@@ -627,11 +672,12 @@ func (s *Simulator) Step() bool {
 		if nd.gen != sm.gen || !nd.pending {
 			continue
 		}
-		h := nd.handler
+		h, ah, arg := nd.handler, nd.argH, nd.arg
 		nd.pending = false
 		nd.handler = nil
+		nd.argH = nil
 		s.live--
-		s.fire(at, sm.seq, h)
+		s.fire(at, sm.seq, h, ah, arg)
 		s.free = append(s.free, sm.id)
 		s.syncTelemetry()
 		return true
@@ -654,6 +700,7 @@ func (s *Simulator) Reset() {
 		nd := &s.nodes[i]
 		nd.pending = false
 		nd.handler = nil
+		nd.argH = nil
 		s.free = append(s.free, int32(i))
 	}
 	s.live = 0

@@ -115,10 +115,12 @@ func (r *refSim) reset() {
 }
 
 // TestDifferentialAgainstHeapReference drives the kernel and the
-// reference with the same random stream of Schedule, Cancel, Every (and
-// stop), Step, Run, Reset, Reserve and ScheduleReserved calls, and
-// requires the same fired events in the same order, the same return
-// values, the same clock and the same Pending count after every call.
+// reference with the same random stream of Schedule, AfterArg, Cancel,
+// Every (and stop), Step, Run, Reset, Reserve and ScheduleReserved calls,
+// and requires the same fired events in the same order, the same return
+// values, the same clock and the same Pending count after every call. A
+// payload event logs the argument it fired with, so a wrong payload shows
+// as a wrong event in the log.
 // Times sit on a coarse grid so same-instant ties are common, and Cancel
 // is aimed at handles of every age, so fired, cancelled, recycled and
 // pre-Reset handles all get exercised.
@@ -147,12 +149,15 @@ func differentialRun(t *testing.T, seed uint64) {
 		nextID++
 		return id, func(float64) { log = append(log, id) }
 	}
+	// One payload handler serves every AfterArg event, as in the faults
+	// driver: the event's identity travels in its argument.
+	argHandler := func(_ float64, arg int32) { log = append(log, int(arg)) }
 	at := func() float64 { return s.Now() + float64(rng.Intn(12))*0.5 }
 
 	for op := 0; op < 400; op++ {
 		var what string
 		switch k := rng.Intn(100); {
-		case k < 30:
+		case k < 20:
 			what = "Schedule"
 			when := at()
 			id, h := newHandler()
@@ -161,6 +166,14 @@ func differentialRun(t *testing.T, seed uint64) {
 				t.Fatalf("op %d: Schedule(%v): %v", op, when, err)
 			}
 			handles = append(handles, tracked{hd, ref.schedule(when, id, nil)})
+		case k < 30:
+			what = "AfterArg"
+			// A negative delay is clamped to now.
+			delay := float64(rng.Intn(13)-1) * 0.5
+			id := nextID
+			nextID++
+			hd := s.AfterArg(delay, argHandler, int32(id))
+			handles = append(handles, tracked{hd, ref.schedule(ref.now+max(delay, 0), id, nil)})
 		case k < 45 && len(handles) > 0:
 			what = "Cancel"
 			tr := handles[rng.Intn(len(handles))]

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"sync"
 
 	"dcnr/internal/des"
 	"dcnr/internal/fleet"
@@ -138,9 +139,6 @@ type Driver struct {
 	// Engine is the automated repair system; disable it for the §5.6
 	// ablation.
 	Engine *remediation.Engine
-	// Assessor judges escalated faults against the representative
-	// topology.
-	Assessor *service.Assessor
 	// Store receives the escalated faults as SEV reports.
 	Store *sev.Store
 
@@ -174,21 +172,22 @@ type Driver struct {
 	// measurable share of their allocations.
 	classShares  []float64
 	causeWeights []float64
-	// reps holds, per device type, the names of the first (at most
-	// maxRepresentatives) devices of that type in the representative
-	// topology: the incident's impact-assessment candidates.
-	reps [][]string
+	// impact is the process-wide service-impact table (impactTable).
+	impact *impactTable
 
 	// The fault cursor. Run draws every fault into slab, sorts the slab
 	// into firing order, and reserves one kernel sequence number per
 	// fault from seqBase, the numbers they would have taken scheduled as
 	// drawn. Exactly one fault event is queued at a time: onFault (bound
 	// once, so no closure per fault) handles slab[next] and re-arms the
-	// one after it.
+	// one after it. A fault goes to the remediation engine tagged with its
+	// slab index, and the engine hands the tag back to outcome (onOutcome,
+	// also bound once).
 	slab    []Fault
 	next    int
 	seqBase uint64
 	onFault des.Handler
+	outcome func(int32, remediation.Outcome)
 	ran     bool
 
 	incidents int
@@ -196,14 +195,51 @@ type Driver struct {
 
 // maxRepresentatives caps how many devices of a type stand in for the
 // virtual fleet's devices of that type. Redundancy structure is identical
-// across a type's devices, and the cap keeps the assessor's memoization
-// effective.
+// across a type's devices, and the cap keeps the impact table small.
 const maxRepresentatives = 8
 
-// NewDriver wires a Driver over a fresh simulator, representative topology,
-// remediation engine, and SEV store, all seeded from seed.
-func NewDriver(fl *fleet.Model, seed uint64) (*Driver, error) {
+// numScopes is the number of service.Scope values.
+const numScopes = int(service.ScopeUnit) + 1
+
+// impactTable is the service impact of every escalation a driver can
+// record: for each device type, the assessment of each of its (at most
+// maxRepresentatives) representatives, the first devices of that type in
+// the representative topology, failing at each scope. Its inputs never
+// vary, so one immutable table serves every driver in the process, sweep
+// workers included; the Services slices its assessments hold are shared
+// by every report recorded from them, which no code path mutates.
+type impactTable struct {
+	reps [int(topology.BBR) + 1]int
+	as   [int(topology.BBR) + 1][maxRepresentatives][numScopes]service.Assessment
+}
+
+// sharedImpact builds the impact table once per process.
+var sharedImpact = sync.OnceValues(func() (*impactTable, error) {
 	repTopo, err := fleet.RepresentativeTopology()
+	if err != nil {
+		return nil, err
+	}
+	a := service.NewAssessor(repTopo)
+	t := &impactTable{}
+	for _, dev := range repTopo.Devices() {
+		i := t.reps[dev.Type]
+		if i == maxRepresentatives {
+			continue
+		}
+		for sc := range t.as[dev.Type][i] {
+			if t.as[dev.Type][i][sc], err = a.Assess(dev.Name, service.Scope(sc)); err != nil {
+				return nil, err
+			}
+		}
+		t.reps[dev.Type]++
+	}
+	return t, nil
+})
+
+// NewDriver wires a Driver over a fresh simulator, remediation engine, and
+// SEV store, all seeded from seed, and the process's impact table.
+func NewDriver(fl *fleet.Model, seed uint64) (*Driver, error) {
+	impact, err := sharedImpact()
 	if err != nil {
 		return nil, err
 	}
@@ -212,24 +248,19 @@ func NewDriver(fl *fleet.Model, seed uint64) (*Driver, error) {
 	d := &Driver{
 		Fleet:       fl,
 		Engine:      remediation.NewEngine(sim, src.Stream("remediation")),
-		Assessor:    service.NewAssessor(repTopo),
 		Store:       sev.NewStore(),
 		sim:         sim,
 		src:         src,
 		manual:      src.Stream("manual-repair"),
 		details:     src.Stream("incident-details"),
 		classShares: remediation.ClassShares(),
-		reps:        make([][]string, int(topology.BBR)+1),
+		impact:      impact,
 	}
 	for _, c := range sev.RootCauses {
 		d.causeWeights = append(d.causeWeights, rootCauseWeights[c])
 	}
-	for _, dev := range repTopo.Devices() {
-		if len(d.reps[dev.Type]) < maxRepresentatives {
-			d.reps[dev.Type] = append(d.reps[dev.Type], dev.Name)
-		}
-	}
 	d.onFault = d.fireFault
+	d.outcome = d.onOutcome
 	return d, nil
 }
 
@@ -580,16 +611,24 @@ func (d *Driver) armNext() {
 // the next fault, and handles the one that fired. Re-arming first is
 // safe: everything the handler schedules takes a sequence number above
 // every reserved one, so it cannot overtake the next fault.
+//
+//hot:noalloc
 func (d *Driver) fireFault(float64) {
-	f := &d.slab[d.next]
+	idx := d.next
 	d.next++
 	if d.next < len(d.slab) {
 		d.armNext()
 	}
-	d.handleFault(f)
+	d.handleFault(int32(idx))
 }
 
-func (d *Driver) handleFault(f *Fault) {
+// handleFault journals the detection of the fault at slab index idx and
+// passes it to manual repair or to the remediation engine, tagged with
+// idx.
+//
+//hot:noalloc
+func (d *Driver) handleFault(idx int32) {
+	f := &d.slab[idx]
 	d.health.RecordFault(f.Start, f.Type)
 	// The fault's journal root: raised and detected coincide in this model
 	// (monitoring detects instantaneously), and journaling both makes that
@@ -603,10 +642,7 @@ func (d *Driver) handleFault(f *Fault) {
 		Dev: uint8(f.Type), Class: int8(f.Class), Sev: -1,
 	})
 	if d.logger != nil {
-		d.logger.Debug("fault detected",
-			slog.String("device", f.Device()),
-			slog.String("class", f.Class.String()),
-			obs.SimHours(f.Start))
+		d.logDetected(f)
 	}
 	// Before 2013 there is no automated repair: the manual repair desk
 	// masks faults at the same per-type success rate, just slowly (§3.1's
@@ -624,20 +660,34 @@ func (d *Driver) handleFault(f *Fault) {
 		d.recordIncident(f, detected)
 		return
 	}
-	d.Engine.SubmitCause(f.Type, f.Class, detected, func(o remediation.Outcome) {
-		if o.Repaired {
-			d.health.RecordRepair(d.sim.Now(), f.Type)
-			return
-		}
-		// The incident's cause is the engine's escalation record when the
-		// journal is on, the detection record otherwise (both zero when
-		// off — recordIncident then journals nothing with a parent).
-		cause := o.Journal
-		if cause == 0 {
-			cause = detected
-		}
-		d.recordIncident(f, cause)
-	})
+	d.Engine.SubmitTag(f.Type, f.Class, detected, d.outcome, idx)
+}
+
+// logDetected logs a detected fault. Kept outside handleFault's
+// //hot:noalloc region: the device name and slog attributes allocate, and
+// it runs only with a logger attached.
+func (d *Driver) logDetected(f *Fault) {
+	d.logger.Debug("fault detected",
+		slog.String("device", f.Device()),
+		slog.String("class", f.Class.String()),
+		obs.SimHours(f.Start))
+}
+
+// onOutcome receives the remediation engine's verdict on the fault at
+// slab index idx.
+//
+//hot:noalloc
+func (d *Driver) onOutcome(idx int32, o remediation.Outcome) {
+	f := &d.slab[idx]
+	if o.Repaired {
+		d.health.RecordRepair(d.sim.Now(), f.Type)
+		return
+	}
+	// The incident's cause is the engine's escalation record. The engine
+	// journals on the lane SetJournal gives it together with the driver's,
+	// so the record is nonzero whenever the driver journals, and both are
+	// zero without a journal (recordIncident then journals nothing).
+	d.recordIncident(f, o.Journal)
 }
 
 // recordIncident escalates f into a SEV report; cause is the journal ID
@@ -645,11 +695,7 @@ func (d *Driver) handleFault(f *Fault) {
 func (d *Driver) recordIncident(f *Fault, cause journal.ID) {
 	device := f.Device()
 	details := d.details
-	rep := d.representative(details, f.Type)
-	as, err := d.Assessor.Assess(rep, f.Scope)
-	if err != nil {
-		panic(fmt.Sprintf("faults: assessing %s: %v", rep, err))
-	}
+	as := &d.impact.as[f.Type][d.representative(details, f.Type)][f.Scope]
 	resolution := d.resolutionHours(details, f.Year)
 	duration := resolution * (0.05 + 0.45*details.Float64())
 	report := sev.Report{
@@ -691,10 +737,10 @@ func (d *Driver) recordIncident(f *Fault, cause journal.ID) {
 
 // representative maps a virtual device to a same-type device in the
 // representative topology for impact assessment, drawn uniformly from the
-// type's cached representatives.
-func (d *Driver) representative(rng *simrand.Stream, dt topology.DeviceType) string {
-	names := d.reps[dt]
-	return names[rng.Intn(len(names))]
+// type's representatives: it returns the representative's index in the
+// impact table.
+func (d *Driver) representative(rng *simrand.Stream, dt topology.DeviceType) int {
+	return rng.Intn(d.impact.reps[dt])
 }
 
 func (d *Driver) drawRootCauses(rng *simrand.Stream) []sev.RootCause {

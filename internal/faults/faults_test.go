@@ -2,9 +2,13 @@ package faults
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"dcnr/internal/des"
 	"dcnr/internal/fleet"
+	"dcnr/internal/remediation"
+	"dcnr/internal/service"
 	"dcnr/internal/sev"
 	"dcnr/internal/topology"
 )
@@ -325,5 +329,100 @@ func BenchmarkSevenYearSimulation(b *testing.B) {
 		if _, err := d.Run(fleet.FirstYear, fleet.LastYear); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRepairedFaultsAllocateNothing drives faults through a warmed driver
+// and requires the fault → remediation → outcome path to allocate
+// nothing: the fault event, the engine's tagged submission, the outcome
+// event and its delivery back to the driver. A window in which a fault
+// escalated is passed over, because recording a SEV builds its report.
+func TestRepairedFaultsAllocateNothing(t *testing.T) {
+	d, err := NewDriver(fleet.New(1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A burst of 200 simultaneous faults grows the kernel's pool and the
+	// engine's outcome slab past anything the steady stream after it,
+	// one fault every 10 hours, keeps pending.
+	start := des.YearStart(2015, fleet.FirstYear)
+	for i := 0; i < 2200; i++ {
+		at := start
+		if i >= 200 {
+			at += 1000 + 10*float64(i)
+		}
+		d.slab = append(d.slab, Fault{
+			Type: topology.RSW, Class: remediation.PortPingFailure,
+			Start: at, Year: 2015, draw: int32(i),
+		})
+	}
+	d.armFaults()
+	steps := func(n int) func() {
+		return func() {
+			for i := 0; i < n; i++ {
+				d.sim.Step()
+			}
+		}
+	}
+	steps(1000)()
+	clean := 0
+	for w := 0; w < 10; w++ {
+		incidents := d.incidents
+		// One run of 100 events, so a single allocation shows as 1.
+		allocs := testing.AllocsPerRun(1, steps(100))
+		if d.incidents != incidents {
+			continue
+		}
+		if allocs != 0 {
+			t.Fatalf("window %d: 100 events of repaired faults allocated %v times, want 0", w, allocs)
+		}
+		clean++
+	}
+	t.Logf("%d of 10 windows had no escalation", clean)
+	if clean < 5 {
+		t.Fatalf("only %d of 10 windows had no escalation", clean)
+	}
+}
+
+// TestImpactTableMatchesAssessor: the shared impact table holds, for each
+// device type, its first maxRepresentatives devices in the representative
+// topology, and each entry equals a fresh service.Assessor's verdict on
+// that device and scope.
+func TestImpactTableMatchesAssessor(t *testing.T) {
+	table, err := sharedImpact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := fleet.RepresentativeTopology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[topology.DeviceType][]string{}
+	for _, dev := range net.Devices() {
+		if len(names[dev.Type]) < maxRepresentatives {
+			names[dev.Type] = append(names[dev.Type], dev.Name)
+		}
+	}
+	entries := 0
+	for dt := range topology.DeviceType(len(table.reps)) {
+		if table.reps[dt] != len(names[dt]) {
+			t.Errorf("%v: %d representatives, want %d", dt, table.reps[dt], len(names[dt]))
+			continue
+		}
+		for i, name := range names[dt] {
+			for sc := range service.Scope(numScopes) {
+				want, err := service.NewAssessor(net).Assess(name, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := table.as[dt][i][sc]; !reflect.DeepEqual(got, want) {
+					t.Errorf("%s at %v scope: table %+v, assessor %+v", name, sc, got, want)
+				}
+				entries++
+			}
+		}
+	}
+	if entries == 0 {
+		t.Fatal("the table holds no assessments")
 	}
 }

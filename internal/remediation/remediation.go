@@ -231,20 +231,39 @@ type Engine struct {
 	logger *slog.Logger
 	// jlane is the engine's causal-journal lane: ticket-cut, dispatch,
 	// escalation, and repair records, parented on the IDs callers pass to
-	// SubmitCause. Submit's mutex satisfies the lane's single-writer
+	// SubmitTag. The engine mutex satisfies the lane's single-writer
 	// contract; a nil lane is a no-op.
 	jlane *journal.Lane
+
+	// The outcome slab. Each submission takes a slot (from free, or by
+	// growing slots) holding its outcome and its recipient, and queues
+	// one payload event carrying the slot's index; fire (fireOutcome,
+	// bound once by NewEngine) frees the slot and delivers the outcome.
+	// At steady state a submission therefore allocates nothing.
+	slots []outcomeSlot
+	free  []int32
+	fire  des.ArgHandler
+}
+
+// outcomeSlot is one pending outcome, its handler and the tag the
+// handler gets it with.
+type outcomeSlot struct {
+	out Outcome
+	tag int32
+	h   func(tag int32, o Outcome)
 }
 
 // NewEngine returns an enabled Engine drawing randomness from rng and
 // scheduling on sim.
 func NewEngine(sim *des.Simulator, rng *simrand.Stream) *Engine {
-	return &Engine{
+	e := &Engine{
 		sim:     sim,
 		rng:     rng,
 		enabled: true,
 		stats:   make(map[topology.DeviceType]*TypeStats),
 	}
+	e.fire = e.fireOutcome
+	return e
 }
 
 // Instrument attaches telemetry to the engine. Metrics registered on reg:
@@ -306,7 +325,7 @@ func (e *Engine) FlushTrace() {
 
 // SetJournal attaches a causal journal: every submission records a
 // ticket-cut entry parented on the fault's detection record (the cause ID
-// passed to SubmitCause), then either a dispatched→repaired pair or an
+// passed to SubmitTag), then either a dispatched→repaired pair or an
 // escalated record. Call before Run; nil detaches.
 func (e *Engine) SetJournal(j *journal.Journal) {
 	e.mu.Lock()
@@ -348,20 +367,24 @@ func (e *Engine) Enabled() bool {
 // Submit is safe to call concurrently; the event scheduling happens under
 // the engine's mutex.
 func (e *Engine) Submit(t topology.DeviceType, class FaultClass, done func(Outcome)) {
-	e.SubmitCause(t, class, 0, done)
+	e.SubmitTag(t, class, 0, func(_ int32, o Outcome) { done(o) }, 0)
 }
 
-// SubmitCause is Submit with causal provenance: cause is the journal ID
-// of the record that led to this submission (the fault's detection
-// record), and becomes the parent of the ticket-cut entry the engine
-// journals. With no journal attached — or a zero cause — the records are
-// simply not written and SubmitCause behaves exactly like Submit.
-func (e *Engine) SubmitCause(t topology.DeviceType, class FaultClass, cause journal.ID, done func(Outcome)) {
+// SubmitTag is Submit with causal provenance, for a caller that keeps its
+// own per-fault state. cause is the journal ID of the record that led to
+// this submission (the fault's detection record), and becomes the parent
+// of the ticket-cut entry the engine journals; with no journal attached —
+// or a zero cause — the records are simply not written. The outcome goes
+// to h together with tag (typically the fault's index in the caller's
+// slab), so a caller that binds h once allocates nothing per fault.
+//
+//hot:noalloc
+func (e *Engine) SubmitTag(t topology.DeviceType, class FaultClass, cause journal.ID, h func(tag int32, o Outcome), tag int32) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.stats[t]
 	if st == nil {
-		st = &TypeStats{}
+		st = &TypeStats{} //lint:allow hotalloc once per device type
 		e.stats[t] = st
 	}
 	st.Issues++
@@ -380,19 +403,10 @@ func (e *Engine) SubmitCause(t topology.DeviceType, class FaultClass, cause jour
 			Kind: journal.Escalated, Parent: ticket, Time: now,
 			Dev: uint8(t), Class: int8(class), Sev: -1,
 		})
-		if e.logger != nil {
-			e.logger.Debug("repair escalated",
-				slog.String("device_type", t.String()),
-				slog.String("class", class.String()),
-				obs.SimHours(e.sim.Now()))
+		if e.logger != nil || e.tracer != nil {
+			e.noteEscalation(t, class)
 		}
-		if e.tracer != nil {
-			e.tracer.SimInstant(int(t)+1, "remediation", "escalated: "+class.String(),
-				e.sim.Now(), map[string]any{"device_type": t.String()})
-		}
-		e.sim.After(0, func(float64) {
-			done(Outcome{Repaired: false, Priority: -1, Journal: esc})
-		})
+		e.queueOutcome(0, Outcome{Repaired: false, Priority: -1, Journal: esc}, h, tag)
 		return
 	}
 
@@ -437,11 +451,61 @@ func (e *Engine) SubmitCause(t topology.DeviceType, class FaultClass, cause jour
 		Action:        class.Action(),
 		Journal:       rep,
 	}
+	e.queueOutcome(wait+repairSec/3600, out, h, tag)
+}
+
+// noteEscalation logs and traces an escalation. Kept outside the
+// submission's hot path: slog attributes and the trace instant's args
+// allocate, and it runs only with a logger or tracer attached.
+func (e *Engine) noteEscalation(t topology.DeviceType, class FaultClass) {
+	if e.logger != nil {
+		e.logger.Debug("repair escalated",
+			slog.String("device_type", t.String()),
+			slog.String("class", class.String()),
+			obs.SimHours(e.sim.Now()))
+	}
+	if e.tracer != nil {
+		e.tracer.SimInstant(int(t)+1, "remediation", "escalated: "+class.String(),
+			e.sim.Now(), map[string]any{"device_type": t.String()})
+	}
+}
+
+// queueOutcome stores out, h and tag in a free slot of the outcome slab
+// and queues the payload event that delivers the outcome delay hours
+// from now. Caller holds mu.
+//
+//hot:noalloc
+func (e *Engine) queueOutcome(delay float64, out Outcome, h func(int32, Outcome), tag int32) {
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		e.slots = append(e.slots, outcomeSlot{})
+		slot = int32(len(e.slots) - 1)
+	}
+	e.slots[slot] = outcomeSlot{out: out, tag: tag, h: h}
+	e.sim.AfterArg(delay, e.fire, slot)
+}
+
+// fireOutcome is the outcome event's handler: it frees the slot, takes a
+// repair off the queue-depth gauge, and delivers the outcome with its tag
+// to the slot's handler. The handler runs without mu held, so it may
+// submit again.
+//
+//hot:noalloc
+func (e *Engine) fireOutcome(_ float64, slot int32) {
+	e.mu.Lock()
+	sl := &e.slots[slot]
+	out, tag, h := sl.out, sl.tag, sl.h
+	sl.h = nil
+	e.free = append(e.free, slot)
 	gQueue := e.gQueue
-	e.sim.After(wait+repairSec/3600, func(float64) {
+	e.mu.Unlock()
+	if out.Repaired {
 		gQueue.Add(-1)
-		done(out)
-	})
+	}
+	h(tag, out)
 }
 
 // Stats returns a copy of the per-type statistics accumulated so far.

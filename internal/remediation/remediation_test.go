@@ -332,6 +332,60 @@ func TestInstrumentedEngineCounters(t *testing.T) {
 	}
 }
 
+// TestSubmitTagSteadyStateAllocs: once the outcome slab and the kernel's
+// node pool have grown, a tagged submission and its outcome event
+// allocate nothing, whether the fault is repaired or escalated.
+func TestSubmitTagSteadyStateAllocs(t *testing.T) {
+	e, sim := newTestEngine()
+	var repaired, escalated int
+	h := func(_ int32, o Outcome) {
+		if o.Repaired {
+			repaired++
+		} else {
+			escalated++
+		}
+	}
+	types := []topology.DeviceType{topology.RSW, topology.FSW, topology.Core, topology.CSA}
+	batch := func() {
+		for i := 0; i < 400; i++ {
+			e.SubmitTag(types[i%len(types)], PortPingFailure, 0, h, int32(i))
+		}
+		for sim.Step() {
+		}
+	}
+	batch() // grows the slab, the node pool and the heap
+	// One run of 400 submissions, so a single allocation shows as 1.
+	if allocs := testing.AllocsPerRun(1, batch); allocs != 0 {
+		t.Errorf("400 tagged submissions allocated %v times, want 0", allocs)
+	}
+	if repaired == 0 || escalated == 0 {
+		t.Errorf("repaired %d, escalated %d: want both paths driven", repaired, escalated)
+	}
+}
+
+// TestSubmitTagDeliversTag: SubmitTag's outcomes reach the handler they
+// were submitted with, together with their tag, and Submit's reach their
+// own callback, not another submission's handler.
+func TestSubmitTagDeliversTag(t *testing.T) {
+	e, sim := newTestEngine()
+	got := map[int32]int{}
+	h := func(tag int32, _ Outcome) { got[tag]++ }
+	callbacks := 0
+	for i := int32(0); i < 50; i++ {
+		e.SubmitTag(topology.RSW, PortPingFailure, 0, h, i)
+		e.Submit(topology.Core, FanFailure, func(Outcome) { callbacks++ })
+	}
+	sim.Run(math.Inf(1))
+	if len(got) != 50 || callbacks != 50 {
+		t.Fatalf("handler saw %d tags, callbacks %d; want 50 and 50", len(got), callbacks)
+	}
+	for tag, n := range got {
+		if tag < 0 || tag >= 50 || n != 1 {
+			t.Errorf("tag %d delivered %d times", tag, n)
+		}
+	}
+}
+
 func BenchmarkSubmit(b *testing.B) {
 	sim := &des.Simulator{}
 	e := NewEngine(sim, simrand.New(1))

@@ -467,7 +467,8 @@ func handleResolutions(q sev.Query, p params) (any, error) {
 const maxIngestBytes = 16 << 20
 
 // handleIngest is POST /ingest: a JSON array of reports ingested as one
-// batch (IDs assigned when zero, duplicates rejected atomically),
+// batch (IDs assigned when zero; an explicit ID at or below an earlier
+// one rejects the whole batch with 400, since IDs are append-only),
 // bumping the dataset generation — which invalidates every cached
 // response at once.
 func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {

@@ -266,6 +266,41 @@ func TestDaemonIngestRejectsBadBatch(t *testing.T) {
 	}
 }
 
+// TestDaemonIngestRejectsIDBelowMax: report IDs are append-only, so a
+// batch carrying an explicit ID below the largest held one answers 400
+// and ingests nothing, even when no report holds that ID. Such a report
+// was once appended out of ID order.
+func TestDaemonIngestRejectsIDBelowMax(t *testing.T) {
+	d, base := startDaemon(t, Config{}, 10)
+	post := func(id int) int {
+		t.Helper()
+		body := fmt.Sprintf(`[{"id":%d,"severity":3,"device":"rsw001.cl001.dc1.ra","duration":1,"resolution":2,"year":2017}]`, id)
+		resp, err := http.Post(base+"/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(20); code != 200 {
+		t.Fatalf("ID 20 above the largest: %d, want 200", code)
+	}
+	gen := d.Generation()
+	if code := post(15); code != 400 {
+		t.Errorf("ID 15 below the largest: %d, want 400", code)
+	}
+	if d.Generation() != gen {
+		t.Error("generation bumped by rejected ingest")
+	}
+	var count struct {
+		Count *int `json:"count"`
+	}
+	getJSON(t, base+"/query/count", &count)
+	if *count.Count != 11 {
+		t.Errorf("count after rejected batch = %d, want 11", *count.Count)
+	}
+}
+
 // TestDaemonStatsAndMetrics: /stats reads the serve_* counters of the
 // attached registry. Without one the daemon counts on a private registry,
 // so /stats still counts while /metrics shows no serve_* series.

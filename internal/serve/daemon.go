@@ -78,8 +78,8 @@ func (d *Daemon) Store() *sev.Store { return d.store }
 
 // LoadJSON appends a SEV dataset (the sevs.json shape dcsim writes) as
 // one batch: the dataset passes sev.DecodeDataset's checks, explicit IDs
-// are preserved, a collision with a stored ID rejects the whole batch,
-// and the generation is bumped once.
+// are preserved, an ID at or below the largest stored one rejects the
+// whole batch, and the generation is bumped once.
 func (d *Daemon) LoadJSON(r io.Reader) error {
 	reports, err := sev.DecodeDataset(r)
 	if err != nil {

@@ -80,6 +80,11 @@ type Assessment struct {
 	Impact string
 }
 
+// sev1Fraction is the fraction of a data center's racks that must be
+// stranded before the event is an outage-level SEV1: losing a whole
+// deployment unit of a four-unit DC.
+const sev1Fraction = 0.25
+
 // Assessor evaluates failures against a topology. Construct with
 // NewAssessor; the assessor indexes racks per data center and assigns
 // service families to racks round-robin.
@@ -87,32 +92,26 @@ type Assessor struct {
 	net         *topology.Network
 	racksPerDC  map[string]int
 	rackService map[string]string
-	// SEV1Fraction is the fraction of a data center's racks that must be
-	// stranded before the event is an outage-level SEV1. The default 0.25
-	// corresponds to losing a whole deployment unit of a four-unit DC.
-	SEV1Fraction float64
 
 	// cache memoizes assessments: Assess is deterministic in (device,
-	// scope, SEV1Fraction), and the fault simulation evaluates the same
-	// representative devices repeatedly.
+	// scope), and callers such as the maintenance scheduler evaluate the
+	// same devices repeatedly.
 	mu    sync.Mutex
 	cache map[cacheKey]Assessment
 }
 
 type cacheKey struct {
-	name     string
-	scope    Scope
-	fraction float64
+	name  string
+	scope Scope
 }
 
 // NewAssessor builds an Assessor over net.
 func NewAssessor(net *topology.Network) *Assessor {
 	a := &Assessor{
-		net:          net,
-		racksPerDC:   make(map[string]int),
-		rackService:  make(map[string]string),
-		SEV1Fraction: 0.25,
-		cache:        make(map[cacheKey]Assessment),
+		net:         net,
+		racksPerDC:  make(map[string]int),
+		rackService: make(map[string]string),
+		cache:       make(map[cacheKey]Assessment),
 	}
 	for i, rsw := range net.DevicesOfType(topology.RSW) {
 		a.racksPerDC[rsw.DC]++
@@ -148,7 +147,7 @@ func (a *Assessor) Peers(name string) []string {
 
 // Assess evaluates the failure of the named device at the given scope.
 func (a *Assessor) Assess(name string, scope Scope) (Assessment, error) {
-	key := cacheKey{name, scope, a.SEV1Fraction}
+	key := cacheKey{name, scope}
 	a.mu.Lock()
 	if cached, ok := a.cache[key]; ok {
 		a.mu.Unlock()
@@ -204,7 +203,7 @@ func (a *Assessor) assess(name string, scope Scope) (Assessment, error) {
 
 	dcRacks := a.racksPerDC[d.DC]
 	switch {
-	case dcRacks > 0 && float64(len(stranded)) >= a.SEV1Fraction*float64(dcRacks):
+	case dcRacks > 0 && float64(len(stranded)) >= sev1Fraction*float64(dcRacks):
 		as.Severity = sev.Sev1
 		as.Impact = fmt.Sprintf("partitioned connectivity: %d of %d racks in the data center unreachable", len(stranded), dcRacks)
 	case len(stranded) > 1:

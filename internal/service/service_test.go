@@ -214,18 +214,6 @@ func TestImpactDescriptions(t *testing.T) {
 	}
 }
 
-func TestSEV1FractionConfigurable(t *testing.T) {
-	a, net := testAssessor(t)
-	a.SEV1Fraction = 1.1 // impossible threshold: nothing is ever SEV1
-	as, err := a.Assess(firstOfType(t, net, topology.CSA), ScopeUnit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as.Severity == sev.Sev1 {
-		t.Error("SEV1 threshold not respected")
-	}
-}
-
 func BenchmarkAssessUnitScope(b *testing.B) {
 	net, err := fleet.RepresentativeTopology()
 	if err != nil {

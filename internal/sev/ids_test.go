@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -148,5 +149,71 @@ func TestGrowReserves(t *testing.T) {
 	}
 	if &s.reports[0] != reports || &s.types[0] != types {
 		t.Errorf("%d Adds after Grow(%d) moved the backing arrays", n, n)
+	}
+}
+
+// TestAddAllRejectsIDsBelowMax: an explicit ID below the store's largest
+// was once appended at the end, so All came out of ID order and a
+// WriteJSON → ReadJSON round trip reordered every position. IDs are
+// append-only now: the batch is rejected and the store is unchanged.
+func TestAddAllRejectsIDsBelowMax(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < 3; i++ {
+		if _, err := s.Add(validReport()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.AddAll(idReports(10)); err != nil {
+		t.Fatal(err)
+	}
+	gen := s.Generation()
+	if _, err := s.AddAll(idReports(5)); err == nil {
+		t.Error("AddAll accepted ID 5 below the largest ID 10")
+	}
+	if s.Generation() != gen {
+		t.Error("rejected AddAll bumped the generation")
+	}
+	var ids []int
+	for _, r := range s.All() {
+		ids = append(ids, r.ID)
+	}
+	if want := []int{1, 2, 3, 10}; !slices.Equal(ids, want) {
+		t.Fatalf("store holds IDs %v, want %v", ids, want)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reloaded := NewStore()
+	if err := reloaded.ReadJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(reloaded.Query().Starts(), s.Query().Starts()) || !reflect.DeepEqual(reloaded.All(), s.All()) {
+		t.Error("WriteJSON → ReadJSON round trip changed the store")
+	}
+}
+
+// TestReadJSONDropsProvenance: ReadJSON once kept the provenance side
+// store, so after a reload Provenance(id) returned the chain attached to
+// the old dataset's report with that ID.
+func TestReadJSONDropsProvenance(t *testing.T) {
+	s := NewStore()
+	if _, err := s.Add(validReport()); err != nil {
+		t.Fatal(err)
+	}
+	if !s.SetProvenance(1, Provenance{SEV: 1, ResolutionHours: 7}) {
+		t.Fatal("SetProvenance(1) rejected")
+	}
+	other := idReports(1)
+	other[0].Title = "a different report 1"
+	data, err := json.Marshal(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReadJSON(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := s.Provenance(1); ok {
+		t.Errorf("Provenance(1) after ReadJSON = %+v, want none", p)
 	}
 }

@@ -34,7 +34,9 @@ import (
 // ID — a report's position is its ID minus one and no ID map exists. The
 // first report that breaks this (an explicit ID from AddAll or ReadJSON)
 // builds the ID map over every position, and the map is kept from then
-// on, until ReadJSON replaces the contents.
+// on, until ReadJSON replaces the contents. Either way IDs only grow with
+// position: AddAll rejects an explicit ID at or below the largest held,
+// and ReadJSON sorts its dataset, so All and WriteJSON are in ID order.
 type Store struct {
 	mu      sync.RWMutex
 	reports []Report
@@ -220,11 +222,11 @@ func (s *Store) Add(r Report) (int, error) {
 }
 
 // AddAll validates and appends a batch of reports under one write lock
-// and one generation bump. A report
-// with ID 0 is assigned a fresh ID; an explicit ID is preserved and must
-// not collide with the store or with the rest of the batch. On any
-// validation or duplicate-ID error the store is left unchanged. It
-// returns the IDs in input order.
+// and one generation bump. IDs are append-only, so position order stays
+// ID order: a report with ID 0 is assigned the next ID, and an explicit
+// ID is preserved and must exceed every ID before it, in the store and
+// earlier in the batch. On any validation or ID error the store is left
+// unchanged. It returns the IDs in input order.
 func (s *Store) AddAll(batch []Report) ([]int, error) {
 	for i := range batch {
 		if err := batch[i].Validate(); err != nil {
@@ -233,37 +235,29 @@ func (s *Store) AddAll(batch []Report) ([]int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Reject every explicit-ID collision before mutating anything.
-	seen := make(map[int]bool, len(batch))
+	// Assign and check every ID before mutating anything. nextID is one
+	// above the largest ID held.
+	ids := make([]int, len(batch))
+	last := s.nextID - 1
 	for i := range batch {
 		id := batch[i].ID
-		if id == 0 {
-			continue
+		switch {
+		case id == 0:
+			id = last + 1
+		case id <= last:
+			return nil, fmt.Errorf("sev: report ID %d in batch is not above ID %d (IDs are append-only)", id, last)
 		}
-		if _, taken := s.posLocked(id); taken || seen[id] {
-			return nil, fmt.Errorf("sev: duplicate report ID %d in batch", id)
-		}
-		seen[id] = true
+		ids[i] = id
+		last = id
 	}
 	from := len(s.reports)
 	s.reports = slices.Grow(s.reports, len(batch))
-	ids := make([]int, len(batch))
 	for i := range batch {
 		r := batch[i]
-		if r.ID == 0 {
-			// Dodge explicit IDs later in the batch: nextID always exceeds
-			// every ID already stored, but not ones still to be appended.
-			for seen[s.nextID] {
-				s.nextID++
-			}
-			r.ID = s.nextID
-			s.nextID++
-		} else if r.ID >= s.nextID {
-			s.nextID = r.ID + 1
-		}
-		ids[i] = r.ID
+		r.ID = ids[i]
 		s.reports = append(s.reports, r)
 	}
+	s.nextID = last + 1
 	for pos := from; pos < len(s.reports); pos++ {
 		s.indexPostingsLocked(pos)
 	}
@@ -311,7 +305,8 @@ func (s *Store) WriteJSON(w io.Writer) error {
 // ReadJSON replaces the store's contents with the reports decoded from r.
 // Each report is re-validated; IDs are preserved. Reports are sorted into
 // ascending ID order regardless of their order in the input, and datasets
-// containing duplicate IDs or IDs below 1 are rejected.
+// containing duplicate IDs or IDs below 1 are rejected. Provenance
+// attached to the old contents is dropped with them.
 func (s *Store) ReadJSON(r io.Reader) error {
 	reports, err := DecodeDataset(r)
 	if err != nil {
@@ -325,6 +320,7 @@ func (s *Store) ReadJSON(r io.Reader) error {
 	defer s.mu.Unlock()
 	s.reports = reports
 	s.nextID = maxID + 1
+	s.provenance = nil
 	s.resetIndexLocked(len(reports))
 	for pos := range s.reports {
 		s.indexPostingsLocked(pos)

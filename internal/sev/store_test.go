@@ -171,8 +171,9 @@ func TestAddAllMatchesAdd(t *testing.T) {
 }
 
 // TestStoreAddAllIDs pins AddAll's ID contract: explicit IDs are
-// preserved, a duplicate is rejected with nothing ingested, and fresh
-// assignments skip the explicit IDs.
+// preserved, a duplicate is rejected with nothing ingested, and IDs are
+// append-only: a fresh ID follows the one before it, and an explicit ID
+// at or below an earlier one (in the store or the batch) is rejected.
 func TestStoreAddAllIDs(t *testing.T) {
 	s := NewStore()
 	ids, err := s.AddAll(batchReports(10, 0))
@@ -198,22 +199,32 @@ func TestStoreAddAllIDs(t *testing.T) {
 	dup := batchReports(2, 30)
 	dup[1].ID = 100
 	_, err = s.AddAll(dup)
-	if err == nil || !strings.Contains(err.Error(), "duplicate report ID 100") {
+	if err == nil || !strings.Contains(err.Error(), "report ID 100 in batch is not above ID 102") {
 		t.Fatalf("duplicate explicit ID not rejected: %v", err)
 	}
 	if n := s.Len(); n != 12 {
 		t.Errorf("Len after rejected batch = %d, want 12", n)
 	}
-	// A batch mixing ID-less reports with an explicit ID the counter has
-	// not reached yet: the fresh IDs dodge it.
-	mixed := batchReports(3, 40)
-	mixed[2].ID = 103
+	// A batch mixing ID-less reports with explicit IDs: each fresh ID
+	// follows the ID before it.
+	mixed := batchReports(4, 40)
+	mixed[1].ID = 110
+	mixed[3].ID = 120
 	more, err := s.AddAll(mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(more) != "[102 104 103]" {
-		t.Errorf("mixed batch IDs = %v, want [102 104 103]", more)
+	if fmt.Sprint(more) != "[102 110 111 120]" {
+		t.Errorf("mixed batch IDs = %v, want [102 110 111 120]", more)
+	}
+	// An explicit ID the batch's own fresh IDs have already passed.
+	behind := batchReports(3, 50)
+	behind[2].ID = 122
+	if _, err := s.AddAll(behind); err == nil || !strings.Contains(err.Error(), "report ID 122 in batch is not above ID 122") {
+		t.Fatalf("explicit ID behind the batch's fresh IDs not rejected: %v", err)
+	}
+	if n := s.Len(); n != 16 {
+		t.Errorf("Len after rejected batch = %d, want 16", n)
 	}
 }
 

@@ -23,7 +23,10 @@
 #                    (ParseDeviceName and MakeName against their
 #                    fmt/ToLower references), the SEV dataset loaders
 #                    (Store.ReadJSON against DecodeDataset + AddAll, and
-#                    ID lookups against the loaded reports), the fault
+#                    ID lookups against the loaded reports), the SEV
+#                    store's operation sequences (Add, AddAll, Grow,
+#                    ReadJSON, SetProvenance against a slice-and-map
+#                    model), the fault
 #                    cursor's radix sort (against slices.SortFunc over
 #                    arbitrary non-negative finite starts), the
 #                    SEV query index (every result method against the
@@ -97,6 +100,7 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzMakeName$' -fuzztime 10s ./internal/topology
 	go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/sev
 	go test -run '^$' -fuzz '^FuzzQueryMatchesScan$' -fuzztime 10s ./internal/sev
+	go test -run '^$' -fuzz '^FuzzStoreOps$' -fuzztime 10s ./internal/sev
 	go test -run '^$' -fuzz '^FuzzFaultOrder$' -fuzztime 10s ./internal/faults
 	go test -run '^$' -fuzz '^FuzzParseParams$' -fuzztime 10s ./internal/serve
 	go test -run '^$' -fuzz '^FuzzIngest$' -fuzztime 10s ./internal/serve
