@@ -46,7 +46,7 @@ func BenchmarkTable1AutomatedRepair(b *testing.B) {
 	engine := remediation.NewEngine(sim, simrand.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.Submit(RSW, remediation.PortPingFailure, func(remediation.Outcome) {})
+		engine.SubmitTag(RSW, remediation.PortPingFailure, 0, func(int32, remediation.Outcome) {}, 0)
 		if i%1024 == 0 {
 			sim.Run(sim.Now() + 1e6)
 		}

@@ -11,7 +11,7 @@ import (
 
 // Jittered schedules with seeded randomness on simulation time.
 func Jittered(sim *des.Simulator, rng *simrand.Stream, h des.Handler) {
-	sim.After(rng.Exp(1), h)
+	sim.After(rng.Exp(1), h, 0)
 }
 
 // Sorted returns map keys deterministically.

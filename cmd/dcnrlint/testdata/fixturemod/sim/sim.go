@@ -25,7 +25,7 @@ type Scheduler struct {
 
 // Kick schedules without the lock and reads the wall clock.
 func (s *Scheduler) Kick() {
-	s.sim.After(float64(time.Now().Unix()%10), func(float64) {})
+	s.sim.After(float64(time.Now().Unix()%10), func(float64, int32) {}, 0)
 	s.mu.Lock()
 	s.started.Inc()
 	s.mu.Unlock()

@@ -38,7 +38,7 @@ func TestPingFailureToSEVPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine.Submit(dt, remediation.DevicePingFailure, func(o remediation.Outcome) {
+	engine.SubmitTag(dt, remediation.DevicePingFailure, 0, func(_ int32, o remediation.Outcome) {
 		if o.Repaired {
 			return
 		}
@@ -60,7 +60,7 @@ func TestPingFailureToSEVPipeline(t *testing.T) {
 		}); err != nil {
 			t.Error(err)
 		}
-	})
+	}, 0)
 	sim.Run(math.Inf(1)) // deliver the engine's escalation callback
 
 	if store.Len() != 1 {

@@ -45,9 +45,9 @@ var LockFlow = &ModuleAnalyzer{
 	Doc:  "guarded-resource mutations (DES heap, serve.Server lifecycle) must be unreachable from call paths that do not hold the owning mutex",
 	Contract: `On any struct owning both a mutex and a guarded shared resource
 (*des.Simulator or *serve.Server), every call path from an unlocked entry
-point to a resource mutation — a des heap mutation (Schedule/After/AfterArg/
-Cancel/Every/Run/Step/Halt/Reset/Reserve/ScheduleReserved) or a serve lifecycle
-call (Register/Start), on ANY expression of the guarded type, aliases
+point to a resource mutation — a des heap mutation (Schedule/After/Run/
+Step/Reset/Reserve/ScheduleReserved) or a serve lifecycle call
+(Register/Start), on ANY expression of the guarded type, aliases
 included — must acquire the mutex along the way (the PR-2 race class).
 Unlocked entry points are exported methods, and unexported methods with
 no call site, that escape as a method value, or that are called from
@@ -67,14 +67,12 @@ internal/analyzers/testdata/src/heaplock/bad/bad.go`,
 const desPath = "dcnr/internal/des"
 
 // heapMutators are the des.Simulator methods that touch the event heap or
-// clock and are therefore unsafe to call concurrently. Reset joined the
-// set with the pooled free-list kernel: it recycles every node, so a
-// racing Reset corrupts not just the heap but the pool's generation
-// counters. Reserve and ScheduleReserved move the sequence counter, the
-// pending count and the reservation bitmap; AfterArg queues like After.
+// clock and are therefore unsafe to call concurrently. Reset recycles
+// every pooled node, so a racing Reset corrupts the free list as well as
+// the heap. Reserve and ScheduleReserved move the sequence counter, the
+// pending count and the reservation bitmap.
 var heapMutators = map[string]bool{
-	"Schedule": true, "After": true, "AfterArg": true, "Cancel": true, "Every": true,
-	"Run": true, "Step": true, "Halt": true, "Reset": true,
+	"Schedule": true, "After": true, "Run": true, "Step": true, "Reset": true,
 	"Reserve": true, "ScheduleReserved": true,
 }
 

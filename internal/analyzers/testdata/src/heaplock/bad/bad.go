@@ -19,7 +19,7 @@ type Engine struct {
 // Submit schedules before taking the lock: concurrent submitters race
 // inside container/heap.
 func (e *Engine) Submit(done func()) {
-	e.sim.After(0, func(float64) { done() })
+	e.sim.After(0, func(float64, int32) { done() }, 0)
 	e.mu.Lock()
 	e.count++
 	e.mu.Unlock()
@@ -34,7 +34,7 @@ func (e *Engine) Drain() {
 }
 
 // Recycle resets the pooled kernel without the lock: a racing Reset
-// corrupts the free list and generation counters, not just the heap.
+// corrupts the free list, not just the heap.
 func (e *Engine) Recycle() {
 	e.sim.Reset()
 }
@@ -43,5 +43,5 @@ func (e *Engine) Recycle() {
 // lock: both calls move the pending count, and the second touches the heap.
 func (e *Engine) Batch(at float64, h des.Handler) {
 	seq := e.sim.Reserve(1)
-	e.sim.ScheduleReserved(at, seq, h)
+	e.sim.ScheduleReserved(at, seq, h, 0)
 }

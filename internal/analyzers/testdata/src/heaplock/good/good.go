@@ -21,14 +21,14 @@ func (e *Engine) Submit(done func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.count++
-	e.sim.After(0, func(float64) { done() })
+	e.sim.After(0, func(float64, int32) { done() }, 0)
 }
 
 // Reset locks and unlocks explicitly around the mutations, including the
 // pooled kernel's own Reset (a heap mutator since the free-list rewrite).
 func (e *Engine) Reset() {
 	e.mu.Lock()
-	e.sim.Halt()
+	e.sim.Reset()
 	e.sim.Reset()
 	e.count = 0
 	e.mu.Unlock()
@@ -38,5 +38,5 @@ func (e *Engine) Reset() {
 // callers hold e.mu; the allow directive is the documented escape hatch.
 func (e *Engine) scheduleLocked(at float64, h des.Handler) {
 	//lint:allow lockflow caller holds e.mu
-	e.sim.After(at, h)
+	e.sim.After(at, h, 0)
 }

@@ -27,5 +27,5 @@ func (e *Engine) Submit(done func()) {
 	e.mu.Lock()
 	e.issues++
 	e.mu.Unlock()
-	e.sim.After(0, func(float64) { done() })
+	e.sim.After(0, func(float64, int32) { done() }, 0)
 }

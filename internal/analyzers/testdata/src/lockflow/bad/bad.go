@@ -27,14 +27,14 @@ func (e *Engine) helperA(h float64) {
 // against the actual call graph and finds the
 // Submit -> helperA -> helperB path holds nothing.
 func (e *Engine) helperB(h float64) {
-	e.sim.After(h, nil) // caller holds mu
+	e.sim.After(h, nil, 0) // caller holds mu
 }
 
 // Alias defeats a recv.field.method syntax match entirely:
 // the mutation happens through a local copy of the simulator pointer.
 func (e *Engine) Alias(h float64) {
 	sim := e.sim
-	sim.After(h, nil) // type-matched mutation, unlocked
+	sim.After(h, nil, 0) // type-matched mutation, unlocked
 }
 
 // Maybe locks only on one branch; the must-hold join proves the lock is
@@ -45,7 +45,7 @@ func (e *Engine) Maybe(h float64, lock bool) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 	}
-	e.sim.After(h, nil) // unheld on the !lock path
+	e.sim.After(h, nil, 0) // unheld on the !lock path
 }
 
 // Hooked hands guarded methods out of the call graph's sight.
@@ -65,7 +65,7 @@ func (e *Hooked) Arm(now float64) {
 }
 
 func (e *Hooked) tick(now float64) {
-	e.sim.After(now, nil) // reached through the escaped method value
+	e.sim.After(now, nil, 0) // reached through the escaped method value
 }
 
 // orphan has no call site, so no caller proves the lock is held.
@@ -98,7 +98,7 @@ func (o *Outer) Run() {
 }
 
 func (e *Hooked) poke() {
-	e.sim.Halt()
+	e.sim.Reset()
 }
 
 // Spawn hands flush to a goroutine: that closure is not a DES handler, so
@@ -131,11 +131,11 @@ func (e *Hooked) flushNow() {
 func (e *Hooked) Relay() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.sim.After(1, func(now float64) {
+	e.sim.After(1, func(now float64, _ int32) {
 		go func() { e.settle() }()
-	})
+	}, 0)
 }
 
 func (e *Hooked) settle() {
-	e.sim.Halt()
+	e.sim.Reset()
 }

@@ -30,7 +30,7 @@ func (e *Engine) Resubmit(h float64) {
 }
 
 func (e *Engine) submitLocked(h float64) {
-	e.sim.After(h, nil) // caller holds mu
+	e.sim.After(h, nil, 0) // caller holds mu
 }
 
 // Arm schedules a periodic handler; the closure body runs on the
@@ -39,14 +39,14 @@ func (e *Engine) submitLocked(h float64) {
 func (e *Engine) Arm(h float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.sim.After(h, func(now float64) {
+	e.sim.After(h, func(now float64, _ int32) {
 		e.tick(now)
-	})
+	}, 0)
 }
 
 // tick is called only from the event-loop closure: exempt by convention.
 func (e *Engine) tick(now float64) {
-	e.sim.After(1, nil) // event-loop context
+	e.sim.After(1, nil, 0) // event-loop context
 }
 
 // Rearm hands handle to the kernel as a method value: like a closure, the
@@ -55,11 +55,11 @@ func (e *Engine) tick(now float64) {
 func (e *Engine) Rearm(h float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.sim.After(h, e.handle)
+	e.sim.After(h, e.handle, 0)
 }
 
-func (e *Engine) handle(now float64) {
-	e.sim.After(now+1, nil)
+func (e *Engine) handle(now float64, _ int32) {
+	e.sim.After(now+1, nil, 0)
 }
 
 // Spawn starts drain on its own goroutine; drain takes the lock itself.

@@ -32,5 +32,5 @@ func (e *Engine) schedule(at float64) {
 }
 
 func (e *Engine) enqueue(at float64) {
-	e.sim.Schedule(at, nil) // caller holds mu
+	e.sim.Schedule(at, nil, 0) // caller holds mu
 }

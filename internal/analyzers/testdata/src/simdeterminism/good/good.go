@@ -37,6 +37,6 @@ func Totals(devices map[string]int) map[string]int {
 // sanctioned use of the wall clock in simulation code.
 func WallCost(sim *des.Simulator, h des.Handler) time.Duration {
 	start := time.Now() //lint:allow simdeterminism wall-clock telemetry
-	h(sim.Now())
+	h(sim.Now(), 0)
 	return time.Since(start) //lint:allow simdeterminism wall-clock telemetry
 }

@@ -14,6 +14,6 @@ import (
 // the slog call needs no //lint:allow.
 func LogHandlerCost(l *slog.Logger, sim *des.Simulator, h des.Handler) {
 	start := time.Now() //lint:allow simdeterminism wall-clock telemetry
-	h(sim.Now())
+	h(sim.Now(), 0)
 	l.Info("handler done", "sim_hours", sim.Now(), "wall_ms", time.Since(start).Milliseconds())
 }

@@ -369,17 +369,17 @@ func (t *Topology) Simulate(cfg Config) ([]LinkDown, error) {
 		i := i
 		v := t.Vendors[t.Links[i].Vendor]
 		rng := src.Stream("link/" + t.Links[i].Name)
-		var fail func(now float64)
-		fail = func(now float64) {
+		var fail des.Handler
+		fail = func(now float64, _ int32) {
 			at := now + rng.Exp(v.LinkMTBF)
 			if at >= window {
 				return
 			}
 			repair := rng.Exp(v.LinkMTTR)
 			record(i, at, at+repair, false)
-			sim.After(at+repair-sim.Now(), fail)
+			sim.After(at+repair-sim.Now(), fail, 0)
 		}
-		sim.After(0, func(now float64) { fail(now) })
+		sim.After(0, fail, 0)
 	}
 
 	// Edge-severing events.
@@ -387,8 +387,8 @@ func (t *Topology) Simulate(cfg Config) ([]LinkDown, error) {
 		e := e
 		edge := t.Edges[e]
 		rng := src.Stream("edge/" + edge.Name)
-		var cut func(now float64)
-		cut = func(now float64) {
+		var cut des.Handler
+		cut = func(now float64, _ int32) {
 			// A day of separation between severing events on one edge:
 			// monitoring hysteresis and ticket consolidation mean two
 			// cuts minutes apart are one field event, and the paper's
@@ -405,9 +405,9 @@ func (t *Topology) Simulate(cfg Config) ([]LinkDown, error) {
 			for _, li := range edge.Links {
 				record(li, at, at+repair, true)
 			}
-			sim.After(at+repair-sim.Now(), cut)
+			sim.After(at+repair-sim.Now(), cut, 0)
 		}
-		sim.After(0, func(now float64) { cut(now) })
+		sim.After(0, cut, 0)
 	}
 
 	sim.Run(window)

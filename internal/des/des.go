@@ -14,19 +14,12 @@
 // is a struct-of-arrays 4-ary heap — a key row of order-preserving time
 // bit patterns ([]uint64) and a parallel metadata row ([]slotMeta) — so
 // heap comparisons are single integer compares that never chase a pointer.
-// Cancellation is lazy: a cancelled event's slot stays in the queue and is
-// discarded when it surfaces, so no sift work or per-swap index
-// maintenance happens at cancel time.
 //
-// A closure handler is allocated by its caller. A payload event (AfterArg)
-// instead carries an int32 argument beside a handler bound once, so a
-// caller that queues one event per entry of a slab it owns allocates
-// nothing per event either.
-//
-// Recycling nodes makes pointer identity meaningless, so Schedule returns
-// a value-type Handle carrying the node's generation; Cancel on a stale
-// handle (the node since fired, was cancelled, or now belongs to a newer
-// event) compares generations and safely reports false.
+// Every event is a Handler and an int32 argument. A caller that queues one
+// event per entry of a slab it owns binds its handler once and passes the
+// entry's index, so it allocates nothing per event; a closure handler is
+// allocated by its caller, who passes 0. A queued event cannot be
+// cancelled: it fires, or Reset drops it.
 package des
 
 import (
@@ -39,37 +32,19 @@ import (
 	"dcnr/internal/obs"
 )
 
-// Handler is the action an event performs when it fires.
-type Handler func(now float64)
-
-// ArgHandler is the action of a payload event (AfterArg): it receives the
-// int32 payload queued with the event, typically an index into a slab the
-// caller owns. One handler bound once serves every event of its kind, so
-// queueing such an event allocates no closure.
-type ArgHandler func(now float64, arg int32)
-
-// Handle identifies a scheduled event so it can be cancelled. It is a
-// small value type; the zero Handle is valid and cancels nothing. Handles
-// stay safe after the event fires, is cancelled, or its node is recycled
-// for a newer event: the generation check in Cancel turns every stale use
-// into a no-op.
-type Handle struct {
-	at  float64
-	id  int32
-	gen uint32
-}
-
-// Time returns the instant the event was scheduled for.
-func (h Handle) Time() float64 { return h.at }
+// Handler is the action an event performs when it fires. It receives the
+// int32 argument queued with the event, typically an index into a slab the
+// caller owns, so one handler bound once serves every event of its kind.
+type Handler func(now float64, arg int32)
 
 // The priority queue is struct-of-arrays: heapKeys holds the primary sort
 // key (the event time's IEEE-754 bit pattern — for the non-negative times
 // the kernel admits, float order and unsigned bit order coincide, so the
 // common comparison is one uint64 compare), and heapMeta carries the
-// FIFO tie-break seq plus the node id/gen that resolve the handler and
-// detect lazily-cancelled ghosts. Splitting them keeps the pop-side
-// min-child scan inside a 32-byte key row per level instead of dragging
-// 96 bytes of metadata through the cache.
+// FIFO tie-break seq plus the id of the node holding the handler.
+// Splitting them keeps the pop-side min-child scan inside a 32-byte key
+// row per level instead of dragging 64 bytes of metadata through the
+// cache.
 
 // keyOf converts a non-negative event time to its order-preserving
 // integer key.
@@ -79,18 +54,12 @@ func keyOf(at float64) uint64 { return math.Float64bits(at) }
 type slotMeta struct {
 	seq uint64
 	id  int32
-	gen uint32
 }
 
-// node is the pooled per-event state: the handler (a closure, or a
-// payload handler with its argument), the generation that validates
-// handles, and whether the event is still pending.
+// node is the pooled per-event state: the handler and its argument.
 type node struct {
 	handler Handler
-	argH    ArgHandler
 	arg     int32
-	gen     uint32
-	pending bool
 }
 
 // Simulator owns the event queue and the virtual clock. The zero value is a
@@ -102,9 +71,8 @@ type Simulator struct {
 	heapMeta []slotMeta
 	nodes    []node
 	free     []int32
-	live     int // pending (non-cancelled) events, reserved ones included
+	live     int // pending events, reserved ones included
 	fired    uint64
-	halted   bool
 
 	// Reserved sequence numbers (Reserve / ScheduleReserved). Each range
 	// owns a run of bits in resUsed, set once its number is scheduled.
@@ -199,11 +167,10 @@ func (s *Simulator) SetLogger(l *slog.Logger) {
 }
 
 // alloc takes a node from the free list (or grows the slab) and arms it
-// with h, or with ah and its payload arg. The generation bump invalidates
-// any handle still pointing at the node's previous life.
+// with h and arg.
 //
 //hot:noalloc
-func (s *Simulator) alloc(h Handler, ah ArgHandler, arg int32) (int32, uint32) {
+func (s *Simulator) alloc(h Handler, arg int32) int32 {
 	var id int32
 	if n := len(s.free); n > 0 {
 		id = s.free[n-1]
@@ -212,25 +179,8 @@ func (s *Simulator) alloc(h Handler, ah ArgHandler, arg int32) (int32, uint32) {
 		s.nodes = append(s.nodes, node{})
 		id = int32(len(s.nodes) - 1)
 	}
-	nd := &s.nodes[id]
-	nd.gen++
-	nd.handler = h
-	nd.argH = ah
-	nd.arg = arg
-	nd.pending = true
-	return id, nd.gen
-}
-
-// release marks the node consumed and returns it to the free list. The
-// caller has already read the handler out.
-//
-//hot:noalloc
-func (s *Simulator) release(id int32) {
-	nd := &s.nodes[id]
-	nd.pending = false
-	nd.handler = nil
-	nd.argH = nil
-	s.free = append(s.free, id)
+	s.nodes[id] = node{handler: h, arg: arg}
+	return id
 }
 
 // heapAry is the heap branching factor. A 4-ary heap halves the tree depth
@@ -302,7 +252,7 @@ func (s *Simulator) popRoot() {
 	keys[i], meta[i] = lk, lm
 }
 
-// logFired emits the per-event debug record. Kept outside fire's
+// logFired emits the per-event debug record. Kept outside fireNext's
 // //hot:noalloc region: slog attribute construction allocates, and the
 // logDebug gate means this only runs with debug logging enabled.
 func (s *Simulator) logFired(seq uint64) {
@@ -345,26 +295,31 @@ func (s *Simulator) runSamples(at float64) {
 	}
 }
 
-// fire executes one event's handler at time at, with telemetry when
-// attached. The event carries either a closure h or a payload handler ah
-// with its argument.
+// fireNext pops the queue's root event and runs its handler at the
+// event's time, with telemetry when attached. The node goes back to the
+// free list before the handler runs: its handler and argument are
+// already read out, so an event the handler schedules may reuse it.
 //
 //hot:noalloc
-func (s *Simulator) fire(at float64, seq uint64, h Handler, ah ArgHandler, arg int32) {
+func (s *Simulator) fireNext() {
+	at := math.Float64frombits(s.heapKeys[0])
+	sm := s.heapMeta[0]
+	s.popRoot()
+	nd := &s.nodes[sm.id]
+	h, arg := nd.handler, nd.arg
+	nd.handler = nil
+	s.free = append(s.free, sm.id)
+	s.live--
 	s.now = at
 	s.fired++
 	if s.sampleFn != nil && at >= s.sampleNext {
 		s.runSamples(at)
 	}
 	if s.logDebug {
-		s.logFired(seq)
+		s.logFired(sm.seq)
 	}
 	plain := s.mFired == nil && s.ring == nil
-	if h != nil {
-		h(at)
-	} else {
-		ah(at, arg)
-	}
+	h(at, arg)
 	if plain {
 		return
 	}
@@ -480,44 +435,34 @@ func (s *Simulator) Now() float64 { return s.now }
 // Fired reports how many events have executed.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Pending reports how many events are waiting in the queue. Cancelled
-// events are not counted, even while their ghost slots still occupy the
-// underlying heap. Reserved sequence numbers not yet scheduled are
-// counted: each stands for an event its owner will queue.
+// Pending reports how many events are waiting in the queue. Reserved
+// sequence numbers not yet scheduled are counted: each stands for an
+// event its owner will queue.
 func (s *Simulator) Pending() int { return s.live }
 
-// Schedule queues h to fire at absolute time at. It returns the Handle
-// (usable with Cancel) or ErrPast if at precedes the current time.
+// Schedule queues h to fire with arg at absolute time at. It returns
+// ErrPast if at precedes the current time.
 //
 //hot:noalloc
-func (s *Simulator) Schedule(at float64, h Handler) (Handle, error) {
-	return s.schedule(at, h, nil, 0)
-}
-
-// schedule queues an event carrying h, or ah with its payload arg, under
-// the next sequence number.
-//
-//hot:noalloc
-func (s *Simulator) schedule(at float64, h Handler, ah ArgHandler, arg int32) (Handle, error) {
+func (s *Simulator) Schedule(at float64, h Handler, arg int32) error {
 	if at < s.now || math.IsNaN(at) {
-		return Handle{}, ErrPast
+		return ErrPast
 	}
-	id, gen := s.alloc(h, ah, arg)
-	s.push(keyOf(at), slotMeta{seq: s.seq, id: id, gen: gen})
+	s.push(keyOf(at), slotMeta{seq: s.seq, id: s.alloc(h, arg)})
 	s.seq++
 	s.live++
-	return Handle{at: at, id: id, gen: gen}, nil
+	return nil
 }
 
 // Reserve sets aside n consecutive sequence numbers, the ones the next n
 // Schedule calls would have taken, and returns the first. Each counts as
-// a pending event until it is cancelled or fires. A caller that knows a
-// batch of future events up front reserves their numbers in one call and
-// queues each with ScheduleReserved only when it is next due, so the heap
-// holds one event of the batch instead of all of them, while the firing
-// order and Pending stay exactly what scheduling them all at once gives.
-// Every reserved number must eventually be scheduled, or Pending never
-// drains to zero. Reset drops all reservations.
+// a pending event until it fires. A caller that knows a batch of future
+// events up front reserves their numbers in one call and queues each with
+// ScheduleReserved only when it is next due, so the heap holds one event
+// of the batch instead of all of them, while the firing order and Pending
+// stay exactly what scheduling them all at once gives. Every reserved
+// number must eventually be scheduled, or Pending never drains to zero.
+// Reset drops all reservations.
 //
 //hot:noalloc
 func (s *Simulator) Reserve(n int) uint64 {
@@ -535,17 +480,17 @@ func (s *Simulator) Reserve(n int) uint64 {
 	return lo
 }
 
-// ScheduleReserved queues h to fire at absolute time at under seq, a
-// number handed out by Reserve: among events at the same instant it fires
-// in seq order, as if it had been scheduled when seq was reserved. It
-// returns ErrPast if at precedes the current time, and ErrNotReserved if
-// seq was never reserved or already queued an event. Pending does not
-// change: the reservation already counted the event.
+// ScheduleReserved queues h to fire with arg at absolute time at under
+// seq, a number handed out by Reserve: among events at the same instant
+// it fires in seq order, as if it had been scheduled when seq was
+// reserved. It returns ErrPast if at precedes the current time, and
+// ErrNotReserved if seq was never reserved or already queued an event.
+// Pending does not change: the reservation already counted the event.
 //
 //hot:noalloc
-func (s *Simulator) ScheduleReserved(at float64, seq uint64, h Handler) (Handle, error) {
+func (s *Simulator) ScheduleReserved(at float64, seq uint64, h Handler, arg int32) error {
 	if at < s.now || math.IsNaN(at) {
-		return Handle{}, ErrPast
+		return ErrPast
 	}
 	for _, r := range s.resRanges {
 		if i := seq - r.lo; i < r.n {
@@ -555,101 +500,40 @@ func (s *Simulator) ScheduleReserved(at float64, seq uint64, h Handler) (Handle,
 				break
 			}
 			s.resUsed[word] |= mask
-			id, gen := s.alloc(h, nil, 0)
-			s.push(keyOf(at), slotMeta{seq: seq, id: id, gen: gen})
-			return Handle{at: at, id: id, gen: gen}, nil
+			s.push(keyOf(at), slotMeta{seq: seq, id: s.alloc(h, arg)})
+			return nil
 		}
 	}
-	return Handle{}, ErrNotReserved
+	return ErrNotReserved
 }
 
-// After queues h to fire delay hours from now. Negative delays are clamped
-// to zero so callers can pass small jittered values safely.
+// After queues h to fire with arg delay hours from now. Negative delays
+// are clamped to zero so callers can pass small jittered values safely.
 //
 //hot:noalloc
-func (s *Simulator) After(delay float64, h Handler) Handle {
+func (s *Simulator) After(delay float64, h Handler, arg int32) {
 	if delay < 0 || math.IsNaN(delay) {
 		delay = 0
 	}
-	e, _ := s.Schedule(s.now+delay, h)
-	return e
+	_ = s.Schedule(s.now+delay, h, arg)
 }
 
-// AfterArg is After for a payload event: h fires delay hours from now and
-// receives arg. It takes the same next sequence number After would, so
-// firing order and Pending are exactly what After with a closure over arg
-// gives, without allocating that closure.
-//
-//hot:noalloc
-func (s *Simulator) AfterArg(delay float64, h ArgHandler, arg int32) Handle {
-	if delay < 0 || math.IsNaN(delay) {
-		delay = 0
-	}
-	e, _ := s.schedule(s.now+delay, nil, h, arg)
-	return e
-}
-
-// Cancel removes the event h identifies from the queue. It reports whether
-// the event was still pending — false if it already fired, was cancelled,
-// or h is stale (its node has been recycled for a newer event; the
-// generation check makes such a cancel a safe no-op instead of killing the
-// wrong event). The slot itself is discarded lazily when it reaches the
-// queue root.
-//
-//hot:noalloc
-func (s *Simulator) Cancel(h Handle) bool {
-	if h.gen == 0 || h.id < 0 || int(h.id) >= len(s.nodes) {
-		return false
-	}
-	nd := &s.nodes[h.id]
-	if nd.gen != h.gen || !nd.pending {
-		return false
-	}
-	s.release(h.id)
-	s.live--
-	return true
-}
-
-// Halt stops the run loop after the current event finishes.
-func (s *Simulator) Halt() { s.halted = true }
-
-// Run executes events in order until the queue is empty, an event beyond
-// until is reached, or Halt is called. The clock finishes at until (or at
-// the halt time). Events scheduled exactly at until do fire. A NaN until
-// runs nothing: no comparison against NaN can admit an event, so the queue
-// and clock are left untouched.
+// Run executes events in order until the queue is empty or an event
+// beyond until is reached. The clock finishes at until. Events scheduled
+// exactly at until do fire. A NaN until runs nothing: no comparison
+// against NaN can admit an event, so the queue and clock are left
+// untouched.
 //
 //hot:noalloc
 func (s *Simulator) Run(until float64) {
 	if math.IsNaN(until) {
 		return
 	}
-	s.halted = false
 	s.startTelemetry()
-	for len(s.heapKeys) > 0 && !s.halted {
-		sm := s.heapMeta[0]
-		nd := &s.nodes[sm.id]
-		if nd.gen != sm.gen || !nd.pending {
-			// Ghost of a cancelled (or recycled) event: discard.
-			s.popRoot()
-			continue
-		}
-		at := math.Float64frombits(s.heapKeys[0])
-		if at > until {
-			break
-		}
-		s.popRoot()
-		h, ah, arg := nd.handler, nd.argH, nd.arg
-		nd.pending = false
-		nd.handler = nil
-		nd.argH = nil
-		s.live--
-		s.fire(at, sm.seq, h, ah, arg)
-		// Release after the handler: a Schedule inside it must not reuse
-		// this node while the firing is still logically alive.
-		s.free = append(s.free, sm.id)
+	for len(s.heapKeys) > 0 && math.Float64frombits(s.heapKeys[0]) <= until {
+		s.fireNext()
 	}
-	if !s.halted && s.now < until {
+	if s.now < until {
 		if math.IsInf(until, 1) {
 			s.gSimTime.Set(s.now)
 		}
@@ -659,48 +543,30 @@ func (s *Simulator) Run(until float64) {
 }
 
 // Step executes exactly one event if any is pending and reports whether
-// one fired. Ghost slots of cancelled events are discarded along the way.
+// one fired.
 //
 //hot:noalloc
 func (s *Simulator) Step() bool {
-	s.startTelemetry()
-	for len(s.heapKeys) > 0 {
-		at := math.Float64frombits(s.heapKeys[0])
-		sm := s.heapMeta[0]
-		nd := &s.nodes[sm.id]
-		s.popRoot()
-		if nd.gen != sm.gen || !nd.pending {
-			continue
-		}
-		h, ah, arg := nd.handler, nd.argH, nd.arg
-		nd.pending = false
-		nd.handler = nil
-		nd.argH = nil
-		s.live--
-		s.fire(at, sm.seq, h, ah, arg)
-		s.free = append(s.free, sm.id)
-		s.syncTelemetry()
-		return true
+	if len(s.heapKeys) == 0 {
+		return false
 	}
-	return false
+	s.startTelemetry()
+	s.fireNext()
+	s.syncTelemetry()
+	return true
 }
 
 // Reset returns the simulator to time zero with an empty queue and no
 // reservations, keeping the node slab, free list, and heap capacity for
 // reuse — a long-lived simulator (or benchmark) pays the slab allocations
-// once. Handles
-// obtained before the Reset are invalidated: the next arm of each node
-// bumps its generation, so a stale Cancel reports false instead of
-// touching the new life. Telemetry attachments survive.
+// once. Events queued before the Reset never fire. Telemetry attachments
+// survive.
 func (s *Simulator) Reset() {
 	s.heapKeys = s.heapKeys[:0]
 	s.heapMeta = s.heapMeta[:0]
 	s.free = s.free[:0]
 	for i := range s.nodes {
-		nd := &s.nodes[i]
-		nd.pending = false
-		nd.handler = nil
-		nd.argH = nil
+		s.nodes[i].handler = nil
 		s.free = append(s.free, int32(i))
 	}
 	s.live = 0
@@ -709,40 +575,8 @@ func (s *Simulator) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
-	s.halted = false
 	if s.sampleFn != nil {
 		s.sampleNext = s.sampleEvery
-	}
-}
-
-// Every schedules h to fire repeatedly with the given period, starting at
-// start, until the simulator stops running. The returned stop function
-// cancels future firings; calling it from inside h itself stops the chain
-// before the next tick is scheduled.
-func (s *Simulator) Every(start, period float64, h Handler) (stop func()) {
-	if period <= 0 {
-		panic("des: Every with non-positive period")
-	}
-	var cur Handle
-	stopped := false
-	var tick Handler
-	tick = func(now float64) {
-		if stopped {
-			return
-		}
-		h(now)
-		if stopped {
-			// stop() ran inside h: its Cancel found the current tick
-			// already firing (nothing pending), so the reschedule below
-			// would silently re-arm the chain. Bail before it does.
-			return
-		}
-		cur = s.After(period, tick)
-	}
-	cur, _ = s.Schedule(start, tick)
-	return func() {
-		stopped = true
-		s.Cancel(cur)
 	}
 }
 

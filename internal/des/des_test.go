@@ -13,9 +13,9 @@ import (
 func TestRunOrdersEvents(t *testing.T) {
 	var s Simulator
 	var order []int
-	s.After(3, func(float64) { order = append(order, 3) })
-	s.After(1, func(float64) { order = append(order, 1) })
-	s.After(2, func(float64) { order = append(order, 2) })
+	s.After(3, func(float64, int32) { order = append(order, 3) }, 0)
+	s.After(1, func(float64, int32) { order = append(order, 1) }, 0)
+	s.After(2, func(float64, int32) { order = append(order, 2) }, 0)
 	s.Run(10)
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -33,7 +33,7 @@ func TestFIFOTieBreaking(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		s.After(1, func(float64) { order = append(order, i) })
+		s.After(1, func(float64, int32) { order = append(order, i) }, 0)
 	}
 	s.Run(2)
 	for i := range order {
@@ -45,9 +45,9 @@ func TestFIFOTieBreaking(t *testing.T) {
 
 func TestSchedulePastRejected(t *testing.T) {
 	var s Simulator
-	s.After(5, func(float64) {})
+	s.After(5, func(float64, int32) {}, 0)
 	s.Run(10)
-	if _, err := s.Schedule(3, func(float64) {}); err != ErrPast {
+	if err := s.Schedule(3, func(float64, int32) {}, 0); err != ErrPast {
 		t.Errorf("Schedule in the past: err = %v, want ErrPast", err)
 	}
 }
@@ -55,7 +55,7 @@ func TestSchedulePastRejected(t *testing.T) {
 func TestEventsBeyondUntilDoNotFire(t *testing.T) {
 	var s Simulator
 	fired := false
-	s.After(5, func(float64) { fired = true })
+	s.After(5, func(float64, int32) { fired = true }, 0)
 	s.Run(4)
 	if fired {
 		t.Error("event at t=5 fired during Run(4)")
@@ -69,93 +69,24 @@ func TestEventsBeyondUntilDoNotFire(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var s Simulator
-	fired := false
-	e := s.After(1, func(float64) { fired = true })
-	if !s.Cancel(e) {
-		t.Error("Cancel returned false for pending event")
-	}
-	if s.Cancel(e) {
-		t.Error("double Cancel returned true")
-	}
-	s.Run(2)
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	if s.Cancel(Handle{}) {
-		t.Error("Cancel of zero Handle returned true")
-	}
-}
-
-func TestCancelFiredEvent(t *testing.T) {
-	var s Simulator
-	e := s.After(1, func(float64) {})
-	s.Run(2)
-	if s.Cancel(e) {
-		t.Error("Cancel returned true for already-fired event")
-	}
-}
-
-func TestHalt(t *testing.T) {
-	var s Simulator
-	count := 0
-	s.After(1, func(float64) { count++; s.Halt() })
-	s.After(2, func(float64) { count++ })
-	s.Run(10)
-	if count != 1 {
-		t.Errorf("count = %d, want 1 (halted after first event)", count)
-	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d", s.Pending())
-	}
-}
-
 func TestScheduleDuringRun(t *testing.T) {
 	var s Simulator
 	var times []float64
-	s.After(1, func(now float64) {
+	s.After(1, func(now float64, _ int32) {
 		times = append(times, now)
-		s.After(1, func(now float64) { times = append(times, now) })
-	})
+		s.After(1, func(now float64, _ int32) { times = append(times, now) }, 0)
+	}, 0)
 	s.Run(10)
 	if len(times) != 2 || times[0] != 1 || times[1] != 2 {
 		t.Errorf("times = %v", times)
 	}
 }
 
-func TestEvery(t *testing.T) {
-	var s Simulator
-	var ticks []float64
-	stop := s.Every(0.5, 1, func(now float64) { ticks = append(ticks, now) })
-	s.After(3.6, func(float64) { stop() })
-	s.Run(10)
-	want := []float64{0.5, 1.5, 2.5, 3.5}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
-func TestEveryPanicsOnBadPeriod(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Every(0) did not panic")
-		}
-	}()
-	var s Simulator
-	s.Every(0, 0, func(float64) {})
-}
-
 func TestStep(t *testing.T) {
 	var s Simulator
 	n := 0
-	s.After(1, func(float64) { n++ })
-	s.After(2, func(float64) { n++ })
+	s.After(1, func(float64, int32) { n++ }, 0)
+	s.After(2, func(float64, int32) { n++ }, 0)
 	if !s.Step() || n != 1 {
 		t.Fatalf("first Step: n = %d", n)
 	}
@@ -170,7 +101,7 @@ func TestStep(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	var s Simulator
 	for i := 0; i < 7; i++ {
-		s.After(float64(i), func(float64) {})
+		s.After(float64(i), func(float64, int32) {}, 0)
 	}
 	s.Run(100)
 	if s.Fired() != 7 {
@@ -181,7 +112,7 @@ func TestFiredCounter(t *testing.T) {
 func TestAfterClampsNegativeDelay(t *testing.T) {
 	var s Simulator
 	fired := false
-	s.After(-5, func(float64) { fired = true })
+	s.After(-5, func(float64, int32) { fired = true }, 0)
 	s.Run(0)
 	if !fired {
 		t.Error("negative-delay event did not fire at t=0")
@@ -213,7 +144,7 @@ func TestEventOrderProperty(t *testing.T) {
 		var s Simulator
 		var fired []float64
 		for i := 0; i < 200; i++ {
-			s.After(r.Float64()*100, func(now float64) { fired = append(fired, now) })
+			s.After(r.Float64()*100, func(now float64, _ int32) { fired = append(fired, now) }, 0)
 		}
 		s.Run(100)
 		if len(fired) != 200 {
@@ -238,7 +169,7 @@ func TestInstrumentedRunRecordsMetricsAndTrace(t *testing.T) {
 	s.Instrument(reg, tr)
 	const n = 300
 	for i := 0; i < n; i++ {
-		s.After(float64(i), func(float64) {})
+		s.After(float64(i), func(float64, int32) {}, 0)
 	}
 	s.Run(1000)
 	snap := reg.Snapshot()
@@ -280,8 +211,8 @@ func TestInstrumentMetricsOnlyAndStep(t *testing.T) {
 	var s Simulator
 	reg := obs.NewRegistry()
 	s.Instrument(reg, nil) // metrics without tracing
-	s.After(1, func(float64) {})
-	s.After(2, func(float64) {})
+	s.After(1, func(float64, int32) {}, 0)
+	s.After(2, func(float64, int32) {}, 0)
 	s.Step()
 	if got := reg.Counter("des_events_fired_total").Value(); got != 1 {
 		t.Errorf("fired after Step = %d, want 1", got)
@@ -305,7 +236,7 @@ func benchTimes() []float64 {
 func benchIterate(s *Simulator, times []float64) {
 	s.Reset()
 	for _, at := range times {
-		s.After(at, func(float64) {})
+		s.After(at, func(float64, int32) {}, 0)
 	}
 	s.Run(1000)
 }
@@ -361,8 +292,8 @@ func TestRunNaNUntilRunsNothing(t *testing.T) {
 	// loop drained the whole queue. NaN must run nothing past now.
 	var s Simulator
 	fired := 0
-	s.After(1, func(float64) { fired++ })
-	s.After(2, func(float64) { fired++ })
+	s.After(1, func(float64, int32) { fired++ }, 0)
+	s.After(2, func(float64, int32) { fired++ }, 0)
 	s.Run(math.NaN())
 	if fired != 0 {
 		t.Errorf("Run(NaN) fired %d events, want 0", fired)
@@ -381,103 +312,21 @@ func TestRunNaNUntilRunsNothing(t *testing.T) {
 
 func TestScheduleNaNRejected(t *testing.T) {
 	var s Simulator
-	if _, err := s.Schedule(math.NaN(), func(float64) {}); err != ErrPast {
+	if err := s.Schedule(math.NaN(), func(float64, int32) {}, 0); err != ErrPast {
 		t.Errorf("Schedule(NaN): err = %v, want ErrPast", err)
 	}
 	fired := false
-	s.After(math.NaN(), func(float64) { fired = true })
+	s.After(math.NaN(), func(float64, int32) { fired = true }, 0)
 	s.Run(1)
 	if !fired {
 		t.Error("After(NaN) did not clamp to an immediate event")
 	}
 }
 
-func TestEveryStopInsideHandler(t *testing.T) {
-	// Regression: stop() called from inside the tick handler used to let
-	// the handler reschedule the next tick anyway, leaving a stale event.
-	var s Simulator
-	ticks := 0
-	var stop func()
-	stop = s.Every(1, 1, func(float64) {
-		ticks++
-		if ticks == 3 {
-			stop()
-		}
-	})
-	s.Run(100)
-	if ticks != 3 {
-		t.Errorf("ticks = %d, want 3 (stop inside handler must halt the chain)", ticks)
-	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending = %d, want 0 (no stale tick left in queue)", s.Pending())
-	}
-}
-
-func TestCancelStaleHandleAfterRecycle(t *testing.T) {
-	// Pooling hazard: after an event fires, its node returns to the free
-	// list and is re-armed for the next Schedule. A handle to the old life
-	// must not cancel the new occupant.
-	var s Simulator
-	old := s.After(1, func(float64) {})
-	s.Run(2) // fires; node recycled to free list
-	fired := false
-	s.After(1, func(float64) { fired = true }) // reuses the node
-	if s.Cancel(old) {
-		t.Error("stale handle cancelled a recycled event")
-	}
-	s.Run(5)
-	if !fired {
-		t.Error("recycled event did not fire (stale cancel hit it)")
-	}
-}
-
-func TestCancelFromInsideFiringHandler(t *testing.T) {
-	// Self-cancel while firing must report false (the event is no longer
-	// pending) and must not corrupt the free list by double-releasing.
-	var s Simulator
-	var self Handle
-	otherFired := false
-	selfCancel := true
-	self = s.After(1, func(float64) { selfCancel = s.Cancel(self) })
-	s.After(2, func(float64) { otherFired = true })
-	s.Run(10)
-	if selfCancel {
-		t.Error("Cancel of the currently-firing event returned true")
-	}
-	if !otherFired {
-		t.Error("event after a self-cancelling handler did not fire")
-	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending = %d, want 0", s.Pending())
-	}
-}
-
-func TestResetInvalidatesHandles(t *testing.T) {
-	var s Simulator
-	fired := 0
-	old := s.After(5, func(float64) { fired++ })
-	s.After(1, func(float64) { fired++ })
-	s.Run(2)
-	s.Reset()
-	if s.Now() != 0 || s.Pending() != 0 || s.Fired() != 0 {
-		t.Fatalf("Reset left state: now=%v pending=%d fired=%d", s.Now(), s.Pending(), s.Fired())
-	}
-	reused := false
-	s.After(1, func(float64) { reused = true }) // re-arms a pooled node
-	if s.Cancel(old) {
-		t.Error("pre-Reset handle cancelled a post-Reset event")
-	}
-	s.Run(10)
-	if !reused {
-		t.Error("post-Reset event did not fire")
-	}
-	if fired != 1 {
-		t.Errorf("pre-Reset events fired %d times, want 1 (only the one before Reset)", fired)
-	}
-}
-
-// checkHeapInvariant verifies the min-heap property over the slot slab and
-// that live-node accounting matches the pending slots actually in the heap.
+// checkHeapInvariant verifies the min-heap property over the slot slab,
+// that every pooled node is either queued or free (exactly once), and
+// that the pending count matches the queued events plus the unscheduled
+// reservations.
 func checkHeapInvariant(t *testing.T, s *Simulator) {
 	t.Helper()
 	if len(s.heapKeys) != len(s.heapMeta) {
@@ -496,16 +345,21 @@ func checkHeapInvariant(t *testing.T, s *Simulator) {
 				i, s.heapKeys[i], s.heapMeta[i].seq, s.heapKeys[p], s.heapMeta[p].seq)
 		}
 	}
-	livePending := 0
+	uses := make([]int, len(s.nodes))
 	for _, sm := range s.heapMeta {
-		nd := &s.nodes[sm.id]
-		if nd.gen == sm.gen && nd.pending {
-			livePending++
+		uses[sm.id]++
+	}
+	for _, id := range s.free {
+		uses[id]++
+	}
+	for id, n := range uses {
+		if n != 1 {
+			t.Fatalf("node %d is queued or free %d times, want exactly once", id, n)
 		}
 	}
-	if unsched := unscheduledReservations(s); livePending+unsched != s.live {
-		t.Fatalf("live = %d but heap holds %d pending slots and %d unscheduled reservations",
-			s.live, livePending, unsched)
+	if unsched := unscheduledReservations(s); len(s.heapMeta)+unsched != s.live {
+		t.Fatalf("live = %d but heap holds %d events and %d unscheduled reservations",
+			s.live, len(s.heapMeta), unsched)
 	}
 }
 
@@ -525,17 +379,18 @@ func unscheduledReservations(s *Simulator) int {
 }
 
 func TestHeapInvariantUnderChurn(t *testing.T) {
-	// Heavy interleaved schedule/cancel/step churn, checking the heap
-	// invariant and pool accounting at every step.
+	// Heavy interleaved schedule/step churn, checking the heap invariant
+	// and pool accounting at every step. Some handlers schedule a follow-up
+	// event, which may reuse the node the firing event just freed.
 	r := simrand.New(42)
 	var s Simulator
-	var handles []Handle
+	followUp := func(float64, int32) { s.After(r.Float64()*10, func(float64, int32) {}, 0) }
 	for i := 0; i < 2000; i++ {
 		switch {
-		case r.Bool(0.5):
-			handles = append(handles, s.After(r.Float64()*100, func(float64) {}))
-		case r.Bool(0.5) && len(handles) > 0:
-			s.Cancel(handles[r.Intn(len(handles))])
+		case r.Bool(0.4):
+			s.After(r.Float64()*100, func(float64, int32) {}, 0)
+		case r.Bool(0.3):
+			s.After(r.Float64()*100, followUp, 0)
 		default:
 			s.Step()
 		}
@@ -556,7 +411,7 @@ func TestUnboundedRunPublishesFiniteSimHours(t *testing.T) {
 	reg := obs.NewRegistry()
 	s.Instrument(reg, nil)
 	for i := 1; i <= 100; i++ {
-		s.After(float64(i), func(float64) {})
+		s.After(float64(i), func(float64, int32) {}, 0)
 	}
 	s.Run(math.Inf(1))
 	if !math.IsInf(s.Now(), 1) {
@@ -570,52 +425,12 @@ func TestUnboundedRunPublishesFiniteSimHours(t *testing.T) {
 	}
 }
 
-func TestScheduleCancelInterleavingProperty(t *testing.T) {
-	// Random interleavings of schedules and cancels: every event fires at
-	// most once, cancelled events never fire, firing order stays sorted.
-	f := func(seed uint64) bool {
-		r := simrand.New(seed)
-		var s Simulator
-		type tracked struct {
-			ev        Handle
-			cancelled bool
-			fired     int
-		}
-		items := make([]*tracked, 0, 100)
-		for i := 0; i < 100; i++ {
-			it := &tracked{}
-			it.ev = s.After(r.Float64()*50, func(float64) { it.fired++ })
-			items = append(items, it)
-			// Randomly cancel an earlier event.
-			if r.Bool(0.3) {
-				victim := items[r.Intn(len(items))]
-				if s.Cancel(victim.ev) {
-					victim.cancelled = true
-				}
-			}
-		}
-		s.Run(100)
-		for _, it := range items {
-			if it.cancelled && it.fired != 0 {
-				return false
-			}
-			if !it.cancelled && it.fired != 1 {
-				return false
-			}
-		}
-		return s.Pending() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSampleHookGridCrossing(t *testing.T) {
 	var s Simulator
 	var grid []float64
 	s.SetSampleHook(10, func(now float64) { grid = append(grid, now) })
 	for _, at := range []float64{3, 9.5, 21, 45, 45.5} {
-		if _, err := s.Schedule(at, func(float64) {}); err != nil {
+		if err := s.Schedule(at, func(float64, int32) {}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -636,19 +451,19 @@ func TestSampleHookDetachAndReset(t *testing.T) {
 	var s Simulator
 	calls := 0
 	s.SetSampleHook(5, func(float64) { calls++ })
-	s.Schedule(7, func(float64) {})
+	s.Schedule(7, func(float64, int32) {}, 0)
 	s.Run(10)
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1", calls)
 	}
 	s.Reset()
-	s.Schedule(6, func(float64) {})
+	s.Schedule(6, func(float64, int32) {}, 0)
 	s.Run(10)
 	if calls != 2 {
 		t.Fatalf("after Reset: calls = %d, want 2 (grid restarts at period)", calls)
 	}
 	s.SetSampleHook(0, nil)
-	s.Schedule(11, func(float64) {})
+	s.Schedule(11, func(float64, int32) {}, 0)
 	s.Run(20)
 	if calls != 2 {
 		t.Fatalf("after detach: calls = %d, want 2", calls)
@@ -657,12 +472,12 @@ func TestSampleHookDetachAndReset(t *testing.T) {
 
 func TestSampleHookMidRunAttach(t *testing.T) {
 	var s Simulator
-	s.Schedule(12, func(float64) {})
+	s.Schedule(12, func(float64, int32) {}, 0)
 	s.Run(15) // clock at 15
 	var grid []float64
 	s.SetSampleHook(10, func(now float64) { grid = append(grid, now) })
-	s.Schedule(19, func(float64) {})
-	s.Schedule(21, func(float64) {})
+	s.Schedule(19, func(float64, int32) {}, 0)
+	s.Schedule(21, func(float64, int32) {}, 0)
 	s.Run(30)
 	// First grid point strictly after attach time 15 is 20.
 	if len(grid) != 1 || grid[0] != 20 {

@@ -9,25 +9,15 @@ import (
 	"dcnr/internal/simrand"
 )
 
-// refEvent is one event of the reference queue. A chain event belongs to
-// an Every chain and re-arms itself when it fires.
+// refEvent is one event of the reference queue: its time, its sequence
+// number, and the value its handler logs when it fires.
 type refEvent struct {
-	at        float64
-	seq       uint64
-	id        int // logged when it fires
-	epoch     int // Reset generation it was scheduled in
-	chain     *refChain
-	fired     bool
-	cancelled bool
+	at     float64
+	seq    uint64
+	logged int
 }
 
-type refChain struct {
-	period  float64
-	cur     *refEvent
-	stopped bool
-}
-
-type refQueue []*refEvent
+type refQueue []refEvent
 
 func (q refQueue) Len() int { return len(q) }
 func (q refQueue) Less(i, j int) bool {
@@ -36,66 +26,38 @@ func (q refQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q refQueue) Swap(i, j int)   { q[i], q[j] = q[j], q[i] }
-func (q *refQueue) Push(x any)     { *q = append(*q, x.(*refEvent)) }
-func (q *refQueue) Pop() any       { old := *q; e := old[len(old)-1]; *q = old[:len(old)-1]; return e }
-func (q refQueue) peek() *refEvent { return q[0] }
-func (q *refQueue) discardCancelled() {
-	for q.Len() > 0 && q.peek().cancelled {
-		heap.Pop(q)
-	}
-}
+func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)   { *q = append(*q, x.(refEvent)) }
+func (q *refQueue) Pop() any     { old := *q; e := old[len(old)-1]; *q = old[:len(old)-1]; return e }
 
 // refSim is the naive model the pooled kernel is checked against: a
-// container/heap of pointers, a plain counter for sequence numbers, and
-// a set of unscheduled reserved numbers.
+// container/heap of events, a plain counter for sequence numbers, and a
+// set of unscheduled reserved numbers.
 type refSim struct {
 	q        refQueue
 	now      float64
 	seq      uint64
-	epoch    int
 	pending  int
 	reserved map[uint64]bool
 	log      []int
 }
 
-func (r *refSim) push(at float64, seq uint64, id int, chain *refChain) *refEvent {
-	e := &refEvent{at: at, seq: seq, id: id, epoch: r.epoch, chain: chain}
-	heap.Push(&r.q, e)
-	return e
-}
-
-func (r *refSim) schedule(at float64, id int, chain *refChain) *refEvent {
-	e := r.push(at, r.seq, id, chain)
+func (r *refSim) schedule(at float64, logged int) {
+	heap.Push(&r.q, refEvent{at: at, seq: r.seq, logged: logged})
 	r.seq++
 	r.pending++
-	return e
-}
-
-func (r *refSim) cancel(e *refEvent) bool {
-	if e == nil || e.epoch != r.epoch || e.fired || e.cancelled {
-		return false
-	}
-	e.cancelled = true
-	r.pending--
-	return true
 }
 
 // step fires the next event at or before until and reports whether one
 // fired.
 func (r *refSim) step(until float64) bool {
-	r.q.discardCancelled()
-	if r.q.Len() == 0 || r.q.peek().at > until {
+	if r.q.Len() == 0 || r.q[0].at > until {
 		return false
 	}
-	e := heap.Pop(&r.q).(*refEvent)
-	e.fired = true
+	e := heap.Pop(&r.q).(refEvent)
 	r.pending--
 	r.now = e.at
-	r.log = append(r.log, e.id)
-	if c := e.chain; c != nil && !c.stopped {
-		c.cur = r.schedule(r.now+c.period, e.id, c)
-	}
+	r.log = append(r.log, e.logged)
 	return true
 }
 
@@ -110,20 +72,18 @@ func (r *refSim) run(until float64) {
 func (r *refSim) reset() {
 	r.q = r.q[:0]
 	r.now, r.seq, r.pending, r.log = 0, 0, 0, r.log[:0]
-	r.epoch++
 	r.reserved = map[uint64]bool{}
 }
 
 // TestDifferentialAgainstHeapReference drives the kernel and the
-// reference with the same random stream of Schedule, AfterArg, Cancel,
-// Every (and stop), Step, Run, Reset, Reserve and ScheduleReserved calls,
-// and requires the same fired events in the same order, the same return
-// values, the same clock and the same Pending count after every call. A
-// payload event logs the argument it fired with, so a wrong payload shows
-// as a wrong event in the log.
-// Times sit on a coarse grid so same-instant ties are common, and Cancel
-// is aimed at handles of every age, so fired, cancelled, recycled and
-// pre-Reset handles all get exercised.
+// reference with the same random stream of Schedule, After, Step, Run,
+// Reset, Reserve and ScheduleReserved calls, and requires the same fired
+// events in the same order, the same return values, the same clock and
+// the same Pending and Fired counts after every call. Each event carries
+// a distinct argument and one of two handlers, which log the argument it
+// fired with differently, so a wrong argument or a wrong handler shows as
+// a wrong entry in the log. Times sit on a coarse grid so same-instant
+// ties are common.
 func TestDifferentialAgainstHeapReference(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { differentialRun(t, seed) })
@@ -135,66 +95,43 @@ func differentialRun(t *testing.T, seed uint64) {
 	var s Simulator
 	ref := &refSim{reserved: map[uint64]bool{}}
 	var log []int
-	type tracked struct {
-		h Handle
-		e *refEvent
+	handlers := [2]Handler{
+		func(_ float64, arg int32) { log = append(log, int(arg)) },
+		func(_ float64, arg int32) { log = append(log, -int(arg)-1) },
 	}
-	var handles []tracked
-	var stops []func()
-	var chains []*refChain
 	var reservedSeqs []uint64
-	nextID := 0
-	newHandler := func() (int, Handler) {
-		id := nextID
-		nextID++
-		return id, func(float64) { log = append(log, id) }
+	nextArg := int32(0)
+	// event picks a handler and a fresh argument, and returns the value
+	// the event logs when it fires.
+	event := func() (Handler, int32, int) {
+		arg := nextArg
+		nextArg++
+		if rng.Bool(0.5) {
+			return handlers[0], arg, int(arg)
+		}
+		return handlers[1], arg, -int(arg) - 1
 	}
-	// One payload handler serves every AfterArg event, as in the faults
-	// driver: the event's identity travels in its argument.
-	argHandler := func(_ float64, arg int32) { log = append(log, int(arg)) }
 	at := func() float64 { return s.Now() + float64(rng.Intn(12))*0.5 }
 
 	for op := 0; op < 400; op++ {
 		var what string
 		switch k := rng.Intn(100); {
-		case k < 20:
+		case k < 25:
 			what = "Schedule"
 			when := at()
-			id, h := newHandler()
-			hd, err := s.Schedule(when, h)
-			if err != nil {
+			h, arg, logged := event()
+			if err := s.Schedule(when, h, arg); err != nil {
 				t.Fatalf("op %d: Schedule(%v): %v", op, when, err)
 			}
-			handles = append(handles, tracked{hd, ref.schedule(when, id, nil)})
-		case k < 30:
-			what = "AfterArg"
+			ref.schedule(when, logged)
+		case k < 40:
+			what = "After"
 			// A negative delay is clamped to now.
 			delay := float64(rng.Intn(13)-1) * 0.5
-			id := nextID
-			nextID++
-			hd := s.AfterArg(delay, argHandler, int32(id))
-			handles = append(handles, tracked{hd, ref.schedule(ref.now+max(delay, 0), id, nil)})
-		case k < 45 && len(handles) > 0:
-			what = "Cancel"
-			tr := handles[rng.Intn(len(handles))]
-			if got, want := s.Cancel(tr.h), ref.cancel(tr.e); got != want {
-				t.Fatalf("op %d: Cancel = %v, reference %v", op, got, want)
-			}
+			h, arg, logged := event()
+			s.After(delay, h, arg)
+			ref.schedule(ref.now+max(delay, 0), logged)
 		case k < 50:
-			what = "Every"
-			start, period := at(), float64(1+rng.Intn(4))
-			id, h := newHandler()
-			stops = append(stops, s.Every(start, period, h))
-			c := &refChain{period: period}
-			c.cur = ref.schedule(start, id, c)
-			chains = append(chains, c)
-		case k < 55 && len(stops) > 0:
-			what = "stop"
-			i := rng.Intn(len(stops))
-			stops[i]()
-			chains[i].stopped = true
-			ref.cancel(chains[i].cur)
-		case k < 62:
 			what = "Reserve"
 			n := rng.Intn(6)
 			lo := s.Reserve(n)
@@ -207,7 +144,7 @@ func differentialRun(t *testing.T, seed uint64) {
 			}
 			ref.seq += uint64(n)
 			ref.pending += n
-		case k < 75:
+		case k < 65:
 			what = "ScheduleReserved"
 			// Mostly numbers still reserved; sometimes used, stale
 			// (pre-Reset) or never-reserved ones, and sometimes a past time.
@@ -221,8 +158,8 @@ func differentialRun(t *testing.T, seed uint64) {
 			if rng.Bool(0.1) && s.Now() > 0 {
 				when = s.Now() - 0.5
 			}
-			id, h := newHandler()
-			hd, err := s.ScheduleReserved(when, seq, h)
+			h, arg, logged := event()
+			err := s.ScheduleReserved(when, seq, h, arg)
 			var want error
 			switch {
 			case when < ref.now:
@@ -235,9 +172,9 @@ func differentialRun(t *testing.T, seed uint64) {
 			}
 			if err == nil {
 				delete(ref.reserved, seq)
-				handles = append(handles, tracked{hd, ref.push(when, seq, id, nil)})
+				heap.Push(&ref.q, refEvent{at: when, seq: seq, logged: logged})
 			}
-		case k < 85:
+		case k < 80:
 			what = "Step"
 			if got, want := s.Step(), ref.step(math.Inf(1)); got != want {
 				t.Fatalf("op %d: Step = %v, reference %v", op, got, want)
@@ -257,9 +194,9 @@ func differentialRun(t *testing.T, seed uint64) {
 		if fmt.Sprint(log) != fmt.Sprint(ref.log) {
 			t.Fatalf("op %d (%s): fired %v, reference %v", op, what, log, ref.log)
 		}
-		if s.Now() != ref.now || s.Pending() != ref.pending {
-			t.Fatalf("op %d (%s): now %v pending %d, reference now %v pending %d",
-				op, what, s.Now(), s.Pending(), ref.now, ref.pending)
+		if s.Now() != ref.now || s.Pending() != ref.pending || s.Fired() != uint64(len(ref.log)) {
+			t.Fatalf("op %d (%s): now %v pending %d fired %d, reference now %v pending %d fired %d",
+				op, what, s.Now(), s.Pending(), s.Fired(), ref.now, ref.pending, len(ref.log))
 		}
 		checkHeapInvariant(t, &s)
 	}

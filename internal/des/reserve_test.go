@@ -9,8 +9,8 @@ func TestScheduleReservedWinsTieOnLowerSeq(t *testing.T) {
 	var s Simulator
 	var order []string
 	seq := s.Reserve(1)
-	s.Schedule(5, func(float64) { order = append(order, "scheduled") })
-	if _, err := s.ScheduleReserved(5, seq, func(float64) { order = append(order, "reserved") }); err != nil {
+	s.Schedule(5, func(float64, int32) { order = append(order, "scheduled") }, 0)
+	if err := s.ScheduleReserved(5, seq, func(float64, int32) { order = append(order, "reserved") }, 0); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(10)
@@ -28,7 +28,7 @@ func TestReservePendingCountsReservations(t *testing.T) {
 	if next := s.Reserve(0); next != 3 || s.Pending() != 3 {
 		t.Errorf("Reserve(0) = %d, Pending = %d; want 3, 3", next, s.Pending())
 	}
-	if _, err := s.ScheduleReserved(1, lo+1, func(float64) {}); err != nil {
+	if err := s.ScheduleReserved(1, lo+1, func(float64, int32) {}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s.Pending() != 3 {
@@ -40,7 +40,7 @@ func TestReservePendingCountsReservations(t *testing.T) {
 	}
 	checkHeapInvariant(t, &s)
 	// The next plain Schedule takes the number after the reservation.
-	if _, err := s.Schedule(3, func(float64) {}); err != nil {
+	if err := s.Schedule(3, func(float64, int32) {}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s.heapMeta[0].seq != 3 {
@@ -53,30 +53,30 @@ func TestScheduleReservedRejectsPast(t *testing.T) {
 	seq := s.Reserve(1)
 	s.Run(10)
 	for _, at := range []float64{5, math.NaN()} {
-		if _, err := s.ScheduleReserved(at, seq, func(float64) {}); err != ErrPast {
+		if err := s.ScheduleReserved(at, seq, func(float64, int32) {}, 0); err != ErrPast {
 			t.Errorf("ScheduleReserved(%v) err = %v, want ErrPast", at, err)
 		}
 	}
 	// A rejected call leaves the number reserved.
-	if _, err := s.ScheduleReserved(15, seq, func(float64) {}); err != nil {
+	if err := s.ScheduleReserved(15, seq, func(float64, int32) {}, 0); err != nil {
 		t.Errorf("reserved number unusable after ErrPast: %v", err)
 	}
 }
 
 func TestScheduleReservedRejectsUnreservedSeq(t *testing.T) {
 	var s Simulator
-	s.Schedule(1, func(float64) {}) // takes seq 0
-	lo := s.Reserve(2)              // 1 and 2
-	s.Schedule(1, func(float64) {}) // takes seq 3
+	s.Schedule(1, func(float64, int32) {}, 0) // takes seq 0
+	lo := s.Reserve(2)                        // 1 and 2
+	s.Schedule(1, func(float64, int32) {}, 0) // takes seq 3
 	for _, seq := range []uint64{0, 3, 4, math.MaxUint64} {
-		if _, err := s.ScheduleReserved(2, seq, func(float64) {}); err != ErrNotReserved {
+		if err := s.ScheduleReserved(2, seq, func(float64, int32) {}, 0); err != ErrNotReserved {
 			t.Errorf("ScheduleReserved(seq %d) err = %v, want ErrNotReserved", seq, err)
 		}
 	}
-	if _, err := s.ScheduleReserved(2, lo, func(float64) {}); err != nil {
+	if err := s.ScheduleReserved(2, lo, func(float64, int32) {}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ScheduleReserved(2, lo, func(float64) {}); err != ErrNotReserved {
+	if err := s.ScheduleReserved(2, lo, func(float64, int32) {}, 0); err != ErrNotReserved {
 		t.Errorf("second use of seq %d: err = %v, want ErrNotReserved", lo, err)
 	}
 	if s.Pending() != 4 {
@@ -92,7 +92,7 @@ func TestResetClearsReservations(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Errorf("Pending after Reset = %d, want 0", s.Pending())
 	}
-	if _, err := s.ScheduleReserved(1, lo, func(float64) {}); err != ErrNotReserved {
+	if err := s.ScheduleReserved(1, lo, func(float64, int32) {}, 0); err != ErrNotReserved {
 		t.Errorf("pre-Reset reservation accepted: err = %v", err)
 	}
 	if got := s.Reserve(1); got != 0 {
@@ -109,17 +109,17 @@ func TestReserveSteadyStateAllocs(t *testing.T) {
 	var lo uint64
 	next := 0
 	var h Handler
-	h = func(now float64) {
+	h = func(now float64, _ int32) {
 		next++
 		if next < n {
-			s.ScheduleReserved(now+1, lo+uint64(next), h)
+			s.ScheduleReserved(now+1, lo+uint64(next), h, 0)
 		}
 	}
 	run := func() {
 		s.Reset()
 		next = 0
 		lo = s.Reserve(n)
-		s.ScheduleReserved(0, lo, h)
+		s.ScheduleReserved(0, lo, h, 0)
 		s.Run(math.Inf(1))
 	}
 	run()

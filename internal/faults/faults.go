@@ -518,21 +518,25 @@ func storeReservation(cells []faultCell, engineEnabled bool) int {
 // one tick per simulated day, ~2.5k extra events over a full study run.
 const healthEvalPeriod = 24.0
 
-// scheduleHealthTicks pre-schedules the health engine's evaluation ticks
-// over the simulated range. They are plain scheduled events (not
-// des.Every) so the queue still drains and Run(∞) terminates.
+// scheduleHealthTicks pre-schedules the health engine's evaluation ticks,
+// one per healthEvalPeriod over the simulated range. One handler, bound
+// once, serves every tick.
 func (d *Driver) scheduleHealthTicks(from, to int) {
 	if d.health == nil {
 		return
 	}
 	start := des.YearStart(from, fleet.FirstYear)
 	end := des.YearStart(to+1, fleet.FirstYear)
+	tick := d.evaluateHealth
 	for t := start + healthEvalPeriod; t <= end; t += healthEvalPeriod {
-		if _, err := d.sim.Schedule(t, func(now float64) { d.health.Evaluate(now) }); err != nil {
+		if err := d.sim.Schedule(t, tick, 0); err != nil {
 			panic(fmt.Sprintf("faults: scheduling health tick: %v", err))
 		}
 	}
 }
+
+// evaluateHealth is the health tick's handler.
+func (d *Driver) evaluateHealth(now float64, _ int32) { d.health.Evaluate(now) }
 
 // drawFaults appends the n faults of one (year, device type) cell to the
 // slab.
@@ -602,7 +606,7 @@ func (d *Driver) armFaults() {
 // armNext queues the fault under the cursor.
 func (d *Driver) armNext() {
 	f := &d.slab[d.next]
-	if _, err := d.sim.ScheduleReserved(f.Start, d.seqBase+uint64(f.draw), d.onFault); err != nil {
+	if err := d.sim.ScheduleReserved(f.Start, d.seqBase+uint64(f.draw), d.onFault, 0); err != nil {
 		panic(fmt.Sprintf("faults: scheduling fault: %v", err))
 	}
 }
@@ -613,7 +617,7 @@ func (d *Driver) armNext() {
 // every reserved one, so it cannot overtake the next fault.
 //
 //hot:noalloc
-func (d *Driver) fireFault(float64) {
+func (d *Driver) fireFault(float64, int32) {
 	idx := d.next
 	d.next++
 	if d.next < len(d.slab) {

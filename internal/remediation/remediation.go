@@ -199,13 +199,13 @@ func (s TypeStats) AvgRepairSeconds() float64 {
 }
 
 // Engine is the automated repair system. It is driven by a des.Simulator:
-// Submit schedules the repair's wait and execution as simulation events.
+// SubmitTag schedules the repair's wait and execution as simulation events.
 //
-// Submit may be called from multiple goroutines: statistics, randomness,
-// and the simulator's event queue are all touched under the engine's
-// mutex, so concurrent submissions stay internally consistent. (Running
-// the simulator concurrently with Submit is still the caller's problem —
-// the DES kernel itself is single-threaded.)
+// SubmitTag may be called from multiple goroutines: statistics,
+// randomness, and the simulator's event queue are all touched under the
+// engine's mutex, so concurrent submissions stay internally consistent.
+// (Running the simulator concurrently with SubmitTag is still the
+// caller's problem — the DES kernel itself is single-threaded.)
 type Engine struct {
 	mu      sync.Mutex
 	sim     *des.Simulator
@@ -225,7 +225,7 @@ type Engine struct {
 	// (indexed by the type constant). Repairs are by far the most frequent
 	// trace record the whole simulation produces (~one per fault), so the
 	// hot path stages 48-byte records instead of building an args map and
-	// taking the tracer lock each time. Submit's mutex satisfies the rings'
+	// taking the tracer lock each time. SubmitTag's mutex satisfies the rings'
 	// single-writer contract; FlushTrace publishes the tails.
 	rings  []*obs.SpanRing
 	logger *slog.Logger
@@ -237,12 +237,12 @@ type Engine struct {
 
 	// The outcome slab. Each submission takes a slot (from free, or by
 	// growing slots) holding its outcome and its recipient, and queues
-	// one payload event carrying the slot's index; fire (fireOutcome,
-	// bound once by NewEngine) frees the slot and delivers the outcome.
+	// one event carrying the slot's index; fire (fireOutcome, bound once
+	// by NewEngine) frees the slot and delivers the outcome.
 	// At steady state a submission therefore allocates nothing.
 	slots []outcomeSlot
 	free  []int32
-	fire  des.ArgHandler
+	fire  des.Handler
 }
 
 // outcomeSlot is one pending outcome, its handler and the tag the
@@ -361,22 +361,16 @@ func (e *Engine) Enabled() bool {
 	return e.enabled
 }
 
-// Submit hands a detected fault on a device of type t to the engine. The
-// done callback fires (as a simulation event) once the outcome is known:
-// immediately for escalations, after wait+repair for automated fixes.
-// Submit is safe to call concurrently; the event scheduling happens under
-// the engine's mutex.
-func (e *Engine) Submit(t topology.DeviceType, class FaultClass, done func(Outcome)) {
-	e.SubmitTag(t, class, 0, func(_ int32, o Outcome) { done(o) }, 0)
-}
-
-// SubmitTag is Submit with causal provenance, for a caller that keeps its
-// own per-fault state. cause is the journal ID of the record that led to
-// this submission (the fault's detection record), and becomes the parent
-// of the ticket-cut entry the engine journals; with no journal attached —
-// or a zero cause — the records are simply not written. The outcome goes
-// to h together with tag (typically the fault's index in the caller's
-// slab), so a caller that binds h once allocates nothing per fault.
+// SubmitTag hands a detected fault on a device of type t to the engine.
+// The outcome goes to h together with tag (typically the fault's index in
+// the caller's slab) as a simulation event once it is known: immediately
+// for escalations, after wait+repair for automated fixes. A caller that
+// binds h once allocates nothing per fault. cause is the journal ID of
+// the record that led to this submission (the fault's detection record),
+// and becomes the parent of the ticket-cut entry the engine journals;
+// with no journal attached — or a zero cause — the records are simply not
+// written. SubmitTag is safe to call concurrently; the event scheduling
+// happens under the engine's mutex.
 //
 //hot:noalloc
 func (e *Engine) SubmitTag(t topology.DeviceType, class FaultClass, cause journal.ID, h func(tag int32, o Outcome), tag int32) {
@@ -471,8 +465,8 @@ func (e *Engine) noteEscalation(t topology.DeviceType, class FaultClass) {
 }
 
 // queueOutcome stores out, h and tag in a free slot of the outcome slab
-// and queues the payload event that delivers the outcome delay hours
-// from now. Caller holds mu.
+// and queues the event that delivers the outcome delay hours from now.
+// Caller holds mu.
 //
 //hot:noalloc
 func (e *Engine) queueOutcome(delay float64, out Outcome, h func(int32, Outcome), tag int32) {
@@ -485,7 +479,7 @@ func (e *Engine) queueOutcome(delay float64, out Outcome, h func(int32, Outcome)
 		slot = int32(len(e.slots) - 1)
 	}
 	e.slots[slot] = outcomeSlot{out: out, tag: tag, h: h}
-	e.sim.AfterArg(delay, e.fire, slot)
+	e.sim.After(delay, e.fire, slot)
 }
 
 // fireOutcome is the outcome event's handler: it frees the slot, takes a

@@ -68,14 +68,14 @@ func TestUnsupportedTypeAlwaysEscalates(t *testing.T) {
 	e, sim := newTestEngine()
 	escalated := 0
 	for i := 0; i < 100; i++ {
-		e.Submit(topology.CSA, PortPingFailure, func(o Outcome) {
+		e.SubmitTag(topology.CSA, PortPingFailure, 0, func(_ int32, o Outcome) {
 			if !o.Repaired {
 				escalated++
 			}
 			if o.Priority != -1 {
 				t.Error("escalated fault has a priority")
 			}
-		})
+		}, 0)
 	}
 	sim.Run(1000)
 	if escalated != 100 {
@@ -91,11 +91,11 @@ func TestDisabledEngineEscalatesEverything(t *testing.T) {
 	}
 	repaired := 0
 	for i := 0; i < 200; i++ {
-		e.Submit(topology.RSW, PortPingFailure, func(o Outcome) {
+		e.SubmitTag(topology.RSW, PortPingFailure, 0, func(_ int32, o Outcome) {
 			if o.Repaired {
 				repaired++
 			}
-		})
+		}, 0)
 	}
 	sim.Run(10000)
 	if repaired != 0 {
@@ -108,7 +108,7 @@ func TestRepairRatiosMatchTable1(t *testing.T) {
 	const n = 20000
 	for _, dt := range []topology.DeviceType{topology.RSW, topology.FSW, topology.Core} {
 		for i := 0; i < n; i++ {
-			e.Submit(dt, PortPingFailure, func(Outcome) {})
+			e.SubmitTag(dt, PortPingFailure, 0, func(int32, Outcome) {}, 0)
 		}
 	}
 	sim.Run(1e9)
@@ -137,7 +137,7 @@ func TestPrioritiesMatchTable1(t *testing.T) {
 	const n = 20000
 	for _, dt := range []topology.DeviceType{topology.RSW, topology.FSW, topology.Core} {
 		for i := 0; i < n; i++ {
-			e.Submit(dt, PortPingFailure, func(Outcome) {})
+			e.SubmitTag(dt, PortPingFailure, 0, func(int32, Outcome) {}, 0)
 		}
 	}
 	sim.Run(1e9)
@@ -158,7 +158,7 @@ func TestWaitAndRepairTimesMatchTable1(t *testing.T) {
 	const n = 20000
 	for _, dt := range []topology.DeviceType{topology.RSW, topology.FSW, topology.Core} {
 		for i := 0; i < n; i++ {
-			e.Submit(dt, PortPingFailure, func(Outcome) {})
+			e.SubmitTag(dt, PortPingFailure, 0, func(int32, Outcome) {}, 0)
 		}
 	}
 	sim.Run(1e9)
@@ -186,17 +186,17 @@ func TestWaitAndRepairTimesMatchTable1(t *testing.T) {
 }
 
 func TestOutcomeTimingOnSimulator(t *testing.T) {
-	// The done callback for a repaired fault must fire after the wait, as
+	// The outcome handler for a repaired fault must fire after the wait, as
 	// a simulation event — not immediately.
 	e, sim := newTestEngine()
 	var doneAt float64 = -1
 	var wait float64
-	e.Submit(topology.Core, PortPingFailure, func(o Outcome) {
+	e.SubmitTag(topology.Core, PortPingFailure, 0, func(_ int32, o Outcome) {
 		if o.Repaired {
 			doneAt = sim.Now()
 			wait = o.WaitHours
 		}
-	})
+	}, 0)
 	sim.Run(1e6)
 	if doneAt < 0 {
 		t.Skip("fault escalated on this seed")
@@ -215,7 +215,7 @@ func TestStatsZeroValue(t *testing.T) {
 
 func TestStatsCopySemantics(t *testing.T) {
 	e, sim := newTestEngine()
-	e.Submit(topology.RSW, PortPingFailure, func(Outcome) {})
+	e.SubmitTag(topology.RSW, PortPingFailure, 0, func(int32, Outcome) {}, 0)
 	sim.Run(1e6)
 	st := e.Stats()
 	s := st[topology.RSW]
@@ -226,7 +226,7 @@ func TestStatsCopySemantics(t *testing.T) {
 }
 
 func TestStatsConsistentUnderConcurrentSubmit(t *testing.T) {
-	// Submit is documented as concurrency-safe: stats, randomness, and the
+	// SubmitTag is documented as concurrency-safe: stats, randomness, and the
 	// simulator's queue are all guarded by the engine mutex. Hammer it from
 	// several goroutines (run under -race via make verify) and assert the
 	// per-type accounting stays internally consistent.
@@ -241,7 +241,7 @@ func TestStatsConsistentUnderConcurrentSubmit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				e.Submit(types[(w+i)%len(types)], PortPingFailure, func(Outcome) {})
+				e.SubmitTag(types[(w+i)%len(types)], PortPingFailure, 0, func(int32, Outcome) {}, 0)
 			}
 		}()
 	}
@@ -279,10 +279,10 @@ func TestInstrumentedEngineCounters(t *testing.T) {
 	e.Instrument(reg, tr)
 	const n = 2000
 	for i := 0; i < n; i++ {
-		e.Submit(topology.RSW, PortPingFailure, func(Outcome) {})
+		e.SubmitTag(topology.RSW, PortPingFailure, 0, func(int32, Outcome) {}, 0)
 	}
 	for i := 0; i < 100; i++ {
-		e.Submit(topology.CSA, FanFailure, func(Outcome) {}) // unsupported → escalates
+		e.SubmitTag(topology.CSA, FanFailure, 0, func(int32, Outcome) {}, 0) // unsupported → escalates
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["remediation_submitted_total"]; got != n+100 {
@@ -364,8 +364,8 @@ func TestSubmitTagSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSubmitTagDeliversTag: SubmitTag's outcomes reach the handler they
-// were submitted with, together with their tag, and Submit's reach their
-// own callback, not another submission's handler.
+// were submitted with, together with their tag, not another submission's
+// handler.
 func TestSubmitTagDeliversTag(t *testing.T) {
 	e, sim := newTestEngine()
 	got := map[int32]int{}
@@ -373,7 +373,7 @@ func TestSubmitTagDeliversTag(t *testing.T) {
 	callbacks := 0
 	for i := int32(0); i < 50; i++ {
 		e.SubmitTag(topology.RSW, PortPingFailure, 0, h, i)
-		e.Submit(topology.Core, FanFailure, func(Outcome) { callbacks++ })
+		e.SubmitTag(topology.Core, FanFailure, 0, func(int32, Outcome) { callbacks++ }, 0)
 	}
 	sim.Run(math.Inf(1))
 	if len(got) != 50 || callbacks != 50 {
@@ -386,12 +386,13 @@ func TestSubmitTagDeliversTag(t *testing.T) {
 	}
 }
 
-func BenchmarkSubmit(b *testing.B) {
+func BenchmarkSubmitTag(b *testing.B) {
 	sim := &des.Simulator{}
 	e := NewEngine(sim, simrand.New(1))
+	h := func(int32, Outcome) {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Submit(topology.RSW, PortPingFailure, func(Outcome) {})
+		e.SubmitTag(topology.RSW, PortPingFailure, 0, h, 0)
 	}
 	sim.Run(math.Inf(1))
 }

@@ -29,14 +29,12 @@ import (
 // AddAll, and rebuilt wholesale on ReadJSON; every path appends positions
 // in ascending order, so only a list's last word ever changes.
 //
-// IDs are looked up by position while they are dense: as long as the
-// report at position i has ID i+1 — which holds for every store-assigned
-// ID — a report's position is its ID minus one and no ID map exists. The
-// first report that breaks this (an explicit ID from AddAll or ReadJSON)
-// builds the ID map over every position, and the map is kept from then
-// on, until ReadJSON replaces the contents. Either way IDs only grow with
-// position: AddAll rejects an explicit ID at or below the largest held,
-// and ReadJSON sorts its dataset, so All and WriteJSON are in ID order.
+// IDs strictly ascend with position: AddAll rejects an explicit ID at or
+// below the largest held, and ReadJSON sorts its dataset, so All and
+// WriteJSON are in ID order, and an ID is found by position alone. While
+// IDs are dense — the report at position i has ID i+1, which holds for
+// every store-assigned ID — a report's position is its ID minus one, and
+// otherwise a binary search over the positions finds it (see posLocked).
 type Store struct {
 	mu      sync.RWMutex
 	reports []Report
@@ -46,9 +44,6 @@ type Store struct {
 	// key on it: a bumped generation invalidates every cached aggregation.
 	gen atomic.Uint64
 
-	// byID maps report ID → position in reports. It is nil while IDs are
-	// dense (reports[i].ID == i+1 for every i); see posLocked.
-	byID map[int]int
 	// types caches the parsed device type per position so queries never
 	// re-parse device names.
 	types []topology.DeviceType
@@ -100,7 +95,6 @@ func NewStore() *Store {
 
 // resetIndexLocked reinitializes every secondary index. Caller holds mu.
 func (s *Store) resetIndexLocked(capacity int) {
-	s.byID = nil
 	s.types = make([]topology.DeviceType, 0, capacity)
 	s.byYear = make(map[int]*postings)
 	s.byType = make(map[topology.DeviceType]*postings)
@@ -158,16 +152,6 @@ func (s *Store) indexPostingsLocked(pos int) {
 		t = topology.DeviceType(-1)
 	}
 	s.types = append(s.types, t)
-	if s.byID == nil && r.ID != pos+1 {
-		// The first sparse ID: map every earlier (dense) position.
-		s.byID = make(map[int]int, len(s.reports))
-		for i := range pos {
-			s.byID[i+1] = i
-		}
-	}
-	if s.byID != nil {
-		s.byID[r.ID] = pos
-	}
 	post(s.byYear, r.Year, pos)
 	post(s.bySev, r.Severity, pos)
 	if t >= 0 {
@@ -182,17 +166,15 @@ func (s *Store) indexPostingsLocked(pos int) {
 	}
 }
 
-// posLocked returns the position of the report with the given ID. Caller
-// holds mu.
+// posLocked returns the position of the report with the given ID: ID-1
+// while IDs are dense there, otherwise a binary search, which IDs
+// ascending with position make valid. Caller holds mu.
 func (s *Store) posLocked(id int) (int, bool) {
-	if s.byID != nil {
-		pos, ok := s.byID[id]
-		return pos, ok
+	if id >= 1 && id <= len(s.reports) && s.reports[id-1].ID == id {
+		return id - 1, true
 	}
-	if id < 1 || id > len(s.reports) {
-		return 0, false
-	}
-	return id - 1, true
+	pos := sort.Search(len(s.reports), func(i int) bool { return s.reports[i].ID >= id })
+	return pos, pos < len(s.reports) && s.reports[pos].ID == id
 }
 
 // Grow reserves room for n more reports, so the next n Adds append
@@ -339,7 +321,6 @@ func DecodeDataset(r io.Reader) ([]Report, error) {
 	if err := json.NewDecoder(r).Decode(&reports); err != nil {
 		return nil, fmt.Errorf("sev: decoding dataset: %w", err)
 	}
-	seen := make(map[int]bool, len(reports))
 	for i := range reports {
 		id := reports[i].ID
 		if err := reports[i].Validate(); err != nil {
@@ -348,11 +329,12 @@ func DecodeDataset(r io.Reader) ([]Report, error) {
 		if id < 1 {
 			return nil, fmt.Errorf("sev: report ID %d in dataset, want >= 1", id)
 		}
-		if seen[id] {
-			return nil, fmt.Errorf("sev: duplicate report ID %d in dataset", id)
-		}
-		seen[id] = true
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
+	for i := 1; i < len(reports); i++ {
+		if reports[i].ID == reports[i-1].ID {
+			return nil, fmt.Errorf("sev: duplicate report ID %d in dataset", reports[i].ID)
+		}
+	}
 	return reports, nil
 }
