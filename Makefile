@@ -43,11 +43,12 @@ apicheck:
 race:
 	$(GO) test -race ./...
 
-# test-obs race-tests the telemetry package and every instrumented hot
-# path: lock-free metric updates and concurrent trace emission must stay
-# clean under the race detector.
+# test-obs race-tests the telemetry package, every instrumented hot
+# path, and the faults driver that wires a run's sinks: lock-free metric
+# updates and concurrent trace emission must stay clean under the race
+# detector.
 test-obs:
-	$(GO) test -race ./internal/obs/ ./internal/obs/health/ ./internal/obs/journal/ ./internal/obs/timeline/ ./internal/des/ ./internal/remediation/ ./internal/sev/ ./internal/core/
+	$(GO) test -race ./internal/obs/ ./internal/obs/health/ ./internal/obs/journal/ ./internal/obs/timeline/ ./internal/des/ ./internal/remediation/ ./internal/faults/ ./internal/sev/ ./internal/core/
 
 # test-health race-tests the streaming SLO engine and its end-to-end
 # wiring: the engine package itself plus the facade scenarios (elevated

@@ -51,6 +51,7 @@ import (
 	"path/filepath"
 
 	"dcnr"
+	"dcnr/internal/obs/timeline"
 	"dcnr/internal/tickets"
 )
 
@@ -263,7 +264,7 @@ func run(o options) (err error) {
 			return err
 		}
 		fmt.Printf("timeline: %d samples (every %gh of sim time) → %s\n",
-			tline.Len(), tline.Cadence(), o.timelineOut)
+			tline.Len(), timeline.DefaultCadence, o.timelineOut)
 	}
 
 	if o.healthOut != "" {

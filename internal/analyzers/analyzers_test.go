@@ -170,7 +170,7 @@ func TestObsNilSafeBadFixture(t *testing.T) {
 		"bad_timeline.go:10:2 obsnilsafe",  // field of value type timeline.Timeline
 		"bad_timeline.go:15:6 obsnilsafe",  // timeline.Timeline{} composite literal
 		"bad_timeline.go:16:9 obsnilsafe",  // new(timeline.Timeline)
-		"bad_timeline.go:20:25 obsnilsafe", // parameter of value type timeline.Lane
+		"bad_timeline.go:20:25 obsnilsafe", // parameter of value type timeline.Timeline
 	})
 	if !diagsMention(diags, "health.New") {
 		t.Errorf("engine diagnostics should point at health.New: %q", diagKeys(diags))

@@ -14,22 +14,23 @@ import (
 // follows suit: a nil *journal.Journal (and the nil *journal.Lane it hands
 // out) drops records for free, and journal.New is the only way to get a
 // journal whose lanes share one ID counter. The timeline sampler is the
-// same shape again: a nil *timeline.Timeline (and the nil *timeline.Lane
-// it hands out) records nothing, and timeline.New is the only constructor
-// that wires the column table and staging rings. The serving layer closes
+// same shape again: a nil *timeline.Timeline records nothing, and
+// timeline.New is the only constructor that wires the column table and
+// staging ring. The serving layer closes
 // the set: a nil *serve.Server is inert (Register and Shutdown no-op,
 // Start errors), and serve.New is the only constructor that wires the mux
 // and the lifecycle state behind Start/Shutdown. Violations this catches:
 //
 //   - constructing obs.Counter/Gauge/Histogram/Registry/Tracer,
-//     health.Engine, journal.Journal/Lane, timeline.Timeline/Lane, or
+//     health.Engine, journal.Journal/Lane, timeline.Timeline, or
 //     serve.Server with a composite literal or new(): a hand-rolled
 //     metric is invisible to every exposition path (Snapshot and
 //     Prometheus), a zero-value Registry panics on first use, a
 //     zero-value Engine skips rule validation, a hand-rolled Journal
-//     mints colliding causal IDs, a hand-rolled Timeline has no column
-//     table for its lanes to stage into, and a zero-value Server has no
-//     mux — Register panics and Shutdown's idempotence guard is gone.
+//     mints colliding causal IDs, a hand-rolled Timeline sidesteps the
+//     one constructor the wiring is written against, and a zero-value
+//     Server has no mux — Register panics and Shutdown's idempotence
+//     guard is gone.
 //   - declaring a field, variable, or parameter of value (non-pointer)
 //     guarded type: copying the embedded atomics/mutexes forks the state,
 //     and a value can never be the nil no-op that uninstrumented runs rely
@@ -42,7 +43,7 @@ var ObsNilSafe = &Analyzer{
 	Name: "obsnilsafe",
 	Doc:  "obs metrics and health engines must come from their constructors and be held by pointer",
 	Contract: `obs guarded types (Registry metrics, health.Engine, journal
-Journal/Lane, timeline Timeline/Lane, serve.Server) rely on nil-receiver
+Journal/Lane, timeline.Timeline, serve.Server) rely on nil-receiver
 no-ops for zero-cost disablement, so
 they must be obtained from their constructors and held only as pointers:
 no composite literals, no new(T), no value-typed fields or copies —
@@ -62,7 +63,7 @@ const (
 // obsGuardedTypes are the types with construction and copy rules, per
 // package. Constructors: Registry methods for metrics, NewRegistry,
 // NewTracer, health.New, journal.New (lanes only via Journal.Lane),
-// timeline.New (lanes only via Timeline.Lane), serve.New.
+// timeline.New, serve.New.
 var obsGuardedTypes = map[string]map[string]bool{
 	obsPath: {
 		"Counter": true, "Gauge": true, "Histogram": true,
@@ -70,7 +71,7 @@ var obsGuardedTypes = map[string]map[string]bool{
 	},
 	healthPath:   {"Engine": true},
 	journalPath:  {"Journal": true, "Lane": true},
-	timelinePath: {"Timeline": true, "Lane": true},
+	timelinePath: {"Timeline": true},
 	servePath:    {"Server": true},
 }
 
@@ -145,8 +146,6 @@ func obsConstructor(name string) string {
 		return "Journal.Lane"
 	case "timeline.Timeline":
 		return "timeline.New"
-	case "timeline.Lane":
-		return "Timeline.Lane"
 	case "serve.Server":
 		return "serve.New"
 	}

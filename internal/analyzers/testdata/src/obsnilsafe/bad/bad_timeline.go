@@ -1,11 +1,11 @@
 // Hand-rolled timelines: only timeline.New wires the column table and
-// staging rings, and only a pointer can be the nil no-op sampler.
+// staging ring, and only a pointer can be the nil no-op timeline.
 package bad
 
 import "dcnr/internal/obs/timeline"
 
 // Dashboard holds a timeline by value: copying forks the column table
-// and the staging rings behind the merged sample view.
+// and the staging ring behind the sample view.
 type Dashboard struct {
 	history timeline.Timeline
 }
@@ -16,5 +16,5 @@ func HiddenTimeline() *timeline.Timeline {
 	return new(timeline.Timeline)
 }
 
-// CopiedTimelineLane takes a lane by value, forking its staging ring.
-func CopiedTimelineLane(l timeline.Lane) {}
+// CopiedTimelineRing takes a timeline by value, forking its staging ring.
+func CopiedTimelineRing(t timeline.Timeline) {}

@@ -15,7 +15,7 @@ type Recorder struct {
 // NewRecorder wires a recorder; j may be nil (the no-op journal, whose
 // Lane method returns the no-op lane).
 func NewRecorder(j *journal.Journal) *Recorder {
-	return &Recorder{j: j, lane: j.Lane("events")}
+	return &Recorder{j: j, lane: j.Lane()}
 }
 
 // Note stages one record through the nil-safe lane. Record and ID are

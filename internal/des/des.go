@@ -103,12 +103,6 @@ type Simulator struct {
 	firedDelta int64 // events fired since the last metrics flush
 	winEvents  int64 // events in the current metrics-only timing window
 
-	// syncHooks run at every telemetry sync point (Run/Step exit) so
-	// batched side recorders — the causal journal's lanes above all —
-	// can publish their staged tails whenever the kernel publishes its
-	// own. See AddSyncHook.
-	syncHooks []func()
-
 	// Sampling hook (SetSampleHook): sampleFn is invoked at every
 	// multiple of sampleEvery the clock crosses, with the grid time —
 	// the timeline sampler's cadence driver. sampleNext is the first
@@ -401,19 +395,6 @@ func (s *Simulator) syncTelemetry() {
 		s.flushMetrics()
 	}
 	s.ring.Flush()
-	for _, f := range s.syncHooks {
-		f()
-	}
-}
-
-// AddSyncHook registers f to run at every telemetry sync point — each
-// Run/Step exit, outside the hot loop. Batched recorders riding along
-// with the simulation (the faults driver's journal lanes) register their
-// flush here so anything staged becomes reader-visible exactly when the
-// kernel's own staged telemetry does. Hooks run on the simulation
-// goroutine in registration order.
-func (s *Simulator) AddSyncHook(f func()) {
-	s.syncHooks = append(s.syncHooks, f)
 }
 
 // ErrPast is returned when an event is scheduled before the current time.

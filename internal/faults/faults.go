@@ -159,13 +159,10 @@ type Driver struct {
 	// jlane is the driver's causal-journal lane (fault raised/detected and
 	// incident opened/closed records); the remediation engine journals the
 	// ticket→repair middle of each chain on its own lane. Nil is a no-op.
-	jlane   *journal.Lane
-	jhooked bool
+	jlane *journal.Lane
 	// tsampler feeds the attached metrics timeline on the kernel's
-	// cadence grid; flushed at every simulator sync point. Nil is a
-	// no-op.
+	// cadence grid; flushed at the end of Run. Nil is a no-op.
 	tsampler *timeline.Sampler
-	thooked  bool
 	// classShares caches remediation.ClassShares() and causeWeights the
 	// Table 2 root-cause weights in sev.RootCauses order — both are
 	// constants, and building a fresh slice per fault or incident was a
@@ -264,29 +261,9 @@ func NewDriver(fl *fleet.Model, seed uint64) (*Driver, error) {
 	return d, nil
 }
 
-// Simulator exposes the driver's event loop (useful for composing extra
-// processes before Run).
-func (d *Driver) Simulator() *des.Simulator { return d.sim }
-
-// Instrument attaches telemetry to the whole intra-DC pipeline: the DES
-// kernel (event counters, queue depth, sim-vs-wall time), the remediation
-// engine (queue depth, wait/repair histograms, submit→outcome trace
-// spans), and the SEV store's query engine (indexed-vs-scan counters).
-// Call before Run; either argument may be nil.
-func (d *Driver) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	d.sim.Instrument(reg, tr)
-	d.Engine.Instrument(reg, tr)
-	d.Store.Instrument(reg)
-}
-
-// SetHealth attaches a streaming SLO engine: the driver feeds it every
-// fault, repair, and incident, and schedules a daily sim-time evaluation
-// tick across the run. Call before Run; nil detaches.
-func (d *Driver) SetHealth(e *health.Engine) { d.health = e }
-
 // NewJournal returns a causal journal pre-configured with the intra-DC
 // name tables (device types, fault classes, severities), ready to pass
-// through observe.Observe.Journal or SetJournal.
+// through observe.Observe.Journal.
 func NewJournal() *journal.Journal {
 	j := journal.New()
 	dev := make([]string, int(topology.BBR)+1)
@@ -303,32 +280,6 @@ func NewJournal() *journal.Journal {
 	}
 	j.SetNames(dev, class, sevs)
 	return j
-}
-
-// SetJournal attaches a causal journal: the driver records each fault's
-// raised/detected entries and any incident's opened/closed entries, the
-// remediation engine the ticket→dispatch/escalate→repair middle, all
-// linked by parent IDs into one chain per fault. The journal's staged
-// lanes are published at every simulator sync point and at the end of
-// Run. Recording draws no randomness, so an attached journal never
-// changes the generated dataset. Call before Run; nil detaches.
-func (d *Driver) SetJournal(j *journal.Journal) {
-	if j == nil {
-		d.jlane = nil
-		d.Engine.SetJournal(nil)
-		return
-	}
-	d.jlane = j.Lane("faults")
-	d.Engine.SetJournal(j)
-	if !d.jhooked {
-		// One hook per driver even if the journal is swapped: the closure
-		// reads the current lane fields.
-		d.jhooked = true
-		d.sim.AddSyncHook(func() {
-			d.jlane.Flush()
-			d.Engine.FlushTrace()
-		})
-	}
 }
 
 // timelineCounters and timelineGauges name the registry series an
@@ -355,71 +306,46 @@ var (
 	}
 )
 
-// SetTimeline attaches a metrics timeline sampling reg's series on the
-// timeline's cadence grid, timed by the DES clock: the driver registers a
-// kernel sample hook (called at each crossed multiple of the cadence)
-// and flushes the staged samples at every simulator sync point. Sampling
-// reads only event-driven series and no wall clock, so an attached
-// timeline never changes the generated dataset. Call before Run; a nil
-// timeline (or nil registry) detaches.
-func (d *Driver) SetTimeline(tl *timeline.Timeline, reg *obs.Registry) {
-	if tl == nil || reg == nil {
-		d.tsampler = nil
-		d.sim.SetSampleHook(0, nil)
-		return
-	}
-	d.tsampler = timeline.NewSampler(tl, "intra", reg, timelineCounters, timelineGauges)
-	d.sim.SetSampleHook(tl.Cadence(), d.tsampler.Sample)
-	if !d.thooked {
-		// One hook per driver even if the timeline is swapped: the
-		// closure reads the current sampler field.
-		d.thooked = true
-		d.sim.AddSyncHook(func() { d.tsampler.Flush() })
-	}
-}
-
-// Observe wires a whole observability bundle in one call: Instrument with
-// the registry and tracer, SetHealth (plus health-engine instrumentation)
-// when a health engine is present, SetLogger when a logger is present,
-// and SetJournal / SetTimeline for the streaming recorders. Each sink is
-// guarded on its own nil check — attaching a logger without a health
-// engine, or a health engine without metrics, wires exactly the sinks
-// that exist. A timeline without a registry gets a private one: the
-// sampler needs instrumented series to read, but the caller shouldn't
-// have to ask for metrics output just to get history. Call before Run.
+// Observe attaches a run's observability bundle; it is the one place a
+// run's sinks are wired. Metrics and Trace instrument the DES kernel
+// (event counters, queue depth, sim-vs-wall time), the remediation engine
+// (queue depth, wait/repair histograms, submit→outcome trace spans) and
+// the SEV store's query engine (indexed-vs-scan counters). Health receives
+// every fault, repair and incident plus a daily sim-time evaluation tick,
+// and is instrumented with the run's registry. Logger logs incidents at
+// info and fault-level churn at debug, each record carrying the
+// simulation clock; it is handed to the health engine too, and a health
+// engine's own logger is left alone when Logger is nil. Journal records
+// each fault's raised/detected entries and any incident's opened/closed
+// entries, the remediation engine the ticket→dispatch/escalate→repair
+// middle, all linked by parent IDs into one chain per fault. Timeline
+// samples the registry's event-driven series on the timeline's cadence
+// grid, timed by the DES clock; a timeline without Metrics gets a private
+// registry, since the sampler needs instrumented series to read. Journal
+// and timeline draw no randomness and read no wall clock, so attaching
+// them never changes the generated dataset, and Run publishes whatever
+// they and the engine's trace rings still stage before it returns. Nil
+// fields are no-ops. Call once, before Run.
 func (d *Driver) Observe(o observe.Observe) {
 	reg := o.Metrics
 	if reg == nil && o.Timeline != nil {
 		reg = obs.NewRegistry()
 	}
-	d.Instrument(reg, o.Trace)
-	if o.Health != nil {
-		o.Health.Instrument(reg)
-		d.SetHealth(o.Health)
-	}
+	d.sim.Instrument(reg, o.Trace)
+	d.jlane = o.Journal.Lane()
+	d.Engine.Observe(observe.Observe{Metrics: reg, Trace: o.Trace, Journal: o.Journal, Logger: o.Logger})
+	d.Store.Instrument(reg)
+	d.health = o.Health
+	o.Health.Instrument(reg)
 	if o.Logger != nil {
-		d.SetLogger(o.Logger)
-		if o.Health != nil {
-			o.Health.SetLogger(o.Logger)
-		}
-	}
-	if o.Journal != nil {
-		d.SetJournal(o.Journal)
+		d.logger = o.Logger
+		d.sim.SetLogger(o.Logger)
+		o.Health.SetLogger(o.Logger)
 	}
 	if o.Timeline != nil {
-		d.SetTimeline(o.Timeline, reg)
+		d.tsampler = timeline.NewSampler(o.Timeline, reg, timelineCounters, timelineGauges)
+		d.sim.SetSampleHook(timeline.DefaultCadence, d.tsampler.Sample)
 	}
-}
-
-// SetLogger attaches a structured logger: the driver (and, through
-// SetLogger on the engine it owns, the remediation plane) logs incidents
-// at info and fault-level churn at debug, each record carrying the
-// simulation clock. Pair with obs.NewSimHandler. Call before Run; nil
-// detaches.
-func (d *Driver) SetLogger(l *slog.Logger) {
-	d.logger = l
-	d.Engine.SetLogger(l)
-	d.sim.SetLogger(l)
 }
 
 // Faults reports how many device faults Run generated.
@@ -478,9 +404,10 @@ func (d *Driver) Run(from, to int) (*sev.Store, error) {
 		// the books at the finite end of the simulated range.
 		d.health.Evaluate(des.YearStart(to+1, fleet.FirstYear))
 	}
-	// Publish any repair spans still staged in the engine's ring buffers so
-	// a trace written after Run sees the full repair history, and any
-	// journal records still staged in the driver's lane.
+	// Publish what the sinks still stage — repair spans and journal
+	// records in the engine's rings, journal records in the driver's
+	// lane, samples in the timeline — so every sink is complete when Run
+	// returns.
 	d.Engine.FlushTrace()
 	d.jlane.Flush()
 	d.tsampler.Flush()
@@ -688,7 +615,7 @@ func (d *Driver) onOutcome(idx int32, o remediation.Outcome) {
 		return
 	}
 	// The incident's cause is the engine's escalation record. The engine
-	// journals on the lane SetJournal gives it together with the driver's,
+	// journals on the lane Observe gives it together with the driver's,
 	// so the record is nonzero whenever the driver journals, and both are
 	// zero without a journal (recordIncident then journals nothing).
 	d.recordIncident(f, o.Journal)

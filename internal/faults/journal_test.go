@@ -6,6 +6,7 @@ import (
 
 	"dcnr/internal/fleet"
 	"dcnr/internal/obs/journal"
+	"dcnr/internal/observe"
 	"dcnr/internal/sev"
 )
 
@@ -18,7 +19,7 @@ func journaledRun(t *testing.T, seed uint64, from, to int) (*Driver, *sev.Store,
 		t.Fatalf("NewDriver: %v", err)
 	}
 	j := NewJournal()
-	d.SetJournal(j)
+	d.Observe(observe.Observe{Journal: j})
 	store, err := d.Run(from, to)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -10,8 +10,8 @@ import (
 func benchJournal(n int) *Journal {
 	j := New()
 	j.SetNames([]string{"rack_switch", "fabric_switch"}, []string{"connectivity"}, []string{"sev3"})
-	faults := j.Lane("faults")
-	rem := j.Lane("remediation")
+	faults := j.Lane()
+	rem := j.Lane()
 	for i := 0; i < n; i++ {
 		t := float64(i) * 0.25
 		raised := faults.Record(Record{Kind: FaultRaised, Time: t, Dev: uint8(i % 2), Class: 0, Sev: -1})
@@ -30,7 +30,7 @@ const benchN = 70000
 
 func BenchmarkObsJournalRecord(b *testing.B) {
 	j := New()
-	l := j.Lane("bench")
+	l := j.Lane()
 	r := Record{Kind: FaultRaised, Time: 1.5, Dev: 1, Class: 0, Sev: -1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -17,7 +17,8 @@
 // buffer published as immutable blocks that SpanRing also uses, so the
 // hot path costs one struct store and one atomic ID allocation, never a
 // map or an encoder. Lanes flush automatically when the staging buffer
-// fills and explicitly at simulation sync points; readers (WriteJSONL,
+// fills and explicitly before the run that records them returns (the
+// faults driver flushes every lane at the end of Run); readers (WriteJSONL,
 // Index) see only flushed blocks, so a mid-run reader observes a
 // consistent prefix of each lane while writers keep recording.
 //
@@ -162,11 +163,11 @@ func (j *Journal) SetNames(dev, class, sev []string) {
 // (callers that share a lane across goroutines serialize on their own
 // mutex, as the remediation engine does). Returns nil — a valid no-op
 // lane — on a nil journal.
-func (j *Journal) Lane(name string) *Lane {
+func (j *Journal) Lane() *Lane {
 	if j == nil {
 		return nil
 	}
-	l := &Lane{j: j, name: name}
+	l := &Lane{j: j}
 	j.mu.Lock()
 	j.lanes = append(j.lanes, l)
 	j.mu.Unlock()
@@ -395,7 +396,6 @@ func (e *encoder) appendRecord(b []byte, r Record) []byte {
 // methods are nil-safe.
 type Lane struct {
 	j    *Journal
-	name string
 	ring obs.Lane[Record]
 }
 

@@ -15,7 +15,7 @@ import (
 func chainJournal() *Journal {
 	j := New()
 	j.SetNames([]string{"RSW", "CSW"}, []string{"port ping failure"}, []string{"", "SEV1", "SEV2", "SEV3"})
-	l := j.Lane("test")
+	l := j.Lane()
 
 	// Automated repair: raised → detected → ticket → dispatched → repaired.
 	raised := l.Record(Record{Kind: FaultRaised, Time: 10, Dev: 0, Class: 0, Sev: -1})
@@ -39,7 +39,7 @@ func chainJournal() *Journal {
 func TestNilJournalIsNoOp(t *testing.T) {
 	var j *Journal
 	j.SetNames(nil, nil, nil)
-	l := j.Lane("x")
+	l := j.Lane()
 	if l != nil {
 		t.Fatalf("nil journal Lane = %v, want nil", l)
 	}
@@ -79,7 +79,7 @@ func TestIDsAreDenseAndOrdered(t *testing.T) {
 
 func TestAutoFlushAtBatchFull(t *testing.T) {
 	j := New()
-	l := j.Lane("hot")
+	l := j.Lane()
 	for i := 0; i < obs.LaneBatch; i++ {
 		l.Record(Record{Kind: FaultRaised, Time: float64(i), Class: -1, Sev: -1})
 	}
@@ -268,7 +268,7 @@ func TestMergeSummaries(t *testing.T) {
 // writer keeps recording, and the IDs they see form a gap-free prefix.
 func TestConcurrentReadersSeeFlushedPrefix(t *testing.T) {
 	j := New()
-	l := j.Lane("hot")
+	l := j.Lane()
 	const total = obs.LaneBatch * 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -309,7 +309,7 @@ func TestConcurrentReadersSeeFlushedPrefix(t *testing.T) {
 
 func BenchmarkLaneRecord(b *testing.B) {
 	j := New()
-	l := j.Lane("bench")
+	l := j.Lane()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l.Record(Record{Kind: FaultRaised, Time: float64(i), Class: -1, Sev: -1})

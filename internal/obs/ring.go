@@ -12,7 +12,8 @@ import (
 const LaneBatch = 512
 
 // Lane is the single-writer staging ring behind every batched recorder in
-// the repo — SpanRing here, journal.Lane and timeline.Lane. Record stores
+// the repo — SpanRing here, journal.Lane, and the one ring each
+// timeline.Timeline owns. Record stores
 // one value into a fixed staging array; Flush copies the staged values
 // into a fresh immutable block and publishes it. Readers (Blocks, Len)
 // see only published blocks, so a mid-run reader observes a consistent

@@ -12,7 +12,7 @@ import (
 type laneRec struct{ i, sq int64 }
 
 // TestLaneWraparoundConcurrentRead pins the publication contract every
-// batched recorder (SpanRing, journal.Lane, timeline.Lane) inherits from
+// batched recorder (SpanRing, journal.Lane, timeline.Timeline) inherits from
 // Lane. One writer drives a lane through several staging-buffer
 // wraparounds and a partial tail while readers snapshot it. Every
 // snapshot must be a whole-record prefix of the recording, a mid-run

@@ -15,7 +15,7 @@ func BenchmarkObsTimelineSample(b *testing.B) {
 	tl := New()
 	counters := []string{"c0", "c1", "c2", "c3", "c4", "c5"}
 	gauges := []string{"g0", "g1"}
-	s := NewSampler(tl, "sim", reg, counters, gauges)
+	s := NewSampler(tl, reg, counters, gauges)
 	c := reg.Counter("c0")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -37,31 +37,29 @@ func BenchmarkObsTimelineSampleNil(b *testing.B) {
 func BenchmarkObsTimelineRecord(b *testing.B) {
 	tl := New()
 	col := tl.Column("series")
-	l := tl.Lane("sim")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Record(col, float64(i), float64(i))
+		tl.Record(col, float64(i), float64(i))
 	}
 }
 
 func BenchmarkObsTimelineRecordNil(b *testing.B) {
-	var l *Lane
+	var tl *Timeline
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Record(0, float64(i), float64(i))
+		tl.Record(0, float64(i), float64(i))
 	}
 }
 
 func BenchmarkObsTimelineWriteJSONL(b *testing.B) {
 	tl := New()
 	col := tl.Column("des_events_fired_total")
-	l := tl.Lane("sim")
 	for i := 0; i < 4096; i++ {
-		l.Record(col, float64(i)*24, float64(i*3))
+		tl.Record(col, float64(i)*24, float64(i*3))
 	}
-	l.Flush()
+	tl.Flush()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -13,24 +13,24 @@ type column struct {
 }
 
 // Sampler reads a fixed set of registry series on each tick and records
-// the ones that changed into one timeline lane. Construct with
+// the ones that changed into its timeline. Construct with
 // NewSampler; a nil *Sampler is a valid no-op, and the tracked series are
 // resolved once at construction so a tick costs one atomic load per
 // column and nothing else.
 type Sampler struct {
-	lane *Lane
+	tl   *Timeline
 	cols []column
 }
 
-// NewSampler builds a sampler over reg feeding a new lane of t. The
+// NewSampler builds a sampler over reg feeding t. The
 // counters and gauges slices name the registry series to track (resolved
 // get-or-create, so a series that never fires simply never records).
 // Returns nil — a valid no-op — when t or reg is nil.
-func NewSampler(t *Timeline, lane string, reg *obs.Registry, counters, gauges []string) *Sampler {
+func NewSampler(t *Timeline, reg *obs.Registry, counters, gauges []string) *Sampler {
 	if t == nil || reg == nil {
 		return nil
 	}
-	s := &Sampler{lane: t.Lane(lane)}
+	s := &Sampler{tl: t}
 	for _, name := range counters {
 		s.cols = append(s.cols, column{col: t.Column(name), counter: reg.Counter(name)})
 	}
@@ -42,7 +42,7 @@ func NewSampler(t *Timeline, lane string, reg *obs.Registry, counters, gauges []
 
 // Sample records every tracked series whose value changed since the last
 // call, stamped with now (simulation hours on the DES grid). Single-writer
-// like the lane it feeds; no-op on a nil sampler.
+// like the timeline it feeds; no-op on a nil sampler.
 //
 //hot:noalloc
 func (s *Sampler) Sample(now float64) {
@@ -61,16 +61,15 @@ func (s *Sampler) Sample(now float64) {
 			continue
 		}
 		c.last = v
-		s.lane.Record(c.col, now, v)
+		s.tl.Record(c.col, now, v)
 	}
 }
 
-// Flush publishes the lane's staged samples — registered as a simulator
-// sync hook by the wiring layer, so staged samples become reader-visible
-// exactly when the kernel's own staged telemetry does.
+// Flush publishes the timeline's staged samples; the faults driver calls
+// it at the end of Run.
 func (s *Sampler) Flush() {
 	if s == nil {
 		return
 	}
-	s.lane.Flush()
+	s.tl.Flush()
 }

@@ -8,25 +8,25 @@
 //
 // # Memory layout
 //
-// Samples are 24-byte pointer-free structs staged in per-lane rings — each
-// Lane is an obs.Lane, the single-writer staging buffer published as
-// immutable blocks that SpanRing and the journal also use, so the hot
+// Samples are 24-byte pointer-free structs staged in the timeline's one
+// ring — an obs.Lane, the single-writer staging buffer published as
+// immutable blocks that SpanRing and the journal also use — so the hot
 // path costs a changed-value check and one struct store, never a map or
 // an encoder. Readers (Samples, WriteJSONL) see only flushed blocks: a
-// mid-run reader observes a consistent prefix of each lane while writers
-// keep recording.
+// mid-run reader observes a consistent prefix while the writer keeps
+// recording.
 //
 // # Determinism
 //
-// Lanes are sampled on a fixed cadence grid (multiples of DefaultCadence,
-// timed by the DES clock), record only when a series' value changed, and
-// read no wall clock and no randomness — so for a fixed seed the
-// serialized timeline is bit-for-bit reproducible and an attached
-// timeline never perturbs the simulation's RNG streams.
+// A timeline is sampled on a fixed cadence grid (multiples of
+// DefaultCadence, timed by the DES clock), records only when a series'
+// value changed, and reads no wall clock and no randomness — so for a
+// fixed seed the serialized timeline is bit-for-bit reproducible and an
+// attached timeline never perturbs the simulation's RNG streams.
 //
-// All methods are safe on a nil *Timeline, *Lane, and *Sampler, matching
-// the project-wide observability contract: a nil timeline is a no-op
-// costing the hot paths nothing.
+// All methods are safe on a nil *Timeline and *Sampler, matching the
+// project-wide observability contract: a nil timeline is a no-op costing
+// the hot paths nothing.
 package timeline
 
 import (
@@ -55,31 +55,26 @@ type Sample struct {
 	Col int32
 }
 
-// Timeline owns the sample lanes and the column (series name) table.
-// Construct with New; a nil *Timeline (and every lane obtained from it)
-// is a valid no-op.
+// Timeline owns one sample ring and the column (series name) table.
+// Construct with New; a nil *Timeline is a valid no-op.
+//
+// The ring is SINGLE-WRITER, like every obs.Lane: exactly one goroutine
+// may call Record / Flush at a time. Column and the readers (Len,
+// Samples, WriteJSONL) may run concurrently with the writer.
 type Timeline struct {
+	ring  obs.Lane[Sample]
 	mu    sync.Mutex
-	lanes []*Lane
 	cols  []string
 	colID map[string]int32
 }
 
-// New returns an empty timeline sampling every DefaultCadence sim-hours.
+// New returns an empty timeline; its sampler ticks every DefaultCadence
+// sim-hours.
 func New() *Timeline { return &Timeline{} }
 
-// Cadence returns the sim-time sampling cadence in hours, DefaultCadence
-// (0 on a nil timeline).
-func (t *Timeline) Cadence() float64 {
-	if t == nil {
-		return 0
-	}
-	return DefaultCadence
-}
-
 // Column interns a series name and returns its ordinal, stable for the
-// timeline's lifetime. Returns 0 on a nil timeline (Record on a nil lane
-// discards the sample anyway).
+// timeline's lifetime. Returns 0 on a nil timeline (Record discards the
+// sample anyway).
 func (t *Timeline) Column(name string) int32 {
 	if t == nil {
 		return 0
@@ -98,18 +93,26 @@ func (t *Timeline) Column(name string) int32 {
 	return id
 }
 
-// Lane creates a new sample lane. Like every obs.Lane, a lane is
-// SINGLE-WRITER: exactly one goroutine may call Record / Flush at a time.
-// Returns nil — a valid no-op lane — on a nil timeline.
-func (t *Timeline) Lane(name string) *Lane {
+// Record stages one sample of column col at sim time at. No-op on a nil
+// timeline.
+//
+//hot:noalloc
+func (t *Timeline) Record(col int32, at, v float64) {
 	if t == nil {
-		return nil
+		return
 	}
-	l := &Lane{name: name}
-	t.mu.Lock()
-	t.lanes = append(t.lanes, l)
-	t.mu.Unlock()
-	return l
+	if t.ring.Record(Sample{T: at, V: v, Col: col}) {
+		t.ring.Flush()
+	}
+}
+
+// Flush publishes the staged samples to readers. Only the writer may call
+// it.
+func (t *Timeline) Flush() {
+	if t == nil {
+		return
+	}
+	t.ring.Flush()
 }
 
 // Len reports the number of flushed (reader-visible) samples.
@@ -117,18 +120,7 @@ func (t *Timeline) Len() int {
 	if t == nil {
 		return 0
 	}
-	n := 0
-	for _, l := range t.laneList() {
-		n += l.ring.Len()
-	}
-	return n
-}
-
-// laneList snapshots the lane slice.
-func (t *Timeline) laneList() []*Lane {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*Lane(nil), t.lanes...)
+	return t.ring.Len()
 }
 
 // columns snapshots the column name table.
@@ -141,57 +133,27 @@ func (t *Timeline) columns() []string {
 	return append([]string(nil), t.cols...)
 }
 
-// Samples returns every flushed sample across all lanes, merged by time —
-// the canonical serialization order. Each lane records time-ascending, so
-// the lanes are k-way merged with ties broken by lane creation order;
-// the result is deterministic for a deterministic recording. Safe to call
-// while writers keep recording: it sees a consistent prefix of each lane.
+// Samples returns every flushed sample in recording order — the canonical
+// serialization order, deterministic for a deterministic recording. Safe
+// to call while the writer keeps recording: it sees a consistent prefix.
 func (t *Timeline) Samples() []Sample {
 	if t == nil {
 		return nil
 	}
-	lanes := t.laneList()
-	flat := make([][]Sample, 0, len(lanes))
-	total := 0
-	for _, l := range lanes {
-		blocks := l.ring.Blocks()
-		n := 0
-		for _, b := range blocks {
-			n += len(b)
-		}
-		if n == 0 {
-			continue
-		}
-		s := make([]Sample, 0, n)
-		for _, b := range blocks {
-			s = append(s, b...)
-		}
-		flat = append(flat, s)
-		total += n
+	blocks := t.ring.Blocks()
+	n := 0
+	for _, b := range blocks {
+		n += len(b)
 	}
-	if len(flat) == 1 {
-		return flat[0]
-	}
-	out := make([]Sample, 0, total)
-	idx := make([]int, len(flat))
-	for len(out) < total {
-		best := -1
-		for li, s := range flat {
-			if idx[li] >= len(s) {
-				continue
-			}
-			if best < 0 || s[idx[li]].T < flat[best][idx[best]].T {
-				best = li
-			}
-		}
-		out = append(out, flat[best][idx[best]])
-		idx[best]++
+	out := make([]Sample, 0, n)
+	for _, b := range blocks {
+		out = append(out, b...)
 	}
 	return out
 }
 
 // WriteJSONL writes every flushed sample as one JSON object per line —
-// {"t":…,"m":"series","v":…} — in the canonical merged order,
+// {"t":…,"m":"series","v":…} — in recording order,
 // deterministic for a fixed simulation seed. The encoder is hand-rolled
 // append work tuned for the stream's shape: a cadence tick emits several
 // samples sharing one timestamp (rendered once and reused), and each
@@ -274,32 +236,4 @@ func (e *encoder) appendSample(b []byte, s Sample) []byte {
 	b = obs.AppendFixed(b, s.V)
 	b = append(b, '}', '\n')
 	return b
-}
-
-// Lane is a single-writer sample buffer feeding its timeline: an obs.Lane
-// of samples whose published blocks readers see. All methods are nil-safe.
-type Lane struct {
-	name string
-	ring obs.Lane[Sample]
-}
-
-// Record stages one sample. No-op on a nil lane.
-//
-//hot:noalloc
-func (l *Lane) Record(col int32, t, v float64) {
-	if l == nil {
-		return
-	}
-	if l.ring.Record(Sample{T: t, V: v, Col: col}) {
-		l.Flush()
-	}
-}
-
-// Flush publishes the staged samples to readers. Only the writer may call
-// it.
-func (l *Lane) Flush() {
-	if l == nil {
-		return
-	}
-	l.ring.Flush()
 }

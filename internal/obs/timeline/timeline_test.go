@@ -11,18 +11,11 @@ import (
 
 func TestNilSafety(t *testing.T) {
 	var tl *Timeline
-	if tl.Cadence() != 0 {
-		t.Errorf("nil Cadence = %v, want 0", tl.Cadence())
-	}
 	if tl.Column("x") != 0 {
 		t.Errorf("nil Column != 0")
 	}
-	l := tl.Lane("sim")
-	if l != nil {
-		t.Fatalf("nil timeline Lane = %v, want nil", l)
-	}
-	l.Record(0, 1, 2)
-	l.Flush()
+	tl.Record(0, 1, 2)
+	tl.Flush()
 	if n := tl.Len(); n != 0 {
 		t.Errorf("nil Len = %d", n)
 	}
@@ -36,14 +29,17 @@ func TestNilSafety(t *testing.T) {
 	var sm *Sampler
 	sm.Sample(1)
 	sm.Flush()
-	if s := NewSampler(nil, "x", obs.NewRegistry(), nil, nil); s != nil {
+	if s := NewSampler(nil, obs.NewRegistry(), nil, nil); s != nil {
 		t.Errorf("NewSampler(nil timeline) = %v, want nil", s)
 	}
-	if s := NewSampler(New(), "x", nil, nil, nil); s != nil {
+	if s := NewSampler(New(), nil, nil, nil); s != nil {
 		t.Errorf("NewSampler(nil registry) = %v, want nil", s)
 	}
 }
 
+// TestRecordFlushAndMerge checks that flushed samples read back in
+// recording order: the timeline has one ring, so nothing is merged or
+// re-sorted by time.
 func TestRecordFlushAndMerge(t *testing.T) {
 	tl := New()
 	a, b := tl.Column("alpha"), tl.Column("beta")
@@ -53,21 +49,18 @@ func TestRecordFlushAndMerge(t *testing.T) {
 	if again := tl.Column("alpha"); again != a {
 		t.Fatalf("Column not stable: %d vs %d", again, a)
 	}
-	l1 := tl.Lane("one")
-	l2 := tl.Lane("two")
-	l1.Record(a, 1, 10)
-	l1.Record(a, 3, 20)
-	l2.Record(b, 2, 5)
+	tl.Record(a, 1, 10)
+	tl.Record(a, 3, 20)
+	tl.Record(b, 2, 5)
 	if tl.Len() != 0 {
 		t.Fatalf("unflushed samples visible: %d", tl.Len())
 	}
-	l1.Flush()
-	l2.Flush()
+	tl.Flush()
 	if tl.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tl.Len())
 	}
 	got := tl.Samples()
-	want := []Sample{{T: 1, V: 10, Col: a}, {T: 2, V: 5, Col: b}, {T: 3, V: 20, Col: a}}
+	want := []Sample{{T: 1, V: 10, Col: a}, {T: 3, V: 20, Col: a}, {T: 2, V: 5, Col: b}}
 	if len(got) != len(want) {
 		t.Fatalf("Samples = %v, want %v", got, want)
 	}
@@ -82,11 +75,10 @@ func TestWriteJSONL(t *testing.T) {
 	tl := New()
 	ev := tl.Column("des_events_fired_total")
 	q := tl.Column("des_queue_depth")
-	l := tl.Lane("sim")
-	l.Record(ev, 24, 100)
-	l.Record(q, 24, 7.5)
-	l.Record(ev, 48.000001, 250)
-	l.Flush()
+	tl.Record(ev, 24, 100)
+	tl.Record(q, 24, 7.5)
+	tl.Record(ev, 48.000001, 250)
+	tl.Flush()
 
 	var buf bytes.Buffer
 	if err := tl.WriteJSONL(&buf); err != nil {
@@ -119,7 +111,7 @@ func TestWriteJSONL(t *testing.T) {
 func TestSamplerDeltaSuppression(t *testing.T) {
 	reg := obs.NewRegistry()
 	tl := New()
-	s := NewSampler(tl, "sim", reg, []string{"events_total"}, []string{"depth"})
+	s := NewSampler(tl, reg, []string{"events_total"}, []string{"depth"})
 	c := reg.Counter("events_total")
 	g := reg.Gauge("depth")
 

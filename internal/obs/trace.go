@@ -175,24 +175,6 @@ func (t *Tracer) CounterSample(name string, value float64) {
 		Args: map[string]any{"value": value}})
 }
 
-// EmitSimSpan records a complete event on the simulation-time track,
-// positioned and sized in simulated hours.
-func (t *Tracer) EmitSimSpan(tid int, cat, name string, startHours, durHours float64, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{
-		Name:  name,
-		Cat:   cat,
-		Phase: "X",
-		TS:    SimMicros(startHours),
-		Dur:   SimMicros(durHours),
-		PID:   SimPID,
-		TID:   tid,
-		Args:  args,
-	})
-}
-
 // SimInstant records a zero-duration marker on the simulation-time track.
 func (t *Tracer) SimInstant(tid int, cat, name string, atHours float64, args map[string]any) {
 	if t == nil {

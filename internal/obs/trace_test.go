@@ -29,7 +29,9 @@ func TestSpanRecordsCompleteEvent(t *testing.T) {
 
 func TestSimSpanUsesSimClock(t *testing.T) {
 	tr := NewTracer()
-	tr.EmitSimSpan(3, "remediation", "port ping failure", 24, 2, map[string]any{"priority": 1})
+	tr.Emit(Event{Name: "port ping failure", Cat: "remediation", Phase: "X",
+		TS: SimMicros(24), Dur: SimMicros(2), PID: SimPID, TID: 3,
+		Args: map[string]any{"priority": 1}})
 	tr.SimInstant(3, "remediation", "escalated", 30, nil)
 	evs := tr.Events()
 	if evs[0].PID != SimPID || evs[0].TS != SimMicros(24) || evs[0].Dur != SimMicros(2) || evs[0].TID != 3 {
@@ -50,7 +52,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Emit(Event{Name: "x"})
 	tr.Instant("a", "b", nil)
 	tr.CounterSample("c", 1)
-	tr.EmitSimSpan(1, "a", "b", 0, 1, nil)
 	tr.SimInstant(1, "a", "b", 0, nil)
 	if tr.Len() != 0 || tr.Events() != nil || tr.Now() != 0 {
 		t.Error("nil tracer recorded state")
@@ -75,7 +76,8 @@ func TestWriteJSONIsValidChromeTrace(t *testing.T) {
 	tr := NewTracer()
 	tr.Begin("repro", "table1").End()
 	tr.CounterSample("des_queue_depth", 17)
-	tr.EmitSimSpan(1, "remediation", "repair", 10, 0.5, nil)
+	tr.Emit(Event{Name: "repair", Cat: "remediation", Phase: "X",
+		TS: SimMicros(10), Dur: SimMicros(0.5), PID: SimPID, TID: 1})
 	var b bytes.Buffer
 	if err := tr.WriteJSON(&b); err != nil {
 		t.Fatal(err)

@@ -19,6 +19,7 @@ import (
 	"dcnr/internal/des"
 	"dcnr/internal/obs"
 	"dcnr/internal/obs/journal"
+	"dcnr/internal/observe"
 	"dcnr/internal/simrand"
 	"dcnr/internal/topology"
 )
@@ -200,6 +201,8 @@ func (s TypeStats) AvgRepairSeconds() float64 {
 
 // Engine is the automated repair system. It is driven by a des.Simulator:
 // SubmitTag schedules the repair's wait and execution as simulation events.
+// Its metrics, trace spans, journal records and logs attach in one call to
+// Observe.
 //
 // SubmitTag may be called from multiple goroutines: statistics,
 // randomness, and the simulator's event queue are all touched under the
@@ -213,7 +216,7 @@ type Engine struct {
 	enabled bool
 	stats   map[topology.DeviceType]*TypeStats
 
-	// Telemetry, attached by Instrument; nil fields are no-ops.
+	// Telemetry, attached by Observe; nil fields are no-ops.
 	mSubmitted *obs.Counter
 	mRepaired  *obs.Counter
 	mEscalated *obs.Counter
@@ -266,20 +269,27 @@ func NewEngine(sim *des.Simulator, rng *simrand.Stream) *Engine {
 	return e
 }
 
-// Instrument attaches telemetry to the engine. Metrics registered on reg:
+// Observe attaches a run's telemetry to the engine; it reads o's Metrics,
+// Trace, Journal and Logger. Metrics registered on o.Metrics:
 // remediation_submitted_total, remediation_repaired_total, and
 // remediation_escalated_total (counters — escalated/submitted is the
 // escalation ratio), remediation_queue_depth (gauge of repairs currently
 // waiting or executing), and the remediation_wait_hours /
-// remediation_repair_seconds histograms. When tr is non-nil each automated
+// remediation_repair_seconds histograms. With o.Trace each automated
 // repair records a submit→outcome span on the simulation-time track (one
-// lane per device type) and each escalation an instant marker. Repair spans
-// are staged in per-type ring buffers; call FlushTrace before reading the
-// trace. Either argument may be nil.
-func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
+// lane per device type) and each escalation an instant marker. With
+// o.Journal every submission records a ticket-cut entry parented on the
+// cause ID passed to SubmitTag, then either a dispatched→repaired pair or
+// an escalated record, on the engine's own lane. With o.Logger
+// escalations log at debug with the simulation clock (incidents
+// themselves are logged upstream by the faults driver, so info stays
+// readable). Repair spans and journal records are staged; call FlushTrace
+// before reading the trace or journal. Nil fields are no-ops. Call once,
+// before the simulation runs.
+func (e *Engine) Observe(o observe.Observe) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if reg != nil {
+	if reg := o.Metrics; reg != nil {
 		e.mSubmitted = reg.Counter("remediation_submitted_total")
 		e.mRepaired = reg.Counter("remediation_repaired_total")
 		e.mEscalated = reg.Counter("remediation_escalated_total")
@@ -289,9 +299,8 @@ func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		e.hRepair = reg.Histogram("remediation_repair_seconds",
 			[]float64{1, 2, 5, 10, 30, 60, 120, 300})
 	}
-	e.tracer = tr
-	e.rings = nil
-	if tr != nil {
+	if tr := o.Trace; tr != nil {
+		e.tracer = tr
 		e.rings = make([]*obs.SpanRing, int(topology.BBR)+1)
 		for t := topology.DeviceType(0); int(t) < len(e.rings); t++ {
 			if !policies[t].supported {
@@ -308,6 +317,8 @@ func (e *Engine) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 				SetNames(faultClassNames[:]...)
 		}
 	}
+	e.jlane = o.Journal.Lane()
+	e.logger = o.Logger
 }
 
 // FlushTrace publishes any repair spans still staged in the engine's ring
@@ -321,29 +332,6 @@ func (e *Engine) FlushTrace() {
 		r.Flush()
 	}
 	e.jlane.Flush()
-}
-
-// SetJournal attaches a causal journal: every submission records a
-// ticket-cut entry parented on the fault's detection record (the cause ID
-// passed to SubmitTag), then either a dispatched→repaired pair or an
-// escalated record. Call before Run; nil detaches.
-func (e *Engine) SetJournal(j *journal.Journal) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if j == nil {
-		e.jlane = nil
-		return
-	}
-	e.jlane = j.Lane("remediation")
-}
-
-// SetLogger attaches a structured logger: escalations log at debug with
-// the simulation clock (incidents themselves are logged upstream by the
-// faults driver, so info stays readable). Nil detaches.
-func (e *Engine) SetLogger(l *slog.Logger) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.logger = l
 }
 
 // SetEnabled turns the engine on or off. A disabled engine escalates every

@@ -8,6 +8,7 @@ import (
 
 	"dcnr/internal/des"
 	"dcnr/internal/obs"
+	"dcnr/internal/observe"
 	"dcnr/internal/simrand"
 	"dcnr/internal/topology"
 )
@@ -276,7 +277,7 @@ func TestInstrumentedEngineCounters(t *testing.T) {
 	e, sim := newTestEngine()
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer()
-	e.Instrument(reg, tr)
+	e.Observe(observe.Observe{Metrics: reg, Trace: tr})
 	const n = 2000
 	for i := 0; i < n; i++ {
 		e.SubmitTag(topology.RSW, PortPingFailure, 0, func(int32, Outcome) {}, 0)

@@ -59,6 +59,18 @@ func TestSimulateIntraDCInstrumented(t *testing.T) {
 	if !pids[1] || !pids[2] {
 		t.Errorf("trace missing a clock track (pids seen: %v)", pids)
 	}
+	// Every sink is complete when the run returns: each automated repair
+	// left exactly one published span, none of them still staged in the
+	// engine's rings.
+	spans := 0
+	for _, e := range tr.Events() {
+		if e.Cat == "remediation" && e.Phase == "X" {
+			spans++
+		}
+	}
+	if repaired := snap.Counters["remediation_repaired_total"]; int64(spans) != repaired || repaired == 0 {
+		t.Errorf("remediation repair spans = %d, remediation_repaired_total = %d", spans, repaired)
+	}
 
 	// The exported file is one valid JSON object in trace-event format.
 	var buf bytes.Buffer
