@@ -386,7 +386,8 @@ func EdgeHealthRules() []HealthRule { return health.EdgeRules() }
 // → ticket cut → dispatched → escalated → repaired → incident opened →
 // closed) with stable IDs linking every record to its cause. A nil
 // *Journal is a valid no-op. Pass one through IntraConfig.Observe.Journal
-// and serialize it with WriteJSONL.
+// and serialize it with WriteJSONL; a journal records one run, so give
+// each run its own.
 type Journal = journal.Journal
 
 // JournalID identifies one journal record; 0 means none.

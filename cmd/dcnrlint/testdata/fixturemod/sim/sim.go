@@ -33,8 +33,8 @@ func (s *Scheduler) Kick() {
 
 // Log stamps a journal record with the wall clock through a local
 // (simtaint: the taint flows through stamp's return value into the
-// deterministic-output sink Lane.Record).
-func (s *Scheduler) Log(l *journal.Lane) {
+// deterministic-output sink Journal.Record).
+func (s *Scheduler) Log(l *journal.Journal) {
 	rec := journal.Record{Kind: 1, Aux: stamp()}
 	l.Record(rec)
 }

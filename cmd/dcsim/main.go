@@ -163,8 +163,8 @@ func run(o options) (err error) {
 	// Like the trace, the journal (a few hundred thousand records) is
 	// indexed and streamed to disk while the backbone phase simulates;
 	// finishJournal joins the writer before the totals are printed. The
-	// index is built inside the goroutine too — assembling the ID-ordered
-	// record array is the expensive half of serialization.
+	// index is built inside the goroutine too, so copying the journal's
+	// blocks into one record array stays off the main path.
 	//
 	// Both finish functions are idempotent, and every return joins them,
 	// so no writer goroutine or open file outlives run and the trace

@@ -163,7 +163,7 @@ func TestObsNilSafeBadFixture(t *testing.T) {
 		"bad_journal.go:10:2 obsnilsafe",   // field of value type journal.Journal
 		"bad_journal.go:15:6 obsnilsafe",   // journal.Journal{} composite literal
 		"bad_journal.go:16:9 obsnilsafe",   // new(journal.Journal)
-		"bad_journal.go:20:17 obsnilsafe",  // parameter of value type journal.Lane
+		"bad_journal.go:20:17 obsnilsafe",  // parameter of value type journal.Journal
 		"bad_serve.go:10:2 obsnilsafe",     // field of value type serve.Server
 		"bad_serve.go:16:6 obsnilsafe",     // serve.Server{} composite literal
 		"bad_serve.go:17:9 obsnilsafe",     // new(serve.Server)

@@ -91,30 +91,6 @@ func (p *Package) Analyze(list []*Analyzer) []Diagnostic {
 	return RunAnalyzers(p.Fset, p.Files, p.Types, p.Info, list)
 }
 
-// Run is the whole pipeline: load the packages matching patterns and run
-// every analyzer in list over each, returning findings sorted by position
-// with file paths relative to dir where possible.
-func Run(dir string, patterns []string, list []*Analyzer) ([]Diagnostic, error) {
-	pkgs, err := Load(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		diags = append(diags, pkg.Analyze(list)...)
-	}
-	abs, err := filepath.Abs(dir)
-	if err == nil {
-		for i := range diags {
-			if rel, err := filepath.Rel(abs, diags[i].File); err == nil && filepath.IsLocal(rel) {
-				diags[i].File = rel
-			}
-		}
-	}
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
 // goList invokes `go list -export -deps -json` and decodes the package
 // stream. The -export flag populates build-cache export data for every
 // dependency, which is what lets the type checker resolve imports without

@@ -11,23 +11,23 @@ import (
 // nil-safe methods. The health engine rides the same contract: a nil
 // *health.Engine is the uninstrumented no-op, and health.New is the only
 // constructor that validates rules and wires state. The causal journal
-// follows suit: a nil *journal.Journal (and the nil *journal.Lane it hands
-// out) drops records for free, and journal.New is the only way to get a
-// journal whose lanes share one ID counter. The timeline sampler is the
-// same shape again: a nil *timeline.Timeline records nothing, and
-// timeline.New is the only constructor that wires the column table and
-// staging ring. The serving layer closes
-// the set: a nil *serve.Server is inert (Register and Shutdown no-op,
-// Start errors), and serve.New is the only constructor that wires the mux
-// and the lifecycle state behind Start/Shutdown. Violations this catches:
+// follows suit: a nil *journal.Journal drops records for free, and
+// journal.New is the only way to get a journal with its name tables
+// fixed. The timeline sampler is the same shape again: a nil
+// *timeline.Timeline records nothing, and timeline.New is the only
+// constructor that wires the column table and staging ring. The serving
+// layer closes the set: a nil *serve.Server is inert (Register and
+// Shutdown no-op, Start errors), and serve.New is the only constructor
+// that wires the mux and the lifecycle state behind Start/Shutdown.
+// Violations this catches:
 //
 //   - constructing obs.Counter/Gauge/Histogram/Registry/Tracer,
-//     health.Engine, journal.Journal/Lane, timeline.Timeline, or
+//     health.Engine, journal.Journal, timeline.Timeline, or
 //     serve.Server with a composite literal or new(): a hand-rolled
 //     metric is invisible to every exposition path (Snapshot and
 //     Prometheus), a zero-value Registry panics on first use, a
 //     zero-value Engine skips rule validation, a hand-rolled Journal
-//     mints colliding causal IDs, a hand-rolled Timeline sidesteps the
+//     encodes bare ordinals, a hand-rolled Timeline sidesteps the
 //     one constructor the wiring is written against, and a zero-value
 //     Server has no mux — Register panics and Shutdown's idempotence
 //     guard is gone.
@@ -43,7 +43,7 @@ var ObsNilSafe = &Analyzer{
 	Name: "obsnilsafe",
 	Doc:  "obs metrics and health engines must come from their constructors and be held by pointer",
 	Contract: `obs guarded types (Registry metrics, health.Engine, journal
-Journal/Lane, timeline.Timeline, serve.Server) rely on nil-receiver
+Journal, timeline.Timeline, serve.Server) rely on nil-receiver
 no-ops for zero-cost disablement, so
 they must be obtained from their constructors and held only as pointers:
 no composite literals, no new(T), no value-typed fields or copies —
@@ -62,15 +62,14 @@ const (
 
 // obsGuardedTypes are the types with construction and copy rules, per
 // package. Constructors: Registry methods for metrics, NewRegistry,
-// NewTracer, health.New, journal.New (lanes only via Journal.Lane),
-// timeline.New, serve.New.
+// NewTracer, health.New, journal.New, timeline.New, serve.New.
 var obsGuardedTypes = map[string]map[string]bool{
 	obsPath: {
 		"Counter": true, "Gauge": true, "Histogram": true,
 		"Registry": true, "Tracer": true,
 	},
 	healthPath:   {"Engine": true},
-	journalPath:  {"Journal": true, "Lane": true},
+	journalPath:  {"Journal": true},
 	timelinePath: {"Timeline": true},
 	servePath:    {"Server": true},
 }
@@ -142,8 +141,6 @@ func obsConstructor(name string) string {
 		return "health.New"
 	case "journal.Journal":
 		return "journal.New"
-	case "journal.Lane":
-		return "Journal.Lane"
 	case "timeline.Timeline":
 		return "timeline.New"
 	case "serve.Server":

@@ -12,7 +12,7 @@ import (
 // tracks the VALUES those sources produce — through locals, fields,
 // returns, and (via per-function summaries propagated over the call graph)
 // across function boundaries — and reports only when a tainted value
-// reaches a deterministic-output sink: the journal lane writer, the sev
+// reaches a deterministic-output sink: the journal's record writer, the sev
 // store, or the sweep report's ordered JSONL writers. Wall-clock telemetry
 // that stays in metrics and traces is therefore fine without any
 // directive; a time.Now() laundered through three helpers into the
@@ -37,7 +37,7 @@ var SimTaint = &ModuleAnalyzer{
 	Doc:  "track wall-clock/PRNG/map-order taint from source to deterministic-output sinks",
 	Contract: `Values derived from the wall clock (time.Now/Since/Until, timers),
 math/rand, or map-iteration order must never reach a deterministic-output
-sink: journal Lane.Record, sev Store.Add, or the sweep report's ordered
+sink: journal Journal.Record, sev Store.Add, or the sweep report's ordered
 JSONL writers. Taint follows the value — through locals, struct fields,
 returns, and call chains via per-function summaries — so telemetry that
 stays in metrics/traces needs no directive, while a time.Now() laundered
@@ -72,7 +72,7 @@ type taintSink struct {
 }
 
 var taintSinks = []taintSink{
-	{pkg: "dcnr/internal/obs/journal", recv: "Lane", name: "Record", arg: 0},
+	{pkg: "dcnr/internal/obs/journal", recv: "Journal", name: "Record", arg: 0},
 	{pkg: "dcnr/internal/sev", recv: "Store", name: "Add", arg: 0},
 	{pkg: "dcnr/internal/sweep", recv: "orderedWriter", name: "write", arg: 1},
 	{pkg: "dcnr/internal/sweep", recv: "orderedWriter", name: "writeRaw", arg: 1},

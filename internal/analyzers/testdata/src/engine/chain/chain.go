@@ -21,12 +21,12 @@ func A() float64 { return B() }
 
 // Parameter chain: C2 writes its record parameter to the journal sink,
 // so A2's summary must mark its record parameter sink-bound two hops up.
-func C2(l *journal.Lane, r journal.Record) { l.Record(r) }
+func C2(l *journal.Journal, r journal.Record) { l.Record(r) }
 
-func B2(l *journal.Lane, r journal.Record) { C2(l, r) }
+func B2(l *journal.Journal, r journal.Record) { C2(l, r) }
 
-func A2(l *journal.Lane, r journal.Record) { B2(l, r) }
+func A2(l *journal.Journal, r journal.Record) { B2(l, r) }
 
 // Mixed: passes a clean constant through the sink chain — no taint, no
 // finding, but the sink summary still propagates.
-func Clean(l *journal.Lane) { A2(l, journal.Record{Time: 1}) }
+func Clean(l *journal.Journal) { A2(l, journal.Record{Time: 1}) }

@@ -1,11 +1,11 @@
-// Hand-rolled journals: only journal.New hands out a journal whose lanes
-// share one causal ID counter, and only a pointer can be the nil no-op.
+// Hand-rolled journals: only journal.New hands out a journal with its
+// name tables fixed, and only a pointer can be the nil no-op.
 package bad
 
 import "dcnr/internal/obs/journal"
 
 // Recorder holds a journal by value: copying forks the ID counter and the
-// lane list, minting colliding causal IDs.
+// ring, minting colliding causal IDs.
 type Recorder struct {
 	journal journal.Journal
 }
@@ -16,5 +16,5 @@ func HiddenJournal() *journal.Journal {
 	return new(journal.Journal)
 }
 
-// CopiedLane takes a lane by value, forking its staging buffer.
-func CopiedLane(l journal.Lane) {}
+// CopiedRing takes a journal by value, forking its staging ring.
+func CopiedRing(l journal.Journal) {}

@@ -1,28 +1,26 @@
-// The causal journal follows the obs contract: built by journal.New, lanes
-// handed out by Journal.Lane, both held by pointer, nil meaning journaling
-// is off and every record is dropped for free.
+// The causal journal follows the obs contract: built by journal.New, held
+// by pointer, nil meaning journaling is off and every record is dropped
+// for free.
 package good
 
 import "dcnr/internal/obs/journal"
 
-// Recorder holds the journal and one lane by pointer; both are nil when
-// the run is not journaled.
+// Recorder holds the journal by pointer; it is nil when the run is not
+// journaled.
 type Recorder struct {
-	j    *journal.Journal
-	lane *journal.Lane
+	j *journal.Journal
 }
 
-// NewRecorder wires a recorder; j may be nil (the no-op journal, whose
-// Lane method returns the no-op lane).
+// NewRecorder wires a recorder; j may be nil (the no-op journal).
 func NewRecorder(j *journal.Journal) *Recorder {
-	return &Recorder{j: j, lane: j.Lane()}
+	return &Recorder{j: j}
 }
 
-// Note stages one record through the nil-safe lane. Record and ID are
+// Note stages one record through the nil-safe journal. Record and ID are
 // plain data and move by value freely.
 func (r *Recorder) Note(rec journal.Record) journal.ID {
-	return r.lane.Record(rec)
+	return r.j.Record(rec)
 }
 
 // Fresh builds a journal the sanctioned way.
-func Fresh() *journal.Journal { return journal.New() }
+func Fresh() *journal.Journal { return journal.New(nil, nil, nil) }

@@ -11,8 +11,8 @@ import (
 )
 
 // direct: a wall-clock read flows through two locals and a composite
-// literal into the journal lane.
-func direct(l *journal.Lane, t0 time.Time) {
+// literal into the journal.
+func direct(l *journal.Journal, t0 time.Time) {
 	elapsed := time.Since(t0).Hours()
 	rec := journal.Record{Time: elapsed}
 	l.Record(rec) // wall taint at the sink
@@ -25,18 +25,18 @@ func stamp() float64 {
 	return float64(ns)
 }
 
-func viaHelper(l *journal.Lane) {
+func viaHelper(l *journal.Journal) {
 	r := journal.Record{Aux: stamp()}
 	l.Record(r) // wall taint via stamp()
 }
 
 // sinkWrapper's parameter reaches the sink, so its summary marks it a
 // derived sink and tainted CALLERS are flagged at their call site.
-func sinkWrapper(l *journal.Lane, r journal.Record) {
+func sinkWrapper(l *journal.Journal, r journal.Record) {
 	l.Record(r)
 }
 
-func callsWrapper(l *journal.Lane) {
+func callsWrapper(l *journal.Journal) {
 	sinkWrapper(l, journal.Record{Time: stamp()}) // via sinkWrapper
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // simTime: values derived from the simulation clock are clean.
-func simTime(l *journal.Lane, sim *des.Simulator) {
+func simTime(l *journal.Journal, sim *des.Simulator) {
 	now := sim.Now()
 	l.Record(journal.Record{Time: now})
 }
@@ -42,17 +42,17 @@ func sortedAccumulation(s *sev.Store, durs map[string]float64) error {
 
 // intentional: a deliberate wall-clock field rides with an allow
 // directive naming the analyzer.
-func intentional(l *journal.Lane) {
+func intentional(l *journal.Journal) {
 	wall := float64(time.Now().UnixNano())
 	l.Record(journal.Record{Aux: wall}) //lint:allow simtaint intentional wall-clock provenance field
 }
 
 // cleanWrapper forwards its record to the sink; clean callers stay
 // silent even though the wrapper's summary marks the parameter.
-func cleanWrapper(l *journal.Lane, r journal.Record) {
+func cleanWrapper(l *journal.Journal, r journal.Record) {
 	l.Record(r)
 }
 
-func callsCleanWrapper(l *journal.Lane, sim *des.Simulator) {
+func callsCleanWrapper(l *journal.Journal, sim *des.Simulator) {
 	cleanWrapper(l, journal.Record{Time: sim.Now()})
 }

@@ -25,6 +25,6 @@ func annotate(r journal.Record) journal.Record {
 
 // Emit writes the laundered wall-clock value into the deterministic
 // journal stream.
-func Emit(l *journal.Lane, r journal.Record) {
+func Emit(l *journal.Journal, r journal.Record) {
 	l.Record(annotate(r)) // the only finding in this package
 }

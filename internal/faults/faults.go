@@ -156,10 +156,11 @@ type Driver struct {
 	details *simrand.Stream
 	health  *health.Engine
 	logger  *slog.Logger
-	// jlane is the driver's causal-journal lane (fault raised/detected and
-	// incident opened/closed records); the remediation engine journals the
-	// ticket→repair middle of each chain on its own lane. Nil is a no-op.
-	jlane *journal.Lane
+	// jnl is the run's causal journal: the driver records fault
+	// raised/detected and incident opened/closed entries, the remediation
+	// engine the ticket→repair middle of each chain, all on the simulator
+	// goroutine. Nil is a no-op.
+	jnl *journal.Journal
 	// tsampler feeds the attached metrics timeline on the kernel's
 	// cadence grid; flushed at the end of Run. Nil is a no-op.
 	tsampler *timeline.Sampler
@@ -265,7 +266,6 @@ func NewDriver(fl *fleet.Model, seed uint64) (*Driver, error) {
 // name tables (device types, fault classes, severities), ready to pass
 // through observe.Observe.Journal.
 func NewJournal() *journal.Journal {
-	j := journal.New()
 	dev := make([]string, int(topology.BBR)+1)
 	for _, t := range topology.DeviceTypes {
 		dev[t] = t.String()
@@ -278,8 +278,7 @@ func NewJournal() *journal.Journal {
 	for _, s := range sev.Severities {
 		sevs[s] = s.String()
 	}
-	j.SetNames(dev, class, sevs)
-	return j
+	return journal.New(dev, class, sevs)
 }
 
 // timelineCounters and timelineGauges name the registry series an
@@ -318,21 +317,22 @@ var (
 // engine's own logger is left alone when Logger is nil. Journal records
 // each fault's raised/detected entries and any incident's opened/closed
 // entries, the remediation engine the ticket→dispatch/escalate→repair
-// middle, all linked by parent IDs into one chain per fault. Timeline
-// samples the registry's event-driven series on the timeline's cadence
-// grid, timed by the DES clock; a timeline without Metrics gets a private
-// registry, since the sampler needs instrumented series to read. Journal
-// and timeline draw no randomness and read no wall clock, so attaching
-// them never changes the generated dataset, and Run publishes whatever
-// they and the engine's trace rings still stage before it returns. Nil
-// fields are no-ops. Call once, before Run.
+// middle, all linked by parent IDs into one chain per fault and recorded
+// on the simulator goroutine (a journal is single-writer, so give each
+// run its own). Timeline samples the registry's event-driven series on
+// the timeline's cadence grid, timed by the DES clock; a timeline without
+// Metrics gets a private registry, since the sampler needs instrumented
+// series to read. Journal and timeline draw no randomness and read no
+// wall clock, so attaching them never changes the generated dataset, and
+// Run publishes whatever they and the engine's trace rings still stage
+// before it returns. Nil fields are no-ops. Call once, before Run.
 func (d *Driver) Observe(o observe.Observe) {
 	reg := o.Metrics
 	if reg == nil && o.Timeline != nil {
 		reg = obs.NewRegistry()
 	}
 	d.sim.Instrument(reg, o.Trace)
-	d.jlane = o.Journal.Lane()
+	d.jnl = o.Journal
 	d.Engine.Observe(observe.Observe{Metrics: reg, Trace: o.Trace, Journal: o.Journal, Logger: o.Logger})
 	d.Store.Instrument(reg)
 	d.health = o.Health
@@ -404,12 +404,11 @@ func (d *Driver) Run(from, to int) (*sev.Store, error) {
 		// the books at the finite end of the simulated range.
 		d.health.Evaluate(des.YearStart(to+1, fleet.FirstYear))
 	}
-	// Publish what the sinks still stage — repair spans and journal
-	// records in the engine's rings, journal records in the driver's
-	// lane, samples in the timeline — so every sink is complete when Run
-	// returns.
+	// Publish what the sinks still stage — repair spans in the engine's
+	// rings, records in the journal, samples in the timeline — so every
+	// sink is complete when Run returns.
 	d.Engine.FlushTrace()
-	d.jlane.Flush()
+	d.jnl.Flush()
 	d.tsampler.Flush()
 	return d.Store, nil
 }
@@ -564,11 +563,11 @@ func (d *Driver) handleFault(idx int32) {
 	// The fault's journal root: raised and detected coincide in this model
 	// (monitoring detects instantaneously), and journaling both makes that
 	// a recorded fact instead of an assumption baked into readers.
-	raised := d.jlane.Record(journal.Record{
+	raised := d.jnl.Record(journal.Record{
 		Kind: journal.FaultRaised, Time: f.Start,
 		Dev: uint8(f.Type), Class: int8(f.Class), Sev: -1,
 	})
-	detected := d.jlane.Record(journal.Record{
+	detected := d.jnl.Record(journal.Record{
 		Kind: journal.FaultDetected, Parent: raised, Time: f.Start,
 		Dev: uint8(f.Type), Class: int8(f.Class), Sev: -1,
 	})
@@ -582,7 +581,7 @@ func (d *Driver) handleFault(idx int32) {
 	if f.Year < fleet.AutomatedRepairYear {
 		if !d.manual.Bool(escalationProb(f.Type)) {
 			d.health.RecordRepair(f.Start, f.Type)
-			d.jlane.Record(journal.Record{
+			d.jnl.Record(journal.Record{
 				Kind: journal.Repaired, Parent: detected, Time: f.Start,
 				Dev: uint8(f.Type), Class: int8(f.Class), Sev: -1,
 			})
@@ -615,9 +614,10 @@ func (d *Driver) onOutcome(idx int32, o remediation.Outcome) {
 		return
 	}
 	// The incident's cause is the engine's escalation record. The engine
-	// journals on the lane Observe gives it together with the driver's,
-	// so the record is nonzero whenever the driver journals, and both are
-	// zero without a journal (recordIncident then journals nothing).
+	// journals into the journal Observe gives it together with the
+	// driver, so the record is nonzero whenever the driver journals, and
+	// both are zero without a journal (recordIncident then journals
+	// nothing).
 	d.recordIncident(f, o.Journal)
 }
 
@@ -647,11 +647,11 @@ func (d *Driver) recordIncident(f *Fault, cause journal.ID) {
 		panic(fmt.Sprintf("faults: storing SEV: %v", err))
 	}
 	d.incidents++
-	opened := d.jlane.Record(journal.Record{
+	opened := d.jnl.Record(journal.Record{
 		Kind: journal.IncidentOpened, Parent: cause, Time: f.Start,
 		Ref: int32(id), Dev: uint8(f.Type), Class: int8(f.Class), Sev: int8(as.Severity),
 	})
-	d.jlane.Record(journal.Record{
+	d.jnl.Record(journal.Record{
 		Kind: journal.IncidentClosed, Parent: opened, Time: f.Start + resolution,
 		Aux: resolution, Ref: int32(id), Dev: uint8(f.Type), Class: int8(f.Class), Sev: int8(as.Severity),
 	})

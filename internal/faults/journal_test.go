@@ -78,6 +78,45 @@ func TestJournalChainsComplete(t *testing.T) {
 	}
 }
 
+// TestJournalMidRunSnapshotsArePrefixes pins what a live reader of a
+// running simulation sees: every mid-run snapshot holds exactly the IDs
+// 1..n, and every closed incident in it has a complete chain. The
+// snapshots are taken from a sample hook every 30 simulated days, while
+// the driver and the remediation engine keep recording.
+func TestJournalMidRunSnapshotsArePrefixes(t *testing.T) {
+	d, err := NewDriver(fleet.New(1), 42)
+	if err != nil {
+		t.Fatalf("NewDriver: %v", err)
+	}
+	j := NewJournal()
+	d.Observe(observe.Observe{Journal: j})
+	snapshots, nonEmpty := 0, 0
+	d.sim.SetSampleHook(24*30, func(now float64) {
+		snapshots++
+		recs := j.Records()
+		if len(recs) > 0 {
+			nonEmpty++
+		}
+		for i, r := range recs {
+			if r.ID != journal.ID(i+1) {
+				t.Errorf("snapshot at t=%g: recs[%d].ID = %d, want %d (%d records)",
+					now, i, r.ID, i+1, len(recs))
+				break
+			}
+		}
+		if s := j.Index().Summary(); s.Incomplete != 0 {
+			t.Errorf("snapshot at t=%g: %d incomplete chains among %d incidents",
+				now, s.Incomplete, s.Incidents)
+		}
+	})
+	if _, err := d.Run(2013, 2014); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if nonEmpty < 12 {
+		t.Fatalf("%d of %d snapshots saw records; want a year's worth", nonEmpty, snapshots)
+	}
+}
+
 // TestJournalDoesNotPerturbDataset pins the no-observer-effect contract:
 // the same seed produces a byte-identical SEV dataset with and without a
 // journal attached.

@@ -5,23 +5,20 @@ import (
 	"testing"
 )
 
-// benchJournal builds a journal shaped like a real dcsim run: two lanes
-// (faults, remediation) interleaving records, ~3.5 records per fault.
+// benchJournal builds a journal shaped like a real dcsim run: the faults
+// driver's and the remediation engine's records interleaved, five per
+// fault.
 func benchJournal(n int) *Journal {
-	j := New()
-	j.SetNames([]string{"rack_switch", "fabric_switch"}, []string{"connectivity"}, []string{"sev3"})
-	faults := j.Lane()
-	rem := j.Lane()
+	j := New([]string{"rack_switch", "fabric_switch"}, []string{"connectivity"}, []string{"sev3"})
 	for i := 0; i < n; i++ {
 		t := float64(i) * 0.25
-		raised := faults.Record(Record{Kind: FaultRaised, Time: t, Dev: uint8(i % 2), Class: 0, Sev: -1})
-		detected := faults.Record(Record{Kind: FaultDetected, Parent: raised, Time: t, Dev: uint8(i % 2), Class: 0, Sev: -1})
-		ticket := rem.Record(Record{Kind: TicketCut, Parent: detected, Time: t, Dev: uint8(i % 2), Class: 0, Sev: -1})
-		disp := rem.Record(Record{Kind: Dispatched, Parent: ticket, Time: t + 0.1, Aux: 0.1, Dev: uint8(i % 2), Class: 0, Sev: -1})
-		rem.Record(Record{Kind: Repaired, Parent: disp, Time: t + 0.2, Aux: 42, Dev: uint8(i % 2), Class: 0, Sev: -1})
+		raised := j.Record(Record{Kind: FaultRaised, Time: t, Dev: uint8(i % 2), Class: 0, Sev: -1})
+		detected := j.Record(Record{Kind: FaultDetected, Parent: raised, Time: t, Dev: uint8(i % 2), Class: 0, Sev: -1})
+		ticket := j.Record(Record{Kind: TicketCut, Parent: detected, Time: t, Dev: uint8(i % 2), Class: 0, Sev: -1})
+		disp := j.Record(Record{Kind: Dispatched, Parent: ticket, Time: t + 0.1, Aux: 0.1, Dev: uint8(i % 2), Class: 0, Sev: -1})
+		j.Record(Record{Kind: Repaired, Parent: disp, Time: t + 0.2, Aux: 42, Dev: uint8(i % 2), Class: 0, Sev: -1})
 	}
-	faults.Flush()
-	rem.Flush()
+	j.Flush()
 	return j
 }
 
@@ -29,20 +26,19 @@ func benchJournal(n int) *Journal {
 const benchN = 70000
 
 func BenchmarkObsJournalRecord(b *testing.B) {
-	j := New()
-	l := j.Lane()
+	j := New(nil, nil, nil)
 	r := Record{Kind: FaultRaised, Time: 1.5, Dev: 1, Class: 0, Sev: -1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Record(r)
+		j.Record(r)
 	}
 }
 
 func BenchmarkObsJournalRecordNil(b *testing.B) {
-	var l *Lane
+	var j *Journal
 	r := Record{Kind: FaultRaised, Time: 1.5}
 	for i := 0; i < b.N; i++ {
-		l.Record(r)
+		j.Record(r)
 	}
 }
 

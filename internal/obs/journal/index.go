@@ -18,10 +18,11 @@ import (
 // stream.
 type Index struct {
 	recs []Record
-	// dense is the common case: a journal flushed after a full run has IDs
-	// 1..n in order, so recs[id-1] IS the lookup and no map is built. byID
-	// backs Get only for sparse snapshots (a live mid-run index where one
-	// lane's tail is still unflushed) or externally assembled records.
+	// dense is the case for every Journal.Index, mid-run or not: a
+	// journal's flushed records carry the IDs 1..n in order, so recs[id-1]
+	// IS the lookup and no map is built. byID backs Get only for read-back
+	// streams (ReadJSONL) and record slices whose IDs are sparse or out of
+	// order.
 	dense bool
 	byID  map[ID]int
 	names nameTables
@@ -31,7 +32,10 @@ type Index struct {
 // Safe to call while writers keep recording (a live /journal endpoint
 // indexes the published prefix). Returns an empty index on a nil journal.
 func (j *Journal) Index() *Index {
-	return NewIndex(j.Records(), j.names())
+	if j == nil {
+		return NewIndex(nil, nameTables{})
+	}
+	return NewIndex(j.Records(), j.names)
 }
 
 // NewIndex builds an index over records. The records must carry unique
@@ -266,7 +270,8 @@ type Summary struct {
 	Incidents   int `json:"incidents"`
 	// CompleteChains counts closed incidents whose causal chain resolves
 	// to a FaultRaised root; Incomplete counts the rest (always 0 for a
-	// journal flushed after the run).
+	// Journal's index, mid-run or not, since every flushed prefix holds
+	// complete chains; only a cut or sparse read-back stream has any).
 	CompleteChains int `json:"complete_chains"`
 	Incomplete     int `json:"incomplete_chains,omitempty"`
 	// Phases is the per-device-type decomposition, ordered by device

@@ -12,43 +12,41 @@
 //
 // # Memory layout
 //
-// Records are pointer-free fixed-size structs (40 bytes) staged in
-// per-lane rings — each Lane is an obs.Lane, the single-writer staging
-// buffer published as immutable blocks that SpanRing also uses, so the
-// hot path costs one struct store and one atomic ID allocation, never a
-// map or an encoder. Lanes flush automatically when the staging buffer
-// fills and explicitly before the run that records them returns (the
-// faults driver flushes every lane at the end of Run); readers (WriteJSONL,
-// Index) see only flushed blocks, so a mid-run reader observes a
-// consistent prefix of each lane while writers keep recording.
+// Records are pointer-free fixed-size structs (40 bytes) staged in the
+// journal's one ring — an obs.Lane, the single-writer staging buffer
+// published as immutable blocks that SpanRing and the timeline also use —
+// so the hot path costs one counter increment and one struct store, never
+// a lock, a map or an encoder. The ring flushes automatically when the
+// staging buffer fills and explicitly before the run that records it
+// returns (the faults driver flushes the journal at the end of Run);
+// readers (Records, WriteJSONL, Index) see only flushed blocks. All of a
+// run's writers share the ring, so a mid-run reader observes the IDs
+// 1..n with no gaps, and every chain in that prefix is complete.
 //
 // # Determinism
 //
-// IDs are allocated from one atomic counter across all lanes. The DES
-// kernel is single-threaded, so for a fixed seed the allocation order —
-// and therefore the ID-sorted JSONL output — is bit-for-bit reproducible.
-// Recording draws no randomness and reads no wall clock, so an attached
-// journal never perturbs the simulation's RNG streams or outputs.
+// IDs are issued in recording order by the ring's one writer, the run's
+// simulator goroutine, so for a fixed seed the issue order — and
+// therefore the JSONL output — is bit-for-bit reproducible. Recording
+// draws no randomness and reads no wall clock, so an attached journal
+// never perturbs the simulation's RNG streams or outputs.
 //
-// All methods are safe on a nil *Journal and nil *Lane, matching the
-// project-wide observability contract: a nil journal is a no-op costing
-// the hot paths nothing.
+// All methods are safe on a nil *Journal, matching the project-wide
+// observability contract: a nil journal is a no-op costing the hot paths
+// nothing.
 package journal
 
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"dcnr/internal/obs"
 )
 
 // ID is a causal record identifier, unique within one journal. IDs are
 // dense, start at 1, and increase in record-issue order; 0 means "no
-// record" (an absent parent, or a Record call on a nil lane).
+// record" (an absent parent, or a Record call on a nil journal).
 type ID uint64
 
 // Kind discriminates the lifecycle stages a record can mark.
@@ -99,7 +97,7 @@ func (k Kind) String() string {
 // Record is one journal entry: 40 bytes, no pointers, so a full staging
 // buffer is a single GC-free block.
 type Record struct {
-	// ID is the record's causal identifier, assigned by Lane.Record.
+	// ID is the record's causal identifier, assigned by Journal.Record.
 	ID ID
 	// Parent links to the record this one was caused by; 0 at chain roots.
 	Parent ID
@@ -121,57 +119,55 @@ type Record struct {
 	Sev int8
 }
 
-// Journal allocates causal IDs and owns the record lanes. Construct with
-// New; a nil *Journal (and every lane obtained from it) is a valid no-op.
+// Journal is one run's causal record stream: it stamps causal IDs and
+// owns the one ring the records are staged in. Construct with New; a nil
+// *Journal is a valid no-op.
+//
+// The ring is SINGLE-WRITER, like every obs.Lane: exactly one goroutine
+// may call Record / Flush at a time. Every writer of a run (the faults
+// driver and the remediation engine) records on the run's simulator
+// goroutine, so a journal records one run. The readers (Len, Records,
+// Index, WriteJSONL) may run concurrently with the writer.
 type Journal struct {
-	nextID atomic.Uint64
-
-	mu    sync.Mutex
-	lanes []*Lane
-	// Name tables for JSONL encoding, indexed by the Record ordinals. Set
-	// once before recording (SetNames); missing entries fall back to the
-	// bare number.
-	devNames, classNames, sevNames []string
+	// lastID is the last issued causal ID; only the writer touches it.
+	lastID ID
+	ring   obs.Lane[Record]
+	// names are the enum name tables for JSONL encoding, indexed by the
+	// Record ordinals and fixed at construction; missing entries fall
+	// back to the bare number.
+	names nameTables
 }
 
-// New returns an empty journal.
-func New() *Journal { return &Journal{} }
-
-// SetNames installs the enum name tables used when encoding records:
-// device types indexed by Record.Dev, fault classes by Record.Class,
-// severities by Record.Sev. Call once, before the journal is written or
-// indexed. Nil slices keep the previous table.
-func (j *Journal) SetNames(dev, class, sev []string) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if dev != nil {
-		j.devNames = dev
-	}
-	if class != nil {
-		j.classNames = class
-	}
-	if sev != nil {
-		j.sevNames = sev
-	}
+// New returns an empty journal that encodes records with the given name
+// tables: device types indexed by Record.Dev, fault classes by
+// Record.Class, severities by Record.Sev. Nil tables mean bare ordinals.
+func New(dev, class, sev []string) *Journal {
+	return &Journal{names: nameTables{dev, class, sev}}
 }
 
-// Lane creates a new record lane. Like every obs.Lane, a lane is
-// SINGLE-WRITER: exactly one goroutine may call Record / Flush at a time
-// (callers that share a lane across goroutines serialize on their own
-// mutex, as the remediation engine does). Returns nil — a valid no-op
-// lane — on a nil journal.
-func (j *Journal) Lane() *Lane {
+// Record assigns the next causal ID to r, stages it, and returns the ID
+// so the caller can parent subsequent records on it. Returns 0 on a nil
+// journal. Only the writer may call it.
+//
+//hot:noalloc
+func (j *Journal) Record(r Record) ID {
 	if j == nil {
-		return nil
+		return 0
 	}
-	l := &Lane{j: j}
-	j.mu.Lock()
-	j.lanes = append(j.lanes, l)
-	j.mu.Unlock()
-	return l
+	j.lastID++
+	r.ID = j.lastID
+	if j.ring.Record(r) {
+		j.ring.Flush()
+	}
+	return r.ID
+}
+
+// Flush publishes the staged records to readers. Only the writer may call
+// it.
+func (j *Journal) Flush() {
+	if j != nil {
+		j.ring.Flush()
+	}
 }
 
 // Len reports the number of flushed (reader-visible) records.
@@ -179,83 +175,19 @@ func (j *Journal) Len() int {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	lanes := append([]*Lane(nil), j.lanes...)
-	j.mu.Unlock()
-	n := 0
-	for _, l := range lanes {
-		n += l.ring.Len()
-	}
-	return n
+	return j.ring.Len()
 }
 
-// Records returns every flushed record across all lanes, sorted by ID —
-// the canonical causal order. Safe to call while writers keep recording:
-// it sees a consistent prefix of each lane.
-//
-// A lane's records carry strictly increasing IDs (one writer drawing from
-// the shared counter), so the lanes are merged rather than sorted: a study
-// run's few hundred thousand records assemble in one O(n·lanes) pass
-// instead of an O(n log n) comparison sort over 40-byte elements.
+// Records returns every flushed record in ID order — the canonical causal
+// order. Safe to call while the writer keeps recording: one writer issues
+// IDs in recording order, so the flushed blocks hold exactly the IDs
+// 1..n, and since every record's parent is issued before it, that prefix
+// holds only complete chains.
 func (j *Journal) Records() []Record {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	lanes := append([]*Lane(nil), j.lanes...)
-	j.mu.Unlock()
-
-	allBlocks := make([][]Record, 0, 8)
-	total := 0
-	for _, l := range lanes {
-		for _, b := range l.ring.Blocks() {
-			allBlocks = append(allBlocks, b)
-			total += len(b)
-		}
-	}
-
-	// Fast path: a journal whose lanes are fully flushed holds exactly the
-	// IDs 1..total, so every record can be placed directly at recs[ID-1] —
-	// no comparisons at all. A live mid-run snapshot (some IDs issued but
-	// unflushed) leaves holes; then fall back to merging the lanes.
-	recs := make([]Record, total)
-	placed := true
-	for _, blk := range allBlocks {
-		for _, r := range blk {
-			if r.ID < 1 || r.ID > ID(total) || recs[r.ID-1].ID != 0 {
-				placed = false
-				break
-			}
-			recs[r.ID-1] = r
-		}
-		if !placed {
-			break
-		}
-	}
-	if placed {
-		return recs
-	}
-
-	// Slow path: concatenate and sort by ID. Each lane's records are
-	// already ID-ascending (one writer drawing from the shared counter), so
-	// the sort sees mostly-ordered input; this path only runs for partial
-	// snapshots, which live introspection keeps small and rare.
-	recs = recs[:0]
-	for _, blk := range allBlocks {
-		recs = append(recs, blk...)
-	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].ID < recs[b].ID })
-	return recs
-}
-
-// names returns the journal's name tables.
-func (j *Journal) names() nameTables {
-	if j == nil {
-		return nameTables{}
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return nameTables{j.devNames, j.classNames, j.sevNames}
+	return j.ring.Values()
 }
 
 // nameTables bundles the enum name tables a journal encodes with.
@@ -297,7 +229,7 @@ func (j *Journal) WriteJSONL(w io.Writer) error {
 	if j == nil {
 		return nil
 	}
-	return writeJSONL(w, j.Records(), j.names())
+	return writeJSONL(w, j.Records(), j.names)
 }
 
 // kindFrag pre-renders each kind together with the key that always
@@ -389,36 +321,4 @@ func (e *encoder) appendRecord(b []byte, r Record) []byte {
 	}
 	b = append(b, '}', '\n')
 	return b
-}
-
-// Lane is a single-writer record buffer feeding its journal: an obs.Lane
-// of records that stamps each with the journal's next causal ID. All
-// methods are nil-safe.
-type Lane struct {
-	j    *Journal
-	ring obs.Lane[Record]
-}
-
-// Record assigns the next causal ID to r, stages it, and returns the ID
-// so the caller can parent subsequent records on it. Returns 0 on a nil
-// lane.
-//
-//hot:noalloc
-func (l *Lane) Record(r Record) ID {
-	if l == nil {
-		return 0
-	}
-	r.ID = ID(l.j.nextID.Add(1))
-	if l.ring.Record(r) {
-		l.ring.Flush()
-	}
-	return r.ID
-}
-
-// Flush publishes the staged records to readers. Only the writer may call
-// it.
-func (l *Lane) Flush() {
-	if l != nil {
-		l.ring.Flush()
-	}
 }

@@ -13,40 +13,33 @@ import (
 // chainRecords journals one complete automated-repair chain and one
 // escalated incident chain, returning the journal.
 func chainJournal() *Journal {
-	j := New()
-	j.SetNames([]string{"RSW", "CSW"}, []string{"port ping failure"}, []string{"", "SEV1", "SEV2", "SEV3"})
-	l := j.Lane()
+	j := New([]string{"RSW", "CSW"}, []string{"port ping failure"}, []string{"", "SEV1", "SEV2", "SEV3"})
 
 	// Automated repair: raised → detected → ticket → dispatched → repaired.
-	raised := l.Record(Record{Kind: FaultRaised, Time: 10, Dev: 0, Class: 0, Sev: -1})
-	detected := l.Record(Record{Kind: FaultDetected, Time: 10, Parent: raised, Dev: 0, Class: 0, Sev: -1})
-	ticket := l.Record(Record{Kind: TicketCut, Time: 10, Parent: detected, Dev: 0, Class: 0, Sev: -1})
-	disp := l.Record(Record{Kind: Dispatched, Time: 10, Parent: ticket, Aux: 24, Dev: 0, Class: 0, Sev: -1})
-	l.Record(Record{Kind: Repaired, Time: 34, Parent: disp, Aux: 2.5, Dev: 0, Class: 0, Sev: -1})
+	raised := j.Record(Record{Kind: FaultRaised, Time: 10, Dev: 0, Class: 0, Sev: -1})
+	detected := j.Record(Record{Kind: FaultDetected, Time: 10, Parent: raised, Dev: 0, Class: 0, Sev: -1})
+	ticket := j.Record(Record{Kind: TicketCut, Time: 10, Parent: detected, Dev: 0, Class: 0, Sev: -1})
+	disp := j.Record(Record{Kind: Dispatched, Time: 10, Parent: ticket, Aux: 24, Dev: 0, Class: 0, Sev: -1})
+	j.Record(Record{Kind: Repaired, Time: 34, Parent: disp, Aux: 2.5, Dev: 0, Class: 0, Sev: -1})
 
 	// Escalated incident: raised → detected → ticket → escalated → opened → closed.
-	raised2 := l.Record(Record{Kind: FaultRaised, Time: 50, Dev: 1, Class: 0, Sev: -1})
-	det2 := l.Record(Record{Kind: FaultDetected, Time: 50, Parent: raised2, Dev: 1, Class: 0, Sev: -1})
-	tick2 := l.Record(Record{Kind: TicketCut, Time: 50, Parent: det2, Dev: 1, Class: 0, Sev: -1})
-	esc := l.Record(Record{Kind: Escalated, Time: 50, Parent: tick2, Dev: 1, Class: 0, Sev: -1})
-	opened := l.Record(Record{Kind: IncidentOpened, Time: 50, Parent: esc, Dev: 1, Class: 0, Sev: 2, Ref: 7})
-	l.Record(Record{Kind: IncidentClosed, Time: 54, Parent: opened, Aux: 4, Dev: 1, Class: 0, Sev: 2, Ref: 7})
+	raised2 := j.Record(Record{Kind: FaultRaised, Time: 50, Dev: 1, Class: 0, Sev: -1})
+	det2 := j.Record(Record{Kind: FaultDetected, Time: 50, Parent: raised2, Dev: 1, Class: 0, Sev: -1})
+	tick2 := j.Record(Record{Kind: TicketCut, Time: 50, Parent: det2, Dev: 1, Class: 0, Sev: -1})
+	esc := j.Record(Record{Kind: Escalated, Time: 50, Parent: tick2, Dev: 1, Class: 0, Sev: -1})
+	opened := j.Record(Record{Kind: IncidentOpened, Time: 50, Parent: esc, Dev: 1, Class: 0, Sev: 2, Ref: 7})
+	j.Record(Record{Kind: IncidentClosed, Time: 54, Parent: opened, Aux: 4, Dev: 1, Class: 0, Sev: 2, Ref: 7})
 
-	l.Flush()
+	j.Flush()
 	return j
 }
 
 func TestNilJournalIsNoOp(t *testing.T) {
 	var j *Journal
-	j.SetNames(nil, nil, nil)
-	l := j.Lane()
-	if l != nil {
-		t.Fatalf("nil journal Lane = %v, want nil", l)
+	if id := j.Record(Record{Kind: FaultRaised}); id != 0 {
+		t.Fatalf("nil journal Record = %d, want 0", id)
 	}
-	if id := l.Record(Record{Kind: FaultRaised}); id != 0 {
-		t.Fatalf("nil lane Record = %d, want 0", id)
-	}
-	l.Flush()
+	j.Flush()
 	if n := j.Len(); n != 0 {
 		t.Fatalf("nil journal Len = %d, want 0", n)
 	}
@@ -78,10 +71,9 @@ func TestIDsAreDenseAndOrdered(t *testing.T) {
 }
 
 func TestAutoFlushAtBatchFull(t *testing.T) {
-	j := New()
-	l := j.Lane()
+	j := New(nil, nil, nil)
 	for i := 0; i < obs.LaneBatch; i++ {
-		l.Record(Record{Kind: FaultRaised, Time: float64(i), Class: -1, Sev: -1})
+		j.Record(Record{Kind: FaultRaised, Time: float64(i), Class: -1, Sev: -1})
 	}
 	// No explicit Flush: a full staging buffer must have published itself.
 	if got := j.Len(); got != obs.LaneBatch {
@@ -267,8 +259,7 @@ func TestMergeSummaries(t *testing.T) {
 // in internal/obs): readers may index and serialize the journal while the
 // writer keeps recording, and the IDs they see form a gap-free prefix.
 func TestConcurrentReadersSeeFlushedPrefix(t *testing.T) {
-	j := New()
-	l := j.Lane()
+	j := New(nil, nil, nil)
 	const total = obs.LaneBatch * 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -297,29 +288,28 @@ func TestConcurrentReadersSeeFlushedPrefix(t *testing.T) {
 		}
 	}()
 	for i := 0; i < total; i++ {
-		l.Record(Record{Kind: FaultRaised, Time: float64(i), Class: -1, Sev: -1})
+		j.Record(Record{Kind: FaultRaised, Time: float64(i), Class: -1, Sev: -1})
 	}
 	close(stop)
 	wg.Wait()
-	l.Flush()
+	j.Flush()
 	if j.Len() != total {
 		t.Fatalf("Len = %d, want %d", j.Len(), total)
 	}
 }
 
 func BenchmarkLaneRecord(b *testing.B) {
-	j := New()
-	l := j.Lane()
+	j := New(nil, nil, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Record(Record{Kind: FaultRaised, Time: float64(i), Class: -1, Sev: -1})
+		j.Record(Record{Kind: FaultRaised, Time: float64(i), Class: -1, Sev: -1})
 	}
 }
 
 func BenchmarkNilLaneRecord(b *testing.B) {
-	var l *Lane
+	var j *Journal
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Record(Record{Kind: FaultRaised, Time: float64(i)})
+		j.Record(Record{Kind: FaultRaised, Time: float64(i)})
 	}
 }

@@ -12,13 +12,13 @@ import (
 const LaneBatch = 512
 
 // Lane is the single-writer staging ring behind every batched recorder in
-// the repo — SpanRing here, journal.Lane, and the one ring each
-// timeline.Timeline owns. Record stores
-// one value into a fixed staging array; Flush copies the staged values
-// into a fresh immutable block and publishes it. Readers (Blocks, Len)
-// see only published blocks, so a mid-run reader observes a consistent
-// prefix while the writer keeps recording, and never touches the staging
-// array the writer is overwriting.
+// the repo — SpanRing here and the one ring each journal.Journal and
+// timeline.Timeline owns. Record stores one value into a fixed staging
+// array; Flush copies the staged values into a fresh immutable block and
+// publishes it. Readers (Blocks, Values, Len) see only published
+// blocks, so a mid-run reader observes a consistent prefix while the
+// writer keeps recording, and never touches the staging array the writer
+// is overwriting.
 //
 // Publishing appends a block instead of growing one flat slice, so it
 // never re-copies earlier records (a flat append spent more memory
@@ -71,6 +71,22 @@ func (l *Lane[T]) Blocks() [][]T {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([][]T(nil), l.flushed...)
+}
+
+// Values returns every published value in publication order, copied into
+// one slice. The copy is made outside the lane's mutex, so a long read
+// never stalls the writer's Flush.
+func (l *Lane[T]) Values() []T {
+	blocks := l.Blocks()
+	n := 0
+	for _, b := range blocks {
+		n += len(b)
+	}
+	out := make([]T, 0, n)
+	for _, b := range blocks {
+		out = append(out, b...)
+	}
+	return out
 }
 
 // Len returns the number of published values.

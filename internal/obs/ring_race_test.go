@@ -12,8 +12,8 @@ import (
 type laneRec struct{ i, sq int64 }
 
 // TestLaneWraparoundConcurrentRead pins the publication contract every
-// batched recorder (SpanRing, journal.Lane, timeline.Timeline) inherits from
-// Lane. One writer drives a lane through several staging-buffer
+// batched recorder (SpanRing and the one ring each journal.Journal and
+// timeline.Timeline owns) inherits from Lane. One writer drives a lane through several staging-buffer
 // wraparounds and a partial tail while readers snapshot it. Every
 // snapshot must be a whole-record prefix of the recording, a mid-run
 // snapshot must still hold the same values after the writer has reused

@@ -140,16 +140,7 @@ func (t *Timeline) Samples() []Sample {
 	if t == nil {
 		return nil
 	}
-	blocks := t.ring.Blocks()
-	n := 0
-	for _, b := range blocks {
-		n += len(b)
-	}
-	out := make([]Sample, 0, n)
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	return out
+	return t.ring.Values()
 }
 
 // WriteJSONL writes every flushed sample as one JSON object per line —
@@ -162,25 +153,29 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	return writeJSONL(w, t.columns(), t.Samples())
+	return writeJSONL(w, t.columns(), t.ring.Blocks())
 }
 
 // writeChunk is the output size at which writeJSONL hands its encoded
 // lines to w.
 const writeChunk = 1 << 16
 
-// writeJSONL encodes samples as JSON lines, naming columns from cols, and
-// writes them to w in chunks of about writeChunk bytes.
-func writeJSONL(w io.Writer, cols []string, samples []Sample) error {
+// writeJSONL encodes the samples of blocks, in order, as JSON lines,
+// naming columns from cols, and writes them to w in chunks of about
+// writeChunk bytes. It reads the ring's published blocks in place, so
+// serializing copies no sample.
+func writeJSONL(w io.Writer, cols []string, blocks [][]Sample) error {
 	enc := encoder{cols: cols}
 	buf := make([]byte, 0, writeChunk)
-	for _, s := range samples {
-		buf = enc.appendSample(buf, s)
-		if len(buf) >= writeChunk-128 {
-			if _, err := w.Write(buf); err != nil {
-				return err
+	for _, blk := range blocks {
+		for _, s := range blk {
+			buf = enc.appendSample(buf, s)
+			if len(buf) >= writeChunk-128 {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
-			buf = buf[:0]
 		}
 	}
 	if len(buf) > 0 {

@@ -40,7 +40,9 @@ type Observe struct {
 	// Journal, when non-nil, records the causal lifecycle of every fault
 	// (raised → detected → ticket → dispatched/escalated → repaired →
 	// incident) as fixed-size records linked by parent IDs; write with
-	// Journal.WriteJSONL, query with Journal.Index.
+	// Journal.WriteJSONL, query with Journal.Index. A journal records one
+	// run (its writers share one single-writer ring), so give each run
+	// its own.
 	Journal *journal.Journal
 	// Timeline, when non-nil, samples the run's registry on the
 	// timeline's sim-time cadence grid into time-series records: the

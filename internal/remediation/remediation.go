@@ -232,11 +232,12 @@ type Engine struct {
 	// single-writer contract; FlushTrace publishes the tails.
 	rings  []*obs.SpanRing
 	logger *slog.Logger
-	// jlane is the engine's causal-journal lane: ticket-cut, dispatch,
-	// escalation, and repair records, parented on the IDs callers pass to
-	// SubmitTag. The engine mutex satisfies the lane's single-writer
-	// contract; a nil lane is a no-op.
-	jlane *journal.Lane
+	// jnl is the run's causal journal: ticket-cut, dispatch, escalation,
+	// and repair records, parented on the IDs callers pass to SubmitTag.
+	// The journal is single-writer and shared with the caller that
+	// parents these records, so with one attached every SubmitTag runs on
+	// the simulator goroutine; a nil journal is a no-op.
+	jnl *journal.Journal
 
 	// The outcome slab. Each submission takes a slot (from free, or by
 	// growing slots) holding its outcome and its recipient, and queues
@@ -280,11 +281,12 @@ func NewEngine(sim *des.Simulator, rng *simrand.Stream) *Engine {
 // lane per device type) and each escalation an instant marker. With
 // o.Journal every submission records a ticket-cut entry parented on the
 // cause ID passed to SubmitTag, then either a dispatched→repaired pair or
-// an escalated record, on the engine's own lane. With o.Logger
-// escalations log at debug with the simulation clock (incidents
-// themselves are logged upstream by the faults driver, so info stays
-// readable). Repair spans and journal records are staged; call FlushTrace
-// before reading the trace or journal. Nil fields are no-ops. Call once,
+// an escalated record; the caller records the cause in the same journal.
+// With o.Logger escalations log at debug with the simulation clock
+// (incidents themselves are logged upstream by the faults driver, so info
+// stays readable). Repair spans are staged; call FlushTrace before
+// reading the trace. The journal's owner flushes the journal (the faults
+// driver does at the end of Run). Nil fields are no-ops. Call once,
 // before the simulation runs.
 func (e *Engine) Observe(o observe.Observe) {
 	e.mu.Lock()
@@ -317,21 +319,20 @@ func (e *Engine) Observe(o observe.Observe) {
 				SetNames(faultClassNames[:]...)
 		}
 	}
-	e.jlane = o.Journal.Lane()
+	e.jnl = o.Journal
 	e.logger = o.Logger
 }
 
 // FlushTrace publishes any repair spans still staged in the engine's ring
-// buffers to the tracer, and any journal records still staged in its
-// lane. Call after the simulation finishes, before the trace or journal
-// is read or written; the faults driver does this at the end of Run.
+// buffers to the tracer. Call after the simulation finishes, before the
+// trace is read or written; the faults driver does this at the end of
+// Run.
 func (e *Engine) FlushTrace() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, r := range e.rings {
 		r.Flush()
 	}
-	e.jlane.Flush()
 }
 
 // SetEnabled turns the engine on or off. A disabled engine escalates every
@@ -357,8 +358,10 @@ func (e *Engine) Enabled() bool {
 // the record that led to this submission (the fault's detection record),
 // and becomes the parent of the ticket-cut entry the engine journals;
 // with no journal attached — or a zero cause — the records are simply not
-// written. SubmitTag is safe to call concurrently; the event scheduling
-// happens under the engine's mutex.
+// written. SubmitTag is safe to call concurrently, as the event
+// scheduling happens under the engine's mutex, except with a journal
+// attached: the journal is single-writer, so every SubmitTag must then
+// run on the goroutine that records the causes (the simulator's).
 //
 //hot:noalloc
 func (e *Engine) SubmitTag(t topology.DeviceType, class FaultClass, cause journal.ID, h func(tag int32, o Outcome), tag int32) {
@@ -372,7 +375,7 @@ func (e *Engine) SubmitTag(t topology.DeviceType, class FaultClass, cause journa
 	st.Issues++
 	e.mSubmitted.Inc()
 	now := e.sim.Now()
-	ticket := e.jlane.Record(journal.Record{
+	ticket := e.jnl.Record(journal.Record{
 		Kind: journal.TicketCut, Parent: cause, Time: now,
 		Dev: uint8(t), Class: int8(class), Sev: -1,
 	})
@@ -381,7 +384,7 @@ func (e *Engine) SubmitTag(t topology.DeviceType, class FaultClass, cause journa
 	if !e.enabled || !pol.supported || e.rng.Bool(pol.escalate) {
 		st.Escalated++
 		e.mEscalated.Inc()
-		esc := e.jlane.Record(journal.Record{
+		esc := e.jnl.Record(journal.Record{
 			Kind: journal.Escalated, Parent: ticket, Time: now,
 			Dev: uint8(t), Class: int8(class), Sev: -1,
 		})
@@ -413,14 +416,14 @@ func (e *Engine) SubmitTag(t topology.DeviceType, class FaultClass, cause journa
 	}
 	// Journal the rest of the lifecycle up front: the dispatch and repair
 	// times are already decided, and recording both here (rather than
-	// inside the completion event) keeps the lane single-writer under this
-	// mutex. The JSONL output is ID-ordered, so the future-timestamped
-	// repair record lands in causal order regardless.
-	disp := e.jlane.Record(journal.Record{
+	// inside the completion event) issues every ID of the chain before
+	// SubmitTag returns. The JSONL output is ID-ordered, so the
+	// future-timestamped repair record lands in causal order regardless.
+	disp := e.jnl.Record(journal.Record{
 		Kind: journal.Dispatched, Parent: ticket, Time: now + wait, Aux: wait,
 		Dev: uint8(t), Class: int8(class), Sev: -1,
 	})
-	rep := e.jlane.Record(journal.Record{
+	rep := e.jnl.Record(journal.Record{
 		Kind: journal.Repaired, Parent: disp, Time: now + wait + repairSec/3600, Aux: repairSec,
 		Dev: uint8(t), Class: int8(class), Sev: -1,
 	})

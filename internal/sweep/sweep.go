@@ -387,7 +387,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if j := icfg.Observe.Journal; j != nil {
 			// One index serves both the JSONL chunk and the summary; the
-			// journal's records are assembled (merged across lanes) once.
+			// journal's blocks are concatenated into one record array once.
 			x := j.Index()
 			if cfg.Journal != nil {
 				// Serialize the run's journal as one chunk — a header line
