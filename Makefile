@@ -52,10 +52,10 @@ test-obs:
 
 # test-health race-tests the streaming SLO engine and its end-to-end
 # wiring: the engine package itself plus the facade scenarios (elevated
-# burn drill, calibrated quiet run, backbone edge signal, report format).
+# burn drill, calibrated quiet run, report format).
 test-health:
 	$(GO) test -race ./internal/obs/health/ ./internal/notify/
-	$(GO) test -race -run 'TestHealth|TestSLO|TestBackboneHealth' .
+	$(GO) test -race -run 'TestHealth|TestSLO' .
 
 # verify is the tier-1 gate: vet, the static-analysis suite (including
 # the hotalloc escape gate), and the race-enabled test suite (which

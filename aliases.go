@@ -335,7 +335,7 @@ func NewTraceJSONWriter(w io.Writer) *TraceJSONWriter { return obs.NewTraceJSONW
 // incident rates, MTBF/MTTR estimates, and error-budget burn rates against
 // calibration targets, and runs declarative alert rules through a
 // pending→firing→resolved state machine. A nil *HealthEngine is a valid
-// no-op. Pass one through IntraConfig.Health / BackboneConfig.Health.
+// no-op. Pass one through IntraConfig.Observe.Health.
 type HealthEngine = health.Engine
 
 // HealthTargets holds the calibration-derived SLO objectives a
@@ -376,10 +376,6 @@ func HealthTargetsForScale(scale int) HealthTargets {
 // DefaultHealthRules returns the standard intra-DC rule set: SRE-style
 // fast and slow incident burn-rate rules plus an MTTR-degradation rule.
 func DefaultHealthRules() []HealthRule { return health.DefaultRules() }
-
-// EdgeHealthRules returns the backbone edge-availability rule set
-// (requires HealthTargets.EdgeAvailability to be set).
-func EdgeHealthRules() []HealthRule { return health.EdgeRules() }
 
 // Journal is the causal incident journal: an allocation-conscious wide-
 // event stream recording the full fault lifecycle (fault raised → detected

@@ -479,7 +479,7 @@ func BenchmarkCongestionAfterFailure(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	demands, err := GenerateTraffic(net, TrafficConfig{}, 1)
+	demands, err := GenerateTraffic(net, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -546,11 +546,11 @@ func BenchmarkDrillSuite(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	demands, err := GenerateTraffic(net, TrafficConfig{}, 1)
+	demands, err := GenerateTraffic(net, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner, err := NewDrillRunner(net, demands, DefaultDrillCriteria())
+	runner, err := NewDrillRunner(net, demands)
 	if err != nil {
 		b.Fatal(err)
 	}

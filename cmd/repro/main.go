@@ -58,7 +58,7 @@ func main() {
 		verify      = flag.Bool("verify", false, "grade the paper's headline claims and exit non-zero on failures")
 		format      = flag.String("format", "text", "output format: text or csv")
 		parallel    = flag.Int("parallel", runtime.NumCPU(), "worker pool size for the all-experiments run (1 = serial)")
-		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus metrics, health, journal, history, and pprof on this address (e.g. :8080) for the duration of the run")
+		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus metrics, health, journal, and pprof on this address (e.g. :8080) for the duration of the run")
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event file to this file")
 		sweepReport = flag.String("sweep-report", "", "diff a dcsweep report's variance bands against the paper's values and exit")
 	)

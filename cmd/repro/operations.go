@@ -16,7 +16,7 @@ func congestionStudy(d *datasets, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	demands, err := dcnr.GenerateTraffic(net, dcnr.TrafficConfig{}, d.seed)
+	demands, err := dcnr.GenerateTraffic(net, d.seed)
 	if err != nil {
 		return err
 	}
@@ -38,7 +38,7 @@ func congestionStudy(d *datasets, w io.Writer) error {
 		router := dcnr.NewRouter(net)
 		router.SetDown(down)
 		load, _ := router.Route(dcnr.Reassign(net, demands, down))
-		util := router.Utilization(load, nil)
+		util := router.Utilization(load)
 		survivorPeak := 0.0
 		for _, csw := range cluster {
 			if !down[csw] && util[csw] > survivorPeak {
@@ -146,11 +146,11 @@ func drillSuite(d *datasets, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	demands, err := dcnr.GenerateTraffic(net, dcnr.TrafficConfig{}, d.seed)
+	demands, err := dcnr.GenerateTraffic(net, d.seed)
 	if err != nil {
 		return err
 	}
-	runner, err := dcnr.NewDrillRunner(net, demands, dcnr.DefaultDrillCriteria())
+	runner, err := dcnr.NewDrillRunner(net, demands)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,8 @@
 // Every simulation entry point takes a config whose Validate method
 // normalizes defaults and rejects impossible parameters, and whose
 // embedded Observe struct carries the shared observability wiring
-// (Metrics, Trace, Health, Logger). Analysis re-derives every table and
+// (Metrics, Trace, Health, Logger, Journal, Timeline; a field an entry
+// point does not read is rejected). Analysis re-derives every table and
 // figure of the paper from the generated raw records — see IntraAnalysis
 // and InterAnalysis. cmd/repro prints each experiment; EXPERIMENTS.md
 // records paper-vs-measured values.

@@ -170,37 +170,6 @@ func TestHealthEngineCalibratedRunStaysQuiet(t *testing.T) {
 	}
 }
 
-// TestBackboneHealthEdgeSignal wires a health engine with edge rules into
-// the backbone simulation and checks the edge SLO is populated.
-func TestBackboneHealthEdgeSignal(t *testing.T) {
-	targets := HealthTargetsForScale(1)
-	targets.EdgeAvailability = 0.999
-	eng, err := NewHealthEngine(targets, EdgeHealthRules())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultBackboneConfig()
-	cfg.Seed = 3
-	cfg.Health = eng
-	res, err := SimulateBackbone(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Downtimes) == 0 {
-		t.Fatal("no downtimes generated")
-	}
-	rep := eng.Report()
-	if rep.EdgeAvailability == nil {
-		t.Fatal("edge SLO missing")
-	}
-	if rep.EdgeAvailability.DowntimeHours <= 0 {
-		t.Error("edge downtime not fed to engine")
-	}
-	if rep.AsOfSimHours == 0 {
-		t.Error("engine never evaluated")
-	}
-}
-
 // TestSLOReportJSONRoundTrip keeps the report wire format stable for the
 // /slo endpoint and -health-out consumers.
 func TestSLOReportJSONRoundTrip(t *testing.T) {

@@ -9,20 +9,10 @@ package analyzers
 // state (the standard solve-then-report pattern), which keeps reporting
 // out of the fixpoint loop.
 
-// Direction selects forward (entry→exit) or backward (exit→entry)
-// propagation.
-type Direction int
-
-const (
-	Forward Direction = iota
-	Backward
-)
-
-// Flow defines one monotone dataflow problem.
+// Flow defines one monotone dataflow problem, propagated forward (entry
+// to exit).
 type Flow[F any] struct {
-	Dir Direction
-	// Boundary produces the fact at the graph boundary: the entry block's
-	// in-fact (Forward) or the exit block's in-fact (Backward).
+	// Boundary produces the entry block's in-fact.
 	Boundary func() F
 	// Init produces the starting fact for every other block edge — the
 	// lattice bottom for may-analyses, top for must-analyses.
@@ -39,7 +29,7 @@ type Flow[F any] struct {
 }
 
 // Solve iterates the problem to a fixpoint and returns the in-fact of
-// every block: the state on entry to the block along f.Dir.
+// every block: the state on entry to the block.
 func Solve[F any](c *CFG, f Flow[F]) map[*Block]F {
 	in := make(map[*Block]F, len(c.Blocks))
 	out := make(map[*Block]F, len(c.Blocks))
@@ -48,12 +38,6 @@ func Solve[F any](c *CFG, f Flow[F]) map[*Block]F {
 	}
 
 	boundary := c.Blocks[0]
-	sources := func(b *Block) []*Block { return b.Preds }
-	targets := func(b *Block) []*Block { return b.Succs }
-	if f.Dir == Backward {
-		boundary = c.Exit
-		sources, targets = targets, sources
-	}
 
 	// Worklist seeded with every block so unreachable code is still
 	// transferred once (reporting passes want to see dead statements).
@@ -82,14 +66,14 @@ func Solve[F any](c *CFG, f Flow[F]) map[*Block]F {
 		if b == boundary {
 			fact = f.Join(fact, f.Boundary())
 		}
-		for _, p := range sources(b) {
+		for _, p := range b.Preds {
 			fact = f.Join(fact, out[p])
 		}
 		in[b] = fact
 		next := f.Transfer(b, fact)
 		if !f.Equal(next, out[b]) {
 			out[b] = next
-			for _, s := range targets(b) {
+			for _, s := range b.Succs {
 				push(s)
 			}
 		}

@@ -176,33 +176,6 @@ b4[] (exit)
 	}
 }
 
-// TestSolveBackward exercises the backward direction with an exit
-// reachability problem over an infinite loop: blocks inside `for {}`
-// cannot reach the exit, the dead join after it can.
-func TestSolveBackward(t *testing.T) {
-	cfg := BuildCFG(parseFuncBody(t, "for {\n\tx()\n}"))
-	reach := Solve(cfg, Flow[bool]{
-		Dir:      Backward,
-		Boundary: func() bool { return true },
-		Init:     func() bool { return false },
-		Transfer: func(_ *Block, in bool) bool { return in },
-		Join:     func(a, b bool) bool { return a || b },
-		Equal:    func(a, b bool) bool { return a == b },
-	})
-	if !reach[cfg.Exit] {
-		t.Errorf("exit block must reach itself")
-	}
-	// b0 is the entry, which only flows into the loop head.
-	if reach[cfg.Blocks[0]] {
-		t.Errorf("entry of an infinite loop must not reach the exit")
-	}
-	// The staged join block after the loop edges straight to exit.
-	join := cfg.Blocks[len(cfg.Blocks)-2]
-	if !reach[join] {
-		t.Errorf("post-loop join must reach the exit")
-	}
-}
-
 // loadFixtureModule wraps one fixture package as a Module for the
 // module-wide analyzers and the call graph.
 func loadFixtureModule(t *testing.T, rel string) *Module {

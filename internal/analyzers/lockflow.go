@@ -311,7 +311,6 @@ func analyzeLockMethod(n *CGNode, guarded map[*types.TypeName]map[string]bool) *
 
 	cfg := n.CFG()
 	flow := Flow[int]{
-		Dir:      Forward,
 		Boundary: func() int { return 0 },
 		Init:     func() int { return 1 }, // top for a must-analysis
 		Transfer: func(b *Block, in int) int {

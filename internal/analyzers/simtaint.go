@@ -279,7 +279,6 @@ func analyzeTaintFunc(n *CGNode, sums map[*types.Func]*taintSummary, report *Mod
 
 	cfg := n.CFG()
 	flow := Flow[taintFacts]{
-		Dir:      Forward,
 		Boundary: func() taintFacts { return boundary },
 		Init:     func() taintFacts { return make(taintFacts) },
 		Transfer: func(b *Block, in taintFacts) taintFacts {

@@ -135,21 +135,24 @@ type Topology struct {
 	Vendors []Vendor
 }
 
+// The backbone's fixed shape: every edge connects through at least three
+// fiber links (§6), here three to six, each operated by one of 24 fiber
+// vendors.
+const (
+	minLinks   = 3
+	maxLinks   = 6
+	numVendors = 24
+)
+
 // Config sizes the backbone and its simulation.
 type Config struct {
-	// Observe bundles the observability wiring (Metrics, Trace, Health,
-	// Logger, Journal, Timeline) shared by every simulation entry point.
-	// The backbone simulation reports into Metrics and Trace; Health
-	// receives every reconstructed link downtime interval (wired by
-	// dcnr.SimulateBackbone).
+	// Observe bundles the observability wiring shared by every
+	// simulation entry point. The backbone simulation reports into
+	// Metrics and Trace only; Validate rejects a Health, Logger, Journal
+	// or Timeline sink, which it would never read.
 	observe.Observe
 	// Edges is the number of edge nodes. Default 120.
 	Edges int
-	// MinLinks and MaxLinks bound the links per edge (at least three per
-	// §6). Defaults 3 and 6.
-	MinLinks, MaxLinks int
-	// Vendors is the number of fiber vendors. Default 24.
-	Vendors int
 	// Months is the observation window in months of 730 hours. Default 18
 	// (October 2016 – April 2018).
 	Months int
@@ -159,7 +162,7 @@ type Config struct {
 
 // DefaultConfig returns the study-sized configuration.
 func DefaultConfig() Config {
-	return Config{Edges: 120, MinLinks: 3, MaxLinks: 6, Vendors: 24, Months: 18, Seed: 1}
+	return Config{Edges: 120, Months: 18, Seed: 1}
 }
 
 // WindowHours returns the simulated observation window in hours.
@@ -167,23 +170,13 @@ func (c Config) WindowHours() float64 { return float64(c.Months) * 730 }
 
 // Validate normalizes the configuration in place — zero-valued sizing
 // fields take the DefaultConfig values — then checks the result: at least
-// one edge per continent, at least three links per edge, MaxLinks ≥
-// MinLinks, and positive Months and Vendors. It is the single
-// normalization step the simulation entry points run; calling it again is
-// a no-op.
+// one edge per continent, positive Months, and no observability sink the
+// backbone simulation does not read. It is the single normalization step
+// the simulation entry points run; calling it again is a no-op.
 func (c *Config) Validate() error {
 	d := DefaultConfig()
 	if c.Edges == 0 {
 		c.Edges = d.Edges
-	}
-	if c.MinLinks == 0 {
-		c.MinLinks = d.MinLinks
-	}
-	if c.MaxLinks == 0 {
-		c.MaxLinks = d.MaxLinks
-	}
-	if c.Vendors == 0 {
-		c.Vendors = d.Vendors
 	}
 	if c.Months == 0 {
 		c.Months = d.Months
@@ -191,14 +184,16 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Edges < len(Continents):
 		return fmt.Errorf("backbone: need at least %d edges, got %d", len(Continents), c.Edges)
-	case c.MinLinks < 3:
-		return fmt.Errorf("backbone: edges need at least 3 links (got MinLinks=%d)", c.MinLinks)
-	case c.MaxLinks < c.MinLinks:
-		return fmt.Errorf("backbone: MaxLinks %d < MinLinks %d", c.MaxLinks, c.MinLinks)
 	case c.Months < 1:
 		return fmt.Errorf("backbone: Months must be positive")
-	case c.Vendors < 1:
-		return fmt.Errorf("backbone: Vendors must be positive")
+	case c.Health != nil:
+		return fmt.Errorf("backbone: Observe.Health is not read by the backbone simulation")
+	case c.Logger != nil:
+		return fmt.Errorf("backbone: Observe.Logger is not read by the backbone simulation")
+	case c.Journal != nil:
+		return fmt.Errorf("backbone: Observe.Journal is not read by the backbone simulation")
+	case c.Timeline != nil:
+		return fmt.Errorf("backbone: Observe.Timeline is not read by the backbone simulation")
 	}
 	return nil
 }
@@ -214,7 +209,7 @@ func Build(cfg Config) (*Topology, error) {
 	t := &Topology{}
 
 	vrng := src.Stream("vendors")
-	for i := 0; i < cfg.Vendors; i++ {
+	for i := 0; i < numVendors; i++ {
 		// Link MTBF: log-normal with median 2326 h (§6.2's 50th
 		// percentile), heavy spread, clamped to the observed extremes.
 		mtbf := 2326 * math.Exp(1.4*vrng.Normal())
@@ -251,12 +246,12 @@ func Build(cfg Config) (*Topology, error) {
 				cutMTBF: cal.mtbf * math.Exp(0.8*erng.Normal()-0.32),
 				cutMTTR: cal.mttr * math.Exp(0.9*erng.Normal()-0.405),
 			}
-			nLinks := cfg.MinLinks + lrng.Intn(cfg.MaxLinks-cfg.MinLinks+1)
+			nLinks := minLinks + lrng.Intn(maxLinks-minLinks+1)
 			for j := 0; j < nLinks; j++ {
 				link := Link{
 					Name:      fmt.Sprintf("link%04d", len(t.Links)+1),
 					Edge:      len(t.Edges),
-					Vendor:    lrng.Intn(cfg.Vendors),
+					Vendor:    lrng.Intn(numVendors),
 					CircuitID: fmt.Sprintf("CKT-%05d-%02d", len(t.Links)+1, j+1),
 				}
 				e.Links = append(e.Links, len(t.Links))

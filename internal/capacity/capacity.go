@@ -111,12 +111,3 @@ func Provision(need int, unavailability, maxRisk float64) (Plan, error) {
 // FourNines is the availability target §6.1 reports Facebook planning to:
 // tolerate the 99.99th percentile of conditional risk.
 const FourNines = 1e-4
-
-// MTBFFromRate converts a per-device-per-year incident rate (the Figure 3
-// metric) into MTBF in device-hours.
-func MTBFFromRate(ratePerYear float64) (float64, error) {
-	if ratePerYear <= 0 {
-		return 0, errors.New("capacity: non-positive rate")
-	}
-	return 365 * 24 / ratePerYear, nil
-}

@@ -159,19 +159,6 @@ func TestProvisionMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestMTBFFromRate(t *testing.T) {
-	mtbf, err := MTBFFromRate(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mtbf != 2*8760 {
-		t.Errorf("MTBF = %v", mtbf)
-	}
-	if _, err := MTBFFromRate(0); err == nil {
-		t.Error("zero rate accepted")
-	}
-}
-
 func TestPlanSpares(t *testing.T) {
 	p := Plan{Need: 7, Provision: 9}
 	if p.Spares() != 2 {

@@ -225,8 +225,7 @@ func (a *InterAnalysis) EdgeMTBF() map[string]float64 {
 // of its backbone links was up (1 − total outage time / window). Every
 // edge in the inventory is reported; an edge with no outages reads 1.
 // This is the §6 availability signal the sweep engine aggregates into
-// cross-run bands, computed from reconstructed tickets exactly like the
-// health engine's edge-availability SLO.
+// cross-run bands.
 func (a *InterAnalysis) EdgeAvailability() map[string]float64 {
 	out := make(map[string]float64, len(a.edges))
 	for _, e := range a.edges {

@@ -229,10 +229,26 @@ func (n *naiveInter) VendorProfiles() []VendorProfile {
 // is cut back to a single link.
 func smallBackbone(t testing.TB, seed uint64) *backbone.Topology {
 	t.Helper()
-	topo, err := backbone.Build(backbone.Config{Edges: 12, MinLinks: 3, MaxLinks: 4, Vendors: 5, Months: 3, Seed: seed})
+	topo, err := backbone.Build(backbone.Config{Edges: 12, Months: 3, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Keep at most four links per edge, renumbered, on the first five
+	// vendors.
+	topo.Vendors = topo.Vendors[:5]
+	var links []backbone.Link
+	for i := range topo.Edges {
+		e := &topo.Edges[i]
+		kept := e.Links[:min(len(e.Links), 4)]
+		e.Links = nil
+		for _, li := range kept {
+			l := topo.Links[li]
+			l.Vendor %= len(topo.Vendors)
+			e.Links = append(e.Links, len(links))
+			links = append(links, l)
+		}
+	}
+	topo.Links = links
 	topo.Edges[1].Links = topo.Edges[1].Links[:1]
 	return topo
 }

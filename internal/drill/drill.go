@@ -57,23 +57,14 @@ func DataCenterDisconnect(net *topology.Network, dc string) (Scenario, error) {
 	return sc, nil
 }
 
-// Criteria grades a drill.
-type Criteria struct {
-	// MaxStrandedRacks is the largest tolerable number of racks cut off
-	// from the core layer.
-	MaxStrandedRacks int
-	// MaxLostFraction is the largest tolerable share of offered volume
-	// left undelivered.
-	MaxLostFraction float64
-	// MaxUtilization is the saturation bound on any surviving device.
-	MaxUtilization float64
-}
-
-// DefaultCriteria tolerates a single rack, 2% lost volume, and 95% peak
-// utilization.
-func DefaultCriteria() Criteria {
-	return Criteria{MaxStrandedRacks: 1, MaxLostFraction: 0.02, MaxUtilization: 0.95}
-}
+// Pass criteria: a drill tolerates a single stranded rack, 2% of offered
+// volume left undelivered, and 95% peak utilization on any surviving
+// device.
+const (
+	maxStrandedRacks         = 1
+	maxLostFraction  float64 = 0.02
+	maxUtilization   float64 = 0.95
+)
 
 // Result grades one executed drill.
 type Result struct {
@@ -90,20 +81,19 @@ type Result struct {
 
 // Runner executes drills against one topology and demand matrix.
 type Runner struct {
-	net      *topology.Network
-	demands  []routing.Demand
-	criteria Criteria
+	net     *topology.Network
+	demands []routing.Demand
 }
 
 // NewRunner validates the demand matrix and returns a Runner.
-func NewRunner(net *topology.Network, demands []routing.Demand, criteria Criteria) (*Runner, error) {
+func NewRunner(net *topology.Network, demands []routing.Demand) (*Runner, error) {
 	if net == nil {
 		return nil, errors.New("drill: nil network")
 	}
 	if err := routing.Validate(net, demands); err != nil {
 		return nil, err
 	}
-	return &Runner{net: net, demands: demands, criteria: criteria}, nil
+	return &Runner{net: net, demands: demands}, nil
 }
 
 // Run injects the scenario and grades the outcome.
@@ -120,18 +110,18 @@ func (r *Runner) Run(sc Scenario) (Result, error) {
 		StrandedRacks: len(r.net.StrandedRacks(down)),
 		Load:          traffic.Study(r.net, r.demands, down),
 	}
-	if res.StrandedRacks > r.criteria.MaxStrandedRacks {
+	if res.StrandedRacks > maxStrandedRacks {
 		res.Failures = append(res.Failures,
-			fmt.Sprintf("stranded %d racks (tolerance %d)", res.StrandedRacks, r.criteria.MaxStrandedRacks))
+			fmt.Sprintf("stranded %d racks (tolerance %d)", res.StrandedRacks, maxStrandedRacks))
 	}
-	if lf := res.Load.LostFraction(); lf > r.criteria.MaxLostFraction {
+	if lf := res.Load.LostFraction(); lf > maxLostFraction {
 		res.Failures = append(res.Failures,
-			fmt.Sprintf("lost %.1f%% of volume (tolerance %.1f%%)", 100*lf, 100*r.criteria.MaxLostFraction))
+			fmt.Sprintf("lost %.1f%% of volume (tolerance %.1f%%)", 100*lf, 100*maxLostFraction))
 	}
-	if res.Load.MaxUtilization > r.criteria.MaxUtilization {
+	if res.Load.MaxUtilization > maxUtilization {
 		res.Failures = append(res.Failures,
 			fmt.Sprintf("%s at %.0f%% utilization (bound %.0f%%)",
-				res.Load.MaxDevice, 100*res.Load.MaxUtilization, 100*r.criteria.MaxUtilization))
+				res.Load.MaxDevice, 100*res.Load.MaxUtilization, 100*maxUtilization))
 	}
 	res.Pass = len(res.Failures) == 0
 	return res, nil

@@ -17,11 +17,11 @@ func testRunner(t *testing.T) (*Runner, *topology.Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	demands, err := traffic.Generate(net, traffic.Config{}, simrand.New(1))
+	demands, err := traffic.Generate(net, simrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(net, demands, DefaultCriteria())
+	r, err := NewRunner(net, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestDataCenterDisconnectScenario(t *testing.T) {
 
 func TestNewRunnerValidation(t *testing.T) {
 	_, net := testRunner(t)
-	if _, err := NewRunner(nil, nil, DefaultCriteria()); err == nil {
+	if _, err := NewRunner(nil, nil); err == nil {
 		t.Error("nil network accepted")
 	}
 	bad := []routing.Demand{{Src: "ghost", Dst: "ghost", Gbps: 1}}
-	if _, err := NewRunner(net, bad, DefaultCriteria()); err == nil {
+	if _, err := NewRunner(net, bad); err == nil {
 		t.Error("invalid demands accepted")
 	}
 }
@@ -154,11 +154,11 @@ func BenchmarkStandardDrillSuite(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	demands, err := traffic.Generate(net, traffic.Config{}, simrand.New(1))
+	demands, err := traffic.Generate(net, simrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := NewRunner(net, demands, DefaultCriteria())
+	r, err := NewRunner(net, demands)
 	if err != nil {
 		b.Fatal(err)
 	}

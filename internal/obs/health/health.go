@@ -1,7 +1,6 @@
 // Package health is a streaming SLO evaluation engine over the simulated
 // operational history. It consumes the event stream the simulation already
-// produces — device faults, escalated incidents, repairs, backbone edge
-// downtime — and continuously judges it against calibration targets: the
+// produces — device faults, escalated incidents, repairs — and continuously judges it against calibration targets: the
 // expected incident volumes, resolution-time percentiles, and populations
 // that package faults uses to shape the generator. On top of the live
 // signals sits a declarative alert-rule layer with SRE-style multi-window
@@ -83,9 +82,6 @@ type Targets struct {
 	// for year EpochYear+i. Instants past the last year take its
 	// population and MTTR target; they expect no incidents.
 	Years []Year
-	// EdgeAvailability is the target per-window backbone edge
-	// availability (e.g. 0.9999); zero disables the edge signal.
-	EdgeAvailability float64
 }
 
 // Year is one calendar year's objectives, indexed by topology.DeviceType.
@@ -187,11 +183,6 @@ type incident struct {
 	resolution float64
 }
 
-// interval is one edge-downtime span.
-type interval struct {
-	start, end float64
-}
-
 // Engine is the streaming evaluator. Construct with New, then feed it
 // Record* events (in roughly nondecreasing sim time; small inversions are
 // re-sorted on insert) and call Evaluate on a periodic sim-time tick. All
@@ -214,7 +205,6 @@ type Engine struct {
 	faults      [numTypes]int64
 	repairs     [numTypes]int64
 	incidents   [numTypes][]incident
-	edge        []interval
 	transitions []Transition
 
 	// Telemetry, attached by Instrument; nil-safe no-ops by default.
@@ -360,21 +350,6 @@ func (e *Engine) RecordIncident(at float64, deviceType topology.DeviceType, reso
 	e.incidents[deviceType] = s
 }
 
-// RecordEdgeDown notes a backbone edge downtime interval [start, end] in
-// sim hours.
-func (e *Engine) RecordEdgeDown(start, end float64) {
-	if e == nil || end <= start {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.edge = append(e.edge, interval{start: start, end: end})
-	e.noteTime(start)
-	if end > e.now {
-		e.now = end
-	}
-}
-
 // countIncidents returns the number of incidents for dt (allTypes sums
 // every type) with start in (from, to].
 func (e *Engine) countIncidents(dt topology.DeviceType, from, to float64) int {
@@ -413,18 +388,6 @@ func (e *Engine) resolutionsIn(dt topology.DeviceType, from, to float64) []float
 		}
 	}
 	return out
-}
-
-// edgeDowntime returns total edge-down hours overlapping (from, to].
-func (e *Engine) edgeDowntime(from, to float64) float64 {
-	total := 0.0
-	for _, iv := range e.edge {
-		lo, hi := max(iv.start, from), min(iv.end, to)
-		if hi > lo {
-			total += hi - lo
-		}
-	}
-	return total
 }
 
 // p75 returns the 75th-percentile of vs (nearest-rank on a sorted copy).
@@ -508,7 +471,7 @@ func (e *Engine) Evaluate(now float64) {
 
 // signalValues computes a rule's signal over each window ending at now.
 // measurable is false when the signal has no basis yet (no budget in any
-// window, too few MTTR samples, edge targets unset).
+// window, too few MTTR samples).
 func (e *Engine) signalValues(r *ruleState, now float64) (values []float64, measurable bool) {
 	values = make([]float64, len(r.Windows))
 	measurable = true
@@ -538,13 +501,6 @@ func (e *Engine) signalValues(r *ruleState, now float64) (values []float64, meas
 				continue
 			}
 			values[i] = p75(samples) / target
-		case SignalEdgeAvailability:
-			budget := 1 - e.targets.EdgeAvailability
-			if e.targets.EdgeAvailability <= 0 || budget <= 0 || w <= 0 {
-				measurable = false
-				continue
-			}
-			values[i] = e.edgeDowntime(from, now) / w / budget
 		default:
 			measurable = false
 		}

@@ -348,33 +348,6 @@ func TestMTTRSignalNeedsSamples(t *testing.T) {
 	}
 }
 
-func TestEdgeAvailabilitySignalAndReport(t *testing.T) {
-	tg := testTargets()
-	tg.EdgeAvailability = 0.999 // budget: 0.1% of the window
-	e, err := New(tg, EdgeRules())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Evaluate(1) // open the observation window
-	// 720h window budget = 0.72h of downtime; record 3h.
-	e.RecordEdgeDown(1000, 1003)
-	e.Evaluate(1100)
-	rep := e.Report()
-	if rep.EdgeAvailability == nil {
-		t.Fatal("edge SLO missing from report")
-	}
-	if rep.EdgeAvailability.DowntimeHours != 3 {
-		t.Errorf("downtime = %v, want 3", rep.EdgeAvailability.DowntimeHours)
-	}
-	if st := rep.Rules[0].State; st != "pending" {
-		t.Fatalf("edge rule state = %s, want pending (For=72h)", st)
-	}
-	e.Evaluate(1180)
-	if st := e.Report().Rules[0].State; st != "firing" {
-		t.Fatalf("edge rule state = %s, want firing", st)
-	}
-}
-
 func TestOutOfOrderIncidentInsert(t *testing.T) {
 	e, err := New(testTargets(), DefaultRules())
 	if err != nil {
@@ -396,7 +369,6 @@ func TestNilEngineIsNoOp(t *testing.T) {
 	e.RecordFault(1, topology.RSW)
 	e.RecordRepair(1, topology.RSW)
 	e.RecordIncident(1, topology.RSW, 1)
-	e.RecordEdgeDown(1, 2)
 	e.Evaluate(10)
 	e.SetSink(nil)
 	e.SetLogger(nil)

@@ -29,9 +29,6 @@ type SLOReport struct {
 	// Transitions is the complete alert transition history, oldest
 	// first.
 	Transitions []Transition `json:"transitions"`
-	// EdgeAvailability summarizes backbone edge downtime when the edge
-	// signal is configured.
-	EdgeAvailability *EdgeSLO `json:"edge_availability,omitempty"`
 }
 
 // TypeSLO is the rolling-window reliability summary for one device type.
@@ -84,18 +81,6 @@ type Transition struct {
 	Message string `json:"message"`
 }
 
-// EdgeSLO summarizes backbone edge availability over the report window.
-type EdgeSLO struct {
-	// Target is the configured availability objective.
-	Target float64 `json:"target"`
-	// DowntimeHours is edge downtime overlapping the window.
-	DowntimeHours float64 `json:"downtime_hours"`
-	// Availability is 1 − downtime/window.
-	Availability float64 `json:"availability"`
-	// BurnRate is the downtime fraction over the availability budget.
-	BurnRate float64 `json:"burn_rate"`
-}
-
 // Report summarizes the engine at the latest evaluated/recorded sim time.
 // A nil engine returns a zero, healthy report.
 func (e *Engine) Report() SLOReport {
@@ -130,18 +115,6 @@ func (e *Engine) Report() SLOReport {
 			SinceSimHours: rs.since,
 			Values:        append([]float64(nil), rs.values...),
 		})
-	}
-	if e.targets.EdgeAvailability > 0 {
-		down := e.edgeDowntime(now-window, now)
-		edge := &EdgeSLO{
-			Target:        e.targets.EdgeAvailability,
-			DowntimeHours: down,
-			Availability:  1 - down/window,
-		}
-		if budget := 1 - e.targets.EdgeAvailability; budget > 0 {
-			edge.BurnRate = down / window / budget
-		}
-		rep.EdgeAvailability = edge
 	}
 	return rep
 }

@@ -19,9 +19,6 @@ const (
 	// SignalMTTR is the ratio of the window's observed p75 resolution
 	// time to the calibrated p75 target for the current year.
 	SignalMTTR Signal = "mttr"
-	// SignalEdgeAvailability is the backbone edge downtime fraction in
-	// the window divided by the availability budget (1 − target).
-	SignalEdgeAvailability Signal = "edge_availability"
 )
 
 // Rule is one declarative alert condition. The rule's condition is true at
@@ -72,7 +69,7 @@ func (r Rule) validate() (topology.DeviceType, error) {
 		return 0, fmt.Errorf("health: rule %q has negative for-duration %v", r.Name, r.For)
 	}
 	switch r.Signal {
-	case SignalIncidentBurn, SignalMTTR, SignalEdgeAvailability:
+	case SignalIncidentBurn, SignalMTTR:
 	default:
 		return 0, fmt.Errorf("health: rule %q has unknown signal %q", r.Name, r.Signal)
 	}
@@ -117,21 +114,6 @@ func DefaultRules() []Rule {
 			Windows:   []float64{90 * 24},
 			Threshold: 2.5,
 			For:       336,
-		},
-	}
-}
-
-// EdgeRules returns the backbone rule set (meaningful only when
-// Targets.EdgeAvailability is set): edge downtime exhausting its
-// availability budget over a rolling month, held for three days.
-func EdgeRules() []Rule {
-	return []Rule{
-		{
-			Name:      "edge-availability-burn",
-			Signal:    SignalEdgeAvailability,
-			Windows:   []float64{30 * 24},
-			Threshold: 1.0,
-			For:       72,
 		},
 	}
 }

@@ -109,9 +109,7 @@ func (l *Lane[T]) Len() int {
 //
 // Each record carries a name (an index into the ring's name table, or -1
 // for the ring's default name), trace timestamps, and up to ringArgs
-// numeric args materialized under the ring's fixed arg keys. String-valued
-// args that are constant across the ring (a device type, a lane label) go
-// in ConstArgs once instead of per record.
+// numeric args materialized under the ring's fixed arg keys.
 //
 // All methods are safe on a nil *SpanRing, so call sites can hold an
 // unconditional ring field that is nil when tracing is off.
@@ -127,8 +125,6 @@ type SpanRing struct {
 	// keys are the arg keys, at most ringArgs; len(keys) args are
 	// materialized per record.
 	keys []string
-	// constArgs are (key, value) pairs attached to every record.
-	constArgs [][2]string
 
 	lane Lane[spanRec]
 }
@@ -149,7 +145,7 @@ type spanRec struct {
 // keys (at most 3) name the numeric args each record carries. Returns nil
 // on a nil Tracer; every SpanRing method is nil-safe.
 //
-// name, cat, keys, and any SetNames / SetConstArg strings must be plain
+// name, cat, keys, and any SetNames strings must be plain
 // JSON-safe text (no quotes, backslashes, or control characters): the
 // trace writer emits them without escaping.
 func (t *Tracer) Ring(pid, tid int, cat, name string, keys ...string) *SpanRing {
@@ -173,16 +169,6 @@ func (r *SpanRing) SetNames(names ...string) *SpanRing {
 		return r
 	}
 	r.names = names
-	return r
-}
-
-// SetConstArg attaches a string arg emitted with every record — for values
-// that are constant across the ring, like the device type of a lane.
-func (r *SpanRing) SetConstArg(key, value string) *SpanRing {
-	if r == nil {
-		return r
-	}
-	r.constArgs = append(r.constArgs, [2]string{key, value})
 	return r
 }
 
@@ -239,10 +225,7 @@ func (r *SpanRing) materialize() []Event {
 	}
 	out := make([]Event, 0, len(recs))
 	for _, rec := range recs {
-		args := make(map[string]any, len(r.keys)+len(r.constArgs))
-		for _, kv := range r.constArgs {
-			args[kv[0]] = kv[1]
-		}
+		args := make(map[string]any, len(r.keys))
 		for i, k := range r.keys {
 			args[k] = rec.args[i]
 		}
@@ -276,13 +259,6 @@ func (r *SpanRing) appendJSONRecs(b []byte, recs []spanRec) []byte {
 	tail = append(tail, `,"tid":`...)
 	tail = strconv.AppendInt(tail, int64(r.tid), 10)
 	tail = append(tail, `,"args":{`...)
-	for _, kv := range r.constArgs {
-		tail = append(tail, '"')
-		tail = append(tail, kv[0]...)
-		tail = append(tail, `":"`...)
-		tail = append(tail, kv[1]...)
-		tail = append(tail, `",`...)
-	}
 	for _, rec := range recs {
 		b = append(b, `,{"name":"`...)
 		b = append(b, r.recName(rec)...)

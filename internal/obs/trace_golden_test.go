@@ -9,8 +9,8 @@ import (
 
 // TestWriteJSONGoldenBytes pins the exact bytes of a trace file: the
 // metadata header, one directly emitted event, and a ring's records across
-// several staging-buffer flushes, through the name table, a constant arg
-// and three numeric keys. The head records exercise every branch of the
+// several staging-buffer flushes, through the name table and three
+// numeric keys. The head records exercise every branch of the
 // number formatter — integers, three-decimal rounding, negative fractions,
 // a seven-year sim timestamp, the scaled-integer path from 1e15 (whose
 // last digits are as the float math leaves them) and the strconv fallback
@@ -21,8 +21,7 @@ func TestWriteJSONGoldenBytes(t *testing.T) {
 	tr.Emit(Event{Name: "direct", Cat: "test", Phase: "i", TS: 2.5, PID: SimPID, TID: 4,
 		Args: map[string]any{"n": 1}})
 	r := tr.Ring(SimPID, 3, "lane", "span", "a", "b", "c").
-		SetNames("fault", "repair").
-		SetConstArg("dev", "RSW")
+		SetNames("fault", "repair")
 
 	r.Record(0, 0, 1, 1.5, 1.0004, -0.25)
 	r.Record(1, 6e10+0.123, 2.0625, -1.0625, -0.0004, 7)
@@ -43,12 +42,12 @@ func TestWriteJSONGoldenBytes(t *testing.T) {
 		`{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"wall clock"}},` +
 		`{"name":"process_name","ph":"M","ts":0,"pid":2,"tid":1,"args":{"name":"simulation time (1 s = 1 simulated hour)"}},` +
 		`{"name":"direct","cat":"test","ph":"i","ts":2.5,"pid":2,"tid":4,"args":{"n":1}}` +
-		`,{"name":"fault","cat":"lane","ph":"X","ts":0,"dur":1,"pid":2,"tid":3,"args":{"dev":"RSW","a":1.500,"b":1.000,"c":-0.250}}` +
-		`,{"name":"repair","cat":"lane","ph":"X","ts":60000000000.123,"dur":2.063,"pid":2,"tid":3,"args":{"dev":"RSW","a":-1.063,"b":-0.000,"c":7}}` +
-		`,{"name":"span","cat":"lane","ph":"X","ts":1000000000000000.000,"dur":5000000000000000.000,"pid":2,"tid":3,"args":{"dev":"RSW","a":-1000000000000002.048,"b":10000000000000000.000,"c":-25000000000000000.000}}`)
+		`,{"name":"fault","cat":"lane","ph":"X","ts":0,"dur":1,"pid":2,"tid":3,"args":{"a":1.500,"b":1.000,"c":-0.250}}` +
+		`,{"name":"repair","cat":"lane","ph":"X","ts":60000000000.123,"dur":2.063,"pid":2,"tid":3,"args":{"a":-1.063,"b":-0.000,"c":7}}` +
+		`,{"name":"span","cat":"lane","ph":"X","ts":1000000000000000.000,"dur":5000000000000000.000,"pid":2,"tid":3,"args":{"a":-1000000000000002.048,"b":10000000000000000.000,"c":-25000000000000000.000}}`)
 	names := [3]string{"span", "fault", "repair"}
 	for i := 0; i < filler; i++ {
-		fmt.Fprintf(&want, `,{"name":"%s","cat":"lane","ph":"X","ts":%d,"dur":%d,"pid":2,"tid":3,"args":{"dev":"RSW","a":%d,"b":%d,"c":0}}`,
+		fmt.Fprintf(&want, `,{"name":"%s","cat":"lane","ph":"X","ts":%d,"dur":%d,"pid":2,"tid":3,"args":{"a":%d,"b":%d,"c":0}}`,
 			names[i%3], i, i%3, i, -i)
 	}
 	want.WriteString("],\"displayTimeUnit\":\"ms\"}\n")

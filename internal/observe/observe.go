@@ -1,14 +1,17 @@
-// Package observe defines the shared observability wiring that every
-// simulation entry point accepts: a metrics registry, a trace recorder, a
-// streaming SLO engine, and a structured logger.
+// Package observe defines the shared observability wiring that the
+// simulation entry points and the query daemon accept: a metrics registry,
+// a trace recorder, a streaming SLO engine, a structured logger, a causal
+// journal and a metric timeline.
 //
-// Before this package each config struct (IntraConfig, backbone.Config)
-// grew its own ad hoc Metrics/Trace/Health/Logger fields, and every new
-// orchestrator — most recently the scenario-sweep engine — had to
-// re-declare and re-thread the same pointers. Observe is that bundle,
-// declared once and embedded by each config. Every field follows the
-// project-wide nil contract: a nil field means "not instrumented" and
-// costs the hot paths nothing.
+// Observe is declared once and embedded by each config (sim.IntraConfig,
+// backbone.Config, sweep.Config; serve.Config holds one as Obs). Every
+// field follows the project-wide nil contract: a nil field means "not
+// instrumented" and costs the hot paths nothing. Not every consumer reads
+// every field; each config's Validate rejects a non-nil field its entry
+// point would ignore and names it in the error. The intra-DC simulation
+// reads them all; the backbone simulation reads Metrics and Trace; a sweep
+// reads Metrics, Trace and Logger; the daemon reads Metrics, Health,
+// Logger and Journal.
 package observe
 
 import (

@@ -107,17 +107,7 @@ func F(v float64) string {
 // Pct formats a fraction as a percentage.
 func Pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 
-// SortedKeys returns a map's string keys sorted, for deterministic output.
-func SortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// SortedInts returns a map's int keys sorted.
+// SortedInts returns a map's int keys sorted, for deterministic output.
 func SortedInts[V any](m map[int]V) []int {
 	ks := make([]int, 0, len(m))
 	for k := range m {

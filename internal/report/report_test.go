@@ -86,10 +86,6 @@ func TestPct(t *testing.T) {
 }
 
 func TestSortedKeys(t *testing.T) {
-	ks := SortedKeys(map[string]int{"b": 1, "a": 2, "c": 3})
-	if strings.Join(ks, "") != "abc" {
-		t.Errorf("SortedKeys = %v", ks)
-	}
 	is := SortedInts(map[int]bool{3: true, 1: true, 2: true})
 	if is[0] != 1 || is[2] != 3 {
 		t.Errorf("SortedInts = %v", is)

@@ -215,12 +215,9 @@ func (r *Router) routeOne(dm Demand, load Load) bool {
 	return true
 }
 
-// CapacityModel returns a device type's forwarding capacity in Gb/s.
-type CapacityModel func(t topology.DeviceType) float64
-
-// DefaultCapacity reflects the bisection-bandwidth ordering of Figure 1's
-// hierarchy: rack switches terminate the least traffic, core devices the
-// most.
+// DefaultCapacity returns a device type's forwarding capacity in Gb/s. It
+// reflects the bisection-bandwidth ordering of Figure 1's hierarchy: rack
+// switches terminate the least traffic, core devices the most.
 func DefaultCapacity(t topology.DeviceType) float64 {
 	switch t {
 	case topology.Core:
@@ -237,22 +234,15 @@ func DefaultCapacity(t topology.DeviceType) float64 {
 }
 
 // Utilization converts a Load into per-device utilization fractions under
-// the capacity model. Unknown devices are skipped.
-func (r *Router) Utilization(load Load, capacity CapacityModel) map[string]float64 {
-	if capacity == nil {
-		capacity = DefaultCapacity
-	}
+// DefaultCapacity. Unknown devices are skipped.
+func (r *Router) Utilization(load Load) map[string]float64 {
 	out := make(map[string]float64, len(load))
 	for name, gbps := range load {
 		d := r.net.Device(name)
 		if d == nil {
 			continue
 		}
-		c := capacity(d.Type)
-		if c <= 0 {
-			continue
-		}
-		out[name] = gbps / c
+		out[name] = gbps / DefaultCapacity(d.Type)
 	}
 	return out
 }

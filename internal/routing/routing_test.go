@@ -213,7 +213,7 @@ func TestUtilizationAndCongestion(t *testing.T) {
 	core := first(t, net, topology.Core)
 	// 480 Gb/s fills the RSW to exactly 1.0 under the default model.
 	load, _ := r.Route([]Demand{{Src: rsw, Dst: core, Gbps: 480}})
-	util := r.Utilization(load, nil)
+	util := r.Utilization(load)
 	if math.Abs(util[rsw]-1.0) > 1e-9 {
 		t.Errorf("RSW utilization = %v, want 1.0", util[rsw])
 	}

@@ -26,8 +26,8 @@ type Config struct {
 	// Obs carries the optional observability bundle: Metrics instruments
 	// the query engine and the serve layer and backs /metrics,
 	// Health/Journal back /healthz, /slo and /journal, and Logger gets
-	// the server's warnings. The daemon reads no other field. Zero means
-	// uninstrumented.
+	// the server's warnings. The daemon reads no other field, and
+	// Validate rejects a Trace or Timeline. Zero means uninstrumented.
 	Obs observe.Observe
 }
 
@@ -40,8 +40,13 @@ func (c *Config) Validate() error {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = DefaultCacheEntries
 	}
-	if c.CacheEntries < 0 {
+	switch {
+	case c.CacheEntries < 0:
 		return fmt.Errorf("serve: negative cache capacity %d", c.CacheEntries)
+	case c.Obs.Trace != nil:
+		return fmt.Errorf("serve: Obs.Trace is not read by the daemon")
+	case c.Obs.Timeline != nil:
+		return fmt.Errorf("serve: Obs.Timeline is not read by the daemon")
 	}
 	return nil
 }

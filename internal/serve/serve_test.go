@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"dcnr/internal/obs"
+	"dcnr/internal/obs/timeline"
+	"dcnr/internal/observe"
 )
 
 // TestServerLifecycle pins the three-phase contract: Register before
@@ -174,11 +176,16 @@ func TestConfigValidate(t *testing.T) {
 	if err := c.Validate(); err != nil || c != before {
 		t.Errorf("Validate not idempotent: %+v -> %+v (%v)", before, c, err)
 	}
-	for _, bad := range []Config{
-		{CacheEntries: -5},
+	for _, bad := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{CacheEntries: -5}, "cache capacity"},
+		{Config{Obs: observe.Observe{Trace: obs.NewTracer()}}, "Obs.Trace"},
+		{Config{Obs: observe.Observe{Timeline: timeline.New()}}, "Obs.Timeline"},
 	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("config %+v accepted", bad)
+		if err := bad.cfg.Validate(); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("config %+v: Validate() = %v, want error containing %q", bad.cfg, err, bad.want)
 		}
 	}
 }

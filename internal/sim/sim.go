@@ -13,6 +13,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"dcnr/internal/backbone"
 	"dcnr/internal/core"
@@ -60,7 +61,7 @@ type IntraConfig struct {
 // Normalization: Scale 0 becomes 1, FromYear/ToYear 0 become the study
 // bounds. Checks: Scale must be ≥ 0, the year range must
 // be ordered and inside [fleet.FirstYear, fleet.LastYear], and an
-// elevation (either ElevateYear or ElevateFactor set) needs
+// elevation (either ElevateYear or ElevateFactor set) needs a finite
 // ElevateFactor > 1 with ElevateYear inside the simulated range.
 func (c *IntraConfig) Validate() error {
 	if c.Scale < 0 {
@@ -83,8 +84,8 @@ func (c *IntraConfig) Validate() error {
 			c.FromYear, c.ToYear, fleet.FirstYear, fleet.LastYear)
 	}
 	if c.ElevateYear != 0 || c.ElevateFactor != 0 {
-		if c.ElevateFactor <= 1 {
-			return fmt.Errorf("sim: ElevateFactor must be > 1 when elevation is set, got %g", c.ElevateFactor)
+		if !(c.ElevateFactor > 1) || math.IsInf(c.ElevateFactor, 1) {
+			return fmt.Errorf("sim: ElevateFactor must be > 1 and finite when elevation is set, got %g", c.ElevateFactor)
 		}
 		if c.ElevateYear < c.FromYear || c.ElevateYear > c.ToYear {
 			return fmt.Errorf("sim: ElevateYear %d outside simulated range [%d, %d]",
@@ -153,12 +154,6 @@ type BackboneResult struct {
 	Analysis *core.InterAnalysis
 }
 
-// healthEdgeEvalPeriod is the sim-hour cadence at which Backbone replays
-// the observation window into an attached health engine: daily, so the
-// edge-availability rule's for-duration semantics match the intra-DC
-// plane's.
-const healthEdgeEvalPeriod = 24.0
-
 // Backbone generates a backbone per cfg, simulates its failure processes
 // over the observation window, and round-trips the repair tickets through
 // the generation→parse→pair pipeline, exactly as the study's data flowed
@@ -192,17 +187,6 @@ func Backbone(cfg backbone.Config) (*BackboneResult, error) {
 		}
 	}
 	dts := coll.Downtimes()
-	if eng := cfg.Health; eng != nil {
-		// Feed the reconstructed intervals to the health engine and
-		// evaluate over the window, so edge-availability rules see the
-		// same data the §6 analysis does.
-		for _, dt := range dts {
-			eng.RecordEdgeDown(dt.Start, dt.End)
-		}
-		for t := healthEdgeEvalPeriod; t <= coll.WindowHours; t += healthEdgeEvalPeriod {
-			eng.Evaluate(t)
-		}
-	}
 	analysis, err := core.NewInterAnalysis(topo, dts, coll.WindowHours)
 	if err != nil {
 		return nil, fmt.Errorf("dcnr: analyzing backbone: %w", err)

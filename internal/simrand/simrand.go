@@ -172,21 +172,3 @@ func (r *Stream) Weighted(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Shuffle pseudo-randomly permutes the first n elements using swap.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}

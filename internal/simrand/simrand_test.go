@@ -159,24 +159,6 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := New(seed)
-		p := r.Perm(20)
-		seen := make(map[int]bool, 20)
-		for _, v := range p {
-			if v < 0 || v >= 20 || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(seen) == 20
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLogNormalPositive(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := New(seed)

@@ -80,10 +80,12 @@ type Config struct {
 	// registry (the campaign registry itself receives nothing); Trace
 	// records one span per run (category "sweep") and one per backbone leg
 	// (category "sweep.backbone"), with a lane per pool worker; Logger
-	// gets one progress record per completed run. Health is not wired —
-	// runs have independent simulation clocks, so a shared health engine
-	// would interleave unrelated histories; instrument single runs
-	// instead.
+	// gets one progress record per completed run. Validate rejects
+	// Observe.Health: runs have independent simulation clocks, so a
+	// shared health engine would interleave unrelated histories;
+	// instrument single runs instead. It also rejects Observe.Journal
+	// and Observe.Timeline: every run records into its own, streamed
+	// through the Journal and Timeline writers below.
 	observe.Observe
 	// Seeds are the RNG roots to sweep. Every (scenario, scale, seed)
 	// cell becomes one run; a campaign needs at least one seed.
@@ -129,11 +131,18 @@ type Config struct {
 // Validate normalizes the campaign in place — default scales and
 // scenarios, scenario year bounds resolved to the study period — and
 // rejects what cannot run: no seeds, non-positive scales, duplicate or
-// empty scenario names, or a scenario whose own simulation config fails
-// sim.IntraConfig.Validate.
+// empty scenario names, a scenario whose own simulation config fails
+// sim.IntraConfig.Validate, or an Observe sink the campaign never reads.
 func (c *Config) Validate() error {
-	if len(c.Seeds) == 0 {
+	switch {
+	case len(c.Seeds) == 0:
 		return fmt.Errorf("sweep: no seeds configured")
+	case c.Observe.Health != nil:
+		return fmt.Errorf("sweep: Observe.Health is not read by a campaign; instrument single runs instead")
+	case c.Observe.Journal != nil:
+		return fmt.Errorf("sweep: Observe.Journal is not read by a campaign; set Config.Journal")
+	case c.Observe.Timeline != nil:
+		return fmt.Errorf("sweep: Observe.Timeline is not read by a campaign; set Config.Timeline")
 	}
 	if max := runtime.GOMAXPROCS(0); c.Workers > max {
 		c.Workers = max

@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"dcnr/internal/obs"
+	"dcnr/internal/obs/health"
+	"dcnr/internal/obs/journal"
+	"dcnr/internal/obs/timeline"
 	"dcnr/internal/observe"
 )
 
@@ -174,6 +177,9 @@ func TestSweepValidate(t *testing.T) {
 		{"duplicate scenario", func(c *Config) { c.Scenarios[1] = c.Scenarios[0] }, "duplicate scenario"},
 		{"bad scenario years", func(c *Config) { c.Scenarios[0].FromYear = 2017; c.Scenarios[0].ToYear = 2011 }, "not ordered"},
 		{"bad elevation", func(c *Config) { c.Scenarios[0].ElevateYear = 2014; c.Scenarios[0].ElevateFactor = 0.5 }, "ElevateFactor"},
+		{"unread health", func(c *Config) { c.Observe.Health = &health.Engine{} }, "Observe.Health"},
+		{"unread journal", func(c *Config) { c.Observe.Journal = &journal.Journal{} }, "Observe.Journal"},
+		{"unread timeline", func(c *Config) { c.Observe.Timeline = timeline.New() }, "Observe.Timeline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,22 +2,29 @@ package topology
 
 import "fmt"
 
+// The fixed layers of both designs. Each data center has eight core
+// devices, the provisioning §5.2 describes. A cluster data center has two
+// cluster switch aggregators; a fabric data center has four spine planes
+// of four spine switches each and four edge switches. Above the pods and
+// clusters, every device links to every device of the next layer up.
+const (
+	coresPerDC   = 8
+	clusterCSAs  = 2
+	spinePlanes  = 4
+	sswsPerPlane = 4
+	fabricESWs   = 4
+)
+
 // ClusterSpec sizes a classic cluster-based data center (Figure 1, Region A).
 type ClusterSpec struct {
 	// DC and Region name the data center and its region.
 	DC, Region string
 	// Clusters is the number of clusters. Each cluster has exactly four
-	// CSWs (§3.1).
+	// CSWs (§3.1), and every CSW links to both CSAs.
 	Clusters int
 	// RacksPerCluster is the number of RSWs per cluster; each RSW links to
 	// all four of its cluster's CSWs.
 	RacksPerCluster int
-	// CSAs is the number of cluster switch aggregators; every CSW links to
-	// every CSA. Defaults to 2 when zero.
-	CSAs int
-	// Cores is the number of core devices; every CSA links to every Core.
-	// Defaults to 8 (the provisioning §5.2 describes) when zero.
-	Cores int
 }
 
 // FabricSpec sizes a data center fabric (Figure 1, Region B).
@@ -25,22 +32,11 @@ type FabricSpec struct {
 	// DC and Region name the data center and its region.
 	DC, Region string
 	// Pods is the number of pods. Each pod has exactly four FSWs and each
-	// RSW links to all four (the 1:4 ratio of §3.1).
+	// RSW links to all four (the 1:4 ratio of §3.1). FSW i of every pod
+	// links to the SSWs of spine plane i.
 	Pods int
 	// RacksPerPod is the number of RSWs per pod.
 	RacksPerPod int
-	// SpinePlanes is the number of spine planes; FSW i of every pod links
-	// to the SSWs of plane i mod SpinePlanes. Defaults to 4 when zero.
-	SpinePlanes int
-	// SSWsPerPlane is the number of spine switches per plane. Defaults to
-	// 4 when zero.
-	SSWsPerPlane int
-	// ESWs is the number of edge switches; every SSW links to every ESW.
-	// Defaults to 4 when zero.
-	ESWs int
-	// Cores is the number of core devices; every ESW links to every Core.
-	// Defaults to 8 when zero.
-	Cores int
 }
 
 // BuildCluster constructs a cluster-design data center inside n and returns
@@ -49,23 +45,17 @@ func BuildCluster(n *Network, spec ClusterSpec) ([]string, error) {
 	if spec.Clusters <= 0 || spec.RacksPerCluster <= 0 {
 		return nil, fmt.Errorf("topology: cluster spec needs clusters and racks, got %+v", spec)
 	}
-	if spec.CSAs == 0 {
-		spec.CSAs = 2
-	}
-	if spec.Cores == 0 {
-		spec.Cores = 8
-	}
 
-	cores := make([]string, 0, spec.Cores)
-	for i := 1; i <= spec.Cores; i++ {
+	cores := make([]string, 0, coresPerDC)
+	for i := 1; i <= coresPerDC; i++ {
 		name := MakeName(Core, i, "", spec.DC, spec.Region)
 		if err := n.AddDevice(Device{Name: name, Type: Core, DC: spec.DC, Region: spec.Region}); err != nil {
 			return nil, err
 		}
 		cores = append(cores, name)
 	}
-	csas := make([]string, 0, spec.CSAs)
-	for i := 1; i <= spec.CSAs; i++ {
+	csas := make([]string, 0, clusterCSAs)
+	for i := 1; i <= clusterCSAs; i++ {
 		name := MakeName(CSA, i, "", spec.DC, spec.Region)
 		if err := n.AddDevice(Device{Name: name, Type: CSA, DC: spec.DC, Region: spec.Region}); err != nil {
 			return nil, err
@@ -116,29 +106,17 @@ func BuildFabric(n *Network, spec FabricSpec) ([]string, error) {
 	if spec.Pods <= 0 || spec.RacksPerPod <= 0 {
 		return nil, fmt.Errorf("topology: fabric spec needs pods and racks, got %+v", spec)
 	}
-	if spec.SpinePlanes == 0 {
-		spec.SpinePlanes = 4
-	}
-	if spec.SSWsPerPlane == 0 {
-		spec.SSWsPerPlane = 4
-	}
-	if spec.ESWs == 0 {
-		spec.ESWs = 4
-	}
-	if spec.Cores == 0 {
-		spec.Cores = 8
-	}
 
-	cores := make([]string, 0, spec.Cores)
-	for i := 1; i <= spec.Cores; i++ {
+	cores := make([]string, 0, coresPerDC)
+	for i := 1; i <= coresPerDC; i++ {
 		name := MakeName(Core, i, "", spec.DC, spec.Region)
 		if err := n.AddDevice(Device{Name: name, Type: Core, DC: spec.DC, Region: spec.Region}); err != nil {
 			return nil, err
 		}
 		cores = append(cores, name)
 	}
-	esws := make([]string, 0, spec.ESWs)
-	for i := 1; i <= spec.ESWs; i++ {
+	esws := make([]string, 0, fabricESWs)
+	for i := 1; i <= fabricESWs; i++ {
 		name := MakeName(ESW, i, "", spec.DC, spec.Region)
 		if err := n.AddDevice(Device{Name: name, Type: ESW, DC: spec.DC, Region: spec.Region}); err != nil {
 			return nil, err
@@ -150,12 +128,12 @@ func BuildFabric(n *Network, spec FabricSpec) ([]string, error) {
 			}
 		}
 	}
-	// Spine planes: plane p holds SSWsPerPlane spine switches, each linked
+	// Spine planes: plane p holds sswsPerPlane spine switches, each linked
 	// to every ESW.
-	planes := make([][]string, spec.SpinePlanes)
+	planes := make([][]string, spinePlanes)
 	ordinal := 0
-	for p := 0; p < spec.SpinePlanes; p++ {
-		for i := 0; i < spec.SSWsPerPlane; i++ {
+	for p := 0; p < spinePlanes; p++ {
+		for i := 0; i < sswsPerPlane; i++ {
 			ordinal++
 			name := MakeName(SSW, ordinal, "", spec.DC, spec.Region)
 			if err := n.AddDevice(Device{Name: name, Type: SSW, DC: spec.DC, Region: spec.Region}); err != nil {
@@ -182,7 +160,7 @@ func BuildFabric(n *Network, spec FabricSpec) ([]string, error) {
 			}
 			fsws = append(fsws, name)
 			// FSW i attaches to spine plane i mod planes.
-			for _, s := range planes[i%spec.SpinePlanes] {
+			for _, s := range planes[i%spinePlanes] {
 				if err := n.AddLink(name, s); err != nil {
 					return nil, err
 				}

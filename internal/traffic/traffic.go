@@ -16,7 +16,6 @@ package traffic
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"dcnr/internal/routing"
 	"dcnr/internal/service"
@@ -24,41 +23,21 @@ import (
 	"dcnr/internal/topology"
 )
 
-// Config sizes the demand matrix.
-type Config struct {
-	// UserFacingGbps is the mean user-facing volume per web/cache rack.
-	// Default 8.
-	UserFacingGbps float64
-	// CrossDCGbps is the mean bulk-transfer volume per storage/batch
-	// rack. Default 20 — by volume, cross data center traffic consists
-	// primarily of bulk data transfer streams (§3.2).
-	CrossDCGbps float64
-	// Jitter is the multiplicative spread on volumes (0 = none, 0.5 =
-	// ±50% uniform). Default 0.3.
-	Jitter float64
-}
-
-func (c *Config) applyDefaults() {
-	if c.UserFacingGbps == 0 {
-		c.UserFacingGbps = 8
-	}
-	if c.CrossDCGbps == 0 {
-		c.CrossDCGbps = 20
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.3
-	}
-}
+// Demand volumes. A web/cache rack draws 8 Gb/s of user-facing traffic on
+// average and a storage/batch rack pushes 20 Gb/s of bulk transfer — by
+// volume, cross data center traffic consists primarily of bulk data
+// transfer streams (§3.2). Every volume is spread ±30% uniformly.
+const (
+	userFacingGbps float64 = 8
+	crossDCGbps    float64 = 20
+	jitterSpread   float64 = 0.3
+)
 
 // Generate builds the demand matrix for net. Rack roles follow the same
 // round-robin service placement the impact assessor uses, so web/cache
 // racks receive user-facing flows and storage/batch racks originate bulk
 // flows. Demands terminate at core devices (the gateway to the backbone).
-func Generate(net *topology.Network, cfg Config, rng *simrand.Stream) ([]routing.Demand, error) {
-	cfg.applyDefaults()
-	if cfg.Jitter < 0 || cfg.Jitter >= 1 {
-		return nil, fmt.Errorf("traffic: jitter %v outside [0, 1)", cfg.Jitter)
-	}
+func Generate(net *topology.Network, rng *simrand.Stream) ([]routing.Demand, error) {
 	racks := net.DevicesOfType(topology.RSW)
 	if len(racks) == 0 {
 		return nil, fmt.Errorf("traffic: network has no racks")
@@ -76,7 +55,7 @@ func Generate(net *topology.Network, cfg Config, rng *simrand.Stream) ([]routing
 	}
 
 	jitter := func(mean float64) float64 {
-		return mean * (1 + cfg.Jitter*(2*rng.Float64()-1))
+		return mean * (1 + jitterSpread*(2*rng.Float64()-1))
 	}
 	var demands []routing.Demand
 	for i, rack := range racks {
@@ -91,17 +70,17 @@ func Generate(net *topology.Network, cfg Config, rng *simrand.Stream) ([]routing
 			// User-facing: ingress from the backbone through a core
 			// down to the serving rack.
 			demands = append(demands, routing.Demand{
-				Src: core, Dst: rack.Name, Gbps: jitter(cfg.UserFacingGbps),
+				Src: core, Dst: rack.Name, Gbps: jitter(userFacingGbps),
 			})
 		case "storage", "batch":
 			// Cross-DC bulk: the rack pushes replication traffic up
 			// through a core toward a remote region.
 			demands = append(demands, routing.Demand{
-				Src: rack.Name, Dst: core, Gbps: jitter(cfg.CrossDCGbps),
+				Src: rack.Name, Dst: core, Gbps: jitter(crossDCGbps),
 			})
 		default: // realtime: modest bidirectional stream
 			demands = append(demands, routing.Demand{
-				Src: rack.Name, Dst: core, Gbps: jitter(cfg.UserFacingGbps / 2),
+				Src: rack.Name, Dst: core, Gbps: jitter(userFacingGbps / 2),
 			})
 		}
 	}
@@ -184,7 +163,7 @@ func Study(net *topology.Network, demands []routing.Demand, down map[string]bool
 	r := routing.New(net)
 	r.SetDown(down)
 	load, unroutable := r.Route(demands)
-	util := r.Utilization(load, nil)
+	util := r.Utilization(load)
 	rep := Report{
 		Congested: routing.Congested(util, CongestionThreshold),
 	}
@@ -213,21 +192,4 @@ func Study(net *topology.Network, demands []routing.Demand, down map[string]bool
 		rep.MeanPathHops = hopVolume / delivered
 	}
 	return rep
-}
-
-// DescribeLoad renders a short textual summary of a report.
-func DescribeLoad(rep Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "offered %.0f Gb/s", rep.TotalGbps)
-	if len(rep.Down) > 0 {
-		fmt.Fprintf(&b, ", %d device(s) down", len(rep.Down))
-	}
-	fmt.Fprintf(&b, ": peak utilization %.0f%% on %s", 100*rep.MaxUtilization, rep.MaxDevice)
-	if len(rep.Congested) > 0 {
-		fmt.Fprintf(&b, ", %d congested device(s)", len(rep.Congested))
-	}
-	if rep.UnroutableGbps > 0 {
-		fmt.Fprintf(&b, ", %.0f Gb/s undeliverable (%.1f%%)", rep.UnroutableGbps, 100*rep.LostFraction())
-	}
-	return b.String()
 }

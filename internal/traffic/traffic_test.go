@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"strings"
 	"testing"
 
 	"dcnr/internal/fleet"
@@ -21,7 +20,7 @@ func testNet(t *testing.T) *topology.Network {
 
 func TestGenerateValidDemands(t *testing.T) {
 	net := testNet(t)
-	demands, err := Generate(net, Config{}, simrand.New(1))
+	demands, err := Generate(net, simrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func TestGenerateValidDemands(t *testing.T) {
 
 func TestGenerateTrafficClasses(t *testing.T) {
 	net := testNet(t)
-	demands, err := Generate(net, Config{}, simrand.New(2))
+	demands, err := Generate(net, simrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,23 +65,19 @@ func TestGenerateTrafficClasses(t *testing.T) {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	net := testNet(t)
-	if _, err := Generate(net, Config{Jitter: 1.5}, simrand.New(1)); err == nil {
-		t.Error("jitter > 1 accepted")
-	}
 	empty := topology.NewNetwork()
-	if _, err := Generate(empty, Config{}, simrand.New(1)); err == nil {
+	if _, err := Generate(empty, simrand.New(1)); err == nil {
 		t.Error("rackless network accepted")
 	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {
 	net := testNet(t)
-	a, err := Generate(net, Config{}, simrand.New(9))
+	a, err := Generate(net, simrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(net, Config{}, simrand.New(9))
+	b, err := Generate(net, simrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +93,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestStudyHealthyHasNoLoss(t *testing.T) {
 	net := testNet(t)
-	demands, err := Generate(net, Config{}, simrand.New(3))
+	demands, err := Generate(net, simrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +112,7 @@ func TestStudyHealthyHasNoLoss(t *testing.T) {
 func TestFailureIncreasesPeakUtilization(t *testing.T) {
 	// §3.1: losing switches concentrates traffic on the survivors.
 	net := testNet(t)
-	demands, err := Generate(net, Config{}, simrand.New(4))
+	demands, err := Generate(net, simrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +138,7 @@ func TestFailureIncreasesPeakUtilization(t *testing.T) {
 		if len(unroutable) != 0 {
 			t.Fatalf("unroutable with half a CSW group down: %v", unroutable)
 		}
-		util := r.Utilization(load, nil)
+		util := r.Utilization(load)
 		peak := 0.0
 		for _, name := range group[2:] {
 			if util[name] > peak {
@@ -165,7 +160,7 @@ func TestFailureIncreasesPeakUtilization(t *testing.T) {
 
 func TestStrandingFailureLosesVolume(t *testing.T) {
 	net := testNet(t)
-	demands, err := Generate(net, Config{}, simrand.New(5))
+	demands, err := Generate(net, simrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,29 +181,12 @@ func TestStrandingFailureLosesVolume(t *testing.T) {
 	}
 }
 
-func TestDescribeLoad(t *testing.T) {
-	rep := Report{
-		Down:           []string{"csa001"},
-		MaxDevice:      "csw001",
-		MaxUtilization: 0.95,
-		Congested:      []string{"csw001"},
-		UnroutableGbps: 10,
-		TotalGbps:      100,
-	}
-	s := DescribeLoad(rep)
-	for _, want := range []string{"100 Gb/s", "1 device(s) down", "95%", "csw001", "congested", "10.0%"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("description %q missing %q", s, want)
-		}
-	}
-}
-
 func BenchmarkStudyFullMatrix(b *testing.B) {
 	net, err := fleet.RepresentativeTopology()
 	if err != nil {
 		b.Fatal(err)
 	}
-	demands, err := Generate(net, Config{}, simrand.New(1))
+	demands, err := Generate(net, simrand.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -255,7 +233,7 @@ func TestReassignFailsOverToSurvivingCore(t *testing.T) {
 		t.Error("demand retargeted despite no survivors")
 	}
 	// Single-core outage in a study loses nothing.
-	full, err := Generate(net, Config{}, simrand.New(8))
+	full, err := Generate(net, simrand.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +245,7 @@ func TestReassignFailsOverToSurvivingCore(t *testing.T) {
 
 func TestMeanPathHops(t *testing.T) {
 	net := testNet(t)
-	demands, err := Generate(net, Config{}, simrand.New(6))
+	demands, err := Generate(net, simrand.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,18 +19,16 @@ import (
 	"sort"
 )
 
-// DefaultPlanes is the optical-plane count §3.2 reports.
-const DefaultPlanes = 4
+// Planes is the optical-plane count §3.2 reports.
+const Planes = 4
+
+// linkGbps is the capacity of one region-pair link within one plane.
+const linkGbps float64 = 400
 
 // Config sizes a backbone.
 type Config struct {
 	// Regions are the data center regions, at least two.
 	Regions []string
-	// Planes is the optical plane count. Defaults to 4.
-	Planes int
-	// LinkGbps is the capacity of one region-pair link within one plane.
-	// Defaults to 400.
-	LinkGbps float64
 }
 
 // linkKey identifies one plane's link between a region pair (unordered).
@@ -48,10 +46,8 @@ func newLinkKey(a, b string, plane int) linkKey {
 
 // Backbone is the engineered WAN.
 type Backbone struct {
-	regions  []string
-	planes   int
-	linkGbps float64
-	down     map[linkKey]bool
+	regions []string
+	down    map[linkKey]bool
 }
 
 // New validates cfg and returns a fully-up Backbone.
@@ -66,25 +62,11 @@ func New(cfg Config) (*Backbone, error) {
 		}
 		seen[r] = true
 	}
-	if cfg.Planes == 0 {
-		cfg.Planes = DefaultPlanes
-	}
-	if cfg.Planes < 1 {
-		return nil, errors.New("wan: need at least one plane")
-	}
-	if cfg.LinkGbps == 0 {
-		cfg.LinkGbps = 400
-	}
-	if cfg.LinkGbps <= 0 {
-		return nil, errors.New("wan: non-positive link capacity")
-	}
 	regions := append([]string(nil), cfg.Regions...)
 	sort.Strings(regions)
 	return &Backbone{
-		regions:  regions,
-		planes:   cfg.Planes,
-		linkGbps: cfg.LinkGbps,
-		down:     map[linkKey]bool{},
+		regions: regions,
+		down:    map[linkKey]bool{},
 	}, nil
 }
 
@@ -92,7 +74,7 @@ func New(cfg Config) (*Backbone, error) {
 func (b *Backbone) Regions() []string { return append([]string(nil), b.regions...) }
 
 // Planes returns the optical plane count.
-func (b *Backbone) Planes() int { return b.planes }
+func (b *Backbone) Planes() int { return Planes }
 
 func (b *Backbone) validRegion(r string) bool {
 	i := sort.SearchStrings(b.regions, r)
@@ -105,8 +87,8 @@ func (b *Backbone) SetLinkDown(a, r string, plane int, isDown bool) error {
 	if !b.validRegion(a) || !b.validRegion(r) || a == r {
 		return fmt.Errorf("wan: invalid region pair %q-%q", a, r)
 	}
-	if plane < 0 || plane >= b.planes {
-		return fmt.Errorf("wan: plane %d outside [0, %d)", plane, b.planes)
+	if plane < 0 || plane >= Planes {
+		return fmt.Errorf("wan: plane %d outside [0, %d)", plane, Planes)
 	}
 	key := newLinkKey(a, r, plane)
 	if isDown {
@@ -120,7 +102,7 @@ func (b *Backbone) SetLinkDown(a, r string, plane int, isDown bool) error {
 // UpPlanes returns how many planes still connect the region pair directly.
 func (b *Backbone) UpPlanes(a, r string) int {
 	n := 0
-	for p := 0; p < b.planes; p++ {
+	for p := 0; p < Planes; p++ {
 		if !b.down[newLinkKey(a, r, p)] {
 			n++
 		}
@@ -172,10 +154,10 @@ func (b *Backbone) Engineer(demands []Demand) (Report, error) {
 	residual := map[linkKey]float64{}
 	for i, a := range b.regions {
 		for _, r := range b.regions[i+1:] {
-			for p := 0; p < b.planes; p++ {
+			for p := 0; p < Planes; p++ {
 				key := newLinkKey(a, r, p)
 				if !b.down[key] {
-					residual[key] = b.linkGbps
+					residual[key] = linkGbps
 				}
 			}
 		}
@@ -231,13 +213,13 @@ func (b *Backbone) Engineer(demands []Demand) (Report, error) {
 	}
 	for i, a := range b.regions {
 		for _, r := range b.regions[i+1:] {
-			for p := 0; p < b.planes; p++ {
+			for p := 0; p < Planes; p++ {
 				key := newLinkKey(a, r, p)
 				if b.down[key] {
 					continue
 				}
-				used := b.linkGbps - residual[key]
-				rep.Utilization[fmt.Sprintf("%s-%s/plane%d", key.a, key.b, p)] = used / b.linkGbps
+				used := linkGbps - residual[key]
+				rep.Utilization[fmt.Sprintf("%s-%s/plane%d", key.a, key.b, p)] = used / linkGbps
 			}
 		}
 	}
@@ -248,7 +230,7 @@ func (b *Backbone) Engineer(demands []Demand) (Report, error) {
 // and returns how much it got.
 func (b *Backbone) takePair(residual map[linkKey]float64, a, r string, want float64) float64 {
 	got := 0.0
-	for p := 0; p < b.planes && want-got > 1e-12; p++ {
+	for p := 0; p < Planes && want-got > 1e-12; p++ {
 		key := newLinkKey(a, r, p)
 		avail := residual[key]
 		if avail <= 0 {
@@ -267,7 +249,7 @@ func (b *Backbone) takePair(residual map[linkKey]float64, a, r string, want floa
 // pairCapacity sums the pair's residual across planes.
 func (b *Backbone) pairCapacity(residual map[linkKey]float64, a, r string) float64 {
 	total := 0.0
-	for p := 0; p < b.planes; p++ {
+	for p := 0; p < Planes; p++ {
 		total += residual[newLinkKey(a, r, p)]
 	}
 	return total

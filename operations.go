@@ -62,16 +62,13 @@ type Router = routing.Router
 // NewRouter returns a Router over net with every device up.
 func NewRouter(net *Network) *Router { return routing.New(net) }
 
-// TrafficConfig sizes a generated demand matrix.
-type TrafficConfig = traffic.Config
-
 // TrafficReport summarizes network load under one failure scenario.
 type TrafficReport = traffic.Report
 
 // GenerateTraffic builds the §3.2 demand matrix (user-facing + cross-DC
 // bulk) for net, deterministically in seed.
-func GenerateTraffic(net *Network, cfg TrafficConfig, seed uint64) ([]Demand, error) {
-	return traffic.Generate(net, cfg, simrand.New(seed))
+func GenerateTraffic(net *Network, seed uint64) ([]Demand, error) {
+	return traffic.Generate(net, simrand.New(seed))
 }
 
 // StudyTraffic routes demands with the given devices failed (after core
@@ -153,22 +150,17 @@ func ConfigBlastStudy(g ConfigGuard, n, fleetSize int, seed uint64) (float64, er
 // DrillScenario is one injected failure.
 type DrillScenario = drill.Scenario
 
-// DrillCriteria grades a drill.
-type DrillCriteria = drill.Criteria
-
 // DrillResult is a graded drill outcome.
 type DrillResult = drill.Result
 
 // DrillRunner executes drills against a topology and demand matrix.
 type DrillRunner = drill.Runner
 
-// DefaultDrillCriteria tolerates a single stranded rack, 2% lost volume,
-// and 95% peak utilization.
-func DefaultDrillCriteria() DrillCriteria { return drill.DefaultCriteria() }
-
-// NewDrillRunner validates demands and returns a runner.
-func NewDrillRunner(net *Network, demands []Demand, criteria DrillCriteria) (*DrillRunner, error) {
-	return drill.NewRunner(net, demands, criteria)
+// NewDrillRunner validates demands and returns a runner. A drill passes
+// when it strands at most one rack, loses at most 2% of offered volume
+// and keeps every surviving device at or below 95% utilization.
+func NewDrillRunner(net *Network, demands []Demand) (*DrillRunner, error) {
+	return drill.NewRunner(net, demands)
 }
 
 // StandardDrills builds the §5.7 suite: a single-device outage per type

@@ -42,7 +42,7 @@ func TestTrafficFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	demands, err := GenerateTraffic(net, TrafficConfig{}, 5)
+	demands, err := GenerateTraffic(net, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestDrillFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	demands, err := GenerateTraffic(net, TrafficConfig{}, 9)
+	demands, err := GenerateTraffic(net, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := NewDrillRunner(net, demands, DefaultDrillCriteria())
+	runner, err := NewDrillRunner(net, demands)
 	if err != nil {
 		t.Fatal(err)
 	}

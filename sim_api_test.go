@@ -5,6 +5,9 @@ package dcnr
 
 import (
 	"bytes"
+	"io"
+	"log/slog"
+	"math"
 	"strings"
 	"testing"
 )
@@ -20,6 +23,8 @@ func TestIntraConfigValidate(t *testing.T) {
 		{"before study", IntraConfig{FromYear: 2005, ToYear: 2012}, "outside study period"},
 		{"after study", IntraConfig{FromYear: 2012, ToYear: 2025}, "outside study period"},
 		{"elevation factor too low", IntraConfig{ElevateYear: 2014, ElevateFactor: 1}, "ElevateFactor must be > 1"},
+		{"elevation factor NaN", IntraConfig{ElevateYear: 2014, ElevateFactor: math.NaN()}, "ElevateFactor must be"},
+		{"elevation factor infinite", IntraConfig{ElevateYear: 2014, ElevateFactor: math.Inf(1)}, "ElevateFactor must be"},
 		{"elevation factor without year", IntraConfig{ElevateFactor: 5, FromYear: 2014, ToYear: 2015}, "ElevateYear"},
 		{"elevation outside range", IntraConfig{ElevateYear: 2011, ElevateFactor: 5, FromYear: 2014, ToYear: 2015}, "outside simulated range"},
 	}
@@ -66,10 +71,11 @@ func TestBackboneConfigValidate(t *testing.T) {
 		wantErr string
 	}{
 		{"too few edges", func(c *BackboneConfig) { c.Edges = 2 }, "edges"},
-		{"min links", func(c *BackboneConfig) { c.MinLinks = 1 }, "MinLinks"},
-		{"max below min", func(c *BackboneConfig) { c.MinLinks = 8; c.MaxLinks = 4 }, "MaxLinks"},
 		{"negative months", func(c *BackboneConfig) { c.Months = -1 }, "Months"},
-		{"negative vendors", func(c *BackboneConfig) { c.Vendors = -1 }, "Vendors"},
+		{"unread health", func(c *BackboneConfig) { c.Health = &HealthEngine{} }, "Observe.Health"},
+		{"unread logger", func(c *BackboneConfig) { c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil)) }, "Observe.Logger"},
+		{"unread journal", func(c *BackboneConfig) { c.Journal = NewJournal() }, "Observe.Journal"},
+		{"unread timeline", func(c *BackboneConfig) { c.Timeline = NewTimeline() }, "Observe.Timeline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,7 +97,7 @@ func TestBackboneConfigValidate(t *testing.T) {
 		t.Fatalf("Validate(zero): %v", err)
 	}
 	def := DefaultBackboneConfig()
-	if cfg.Edges != def.Edges || cfg.Months != def.Months || cfg.Vendors != def.Vendors {
+	if cfg.Edges != def.Edges || cfg.Months != def.Months {
 		t.Errorf("zero config normalized to %+v, want defaults %+v", cfg, def)
 	}
 }
