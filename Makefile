@@ -54,7 +54,7 @@ test-obs:
 # wiring: the engine package itself plus the facade scenarios (elevated
 # burn drill, calibrated quiet run, report format).
 test-health:
-	$(GO) test -race ./internal/obs/health/ ./internal/notify/
+	$(GO) test -race ./internal/obs/health/
 	$(GO) test -race -run 'TestHealth|TestSLO' .
 
 # verify is the tier-1 gate: vet, the static-analysis suite (including

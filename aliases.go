@@ -13,7 +13,6 @@ import (
 	"dcnr/internal/core"
 	"dcnr/internal/faults"
 	"dcnr/internal/fleet"
-	"dcnr/internal/notify"
 	"dcnr/internal/obs"
 	"dcnr/internal/obs/health"
 	"dcnr/internal/obs/journal"
@@ -347,16 +346,9 @@ type HealthTargets = health.Targets
 type HealthRule = health.Rule
 
 // SLOReport is a point-in-time health summary: per-device-type statistics,
-// rule states, and the alert transition history. JSON-serializable.
+// rule states, and the alert transition history, each transition with its
+// message text. JSON-serializable.
 type SLOReport = health.SLOReport
-
-// HealthSink receives one text line per alert transition. NotifyRecorder
-// and the internal notify client both satisfy it.
-type HealthSink = health.Sink
-
-// NotifyRecorder is an in-memory HealthSink that accumulates alert
-// notifications for post-run inspection.
-type NotifyRecorder = notify.Recorder
 
 // NewHealthEngine returns an engine evaluating rules against targets
 // (nil/empty rules means DefaultHealthRules()).

@@ -1,17 +1,16 @@
 package dcnr
 
 // Cross-subsystem integration tests: the ping-failure→remediation→SEV
-// path, and the vendor→collector ticket path over real TCP sockets, each
-// ending in the analysis engine.
+// path, and the vendor-ticket archive parsed back into the collector.
 
 import (
-	"context"
+	"bytes"
 	"math"
+	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	"dcnr/internal/des"
-	"dcnr/internal/notify"
 	"dcnr/internal/remediation"
 	"dcnr/internal/service"
 	"dcnr/internal/simrand"
@@ -73,9 +72,10 @@ func TestPingFailureToSEVPipeline(t *testing.T) {
 }
 
 // TestTicketWirePipeline drives the inter-DC ingest path end to end over
-// TCP: simulate the backbone, deliver every notice through the wire
-// protocol, and confirm the analysis over what arrived matches the
-// analysis over the generator's own records.
+// the notice text format: simulate the backbone, format every notice as
+// the message a vendor sends, parse and ingest each one, and confirm the
+// analysis over what arrived matches the analysis over the generator's
+// own records.
 func TestTicketWirePipeline(t *testing.T) {
 	cfg := DefaultBackboneConfig()
 	cfg.Edges = 30
@@ -87,55 +87,6 @@ func TestTicketWirePipeline(t *testing.T) {
 
 	coll := NewTicketCollector()
 	coll.WindowHours = cfg.WindowHours()
-	server := notify.NewServer(coll.IngestText)
-	addr, err := server.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
-	messages := make([]string, len(res.Notices))
-	for i, n := range res.Notices {
-		messages[i] = n.Format()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := notify.SendAll(ctx, addr, messages); err != nil {
-		t.Fatal(err)
-	}
-	if server.Received() != len(messages) {
-		t.Fatalf("received %d of %d messages", server.Received(), len(messages))
-	}
-
-	wired, err := NewInterAnalysis(res.Topology, coll.Downtimes(), cfg.WindowHours())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The wire path must be lossless: identical vendor MTTRs either way.
-	direct := res.Analysis.VendorMTTR()
-	overWire := wired.VendorMTTR()
-	if len(direct) != len(overWire) {
-		t.Fatalf("vendor counts differ: %d vs %d", len(direct), len(overWire))
-	}
-	for vendor, want := range direct {
-		if got := overWire[vendor]; math.Abs(got-want) > 1e-3 {
-			t.Errorf("%s MTTR %v over wire, %v direct", vendor, got, want)
-		}
-	}
-}
-
-// TestTicketArchiveRoundTrip writes the notice archive the way dcsim does
-// and replays it into a collector.
-func TestTicketArchiveRoundTrip(t *testing.T) {
-	cfg := DefaultBackboneConfig()
-	cfg.Edges = 12
-	cfg.Seed = 5
-	res, err := SimulateBackbone(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coll := NewTicketCollector()
-	coll.WindowHours = cfg.WindowHours()
 	for _, n := range res.Notices {
 		parsed, err := tickets.Parse(n.Format())
 		if err != nil {
@@ -145,7 +96,56 @@ func TestTicketArchiveRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := len(coll.Downtimes()), len(res.Downtimes); got != want {
-		t.Errorf("archive round trip: %d intervals, want %d", got, want)
+
+	wired, err := NewInterAnalysis(res.Topology, coll.Downtimes(), cfg.WindowHours())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The text path must be lossless: identical vendor MTTRs either way.
+	direct := res.Analysis.VendorMTTR()
+	overWire := wired.VendorMTTR()
+	if len(direct) != len(overWire) {
+		t.Fatalf("vendor counts differ: %d vs %d", len(direct), len(overWire))
+	}
+	for vendor, want := range direct {
+		if got, ok := overWire[vendor]; !ok || got != want {
+			t.Errorf("%s MTTR %v over the text path, %v direct", vendor, got, want)
+		}
+	}
+}
+
+// TestTicketArchiveRoundTrip writes the notice archive the way dcsim does
+// (tickets.WriteAll), splits it on the blank-line separator, and replays
+// every notice into a collector: the reconstructed intervals must equal
+// the ones the simulation analyzed, exactly.
+func TestTicketArchiveRoundTrip(t *testing.T) {
+	cfg := DefaultBackboneConfig()
+	cfg.Edges = 30
+	cfg.Seed = 77
+	res, err := SimulateBackbone(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var archive bytes.Buffer
+	if err := tickets.WriteAll(&archive, res.Notices); err != nil {
+		t.Fatal(err)
+	}
+	texts := strings.Split(strings.TrimSuffix(archive.String(), "\n\n"), "\n\n")
+	if len(texts) != len(res.Notices) {
+		t.Fatalf("archive holds %d notices, want %d", len(texts), len(res.Notices))
+	}
+	coll := NewTicketCollector()
+	coll.WindowHours = cfg.WindowHours()
+	for _, text := range texts {
+		parsed, err := tickets.Parse(text + "\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coll.Ingest(parsed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := coll.Downtimes(); !slices.Equal(got, res.Downtimes) {
+		t.Errorf("archive round trip: %d intervals differ from the %d simulated", len(got), len(res.Downtimes))
 	}
 }

@@ -17,8 +17,8 @@
 //     overlap.
 //
 // The simulation emits per-link downtime intervals — the raw material the
-// vendor-ticket pipeline (internal/tickets, internal/notify) transports and
-// the analysis engine (internal/core) models.
+// vendor-ticket pipeline (internal/tickets) formats and parses back and the
+// analysis engine (internal/core) models.
 package backbone
 
 import (

@@ -64,8 +64,8 @@ const multiCauseProb = 0.05
 // group. Pushed through the service-impact assessor these produce severity
 // mixes near Figure 4's: Core ≈ 81/15/4, RSW ≈ 85/10/5, cluster types with
 // relatively more SEV1s, fabric types with fewer. Order: device, group,
-// unit.
-var scopeWeights = map[topology.DeviceType][]float64{
+// unit. Indexed by device type; BBR, outside the intra-DC fleet, has none.
+var scopeWeights = [int(topology.BBR) + 1][]float64{
 	topology.Core: {81, 15, 4},
 	topology.CSA:  {78, 14, 8},
 	topology.CSW:  {80, 13, 7},

@@ -51,8 +51,7 @@ func TestCalibrationTablesConsistent(t *testing.T) {
 
 func TestScopeWeightsCoverAllTypes(t *testing.T) {
 	for _, dt := range topology.IntraDCTypes {
-		w, ok := scopeWeights[dt]
-		if !ok || len(w) != 3 {
+		if w := scopeWeights[dt]; len(w) != 3 {
 			t.Errorf("scope weights missing for %v", dt)
 		}
 	}

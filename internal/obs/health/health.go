@@ -165,18 +165,6 @@ func (t Targets) yearOf(at float64) int {
 	return t.EpochYear + int((at-1e-9)/hoursPerYear)
 }
 
-// Sink receives one line of text per alert transition. notify.Client and
-// notify.Recorder satisfy it; SinkFunc adapts a closure.
-type Sink interface {
-	Notify(text string) error
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(text string) error
-
-// Notify implements Sink.
-func (f SinkFunc) Notify(text string) error { return f(text) }
-
 // incident is one escalated fault on the engine's timeline.
 type incident struct {
 	at         float64
@@ -191,7 +179,6 @@ type Engine struct {
 	mu      sync.Mutex
 	targets Targets
 	rules   []*ruleState
-	sink    Sink
 	logger  *slog.Logger
 	now     float64
 
@@ -235,16 +222,6 @@ func New(targets Targets, rules []Rule) (*Engine, error) {
 		e.rules = append(e.rules, &ruleState{Rule: r, typ: typ, state: StateInactive})
 	}
 	return e, nil
-}
-
-// SetSink directs alert-transition notifications to s (nil disables).
-func (e *Engine) SetSink(s Sink) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sink = s
 }
 
 // SetLogger directs structured transition logs to l (nil disables). Pair
@@ -407,8 +384,8 @@ func p75(vs []float64) float64 {
 // Evaluate advances the rule state machines to sim-hour now: it computes
 // every rule's signal over each of its windows, applies the
 // threshold + for-duration logic, and emits any transitions through the
-// sink, the logger, and the obs counters. Call it on a periodic sim-time
-// tick (the faults driver schedules one per simulated day).
+// logger and the obs counters. Call it on a periodic sim-time tick (the
+// faults driver schedules one per simulated day).
 func (e *Engine) Evaluate(now float64) {
 	if e == nil {
 		return
@@ -442,30 +419,25 @@ func (e *Engine) Evaluate(now float64) {
 		}
 	}
 	e.gFiring.Set(float64(firing))
-	sink, logger := e.sink, e.logger
+	logger := e.logger
 	e.mu.Unlock()
+	if logger == nil {
+		return
+	}
 
-	// Notify and log outside the lock: a sink may block on I/O and a
-	// reader may be serving Report concurrently.
+	// Log outside the lock: a reader may be serving Report concurrently.
 	for _, tr := range emitted {
-		if logger != nil {
-			level := slog.LevelInfo
-			if tr.To == StateFiring.String() {
-				level = slog.LevelWarn
-			}
-			logger.Log(context.Background(), level, "health alert transition",
-				slog.String("rule", tr.Rule),
-				slog.String("from", tr.From),
-				slog.String("to", tr.To),
-				slog.Float64("value", tr.Value),
-				obs.SimHours(tr.AtSimHours),
-			)
+		level := slog.LevelInfo
+		if tr.To == StateFiring.String() {
+			level = slog.LevelWarn
 		}
-		if sink != nil {
-			// Notification failure must not derail the simulation;
-			// the transition is already in the report history.
-			_ = sink.Notify(tr.Message)
-		}
+		logger.Log(context.Background(), level, "health alert transition",
+			slog.String("rule", tr.Rule),
+			slog.String("from", tr.From),
+			slog.String("to", tr.To),
+			slog.Float64("value", tr.Value),
+			obs.SimHours(tr.AtSimHours),
+		)
 	}
 }
 

@@ -25,24 +25,6 @@ func testTargets() Targets {
 	return Targets{EpochYear: 2011, Years: []Year{y, y, y}}
 }
 
-type recordingSink struct {
-	mu   sync.Mutex
-	msgs []string
-}
-
-func (r *recordingSink) Notify(text string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.msgs = append(r.msgs, text)
-	return nil
-}
-
-func (r *recordingSink) all() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.msgs...)
-}
-
 func TestExpectedIncidentsIntegration(t *testing.T) {
 	tg := testTargets()
 	if got := tg.expectedIncidents(topology.RSW, 0, hoursPerYear); got != 100 {
@@ -185,8 +167,6 @@ func TestBurnRuleLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &recordingSink{}
-	e.SetSink(sink)
 	reg := obs.NewRegistry()
 	e.Instrument(reg)
 
@@ -198,8 +178,8 @@ func TestBurnRuleLifecycle(t *testing.T) {
 	if got := e.Report(); !got.Healthy {
 		t.Fatalf("calibrated year should stay healthy: %+v", got.Rules)
 	}
-	if n := len(sink.all()); n != 0 {
-		t.Fatalf("calibrated year produced %d notifications", n)
+	if n := len(e.Report().Transitions); n != 0 {
+		t.Fatalf("calibrated year produced %d transitions", n)
 	}
 
 	// Year 2 elevated 5×: both windows breach, rule walks
@@ -233,11 +213,11 @@ func TestBurnRuleLifecycle(t *testing.T) {
 	}
 	want := []string{"inactive>pending", "pending>firing", "firing>inactive"}
 	if strings.Join(walk, " ") != strings.Join(want, " ") {
-		t.Errorf("transition walk = %v, want %v", walk, want)
+		t.Fatalf("transition walk = %v, want %v", walk, want)
 	}
-	// Transitions reached the sink and the metrics.
-	if msgs := sink.all(); len(msgs) != 3 || !strings.Contains(msgs[1], "firing") {
-		t.Errorf("sink messages = %v", msgs)
+	// Transitions carry their message text and reached the metrics.
+	if msg := rep.Transitions[1].Message; !strings.Contains(msg, "firing") {
+		t.Errorf("transition 1 message = %q, want it to contain \"firing\"", msg)
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["health_transitions_total"]; got != 3 {
@@ -370,7 +350,6 @@ func TestNilEngineIsNoOp(t *testing.T) {
 	e.RecordRepair(1, topology.RSW)
 	e.RecordIncident(1, topology.RSW, 1)
 	e.Evaluate(10)
-	e.SetSink(nil)
 	e.SetLogger(nil)
 	e.Instrument(obs.NewRegistry())
 	if !e.Healthy() {

@@ -77,7 +77,7 @@ type Transition struct {
 	AtSimHours float64 `json:"at_sim_hours"`
 	// Value is the worst window's signal value at that instant.
 	Value float64 `json:"value"`
-	// Message is the human-readable line sent to the notify sink.
+	// Message is the human-readable line for this transition.
 	Message string `json:"message"`
 }
 

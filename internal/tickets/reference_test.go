@@ -375,9 +375,7 @@ func TestSortKeysUniqueOnGoldenBackbones(t *testing.T) {
 		coll := NewCollector()
 		coll.WindowHours = cfg.WindowHours()
 		for _, n := range Generate(topo, downs) {
-			if err := coll.IngestText(n.Format()); err != nil {
-				t.Fatal(err)
-			}
+			ingestText(t, coll, n.Format())
 		}
 		dts := coll.Downtimes()
 		type ticketKey struct {

@@ -9,8 +9,9 @@
 // This package defines the notice format (a simple RFC-822-style
 // header block), generates notices from simulated link downtime, parses
 // them back, and pairs start/complete notices into downtime intervals —
-// the dataset §6 analyzes. Transport between vendor and collector is
-// provided by package notify.
+// the dataset §6 analyzes. The simulation (package sim) sends every notice
+// through Format, Parse and Collector.Ingest in memory, so the analysis
+// reads what a parser recovered.
 package tickets
 
 import (
@@ -157,8 +158,7 @@ var requiredHeaders = [...]string{"Ticket-ID", "Vendor", "Link", "Edge", "Event"
 
 // errLineTooLong is bufio.Scanner's line limit, which Parse applies too: a
 // line whose raw bytes before '\n' (any '\r' included) reach
-// bufio.MaxScanTokenSize is rejected. The notify server bounds lines the
-// same way.
+// bufio.MaxScanTokenSize is rejected.
 var errLineTooLong = fmt.Errorf("tickets: reading notice: %w", bufio.ErrTooLong)
 
 // Parse decodes one notice from its structured-email form. Unknown header
@@ -398,15 +398,6 @@ func (c *Collector) Ingest(n Notice) error {
 	return nil
 }
 
-// IngestText parses and ingests one structured-email notice.
-func (c *Collector) IngestText(text string) error {
-	n, err := Parse(text)
-	if err != nil {
-		return err
-	}
-	return c.Ingest(n)
-}
-
 // Open reports how many repairs are in progress (started, not completed).
 func (c *Collector) Open() int { return len(c.open) }
 
@@ -452,7 +443,7 @@ func (c *Collector) Downtimes() []Downtime {
 }
 
 // WriteAll formats notices to w separated by blank lines — the mbox-like
-// archive format used by cmd/backbonegen. One buffer is reused for every
+// archive dcsim writes as tickets.txt. One buffer is reused for every
 // notice, and each notice and its separator go out in one Write.
 func WriteAll(w io.Writer, notices []Notice) error {
 	var buf []byte

@@ -144,23 +144,32 @@ func TestCollectorReconstructsIntervals(t *testing.T) {
 	}
 }
 
+// ingestText parses one notice text and ingests it, failing t on either
+// error: the Format → Parse → Ingest round trip sim.Backbone runs.
+func ingestText(t *testing.T, c *Collector, text string) {
+	t.Helper()
+	n, err := Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ingest(n); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCollectorTextPath(t *testing.T) {
 	c := NewCollector()
 	start := sampleNotice()
-	if err := c.IngestText(start.Format()); err != nil {
-		t.Fatal(err)
-	}
+	ingestText(t, c, start.Format())
 	complete := start
 	complete.Event = RepairComplete
 	complete.AtHours = 130
-	if err := c.IngestText(complete.Format()); err != nil {
-		t.Fatal(err)
-	}
+	ingestText(t, c, complete.Format())
 	ds := c.Downtimes()
 	if len(ds) != 1 || ds[0].Duration() <= 0 {
 		t.Fatalf("downtimes = %+v", ds)
 	}
-	if err := c.IngestText("garbage"); err == nil {
+	if _, err := Parse("garbage"); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -178,9 +187,7 @@ func TestCollectorRecordsDropNoticeText(t *testing.T) {
 	for _, n := range []Notice{start, complete} {
 		text := n.Format()
 		texts = append(texts, text)
-		if err := c.IngestText(text); err != nil {
-			t.Fatal(err)
-		}
+		ingestText(t, c, text)
 	}
 	d := c.Downtimes()[0]
 	for _, s := range []string{d.TicketID, d.Vendor, d.Link, d.Edge} {

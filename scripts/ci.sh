@@ -18,9 +18,8 @@
 #   9. fuzz-smoke  - 10s of native fuzzing per wire-format target: the
 #                    ticket parser (alone and against its reference), the
 #                    ticket formatter's %.4f fast path (against its fmt
-#                    reference, over raw float64 bits), the notify line
-#                    framing, the device-name codec
-#                    (ParseDeviceName and MakeName against their
+#                    reference, over raw float64 bits), the device-name
+#                    codec (ParseDeviceName and MakeName against their
 #                    fmt/ToLower references), the SEV dataset loaders
 #                    (Store.ReadJSON against DecodeDataset + AddAll, and
 #                    ID lookups against the loaded reports), the SEV
@@ -95,7 +94,6 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/tickets
 	go test -run '^$' -fuzz '^FuzzParseMatchesReference$' -fuzztime 10s ./internal/tickets
 	go test -run '^$' -fuzz '^FuzzFormatMatchesReference$' -fuzztime 10s ./internal/tickets
-	go test -run '^$' -fuzz '^FuzzFraming$' -fuzztime 10s ./internal/notify
 	go test -run '^$' -fuzz '^FuzzParseDeviceName$' -fuzztime 10s ./internal/topology
 	go test -run '^$' -fuzz '^FuzzMakeName$' -fuzztime 10s ./internal/topology
 	go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/sev
