@@ -155,9 +155,9 @@ var RootCauses = sev.RootCauses
 // SEVReport is one service-level event report (§4.2).
 type SEVReport = sev.Report
 
-// SEVStore holds SEV reports and answers aggregate queries through an
-// indexed query engine (posting lists per year, device type, severity,
-// design, and root cause).
+// SEVStore holds SEV reports and answers aggregate queries from a cell
+// index: one cell per (year, device type, severity, set of root causes),
+// so a count sums cells and reads no report.
 type SEVStore = sev.Store
 
 // SEVQuery is a filtered, index-accelerated view over a SEVStore's

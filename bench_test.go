@@ -361,7 +361,7 @@ func BenchmarkSimulateBackbone(b *testing.B) {
 }
 
 // SEV query-engine benches: the indexed store paths the per-figure
-// analyses ride on (point lookups, posting-list intersections, one-pass
+// analyses ride on (point lookups, multi-predicate selections, one-pass
 // grouped aggregations).
 
 func BenchmarkSevQueryIndexedCount(b *testing.B) {

@@ -61,7 +61,14 @@ type Fault struct {
 // built on each call; only incident reports and debug logs render it.
 func (f *Fault) Device() string {
 	var ub [24]byte
-	unit, dc, region := ub[:0], "dc1", "regiona"
+	unit, dc, region := f.nameParts(&ub)
+	return topology.MakeName(f.Type, f.ordinal, string(unit), dc, region)
+}
+
+// nameParts returns the parts of the device's name after its ordinal: the
+// unit, built in ub, the data center and the region.
+func (f *Fault) nameParts(ub *[24]byte) (unit []byte, dc, region string) {
+	unit, dc, region = ub[:0], "dc1", "regiona"
 	switch f.Type {
 	case topology.RSW:
 		// Racks split across designs; fabric racks exist from 2015.
@@ -77,7 +84,7 @@ func (f *Fault) Device() string {
 	case topology.ESW, topology.SSW:
 		dc, region = "dc2", "regionb"
 	}
-	return topology.MakeName(f.Type, f.ordinal, string(unit), dc, region)
+	return unit, dc, region
 }
 
 // faultKey sorts the fault slab: by start time, then by draw index, the
@@ -624,7 +631,18 @@ func (d *Driver) onOutcome(idx int32, o remediation.Outcome) {
 // recordIncident escalates f into a SEV report; cause is the journal ID
 // the incident records are parented on (0 with no journal attached).
 func (d *Driver) recordIncident(f *Fault, cause journal.ID) {
-	device := f.Device()
+	// The title and the device name it contains are one allocation:
+	// the device is a substring of the title.
+	var buf [128]byte
+	var ub [24]byte
+	unit, dc, region := f.nameParts(&ub)
+	title := append(append(buf[:0], f.Class.String()...), " on "...)
+	from := len(title)
+	title = topology.AppendName(title, f.Type, f.ordinal, string(unit), dc, region)
+	to := len(title)
+	title = append(append(append(title, " ("...), f.Scope.String()...), " scope)"...)
+	text := string(title)
+	device := text[from:to]
 	details := d.details
 	as := &d.impact.as[f.Type][d.representative(details, f.Type)][f.Scope]
 	resolution := d.resolutionHours(details, f.Year)
@@ -637,7 +655,7 @@ func (d *Driver) recordIncident(f *Fault, cause journal.ID) {
 		Duration:         duration,
 		Resolution:       resolution,
 		Year:             f.Year,
-		Title:            f.Class.String() + " on " + device + " (" + f.Scope.String() + " scope)",
+		Title:            text,
 		Impact:           as.Impact,
 		ServicesAffected: as.Services,
 		Reviewed:         true,

@@ -3,6 +3,7 @@ package sev
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -34,9 +35,9 @@ var diffDevices = []string{
 var diffDesigns = []topology.Design{topology.DesignShared, topology.DesignCluster, topology.DesignFabric}
 
 // diffReport decodes one report. One draw in 64 puts it in a year outside
-// 2011–2017 and another one in 64 on a Core device, so those keys' posting
-// lists are sparse enough to skip whole words. Starts fall on a coarse grid, so
-// equal starts are common; a report carries zero to three causes,
+// 2011–2017 and another one in 64 on a Core device, so those keys' cells
+// are sparse enough to skip whole bitset words. Starts fall on a coarse
+// grid, so equal starts are common; a report carries zero to three causes,
 // duplicates included.
 func diffReport(src *byteSource) Report {
 	r := Report{Severity: Severity(1 + src.next()%3)}
@@ -77,7 +78,15 @@ func diffQuery(s *Store, mask int, src *byteSource) Query {
 		q = q.Design(diffDesigns[src.next()%len(diffDesigns)])
 	}
 	if mask&16 != 0 {
-		q = q.RootCause(RootCause(src.next() % numRootCauses))
+		// The top three byte values name causes outside the enum, which
+		// match nothing.
+		c := RootCause(src.next())
+		if c >= 253 {
+			c = []RootCause{-1, RootCause(numRootCauses), 99}[c-253]
+		} else {
+			c %= RootCause(numRootCauses)
+		}
+		q = q.RootCause(c)
 	}
 	if mask&32 != 0 {
 		q = q.Since(float64(src.next()%70) * 5)
@@ -86,6 +95,29 @@ func diffQuery(s *Store, mask int, src *byteSource) Query {
 		q = q.Until(float64(src.next()%70) * 5)
 	}
 	return q
+}
+
+// matches is the brute-force predicate the index is checked against:
+// every filter of q applied to one report. The window comparisons are
+// negated so a NaN bound matches nothing.
+func (q Query) matches(r *Report) bool {
+	switch {
+	case q.year != nil && r.Year != *q.year,
+		q.since != nil && !(r.Start >= *q.since),
+		q.until != nil && !(r.Start < *q.until),
+		q.severity != nil && r.Severity != *q.severity,
+		q.design != nil && r.Design() != *q.design:
+		return false
+	}
+	if q.deviceType != nil {
+		if t, err := r.DeviceType(); err != nil || t != *q.deviceType {
+			return false
+		}
+	}
+	if q.rootCause != nil {
+		return slices.Contains(r.EffectiveRootCauses(), *q.rootCause)
+	}
+	return true
 }
 
 // queryResults runs every result method of q.

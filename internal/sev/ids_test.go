@@ -137,13 +137,13 @@ func TestGrowReserves(t *testing.T) {
 	if s.Len() != 1 || s.Generation() != gen {
 		t.Fatalf("Grow changed Len to %d and Generation to %d; want 1 and %d", s.Len(), s.Generation(), gen)
 	}
-	reports, types := &s.reports[0], &s.types[0]
+	reports, start, next := &s.reports[0], &s.start[0], &s.next[0]
 	for i := 0; i < n; i++ {
 		if _, err := s.Add(validReport()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if &s.reports[0] != reports || &s.types[0] != types {
+	if &s.reports[0] != reports || &s.start[0] != start || &s.next[0] != next {
 		t.Errorf("%d Adds after Grow(%d) moved the backing arrays", n, n)
 	}
 }

@@ -1,8 +1,10 @@
 package sev
 
 import (
+	"math"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"dcnr/internal/topology"
 )
@@ -11,16 +13,15 @@ import (
 // everything; With* methods narrow it. Queries are values: narrowing
 // returns a new Query and never mutates the receiver.
 //
-// Evaluation uses the store's secondary indexes: every set-valued predicate
-// (year, device type, severity, design, root cause) selects a posting list,
-// the lists are intersected 64 positions at a time by ANDing their
-// word-compressed bitsets, walking the list with the fewest words, and the
-// Since/Until window is applied as a residual filter over the candidates.
-// The intersection allocates nothing. A query with no set-valued predicate
-// (none at all, or only a Since/Until window) scans every report in order.
-// An instrumented store (Store.Instrument) counts the two paths as
-// sev_queries_indexed_total vs sev_queries_scan_total, so scan regressions
-// show up in metrics instead of only in latency.
+// Every query is answered from the store's cell index: Year picks a
+// year, DeviceType, Design and Severity pick slots, and RootCause a bit a
+// cell's mask must hold, so the cells reached hold exactly the matching
+// reports. Counts sum cells, checking their positions against the start
+// column only under Since/Until; ordered results (Reports, Resolutions*,
+// Starts) mark positions in a pooled bitset and walk it in ID order. An
+// instrumented store (Store.Instrument) counts a query with no set-valued
+// predicate (none, or only Since/Until), which reads every cell, in
+// sev_queries_scan_total, and any other in sev_queries_indexed_total.
 type Query struct {
 	store        *Store
 	year         *int
@@ -64,201 +65,243 @@ func (q Query) Since(t float64) Query { q.since = &t; return q }
 // matches nothing.
 func (q Query) Until(t float64) Query { q.until = &t; return q }
 
-// matches is the full sequential-scan predicate, used when no index
-// applies and by tests cross-checking the index path.
-func (q Query) matches(r *Report) bool {
-	if q.year != nil && r.Year != *q.year {
-		return false
-	}
-	if !q.matchesWindow(r) {
-		return false
-	}
-	if q.severity != nil && r.Severity != *q.severity {
-		return false
-	}
-	if q.deviceType != nil {
-		t, err := r.DeviceType()
-		if err != nil || t != *q.deviceType {
-			return false
-		}
-	}
-	if q.design != nil && r.Design() != *q.design {
-		return false
-	}
-	if q.rootCause != nil {
-		found := false
-		for _, c := range r.EffectiveRootCauses() {
-			if c == *q.rootCause {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+// selection is q resolved against the index: the years and slots it
+// admits, the cause bits a cell must share (none for a cause outside the
+// enum), and its window [since, until), which a NaN bound makes empty.
+type selection struct {
+	s            *Store
+	years        []yearCells
+	slots        uint32
+	causes       uint8
+	since, until float64
+	windowed     bool
 }
 
-// matchesWindow applies the residual Since/Until predicates — the only
-// filters the posting lists do not encode. The comparisons are negated so
-// a NaN bound matches nothing.
-func (q Query) matchesWindow(r *Report) bool {
-	if q.since != nil && !(r.Start >= *q.since) {
-		return false
-	}
-	if q.until != nil && !(r.Start < *q.until) {
-		return false
-	}
-	return true
-}
-
-// maxPostings is the number of set-valued predicates a Query can carry.
-const maxPostings = 5
-
-// absent is the empty posting list a predicate selects when its key is
-// not in the index; it is never written.
-var absent postings
-
-// postingsLocked collects the posting lists selected by q's indexed
-// predicates into lists, ordered by ascending word count, and returns how
-// many there are; zero means q has none (→ scan path). A predicate whose
-// key is absent from its index selects an empty list, which makes the
-// intersection empty. Caller holds the store's read lock.
-func (q Query) postingsLocked(lists *[maxPostings]*postings) int {
-	s := q.store
-	n := 0
-	add := func(p *postings) {
-		if p == nil {
-			p = &absent
-		}
-		// Insertion sort: walking the shortest list bounds the work.
-		i := n
-		for ; i > 0 && len(p.idx) < len(lists[i-1].idx); i-- {
-			lists[i] = lists[i-1]
-		}
-		lists[i] = p
-		n++
-	}
+// selectLocked resolves q. Caller holds the store's read lock.
+func (q Query) selectLocked() selection {
+	sel := selection{s: q.store, years: q.store.years, causes: 0xff, since: math.Inf(-1), until: math.Inf(1)}
 	if q.year != nil {
-		add(s.byYear[*q.year])
-	}
-	if q.deviceType != nil {
-		add(s.byType[*q.deviceType])
-	}
-	if q.severity != nil {
-		add(s.bySev[*q.severity])
-	}
-	if q.design != nil {
-		add(s.byDesign[*q.design])
+		sel.years = nil
+		if yi, ok := q.store.yearPos[*q.year]; ok {
+			sel.years = q.store.years[yi : yi+1]
+		}
 	}
 	if q.rootCause != nil {
-		add(s.byCause[*q.rootCause])
-	}
-	return n
-}
-
-// intersect calls fn, in ascending order, for every position set in all
-// of lists, which are ordered by ascending word count. It walks the first
-// list's words, advances a cursor through each other list to the same
-// word index, and ANDs the words; nothing is allocated. It returns the
-// number of positions visited.
-func intersect(lists []*postings, fn func(pos int)) int {
-	first := lists[0]
-	var cur [maxPostings]int
-	n := 0
-	for i, w := range first.idx {
-		word := first.words[i]
-		for j := 1; j < len(lists) && word != 0; j++ {
-			l, c := lists[j], cur[j]
-			for c < len(l.idx) && l.idx[c] < w {
-				c++
-			}
-			if c == len(l.idx) {
-				return n
-			}
-			cur[j] = c
-			if l.idx[c] == w {
-				word &= l.words[c]
-			} else {
-				word = 0
-			}
-		}
-		base := int(w) << 6
-		for ; word != 0; word &= word - 1 {
-			fn(base + bits.TrailingZeros64(word))
-			n++
+		sel.causes = 0
+		if c := *q.rootCause; c >= 0 && int(c) < numRootCauses {
+			sel.causes = 1 << c
 		}
 	}
-	return n
+	for slot := range numSlots {
+		t, v := slotType(slot), slotSeverity(slot)
+		if (q.deviceType == nil || t == *q.deviceType) && (q.design == nil || t.Design() == *q.design) &&
+			(q.severity == nil || v == *q.severity) {
+			sel.slots |= 1 << slot
+		}
+	}
+	if q.since != nil {
+		sel.since, sel.windowed = *q.since, true
+	}
+	if q.until != nil {
+		sel.until, sel.windowed = *q.until, true
+	}
+	return sel
 }
 
-// forEach invokes fn for every matching report in position (= ID) order,
-// holding the store's read lock for the duration.
-func (q Query) forEach(fn func(pos int, r *Report)) {
+// in reports whether the report at position pos starts inside the window.
+func (sel *selection) in(pos int32) bool {
+	return sel.s.start[pos] >= sel.since && sel.s.start[pos] < sel.until
+}
+
+const whole, byType, byYear = 0, 1, 2 // the groups a visit can split into
+
+// visit resolves q into sel and calls fn, under the read lock, for every
+// cell holding matching reports: in one pass, or one per device type or
+// admitted year (split), calling end with the group's key after each. It
+// records the query as a scan if it has no set-valued predicate, else as
+// indexed with the reports in the cells visited as its candidates.
+func (q Query) visit(sel *selection, split int, fn func(slot int, c *cell), end func(key int)) {
 	s := q.store
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var lists [maxPostings]*postings
-	if n := q.postingsLocked(&lists); n > 0 {
-		s.mIndexed.Inc()
-		if s.hPostings != nil {
-			for _, l := range lists[:n] {
-				s.hPostings.Observe(float64(l.n))
+	*sel = q.selectLocked()
+	candidates := 0
+	pass := func(years []yearCells, slots uint32, key int) {
+		for i := range years {
+			for m := slots; m != 0; m &= m - 1 {
+				slot := bits.TrailingZeros32(m)
+				for ci := years[i].slots[slot]; ci != 0; ci = s.cells[ci].link {
+					if c := &s.cells[ci]; c.mask&sel.causes != 0 {
+						candidates += int(c.n)
+						fn(slot, c)
+					}
+				}
 			}
 		}
-		candidates := intersect(lists[:n], func(pos int) {
-			if r := &s.reports[pos]; q.matchesWindow(r) {
-				fn(pos, r)
-			}
-		})
-		s.hCandidates.Observe(float64(candidates))
+		end(key)
+	}
+	switch split {
+	case byType:
+		for t := range numTypes {
+			pass(sel.years, sel.slots&(0b111<<(3*t)), t)
+		}
+	case byYear:
+		for i := range sel.years {
+			pass(sel.years[i:i+1], sel.slots, sel.years[i].year)
+		}
+	default:
+		pass(sel.years, sel.slots, 0)
+	}
+	if q.year == nil && q.deviceType == nil && q.severity == nil && q.design == nil && q.rootCause == nil {
+		s.mScanned.Inc()
 		return
 	}
-	s.mScanned.Inc()
-	for pos := range s.reports {
-		if r := &s.reports[pos]; q.matches(r) {
-			fn(pos, r)
+	s.mIndexed.Inc()
+	s.hCandidates.Observe(float64(candidates))
+}
+
+// tally counts matching reports per slot, and their causes' occurrences.
+type tally struct {
+	n      [numSlots]int
+	causes [numRootCauses]int
+}
+
+func (t tally) total() (n int) {
+	for _, k := range t.n {
+		n += k
+	}
+	return n
+}
+
+// group sums t's slots by key, leaving out keys with no report.
+func group[K comparable](t tally, key func(slot int) K) map[K]int {
+	out := make(map[K]int)
+	for slot, n := range t.n {
+		if n > 0 {
+			out[key(slot)] += n
 		}
 	}
+	return out
+}
+
+// count calls fn with the tally of the matching reports, in all or per
+// admitted year holding one (split byYear). It reads a report only under
+// a window and in a cell where one lists a cause twice: in any other cell
+// each report lists exactly the mask's causes.
+func (q Query) count(split int, fn func(year int, t tally)) {
+	var t tally
+	var sel selection
+	q.visit(&sel, split, func(slot int, c *cell) {
+		if !sel.windowed {
+			t.n[slot] += int(c.n)
+			for rc, m := range c.causes {
+				t.causes[rc] += int(m)
+			}
+			return
+		}
+		k := 0
+		for p := c.head; p >= 0; p = sel.s.next[p] {
+			if sel.in(p) {
+				k++
+				if c.dup {
+					for _, rc := range sel.s.reports[p].EffectiveRootCauses() {
+						t.causes[rc]++
+					}
+				}
+			}
+		}
+		t.n[slot] += k
+		for m := c.mask; m != 0 && !c.dup; m &= m - 1 {
+			t.causes[bits.TrailingZeros8(m)] += k
+		}
+	}, func(year int) {
+		if t.total() > 0 {
+			fn(year, t)
+		}
+		t = tally{}
+	})
+}
+
+// sum returns the tally of every matching report.
+func (q Query) sum() (all tally) {
+	q.count(whole, func(_ int, t tally) { all = t })
+	return all
+}
+
+// bitsets pools the position bitsets of ordered results. A pooled bitset
+// is all zero: collect clears every word it reads.
+var bitsets = sync.Pool{New: func() any { return new([]uint64) }}
+
+// collect passes put f of every matching position in ascending order, once
+// per group of visit's split that has any, with the group's key. Each pass
+// marks positions in a pooled bitset and reads back the words it spans.
+func collect[T any](q Query, split int, f func(s *Store, pos int) T, put func(key int, xs []T)) {
+	bs := bitsets.Get().(*[]uint64)
+	lo, hi, n := math.MaxInt, -1, 0
+	var sel selection
+	q.visit(&sel, split, func(_ int, c *cell) {
+		if !sel.windowed {
+			n += int(c.n) // every position of the cell matches
+		}
+		if need := (len(sel.s.reports) + 63) >> 6; len(*bs) < need {
+			*bs = make([]uint64, need)
+		}
+		for p := c.head; p >= 0; p = sel.s.next[p] {
+			if !sel.windowed || sel.in(p) {
+				(*bs)[p>>6] |= 1 << (p & 63)
+			}
+		}
+		lo, hi = min(lo, int(c.head>>6)), max(hi, int(c.tail>>6))
+	}, func(key int) {
+		xs := make([]T, 0, n)
+		for w := lo; w <= hi; w++ {
+			for word := (*bs)[w]; word != 0; word &= word - 1 {
+				xs = append(xs, f(q.store, w<<6+bits.TrailingZeros64(word)))
+			}
+			(*bs)[w] = 0
+		}
+		if len(xs) > 0 {
+			put(key, xs)
+		}
+		lo, hi, n = math.MaxInt, -1, 0
+	})
+	bitsets.Put(bs)
+}
+
+// countByYear tallies the matching reports per year, each year's slots
+// grouped by key.
+func countByYear[K comparable](q Query, key func(slot int) K) map[int]map[K]int {
+	out := make(map[int]map[K]int)
+	q.count(byYear, func(year int, t tally) { out[year] = group(t, key) })
+	return out
+}
+
+func resolution(s *Store, pos int) float64 { return s.reports[pos].Resolution }
+
+// collectAll returns f of every matching position, in ID order.
+func collectAll[T any](q Query, f func(s *Store, pos int) T) (out []T) {
+	collect(q, whole, f, func(_ int, xs []T) { out = xs })
+	return out
 }
 
 // Reports returns the matching reports in ID order.
 func (q Query) Reports() []Report {
-	var out []Report
-	q.forEach(func(_ int, r *Report) { out = append(out, *r) })
-	return out
+	return collectAll(q, func(s *Store, pos int) Report { return s.reports[pos] })
 }
 
 // Count returns the number of matching reports.
-func (q Query) Count() int {
-	n := 0
-	q.forEach(func(int, *Report) { n++ })
-	return n
-}
+func (q Query) Count() int { return q.sum().total() }
 
 // CountByDeviceType groups matching reports by offending device type.
-func (q Query) CountByDeviceType() map[topology.DeviceType]int {
-	out := make(map[topology.DeviceType]int)
-	q.forEach(func(pos int, _ *Report) {
-		if t := q.store.types[pos]; t >= 0 {
-			out[t]++
-		}
-	})
-	return out
-}
+func (q Query) CountByDeviceType() map[topology.DeviceType]int { return group(q.sum(), slotType) }
 
 // CountBySeverity groups matching reports by severity level.
-func (q Query) CountBySeverity() map[Severity]int {
-	out := make(map[Severity]int)
-	q.forEach(func(_ int, r *Report) { out[r.Severity]++ })
-	return out
-}
+func (q Query) CountBySeverity() map[Severity]int { return group(q.sum(), slotSeverity) }
 
 // CountByYear groups matching reports by start year.
 func (q Query) CountByYear() map[int]int {
 	out := make(map[int]int)
-	q.forEach(func(_ int, r *Report) { out[r.Year]++ })
+	q.count(byYear, func(year int, t tally) { out[year] = t.total() })
 	return out
 }
 
@@ -267,11 +310,11 @@ func (q Query) CountByYear() map[int]int {
 // as Undetermined.
 func (q Query) CountByRootCause() map[RootCause]int {
 	out := make(map[RootCause]int)
-	q.forEach(func(_ int, r *Report) {
-		for _, c := range r.EffectiveRootCauses() {
-			out[c]++
+	for c, n := range q.sum().causes {
+		if n > 0 {
+			out[RootCause(c)] = n
 		}
-	})
+	}
 	return out
 }
 
@@ -280,100 +323,56 @@ func (q Query) CountByRootCause() map[RootCause]int {
 // pass.
 func (q Query) CountBySeverityDeviceType() map[Severity]map[topology.DeviceType]int {
 	out := make(map[Severity]map[topology.DeviceType]int)
-	q.forEach(func(pos int, r *Report) {
-		row := out[r.Severity]
-		if row == nil {
-			row = make(map[topology.DeviceType]int)
-			out[r.Severity] = row
+	for slot, n := range q.sum().n {
+		if n > 0 {
+			if out[slotSeverity(slot)] == nil {
+				out[slotSeverity(slot)] = make(map[topology.DeviceType]int)
+			}
+			out[slotSeverity(slot)][slotType(slot)] = n
 		}
-		if t := q.store.types[pos]; t >= 0 {
-			row[t]++
-		}
-	})
+	}
 	return out
 }
 
 // CountByYearSeverity groups matching reports by start year and severity
 // level in one pass (Figure 5's numerators).
-func (q Query) CountByYearSeverity() map[int]map[Severity]int {
-	out := make(map[int]map[Severity]int)
-	q.forEach(func(_ int, r *Report) {
-		row := out[r.Year]
-		if row == nil {
-			row = make(map[Severity]int)
-			out[r.Year] = row
-		}
-		row[r.Severity]++
-	})
-	return out
-}
+func (q Query) CountByYearSeverity() map[int]map[Severity]int { return countByYear(q, slotSeverity) }
 
 // CountByYearDeviceType groups matching reports by start year and device
 // type in one pass (Figures 7 and 8's numerators).
 func (q Query) CountByYearDeviceType() map[int]map[topology.DeviceType]int {
-	out := make(map[int]map[topology.DeviceType]int)
-	q.forEach(func(pos int, r *Report) {
-		row := out[r.Year]
-		if row == nil {
-			row = make(map[topology.DeviceType]int)
-			out[r.Year] = row
-		}
-		if t := q.store.types[pos]; t >= 0 {
-			row[t]++
-		}
-	})
-	return out
+	return countByYear(q, slotType)
 }
 
 // CountByYearDesign groups matching reports by start year and network
 // design in one pass (Figures 9 and 10's numerators).
 func (q Query) CountByYearDesign() map[int]map[topology.Design]int {
-	out := make(map[int]map[topology.Design]int)
-	q.forEach(func(pos int, r *Report) {
-		row := out[r.Year]
-		if row == nil {
-			row = make(map[topology.Design]int)
-			out[r.Year] = row
-		}
-		if t := q.store.types[pos]; t >= 0 {
-			row[t.Design()]++
-		}
-	})
-	return out
+	return countByYear(q, func(slot int) topology.Design { return slotType(slot).Design() })
 }
 
 // Resolutions returns the resolution times (hours) of matching reports.
-func (q Query) Resolutions() []float64 {
-	var out []float64
-	q.forEach(func(_ int, r *Report) { out = append(out, r.Resolution) })
-	return out
-}
+func (q Query) Resolutions() []float64 { return collectAll(q, resolution) }
 
 // ResolutionsByDeviceType groups matching reports' resolution times by
-// device type in one pass (Figure 13's samples).
+// device type (Figure 13's samples), each group in ID order.
 func (q Query) ResolutionsByDeviceType() map[topology.DeviceType][]float64 {
 	out := make(map[topology.DeviceType][]float64)
-	q.forEach(func(pos int, r *Report) {
-		if t := q.store.types[pos]; t >= 0 {
-			out[t] = append(out[t], r.Resolution)
-		}
-	})
+	collect(q, byType, resolution, func(t int, xs []float64) { out[topology.DeviceType(t)] = xs })
 	return out
 }
 
 // ResolutionsByYear groups matching reports' resolution times by start
-// year in one pass (Figure 14's samples).
+// year (Figure 14's samples), each group in ID order.
 func (q Query) ResolutionsByYear() map[int][]float64 {
 	out := make(map[int][]float64)
-	q.forEach(func(_ int, r *Report) { out[r.Year] = append(out[r.Year], r.Resolution) })
+	collect(q, byYear, resolution, func(year int, xs []float64) { out[year] = xs })
 	return out
 }
 
 // Starts returns the start times (hours since epoch) of matching reports
 // in ascending order.
 func (q Query) Starts() []float64 {
-	var out []float64
-	q.forEach(func(_ int, r *Report) { out = append(out, r.Start) })
+	out := collectAll(q, func(s *Store, pos int) float64 { return s.start[pos] })
 	sort.Float64s(out)
 	return out
 }

@@ -45,8 +45,8 @@ func (s *Store) Publish(id int, reviewer string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := sort.Search(len(s.reports), func(i int) bool { return s.reports[i].ID >= id })
-	if i >= len(s.reports) || s.reports[i].ID != id {
+	i, ok := s.posLocked(id)
+	if !ok {
 		return fmt.Errorf("sev: no report with ID %d", id)
 	}
 	r := &s.reports[i]

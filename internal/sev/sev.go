@@ -163,36 +163,39 @@ func (r *Report) EffectiveRootCauses() []RootCause {
 
 // Validate checks report invariants. Store.Add rejects invalid reports.
 func (r *Report) Validate() error {
-	if !r.Severity.Valid() {
-		return fmt.Errorf("sev: invalid severity %d", int(r.Severity))
-	}
-	if r.Device == "" {
-		return errors.New("sev: missing device")
-	}
-	if _, err := topology.ParseDeviceName(r.Device); err != nil {
-		return fmt.Errorf("sev: %w", err)
-	}
+	_, err := r.validate()
+	return err
+}
+
+// validate is Validate, also returning the device type it parsed from the
+// name, which the store indexes the report under.
+func (r *Report) validate() (topology.DeviceType, error) {
+	t, err := topology.ParseDeviceName(r.Device)
+	switch {
+	case !r.Severity.Valid():
+		return 0, fmt.Errorf("sev: invalid severity %d", int(r.Severity))
+	case r.Device == "":
+		return 0, errors.New("sev: missing device")
+	case err != nil:
+		return 0, fmt.Errorf("sev: %w", err)
 	// Non-finite times pass the ordered comparisons below (NaN < 0 is
 	// false), so they are refused here; JSON cannot carry them, so only an
 	// in-process caller can supply one.
-	if !finite(r.Start) || !finite(r.Duration) || !finite(r.Resolution) {
-		return errors.New("sev: non-finite time")
-	}
-	if r.Duration < 0 || r.Resolution < 0 {
-		return errors.New("sev: negative duration")
-	}
-	if r.Resolution < r.Duration {
-		return errors.New("sev: resolution shorter than duration")
-	}
-	if r.Start < 0 {
-		return errors.New("sev: negative start time")
+	case !finite(r.Start) || !finite(r.Duration) || !finite(r.Resolution):
+		return 0, errors.New("sev: non-finite time")
+	case r.Duration < 0 || r.Resolution < 0:
+		return 0, errors.New("sev: negative duration")
+	case r.Resolution < r.Duration:
+		return 0, errors.New("sev: resolution shorter than duration")
+	case r.Start < 0:
+		return 0, errors.New("sev: negative start time")
 	}
 	for _, c := range r.RootCauses {
 		if c < 0 || int(c) >= numRootCauses {
-			return fmt.Errorf("sev: invalid root cause %d", int(c))
+			return 0, fmt.Errorf("sev: invalid root cause %d", int(c))
 		}
 	}
-	return nil
+	return t, nil
 }
 
 // finite reports whether x is neither NaN nor ±Inf.

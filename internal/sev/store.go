@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -16,18 +17,14 @@ import (
 // Store holds SEV reports and answers the aggregate queries the study runs
 // against its SEV database. It is safe for concurrent use.
 //
-// Alongside the report slice the store maintains secondary indexes —
-// posting lists of report positions keyed by year, device type, severity,
-// network design, and root cause — so the typed query API
-// (query.go) can intersect the applicable lists instead of scanning every
-// report; a query with no set-valued predicate (none at all, or only a
-// Since/Until window) scans. A posting list is a word-compressed bitset
-// (see postings): only the nonzero 64-bit words over store positions are
-// kept, so a list costs at most one (index, word) pair per posting and the
-// whole index stays linear in the number of reports however many distinct
-// keys arrive. Indexes are extended under the write lock on Add and
-// AddAll, and rebuilt wholesale on ReadJSON; every path appends positions
-// in ascending order, so only a list's last word ever changes.
+// Alongside the report slice the store keeps a cell index (see Query):
+// one cell per (year, device type, severity, set of effective root
+// causes), with its report count, the times its reports list each cause,
+// and its positions, threaded through one per-position next column. A
+// report makes at most one cell, so the index stays linear in the reports
+// whatever years arrive (Year comes unvalidated through POST /ingest), and
+// a (year, device type, severity) slot lists at most 127 cells, one per
+// cause set. After Grow, an Add into an existing cell allocates nothing.
 //
 // IDs strictly ascend with position: AddAll rejects an explicit ID at or
 // below the largest held, and ReadJSON sorts its dataset, so All and
@@ -44,15 +41,14 @@ type Store struct {
 	// key on it: a bumped generation invalidates every cached aggregation.
 	gen atomic.Uint64
 
-	// types caches the parsed device type per position so queries never
-	// re-parse device names.
-	types []topology.DeviceType
-	// Posting lists, one per key value.
-	byYear   map[int]*postings
-	byType   map[topology.DeviceType]*postings
-	bySev    map[Severity]*postings
-	byDesign map[topology.Design]*postings
-	byCause  map[RootCause]*postings
+	// The cell index: per position, the report's start time and the next
+	// position in its cell (-1 after its last); the cells, cells[0] being
+	// a sentinel; and per year, the first cell of each slot.
+	start   []float64
+	next    []int32
+	cells   []cell
+	years   []yearCells
+	yearPos map[int]int32
 	// provenance is the causal-chain side store keyed by report ID,
 	// attached by AttachJournal; it is deliberately not part of the
 	// report serialization (WriteJSON stays byte-stable).
@@ -61,17 +57,13 @@ type Store struct {
 	// Telemetry, attached by Instrument; nil fields are no-ops.
 	mIndexed    *obs.Counter
 	mScanned    *obs.Counter
-	hPostings   *obs.Histogram
 	hCandidates *obs.Histogram
 }
 
-// Instrument attaches telemetry to the store's query engine. Metrics
-// registered on reg: sev_queries_indexed_total and sev_queries_scan_total
-// (counters — a rising scan count flags queries with no set-valued
-// predicate, the shapes that touch every report), sev_posting_list_size
-// (histogram of each selected posting list's length), and
-// sev_query_candidates (histogram of post-intersection candidate counts).
-// reg may be nil.
+// Instrument attaches telemetry to the store's query engine, on reg (which
+// may be nil): the counters sev_queries_indexed_total and
+// sev_queries_scan_total, and sev_query_candidates, a histogram of the
+// reports in the cells each indexed query selects (see Query).
 func (s *Store) Instrument(reg *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -80,90 +72,94 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	}
 	s.mIndexed = reg.Counter("sev_queries_indexed_total")
 	s.mScanned = reg.Counter("sev_queries_scan_total")
-	s.hPostings = reg.Histogram("sev_posting_list_size",
-		[]float64{1, 10, 100, 1000, 10000, 100000})
 	s.hCandidates = reg.Histogram("sev_query_candidates",
 		[]float64{1, 10, 100, 1000, 10000, 100000})
 }
 
 // NewStore returns an empty Store.
 func NewStore() *Store {
-	s := &Store{nextID: 1}
-	s.resetIndexLocked(0)
+	s := new(Store)
+	s.resetLocked(nil, nil)
 	return s
 }
 
-// resetIndexLocked reinitializes every secondary index. Caller holds mu.
-func (s *Store) resetIndexLocked(capacity int) {
-	s.types = make([]topology.DeviceType, 0, capacity)
-	s.byYear = make(map[int]*postings)
-	s.byType = make(map[topology.DeviceType]*postings)
-	s.bySev = make(map[Severity]*postings)
-	s.byDesign = make(map[topology.Design]*postings)
-	s.byCause = make(map[RootCause]*postings)
-}
-
-// postings is a posting list stored as a word-compressed bitset over store
-// positions: idx holds the indexes (position / 64) of the nonzero words in
-// ascending order and words the words themselves, so a list never holds
-// more than one (index, word) pair per posting. n counts the postings.
-type postings struct {
-	idx   []int32
-	words []uint64
-	n     int
-}
-
-// add sets position pos. Positions arrive in ascending order, so pos lands
-// in the last word or in a new one after it; setting a bit twice is a
-// no-op, which is how a report listing the same cause twice is posted once.
-func (p *postings) add(pos int) {
-	w, bit := int32(pos>>6), uint64(1)<<(pos&63)
-	if last := len(p.idx) - 1; last >= 0 && p.idx[last] == w {
-		if p.words[last]&bit == 0 {
-			p.words[last] |= bit
-			p.n++
-		}
-		return
+// resetLocked replaces the store's contents, provenance included, with
+// reports, which ascend by ID and whose device types are types, and
+// builds the cell index over them. Caller holds mu.
+func (s *Store) resetLocked(reports []Report, types []topology.DeviceType) {
+	s.reports, s.nextID, s.provenance = reports, 1, nil
+	if n := len(reports); n > 0 {
+		s.nextID = reports[n-1].ID + 1
 	}
-	p.idx = append(p.idx, w)
-	p.words = append(p.words, bit)
-	p.n++
-}
-
-// post adds pos to key k's list in m, creating the list on first use.
-func post[K comparable](m map[K]*postings, k K, pos int) {
-	p := m[k]
-	if p == nil {
-		p = new(postings)
-		m[k] = p
+	s.start, s.next = make([]float64, 0, len(reports)), make([]int32, 0, len(reports))
+	s.cells, s.years, s.yearPos = make([]cell, 1), nil, make(map[int]int32)
+	for pos := range reports {
+		s.indexLocked(pos, types[pos])
 	}
-	p.add(pos)
 }
 
-// indexPostingsLocked adds every secondary-index entry for the report at
-// position pos, which must be the highest position indexed so far. The
-// report must already be validated (its device name parses). Caller holds
-// mu.
-func (s *Store) indexPostingsLocked(pos int) {
+// A year's cells hang off numSlots slots, one per (device type, severity)
+// pair; slotOf, slotType and slotSeverity map a pair to its slot and back.
+const (
+	numTypes = int(topology.BBR) + 1 // the device types a valid name parses to
+	numSlots = numTypes * 3
+)
+
+func slotOf(t topology.DeviceType, v Severity) int { return int(t)*3 + int(v) - 1 }
+func slotType(slot int) topology.DeviceType        { return topology.DeviceType(slot / 3) }
+func slotSeverity(slot int) Severity               { return Severity(slot%3 + 1) }
+
+// cell is one (year, device type, severity, cause set) cell of the index.
+type cell struct {
+	n          int32                // reports in the cell
+	causes     [numRootCauses]int32 // times its reports list each effective root cause
+	head, tail int32                // first and last position
+	link       int32                // next cell of the same year and slot, 0 at the end
+	mask       uint8                // the cause set, bit c for cause c
+	dup        bool                 // some report lists a cause more than once
+}
+
+// yearCells holds one year's cells: the first of each slot's list, or 0.
+type yearCells struct {
+	year  int
+	slots [numSlots]int32
+}
+
+// indexLocked adds the report at position pos, which must be the highest
+// position indexed so far and whose device type validation parsed as t,
+// to its cell. Caller holds mu.
+func (s *Store) indexLocked(pos int, t topology.DeviceType) {
 	r := &s.reports[pos]
-	t, err := topology.ParseDeviceName(r.Device)
-	if err != nil {
-		// Unreachable for validated reports; keep types aligned anyway.
-		t = topology.DeviceType(-1)
+	yi, ok := s.yearPos[r.Year]
+	if !ok {
+		yi = int32(len(s.years))
+		s.years = append(s.years, yearCells{year: r.Year})
+		s.yearPos[r.Year] = yi
 	}
-	s.types = append(s.types, t)
-	post(s.byYear, r.Year, pos)
-	post(s.bySev, r.Severity, pos)
-	if t >= 0 {
-		post(s.byType, t, pos)
-		post(s.byDesign, t.Design(), pos)
+	rcs, mask := r.EffectiveRootCauses(), uint8(0)
+	for _, c := range rcs {
+		mask |= 1 << c
 	}
-	// A report listing the same cause twice is posted once, so
-	// RootCause(c).Count() counts it once (the multi-counting of
-	// CountByRootCause happens over EffectiveRootCauses).
-	for _, c := range r.EffectiveRootCauses() {
-		post(s.byCause, c, pos)
+	// A slot lists its cells oldest first; a new one is linked at the end.
+	link := &s.years[yi].slots[slotOf(t, r.Severity)]
+	for *link != 0 && s.cells[*link].mask != mask {
+		link = &s.cells[*link].link
 	}
+	ci := *link
+	s.next = append(s.next, -1)
+	if ci == 0 {
+		ci = int32(len(s.cells))
+		*link = ci // before the append, which may move the cell link points into
+		s.cells = append(s.cells, cell{head: int32(pos), mask: mask})
+	} else {
+		s.next[s.cells[ci].tail] = int32(pos)
+	}
+	c := &s.cells[ci]
+	for _, rc := range rcs {
+		c.causes[rc]++
+	}
+	c.tail, c.n, c.dup = int32(pos), c.n+1, c.dup || len(rcs) > bits.OnesCount8(mask)
+	s.start = append(s.start, r.Start)
 }
 
 // posLocked returns the position of the report with the given ID: ID-1
@@ -183,14 +179,21 @@ func (s *Store) posLocked(id int) (int, bool) {
 func (s *Store) Grow(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.growLocked(n)
+}
+
+// growLocked is Grow. Caller holds mu.
+func (s *Store) growLocked(n int) {
 	s.reports = slices.Grow(s.reports, n)
-	s.types = slices.Grow(s.types, n)
+	s.start = slices.Grow(s.start, n)
+	s.next = slices.Grow(s.next, n)
 }
 
 // Add validates r, assigns it an ID, and appends it. It returns the
 // assigned ID.
 func (s *Store) Add(r Report) (int, error) {
-	if err := r.Validate(); err != nil {
+	t, err := r.validate()
+	if err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
@@ -198,7 +201,7 @@ func (s *Store) Add(r Report) (int, error) {
 	r.ID = s.nextID
 	s.nextID++
 	s.reports = append(s.reports, r)
-	s.indexPostingsLocked(len(s.reports) - 1)
+	s.indexLocked(len(s.reports)-1, t)
 	s.gen.Add(1)
 	return r.ID, nil
 }
@@ -210,8 +213,10 @@ func (s *Store) Add(r Report) (int, error) {
 // earlier in the batch. On any validation or ID error the store is left
 // unchanged. It returns the IDs in input order.
 func (s *Store) AddAll(batch []Report) ([]int, error) {
+	types := make([]topology.DeviceType, len(batch))
 	for i := range batch {
-		if err := batch[i].Validate(); err != nil {
+		var err error
+		if types[i], err = batch[i].validate(); err != nil {
 			return nil, fmt.Errorf("sev: report %d invalid: %w", batch[i].ID, err)
 		}
 	}
@@ -232,17 +237,14 @@ func (s *Store) AddAll(batch []Report) ([]int, error) {
 		ids[i] = id
 		last = id
 	}
-	from := len(s.reports)
-	s.reports = slices.Grow(s.reports, len(batch))
+	s.growLocked(len(batch))
 	for i := range batch {
 		r := batch[i]
 		r.ID = ids[i]
 		s.reports = append(s.reports, r)
+		s.indexLocked(len(s.reports)-1, types[i])
 	}
 	s.nextID = last + 1
-	for pos := from; pos < len(s.reports); pos++ {
-		s.indexPostingsLocked(pos)
-	}
 	s.gen.Add(1)
 	return ids, nil
 }
@@ -280,8 +282,7 @@ func (s *Store) All() []Report {
 func (s *Store) WriteJSON(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(s.reports)
+	return json.NewEncoder(w).Encode(s.reports)
 }
 
 // ReadJSON replaces the store's contents with the reports decoded from r.
@@ -290,23 +291,13 @@ func (s *Store) WriteJSON(w io.Writer) error {
 // containing duplicate IDs or IDs below 1 are rejected. Provenance
 // attached to the old contents is dropped with them.
 func (s *Store) ReadJSON(r io.Reader) error {
-	reports, err := DecodeDataset(r)
+	reports, types, err := decodeDataset(r)
 	if err != nil {
 		return err
 	}
-	maxID := 0
-	if len(reports) > 0 {
-		maxID = reports[len(reports)-1].ID
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reports = reports
-	s.nextID = maxID + 1
-	s.provenance = nil
-	s.resetIndexLocked(len(reports))
-	for pos := range s.reports {
-		s.indexPostingsLocked(pos)
-	}
+	s.resetLocked(reports, types)
 	s.gen.Add(1)
 	return nil
 }
@@ -317,24 +308,31 @@ func (s *Store) ReadJSON(r io.Reader) error {
 // below 1 (every writer numbers reports from 1, so an ID-less report is
 // not a dataset entry), and returns the reports in ascending ID order.
 func DecodeDataset(r io.Reader) ([]Report, error) {
+	reports, _, err := decodeDataset(r)
+	return reports, err
+}
+
+// decodeDataset is DecodeDataset, also returning each report's device
+// type as its validation parsed it.
+func decodeDataset(r io.Reader) ([]Report, []topology.DeviceType, error) {
 	var reports []Report
 	if err := json.NewDecoder(r).Decode(&reports); err != nil {
-		return nil, fmt.Errorf("sev: decoding dataset: %w", err)
-	}
-	for i := range reports {
-		id := reports[i].ID
-		if err := reports[i].Validate(); err != nil {
-			return nil, fmt.Errorf("sev: report %d invalid: %w", id, err)
-		}
-		if id < 1 {
-			return nil, fmt.Errorf("sev: report ID %d in dataset, want >= 1", id)
-		}
+		return nil, nil, fmt.Errorf("sev: decoding dataset: %w", err)
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
-	for i := 1; i < len(reports); i++ {
-		if reports[i].ID == reports[i-1].ID {
-			return nil, fmt.Errorf("sev: duplicate report ID %d in dataset", reports[i].ID)
+	types := make([]topology.DeviceType, len(reports))
+	for i := range reports {
+		id := reports[i].ID
+		t, err := reports[i].validate()
+		switch {
+		case err != nil:
+			return nil, nil, fmt.Errorf("sev: report %d invalid: %w", id, err)
+		case id < 1:
+			return nil, nil, fmt.Errorf("sev: report ID %d in dataset, want >= 1", id)
+		case i > 0 && id == reports[i-1].ID:
+			return nil, nil, fmt.Errorf("sev: duplicate report ID %d in dataset", id)
 		}
+		types[i] = t
 	}
-	return reports, nil
+	return reports, types, nil
 }

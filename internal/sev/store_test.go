@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -144,8 +145,8 @@ func TestAddAllMatchesAdd(t *testing.T) {
 		}
 	}
 	batch := NewStore()
-	// Split across several batches so later batches extend posting lists
-	// that earlier ones started.
+	// Split across several batches so later batches extend cells that
+	// earlier ones started.
 	for i := 0; i < len(reports); i += 64 {
 		end := min(i+64, len(reports))
 		if _, err := batch.AddAll(reports[i:end]); err != nil {
@@ -323,10 +324,9 @@ func TestStoreIngestWhileQuerying(t *testing.T) {
 	}
 }
 
-// TestWindowBoundsAgreeAcrossPaths checks that the query paths — the scan
-// a window-only query takes, the posting lists plus the residual window
-// filter, and the bare matches predicate — agree on NaN and infinite
-// bounds. A NaN bound matches nothing; ±Inf behave as numbers.
+// TestWindowBoundsAgreeAcrossPaths checks that window-only queries,
+// queries that also select by year or severity, and the bare matches
+// predicate agree on NaN and infinite bounds. A NaN bound matches nothing; ±Inf behave as numbers.
 func TestWindowBoundsAgreeAcrossPaths(t *testing.T) {
 	s := NewStore()
 	if _, err := s.AddAll(batchReports(100, 0)); err != nil {
@@ -351,14 +351,14 @@ func TestWindowBoundsAgreeAcrossPaths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		windowOnly := tc.window(s.Query()).Count()
-		postings := tc.window(s.Query()).Year(2013).Count()
+		indexed := tc.window(s.Query()).Year(2013).Count()
 		scanAll := scanCount(s, func(r Report) bool { return tc.window(s.Query()).matches(&r) })
 		scan2013 := scanCount(s, func(r Report) bool { return tc.window(s.Query().Year(2013)).matches(&r) })
 		if windowOnly != tc.all || scanAll != tc.all {
 			t.Errorf("%s: window-only query %d, scan %d, want %d", tc.name, windowOnly, scanAll, tc.all)
 		}
-		if postings != tc.y2013 || scan2013 != tc.y2013 {
-			t.Errorf("%s: posting lists %d, scan %d, want %d (Year 2013)", tc.name, postings, scan2013, tc.y2013)
+		if indexed != tc.y2013 || scan2013 != tc.y2013 {
+			t.Errorf("%s: indexed query %d, scan %d, want %d (Year 2013)", tc.name, indexed, scan2013, tc.y2013)
 		}
 	}
 
@@ -381,22 +381,22 @@ func TestWindowBoundsAgreeAcrossPaths(t *testing.T) {
 	}
 	window := func(q Query) Query { return q.Since(100).Until(900) }
 	windowOnly := window(nanStarts.Query()).Count()
-	postings := 0
+	indexed := 0
 	for _, sv := range Severities {
-		postings += window(nanStarts.Query()).Severity(sv).Count()
+		indexed += window(nanStarts.Query()).Severity(sv).Count()
 	}
 	scan := scanCount(nanStarts, func(r Report) bool { return window(nanStarts.Query()).matches(&r) })
-	if windowOnly != scan || postings != scan {
-		t.Errorf("NaN starts: window counts %d window-only, %d on the posting lists, %d by scan", windowOnly, postings, scan)
+	if windowOnly != scan || indexed != scan {
+		t.Errorf("NaN starts: window counts %d window-only, %d summed by severity, %d by scan", windowOnly, indexed, scan)
 	}
 }
 
-// TestPostingsLinearMemory pins the index's memory rule. Year is not
-// validated and arrives from outside through POST /ingest, so a posting
-// list must cost at most one word per posting: 10k reports with 10k
-// distinct years stay within 10k words of byYear, where a dense bitset per
-// key would take 10k × 157.
-func TestPostingsLinearMemory(t *testing.T) {
+// TestCellsLinearMemory pins the index's memory rule. Year is not
+// validated and arrives from outside through POST /ingest, so the index
+// must make at most one cell per report: 10k reports with 10k distinct
+// years hold at most 10k cells, where a dense table over every year seen
+// would take 10k × 10k.
+func TestCellsLinearMemory(t *testing.T) {
 	const n = 10000
 	batch := batchReports(n, 0)
 	for i := range batch {
@@ -406,18 +406,74 @@ func TestPostingsLinearMemory(t *testing.T) {
 	if _, err := s.AddAll(batch); err != nil {
 		t.Fatal(err)
 	}
-	words := 0
-	for year, p := range s.byYear {
-		if len(p.idx) != len(p.words) || p.n != 1 {
-			t.Fatalf("year %d: %d indexes, %d words, %d postings; want 1, 1, 1", year, len(p.idx), len(p.words), p.n)
-		}
-		words += len(p.words)
-	}
-	if words > n {
-		t.Errorf("byYear holds %d words for %d reports, want at most %d", words, n, n)
+	if cells := len(s.cells) - 1; cells > n || len(s.years) != n { // cells[0] is the sentinel
+		t.Errorf("%d reports in %d distinct years hold %d cells in %d years, want at most %d cells", n, n, cells, len(s.years), n)
 	}
 	if got := s.Query().Year(100000 + 7*4321).Count(); got != 1 {
 		t.Errorf("Year(%d).Count() = %d, want 1", 100000+7*4321, got)
+	}
+}
+
+// TestCellsBoundedPerSlot pins the bound on finding a report's cell.
+// Reports listing the same causes with different repeat counts share the
+// cell of their cause set, so the 127 cause sets listed with five repeat
+// counts each, in one (year, device type, severity) slot, hold 127 cells
+// and an Add walks at most 127 of them. Counts over those cells, windowed
+// ones included, still match the scan.
+func TestCellsBoundedPerSlot(t *testing.T) {
+	const sets, repeats = 127, 5
+	batch := make([]Report, 0, sets*repeats)
+	for i := range sets * repeats {
+		r := validReport()
+		set := 1 + i%sets
+		r.RootCauses, r.Start = nil, float64(i)
+		for c := range numRootCauses {
+			if set&(1<<c) != 0 {
+				for range 1 + (i/sets+c)%repeats {
+					r.RootCauses = append(r.RootCauses, RootCause(c))
+				}
+			}
+		}
+		batch = append(batch, r)
+	}
+	s := NewStore()
+	if _, err := s.AddAll(batch); err != nil {
+		t.Fatal(err)
+	}
+	listed := 0
+	for ci := s.years[0].slots[slotOf(topology.RSW, Sev3)]; ci != 0; ci = s.cells[ci].link {
+		listed++
+	}
+	if cells := len(s.cells) - 1; cells != sets || listed != sets {
+		t.Errorf("%d reports over %d cause sets: %d cells, %d in the slot list, want %d", len(batch), sets, cells, listed, sets)
+	}
+	for _, q := range []Query{
+		s.Query(),
+		s.Query().Since(100).Until(500),
+		s.Query().RootCause(Bug).Since(300),
+		s.Query().Year(2011).Until(200),
+	} {
+		checkQuery(t, s, q, "repeated causes")
+	}
+}
+
+// TestStoreAddSteadyStateAllocs pins that the index keeps no per-cell
+// slice: once Grow has reserved room, an Add into a cell that already
+// exists allocates nothing.
+func TestStoreAddSteadyStateAllocs(t *testing.T) {
+	const runs = 100
+	s := NewStore()
+	r := validReport()
+	if _, err := s.Add(r); err != nil {
+		t.Fatal(err)
+	}
+	s.Grow(runs + 1)
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := s.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Add into an existing cell after Grow: %v allocs, want 0", allocs)
 	}
 }
 
@@ -461,7 +517,7 @@ func indexStore(t *testing.T) *Store {
 }
 
 // scanCount recomputes a query result by brute force over All(), the
-// ground truth the posting-list intersection must agree with.
+// ground truth the cell index must agree with.
 func scanCount(s *Store, match func(Report) bool) int {
 	n := 0
 	for _, r := range s.All() {
@@ -532,7 +588,10 @@ func TestIndexedQueriesMatchScan(t *testing.T) {
 }
 
 // A report listing the same cause twice matches the cause predicate once
-// but multi-counts in CountByRootCause, exactly like the scan semantics.
+// but multi-counts in CountByRootCause, exactly like the scan semantics,
+// with and without a Since/Until window. The second report lists Bug once
+// and falls outside the window, so the windowed count cannot be read off
+// the whole store's multiplicities.
 func TestDuplicateCauseSemantics(t *testing.T) {
 	s := NewStore()
 	r := Report{Severity: Sev3, Device: "rsw001.cl001.dc1.ra",
@@ -545,6 +604,39 @@ func TestDuplicateCauseSemantics(t *testing.T) {
 	}
 	if n := s.Query().CountByRootCause()[Bug]; n != 2 {
 		t.Errorf("CountByRootCause()[Bug] = %d, want 2 (per-occurrence)", n)
+	}
+	r.RootCauses, r.Start = []RootCause{Bug}, 100
+	if _, err := s.Add(r); err != nil {
+		t.Fatal(err)
+	}
+	window := s.Query().Since(0).Until(50)
+	if n := window.RootCause(Bug).Count(); n != 1 {
+		t.Errorf("windowed RootCause(Bug).Count() = %d, want 1", n)
+	}
+	if got := window.CountByRootCause(); !reflect.DeepEqual(got, map[RootCause]int{Bug: 2}) {
+		t.Errorf("windowed CountByRootCause() = %v, want map[Bug:2]", got)
+	}
+	if got := s.Query().CountByRootCause(); !reflect.DeepEqual(got, map[RootCause]int{Bug: 3}) {
+		t.Errorf("CountByRootCause() = %v, want map[Bug:3]", got)
+	}
+}
+
+// TestRootCauseOutsideEnum pins that a root-cause filter naming no
+// category (below zero or past the last) matches nothing on every result
+// method, alone, with a window and with other predicates.
+func TestRootCauseOutsideEnum(t *testing.T) {
+	s := indexStore(t)
+	for _, c := range []RootCause{-1, RootCause(numRootCauses), 99} {
+		for _, q := range []Query{
+			s.Query().RootCause(c),
+			s.Query().RootCause(c).Since(0),
+			s.Query().RootCause(c).Year(2013).Severity(Sev2),
+		} {
+			if n := q.Count(); n != 0 {
+				t.Errorf("RootCause(%d).Count() = %d, want 0", int(c), n)
+			}
+			checkQuery(t, s, q, fmt.Sprintf("RootCause(%d)", int(c)))
+		}
 	}
 }
 
@@ -665,10 +757,10 @@ func TestQueryPathCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
 
-	s.Query().Year(2013).Count()                      // indexed: one posting list
-	s.Query().Year(2013).Severity(Sev2).Count()       // indexed: two posting lists
-	s.Query().Since(1000).Until(5000).Count()         // window only → sequential scan
-	s.Query().Count()                                 // no predicate → sequential scan
+	s.Query().Year(2013).Count()                      // indexed: one predicate
+	s.Query().Year(2013).Severity(Sev2).Count()       // indexed: two predicates
+	s.Query().Since(1000).Until(5000).Count()         // window only → scan
+	s.Query().Count()                                 // no predicate → scan
 	s.Query().Since(0).Year(2013).Severity(1).Count() // window + index → indexed
 
 	snap := reg.Snapshot()
@@ -678,11 +770,7 @@ func TestQueryPathCounters(t *testing.T) {
 	if got := snap.Counters["sev_queries_scan_total"]; got != 2 {
 		t.Errorf("scan queries = %d, want 2", got)
 	}
-	// Posting lists observed: 1 + 2 + 2 = 5 across the posting-list
-	// queries; a scan observes no list and no candidate count.
-	if got := snap.Histograms["sev_posting_list_size"].Count; got != 5 {
-		t.Errorf("posting list observations = %d, want 5", got)
-	}
+	// A scan observes no candidate count.
 	if got := snap.Histograms["sev_query_candidates"].Count; got != 3 {
 		t.Errorf("candidate observations = %d, want 3", got)
 	}

@@ -230,15 +230,19 @@ type Device struct {
 // names up to 64 bytes the returned string is the only allocation.
 func MakeName(t DeviceType, ordinal int, unit, dc, region string) string {
 	var buf [64]byte
-	b := append(buf[:0], t.Prefix()...)
-	b = AppendOrdinal(b, ordinal)
+	return string(AppendName(buf[:0], t, ordinal, unit, dc, region))
+}
+
+// AppendName appends the name MakeName builds to b.
+func AppendName(b []byte, t DeviceType, ordinal int, unit, dc, region string) []byte {
+	b = AppendOrdinal(append(b, t.Prefix()...), ordinal)
 	for _, p := range [...]string{unit, dc, region} {
 		if p != "" {
 			b = append(b, '.')
 			b = appendLower(b, p)
 		}
 	}
-	return string(b)
+	return b
 }
 
 // AppendOrdinal appends n formatted as %03d: at least three characters,

@@ -51,6 +51,9 @@ func checkMakeMatchesReference(t *testing.T, dt DeviceType, ordinal int, unit, d
 	if got, want := MakeName(dt, ordinal, unit, dc, region), refMakeName(dt, ordinal, unit, dc, region); got != want {
 		t.Fatalf("MakeName(%d, %d, %q, %q, %q) = %q, reference %q", int(dt), ordinal, unit, dc, region, got, want)
 	}
+	if got, want := string(AppendName([]byte("on "), dt, ordinal, unit, dc, region)), "on "+refMakeName(dt, ordinal, unit, dc, region); got != want {
+		t.Fatalf("AppendName(%q, %d, %d, %q, %q, %q) = %q, reference %q", "on ", int(dt), ordinal, unit, dc, region, got, want)
+	}
 }
 
 func TestPrefixMatchesReference(t *testing.T) {
@@ -104,8 +107,12 @@ func TestParseDeviceNameAllocs(t *testing.T) {
 	}
 }
 
+// nameSink keeps MakeName's result alive, so an inlined call still has
+// to build the string it returns.
+var nameSink string
+
 func TestMakeNameAllocs(t *testing.T) {
-	allocs := testing.AllocsPerRun(100, func() { MakeName(RSW, 42, "pod002", "DC2", "regionb") })
+	allocs := testing.AllocsPerRun(100, func() { nameSink = MakeName(RSW, 42, "pod002", "DC2", "regionb") })
 	if allocs != 1 {
 		t.Errorf("MakeName = %v allocs, want 1 (the string)", allocs)
 	}

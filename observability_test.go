@@ -34,9 +34,9 @@ func TestSimulateIntraDCInstrumented(t *testing.T) {
 		t.Errorf("remediation outcomes %d != submissions %d", got, snap.Counters["remediation_submitted_total"])
 	}
 
-	// Analysis queries hit the instrumented store. A posting-list query
-	// rides the indexed path; a window-only query and a predicate-free
-	// query scan.
+	// Analysis queries hit the instrumented store. A query with a
+	// set-valued predicate counts as indexed; a window-only query and a
+	// predicate-free query count as scans.
 	indexedBefore := snap.Counters["sev_queries_indexed_total"]
 	scanBefore := snap.Counters["sev_queries_scan_total"]
 	res.Store.Query().Year(2017).Count()
