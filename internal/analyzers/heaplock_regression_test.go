@@ -4,11 +4,10 @@ package analyzers
 // scheduling on the shared DES heap after releasing the engine mutex —
 // a race the type system cannot see and reviewers missed once already.
 // The fixture under testdata/src/heaplock/regression reintroduces that
-// exact call pattern; lockflow must flag it, and the real (fixed)
-// remediation package must stay clean. The dynamic counterpart is
-// remediation.TestStatsConsistentUnderConcurrentSubmit, which the tier-1
-// gate runs under the race detector: reintroducing the bug in the real
-// engine trips both layers.
+// exact call pattern; lockflow must flag it, and the real remediation
+// package must stay clean. The engine has since dropped its mutex for
+// confinement to the simulator's goroutine, so the clean check guards
+// against the mutex-plus-simulator shape coming back unlocked.
 
 import "testing"
 

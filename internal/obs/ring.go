@@ -26,10 +26,10 @@ const LaneBatch = 512
 // records).
 //
 // A Lane is SINGLE-WRITER: exactly one goroutine may call Record / Flush
-// at a time (callers that share a lane across goroutines, like the
-// remediation engine, serialize on their own mutex). Readers may run
-// concurrently with the writer. The zero Lane is ready to use; T should
-// be pointer-free so a staging array is one GC-free block.
+// at a time (callers that share a lane across goroutines serialize on
+// their own mutex). Readers may run concurrently with the writer. The
+// zero Lane is ready to use; T should be pointer-free so a staging array
+// is one GC-free block.
 type Lane[T any] struct {
 	buf [LaneBatch]T // staging buffer, single-writer
 	n   int

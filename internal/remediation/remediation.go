@@ -14,7 +14,6 @@ package remediation
 import (
 	"fmt"
 	"log/slog"
-	"sync"
 
 	"dcnr/internal/des"
 	"dcnr/internal/obs"
@@ -103,7 +102,12 @@ type policy struct {
 	meanRepairSeconds float64
 }
 
-var policies = map[topology.DeviceType]policy{
+// numTypes sizes the per-type tables; BBR is the last topology.DeviceType.
+const numTypes = int(topology.BBR) + 1
+
+// policies is indexed by device type; a type without an entry is
+// unsupported.
+var policies = [numTypes]policy{
 	// Core repairs are always priority 0 and wait ~4 minutes; only 75% of
 	// issues are automatable because most Cores run vendor firmware.
 	topology.Core: {
@@ -133,7 +137,9 @@ var policies = map[topology.DeviceType]policy{
 
 // Supported reports whether automated remediation covers the device type
 // (§4.1.2: RSWs, FSWs, and some Core devices).
-func Supported(t topology.DeviceType) bool { return policies[t].supported }
+func Supported(t topology.DeviceType) bool {
+	return t >= 0 && int(t) < numTypes && policies[t].supported
+}
 
 // Outcome reports what the engine did with a submitted fault.
 type Outcome struct {
@@ -204,17 +210,16 @@ func (s TypeStats) AvgRepairSeconds() float64 {
 // Its metrics, trace spans, journal records and logs attach in one call to
 // Observe.
 //
-// SubmitTag may be called from multiple goroutines: statistics,
-// randomness, and the simulator's event queue are all touched under the
-// engine's mutex, so concurrent submissions stay internally consistent.
-// (Running the simulator concurrently with SubmitTag is still the
-// caller's problem — the DES kernel itself is single-threaded.)
+// Like the des.Simulator it schedules on, an Engine is confined to one
+// goroutine: SubmitTag and the outcome events it queues read and write
+// its statistics, randomness, outcome slab and trace rings without locks,
+// so every method must run on the simulator's goroutine (or before or
+// after the simulation, with a happens-before edge to it).
 type Engine struct {
-	mu      sync.Mutex
 	sim     *des.Simulator
 	rng     *simrand.Stream
 	enabled bool
-	stats   map[topology.DeviceType]*TypeStats
+	stats   [numTypes]TypeStats
 
 	// Telemetry, attached by Observe; nil fields are no-ops.
 	mSubmitted *obs.Counter
@@ -225,12 +230,13 @@ type Engine struct {
 	hRepair    *obs.Histogram
 	tracer     *obs.Tracer
 	// rings holds one batched span recorder per supported device type
-	// (indexed by the type constant). Repairs are by far the most frequent
-	// trace record the whole simulation produces (~one per fault), so the
-	// hot path stages 48-byte records instead of building an args map and
-	// taking the tracer lock each time. SubmitTag's mutex satisfies the rings'
-	// single-writer contract; FlushTrace publishes the tails.
-	rings  []*obs.SpanRing
+	// (nil for the others, and for all without a tracer). Repairs are by
+	// far the most frequent trace record the whole simulation produces
+	// (~one per fault), so the hot path stages 48-byte records instead of
+	// building an args map and taking the tracer lock each time. The
+	// engine's one goroutine is the rings' single writer; FlushTrace
+	// publishes the tails.
+	rings  [numTypes]*obs.SpanRing
 	logger *slog.Logger
 	// jnl is the run's causal journal: ticket-cut, dispatch, escalation,
 	// and repair records, parented on the IDs callers pass to SubmitTag.
@@ -264,7 +270,6 @@ func NewEngine(sim *des.Simulator, rng *simrand.Stream) *Engine {
 		sim:     sim,
 		rng:     rng,
 		enabled: true,
-		stats:   make(map[topology.DeviceType]*TypeStats),
 	}
 	e.fire = e.fireOutcome
 	return e
@@ -289,8 +294,6 @@ func NewEngine(sim *des.Simulator, rng *simrand.Stream) *Engine {
 // driver does at the end of Run). Nil fields are no-ops. Call once,
 // before the simulation runs.
 func (e *Engine) Observe(o observe.Observe) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if reg := o.Metrics; reg != nil {
 		e.mSubmitted = reg.Counter("remediation_submitted_total")
 		e.mRepaired = reg.Counter("remediation_repaired_total")
@@ -303,8 +306,7 @@ func (e *Engine) Observe(o observe.Observe) {
 	}
 	if tr := o.Trace; tr != nil {
 		e.tracer = tr
-		e.rings = make([]*obs.SpanRing, int(topology.BBR)+1)
-		for t := topology.DeviceType(0); int(t) < len(e.rings); t++ {
+		for t := topology.DeviceType(0); int(t) < numTypes; t++ {
 			if !policies[t].supported {
 				continue
 			}
@@ -328,8 +330,6 @@ func (e *Engine) Observe(o observe.Observe) {
 // trace is read or written; the faults driver does this at the end of
 // Run.
 func (e *Engine) FlushTrace() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, r := range e.rings {
 		r.Flush()
 	}
@@ -337,18 +337,10 @@ func (e *Engine) FlushTrace() {
 
 // SetEnabled turns the engine on or off. A disabled engine escalates every
 // fault — the §5.6 ablation.
-func (e *Engine) SetEnabled(v bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.enabled = v
-}
+func (e *Engine) SetEnabled(v bool) { e.enabled = v }
 
 // Enabled reports whether automation is active.
-func (e *Engine) Enabled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.enabled
-}
+func (e *Engine) Enabled() bool { return e.enabled }
 
 // SubmitTag hands a detected fault on a device of type t to the engine.
 // The outcome goes to h together with tag (typically the fault's index in
@@ -358,20 +350,13 @@ func (e *Engine) Enabled() bool {
 // the record that led to this submission (the fault's detection record),
 // and becomes the parent of the ticket-cut entry the engine journals;
 // with no journal attached — or a zero cause — the records are simply not
-// written. SubmitTag is safe to call concurrently, as the event
-// scheduling happens under the engine's mutex, except with a journal
-// attached: the journal is single-writer, so every SubmitTag must then
-// run on the goroutine that records the causes (the simulator's).
+// written. Like every Engine method, SubmitTag runs on the simulator's
+// goroutine, which is also the one that records the causes in the
+// single-writer journal.
 //
 //hot:noalloc
 func (e *Engine) SubmitTag(t topology.DeviceType, class FaultClass, cause journal.ID, h func(tag int32, o Outcome), tag int32) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := e.stats[t]
-	if st == nil {
-		st = &TypeStats{} //lint:allow hotalloc once per device type
-		e.stats[t] = st
-	}
+	st := &e.stats[t]
 	st.Issues++
 	e.mSubmitted.Inc()
 	now := e.sim.Now()
@@ -409,11 +394,9 @@ func (e *Engine) SubmitTag(t topology.DeviceType, class FaultClass, cause journa
 	e.hWait.Observe(wait)
 	e.hRepair.Observe(repairSec)
 	e.gQueue.Add(1)
-	if int(t) < len(e.rings) {
-		e.rings[t].Record(int32(class), obs.SimMicros(e.sim.Now()),
-			obs.SimMicros(wait+repairSec/3600),
-			float64(priority), wait, repairSec)
-	}
+	e.rings[t].Record(int32(class), obs.SimMicros(e.sim.Now()),
+		obs.SimMicros(wait+repairSec/3600),
+		float64(priority), wait, repairSec)
 	// Journal the rest of the lifecycle up front: the dispatch and repair
 	// times are already decided, and recording both here (rather than
 	// inside the completion event) issues every ID of the chain before
@@ -457,7 +440,6 @@ func (e *Engine) noteEscalation(t topology.DeviceType, class FaultClass) {
 
 // queueOutcome stores out, h and tag in a free slot of the outcome slab
 // and queues the event that delivers the outcome delay hours from now.
-// Caller holds mu.
 //
 //hot:noalloc
 func (e *Engine) queueOutcome(delay float64, out Outcome, h func(int32, Outcome), tag int32) {
@@ -475,31 +457,29 @@ func (e *Engine) queueOutcome(delay float64, out Outcome, h func(int32, Outcome)
 
 // fireOutcome is the outcome event's handler: it frees the slot, takes a
 // repair off the queue-depth gauge, and delivers the outcome with its tag
-// to the slot's handler. The handler runs without mu held, so it may
-// submit again.
+// to the slot's handler. The slot is read and freed before the handler
+// runs, so the handler may submit again and reuse it.
 //
 //hot:noalloc
 func (e *Engine) fireOutcome(_ float64, slot int32) {
-	e.mu.Lock()
 	sl := &e.slots[slot]
 	out, tag, h := sl.out, sl.tag, sl.h
 	sl.h = nil
 	e.free = append(e.free, slot)
-	gQueue := e.gQueue
-	e.mu.Unlock()
 	if out.Repaired {
-		gQueue.Add(-1)
+		e.gQueue.Add(-1)
 	}
 	h(tag, out)
 }
 
-// Stats returns a copy of the per-type statistics accumulated so far.
+// Stats returns a copy of the per-type statistics accumulated so far,
+// with an entry for each device type that has had a submission.
 func (e *Engine) Stats() map[topology.DeviceType]TypeStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[topology.DeviceType]TypeStats, len(e.stats))
+	out := make(map[topology.DeviceType]TypeStats)
 	for t, s := range e.stats {
-		out[t] = *s
+		if s.Issues > 0 {
+			out[topology.DeviceType(t)] = s
+		}
 	}
 	return out
 }

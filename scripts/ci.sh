@@ -55,9 +55,10 @@
 #
 # Steps 3-6 are the layered defense for the PR-2 race class: lockflow
 # proves statically that no unlocked entry point (exported method, method
-# value, uncalled helper) reaches a DES-heap mutation, including through
-# helpers, and the remediation concurrency tests catch it dynamically
-# under -race.
+# value, uncalled helper) of a struct pairing a mutex with a simulator
+# reaches a DES-heap mutation, including through helpers, and the
+# remediation engine, which holds no mutex but is confined to its
+# simulator's goroutine, runs under -race in the race step.
 #
 # Usage: scripts/ci.sh
 set -eu
