@@ -306,11 +306,11 @@ func (a *IntraAnalysis) P75IRT(year int) map[topology.DeviceType]float64 {
 		if len(res) == 0 {
 			continue
 		}
-		p, err := stats.Percentile(res, 75)
+		ps, err := stats.SelectPercentiles(res, 75) // res is this query's own
 		if err != nil {
 			continue
 		}
-		out[t] = p
+		out[t] = ps[0]
 	}
 	return out
 }
@@ -320,8 +320,8 @@ func (a *IntraAnalysis) P75IRT(year int) map[topology.DeviceType]float64 {
 func (a *IntraAnalysis) P75IRTOverall() map[int]float64 {
 	out := make(map[int]float64)
 	for year, res := range a.Store.Query().ResolutionsByYear() {
-		if p, err := stats.Percentile(res, 75); err == nil {
-			out[year] = p
+		if ps, err := stats.SelectPercentiles(res, 75); err == nil { // res is this query's own
+			out[year] = ps[0]
 		}
 	}
 	return out

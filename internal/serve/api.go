@@ -415,12 +415,16 @@ type band struct {
 	P99   float64 `json:"p99"`
 }
 
+// makeBand summarizes xs, a sample the query built for this band alone:
+// it takes the mean over xs in ID order, then selects the percentiles in
+// place, reordering xs.
 func makeBand(xs []float64) (band, error) {
-	ps, err := stats.Percentiles(xs, 50, 75, 90, 99)
+	mean := stats.Mean(xs)
+	ps, err := stats.SelectPercentiles(xs, 50, 75, 90, 99)
 	if err != nil {
 		return band{}, err
 	}
-	return band{Count: len(xs), Mean: stats.Mean(xs), P50: ps[0], P75: ps[1], P90: ps[2], P99: ps[3]}, nil
+	return band{Count: len(xs), Mean: mean, P50: ps[0], P75: ps[1], P90: ps[2], P99: ps[3]}, nil
 }
 
 // resolutionsResponse is the GET /query/resolutions body: percentile

@@ -77,17 +77,11 @@ func NewDaemon(cfg *Config) (*Daemon, error) {
 func (d *Daemon) Store() *sev.Store { return d.store }
 
 // LoadJSON appends a SEV dataset (the sevs.json shape dcsim writes) as
-// one batch: the dataset passes sev.DecodeDataset's checks, explicit IDs
-// are preserved, an ID at or below the largest stored one rejects the
-// whole batch, and the generation is bumped once.
-func (d *Daemon) LoadJSON(r io.Reader) error {
-	reports, err := sev.DecodeDataset(r)
-	if err != nil {
-		return err
-	}
-	_, err = d.store.AddAll(reports)
-	return err
-}
+// one batch through sev.Store.AppendJSON: each report is validated once,
+// explicit IDs are preserved, an ID below 1, a duplicate or one at or
+// below the largest stored rejects the whole batch, and the generation is
+// bumped once.
+func (d *Daemon) LoadJSON(r io.Reader) error { return d.store.AppendJSON(r) }
 
 // Start binds the daemon's listener and serves until Shutdown. It
 // returns the bound address.

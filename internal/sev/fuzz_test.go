@@ -12,10 +12,11 @@ import (
 )
 
 // FuzzReadJSON checks the two dataset loaders against each other: on any
-// input Store.ReadJSON and the query daemon's path (DecodeDataset, then
-// AddAll on a fresh store) accept or reject together, and on accept they
-// hold the same reports, and both answer Get and SetProvenance exactly for
-// the IDs they hold (checkIDLookups). The checked-in corpus
+// input Store.ReadJSON and the query daemon's path (Store.AppendJSON on a
+// fresh store) accept or reject together, and on accept they hold the
+// same reports and resolution samples, and both answer Get and
+// SetProvenance exactly for the IDs they hold (checkIDLookups). The
+// checked-in corpus
 // (testdata/fuzz/FuzzReadJSON) includes the ID-less datasets the loaders
 // once disagreed on.
 func FuzzReadJSON(f *testing.F) {
@@ -25,16 +26,26 @@ func FuzzReadJSON(f *testing.F) {
 		appended := NewStore()
 		errAppend := loadAppend(appended, data)
 		if (errStore == nil) != (errAppend == nil) {
-			t.Fatalf("loaders disagree: Store.ReadJSON = %v, DecodeDataset+AddAll = %v", errStore, errAppend)
+			t.Fatalf("loaders disagree: Store.ReadJSON = %v, Store.AppendJSON = %v", errStore, errAppend)
 		}
 		if errStore != nil {
 			return
 		}
-		if want, got := st.All(), appended.All(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("loaded datasets differ:\nReadJSON %+v\nAddAll   %+v", want, got)
+		want := st.All()
+		if got := appended.All(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("loaded datasets differ:\nReadJSON   %+v\nAppendJSON %+v", want, got)
+		}
+		res := make([]float64, len(want))
+		for i := range want {
+			res[i] = want[i].Resolution
+		}
+		for loader, s := range map[string]*Store{"ReadJSON": st, "AppendJSON": appended} {
+			if got := s.Query().Resolutions(); !slices.Equal(got, res) {
+				t.Fatalf("%s: Resolutions %v, reports hold %v", loader, got, res)
+			}
 		}
 		checkIDLookups(t, st, "ReadJSON")
-		checkIDLookups(t, appended, "DecodeDataset+AddAll")
+		checkIDLookups(t, appended, "AppendJSON")
 	})
 }
 
@@ -107,11 +118,13 @@ func (m *storeModel) addAll(batch []Report) bool {
 // the model's own reports marshalled to JSON, some dropped and the order
 // possibly reversed; and SetProvenance on a held ID, 0 or max+1. After
 // every operation the two must agree on Len, All, Get and Provenance (on
-// every held ID, 0 and max+1) and on one grouped query, and Generation
-// must move by exactly one when the data changed and stay put otherwise.
-// The seeds are the two defects this harness was written for: ReadJSON
-// keeping the old dataset's provenance, and AddAll appending an explicit
-// ID below the largest out of ID order.
+// every held ID, 0 and max+1), on one grouped count and on the resolution
+// samples, whole and by year, read from the store's resolution column,
+// and Generation must move by exactly one when the data changed and stay
+// put otherwise.
+// The first two seeds are the two defects this harness was written for:
+// ReadJSON keeping the old dataset's provenance, and AddAll appending an
+// explicit ID below the largest out of ID order.
 func FuzzStoreOps(f *testing.F) {
 	report := []byte{1, 10, 7, 3, 1, 2, 0} // diffReport's layout, no causes
 	script := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -121,6 +134,9 @@ func FuzzStoreOps(f *testing.F) {
 	f.Add(script(add, op(5, 0), op(4, 0)))
 	// Add ×3, AddAll{10}, AddAll{5}.
 	f.Add(script(add, add, add, op(2, 0, 10), report, op(2, 0, 5), report))
+	// Add, ReadJSON of it, Add of a report with another resolution time:
+	// a ReadJSON that kept the old resolution column fails here.
+	f.Add(script(add, op(4, 0), op(0, 1, 10, 7, 3, 1, 0, 0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Every step rechecks the whole store, so an execution costs the
 		// square of the input's length; longer inputs would stall the
@@ -240,8 +256,8 @@ func reportIDs(batch []Report) []int {
 }
 
 // checkAgainstModel compares s with m: Len, All, Get and Provenance on
-// every held ID, 0 and max+1, and CountByYearDeviceType, filtered to
-// severity sv when filter is set.
+// every held ID, 0 and max+1, and CountByYearDeviceType, Resolutions and
+// ResolutionsByYear, filtered to severity sv when filter is set.
 func checkAgainstModel(t *testing.T, s *Store, m *storeModel, sv Severity, filter bool, label string) {
 	t.Helper()
 	if s.Len() != len(m.reports) {
@@ -272,14 +288,24 @@ func checkAgainstModel(t *testing.T, s *Store, m *storeModel, sv Severity, filte
 		q = q.Severity(sv)
 	}
 	want := map[int]map[topology.DeviceType]int{}
+	var res []float64
+	resByYear := map[int][]float64{}
 	for _, r := range m.reports {
 		if filter && r.Severity != sv {
 			continue
 		}
 		dt, _ := r.DeviceType()
 		nested(want, r.Year)[dt]++
+		res = append(res, r.Resolution)
+		resByYear[r.Year] = append(resByYear[r.Year], r.Resolution)
 	}
 	if got := q.CountByYearDeviceType(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: CountByYearDeviceType = %v, model %v", label, got, want)
+	}
+	if got := q.Resolutions(); !slices.Equal(got, res) {
+		t.Fatalf("%s: Resolutions = %v, model %v", label, got, res)
+	}
+	if got := q.ResolutionsByYear(); !reflect.DeepEqual(got, resByYear) {
+		t.Fatalf("%s: ResolutionsByYear = %v, model %v", label, got, resByYear)
 	}
 }

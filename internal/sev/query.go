@@ -276,7 +276,7 @@ func countByYear[K comparable](q Query, key func(slot int) K) map[int]map[K]int 
 	return out
 }
 
-func resolution(s *Store, pos int) float64 { return s.reports[pos].Resolution }
+func resolution(s *Store, pos int) float64 { return s.res[pos] }
 
 // collectAll returns f of every matching position, in ID order.
 func collectAll[T any](q Query, f func(s *Store, pos int) T) (out []T) {

@@ -26,25 +26,29 @@ import (
 // a (year, device type, severity) slot lists at most 127 cells, one per
 // cause set. After Grow, an Add into an existing cell allocates nothing.
 //
-// IDs strictly ascend with position: AddAll rejects an explicit ID at or
-// below the largest held, and ReadJSON sorts its dataset, so All and
-// WriteJSON are in ID order, and an ID is found by position alone. While
-// IDs are dense — the report at position i has ID i+1, which holds for
-// every store-assigned ID — a report's position is its ID minus one, and
-// otherwise a binary search over the positions finds it (see posLocked).
+// IDs strictly ascend with position: AddAll and AppendJSON reject an
+// explicit ID at or below the largest held, and ReadJSON and AppendJSON
+// sort their dataset, so All and WriteJSON are in ID order, and an ID is
+// found by position alone. While IDs are dense — the report at position i
+// has ID i+1, which holds for every store-assigned ID — a report's
+// position is its ID minus one, and otherwise a binary search over the
+// positions finds it (see posLocked).
 type Store struct {
 	mu      sync.RWMutex
 	reports []Report
 	nextID  int
 
-	// gen counts dataset mutations (Add, AddAll, ReadJSON). Result caches
-	// key on it: a bumped generation invalidates every cached aggregation.
+	// gen counts dataset mutations (Add, AddAll, AppendJSON, ReadJSON).
+	// Result caches key on it: a bumped generation invalidates every
+	// cached aggregation.
 	gen atomic.Uint64
 
-	// The cell index: per position, the report's start time and the next
-	// position in its cell (-1 after its last); the cells, cells[0] being
-	// a sentinel; and per year, the first cell of each slot.
+	// The cell index: per position, the report's start time, its
+	// resolution time and the next position in its cell (-1 after its
+	// last); the cells, cells[0] being a sentinel; and per year, the first
+	// cell of each slot.
 	start   []float64
+	res     []float64
 	next    []int32
 	cells   []cell
 	years   []yearCells
@@ -86,15 +90,16 @@ func NewStore() *Store {
 // resetLocked replaces the store's contents, provenance included, with
 // reports, which ascend by ID and whose device types are types, and
 // builds the cell index over them. Caller holds mu.
-func (s *Store) resetLocked(reports []Report, types []topology.DeviceType) {
+func (s *Store) resetLocked(reports []Report, types []uint8) {
+	n := len(reports)
 	s.reports, s.nextID, s.provenance = reports, 1, nil
-	if n := len(reports); n > 0 {
+	if n > 0 {
 		s.nextID = reports[n-1].ID + 1
 	}
-	s.start, s.next = make([]float64, 0, len(reports)), make([]int32, 0, len(reports))
+	s.start, s.res, s.next = make([]float64, 0, n), make([]float64, 0, n), make([]int32, 0, n)
 	s.cells, s.years, s.yearPos = make([]cell, 1), nil, make(map[int]int32)
 	for pos := range reports {
-		s.indexLocked(pos, types[pos])
+		s.indexLocked(pos, topology.DeviceType(types[pos]))
 	}
 }
 
@@ -160,6 +165,7 @@ func (s *Store) indexLocked(pos int, t topology.DeviceType) {
 	}
 	c.tail, c.n, c.dup = int32(pos), c.n+1, c.dup || len(rcs) > bits.OnesCount8(mask)
 	s.start = append(s.start, r.Start)
+	s.res = append(s.res, r.Resolution)
 }
 
 // posLocked returns the position of the report with the given ID: ID-1
@@ -186,6 +192,7 @@ func (s *Store) Grow(n int) {
 func (s *Store) growLocked(n int) {
 	s.reports = slices.Grow(s.reports, n)
 	s.start = slices.Grow(s.start, n)
+	s.res = slices.Grow(s.res, n)
 	s.next = slices.Grow(s.next, n)
 }
 
@@ -198,12 +205,11 @@ func (s *Store) Add(r Report) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r.ID = s.nextID
+	id := s.nextID
 	s.nextID++
-	s.reports = append(s.reports, r)
-	s.indexLocked(len(s.reports)-1, t)
+	s.appendLocked(&r, id, t)
 	s.gen.Add(1)
-	return r.ID, nil
+	return id, nil
 }
 
 // AddAll validates and appends a batch of reports under one write lock
@@ -213,12 +219,16 @@ func (s *Store) Add(r Report) (int, error) {
 // earlier in the batch. On any validation or ID error the store is left
 // unchanged. It returns the IDs in input order.
 func (s *Store) AddAll(batch []Report) ([]int, error) {
-	types := make([]topology.DeviceType, len(batch))
+	// The parsed types take a byte per report, not an 8-byte DeviceType:
+	// that pays for the res column, so a load peaks at the heap it did
+	// before the column, and a large one crosses no extra GC goal.
+	types := make([]uint8, len(batch))
 	for i := range batch {
-		var err error
-		if types[i], err = batch[i].validate(); err != nil {
+		t, err := batch[i].validate()
+		if err != nil {
 			return nil, fmt.Errorf("sev: report %d invalid: %w", batch[i].ID, err)
 		}
+		types[i] = uint8(t)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,19 +249,26 @@ func (s *Store) AddAll(batch []Report) ([]int, error) {
 	}
 	s.growLocked(len(batch))
 	for i := range batch {
-		r := batch[i]
-		r.ID = ids[i]
-		s.reports = append(s.reports, r)
-		s.indexLocked(len(s.reports)-1, types[i])
+		s.appendLocked(&batch[i], ids[i], topology.DeviceType(types[i]))
 	}
 	s.nextID = last + 1
 	s.gen.Add(1)
 	return ids, nil
 }
 
+// appendLocked appends r with ID id, its device type as validation
+// parsed it being t, and indexes it. The caller has checked r and id,
+// sets nextID and the generation, and holds mu.
+func (s *Store) appendLocked(r *Report, id int, t topology.DeviceType) {
+	s.reports = append(s.reports, *r)
+	s.reports[len(s.reports)-1].ID = id
+	s.indexLocked(len(s.reports)-1, t)
+}
+
 // Generation returns the dataset generation: a counter bumped by every
-// successful Add, AddAll, and ReadJSON. Responses cached against a
-// generation are valid exactly while Generation still returns it.
+// successful Add, AddAll, AppendJSON and ReadJSON. Responses cached
+// against a generation are valid exactly while Generation still returns
+// it.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
 // Len returns the number of stored reports.
@@ -285,11 +302,9 @@ func (s *Store) WriteJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(s.reports)
 }
 
-// ReadJSON replaces the store's contents with the reports decoded from r.
-// Each report is re-validated; IDs are preserved. Reports are sorted into
-// ascending ID order regardless of their order in the input, and datasets
-// containing duplicate IDs or IDs below 1 are rejected. Provenance
-// attached to the old contents is dropped with them.
+// ReadJSON replaces the store's contents with the dataset decoded from r
+// (see AppendJSON for what a dataset may hold). Provenance attached to
+// the old contents is dropped with them.
 func (s *Store) ReadJSON(r io.Reader) error {
 	reports, types, err := decodeDataset(r)
 	if err != nil {
@@ -302,25 +317,45 @@ func (s *Store) ReadJSON(r io.Reader) error {
 	return nil
 }
 
-// DecodeDataset is the one dataset loader behind Store.ReadJSON and the
-// query daemon's append-only load (DecodeDataset, then AddAll): it decodes
-// a JSON array of reports, validates each, rejects duplicate IDs and IDs
-// below 1 (every writer numbers reports from 1, so an ID-less report is
-// not a dataset entry), and returns the reports in ascending ID order.
-func DecodeDataset(r io.Reader) ([]Report, error) {
-	reports, _, err := decodeDataset(r)
-	return reports, err
+// AppendJSON appends the dataset decoded from r (the sevs.json shape
+// dcsim writes) as one batch with one generation bump: the query
+// daemon's load. A dataset is a JSON array of valid reports with distinct
+// IDs of at least 1 (every writer numbers reports from 1, so an ID-less
+// report is not a dataset entry), in any order; they are stored in
+// ascending ID order with their IDs preserved. Each report is validated
+// once. On a decoding or validation error, or an ID at or below the
+// largest stored, the store is left unchanged.
+func (s *Store) AppendJSON(r io.Reader) error {
+	reports, types, err := decodeDataset(r)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(reports); n > 0 {
+		if id := reports[0].ID; id < s.nextID {
+			return fmt.Errorf("sev: report ID %d in dataset is not above ID %d (IDs are append-only)", id, s.nextID-1)
+		}
+		s.growLocked(n)
+		for i := range reports {
+			s.appendLocked(&reports[i], reports[i].ID, topology.DeviceType(types[i]))
+		}
+		s.nextID = reports[n-1].ID + 1
+	}
+	s.gen.Add(1)
+	return nil
 }
 
-// decodeDataset is DecodeDataset, also returning each report's device
-// type as its validation parsed it.
-func decodeDataset(r io.Reader) ([]Report, []topology.DeviceType, error) {
+// decodeDataset decodes and validates a dataset for ReadJSON and
+// AppendJSON, returning its reports in ascending ID order and each
+// report's device type as its validation parsed it.
+func decodeDataset(r io.Reader) ([]Report, []uint8, error) {
 	var reports []Report
 	if err := json.NewDecoder(r).Decode(&reports); err != nil {
 		return nil, nil, fmt.Errorf("sev: decoding dataset: %w", err)
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
-	types := make([]topology.DeviceType, len(reports))
+	types := make([]uint8, len(reports))
 	for i := range reports {
 		id := reports[i].ID
 		t, err := reports[i].validate()
@@ -332,7 +367,7 @@ func decodeDataset(r io.Reader) ([]Report, []topology.DeviceType, error) {
 		case i > 0 && id == reports[i-1].ID:
 			return nil, nil, fmt.Errorf("sev: duplicate report ID %d in dataset", id)
 		}
-		types[i] = t
+		types[i] = uint8(t)
 	}
 	return reports, types, nil
 }

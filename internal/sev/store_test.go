@@ -70,8 +70,8 @@ func TestReadJSONShuffledIDsGet(t *testing.T) {
 }
 
 // TestReadJSONRejectsDuplicateIDs: both dataset loaders — Store.ReadJSON
-// and the daemon's DecodeDataset + AddAll — reject duplicate IDs and IDs
-// below 1 and load nothing. The daemon's loader once assigned fresh IDs
+// and the daemon's Store.AppendJSON — reject duplicate IDs and IDs below 1
+// and load nothing. The daemon's loader once assigned fresh IDs
 // to ID-less reports that Store.ReadJSON rejected as duplicates of ID 0.
 func TestReadJSONRejectsDuplicateIDs(t *testing.T) {
 	report := func(id string) string {
@@ -87,8 +87,8 @@ func TestReadJSONRejectsDuplicateIDs(t *testing.T) {
 		s := NewStore()
 		appended := NewStore()
 		for loader, err := range map[string]error{
-			"Store.ReadJSON":       s.ReadJSON(strings.NewReader(tc.data)),
-			"DecodeDataset+AddAll": loadAppend(appended, []byte(tc.data)),
+			"Store.ReadJSON":   s.ReadJSON(strings.NewReader(tc.data)),
+			"Store.AppendJSON": loadAppend(appended, []byte(tc.data)),
 		} {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s: %s error = %v, want one naming %q", tc.name, loader, err, tc.want)
@@ -100,15 +100,10 @@ func TestReadJSONRejectsDuplicateIDs(t *testing.T) {
 	}
 }
 
-// loadAppend is the query daemon's load path: DecodeDataset, then AddAll
-// onto whatever s already holds.
+// loadAppend is the query daemon's load path: AppendJSON onto whatever s
+// already holds.
 func loadAppend(s *Store, data []byte) error {
-	reports, err := DecodeDataset(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	_, err = s.AddAll(reports)
-	return err
+	return s.AppendJSON(bytes.NewReader(data))
 }
 
 // batchReports builds n valid reports spread across years, devices,

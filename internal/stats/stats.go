@@ -2,11 +2,17 @@
 // relies on: summary statistics, percentiles, least-squares exponential fits
 // of percentile curves (the MTBF/MTTR models of §6), linear regression, and
 // correlation.
+//
+// Percentiles are selected, not sorted for: each requested rank is found
+// by introselect in expected linear time, and the results are bit for bit
+// those of interpolating over a sorted copy. Only PercentileCurve, which
+// needs every rank, sorts.
 package stats
 
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -67,52 +73,166 @@ func Mean(xs []float64) float64 {
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns an error for an empty
-// sample or p outside [0, 100].
+// sample or p outside [0, 100]. xs is not modified.
 func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrInsufficientData
+	ps, out := [1]float64{p}, [1]float64{}
+	if err := checkPercentiles(xs, ps[:]); err != nil {
+		return 0, err
 	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
+	selectPercentiles(append([]float64(nil), xs...), ps[:], out[:])
+	return out[0], nil
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Percentiles returns the given percentiles of xs in one pass over a single
-// sorted copy. All requested percentiles are validated before any O(n log n)
-// work happens, so bad input fails fast on large samples.
+// Percentiles returns the given percentiles of xs, selected from a single
+// copy; xs is not modified. All requested percentiles are validated
+// before the copy is made, so bad input fails fast on large samples.
 func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
+	if err := checkPercentiles(xs, ps); err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(ps))
+	selectPercentiles(append([]float64(nil), xs...), ps, out)
+	return out, nil
+}
+
+// SelectPercentiles is Percentiles without the copy: it reorders xs in
+// place, so use it only on a slice the caller owns and no longer needs in
+// its original order. The results are bit for bit those of Percentiles.
+func SelectPercentiles(xs []float64, ps ...float64) ([]float64, error) {
+	if err := checkPercentiles(xs, ps); err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(ps))
+	selectPercentiles(xs, ps, out)
+	return out, nil
+}
+
+// checkPercentiles rejects an empty sample and any p outside [0, 100],
+// NaN included.
+func checkPercentiles(xs, ps []float64) error {
 	if len(xs) == 0 {
-		return nil, ErrInsufficientData
+		return ErrInsufficientData
 	}
 	for _, p := range ps {
-		if p < 0 || p > 100 {
-			return nil, errors.New("stats: percentile out of range")
+		if !(p >= 0 && p <= 100) {
+			return errors.New("stats: percentile out of range")
 		}
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+	return nil
+}
+
+// selectPercentiles writes to out[i] the ps[i]-th percentile of xs, which
+// is non-empty, interpolating linearly between the closest ranks of xs in
+// sort.Float64s order (NaNs first). It finds each rank by selection
+// rather than a sort, so it reorders xs. A rank once found stays fixed:
+// everything before it is no greater and everything after it no smaller,
+// so each later rank is selected only between the fixed ranks around it,
+// and the rank above a fixed one is the minimum of the part above it.
+func selectPercentiles(xs, ps, out []float64) {
+	n := len(xs)
+	nans := 0 // NaNs sort first; move them there, so no comparison meets one
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[nans] = xs[nans], x
+			nans++
+		}
 	}
-	return out, nil
+	rank := func(p float64) (lo, hi int, frac float64) {
+		r := p / 100 * float64(n-1)
+		lo, hi = int(math.Floor(r)), int(math.Ceil(r))
+		return lo, hi, r - float64(lo)
+	}
+	// bounds returns the part xs[a:b] that rank k, not yet fixed, lies in
+	// between the ranks ps[:i] fixed, or false if k is fixed already.
+	bounds := func(k, i int) (a, b int, ok bool) {
+		a, b = nans, n
+		if k < nans {
+			return a, b, false
+		}
+		for _, p := range ps[:i] {
+			lo, hi, _ := rank(p)
+			for _, f := range [2]int{lo, hi} {
+				switch {
+				case f == k:
+					return a, b, false
+				case f < k && f >= a:
+					a = f + 1
+				case f > k && f < b:
+					b = f
+				}
+			}
+		}
+		return a, b, true
+	}
+	for i, p := range ps {
+		lo, hi, frac := rank(p)
+		if a, b, ok := bounds(lo, i); ok {
+			selectRank(xs[a:b], lo-a)
+		}
+		if lo == hi {
+			out[i] = xs[lo]
+			continue
+		}
+		// With lo fixed, rank hi = lo+1 is the least value after it.
+		if _, b, ok := bounds(hi, i); ok {
+			m := hi
+			for j := hi + 1; j < b; j++ {
+				if xs[j] < xs[m] {
+					m = j
+				}
+			}
+			xs[hi], xs[m] = xs[m], xs[hi]
+		}
+		out[i] = xs[lo]*(1-frac) + xs[hi]*frac
+	}
+}
+
+// selectRank reorders xs, which holds no NaN, so that xs[k] is the value
+// a sort would put there, with nothing greater before it and nothing
+// smaller after it. It is introselect: quickselect with a median-of-3
+// pivot and Hoare partitioning, which falls back to sorting what is left
+// after 2·log2(n) rounds, so no input makes it quadratic.
+func selectRank(xs []float64, k int) {
+	a, b := 0, len(xs)
+	for budget := 2 * bits.Len(uint(len(xs))); b-a > 12; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[a:b])
+			return
+		}
+		m := a + (b-a-1)/2
+		if xs[m] < xs[a] {
+			xs[a], xs[m] = xs[m], xs[a]
+		}
+		if xs[b-1] < xs[m] {
+			xs[m], xs[b-1] = xs[b-1], xs[m]
+			if xs[m] < xs[a] {
+				xs[a], xs[m] = xs[m], xs[a]
+			}
+		}
+		pivot := xs[m]
+		i, j := a-1, b
+		for {
+			for i++; xs[i] < pivot; i++ {
+			}
+			for j--; pivot < xs[j]; j-- {
+			}
+			if i >= j {
+				break
+			}
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+		// xs[a:j+1] <= pivot <= xs[j+1:b], both parts non-empty.
+		if k <= j {
+			b = j + 1
+		} else {
+			a = j + 1
+		}
+	}
+	for i := a + 1; i < b; i++ {
+		for j := i; j > a && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
 }
 
 // Point is an (X, Y) observation.

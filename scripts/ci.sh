@@ -20,12 +20,14 @@
 #                    ticket formatter's %.4f fast path (against its fmt
 #                    reference, over raw float64 bits), the device-name
 #                    codec (ParseDeviceName and MakeName against their
-#                    fmt/ToLower references), the SEV dataset loaders
-#                    (Store.ReadJSON against DecodeDataset + AddAll, and
+#                    fmt/ToLower references), the percentile selection
+#                    (Percentile, Percentiles and SelectPercentiles against
+#                    a sort, over arbitrary float64 bits), the SEV dataset
+#                    loaders (Store.ReadJSON against Store.AppendJSON, and
 #                    ID lookups against the loaded reports), the SEV
 #                    store's operation sequences (Add, AddAll, Grow,
 #                    ReadJSON, SetProvenance against a slice-and-map
-#                    model), the fault
+#                    model, resolution samples included), the fault
 #                    cursor's radix sort (against slices.SortFunc over
 #                    arbitrary non-negative finite starts), the
 #                    SEV query index (every result method against the
@@ -97,6 +99,7 @@ fuzz_smoke() {
 	go test -run '^$' -fuzz '^FuzzFormatMatchesReference$' -fuzztime 10s ./internal/tickets
 	go test -run '^$' -fuzz '^FuzzParseDeviceName$' -fuzztime 10s ./internal/topology
 	go test -run '^$' -fuzz '^FuzzMakeName$' -fuzztime 10s ./internal/topology
+	go test -run '^$' -fuzz '^FuzzPercentilesMatchSort$' -fuzztime 10s ./internal/stats
 	go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/sev
 	go test -run '^$' -fuzz '^FuzzQueryMatchesScan$' -fuzztime 10s ./internal/sev
 	go test -run '^$' -fuzz '^FuzzStoreOps$' -fuzztime 10s ./internal/sev
