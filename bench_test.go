@@ -281,6 +281,27 @@ func BenchmarkFig18VendorMTTR(b *testing.B) {
 	b.ReportMetric(fit.R2, "R2")
 }
 
+// BenchmarkVerifyClaims times grading the paper's headline claims, the
+// §5 half over the SEV dataset and the §6 half over the backbone one:
+// the claims stage of repro -verify and of every all-experiments pass.
+func BenchmarkVerifyClaims(b *testing.B) {
+	intra, inter := benchData(b)
+	b.Run("intra", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(intra.Analysis.VerifyIntraClaims()) == 0 {
+				b.Fatal("no claims")
+			}
+		}
+	})
+	b.Run("inter", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(inter.Analysis.VerifyInterClaims()) == 0 {
+				b.Fatal("no claims")
+			}
+		}
+	})
+}
+
 // BenchmarkInterAnalysisBuild times NewInterAnalysis: the per-link merge,
 // the per-edge outage sweep and the per-vendor scan that the §6 artifacts
 // (Table 4, Figures 15–18) then only read.

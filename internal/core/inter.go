@@ -15,7 +15,10 @@ import (
 //
 // The analysis is immutable: NewInterAnalysis computes every per-edge and
 // per-vendor aggregate once, and the accessors only read them, so one
-// analysis is safe for any number of concurrent callers.
+// analysis is safe for any number of concurrent callers. One helper
+// (each) reads every per-edge and per-vendor metric off those aggregates
+// in inventory order: the exported name→value maps are built from it, and
+// VerifyInterClaims sorts and fits each curve straight from it.
 type InterAnalysis struct {
 	// WindowHours is the observation window length.
 	WindowHours float64
@@ -203,22 +206,80 @@ func edgeOutages(topo *backbone.Topology, links []int, merged map[string][]inter
 	return out
 }
 
+// metric names one per-edge or per-vendor value each reads.
+type metric int
+
+const (
+	edgeMTBF metric = iota
+	edgeMTTR
+	edgeAvailability
+	edgeFailureRateMTBF
+	edgeRisk
+	vendorMTBF
+	vendorMTTR
+)
+
+// each calls fn with the name and value of every edge (in inventory
+// order) or vendor (in VendorProfiles order) that m measures.
+func (a *InterAnalysis) each(m metric, fn func(name string, v float64)) {
+	if m >= vendorMTBF {
+		for _, v := range a.vendors {
+			switch {
+			case v.failures == 0:
+			case m == vendorMTBF:
+				fn(v.name, v.mtbf(a.WindowHours))
+			default:
+				fn(v.name, v.mttr())
+			}
+		}
+		return
+	}
+	for _, e := range a.edges {
+		n := len(e.outages)
+		switch {
+		case m == edgeAvailability:
+			fn(e.name, 1-e.downHours/a.WindowHours)
+		case m == edgeRisk:
+			fn(e.name, e.downHours/a.WindowHours)
+		case n == 0:
+		case m == edgeMTTR:
+			fn(e.name, e.downHours/float64(n))
+		case m == edgeFailureRateMTBF:
+			fn(e.name, a.WindowHours/float64(n))
+		case m == edgeMTBF && n >= 2:
+			first, last := e.outages[0].start, e.outages[n-1].start
+			fn(e.name, (last-first)/float64(n-1))
+		}
+	}
+}
+
+// most is the most values each reads for m.
+func (a *InterAnalysis) most(m metric) int {
+	if m >= vendorMTBF {
+		return len(a.vendors)
+	}
+	return len(a.edges)
+}
+
+// byName returns m as a name→value map.
+func (a *InterAnalysis) byName(m metric) map[string]float64 {
+	out := make(map[string]float64, a.most(m))
+	a.each(m, func(name string, v float64) { out[name] = v })
+	return out
+}
+
+// values returns m's values in each's order.
+func (a *InterAnalysis) values(m metric) []float64 {
+	out := make([]float64, 0, a.most(m))
+	a.each(m, func(_ string, v float64) { out = append(out, v) })
+	return out
+}
+
 // EdgeMTBF returns each edge's measured mean time between failures: the
 // mean gap between consecutive outage starts. Estimating time *between*
 // failures needs at least two outages in the window; edges with fewer are
 // omitted (their MTBF is not measurable from this window).
-func (a *InterAnalysis) EdgeMTBF() map[string]float64 {
-	out := make(map[string]float64, len(a.edges))
-	for _, e := range a.edges {
-		n := len(e.outages)
-		if n < 2 {
-			continue
-		}
-		first, last := e.outages[0].start, e.outages[n-1].start
-		out[e.name] = (last - first) / float64(n-1)
-	}
-	return out
-}
+func (a *InterAnalysis) EdgeMTBF() map[string]float64 { return a.byName(edgeMTBF) }
 
 // EdgeAvailability returns each edge's measured availability over the
 // observation window: the fraction of the window during which at least one
@@ -226,25 +287,10 @@ func (a *InterAnalysis) EdgeMTBF() map[string]float64 {
 // edge in the inventory is reported; an edge with no outages reads 1.
 // This is the §6 availability signal the sweep engine aggregates into
 // cross-run bands.
-func (a *InterAnalysis) EdgeAvailability() map[string]float64 {
-	out := make(map[string]float64, len(a.edges))
-	for _, e := range a.edges {
-		out[e.name] = 1 - e.downHours/a.WindowHours
-	}
-	return out
-}
+func (a *InterAnalysis) EdgeAvailability() map[string]float64 { return a.byName(edgeAvailability) }
 
 // EdgeMTTR returns each edge's mean outage duration in hours.
-func (a *InterAnalysis) EdgeMTTR() map[string]float64 {
-	out := make(map[string]float64, len(a.edges))
-	for _, e := range a.edges {
-		if len(e.outages) == 0 {
-			continue
-		}
-		out[e.name] = e.downHours / float64(len(e.outages))
-	}
-	return out
-}
+func (a *InterAnalysis) EdgeMTTR() map[string]float64 { return a.byName(edgeMTTR) }
 
 // isolated reports whether a downtime record is attributable to the
 // vendor's own link (equipment fault or vendor maintenance) rather than a
@@ -256,29 +302,11 @@ func isolated(d tickets.Downtime) bool { return d.Maintenance }
 // VendorMTBF returns each vendor's measured link MTBF: the vendor's total
 // link observation hours divided by its isolated link failure count.
 // Vendors with no isolated failures are omitted.
-func (a *InterAnalysis) VendorMTBF() map[string]float64 {
-	out := make(map[string]float64, len(a.vendors))
-	for _, v := range a.vendors {
-		if v.failures == 0 {
-			continue
-		}
-		out[v.name] = v.mtbf(a.WindowHours)
-	}
-	return out
-}
+func (a *InterAnalysis) VendorMTBF() map[string]float64 { return a.byName(vendorMTBF) }
 
 // VendorMTTR returns each vendor's mean repair duration in hours over its
 // isolated link failures.
-func (a *InterAnalysis) VendorMTTR() map[string]float64 {
-	out := make(map[string]float64, len(a.vendors))
-	for _, v := range a.vendors {
-		if v.failures == 0 {
-			continue
-		}
-		out[v.name] = v.mttr()
-	}
-	return out
-}
+func (a *InterAnalysis) VendorMTTR() map[string]float64 { return a.byName(vendorMTTR) }
 
 // Curve converts a name→value metric into its percentile curve (the solid
 // lines of Figures 15–18): X is the fraction of entries with that value or
@@ -314,14 +342,7 @@ type ContinentStats struct {
 // Table 4 continent comparison needs — conditioning on two-plus outages
 // would systematically understate the most reliable continents.
 func (a *InterAnalysis) EdgeFailureRateMTBF() map[string]float64 {
-	out := make(map[string]float64, len(a.edges))
-	for _, e := range a.edges {
-		if len(e.outages) == 0 {
-			continue
-		}
-		out[e.name] = a.WindowHours / float64(len(e.outages))
-	}
-	return out
+	return a.byName(edgeFailureRateMTBF)
 }
 
 // ByContinent returns Table 4 using pooled per-continent estimators:
@@ -362,22 +383,15 @@ func (a *InterAnalysis) ByContinent() map[backbone.Continent]ContinentStats {
 // Facebook plans edge and link capacity to tolerate the 99.99th percentile
 // of conditional risk (§6.1); PlanRisk returns that percentile across
 // edges.
-func (a *InterAnalysis) ConditionalRisk() map[string]float64 {
-	out := make(map[string]float64, len(a.edges))
-	for _, e := range a.edges {
-		out[e.name] = e.downHours / a.WindowHours
-	}
-	return out
-}
+func (a *InterAnalysis) ConditionalRisk() map[string]float64 { return a.byName(edgeRisk) }
 
 // PlanRisk returns the p-th percentile of conditional risk across edges.
 func (a *InterAnalysis) PlanRisk(p float64) (float64, error) {
-	risk := a.ConditionalRisk()
-	vals := make([]float64, 0, len(risk))
-	for _, v := range risk {
-		vals = append(vals, v)
+	ps, err := stats.SelectPercentiles(a.values(edgeRisk), p)
+	if err != nil {
+		return 0, err
 	}
-	return stats.Percentile(vals, p)
+	return ps[0], nil
 }
 
 // LinkFailureCount returns the raw number of ticket intervals — the

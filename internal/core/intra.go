@@ -73,18 +73,38 @@ func (a *IntraAnalysis) RootCauseByDevice() map[sev.RootCause]map[topology.Devic
 	return out
 }
 
+// incidentCounts is the incident count per year and device type, read
+// from the store in one query. Figures 3, 7–10 and 12 and the claims
+// built on them are functions of it, so VerifyIntraClaims reads it once.
+// A year or type with no incident has no entry.
+type incidentCounts map[int]map[topology.DeviceType]int
+
+// countIncidents reads the incident-count table of q's reports.
+func countIncidents(q sev.Query) incidentCounts { return q.CountByYearDeviceType() }
+
+// year returns the year's incident count.
+func (c incidentCounts) year(y int) (n int) {
+	for _, k := range c[y] {
+		n += k
+	}
+	return n
+}
+
 // IncidentRate returns Figure 3 for one year: incidents per active device
 // of each type (r = i/n, §5.2). Types with no population that year are
 // omitted.
 func (a *IntraAnalysis) IncidentRate(year int) map[topology.DeviceType]float64 {
-	counts := a.Store.Query().Year(year).CountByDeviceType()
+	return a.incidentRate(countIncidents(a.Store.Query().Year(year)), year)
+}
+
+func (a *IntraAnalysis) incidentRate(c incidentCounts, year int) map[topology.DeviceType]float64 {
 	out := make(map[topology.DeviceType]float64)
 	for _, t := range topology.IntraDCTypes {
 		pop := a.Fleet.Population(year, t)
 		if pop == 0 {
 			continue
 		}
-		out[t] = float64(counts[t]) / float64(pop)
+		out[t] = float64(c[year][t]) / float64(pop)
 	}
 	return out
 }
@@ -166,33 +186,42 @@ func (a *IntraAnalysis) SwitchesVsEmployees() []stats.Point {
 // fraction of that year's incidents.
 func (a *IntraAnalysis) IncidentFractions() map[int]map[topology.DeviceType]float64 {
 	out := make(map[int]map[topology.DeviceType]float64)
-	for year, byType := range a.Store.Query().CountByYearDeviceType() {
-		total := 0
-		for _, n := range byType {
-			total += n
+	for year, byType := range countIncidents(a.Store.Query()) {
+		if row := incidentFractions(byType); row != nil {
+			out[year] = row
 		}
-		if total == 0 {
-			continue
-		}
-		row := make(map[topology.DeviceType]float64, len(byType))
-		for t, n := range byType {
-			row[t] = float64(n) / float64(total)
-		}
-		out[year] = row
 	}
 	return out
+}
+
+// incidentFractions is one year's row of Figure 7, from the year's
+// counts, or nil for a year with no incident.
+func incidentFractions(byType map[topology.DeviceType]int) map[topology.DeviceType]float64 {
+	total := 0
+	for _, n := range byType {
+		total += n
+	}
+	if total == 0 {
+		return nil
+	}
+	row := make(map[topology.DeviceType]float64, len(byType))
+	for t, n := range byType {
+		row[t] = float64(n) / float64(total)
+	}
+	return row
 }
 
 // NormalizedIncidents returns Figure 8: per year and device type, incident
 // counts normalized to a fixed baseline — the total number of SEVs in
 // baselineYear (the paper uses 2017).
 func (a *IntraAnalysis) NormalizedIncidents(baselineYear int) map[int]map[topology.DeviceType]float64 {
-	baseline := a.Store.Query().Year(baselineYear).Count()
+	c := countIncidents(a.Store.Query())
+	baseline := c.year(baselineYear)
 	out := make(map[int]map[topology.DeviceType]float64)
 	if baseline == 0 {
 		return out
 	}
-	for year, byType := range a.Store.Query().CountByYearDeviceType() {
+	for year, byType := range c {
 		row := make(map[topology.DeviceType]float64, len(byType))
 		for t, n := range byType {
 			row[t] = float64(n) / float64(baseline)
@@ -206,38 +235,63 @@ func (a *IntraAnalysis) NormalizedIncidents(baselineYear int) map[int]map[topolo
 // incident count normalized to the baseline year's total SEVs. Only the
 // cluster and fabric designs are reported (RSW and Core are shared).
 func (a *IntraAnalysis) DesignIncidents(baselineYear int) map[int]map[topology.Design]float64 {
-	baseline := a.Store.Query().Year(baselineYear).Count()
+	c := countIncidents(a.Store.Query())
+	baseline := c.year(baselineYear)
 	out := make(map[int]map[topology.Design]float64)
 	if baseline == 0 {
 		return out
 	}
-	for year, byDesign := range a.Store.Query().CountByYearDesign() {
-		row := make(map[topology.Design]float64)
-		for _, d := range []topology.Design{topology.DesignCluster, topology.DesignFabric} {
-			row[d] = float64(byDesign[d]) / float64(baseline)
-		}
-		out[year] = row
+	for year, byType := range c {
+		out[year] = designIncidents(byType, baseline)
 	}
 	return out
+}
+
+// designs are the network designs Figures 9 and 10 compare.
+var designs = []topology.Design{topology.DesignCluster, topology.DesignFabric}
+
+// designIncidents is one year's row of Figure 9, from the year's counts
+// and the baseline year's total, which must not be 0.
+func designIncidents(byType map[topology.DeviceType]int, baseline int) map[topology.Design]float64 {
+	row := make(map[topology.Design]float64)
+	for _, d := range designs {
+		row[d] = float64(designCount(byType, d)) / float64(baseline)
+	}
+	return row
+}
+
+// designCount sums byType's counts over the types of design d.
+func designCount(byType map[topology.DeviceType]int, d topology.Design) (n int) {
+	for t, k := range byType {
+		if t.Design() == d {
+			n += k
+		}
+	}
+	return n
 }
 
 // DesignRate returns Figure 10: per year, incidents per device for each
 // network design.
 func (a *IntraAnalysis) DesignRate() map[int]map[topology.Design]float64 {
+	c := countIncidents(a.Store.Query())
 	out := make(map[int]map[topology.Design]float64)
-	byYearDesign := a.Store.Query().CountByYearDesign()
 	for _, year := range a.Fleet.Years() {
-		row := make(map[topology.Design]float64)
-		for _, d := range []topology.Design{topology.DesignCluster, topology.DesignFabric} {
-			pop := a.Fleet.DesignPopulation(year, d)
-			if pop == 0 {
-				continue
-			}
-			row[d] = float64(byYearDesign[year][d]) / float64(pop)
-		}
-		out[year] = row
+		out[year] = a.designRate(c, year)
 	}
 	return out
+}
+
+// designRate is one year's row of Figure 10.
+func (a *IntraAnalysis) designRate(c incidentCounts, year int) map[topology.Design]float64 {
+	row := make(map[topology.Design]float64)
+	for _, d := range designs {
+		pop := a.Fleet.DesignPopulation(year, d)
+		if pop == 0 {
+			continue
+		}
+		row[d] = float64(designCount(c[year], d)) / float64(pop)
+	}
+	return row
 }
 
 // PopulationBreakdown returns Figure 11: each device type's fraction of
@@ -265,10 +319,13 @@ func (a *IntraAnalysis) PopulationBreakdown() map[int]map[topology.DeviceType]fl
 // divided by its incident count, §5.6). Types with no incidents that year
 // are omitted — their MTBI is unbounded by observation.
 func (a *IntraAnalysis) MTBI(year int) map[topology.DeviceType]float64 {
-	counts := a.Store.Query().Year(year).CountByDeviceType()
+	return a.mtbi(countIncidents(a.Store.Query().Year(year)), year)
+}
+
+func (a *IntraAnalysis) mtbi(c incidentCounts, year int) map[topology.DeviceType]float64 {
 	out := make(map[topology.DeviceType]float64)
 	for _, t := range topology.IntraDCTypes {
-		n := counts[t]
+		n := c[year][t]
 		if n == 0 {
 			continue
 		}
@@ -280,14 +337,17 @@ func (a *IntraAnalysis) MTBI(year int) map[topology.DeviceType]float64 {
 // DesignMTBI returns §5.6's design comparison for one year: the average
 // MTBI across a design's device types, in device-hours.
 func (a *IntraAnalysis) DesignMTBI(year int, d topology.Design) float64 {
-	counts := a.Store.Query().Year(year).CountByDeviceType()
+	return a.designMTBI(countIncidents(a.Store.Query().Year(year)), year, d)
+}
+
+func (a *IntraAnalysis) designMTBI(c incidentCounts, year int, d topology.Design) float64 {
 	hours, incidents := 0.0, 0
 	for _, t := range topology.IntraDCTypes {
 		if t.Design() != d {
 			continue
 		}
 		hours += a.Fleet.DeviceHours(year, t)
-		incidents += counts[t]
+		incidents += c[year][t]
 	}
 	if incidents == 0 {
 		return 0

@@ -222,7 +222,8 @@ func checkQuery(t *testing.T, s *Store, q Query, label string) {
 
 // ingestAndCheck decodes a script of store operations from src and runs
 // it against s until src runs dry: each step adds one report with Add (one
-// step in four) or a batch of 1–40 with AddAll, then checks one query.
+// step in four) or a batch of 1–40 with AddAll, checks the index's
+// invariants (checkIndex), then checks one query.
 // With all set, it checks every one of the 128 predicate combinations
 // instead.
 func ingestAndCheck(t *testing.T, s *Store, src *byteSource, all bool) {
@@ -240,6 +241,9 @@ func ingestAndCheck(t *testing.T, s *Store, src *byteSource, all bool) {
 			if _, err := s.AddAll(batch); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := checkIndex(s); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 		if !all {
 			mask := src.next()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -120,8 +121,8 @@ func (m *storeModel) addAll(batch []Report) bool {
 // every operation the two must agree on Len, All, Get and Provenance (on
 // every held ID, 0 and max+1), on one grouped count and on the resolution
 // samples, whole and by year, read from the store's resolution column,
-// and Generation must move by exactly one when the data changed and stay
-// put otherwise.
+// Generation must move by exactly one when the data changed and stay put
+// otherwise, and the index must hold its invariants (checkIndex).
 // The first two seeds are the two defects this harness was written for:
 // ReadJSON keeping the old dataset's provenance, and AddAll appending an
 // explicit ID below the largest out of ID order.
@@ -243,7 +244,49 @@ func runStoreOps(t *testing.T, data []byte) {
 			t.Fatalf("%s: generation %d → %d, want %d", label, gen, s.Generation(), want)
 		}
 		checkAgainstModel(t, s, m, Severity(1+(code>>3)%3), code&32 != 0, label)
+		if err := checkIndex(s); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
 	}
+}
+
+// checkIndex checks the sums and bounds the index keeps beside its
+// positions against the positions themselves: every cell's count and
+// cause occurrences are those of its reports and its start bounds their
+// least and greatest start, and every slot's tally is the sum of its
+// cells' counts.
+func checkIndex(s *Store) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, y := range s.years {
+		for slot := range numSlots {
+			var sum counts
+			for ci := y.slots[slot]; ci != 0; ci = s.cells[ci].link {
+				c := &s.cells[ci]
+				var own counts
+				lo, hi := math.Inf(1), math.Inf(-1)
+				for p := c.head; p >= 0; p = s.next[p] {
+					own.add(s.reports[p].EffectiveRootCauses())
+					lo, hi = min(lo, s.start[p]), max(hi, s.start[p])
+				}
+				if own != c.counts || lo != c.lo || hi != c.hi {
+					return fmt.Errorf("year %d slot %d cell %d: counts %+v, starts [%v, %v]; its positions give %+v, [%v, %v]",
+						y.year, slot, ci, c.counts, c.lo, c.hi, own, lo, hi)
+				}
+				if c.tally != y.tally[slot] {
+					return fmt.Errorf("year %d slot %d cell %d: tally %d, slot's %d", y.year, slot, ci, c.tally, y.tally[slot])
+				}
+				sum.n += own.n
+				for rc, k := range own.causes {
+					sum.causes[rc] += k
+				}
+			}
+			if got := s.tallies[y.tally[slot]]; got != sum {
+				return fmt.Errorf("year %d slot %d: tally %+v, its cells sum to %+v", y.year, slot, got, sum)
+			}
+		}
+	}
+	return nil
 }
 
 // reportIDs lists the IDs of batch, for failure messages.

@@ -14,13 +14,16 @@ import (
 // returns a new Query and never mutates the receiver.
 //
 // Every query is answered from the store's cell index: Year picks a
-// year, DeviceType, Design and Severity pick slots, and RootCause a bit a
-// cell's mask must hold, so the cells reached hold exactly the matching
-// reports. Counts sum cells, checking their positions against the start
-// column only under Since/Until; ordered results (Reports, Resolutions*,
-// Starts) mark positions in a pooled bitset and walk it in ID order. An
-// instrumented store (Store.Instrument) counts a query with no set-valued
-// predicate (none, or only Since/Until), which reads every cell, in
+// year, DeviceType, Design and Severity pick slots, RootCause a bit a
+// cell's mask must hold, and Since/Until the cells whose start bounds
+// meet the window, so the cells reached hold exactly the matching reports
+// and those the window cuts. A count with no RootCause and no Since/Until
+// sums the slots' tallies and reaches no cell; any other count sums
+// cells, testing positions against the start column only in the cells
+// the window cuts. Ordered results (Reports, Resolutions*, Starts) mark
+// positions in a pooled bitset and walk it in ID order. An instrumented
+// store (Store.Instrument) counts a query with no set-valued predicate
+// (none, or only Since/Until), which reads every slot, in
 // sev_queries_scan_total, and any other in sev_queries_indexed_total.
 type Query struct {
 	store        *Store
@@ -115,25 +118,39 @@ func (sel *selection) in(pos int32) bool {
 
 const whole, byType, byYear = 0, 1, 2 // the groups a visit can split into
 
-// visit resolves q into sel and calls fn, under the read lock, for every
-// cell holding matching reports: in one pass, or one per device type or
-// admitted year (split), calling end with the group's key after each. It
+// visit resolves q into sel and calls, under the read lock, fn for every
+// cell holding matching reports, with cut set when the window holds only
+// some of the cell's reports: in one pass, or one per device type or
+// admitted year (split), calling end with the group's key after each.
+// When tallied is non-nil and q has no RootCause and no window, it calls
+// tallied with each admitted slot's tally instead and reaches no cell. It
 // records the query as a scan if it has no set-valued predicate, else as
-// indexed with the reports in the cells visited as its candidates.
-func (q Query) visit(sel *selection, split int, fn func(slot int, c *cell), end func(key int)) {
+// indexed with the reports in the cells or tallies read as its candidates.
+func (q Query) visit(sel *selection, split int, fn func(slot int, c *cell, cut bool), tallied func(slot int, t *counts), end func(key int)) {
 	s := q.store
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	*sel = q.selectLocked()
+	if sel.causes != 0xff || sel.windowed {
+		tallied = nil
+	}
 	candidates := 0
 	pass := func(years []yearCells, slots uint32, key int) {
 		for i := range years {
 			for m := slots; m != 0; m &= m - 1 {
 				slot := bits.TrailingZeros32(m)
+				if tallied != nil {
+					if ti := years[i].tally[slot]; ti != 0 {
+						candidates += int(s.tallies[ti].n)
+						tallied(slot, &s.tallies[ti])
+					}
+					continue
+				}
 				for ci := years[i].slots[slot]; ci != 0; ci = s.cells[ci].link {
-					if c := &s.cells[ci]; c.mask&sel.causes != 0 {
+					// A NaN bound fails every comparison, so it skips every cell.
+					if c := &s.cells[ci]; c.mask&sel.causes != 0 && c.hi >= sel.since && c.lo < sel.until {
 						candidates += int(c.n)
-						fn(slot, c)
+						fn(slot, c, c.lo < sel.since || c.hi >= sel.until)
 					}
 				}
 			}
@@ -166,6 +183,14 @@ type tally struct {
 	causes [numRootCauses]int
 }
 
+// add counts c's reports, all of them matching, in slot.
+func (t *tally) add(slot int, c *counts) {
+	t.n[slot] += int(c.n)
+	for rc, m := range c.causes {
+		t.causes[rc] += int(m)
+	}
+}
+
 func (t tally) total() (n int) {
 	for _, k := range t.n {
 		n += k
@@ -185,18 +210,15 @@ func group[K comparable](t tally, key func(slot int) K) map[K]int {
 }
 
 // count calls fn with the tally of the matching reports, in all or per
-// admitted year holding one (split byYear). It reads a report only under
-// a window and in a cell where one lists a cause twice: in any other cell
+// admitted year holding one (split byYear). It reads a report only in a
+// cell the window cuts where one lists a cause twice: in any other cell
 // each report lists exactly the mask's causes.
 func (q Query) count(split int, fn func(year int, t tally)) {
 	var t tally
 	var sel selection
-	q.visit(&sel, split, func(slot int, c *cell) {
-		if !sel.windowed {
-			t.n[slot] += int(c.n)
-			for rc, m := range c.causes {
-				t.causes[rc] += int(m)
-			}
+	q.visit(&sel, split, func(slot int, c *cell, cut bool) {
+		if !cut {
+			t.add(slot, &c.counts)
 			return
 		}
 		k := 0
@@ -214,7 +236,7 @@ func (q Query) count(split int, fn func(year int, t tally)) {
 		for m := c.mask; m != 0 && !c.dup; m &= m - 1 {
 			t.causes[bits.TrailingZeros8(m)] += k
 		}
-	}, func(year int) {
+	}, t.add, func(year int) {
 		if t.total() > 0 {
 			fn(year, t)
 		}
@@ -239,20 +261,20 @@ func collect[T any](q Query, split int, f func(s *Store, pos int) T, put func(ke
 	bs := bitsets.Get().(*[]uint64)
 	lo, hi, n := math.MaxInt, -1, 0
 	var sel selection
-	q.visit(&sel, split, func(_ int, c *cell) {
-		if !sel.windowed {
+	q.visit(&sel, split, func(_ int, c *cell, cut bool) {
+		if !cut {
 			n += int(c.n) // every position of the cell matches
 		}
 		if need := (len(sel.s.reports) + 63) >> 6; len(*bs) < need {
 			*bs = make([]uint64, need)
 		}
 		for p := c.head; p >= 0; p = sel.s.next[p] {
-			if !sel.windowed || sel.in(p) {
+			if !cut || sel.in(p) {
 				(*bs)[p>>6] |= 1 << (p & 63)
 			}
 		}
 		lo, hi = min(lo, int(c.head>>6)), max(hi, int(c.tail>>6))
-	}, func(key int) {
+	}, nil, func(key int) {
 		xs := make([]T, 0, n)
 		for w := lo; w <= hi; w++ {
 			for word := (*bs)[w]; word != 0; word &= word - 1 {

@@ -20,11 +20,15 @@ import (
 // Alongside the report slice the store keeps a cell index (see Query):
 // one cell per (year, device type, severity, set of effective root
 // causes), with its report count, the times its reports list each cause,
-// and its positions, threaded through one per-position next column. A
-// report makes at most one cell, so the index stays linear in the reports
-// whatever years arrive (Year comes unvalidated through POST /ingest), and
-// a (year, device type, severity) slot lists at most 127 cells, one per
-// cause set. After Grow, an Add into an existing cell allocates nothing.
+// the earliest and latest start among them, and its positions, threaded
+// through one per-position next column. Each (year, device type,
+// severity) slot that holds a report also keeps a tally, the sum of its
+// cells' counts, so a count that filters on no cause and no window reads
+// one tally per slot and no cell. A report makes at most one cell and one
+// tally, so the index stays linear in the reports whatever years arrive
+// (Year comes unvalidated through POST /ingest), and a slot lists at most
+// 127 cells, one per cause set. A report finds its cell in one map probe.
+// After Grow, an Add into an existing cell allocates nothing.
 //
 // IDs strictly ascend with position: AddAll and AppendJSON reject an
 // explicit ID at or below the largest held, and ReadJSON and AppendJSON
@@ -45,14 +49,17 @@ type Store struct {
 
 	// The cell index: per position, the report's start time, its
 	// resolution time and the next position in its cell (-1 after its
-	// last); the cells, cells[0] being a sentinel; and per year, the first
-	// cell of each slot.
+	// last); the cells and the slot tallies, cells[0] and tallies[0] being
+	// sentinels; per year, each slot's first cell and tally; and the cell
+	// of each (year, slot, cause set).
 	start   []float64
 	res     []float64
 	next    []int32
 	cells   []cell
+	tallies []counts
 	years   []yearCells
 	yearPos map[int]int32
+	cellOf  map[cellKey]int32
 	// provenance is the causal-chain side store keyed by report ID,
 	// attached by AttachJournal; it is deliberately not part of the
 	// report serialization (WriteJSON stays byte-stable).
@@ -97,7 +104,8 @@ func (s *Store) resetLocked(reports []Report, types []uint8) {
 		s.nextID = reports[n-1].ID + 1
 	}
 	s.start, s.res, s.next = make([]float64, 0, n), make([]float64, 0, n), make([]int32, 0, n)
-	s.cells, s.years, s.yearPos = make([]cell, 1), nil, make(map[int]int32)
+	s.cells, s.tallies, s.years = make([]cell, 1), make([]counts, 1), nil
+	s.yearPos, s.cellOf = make(map[int]int32), make(map[cellKey]int32)
 	for pos := range reports {
 		s.indexLocked(pos, topology.DeviceType(types[pos]))
 	}
@@ -114,58 +122,95 @@ func slotOf(t topology.DeviceType, v Severity) int { return int(t)*3 + int(v) - 
 func slotType(slot int) topology.DeviceType        { return topology.DeviceType(slot / 3) }
 func slotSeverity(slot int) Severity               { return Severity(slot%3 + 1) }
 
-// cell is one (year, device type, severity, cause set) cell of the index.
-type cell struct {
-	n          int32                // reports in the cell
-	causes     [numRootCauses]int32 // times its reports list each effective root cause
-	head, tail int32                // first and last position
-	link       int32                // next cell of the same year and slot, 0 at the end
-	mask       uint8                // the cause set, bit c for cause c
-	dup        bool                 // some report lists a cause more than once
+// counts is a number of reports and the times they list each effective
+// root cause: a cell's own, or a slot's tally of its cells.
+type counts struct {
+	n      int32
+	causes [numRootCauses]int32
 }
 
-// yearCells holds one year's cells: the first of each slot's list, or 0.
+// add counts one report listing the effective root causes rcs.
+func (c *counts) add(rcs []RootCause) {
+	c.n++
+	for _, rc := range rcs {
+		c.causes[rc]++
+	}
+}
+
+// cell is one (year, device type, severity, cause set) cell of the index.
+type cell struct {
+	counts
+	lo, hi     float64 // earliest and latest start of its reports
+	head, tail int32   // first and last position
+	link       int32   // next cell of the same year and slot, 0 at the end
+	tally      int32   // its slot's tally
+	mask       uint8   // the cause set, bit c for cause c
+	dup        bool    // some report lists a cause more than once
+}
+
+// yearCells holds one year's index: each slot's first cell and its
+// tally, or 0 for a slot with no report.
 type yearCells struct {
 	year  int
 	slots [numSlots]int32
+	tally [numSlots]int32
+}
+
+// cellKey names a cell: its year, slot and cause set.
+type cellKey struct {
+	year       int
+	slot, mask uint8
 }
 
 // indexLocked adds the report at position pos, which must be the highest
 // position indexed so far and whose device type validation parsed as t,
-// to its cell. Caller holds mu.
+// to its cell and its slot's tally. Caller holds mu.
 func (s *Store) indexLocked(pos int, t topology.DeviceType) {
 	r := &s.reports[pos]
-	yi, ok := s.yearPos[r.Year]
-	if !ok {
-		yi = int32(len(s.years))
-		s.years = append(s.years, yearCells{year: r.Year})
-		s.yearPos[r.Year] = yi
-	}
 	rcs, mask := r.EffectiveRootCauses(), uint8(0)
 	for _, c := range rcs {
 		mask |= 1 << c
 	}
-	// A slot lists its cells oldest first; a new one is linked at the end.
-	link := &s.years[yi].slots[slotOf(t, r.Severity)]
-	for *link != 0 && s.cells[*link].mask != mask {
-		link = &s.cells[*link].link
-	}
-	ci := *link
 	s.next = append(s.next, -1)
-	if ci == 0 {
-		ci = int32(len(s.cells))
-		*link = ci // before the append, which may move the cell link points into
-		s.cells = append(s.cells, cell{head: int32(pos), mask: mask})
+	s.start = append(s.start, r.Start)
+	s.res = append(s.res, r.Resolution)
+	key := cellKey{r.Year, uint8(slotOf(t, r.Severity)), mask}
+	ci, ok := s.cellOf[key]
+	if !ok {
+		ci = s.newCellLocked(key, pos)
 	} else {
 		s.next[s.cells[ci].tail] = int32(pos)
 	}
 	c := &s.cells[ci]
-	for _, rc := range rcs {
-		c.causes[rc]++
+	c.add(rcs)
+	s.tallies[c.tally].add(rcs)
+	c.tail, c.dup = int32(pos), c.dup || len(rcs) > bits.OnesCount8(mask)
+	c.lo, c.hi = min(c.lo, r.Start), max(c.hi, r.Start)
+}
+
+// newCellLocked makes the empty cell key names, starting at position pos,
+// at the head of its slot's list, giving the slot a tally and the year its
+// slots if they have none, and returns its index. Caller holds mu.
+func (s *Store) newCellLocked(key cellKey, pos int) int32 {
+	yi, ok := s.yearPos[key.year]
+	if !ok {
+		yi = int32(len(s.years))
+		s.years = append(s.years, yearCells{year: key.year})
+		s.yearPos[key.year] = yi
 	}
-	c.tail, c.n, c.dup = int32(pos), c.n+1, c.dup || len(rcs) > bits.OnesCount8(mask)
-	s.start = append(s.start, r.Start)
-	s.res = append(s.res, r.Resolution)
+	y := &s.years[yi]
+	if y.tally[key.slot] == 0 {
+		y.tally[key.slot] = int32(len(s.tallies))
+		s.tallies = append(s.tallies, counts{})
+	}
+	ci := int32(len(s.cells))
+	s.cells = append(s.cells, cell{
+		lo: s.start[pos], hi: s.start[pos], head: int32(pos),
+		link: y.slots[key.slot], tally: y.tally[key.slot], mask: key.mask,
+	})
+	y.slots[key.slot] = ci
+	s.cellOf[key] = ci
+	return ci
 }
 
 // posLocked returns the position of the report with the given ID: ID-1

@@ -27,8 +27,11 @@
 #                    ID lookups against the loaded reports), the SEV
 #                    store's operation sequences (Add, AddAll, Grow,
 #                    ReadJSON, SetProvenance against a slice-and-map
-#                    model, resolution samples included), the fault
-#                    cursor's radix sort (against slices.SortFunc over
+#                    model, resolution samples included, and after every
+#                    step each slot tally equal to the sum of its cells
+#                    and each cell's counts and start bounds to those of
+#                    its positions), the fault cursor's radix sort
+#                    (against slices.SortFunc over
 #                    arbitrary non-negative finite starts), the
 #                    SEV query index (every result method against the
 #                    brute-force Query.matches scan, over Add and AddAll
